@@ -22,10 +22,6 @@ except Exception as exc:  # Cython missing or broken toolchain
     warnings.warn(f"skipping compiled kernel ({exc}); pure-Python fallback will be used")
 
 
-class _OptionalBuildExt:
-    """Mixin deferring to setuptools' build_ext but swallowing compiler errors."""
-
-
 def _build_ext_cls():
     from setuptools.command.build_ext import build_ext
 

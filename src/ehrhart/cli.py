@@ -466,7 +466,7 @@ def _claim_mcmullen(ps, ns, budget) -> VerificationReport:
     witness = {}
     ok = True
     for label, poly in _mcmullen_targets(max_p):
-        report = mcmullen_check(poly, budget=budget)
+        report = mcmullen_check(poly, counter=_fitted(poly, budget)[1])
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
         ok = ok and good

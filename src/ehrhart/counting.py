@@ -230,8 +230,6 @@ class CountFunction:
                     if target.product_structure is not None
                     else "enumerate"
                 )
-                if strategy == "inclusion-exclusion" and len(target.pieces) == 1:
-                    strategy = "product"
             self.strategy = strategy
         else:
             self.strategy = "enumerate"
@@ -240,8 +238,7 @@ class CountFunction:
     def __call__(self, k: int) -> int:
         if k not in self._memo:
             if isinstance(self.target, PolytopalUnion):
-                strat = "inclusion-exclusion" if self.strategy == "product" else self.strategy
-                self._memo[k] = count_union(self.target, k, self.budget, strat)
+                self._memo[k] = count_union(self.target, k, self.budget, self.strategy)
             else:
                 self._memo[k] = count_convex(self.target, k, self.budget)
         return self._memo[k]

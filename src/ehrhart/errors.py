@@ -22,7 +22,7 @@ class BudgetExceeded(EhrhartError):
 
 
 class DimensionCapExceeded(EhrhartError):
-    """Brute-force hull or face enumeration requested above the supported cap."""
+    """Hull or face enumeration requested above the supported cap."""
 
 
 class BadApex(EhrhartError):

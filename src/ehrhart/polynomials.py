@@ -6,15 +6,6 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def poly_add(p: Sequence, q: Sequence) -> list:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += Fraction(c)
-    for i, c in enumerate(q):
-        out[i] += Fraction(c)
-    return out
-
-
 def poly_neg(p: Sequence) -> list:
     return [-Fraction(c) for c in p]
 
@@ -30,13 +21,6 @@ def poly_mul(p: Sequence, q: Sequence) -> list:
         for j, b in enumerate(q):
             out[i + j] += a * Fraction(b)
     return out
-
-
-def poly_eval(p: Sequence, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + Fraction(c)
-    return acc
 
 
 def poly_trim(p: Sequence) -> list:

@@ -3,12 +3,13 @@
 A :class:`ConvexPolytope` is stored in both representations at once: the
 extreme points, and integer facet inequalities ``normal . x <= offset``
 together with the integer equations of the affine hull. ``from_vertices``
-derives everything from a point list by brute force over spanning subsets,
-which is exact and entirely adequate for the desk-scale polytopes this
-library targets (the hull cap defaults to dimension 5). Dilates,
-translates, products and pyramids are composed directly, without
-re-running hull enumeration, so high-dimensional product bodies stay
-cheap to build.
+derives everything from a point list with the double description method
+on integer-scaled data, which is exact and also yields which points are
+tight on each facet (hulls are capped at dimension 5). ``faces`` closes
+the facets' vertex sets under intersection and reads each face's
+dimension off the grading of that lattice. Dilates, translates, products
+and pyramids are composed directly, without re-running the hull, so
+high-dimensional product bodies stay cheap to build.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -18,15 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import BadApex, DimensionCapExceeded, DimensionMismatch
+from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, EhrhartError
 from .linalg import (
     AffineSubspace,
     Vector,
     as_vector,
     canonical_equation,
+    independent_rows,
     integerize,
     nullspace,
     rank,
@@ -37,7 +38,7 @@ from .linalg import (
     vsub,
 )
 
-HULL_DIM_CAP = 5
+HULL_DIM_CAP = 5  # largest hull from_vertices builds; caps the hull-based families too
 FACE_ENUM_CAP = 4
 
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
@@ -201,27 +202,14 @@ def affine_hull(points: Sequence[Vector], ambient_dim: int) -> tuple[AffineSubsp
     return sub, dim
 
 
-def _direction_basis(points: Sequence[Vector]) -> list[Vector]:
-    base = points[0]
-    basis: list[Vector] = []
-    r = 0
-    for p in points[1:]:
-        d = vsub(p, base)
-        if any(x != 0 for x in d):
-            new_rank = rank(basis + [d])
-            if new_rank > r:
-                basis.append(d)
-                r = new_rank
-    return basis
-
-
-def from_vertices(points: Iterable[Sequence], hull_cap: int = HULL_DIM_CAP) -> ConvexPolytope:
+def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     """Build a polytope from points: dedupe, find facets, drop non-extreme points.
 
-    Facets are found by brute force: every affinely independent subset
-    spanning a hyperplane of the affine hull is tested for one-sidedness.
-    A point is kept as a vertex exactly when its tight facet normals span
-    the intrinsic dimension.
+    Facets come from the double description method. Lower-dimensional
+    inputs are first projected to local coordinates on a basis of their
+    affine hull, and the facets found there are lifted back. A point is
+    kept as a vertex exactly when its tight facet normals span the
+    intrinsic dimension.
     """
     pts = sorted({as_vector(p) for p in points})
     if not pts:
@@ -233,51 +221,106 @@ def from_vertices(points: Iterable[Sequence], hull_cap: int = HULL_DIM_CAP) -> C
     span, dim = affine_hull(pts, n)
     if dim == 0:
         return ConvexPolytope(n, (pts[0],), (), span, 0)
-    if dim > hull_cap:
-        raise DimensionCapExceeded(f"hull enumeration capped at dimension {hull_cap}, got {dim}")
+    if dim > HULL_DIM_CAP:
+        raise DimensionCapExceeded(
+            f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
+        )
 
+    base = pts[0]
+    dirs = [vsub(p, base) for p in pts[1:]]
+    chosen = independent_rows(dirs)
     if dim == n:
         local = pts  # full-dimensional: ambient coordinates already work
     else:
-        basis = _direction_basis(pts)
+        basis = [dirs[i] for i in chosen]
         cols = [[basis[j][i] for j in range(dim)] for i in range(n)]
-        base = pts[0]
-        local = [solve_rational(cols, vsub(p, base)) for p in pts]
+        local = [(Fraction(0),) * dim] + [solve_rational(cols, d) for d in dirs]
 
-    local_facets: set[tuple[tuple[int, ...], int]] = set()
-    for subset in combinations(range(len(local)), dim):
-        anchor = local[subset[0]]
-        dirs = [vsub(local[s], anchor) for s in subset[1:]]
-        kernel = nullspace(dirs, ncols=dim) if dirs else nullspace([], dim)
-        if len(kernel) != 1:
-            continue  # not a hyperplane of the hull
-        g = kernel[0]
-        c = vdot(g, anchor)
-        signs = [vdot(g, p) - c for p in local]
-        if all(s <= 0 for s in signs):
-            pass
-        elif all(s >= 0 for s in signs):
-            g, c = vscale(g, -1), -c
-        else:
-            continue
-        local_facets.add(_int_facet(g, c))
-
-    if dim == n:
-        facets = sorted(local_facets)
-    else:
-        lifted = set()
-        for g, c in sorted(local_facets):
-            a = solve_rational([list(b) for b in basis], g)
-            offset = vdot(a, base) + c
-            lifted.add(_int_facet(a, offset))
-        facets = sorted(lifted)
+    simplex = [0] + [i + 1 for i in chosen]
+    rays = _double_description(local, simplex)
+    if dim < n:
+        lifted = []
+        for (g, c), mask in rays:
+            a = solve_rational(basis, g)
+            lifted.append((_int_facet(a, vdot(a, base) + c), mask))
+        rays = lifted
+    facets = sorted(facet for facet, _ in rays)
 
     extreme = []
-    for p in pts:
-        tight = [a for a, c in facets if vdot(a, p) == c]
+    for i, p in enumerate(pts):
+        tight = [a for (a, _), mask in rays if mask >> i & 1]
         if rank(tight) == dim:
             extreme.append(p)
     return ConvexPolytope(n, tuple(extreme), tuple(facets), span, dim)
+
+
+def _double_description(
+    local: Sequence[Vector], simplex: Sequence[int]
+) -> list[tuple[Facet, int]]:
+    """Facets ``g . x <= c`` of the hull of full-dimensional points, each
+    with the bitmask of the points tight on it.
+
+    Every point ``v`` is the homogeneous constraint ``(-g, c) . (v, 1) >= 0``
+    on the candidate inequality ``(g, c)``; the extreme rays of the cone of
+    valid inequalities are exactly the facets of a bounded body. The cone
+    starts as that of the simplex on the points indexed by ``simplex``,
+    whose rays are its facets, and the other points are added one at a
+    time (Motzkin et al. 1953; Fukuda & Prodon 1996). All data is scaled
+    to integers, rays are normalized by their gcd, and two rays are
+    adjacent exactly when no third ray vanishes on every constraint that
+    both vanish on. Each ray carries its zero set as a bitmask over
+    ``local``, which ends as the set of points tight on the facet.
+    """
+    rows = []
+    for v in local:
+        scale = math.lcm(*(x.denominator for x in v))
+        rows.append(tuple(-int(x * scale) for x in v) + (scale,))
+    width = len(rows[0])
+
+    rays: list[tuple[tuple[int, ...], int]] = []
+    start_mask = sum(1 << i for i in simplex)
+    for i in simplex:
+        others = [rows[j] for j in simplex if j != i]
+        ray = integerize(nullspace(others, ncols=width)[0])
+        if _dot(rows[i], ray) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append((ray, start_mask & ~(1 << i)))
+
+    in_simplex = set(simplex)
+    for i, row in enumerate(rows):
+        if i in in_simplex:
+            continue
+        bit = 1 << i
+        plus, zero, minus = [], [], []
+        for ray, mask in rays:
+            s = _dot(row, ray)
+            if s > 0:
+                plus.append((ray, mask, s))
+            elif s < 0:
+                minus.append((ray, mask, s))
+            else:
+                zero.append((ray, mask | bit))
+        if not minus:
+            rays = [(ray, mask) for ray, mask, _ in plus] + zero
+            continue
+        masks = [mask for _, mask in rays]
+        fresh = []
+        for rp, mp, sp in plus:
+            for rm, mm, sm in minus:
+                common = mp & mm
+                if common.bit_count() < width - 2:
+                    continue  # too few shared zeros to be adjacent: skip the scan
+                if any(m & common == common and m != mp and m != mm for m in masks):
+                    continue
+                ray = tuple(sp * y - sm * x for x, y in zip(rp, rm))
+                g = math.gcd(*ray)
+                fresh.append((tuple(x // g for x in ray), common | bit))
+        rays = [(ray, mask) for ray, mask, _ in plus] + zero + fresh
+    return [((ray[:-1], ray[-1]), mask) for ray, mask in rays]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _int_facet(normal: Sequence, offset) -> Facet:
@@ -364,7 +407,10 @@ def faces(poly: ConvexPolytope, dim: int, cap: int = FACE_ENUM_CAP) -> list[Face
 
     Every nonempty face is an intersection of facets and is recovered as
     the set of vertices tight on those facets; ``dim == intrinsic_dim``
-    returns the polytope itself as its own face.
+    returns the polytope itself as its own face. Dimensions come from the
+    grading of this lattice: a vertex has dimension 0, and any other face
+    one more than the largest face it strictly contains, which is its
+    intersection with some facet.
     """
     if poly.intrinsic_dim > cap:
         raise DimensionCapExceeded(
@@ -372,12 +418,13 @@ def faces(poly: ConvexPolytope, dim: int, cap: int = FACE_ENUM_CAP) -> list[Face
         )
     if not 0 <= dim <= poly.intrinsic_dim:
         raise ValueError(f"face dimension {dim} out of range")
-    nverts = len(poly.vertices)
+    scale = math.lcm(*(x.denominator for v in poly.vertices for x in v))
+    scaled = [[int(x * scale) for x in v] for v in poly.vertices]
     per_facet = [
-        frozenset(i for i, v in enumerate(poly.vertices) if vdot(a, v) == c)
+        frozenset(i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
         for a, c in poly.facets
     ]
-    everything = frozenset(range(nverts))
+    everything = frozenset(range(len(poly.vertices)))
     closed = {everything}
     queue = [everything]
     while queue:
@@ -388,12 +435,17 @@ def faces(poly: ConvexPolytope, dim: int, cap: int = FACE_ENUM_CAP) -> list[Face
                 closed.add(t)
                 queue.append(t)
 
+    grade: dict[frozenset, int] = {}
+    for idx_set in sorted(closed, key=len):
+        below = (grade[t] for t in (idx_set & pf for pf in per_facet) if t and t != idx_set)
+        grade[idx_set] = 1 + max(below, default=-1)
+
     out = []
     for idx_set in sorted(closed, key=sorted):
-        subset = [poly.vertices[i] for i in sorted(idx_set)]
-        sub_span, sub_dim = affine_hull(subset, poly.ambient_dim)
-        if sub_dim == dim:
-            out.append(Face(tuple(sorted(idx_set)), sub_span, sub_dim))
+        if grade[idx_set] == dim:
+            subset = [poly.vertices[i] for i in sorted(idx_set)]
+            sub_span, _ = affine_hull(subset, poly.ambient_dim)
+            out.append(Face(tuple(sorted(idx_set)), sub_span, dim))
     return out
 
 
@@ -480,7 +532,18 @@ def union_to_dict(union: PolytopalUnion) -> dict:
     return out
 
 
+def _product_body(fact: Factorization, listed: dict, ambient_dim: int, what: str) -> ConvexPolytope:
+    """The product body of ``fact``, checked against the vertices listed for it."""
+    body = embed_product(fact, ambient_dim)  # avoids hull enumeration
+    vertices = sorted(tuple(Fraction(c) for c in v) for v in listed["vertices"])
+    if vertices != list(body.vertices):
+        raise EhrhartError(f"{what}: listed vertices disagree with its product_structure")
+    return body
+
+
 def union_from_dict(data: dict) -> PolytopalUnion:
+    """Rebuild a union; product-structured pieces and intersections are built
+    from their factors, and their listed vertices must match."""
     ambient = data["ambient_dim"]
     structure = data.get("product_structure")
     pieces = []
@@ -489,7 +552,7 @@ def union_from_dict(data: dict) -> PolytopalUnion:
         fact = _factorization_from_list(structure[idx], ambient) if structure else None
         piece_facts.append(fact)
         if fact is not None:
-            pieces.append(embed_product(fact, ambient))  # avoids hull enumeration
+            pieces.append(_product_body(fact, pdata, ambient, f"piece {idx}"))
         else:
             pieces.append(polytope_from_dict(pdata))
     intersections = None
@@ -497,11 +560,11 @@ def union_from_dict(data: dict) -> PolytopalUnion:
     if "intersections" in data:
         intersections = []
         inter_facts = []
-        for entry in data["intersections"]:
+        for idx, entry in enumerate(data["intersections"]):
             fact = _factorization_from_list(entry.get("product_structure"), ambient)
             inter_facts.append(fact)
             if fact is not None:
-                body = embed_product(fact, ambient)
+                body = _product_body(fact, entry["polytope"], ambient, f"intersection {idx}")
             else:
                 body = polytope_from_dict(entry["polytope"])
             intersections.append((entry["i"], entry["j"], body))

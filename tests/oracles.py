@@ -2,13 +2,27 @@
 
 Everything here deliberately avoids the production code paths: hull
 membership is decided by barycentric coordinates over vertex subsets,
-determinants come from Bareiss elimination, Smith diagonals from minor
-gcds, and minimal dilates from explicit small searches.
+facets by testing every spanning subset of points, face dimensions by the
+affine hull of every closed vertex set, determinants come from Bareiss
+elimination, Smith diagonals from minor gcds, and minimal dilates from
+explicit small searches.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
+
+from ehrhart.linalg import (
+    as_vector,
+    integerize,
+    nullspace,
+    rank,
+    solve_rational,
+    vdot,
+    vscale,
+    vsub,
+)
+from ehrhart.polytope import ConvexPolytope, Face, affine_hull
 
 
 def _solve_exact(rows, rhs):
@@ -169,3 +183,106 @@ def brute_min_dilate(rows, rhs, m_max, box=12):
         if brute_has_integer_solution(rows, [Fraction(b) * m for b in rhs], box):
             return m
     return None
+
+
+def _int_facet(normal, offset):
+    joint = integerize(list(normal) + [offset])
+    return joint[:-1], joint[-1]
+
+
+def _direction_basis(points):
+    base = points[0]
+    basis = []
+    r = 0
+    for p in points[1:]:
+        d = vsub(p, base)
+        if any(x != 0 for x in d):
+            new_rank = rank(basis + [d])
+            if new_rank > r:
+                basis.append(d)
+                r = new_rank
+    return basis
+
+
+def brute_force_hull(points):
+    """``from_vertices`` by testing every spanning subset for one-sidedness.
+
+    Every affinely independent subset spanning a hyperplane of the affine
+    hull is a facet candidate; it is kept when all points lie on one side.
+    Lower-dimensional inputs are projected to local coordinates and the
+    facets lifted back; a point is a vertex when its tight facet normals
+    span the intrinsic dimension.
+    """
+    pts = sorted({as_vector(p) for p in points})
+    n = len(pts[0])
+    span, dim = affine_hull(pts, n)
+    if dim == 0:
+        return ConvexPolytope(n, (pts[0],), (), span, 0)
+
+    if dim == n:
+        local = pts
+    else:
+        basis = _direction_basis(pts)
+        cols = [[basis[j][i] for j in range(dim)] for i in range(n)]
+        base = pts[0]
+        local = [solve_rational(cols, vsub(p, base)) for p in pts]
+
+    local_facets = set()
+    for subset in combinations(range(len(local)), dim):
+        anchor = local[subset[0]]
+        dirs = [vsub(local[s], anchor) for s in subset[1:]]
+        kernel = nullspace(dirs, ncols=dim) if dirs else nullspace([], dim)
+        if len(kernel) != 1:
+            continue  # not a hyperplane of the hull
+        g = kernel[0]
+        c = vdot(g, anchor)
+        signs = [vdot(g, p) - c for p in local]
+        if all(s <= 0 for s in signs):
+            pass
+        elif all(s >= 0 for s in signs):
+            g, c = vscale(g, -1), -c
+        else:
+            continue
+        local_facets.add(_int_facet(g, c))
+
+    if dim == n:
+        facets = sorted(local_facets)
+    else:
+        lifted = set()
+        for g, c in sorted(local_facets):
+            a = solve_rational([list(b) for b in basis], g)
+            lifted.add(_int_facet(a, vdot(a, base) + c))
+        facets = sorted(lifted)
+
+    extreme = []
+    for p in pts:
+        tight = [a for a, c in facets if vdot(a, p) == c]
+        if rank(tight) == dim:
+            extreme.append(p)
+    return ConvexPolytope(n, tuple(extreme), tuple(facets), span, dim)
+
+
+def brute_force_faces(poly, dim):
+    """``faces`` by closing the facet vertex sets under intersection and
+    taking the affine hull of every closed set."""
+    per_facet = [
+        frozenset(i for i, v in enumerate(poly.vertices) if vdot(a, v) == c)
+        for a, c in poly.facets
+    ]
+    everything = frozenset(range(len(poly.vertices)))
+    closed = {everything}
+    queue = [everything]
+    while queue:
+        s = queue.pop()
+        for pf in per_facet:
+            t = s & pf
+            if t and t not in closed:
+                closed.add(t)
+                queue.append(t)
+    out = []
+    for idx_set in sorted(closed, key=sorted):
+        subset = [poly.vertices[i] for i in sorted(idx_set)]
+        sub_span, sub_dim = affine_hull(subset, poly.ambient_dim)
+        if sub_dim == dim:
+            out.append(Face(tuple(sorted(idx_set)), sub_span, sub_dim))
+    return out

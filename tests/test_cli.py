@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -174,3 +176,38 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["period_sequence"] == [2, 1, 1]
+
+
+def test_tampered_union_input_is_rejected(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "construct", "--family", "barn", "--p", "2", "--n", "3")
+    payload = json.loads(out)
+    shifted = json.loads(out)
+    shifted["pieces"][0]["vertices"] = [
+        [str(Fraction(c) + 100) for c in v] for v in payload["pieces"][0]["vertices"]
+    ]
+    moved = json.loads(out)
+    moved["intersections"][0]["polytope"]["vertices"][0][0] = "77"
+    for name, data in (("barn", payload), ("shifted", shifted), ("moved", moved)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+
+    code, out, _ = run_cli(capsys, "count", "--input", str(tmp_path / "barn.json"), "--k-max", "2")
+    assert code == 0
+    assert json.loads(out)["count"] == [48, 253]
+    for name, what in (("shifted", "piece 0"), ("moved", "intersection 0")):
+        code, out, err = run_cli(
+            capsys, "count", "--input", str(tmp_path / f"{name}.json"), "--k-max", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {what}: listed vertices disagree" in err
+
+
+# sha256 of the stdout of ``ehrhart verify all --max-p 2`` as recorded before
+# the hull and face layers were rewritten; any change to a report shows here
+VERIFY_ALL_P2_SHA256 = "6a6e560a6483ed43d903c7515292eb02cc574ae851c55b9246af66f9019d512e"
+
+
+def test_verify_all_max_p2_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P2_SHA256
