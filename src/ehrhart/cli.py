@@ -4,8 +4,11 @@ Subcommands expose the library surface (construct, count, fit, periods,
 indices, series, pte) plus ``verify``, which runs named verification
 claims and emits one JSON report per claim. Reports embed the raw counts
 they used, so every number is independently recheckable by re-running
-the corresponding subcommands. Output is deterministic: keys are sorted,
-ordering is fixed, and nothing time-dependent is ever emitted.
+the corresponding subcommands. Convex bodies are fitted on both sides of
+zero, so their count maps also carry negative keys: the value at ``-k``
+is ``L(-k)``, which is ``(-1)**dim`` times what ``count --interior --k k``
+prints. Output is deterministic: keys are sorted, ordering is fixed, and
+nothing time-dependent is ever emitted.
 
 Exit codes: 0 success / all claims pass, 1 verification failure,
 2 usage error.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import constructions, pte, series as series_mod
-from .counting import CountFunction, count, count_series
+from .counting import CountFunction, count, count_convex, count_series
 from .errors import BudgetExceeded, EhrhartError, NotAvailable
 from .indices import mcmullen_check
 from .polytope import (
@@ -77,9 +80,14 @@ def _degree(obj) -> int:
 
 @lru_cache(maxsize=None)
 def _fitted(obj, budget):
-    """Fit the dilate-count quasi-polynomial; returns (qp, counter)."""
+    """Fit the dilate-count quasi-polynomial; returns (qp, counter).
+
+    Convex bodies are sampled on both sides of zero (reciprocity); unions
+    at positive dilates only.
+    """
     counter = CountFunction(obj, budget=budget)
-    return fit(counter, _degree(obj), denominator(obj)), counter
+    convex = not isinstance(obj, PolytopalUnion)
+    return fit(counter, _degree(obj), denominator(obj), two_sided=convex), counter
 
 
 def _emit(payload, fmt: str) -> None:
@@ -133,7 +141,12 @@ def _cmd_count(args) -> int:
         ks = [args.k]
     else:
         ks = list(range(1, args.k_max + 1))
-    counts = [count(obj, k, args.budget) for k in ks]
+    if args.interior:
+        if isinstance(obj, PolytopalUnion):
+            raise EhrhartError("--interior counts are defined for convex polytopes only")
+        counts = [count_convex(obj, k, args.budget, interior=True) for k in ks]
+    else:
+        counts = [count(obj, k, args.budget) for k in ks]
     _emit({"k": ks, "count": counts}, args.format)
     return 0
 
@@ -466,7 +479,7 @@ def _claim_mcmullen(ps, ns, budget) -> VerificationReport:
     witness = {}
     ok = True
     for label, poly in _mcmullen_targets(max_p):
-        report = mcmullen_check(poly, counter=_fitted(poly, budget)[1])
+        report = mcmullen_check(poly, qp=_fitted(poly, budget)[0])
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
         ok = ok and good
@@ -509,19 +522,6 @@ def _claim_pte_table(ps, ns, budget) -> VerificationReport:
     )
 
 
-def _difference_polynomial(sol: pte.PteSolution) -> list[int]:
-    from .polynomials import poly_mul, poly_trim
-
-    left = [1]
-    for x in sol.s:
-        left = [int(c) for c in poly_mul(left, [1, x])]
-    right = [1]
-    for x in sol.t[:-1]:
-        right = [int(c) for c in poly_mul(right, [1, x])]
-    right += [0] * (len(left) - len(right))
-    return [int(c) for c in poly_trim([l - r for l, r in zip(left, right)])]
-
-
 def _claim_product_identity(ps, ns, budget) -> VerificationReport:
     witness = {}
     ok = True
@@ -530,11 +530,11 @@ def _claim_product_identity(ps, ns, budget) -> VerificationReport:
         good = pte.product_identity_check(sol)
         witness[f"size={size}"] = {
             "holds": good,
-            "difference_polynomial": _difference_polynomial(sol),
+            "difference_polynomial": pte.difference_polynomial(sol),
         }
         ok = ok and good
-    ok = ok and _difference_polynomial(pte.table_lookup(2)) == [0, 0, 2]
-    ok = ok and _difference_polynomial(pte.table_lookup(3)) == [0, 0, 0, 12]
+    ok = ok and pte.difference_polynomial(pte.table_lookup(2)) == [0, 0, 2]
+    ok = ok and pte.difference_polynomial(pte.table_lookup(3)) == [0, 0, 0, 12]
     return VerificationReport(
         "product-identity",
         {"sizes": pte.available_sizes()},
@@ -619,6 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_object_options(sub)
     sub.add_argument("--k", type=int, default=None, help="single dilate")
     sub.add_argument("--k-max", type=int, default=6, help="count k = 1..k_max (default 6)")
+    sub.add_argument(
+        "--interior",
+        action="store_true",
+        help="count the relative interior of each dilate (convex polytopes only)",
+    )
     _add_common(sub)
     sub.set_defaults(func=_cmd_count)
 

@@ -12,6 +12,11 @@ Product-structured unions are counted by inclusion-exclusion with each
 term split multiplicatively over its factors, which is what makes
 high-dimensional product bodies tractable. The enumeration path never
 looks at recorded intersections, so the two routes check each other.
+
+Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
+for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
+number of lattice points in the relative interior of ``kP``, so a
+``CountFunction`` of a convex body is defined at every ``k != 0``.
 """
 
 from __future__ import annotations
@@ -43,12 +48,14 @@ def kernel_name() -> str:
     return _fast.KERNEL_NAME if _fast is not None else _enum_py.KERNEL_NAME
 
 
-def _dilated_system(poly: ConvexPolytope, k: int):
+def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
     """Integer box and inequality system of ``k * poly``; None when empty.
 
     Affine-hull equations are emitted as inequality pairs; a hull equation
     whose scaled right-hand side is not an integer proves the dilate has
-    no lattice points at all.
+    no lattice points at all. With ``interior`` the facet inequalities are
+    strict: facet normals and offsets are integers, so on lattice points
+    ``a.x < k*c`` is ``a.x <= k*c - 1``.
     """
     n = poly.ambient_dim
     lo = []
@@ -60,7 +67,8 @@ def _dilated_system(poly: ConvexPolytope, k: int):
         if lo[j] > hi[j]:
             return None
     normals = [list(a) for a, _ in poly.facets]
-    offsets = [c * k for _, c in poly.facets]
+    strict = 1 if interior else 0
+    offsets = [c * k - strict for _, c in poly.facets]
     for row, b in zip(poly.span.rows, poly.span.rhs):
         rhs = b * k
         if rhs.denominator != 1:
@@ -88,12 +96,18 @@ def _fits_int64(lo, hi, normals, offsets) -> bool:
     return all(abs(b) < _INT64_SAFE for b in list(lo) + list(hi))
 
 
-def count_convex(poly: ConvexPolytope, k: int, budget: int | None = None) -> int:
-    """``|k * poly intersect Z^n|`` by direct enumeration, exactly."""
+def count_convex(
+    poly: ConvexPolytope, k: int, budget: int | None = None, interior: bool = False
+) -> int:
+    """``|k * poly intersect Z^n|`` by direct enumeration, exactly.
+
+    With ``interior`` only the points of the relative interior of
+    ``k * poly`` are counted.
+    """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
     budget = DEFAULT_BUDGET if budget is None else budget
-    system = _dilated_system(poly, k)
+    system = _dilated_system(poly, k, interior)
     if system is None:
         return 0
     lo, hi, normals, offsets = system
@@ -212,7 +226,10 @@ class CountFunction:
     """Memoized ``k -> |kX intersect Z^n|`` with its strategy recorded.
 
     The strategy tag only documents how values are produced; the counting
-    routes agree wherever both are defined, which the tests enforce.
+    routes agree wherever both are defined, which the tests enforce. For a
+    convex body a negative ``k`` gives the Ehrhart quasi-polynomial's value
+    there by reciprocity, ``(-1)**dim`` times the interior count of
+    ``|k| * X``; a union, where reciprocity fails, takes ``k >= 1`` only.
     """
 
     def __init__(
@@ -239,10 +256,17 @@ class CountFunction:
         if k not in self._memo:
             if isinstance(self.target, PolytopalUnion):
                 self._memo[k] = count_union(self.target, k, self.budget, self.strategy)
+            elif k < 0:
+                sign = (-1) ** self.target.intrinsic_dim
+                self._memo[k] = sign * count_convex(self.target, -k, self.budget, interior=True)
             else:
                 self._memo[k] = count_convex(self.target, k, self.budget)
         return self._memo[k]
 
     def samples(self) -> dict[int, int]:
-        """All counts computed so far, by dilate (report witness data)."""
+        """All values computed so far, by dilate (report witness data).
+
+        A negative key ``-k`` holds ``L(-k)``, not a count: it is
+        ``(-1)**dim`` times the interior count of ``k * X``.
+        """
         return dict(sorted(self._memo.items()))

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .counting import CountFunction
 from .linalg import min_dilate_with_lattice_point
 from .polytope import FACE_ENUM_CAP, ConvexPolytope, PolytopalUnion, denominator, faces
-from .quasipoly import fit, period_sequence
+from .quasipoly import QuasiPolynomial, fit, period_sequence
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,20 @@ class McMullenReport:
 
 def mcmullen_check(
     poly: ConvexPolytope,
-    counter: Callable[[int], int] | None = None,
+    qp: QuasiPolynomial | None = None,
     budget: int | None = None,
     cap: int = FACE_ENUM_CAP,
 ) -> McMullenReport:
-    """Fit the period sequence and compare it against the index sequence.
+    """Compare the period sequence against the index sequence.
 
-    Both sequences are computed from scratch (counts on one side, face
-    spans on the other); the report records whether every period divides
-    the matching index and whether the chain invariant holds.
+    The two sequences come from independent routes: periods from a fit of
+    raw counts (``qp``, fitted here on both sides of zero when not given),
+    indices from face spans. The report records whether every period
+    divides the matching index and whether the chain invariant holds.
     """
-    if counter is None:
+    if qp is None:
         counter = CountFunction(poly, budget=budget)
-    qp = fit(counter, poly.intrinsic_dim, denominator(poly))
+        qp = fit(counter, poly.intrinsic_dim, denominator(poly), two_sided=True)
     periods = period_sequence(qp)
     indices = index_sequence(poly, cap).values
     divides = tuple(g % p == 0 for p, g in zip(periods, indices))

@@ -173,6 +173,8 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     current: list[Sequence] = []
     current_rank = 0
     for i, row in enumerate(rows):
+        if current_rank == len(row):
+            break  # full rank: no later row can be independent
         if any(Fraction(x) != 0 for x in row):
             r = rank(current + [row])
             if r > current_rank:

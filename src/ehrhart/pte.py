@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
@@ -99,13 +98,11 @@ def normalize(a: Sequence[int], b: Sequence[int]) -> PteSolution:
     return PteSolution(tuple(sorted(other)), t)
 
 
-def product_identity_check(sol: PteSolution) -> bool:
-    """``prod(s_i x + 1) - prod(t_j x + 1)`` collapses to ``(prod s_i) x^m``.
+def difference_polynomial(sol: PteSolution) -> list[int]:
+    """Coefficients of ``prod(s_i x + 1) - prod(t_j x + 1)``, constant first.
 
-    Newton's identities turn the equal power sums into equal elementary
-    symmetric functions below the top degree, so every mixed term of the
-    two expanded products cancels. The trailing ``t_m = 0`` contributes
-    the constant factor 1 and is skipped.
+    Trailing zeros are trimmed. The trailing ``t_m = 0`` contributes the
+    constant factor 1 and is skipped.
     """
     left = [1]
     for x in sol.s:
@@ -113,11 +110,18 @@ def product_identity_check(sol: PteSolution) -> bool:
     right = [1]
     for x in sol.t[:-1]:
         right = [int(c) for c in poly_mul(right, [1, x])]
-    diff = poly_trim(
-        [Fraction(l) - Fraction(r) for l, r in zip(left, right + [0] * len(left))]
-    )
-    expected = [Fraction(0)] * sol.size + [Fraction(math.prod(sol.s))]
-    return diff == expected
+    right += [0] * (len(left) - len(right))
+    return [int(c) for c in poly_trim([l - r for l, r in zip(left, right)])]
+
+
+def product_identity_check(sol: PteSolution) -> bool:
+    """``prod(s_i x + 1) - prod(t_j x + 1)`` collapses to ``(prod s_i) x^m``.
+
+    Newton's identities turn the equal power sums into equal elementary
+    symmetric functions below the top degree, so every mixed term of the
+    two expanded products cancels.
+    """
+    return difference_polynomial(sol) == [0] * sol.size + [math.prod(sol.s)]
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,11 @@
 A quasi-polynomial of degree ``n`` and modulus ``D`` is
 ``f(k) = sum_i c[i][k mod D] * k**i`` with rational coefficient tables.
 ``fit`` reconstructs one from exact dilate counts by interpolating each
-residue class separately; residue 0 is sampled at ``D, 2D, ...`` so no
-convention for the count at 0 ever enters the fit. Two
+residue class separately. It never samples ``k = 0``, so no convention
+for the count at 0 ever enters the fit. For a convex body the counter is
+also defined at negative ``k`` by Ehrhart-Macdonald reciprocity, and
+``fit(..., two_sided=True)`` takes its nodes from ``1, -1, 2, -2, ...``,
+which about halves the largest dilate it has to count. Two
 quasi-polynomials are *equivalent* when their difference is an honest
 polynomial (all periodic parts cancel); equivalent functions share a
 period sequence, which is the fact the verification suite leans on.
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 from .errors import VerificationFailed
 from .polynomials import interpolate
 
-Counter = Callable[[int], object]  # k >= 1 -> exact count or rational value
+Counter = Callable[[int], object]  # k != 0 -> exact count or rational value
 
 
 @dataclass(frozen=True)
@@ -56,31 +59,55 @@ class QuasiPolynomial:
         return self.coeffs[i][k % self.modulus]
 
 
-def fit(counter: Counter, degree: int, modulus: int, verify: bool = True) -> QuasiPolynomial:
+def _dilates(two_sided: bool):
+    """Candidate sample points in the order ``fit`` takes them."""
+    k = 1
+    while True:
+        yield k
+        if two_sided:
+            yield -k
+        k += 1
+
+
+def fit(
+    counter: Counter,
+    degree: int,
+    modulus: int,
+    verify: bool = True,
+    two_sided: bool = False,
+) -> QuasiPolynomial:
     """Reconstruct the quasi-polynomial behind ``counter`` exactly.
 
-    For each residue ``r`` the polynomial through the ``degree + 1``
-    samples ``r0, r0 + D, ..., r0 + degree*D`` (``r0 = r`` or ``D`` when
-    ``r = 0``) is interpolated. A verification pass then checks
-    ``degree + 2`` fresh samples beyond the interpolation window and
-    raises :class:`VerificationFailed` on any mismatch, which signals a
-    wrong degree or modulus.
+    Candidates are walked in the order ``1, 2, 3, ...``, or with
+    ``two_sided`` in the order ``1, -1, 2, -2, ...`` (the counter must then
+    be defined at negative ``k``); ``0`` is never used. Each residue ``r``
+    mod ``D`` takes the first ``degree + 1`` candidates ``k = r (mod D)``
+    and interpolates its polynomial through them. A verification pass then
+    checks the next ``degree + 2`` candidates whose ``|k|`` exceeds every
+    interpolation node and raises :class:`VerificationFailed` on any
+    mismatch, which signals a wrong degree or modulus.
     """
     if degree < 0 or modulus < 1:
         raise ValueError("degree must be >= 0 and modulus >= 1")
+    nodes: list[list[int]] = [[] for _ in range(modulus)]
+    taken = 0
+    for k in _dilates(two_sided):
+        residue = nodes[k % modulus]
+        if len(residue) <= degree:
+            residue.append(k)
+            taken += 1
+            if taken == (degree + 1) * modulus:
+                break
     table = [[Fraction(0)] * modulus for _ in range(degree + 1)]
-    for r in range(modulus):
-        r0 = r if r >= 1 else modulus
-        xs = [r0 + j * modulus for j in range(degree + 1)]
-        ys = [counter(x) for x in xs]
-        poly = interpolate(xs, ys)
+    for r, xs in enumerate(nodes):
+        poly = interpolate(xs, [counter(x) for x in xs])
         for i in range(degree + 1):
             table[i][r] = poly[i]
     result = QuasiPolynomial(degree, modulus, tuple(tuple(row) for row in table))
     if verify:
-        top = (degree + 1) * modulus
-        for extra in range(1, degree + 3):
-            k = top + extra
+        top = max(abs(k) for xs in nodes for k in xs)
+        fresh = (k for k in _dilates(two_sided) if abs(k) > top)
+        for _, k in zip(range(degree + 2), fresh):
             expected = Fraction(counter(k))
             if result.evaluate(k) != expected:
                 raise VerificationFailed(

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the production code paths: hull
 membership is decided by barycentric coordinates over vertex subsets,
 facets by testing every spanning subset of points, face dimensions by the
-affine hull of every closed vertex set, determinants come from Bareiss
+affine hull of every closed vertex set, interior counts from strict
+facet inequalities of that brute-force hull, determinants come from Bareiss
 elimination, Smith diagonals from minor gcds, and minimal dilates from
 explicit small searches.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor, gcd
 
 from ehrhart.linalg import (
@@ -286,3 +287,25 @@ def brute_force_faces(poly, dim):
         if sub_dim == dim:
             out.append(Face(tuple(sorted(idx_set)), sub_span, sub_dim))
     return out
+
+
+def brute_count_interior(vertices, k):
+    """Lattice points in the relative interior of the k-th dilate.
+
+    Scans the dilate's bounding box and keeps the points on its affine
+    hull that satisfy every facet inequality of ``brute_force_hull``
+    strictly.
+    """
+    hull = brute_force_hull(vertices)
+    scaled = [tuple(Fraction(c) * k for c in v) for v in hull.vertices]
+    ranges = [
+        range(ceil(min(v[i] for v in scaled)), floor(max(v[i] for v in scaled)) + 1)
+        for i in range(hull.ambient_dim)
+    ]
+    equations = list(zip(hull.span.rows, hull.span.rhs))
+    return sum(
+        1
+        for x in product(*ranges)
+        if all(vdot(row, x) == k * b for row, b in equations)
+        and all(vdot(a, x) < k * c for a, c in hull.facets)
+    )

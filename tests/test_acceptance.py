@@ -157,7 +157,7 @@ def test_criterion_9_mcmullen_bounds():
             ]
     for body in targets:
         assert body.intrinsic_dim <= 4
-        rep = mcmullen_check(body, counter=CountFunction(body))
+        rep = mcmullen_check(body)
         assert rep.ok, (body, rep)
         assert rep.index_sequence[0] == denominator(body)
     report(f"criterion 9: period divides index and chain holds on {len(targets)} bodies")

@@ -3,10 +3,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ehrhart.cli import main
+from ehrhart import cli
+from ehrhart.cli import CLAIMS, main
+from ehrhart.polytope import PolytopalUnion
+from ehrhart.quasipoly import fit
 
 
 def run_cli(capsys, *argv):
@@ -202,12 +206,101 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
         assert f"error: {what}: listed vertices disagree" in err
 
 
-# sha256 of the stdout of ``ehrhart verify all --max-p 2`` as recorded before
-# the hull and face layers were rewritten; any change to a report shows here
-VERIFY_ALL_P2_SHA256 = "6a6e560a6483ed43d903c7515292eb02cc574ae851c55b9246af66f9019d512e"
+# sha256 of the stdout of ``ehrhart verify all --max-p 2``. It moved when
+# ``fit`` began sampling convex bodies on both sides of zero: the count maps
+# of the witnesses gained negative keys and lost their largest positive
+# dilates. ``test_verify_all_max_p2_agrees_with_parent_output`` checks that
+# change against the output recorded before it.
+VERIFY_ALL_P2_SHA256 = "fde8a67a64c74cd8cb830ea3bc2ee80942d4ed677a9d5fce404fed2de760182a"
+PARENT_OUTPUT = Path(__file__).parent / "data" / "verify_all_p2_parent.json"
 
 
 def test_verify_all_max_p2_output_is_unchanged(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P2_SHA256
+
+
+def _is_count_map(value):
+    return isinstance(value, dict) and value and all(
+        key.lstrip("-").isdigit() for key in value
+    )
+
+
+def _compare_with_parent(old, new, path, dropped, added):
+    """Equal except count maps, which may drop positive keys and add
+    negative ones; every key present in both must agree."""
+    if _is_count_map(old):
+        assert _is_count_map(new), path
+        for key in old.keys() & new.keys():
+            assert old[key] == new[key], (path, key)
+        dropped += [int(key) for key in old.keys() - new.keys()]
+        added += [int(key) for key in new.keys() - old.keys()]
+    elif isinstance(old, dict):
+        assert isinstance(new, dict) and old.keys() == new.keys(), path
+        for key in old:
+            _compare_with_parent(old[key], new[key], f"{path}/{key}", dropped, added)
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(old) == len(new), path
+        for i, (a, b) in enumerate(zip(old, new)):
+            _compare_with_parent(a, b, f"{path}[{i}]", dropped, added)
+    else:
+        assert old == new, path
+
+
+def test_verify_all_max_p2_agrees_with_parent_output(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "2")
+    assert code == 0
+    old = json.loads(PARENT_OUTPUT.read_text())
+    new = json.loads(out)
+    dropped, added = [], []
+    _compare_with_parent(old, new, "", dropped, added)
+    assert [r["outcome"] for r in new] == ["pass"] * len(CLAIMS)
+    assert dropped and all(k > 0 for k in dropped)
+    assert added and all(k < 0 for k in added)
+
+
+def test_two_sided_fits_equal_positive_fits(monkeypatch):
+    fitted = []
+
+    def recording_fit(counter, degree, modulus, two_sided):
+        qp = fit(counter, degree, modulus, two_sided=two_sided)
+        fitted.append((counter, degree, modulus, two_sided, qp))
+        return qp
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    cli._fitted.cache_clear()
+    try:
+        cli.verify_all(max_p=2)
+    finally:
+        cli._fitted.cache_clear()
+    for counter, _, _, two_sided, _ in fitted:
+        assert two_sided == (not isinstance(counter.target, PolytopalUnion))
+    convex = [entry for entry in fitted if entry[3]]
+    assert len(convex) == 30  # the mcmullen targets, which include every other claim's body
+    for counter, degree, modulus, _, qp in convex:
+        assert fit(counter, degree, modulus) == qp
+
+
+def test_negative_witness_keys_recheck_with_count_interior(capsys):
+    code, out, _ = run_cli(capsys, "verify", "hn-periods", "--n", "3", "--p", "2")
+    assert code == 0
+    counts = json.loads(out)["witness"]["n=3,p=2"]["counts"]
+    negative = sorted(int(key) for key in counts if int(key) < 0)
+    assert negative == list(range(-len(negative), 0))
+    for k in negative:
+        code, out, _ = run_cli(
+            capsys, "count", "--family", "hull", "--n", "3", "--p", "2",
+            "--interior", "--k", str(-k),
+        )
+        assert code == 0
+        assert counts[str(k)] == (-1) ** 3 * json.loads(out)["count"][0]
+
+
+def test_count_interior_rejects_unions(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--family", "barn", "--n", "3", "--p", "2", "--interior"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

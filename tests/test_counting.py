@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import brute_count, brute_count_union
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_count, brute_count_interior, brute_count_union
+from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.counting import (
@@ -13,8 +16,9 @@ from ehrhart.counting import (
     count_union,
 )
 from ehrhart.errors import BudgetExceeded, MissingIntersection
-from ehrhart.polytope import PolytopalUnion, from_vertices, product, pyramid
+from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, pyramid
 from ehrhart.pte import PteSolution
+from ehrhart.quasipoly import fit
 
 SOL2 = PteSolution((1, 2), (3, 0))
 SOL3 = PteSolution((1, 2, 6), (4, 5, 0))
@@ -170,3 +174,59 @@ def test_count_function_memoizes_and_tags():
     assert barn_counter.strategy == "inclusion-exclusion"
     assert barn_counter(1) == 48
     assert count(barn, 1) == 48
+
+
+INTERIOR_BODIES = [
+    C.segment(2),
+    C.pentagon(2),
+    C.heptagon(3),
+    C.simplex(3, 2),
+    C.middle(3, 2),
+    C.pentagon_pyramid(3, 2),
+    C.hull(3, 2),
+    C.prism_shared_facet(3, 2),  # lower-dimensional
+    from_vertices([(Fraction(1, 2), 0), (Fraction(1, 2), 1)]),  # off-lattice segment
+    from_vertices([(Fraction(1, 2), 3, 0)]),  # a point is its own relative interior
+]
+
+
+@pytest.mark.parametrize("body", INTERIOR_BODIES, ids=repr)
+def test_interior_counts_match_strict_oracle(body):
+    for k in (1, 2, 3):
+        assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clouds(max_dim=3, bound=2), st.integers(1, 2))
+def test_interior_counts_match_strict_oracle_on_random_clouds(points, k):
+    body = from_vertices(points)
+    assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clouds(max_dim=2, bound=2))
+def test_two_sided_fit_equals_positive_fit_on_random_clouds(points):
+    # reciprocity: the counts at k >= 1 and the signed interior counts
+    # at k <= -1 lie on one quasi-polynomial
+    body = from_vertices(points)
+    counter = CountFunction(body)
+    args = (counter, body.intrinsic_dim, denominator(body))
+    assert fit(*args, two_sided=True) == fit(*args)
+
+
+def test_count_function_negative_dilates_use_reciprocity():
+    for body in (C.pentagon(2), C.simplex(3, 2), C.prism_shared_facet(3, 2)):
+        counter = CountFunction(body)
+        for k in (1, 2):
+            expected = (-1) ** body.intrinsic_dim * count_convex(body, k, interior=True)
+            assert counter(-k) == expected
+            assert counter.samples()[-k] == expected
+    with pytest.raises(ValueError):
+        CountFunction(C.segment(2))(0)
+
+
+def test_count_function_rejects_nonpositive_dilates_of_unions():
+    counter = CountFunction(C.barn(3, 2, SOL2))
+    for k in (-1, 0):
+        with pytest.raises(ValueError):
+            counter(k)

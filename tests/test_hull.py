@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import brute_force_faces, brute_force_hull
+from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.polytope import embed_product, faces, from_vertices
@@ -46,32 +46,6 @@ FAMILY_POINT_LISTS = _family_point_lists()
                          ids=[name for name, _ in FAMILY_POINT_LISTS])
 def test_from_vertices_equals_brute_force_on_family_points(points):
     assert from_vertices(points) == brute_force_hull(points)
-
-
-rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
-
-
-@st.composite
-def clouds(draw):
-    """Rational point clouds with duplicates and interior points, in their
-    own dimension or affinely embedded in a larger one."""
-    intrinsic = draw(st.integers(1, 5))
-    ambient = draw(st.integers(intrinsic, 5))
-    size = draw(st.integers(intrinsic + 1, intrinsic + 4))
-    pts = [tuple(draw(rationals) for _ in range(intrinsic)) for _ in range(size)]
-    for _ in range(draw(st.integers(0, 2))):
-        pts.append(draw(st.sampled_from(pts)))  # duplicate
-    for _ in range(draw(st.integers(0, 2))):
-        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
-        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))  # never a new vertex
-    if ambient == intrinsic:
-        return pts
-    matrix = [[draw(st.integers(-2, 2)) for _ in range(intrinsic)] for _ in range(ambient)]
-    shift = [draw(rationals) for _ in range(ambient)]
-    return [
-        tuple(sum(m * x for m, x in zip(row, p)) + t for row, t in zip(matrix, shift))
-        for p in pts
-    ]
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,6 +4,7 @@ from ehrhart.errors import NotAvailable, RejectedSolution, SizeMismatch
 from ehrhart.pte import (
     PteSolution,
     available_sizes,
+    difference_polynomial,
     elem_sym,
     normalize,
     power_sum,
@@ -98,6 +99,10 @@ def test_product_identity_witnesses():
     assert product_identity_check(PteSolution((1, 2), (3, 0)))
     assert product_identity_check(PteSolution((1, 2, 6), (4, 5, 0)))
     assert not product_identity_check(PteSolution((1, 3), (5, 0)))  # sums differ
+    assert difference_polynomial(PteSolution((1, 2), (3, 0))) == [0, 0, 2]
+    assert difference_polynomial(PteSolution((1, 2, 6), (4, 5, 0))) == [0, 0, 0, 12]
+    # (x+1)(3x+1) - (5x+1) = -x + 3x^2
+    assert difference_polynomial(PteSolution((1, 3), (5, 0))) == [0, -1, 3]
 
 
 def test_solution_size_validation():

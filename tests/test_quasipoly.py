@@ -62,14 +62,32 @@ def test_fit_off_lattice_point():
     assert period_sequence(qp) == (2,)
 
 
-def test_fit_detects_wrong_modulus():
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_fit_detects_wrong_modulus(two_sided):
     with pytest.raises(VerificationFailed):
-        fit(CountFunction(C.segment(2)), 1, 1)  # true modulus is 2
+        fit(CountFunction(C.segment(2)), 1, 1, two_sided=two_sided)  # true modulus is 2
+    with pytest.raises(VerificationFailed):
+        fit(CountFunction(C.heptagon(3)), 2, 1, two_sided=two_sided)  # true modulus is 3
 
 
-def test_fit_detects_wrong_degree():
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_fit_detects_wrong_degree(two_sided):
     with pytest.raises(VerificationFailed):
-        fit(CountFunction(C.pentagon(2)), 1, 2)  # true degree is 2
+        fit(CountFunction(C.pentagon(2)), 1, 2, two_sided=two_sided)  # true degree is 2
+
+
+def test_fit_sample_points():
+    # nodes per residue, then degree + 2 checks beyond every node's |k|
+    counter = CountFunction(C.segment(2))
+    fit(counter, 1, 2)
+    assert list(counter.samples()) == [1, 2, 3, 4, 5, 6, 7]
+    counter = CountFunction(C.segment(2))
+    fit(counter, 1, 2, two_sided=True)
+    assert list(counter.samples()) == [-3, -2, -1, 1, 2, 3, 4]
+    counter = CountFunction(C.heptagon(3))
+    fit(counter, 2, 3, two_sided=True)
+    # residues 1, 2, 0 fill at 4, -4, 6; 5 and -5 fall in full residues
+    assert list(counter.samples()) == [-8, -7, -4, -3, -2, -1, 1, 2, 3, 4, 6, 7, 8]
 
 
 def test_coefficient_periods_segment():
