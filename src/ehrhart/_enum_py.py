@@ -1,22 +1,20 @@
-"""Pure-Python lattice-point enumeration kernel.
+"""Lattice-point enumeration kernel.
 
 Counts integer points in an axis-aligned box subject to integer linear
 inequalities ``a . x <= c``. The walk fixes coordinates left to right,
 keeping one running partial sum per inequality, prunes subtrees whose
 best-case remainder already violates a constraint, and resolves the last
-coordinate by exact interval clipping instead of iterating it.
+coordinate by exact interval clipping instead of iterating it. It runs on
+Python integers and therefore never overflows.
 
-This module is the always-available fallback for the compiled kernel in
-``_enum_cy``; it runs on Python integers and therefore never overflows.
-The two kernels implement the same contract and are cross-checked in the
-test suite.
+``count_box`` counts one system; ``count_box_union`` counts the points
+lying in at least one of several systems. The test suite checks both
+against a point-by-point scan of the box.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-KERNEL_NAME = "python"
 
 
 def count_box(

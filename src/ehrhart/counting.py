@@ -2,11 +2,10 @@
 
 The enumeration strategy is: scale all data to integers (dilate the facet
 system by ``k``), intersect with the integer bounding box of the dilate,
-and walk it with the per-row interval kernel. Whenever every partial sum
-provably fits in 64 bits the compiled kernel is used; otherwise, or when
-the extension is not built, the pure-Python kernel takes over with
-arbitrary-precision integers. Set ``EHRHART_PURE=1`` to force the pure
-kernel.
+and walk it with the per-row interval kernel of ``_enum_py`` on Python
+integers, which never overflow. A bounding box larger than the budget
+(``DEFAULT_BUDGET`` unless a caller passes ``budget``) raises
+``BudgetExceeded`` instead of being walked.
 
 Product-structured unions are counted by inclusion-exclusion with each
 term split multiplicatively over its factors, which is what makes
@@ -22,30 +21,18 @@ number of lattice points in the relative interior of ``kP``, so a
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 from . import _enum_py
 from .errors import BudgetExceeded, MissingIntersection
 from .polytope import ConvexPolytope, Factorization, PolytopalUnion
 
-if os.environ.get("EHRHART_PURE") == "1":
-    _fast = None
-else:
-    try:
-        from . import _enum_cy as _fast
-    except ImportError:
-        _fast = None
-
-DEFAULT_BUDGET = int(os.environ.get("EHRHART_BUDGET", 10**9))
-
-# conservative: every reachable partial sum must stay below 2**62
-_INT64_SAFE = 2**62
+DEFAULT_BUDGET = 10**9
 
 
 def kernel_name() -> str:
-    """Which kernel backs the int64-safe path: 'compiled' or 'python'."""
-    return _fast.KERNEL_NAME if _fast is not None else _enum_py.KERNEL_NAME
+    """Name of the kernel that counts lattice points: always 'python'."""
+    return "python"
 
 
 def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
@@ -88,14 +75,6 @@ def _box_size(lo: Sequence[int], hi: Sequence[int]) -> int:
     return size
 
 
-def _fits_int64(lo, hi, normals, offsets) -> bool:
-    for row, c in zip(normals, offsets):
-        reach = sum(max(abs(a * l), abs(a * h)) for a, l, h in zip(row, lo, hi))
-        if reach + abs(c) >= _INT64_SAFE:
-            return False
-    return all(abs(b) < _INT64_SAFE for b in list(lo) + list(hi))
-
-
 def count_convex(
     poly: ConvexPolytope, k: int, budget: int | None = None, interior: bool = False
 ) -> int:
@@ -115,8 +94,6 @@ def count_convex(
         raise BudgetExceeded(
             f"bounding box of {k} * polytope has {_box_size(lo, hi)} points (budget {budget})"
         )
-    if _fast is not None and _fits_int64(lo, hi, normals, offsets):
-        return _fast.count_box(lo, hi, normals, offsets)
     return _enum_py.count_box(lo, hi, normals, offsets)
 
 
@@ -180,6 +157,13 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None
     return total
 
 
+def _union_strategy(union: PolytopalUnion, strategy: str) -> str:
+    """Resolve ``'auto'``: inclusion-exclusion with a product structure, else enumeration."""
+    if strategy != "auto":
+        return strategy
+    return "inclusion-exclusion" if union.product_structure is not None else "enumerate"
+
+
 def count_union(
     union: PolytopalUnion,
     k: int,
@@ -196,10 +180,7 @@ def count_union(
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
-    if strategy == "auto":
-        strategy = (
-            "inclusion-exclusion" if union.product_structure is not None else "enumerate"
-        )
+    strategy = _union_strategy(union, strategy)
     if strategy == "enumerate":
         return _union_enumerate(union, k, budget)
     if strategy == "inclusion-exclusion":
@@ -241,13 +222,7 @@ class CountFunction:
         self.target = target
         self.budget = budget
         if isinstance(target, PolytopalUnion):
-            if strategy == "auto":
-                strategy = (
-                    "inclusion-exclusion"
-                    if target.product_structure is not None
-                    else "enumerate"
-                )
-            self.strategy = strategy
+            self.strategy = _union_strategy(target, strategy)
         else:
             self.strategy = "enumerate"
         self._memo: dict[int, int] = {}

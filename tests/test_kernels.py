@@ -1,90 +1,66 @@
-"""Cross-checks between the compiled and pure enumeration kernels."""
+"""The enumeration kernel against a point-by-point scan of the box."""
 
-import random
+import itertools
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehrhart import _enum_py
 from ehrhart import constructions as C
 from ehrhart.counting import count_convex, kernel_name
 
-try:
-    from ehrhart import _enum_cy
-except ImportError:
-    _enum_cy = None
 
-needs_compiled = pytest.mark.skipif(
-    _enum_cy is None, reason="compiled kernel not built"
-)
-
-
-def random_system(rng, n):
-    lo = [rng.randint(-6, 0) for _ in range(n)]
-    hi = [l + rng.randint(0, 7) for l in lo]
-    m = rng.randint(0, 5)
-    normals = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-    offsets = [rng.randint(-5, 20) for _ in range(m)]
-    return lo, hi, normals, offsets
-
-
-def reference_count(lo, hi, normals, offsets):
-    """Point-by-point scan; independent of both kernels' interval logic."""
-    n = len(lo)
-    total = 0
-
-    def rec(i, x):
-        nonlocal total
-        if i == n:
-            if all(
-                sum(a * v for a, v in zip(row, x)) <= c
-                for row, c in zip(normals, offsets)
-            ):
-                total += 1
-            return
-        for v in range(lo[i], hi[i] + 1):
-            rec(i + 1, x + [v])
-
-    rec(0, [])
-    return total
-
-
-def test_pure_kernel_against_pointwise_scan():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        lo, hi, normals, offsets = random_system(rng, n)
-        assert _enum_py.count_box(lo, hi, normals, offsets) == reference_count(
-            lo, hi, normals, offsets
+def scan(lo, hi, systems):
+    """Box points satisfying every row of at least one system; independent
+    of the kernel's pruning and interval logic."""
+    return sum(
+        any(
+            all(sum(a * v for a, v in zip(row, x)) <= c for row, c in zip(normals, offsets))
+            for normals, offsets in systems
         )
+        for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    )
 
 
-@needs_compiled
-def test_kernel_parity_random_systems():
-    rng = random.Random(17)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        lo, hi, normals, offsets = random_system(rng, n)
-        assert _enum_cy.count_box(lo, hi, normals, offsets) == _enum_py.count_box(
-            lo, hi, normals, offsets
-        )
+@st.composite
+def boxes(draw):
+    """A box of dimension 1-4; a side of length -1 makes it empty."""
+    n = draw(st.integers(1, 4))
+    lo = [draw(st.integers(-5, 2)) for _ in range(n)]
+    hi = [l + draw(st.integers(-1, 5)) for l in lo]
+    return lo, hi
 
 
-@needs_compiled
-def test_kernel_parity_on_constructions():
-    bodies = [C.pentagon(3), C.heptagon(2), C.simplex(4, 2), C.hull(3, 2)]
-    from ehrhart.counting import _dilated_system
-
-    for body in bodies:
-        for k in (1, 3, 5):
-            lo, hi, normals, offsets = _dilated_system(body, k)
-            assert _enum_cy.count_box(lo, hi, normals, offsets) == _enum_py.count_box(
-                lo, hi, normals, offsets
-            )
+def systems(n):
+    """``(normals, offsets)`` with 0-5 rows in dimension ``n``."""
+    rows = st.lists(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=n, max_size=n), st.integers(-5, 20)),
+        max_size=5,
+    )
+    return rows.map(lambda rs: ([list(a) for a, _ in rs], [c for _, c in rs]))
 
 
-def test_bigint_fallback_far_translate():
-    # a translate by a huge vector overflows any int64 partial sum, forcing
-    # the pure kernel; counts must be unchanged (translation invariance)
+@st.composite
+def box_with_systems(draw):
+    lo, hi = draw(boxes())
+    return lo, hi, draw(st.lists(systems(len(lo)), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_with_systems())
+@example(([0, 0], [3, -1], [([[1, 1]], [2])]))  # empty box
+@example(([-2, 0, 1], [1, 2, 3], [([], [])]))  # no rows: the whole box
+@example(([-2, 0], [1, 2], [([[1, 0]], [-5]), ([], [])]))  # empty piece, full piece
+def test_kernels_against_pointwise_scan(case):
+    lo, hi, union = case
+    for normals, offsets in union:
+        assert _enum_py.count_box(lo, hi, normals, offsets) == scan(lo, hi, [(normals, offsets)])
+    assert _enum_py.count_box_union(lo, hi, union) == scan(lo, hi, union)
+
+
+def test_far_translate_counts_with_big_integers():
+    # a translate by a huge vector takes every partial sum past 64 bits;
+    # counts must be unchanged (translation invariance)
     body = C.pentagon(2)
     far = body.translate([10**20, -(10**20)])
     for k in (1, 2, 3):
@@ -101,6 +77,4 @@ def test_union_kernel_merges_intervals_once():
 
 
 def test_kernel_name_reports_backend():
-    assert kernel_name() in {"compiled", "python"}
-    if _enum_cy is not None:
-        assert kernel_name() == "compiled"
+    assert kernel_name() == "python"

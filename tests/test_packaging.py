@@ -1,0 +1,29 @@
+"""The source distribution is built from ``pyproject.toml`` alone."""
+
+import shutil
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sdist_ships_python_sources_and_data_only(tmp_path):
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copy(ROOT / "README.md", tmp_path)
+    shutil.copytree(
+        ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+    )
+    build = "from setuptools import build_meta; print(build_meta.build_sdist('dist'))"
+    done = subprocess.run(
+        [sys.executable, "-c", build], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    sdist = tmp_path / "dist" / done.stdout.split()[-1]
+    with tarfile.open(sdist) as tar:
+        files = [m.name.split("/", 1)[1] for m in tar.getmembers() if m.isfile()]
+    assert "README.md" in files
+    # Python sources and the shipped table only: no kernel source to compile
+    package = {f for f in files if f.startswith("src/ehrhart/")}
+    assert {f for f in package if not f.endswith(".py")} == {"src/ehrhart/data/pte_table.txt"}
