@@ -1,11 +1,16 @@
 """Lattice-point enumeration kernel.
 
 Counts integer points in an axis-aligned box subject to integer linear
-inequalities ``a . x <= c``. The walk fixes coordinates left to right,
-keeping one running partial sum per inequality, prunes subtrees whose
-best-case remainder already violates a constraint, and resolves the last
-coordinate by exact interval clipping instead of iterating it. It runs on
-Python integers and therefore never overflows.
+inequalities ``a . x <= c``. The walk first orders the coordinates by box
+width, narrowest first (ties by index), so the widest coordinate comes
+last; a count does not depend on the order, only its cost does. It then
+fixes coordinates in that order, keeping one remaining offset
+``c - a . (fixed part)`` per inequality. At every level each row's test
+``a_j * x + (least contribution of the later coordinates) <= remaining``
+is monotone in ``x``, so the feasible values of the coordinate form one
+interval, computed exactly by floor division; the walk visits only that
+interval, and the last coordinate's interval is counted, not iterated.
+It runs on Python integers and therefore never overflows.
 
 ``count_box`` counts one system; ``count_box_union`` counts the points
 lying in at least one of several systems. The test suite checks both
@@ -16,6 +21,46 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# One level of the walk: the coordinate's box bounds, its column of
+# coefficients, and ``(row, |a|, minrest)`` for the rows whose coefficient
+# ``a`` is positive, then negative; ``minrest`` is the least contribution
+# of the later coordinates to that row.
+Level = tuple[int, int, list[int], tuple, tuple]
+
+
+def _levels(
+    lo: Sequence[int], hi: Sequence[int], normals: Sequence[Sequence[int]], offsets: Sequence[int]
+) -> list[Level] | None:
+    """Walk order and per-level rows of one system; None when no box point
+    satisfies it. Rows with a zero coefficient at a level need no test
+    there: the level above, or this root check, already made it."""
+    order = sorted(range(len(lo)), key=lambda j: (hi[j] - lo[j], j))
+    minrest = [0] * len(normals)
+    levels = []
+    for j in reversed(order):
+        col = [row[j] for row in normals]
+        pos = tuple((i, a, minrest[i]) for i, a in enumerate(col) if a > 0)
+        neg = tuple((i, -a, minrest[i]) for i, a in enumerate(col) if a < 0)
+        levels.append((lo[j], hi[j], col, pos, neg))
+        minrest = [r + min(a * lo[j], a * hi[j]) for r, a in zip(minrest, col)]
+    if any(r > c for r, c in zip(minrest, offsets)):
+        return None
+    return levels[::-1]
+
+
+def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
+    """Values ``x`` of the level's coordinate that every row still allows."""
+    x_lo, x_hi, _, pos, neg = level
+    for i, a, mr in pos:
+        q = (rem[i] - mr) // a
+        if q < x_hi:
+            x_hi = q
+    for i, b, mr in neg:
+        q = -((rem[i] - mr) // b)  # ceil((rem - mr) / -b)
+        if q > x_lo:
+            x_lo = q
+    return x_lo, x_hi
+
 
 def count_box(
     lo: Sequence[int],
@@ -24,51 +69,26 @@ def count_box(
     offsets: Sequence[int],
 ) -> int:
     """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``."""
-    n = len(lo)
-    m = len(normals)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
+    levels = _levels(lo, hi, normals, offsets)
+    if levels is None:
+        return 0
+    if not levels:
+        return 1
+    last = len(levels) - 1
 
-    # minrest[i][j]: smallest possible contribution of coordinates >= j to row i
-    minrest = [[0] * (n + 1) for _ in range(m)]
-    for i in range(m):
-        for j in range(n - 1, -1, -1):
-            a = normals[i][j]
-            minrest[i][j] = minrest[i][j + 1] + min(a * lo[j], a * hi[j])
-
-    def last_coord(partial: list[int]) -> int:
-        x_lo, x_hi = lo[n - 1], hi[n - 1]
-        for i in range(m):
-            a = normals[i][n - 1]
-            rem = offsets[i] - partial[i]
-            if a > 0:
-                q = rem // a
-                if q < x_hi:
-                    x_hi = q
-            elif a < 0:
-                q = -(rem // -a)  # ceil(rem / a) for negative a
-                if q > x_lo:
-                    x_lo = q
-            elif rem < 0:
-                return 0
-        return x_hi - x_lo + 1 if x_hi >= x_lo else 0
-
-    def walk(j: int, partial: list[int]) -> int:
-        if j == n - 1:
-            return last_coord(partial)
+    def walk(j: int, rem: list[int]) -> int:
+        x_lo, x_hi = _clip(levels[j], rem)
+        if j == last:
+            return x_hi - x_lo + 1 if x_hi >= x_lo else 0
+        col = levels[j][2]
         total = 0
-        nxt = [partial[i] + normals[i][j] * lo[j] for i in range(m)]
-        for x in range(lo[j], hi[j] + 1):
-            if x > lo[j]:
-                for i in range(m):
-                    nxt[i] += normals[i][j]
-            if all(nxt[i] + minrest[i][j + 1] <= offsets[i] for i in range(m)):
-                total += walk(j + 1, list(nxt))
+        for x in range(x_lo, x_hi + 1):
+            total += walk(j + 1, [r - a * x for r, a in zip(rem, col)])
         return total
 
-    if n == 0:
-        return 1 if all(c >= 0 for c in offsets) else 0
-    return walk(0, [0] * m)
+    return walk(0, list(offsets))
 
 
 def count_box_union(
@@ -78,78 +98,52 @@ def count_box_union(
 ) -> int:
     """Points of the box lying in at least one of the inequality systems.
 
-    Each system is an ``(normals, offsets)`` pair over the same box. Rows
-    are resolved by merging the per-system intervals for the last
-    coordinate, so a point in several pieces is counted once.
+    Each system is an ``(normals, offsets)`` pair over the same box. Every
+    level clips one interval per live system and walks their hull, passing
+    a system down only inside its own interval; the last coordinate's
+    intervals are merged, so a point in several pieces is counted once.
     """
-    n = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
-    mats = []
+    roots = []
     for normals, offsets in systems:
-        m = len(normals)
-        minrest = [[0] * (n + 1) for _ in range(m)]
-        for i in range(m):
-            for j in range(n - 1, -1, -1):
-                a = normals[i][j]
-                minrest[i][j] = minrest[i][j + 1] + min(a * lo[j], a * hi[j])
-        mats.append((normals, offsets, minrest, m))
+        levels = _levels(lo, hi, normals, offsets)
+        if levels is not None:
+            roots.append((levels, list(offsets)))
+    if not roots:
+        return 0
+    if not lo:
+        return 1
+    last = len(lo) - 1
 
-    def last_intervals(partials: list[list[int] | None]) -> int:
+    def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         spans = []
-        for (normals, offsets, _, m), partial in zip(mats, partials):
-            if partial is None:
-                continue
-            x_lo, x_hi = lo[n - 1], hi[n - 1]
-            dead = False
-            for i in range(m):
-                a = normals[i][n - 1]
-                rem = offsets[i] - partial[i]
-                if a > 0:
-                    q = rem // a
-                    if q < x_hi:
-                        x_hi = q
-                elif a < 0:
-                    q = -(rem // -a)
-                    if q > x_lo:
-                        x_lo = q
-                elif rem < 0:
-                    dead = True
-                    break
-            if not dead and x_hi >= x_lo:
-                spans.append((x_lo, x_hi))
+        for levels, rem in live:
+            x_lo, x_hi = _clip(levels[j], rem)
+            if x_hi >= x_lo:
+                spans.append((x_lo, x_hi, levels, rem))
         if not spans:
             return 0
-        spans.sort()
-        total = 0
-        cur_lo, cur_hi = spans[0]
-        for s_lo, s_hi in spans[1:]:
-            if s_lo > cur_hi + 1:
-                total += cur_hi - cur_lo + 1
-                cur_lo, cur_hi = s_lo, s_hi
-            else:
-                cur_hi = max(cur_hi, s_hi)
-        return total + cur_hi - cur_lo + 1
-
-    def walk(j: int, partials: list[list[int] | None]) -> int:
-        if j == n - 1:
-            return last_intervals(partials)
-        total = 0
-        for x in range(lo[j], hi[j] + 1):
-            nxt: list[list[int] | None] = []
-            alive = False
-            for (normals, offsets, minrest, m), partial in zip(mats, partials):
-                if partial is None:
-                    nxt.append(None)
-                    continue
-                upd = [partial[i] + normals[i][j] * x for i in range(m)]
-                if all(upd[i] + minrest[i][j + 1] <= offsets[i] for i in range(m)):
-                    nxt.append(upd)
-                    alive = True
+        spans.sort(key=lambda s: s[0])
+        if j == last:
+            total = 0
+            cur_lo, cur_hi = spans[0][:2]
+            for s_lo, s_hi, _, _ in spans[1:]:
+                if s_lo > cur_hi + 1:
+                    total += cur_hi - cur_lo + 1
+                    cur_lo, cur_hi = s_lo, s_hi
                 else:
-                    nxt.append(None)
-            if alive:
+                    cur_hi = max(cur_hi, s_hi)
+            return total + cur_hi - cur_lo + 1
+        total = 0
+        for x in range(spans[0][0], max(s[1] for s in spans) + 1):
+            nxt = [
+                (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
+                for x_lo, x_hi, levels, rem in spans
+                if x_lo <= x <= x_hi
+            ]
+            if nxt:
                 total += walk(j + 1, nxt)
         return total
 
-    return walk(0, [[0] * m for (_, _, _, m) in mats])
+    return walk(0, roots)

@@ -11,7 +11,8 @@ prints. Output is deterministic: keys are sorted, ordering is fixed, and
 nothing time-dependent is ever emitted.
 
 Exit codes: 0 success / all claims pass, 1 verification failure,
-2 usage error.
+2 usage error or invalid input (any ``EhrhartError`` or ``OSError``).
+Every other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 from . import constructions, pte, series as series_mod
 from .counting import CountFunction, count, count_convex, count_series
-from .errors import BudgetExceeded, EhrhartError, NotAvailable
+from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
 from .indices import mcmullen_check
 from .polytope import (
     PolytopalUnion,
@@ -113,8 +114,11 @@ def _to_csv(payload) -> str:
 def _load_object(args):
     if getattr(args, "input", None):
         with open(args.input) as handle:
-            data = json.load(handle)
-        if "pieces" in data:
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise InvalidInput(f"{args.input}: not a JSON file ({exc})") from None
+        if isinstance(data, dict) and "pieces" in data:
             return union_from_dict(data), {"input": args.input}
         return polytope_from_dict(data), {"input": args.input}
     if not args.family:
@@ -210,10 +214,7 @@ def _cmd_pte(args) -> int:
     if args.s or args.t:
         if not (args.s and args.t):
             raise EhrhartError("provide both --s and --t")
-        sol = pte.PteSolution(
-            tuple(int(x) for x in args.s.split(",")),
-            tuple(int(x) for x in args.t.split(",")),
-        )
+        sol = pte.PteSolution(args.s, args.t)
         solutions = {sol.size: sol}
     elif args.size:
         solutions = {args.size: pte.table_lookup(args.size)}
@@ -590,6 +591,23 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
 def _add_object_options(sub, with_input: bool = True) -> None:
     sub.add_argument("--family", choices=constructions.FAMILIES, help="polytope family")
     sub.add_argument("--p", type=int, default=2, help="period parameter (default 2)")
@@ -617,8 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="lattice-point counts of dilates")
     _add_object_options(sub)
-    sub.add_argument("--k", type=int, default=None, help="single dilate")
-    sub.add_argument("--k-max", type=int, default=6, help="count k = 1..k_max (default 6)")
+    sub.add_argument("--k", type=_positive_int, default=None, help="single dilate")
+    sub.add_argument(
+        "--k-max", type=_positive_int, default=6, help="count k = 1..k_max (default 6)"
+    )
     sub.add_argument(
         "--interior",
         action="store_true",
@@ -654,8 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     lst.set_defaults(func=_cmd_pte)
     ver = pte_subs.add_parser("verify", help="verify table entries or a given pair")
     ver.add_argument("--size", type=int, default=None)
-    ver.add_argument("--s", default=None, help="comma-separated side s")
-    ver.add_argument("--t", default=None, help="comma-separated side t (trailing 0)")
+    ver.add_argument("--s", type=_int_tuple, default=None, help="comma-separated side s")
+    ver.add_argument(
+        "--t", type=_int_tuple, default=None, help="comma-separated side t (trailing 0)"
+    )
     _add_common(ver)
     ver.set_defaults(func=_cmd_pte)
 
@@ -676,7 +698,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EhrhartError, OSError, ValueError, KeyError) as exc:
+    except (EhrhartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

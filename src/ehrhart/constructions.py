@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import count_convex, count_union
-from .errors import DimensionCapExceeded, EhrhartError, SizeMismatch, UnverifiedSolution
+from .errors import (
+    DimensionCapExceeded,
+    EhrhartError,
+    InvalidInput,
+    SizeMismatch,
+    UnverifiedSolution,
+)
 from .polytope import (
     ConvexPolytope,
     Factorization,
@@ -42,12 +48,12 @@ def q_value(p: int) -> int:
 
 def _check_p(p: int) -> None:
     if not isinstance(p, int) or p < 1:
-        raise ValueError("p must be a positive integer")
+        raise InvalidInput("p must be a positive integer")
 
 
 def _check_n(n: int, minimum: int = 3) -> None:
     if not isinstance(n, int) or n < minimum:
-        raise ValueError(f"n must be an integer >= {minimum}")
+        raise InvalidInput(f"n must be an integer >= {minimum}")
 
 
 def interval(lo: int, hi: int) -> ConvexPolytope:
@@ -338,10 +344,10 @@ _NEEDS_N = {"simplex", "prism", "pentagon-pyramid", "hull", "middle", "barn"}
 def build(family: str, p: int, n: int | None = None):
     """Build a family member; returns ``(object, provenance dict)``."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+        raise InvalidInput(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     if family in _NEEDS_N:
         if n is None:
-            raise ValueError(f"family {family!r} needs --n")
+            raise InvalidInput(f"family {family!r} needs --n")
         provenance = {"family": family, "p": p, "n": n}
     else:
         provenance = {"family": family, "p": p}

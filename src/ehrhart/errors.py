@@ -5,6 +5,12 @@ class EhrhartError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(EhrhartError, ValueError):
+    """Input data, such as a JSON file, a family parameter or the parts of
+    a union, is missing a field or has the wrong shape, type or range.
+    It is also a ``ValueError``, which these checks raised before."""
+
+
 class DimensionMismatch(EhrhartError):
     """Operands live in different ambient dimensions."""
 

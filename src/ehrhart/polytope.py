@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, EhrhartError
+from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
     Vector,
@@ -133,28 +133,28 @@ class PolytopalUnion:
 
     def __post_init__(self) -> None:
         if not self.pieces:
-            raise ValueError("a union needs at least one piece")
+            raise InvalidInput("a union needs at least one piece")
         for piece in self.pieces:
             if piece.ambient_dim != self.ambient_dim:
                 raise DimensionMismatch("piece ambient dimension mismatch")
             if piece.intrinsic_dim != self.ambient_dim:
-                raise ValueError("union pieces must be full-dimensional")
+                raise InvalidInput("union pieces must be full-dimensional")
         if self.product_structure is not None:
             if len(self.product_structure) != len(self.pieces):
-                raise ValueError("product_structure must have one entry per piece")
+                raise InvalidInput("product_structure must have one entry per piece")
             for fact in self.product_structure:
                 if fact is not None:
                     _check_factorization(fact, self.ambient_dim)
         if self.intersections is not None:
             for i, j, body in self.intersections:
                 if not (0 <= i < j < len(self.pieces)):
-                    raise ValueError("intersection indices out of range")
+                    raise InvalidInput("intersection indices out of range")
                 if body.ambient_dim != self.ambient_dim:
                     raise DimensionMismatch("intersection ambient dimension mismatch")
             if self.intersection_products is not None and len(
                 self.intersection_products
             ) != len(self.intersections):
-                raise ValueError("intersection_products must match intersections")
+                raise InvalidInput("intersection_products must match intersections")
 
     def __repr__(self) -> str:
         return (
@@ -173,7 +173,7 @@ def _check_factorization(fact: Factorization, ambient_dim: int) -> None:
             raise DimensionMismatch("factor block width mismatch")
         seen.extend(coords)
     if sorted(seen) != list(range(ambient_dim)):
-        raise ValueError("factor blocks must partition the coordinates")
+        raise InvalidInput("factor blocks must partition the coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +485,44 @@ def polytope_to_dict(poly: ConvexPolytope) -> dict:
     }
 
 
-def polytope_from_dict(data: dict) -> ConvexPolytope:
-    verts = [tuple(Fraction(c) for c in v) for v in data["vertices"]]
-    poly = from_vertices(verts)
-    if poly.ambient_dim != data["ambient_dim"]:
-        raise DimensionMismatch("ambient_dim does not match vertex width")
-    return poly
+def _json_field(data, key: str, what: str, kind: type | None = None):
+    """``data[key]`` of a JSON object read from outside the program, of
+    type ``kind`` when given; anything else raises ``InvalidInput``."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"{what}: expected a JSON object")
+    if key not in data:
+        raise InvalidInput(f"{what}: missing key {key!r}")
+    value = data[key]
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        noun = "an integer" if kind is int else f"a {kind.__name__}"
+        raise InvalidInput(f"{what}: {key!r} must be {noun}, not {type(value).__name__}")
+    return value
+
+
+def _coordinate(c, what: str) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+        raise InvalidInput(f"{what}: coordinate {c!r} is not a number")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidInput(f"{what}: coordinate {c!r} is not a rational number") from None
+
+
+def _listed_vertices(data, what: str) -> list[tuple[Fraction, ...]]:
+    """The ``vertices`` of a JSON polytope, each of ``ambient_dim`` coordinates."""
+    ambient = _json_field(data, "ambient_dim", what, int)
+    verts = _json_field(data, "vertices", what, list)
+    if ambient < 1 or not verts:
+        raise InvalidInput(f"{what}: needs ambient_dim >= 1 and at least one vertex")
+    for v in verts:
+        if not isinstance(v, list) or len(v) != ambient:
+            raise InvalidInput(f"{what}: every vertex must be a list of {ambient} coordinates")
+    return [tuple(_coordinate(c, what) for c in v) for v in verts]
+
+
+def polytope_from_dict(data: dict, what: str = "polytope") -> ConvexPolytope:
+    """Rebuild a polytope; malformed data raises ``InvalidInput`` naming ``what``."""
+    return from_vertices(_listed_vertices(data, what))
 
 
 def _factorization_to_list(fact: Factorization | None):
@@ -502,12 +534,18 @@ def _factorization_to_list(fact: Factorization | None):
     ]
 
 
-def _factorization_from_list(data, ambient_dim: int) -> Factorization | None:
+def _factorization_from_list(data, what: str) -> Factorization | None:
     if data is None:
         return None
-    return tuple(
-        (tuple(entry["coords"]), polytope_from_dict(entry["factor"])) for entry in data
-    )
+    if not isinstance(data, list):
+        raise InvalidInput(f"{what}: 'product_structure' must be a JSON list")
+    fact = []
+    for entry in data:
+        coords = _json_field(entry, "coords", what, list)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+            raise InvalidInput(f"{what}: factor coords must be integers")
+        fact.append((tuple(coords), polytope_from_dict(_json_field(entry, "factor", what), what)))
+    return tuple(fact)  # embed_product checks that the blocks partition the coordinates
 
 
 def union_to_dict(union: PolytopalUnion) -> dict:
@@ -535,39 +573,49 @@ def union_to_dict(union: PolytopalUnion) -> dict:
 def _product_body(fact: Factorization, listed: dict, ambient_dim: int, what: str) -> ConvexPolytope:
     """The product body of ``fact``, checked against the vertices listed for it."""
     body = embed_product(fact, ambient_dim)  # avoids hull enumeration
-    vertices = sorted(tuple(Fraction(c) for c in v) for v in listed["vertices"])
-    if vertices != list(body.vertices):
-        raise EhrhartError(f"{what}: listed vertices disagree with its product_structure")
+    if sorted(_listed_vertices(listed, what)) != list(body.vertices):
+        raise InvalidInput(f"{what}: listed vertices disagree with its product_structure")
     return body
 
 
 def union_from_dict(data: dict) -> PolytopalUnion:
     """Rebuild a union; product-structured pieces and intersections are built
-    from their factors, and their listed vertices must match."""
-    ambient = data["ambient_dim"]
+    from their factors, and their listed vertices must match. Malformed data
+    raises ``InvalidInput``."""
+    ambient = _json_field(data, "ambient_dim", "union", int)
+    pieces_data = _json_field(data, "pieces", "union", list)
     structure = data.get("product_structure")
+    if structure is not None and (
+        not isinstance(structure, list) or len(structure) != len(pieces_data)
+    ):
+        raise InvalidInput("union: 'product_structure' must list one entry per piece")
     pieces = []
     piece_facts = []
-    for idx, pdata in enumerate(data["pieces"]):
-        fact = _factorization_from_list(structure[idx], ambient) if structure else None
+    for idx, pdata in enumerate(pieces_data):
+        what = f"piece {idx}"
+        fact = _factorization_from_list(structure[idx], what) if structure else None
         piece_facts.append(fact)
         if fact is not None:
-            pieces.append(_product_body(fact, pdata, ambient, f"piece {idx}"))
+            pieces.append(_product_body(fact, pdata, ambient, what))
         else:
-            pieces.append(polytope_from_dict(pdata))
+            pieces.append(polytope_from_dict(pdata, what))
     intersections = None
     inter_facts = None
     if "intersections" in data:
         intersections = []
         inter_facts = []
-        for idx, entry in enumerate(data["intersections"]):
-            fact = _factorization_from_list(entry.get("product_structure"), ambient)
+        for idx, entry in enumerate(_json_field(data, "intersections", "union", list)):
+            what = f"intersection {idx}"
+            i = _json_field(entry, "i", what, int)
+            j = _json_field(entry, "j", what, int)
+            listed = _json_field(entry, "polytope", what)
+            fact = _factorization_from_list(entry.get("product_structure"), what)
             inter_facts.append(fact)
             if fact is not None:
-                body = _product_body(fact, entry["polytope"], ambient, f"intersection {idx}")
+                body = _product_body(fact, listed, ambient, what)
             else:
-                body = polytope_from_dict(entry["polytope"])
-            intersections.append((entry["i"], entry["j"], body))
+                body = polytope_from_dict(listed, what)
+            intersections.append((i, j, body))
         intersections = tuple(intersections)
         inter_facts = tuple(inter_facts)
     return PolytopalUnion(

@@ -161,6 +161,84 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2
     assert "error:" in err
 
+    for argv in (
+        ["construct", "--family", "simplex"],  # no --n
+        ["construct", "--family", "pentagon", "--p", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["pte", "verify", "--s", "1,a", "--t", "3,0"])
+    assert exc.value.code == 2
+
+
+TRIANGLE = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+MALFORMED_INPUTS = {
+    "vertices-not-a-list": {"ambient_dim": 2, "vertices": 5},
+    "no-vertices": {"ambient_dim": 2},
+    "no-ambient-dim": {"vertices": [[0, 0]]},
+    "ambient-dim-not-an-integer": {"ambient_dim": "2", "vertices": [[0, 0]]},
+    "ragged-vertex": {"ambient_dim": 2, "vertices": [[0, 0], [1]]},
+    "bad-coordinate": {"ambient_dim": 2, "vertices": [[0, 0], ["1/0", 1]]},
+    "null-coordinate": {"ambient_dim": 2, "vertices": [[0, None]]},
+    "not-an-object": [1, 2],
+    "piece-not-an-object": {"ambient_dim": 2, "pieces": [7]},
+    "no-pieces": {"ambient_dim": 2, "pieces": []},
+    "structure-length": {"ambient_dim": 2, "pieces": [TRIANGLE], "product_structure": []},
+    "structure-coords": {
+        "ambient_dim": 2,
+        "pieces": [TRIANGLE],
+        "product_structure": [[{"coords": ["x"], "factor": TRIANGLE}]],
+    },
+    "intersection-index": {
+        "ambient_dim": 2,
+        "pieces": [TRIANGLE, TRIANGLE],
+        "intersections": [{"i": "0", "j": 1, "polytope": TRIANGLE}],
+    },
+    "intersection-range": {
+        "ambient_dim": 2,
+        "pieces": [TRIANGLE, TRIANGLE],
+        "intersections": [{"i": 0, "j": 5, "polytope": TRIANGLE}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_a_usage_error(name, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(MALFORMED_INPUTS[name]))
+    code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_input_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text("not json")
+    code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--k", "--k-max"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_nonpositive_dilates_are_rejected_by_the_parser(option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "pentagon", option, value])
+    assert exc.value.code == 2
+
+
+def test_internal_errors_are_not_usage_errors(monkeypatch):
+    def broken(ps, ns, budget):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._CLAIM_FUNCS, "heptagon", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "heptagon"])
+
 
 def test_module_entry_point_subprocess():
     import os

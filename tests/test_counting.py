@@ -225,6 +225,37 @@ def test_count_function_negative_dilates_use_reciprocity():
         CountFunction(C.segment(2))(0)
 
 
+def translated_union(union, shift):
+    """``union + shift`` with its pieces, intersections and factorizations."""
+
+    def factors(fact):
+        if fact is None:
+            return None
+        return tuple((cs, f.translate([shift[c] for c in cs])) for cs, f in fact)
+
+    return PolytopalUnion(
+        union.ambient_dim,
+        tuple(piece.translate(shift) for piece in union.pieces),
+        tuple((i, j, body.translate(shift)) for i, j, body in union.intersections),
+        tuple(factors(f) for f in union.product_structure),
+        tuple(factors(f) for f in union.intersection_products),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+)
+def test_union_enumeration_equals_inclusion_exclusion_on_translates(p, k, shift):
+    # the union kernel against the multiplicative inclusion-exclusion route
+    union = translated_union(C.barn(3, p, SOL2), shift)
+    assert count_union(union, k, strategy="enumerate") == count_union(
+        union, k, strategy="inclusion-exclusion"
+    )
+
+
 def test_count_function_rejects_nonpositive_dilates_of_unions():
     counter = CountFunction(C.barn(3, 2, SOL2))
     for k in (-1, 0):

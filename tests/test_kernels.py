@@ -1,4 +1,5 @@
-"""The enumeration kernel against a point-by-point scan of the box."""
+"""The enumeration kernel against a point-by-point scan of the box, and its
+invariance under the signed permutations and translations that keep a count."""
 
 import itertools
 
@@ -56,6 +57,55 @@ def test_kernels_against_pointwise_scan(case):
     for normals, offsets in union:
         assert _enum_py.count_box(lo, hi, normals, offsets) == scan(lo, hi, [(normals, offsets)])
     assert _enum_py.count_box_union(lo, hi, union) == scan(lo, hi, union)
+
+
+@st.composite
+def moved_cases(draw):
+    """A box with systems, and a signed column permutation plus translation."""
+    lo, hi, union = draw(box_with_systems())
+    n = len(lo)
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    shift = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    return lo, hi, union, order, signs, shift
+
+
+def moved(lo, hi, union, order, signs, shift):
+    """The box and systems in ``y`` with ``y[i] = signs[i] * x[order[i]] + shift[i]``:
+    the map ``count-deep`` applies to its bodies; an empty box stays empty."""
+    new_lo = [(lo[j] if s > 0 else -hi[j]) + t for j, s, t in zip(order, signs, shift)]
+    new_hi = [(hi[j] if s > 0 else -lo[j]) + t for j, s, t in zip(order, signs, shift)]
+    new_union = []
+    for normals, offsets in union:
+        rows = [[s * a[j] for j, s in zip(order, signs)] for a in normals]
+        shifted = [c + sum(r * t for r, t in zip(row, shift)) for row, c in zip(rows, offsets)]
+        new_union.append((rows, shifted))
+    return new_lo, new_hi, new_union
+
+
+@settings(max_examples=300, deadline=None)
+@given(moved_cases())
+# tied widths: the walk order of the moved box differs only by the tie-break
+@example(
+    ([0, 0, 0], [3, 3, 3], [([[1, 2, -1], [-1, 0, 1]], [4, 1])], [2, 0, 1], [1, -1, 1], [5, -2, 0])
+)
+# a zero-width coordinate, walked first
+@example(
+    (
+        [0, 2, -1], [4, 2, 3], [([[1, 1, 1]], [5]), ([[0, -1, 2]], [0])],
+        [1, 2, 0], [-1, 1, -1], [3, 0, -7],
+    )
+)
+def test_kernels_invariant_under_signed_permutation_and_translation(case):
+    lo, hi, union, *move = case
+    new_lo, new_hi, new_union = moved(lo, hi, union, *move)
+    for (normals, offsets), (new_normals, new_offsets) in zip(union, new_union):
+        assert _enum_py.count_box(new_lo, new_hi, new_normals, new_offsets) == _enum_py.count_box(
+            lo, hi, normals, offsets
+        )
+    assert _enum_py.count_box_union(new_lo, new_hi, new_union) == _enum_py.count_box_union(
+        lo, hi, union
+    )
 
 
 def test_far_translate_counts_with_big_integers():
