@@ -38,6 +38,7 @@ from .polytope import (
     PolytopalUnion,
     denominator,
     embed_product,
+    face_lattice,
     faces,
     from_vertices,
     is_integral,

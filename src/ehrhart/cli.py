@@ -11,8 +11,10 @@ prints. Output is deterministic: keys are sorted, ordering is fixed, and
 nothing time-dependent is ever emitted.
 
 Exit codes: 0 success / all claims pass, 1 verification failure,
-2 usage error or invalid input (any ``EhrhartError`` or ``OSError``).
-Every other exception is a bug and propagates with its traceback.
+2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
+3 internal error. ``main`` lets every other exception propagate;
+``entry``, the installed script and ``python -m ehrhart.cli``, prints
+its traceback to stderr and exits 3.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import constructions, pte, series as series_mod
-from .counting import CountFunction, count, count_convex, count_series
+from .counting import CountFunction, count, count_convex, count_series, count_union
 from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
 from .indices import mcmullen_check
 from .polytope import (
@@ -353,16 +355,19 @@ def _claim_sn_pn_equivalence(ps, ns, budget) -> VerificationReport:
     )
 
 
+def _cases(ps, ns) -> list[tuple[int, int]]:
+    """The ``(n, p)`` cases of the hull claims that the flags allow."""
+    return [
+        (n, p)
+        for n, p in ((3, 2), (3, 3), (4, 2))
+        if (not ps or p in ps) and (not ns or n in ns)
+    ]
+
+
 def _claim_decomposition(ps, ns, budget) -> VerificationReport:
-    cases = [(3, 2), (3, 3), (4, 2)]
-    if ps:
-        cases = [(n, p) for n, p in cases if p in ps]
-    if ns:
-        cases = [(n, p) for n, p in cases if n in ns]
+    cases = _cases(ps, ns)
     if not cases:
-        return VerificationReport(
-            "decomposition", {"cases": []}, "skipped: no matching cases"
-        )
+        return VerificationReport("decomposition", {"cases": []}, "skipped: no matching cases")
     witness = {}
     ok = True
     for n, p in cases:
@@ -382,15 +387,9 @@ def _claim_decomposition(ps, ns, budget) -> VerificationReport:
 
 
 def _claim_hn_periods(ps, ns, budget) -> VerificationReport:
-    cases = [(3, 2), (3, 3), (4, 2)]
-    if ps:
-        cases = [(n, p) for n, p in cases if p in ps]
-    if ns:
-        cases = [(n, p) for n, p in cases if n in ns]
+    cases = _cases(ps, ns)
     if not cases:
-        return VerificationReport(
-            "hn-periods", {"cases": []}, "skipped: no matching cases"
-        )
+        return VerificationReport("hn-periods", {"cases": []}, "skipped: no matching cases")
     witness = {}
     ok = True
     for n, p in cases:
@@ -431,12 +430,7 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
             good = seq == expected
             entry = {"period_sequence": list(seq), "counts": counter.samples()}
             if n == 3 and p == 2:
-                enum = [
-                    count(union, k, budget)
-                    for k in (1, 2)
-                ]
-                from .counting import count_union
-
+                enum = [count(union, k, budget) for k in (1, 2)]
                 direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
                 good = good and enum == [48, 253] and direct == enum
                 entry["counts_k1_k2"] = enum
@@ -567,20 +561,25 @@ def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
         return VerificationReport(claim, {}, f"skipped: budget exceeded ({exc})")
 
 
-def verify_all(max_p: int | None = None, max_n: int | None = None, budget: int | None = None):
-    """All claims, in the fixed claim-id order."""
-    ps = list(range(1, max_p + 1)) if max_p else None
-    ns = list(range(3, max_n + 1)) if max_n else None
-    return [run_claim(claim, ps, ns, budget) for claim in CLAIMS]
+def verify_all(
+    max_p: int | None = None,
+    max_n: int | None = None,
+    budget: int | None = None,
+    *,
+    claims=CLAIMS,
+    p: int | None = None,
+    n: int | None = None,
+) -> list[VerificationReport]:
+    """The given claims (all by default), in order; ``p``/``n`` restrict to
+    one value, ``max_p``/``max_n`` to the values up to it."""
+    ps = [p] if p else (list(range(1, max_p + 1)) if max_p else None)
+    ns = [n] if n else (list(range(3, max_n + 1)) if max_n else None)
+    return [run_claim(claim, ps, ns, budget) for claim in claims]
 
 
 def _cmd_verify(args) -> int:
-    ps = [args.p] if args.p else (list(range(1, args.max_p + 1)) if args.max_p else None)
-    ns = [args.n] if args.n else (list(range(3, args.max_n + 1)) if args.max_n else None)
-    if args.claim == "all":
-        reports = [run_claim(c, ps, ns, args.budget) for c in CLAIMS]
-    else:
-        reports = [run_claim(args.claim, ps, ns, args.budget)]
+    claims = CLAIMS if args.claim == "all" else (args.claim,)
+    reports = verify_all(args.max_p, args.max_n, args.budget, claims=claims, p=args.p, n=args.n)
     payload = [r.to_dict() for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload, args.format)
     return 0 if all(r.outcome != "fail" for r in reports) else 1
@@ -703,5 +702,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Console entry point: exit with ``main``'s code, or 3 with the
+    traceback on stderr when an internal error escapes it."""
+    try:
+        code = main()
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+        code = 3
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -5,8 +5,10 @@ The ``i``-index of a polytope is the least dilate whose every
 indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
-independently (faces via Smith normal form, periods via fitting from raw
-counts) and reports the comparison.
+independently and reports the comparison: indices from one face lattice
+(``polytope.face_lattice``, up to dimension 5), each face's span taken
+from the facets tight on it and solved by Smith normal form; periods by
+fitting raw counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .counting import CountFunction
 from .linalg import min_dilate_with_lattice_point
-from .polytope import FACE_ENUM_CAP, ConvexPolytope, PolytopalUnion, denominator, faces
+from .polytope import ConvexPolytope, PolytopalUnion, denominator, face_lattice
 from .quasipoly import QuasiPolynomial, fit, period_sequence
 
 
@@ -27,23 +29,21 @@ class IndexSequence:
     values: tuple[int, ...]
 
 
-def index_sequence(poly: ConvexPolytope, cap: int = FACE_ENUM_CAP) -> IndexSequence:
+def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
-    Per face the minimal dilate comes in closed form from the Smith
-    normal form of its span equations, since dilating a face scales the
-    right-hand side of its span linearly. Convex inputs only; the
-    ``i``-index of a union is not defined here.
+    One face lattice supplies the faces of every dimension. Per face the
+    minimal dilate comes in closed form from the Smith normal form of its
+    span equations, since dilating a face scales the right-hand side of
+    its span linearly. Convex inputs only; the ``i``-index of a union is
+    not defined here.
     """
     if isinstance(poly, PolytopalUnion):
         raise ValueError("index sequences are defined for convex polytopes only")
-    values = []
-    for i in range(poly.intrinsic_dim + 1):
-        g = 1
-        for face in faces(poly, i, cap):
-            g = math.lcm(g, min_dilate_with_lattice_point(face.span))
-        values.append(g)
-    return IndexSequence(tuple(values))
+    return IndexSequence(tuple(
+        math.lcm(*(min_dilate_with_lattice_point(face.span) for face in grade))
+        for grade in face_lattice(poly)
+    ))
 
 
 def chain_check(seq: IndexSequence) -> bool:
@@ -65,7 +65,6 @@ def mcmullen_check(
     poly: ConvexPolytope,
     qp: QuasiPolynomial | None = None,
     budget: int | None = None,
-    cap: int = FACE_ENUM_CAP,
 ) -> McMullenReport:
     """Compare the period sequence against the index sequence.
 
@@ -78,7 +77,7 @@ def mcmullen_check(
         counter = CountFunction(poly, budget=budget)
         qp = fit(counter, poly.intrinsic_dim, denominator(poly), two_sided=True)
     periods = period_sequence(qp)
-    indices = index_sequence(poly, cap).values
+    indices = index_sequence(poly).values
     divides = tuple(g % p == 0 for p, g in zip(periods, indices))
     chain_ok = chain_check(IndexSequence(indices))
     return McMullenReport(periods, indices, divides, chain_ok, all(divides) and chain_ok)

@@ -5,11 +5,11 @@ extreme points, and integer facet inequalities ``normal . x <= offset``
 together with the integer equations of the affine hull. ``from_vertices``
 derives everything from a point list with the double description method
 on integer-scaled data, which is exact and also yields which points are
-tight on each facet (hulls are capped at dimension 5). ``faces`` closes
-the facets' vertex sets under intersection and reads each face's
-dimension off the grading of that lattice. Dilates, translates, products
-and pyramids are composed directly, without re-running the hull, so
-high-dimensional product bodies stay cheap to build.
+tight on each facet. That incidence answers every combinatorial question
+without elimination: which points are vertices, and ``face_lattice``,
+every face graded with its span (both capped at dimension 5). Dilates,
+translates, products and pyramids are composed directly, without
+re-running the hull, so high-dimensional product bodies stay cheap.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
@@ -30,7 +32,6 @@ from .linalg import (
     independent_rows,
     integerize,
     nullspace,
-    rank,
     solve_rational,
     vadd,
     vdot,
@@ -38,8 +39,7 @@ from .linalg import (
     vsub,
 )
 
-HULL_DIM_CAP = 5  # largest hull from_vertices builds; caps the hull-based families too
-FACE_ENUM_CAP = 4
+HULL_DIM_CAP = 5  # largest body from_vertices hulls and face_lattice grades; caps the families too
 
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
 
@@ -102,7 +102,9 @@ class ConvexPolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope: its vertex indices, affine span and dimension."""
+    """A face of a polytope: its vertex indices, affine span and dimension.
+    The span's rows are the body's span and the facets tight on the face;
+    they may be dependent."""
 
     vertex_indices: tuple[int, ...]
     span: AffineSubspace
@@ -184,22 +186,10 @@ def _check_factorization(fact: Factorization, ambient_dim: int) -> None:
 def affine_hull(points: Sequence[Vector], ambient_dim: int) -> tuple[AffineSubspace, int]:
     """Integer equations of the affine hull of a point set, and its dimension."""
     base = points[0]
-    dirs = [vsub(p, base) for p in points[1:]]
-    dirs = [d for d in dirs if any(x != 0 for x in d)]
-    if dirs:
-        normals = nullspace(dirs)
-        dim = ambient_dim - len(normals)
-    else:
-        normals = nullspace([], ambient_dim)
-        dim = 0
-    rows = []
-    rhs = []
-    for a in normals:
-        a = canonical_equation(a)
-        rows.append(a)
-        rhs.append(vdot(a, base))
-    sub = AffineSubspace.from_rational_rows(ambient_dim, rows, rhs)
-    return sub, dim
+    normals = nullspace([vsub(p, base) for p in points[1:]], ambient_dim)
+    rows = [canonical_equation(a) for a in normals]
+    sub = AffineSubspace.from_rational_rows(ambient_dim, rows, [vdot(a, base) for a in rows])
+    return sub, ambient_dim - len(rows)
 
 
 def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
@@ -208,8 +198,8 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     Facets come from the double description method. Lower-dimensional
     inputs are first projected to local coordinates on a basis of their
     affine hull, and the facets found there are lifted back. A point is
-    kept as a vertex exactly when its tight facet normals span the
-    intrinsic dimension.
+    kept as a vertex exactly when no other point lies on every facet
+    through it, that is, when its minimal face is the point itself.
     """
     pts = sorted({as_vector(p) for p in points})
     if not pts:
@@ -246,11 +236,11 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
         rays = lifted
     facets = sorted(facet for facet, _ in rays)
 
-    extreme = []
-    for i, p in enumerate(pts):
-        tight = [a for (a, _), mask in rays if mask >> i & 1]
-        if rank(tight) == dim:
-            extreme.append(p)
+    everything = (1 << len(pts)) - 1
+    extreme = [  # the AND of the masks through a point is its minimal face
+        p for i, p in enumerate(pts)
+        if reduce(and_, (mask for _, mask in rays if mask >> i & 1), everything) == 1 << i
+    ]
     return ConvexPolytope(n, tuple(extreme), tuple(facets), span, dim)
 
 
@@ -340,41 +330,34 @@ def embed_product(blocks: Factorization, ambient_dim: int) -> ConvexPolytope:
     never invokes hull enumeration and scales to high-dimensional boxes.
     """
     _check_factorization(blocks, ambient_dim)
-    zero = Fraction(0)
-
-    verts: list[list[Fraction]] = [[zero] * ambient_dim]
-    for coords, factor in blocks:
-        verts = [
-            [*(v[i] if i not in coords else fv[coords.index(i)] for i in range(ambient_dim))]
-            for v in verts
-            for fv in factor.vertices
-        ]
-
+    verts = [(Fraction(0),) * ambient_dim]
     facets: list[Facet] = []
     span_rows: list[tuple[int, ...]] = []
     span_rhs: list[Fraction] = []
     intrinsic = 0
+    zeros = (0,) * ambient_dim
     for coords, factor in blocks:
+        verts = [_placed(v, coords, fv) for v in verts for fv in factor.vertices]
+        facets += [(_placed(zeros, coords, a), c) for a, c in factor.facets]
+        span_rows += [_placed(zeros, coords, row) for row in factor.span.rows]
+        span_rhs += factor.span.rhs
         intrinsic += factor.intrinsic_dim
-        for a, c in factor.facets:
-            normal = [0] * ambient_dim
-            for idx, coeff in zip(coords, a):
-                normal[idx] = coeff
-            facets.append((tuple(normal), c))
-        for row, b in zip(factor.span.rows, factor.span.rhs):
-            normal = [0] * ambient_dim
-            for idx, coeff in zip(coords, row):
-                normal[idx] = coeff
-            span_rows.append(tuple(normal))
-            span_rhs.append(b)
 
     return ConvexPolytope(
         ambient_dim,
-        tuple(sorted(tuple(v) for v in verts)),
+        tuple(sorted(verts)),
         tuple(sorted(facets)),
         AffineSubspace(ambient_dim, tuple(span_rows), tuple(span_rhs)),
         intrinsic,
     )
+
+
+def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:
+    """``base`` with ``values`` written at the positions ``coords``."""
+    out = list(base)
+    for i, x in zip(coords, values):
+        out[i] = x
+    return tuple(out)
 
 
 def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
@@ -402,29 +385,30 @@ def pyramid(base: ConvexPolytope, apex: Sequence[int]) -> ConvexPolytope:
 # ---------------------------------------------------------------------------
 
 
-def faces(poly: ConvexPolytope, dim: int, cap: int = FACE_ENUM_CAP) -> list[Face]:
-    """All ``dim``-dimensional faces, via closure of tight vertex sets.
+def face_lattice(poly: ConvexPolytope) -> list[list[Face]]:
+    """Every nonempty face, graded: ``out[d]`` lists the ``d``-faces in
+    order of their vertex indices, and ``out[intrinsic_dim]`` is the
+    polytope itself.
 
-    Every nonempty face is an intersection of facets and is recovered as
-    the set of vertices tight on those facets; ``dim == intrinsic_dim``
-    returns the polytope itself as its own face. Dimensions come from the
-    grading of this lattice: a vertex has dimension 0, and any other face
-    one more than the largest face it strictly contains, which is its
-    intersection with some facet.
+    Every face is an intersection of facets and is recovered as the set of
+    vertices tight on those facets. Dimensions come from the grading of
+    this lattice: a vertex has dimension 0, and any other face one more
+    than the largest face it strictly contains, which is its intersection
+    with some facet. A face's span is the body's span plus the facets
+    tight on it, since ``aff(F)`` is ``aff(P)`` cut by every facet
+    hyperplane through ``F``.
     """
-    if poly.intrinsic_dim > cap:
+    if poly.intrinsic_dim > HULL_DIM_CAP:
         raise DimensionCapExceeded(
-            f"face enumeration capped at dimension {cap}, got {poly.intrinsic_dim}"
+            f"face enumeration capped at dimension {HULL_DIM_CAP}, got {poly.intrinsic_dim}"
         )
-    if not 0 <= dim <= poly.intrinsic_dim:
-        raise ValueError(f"face dimension {dim} out of range")
     scale = math.lcm(*(x.denominator for v in poly.vertices for x in v))
     scaled = [[int(x * scale) for x in v] for v in poly.vertices]
     per_facet = [
-        frozenset(i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
+        sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
         for a, c in poly.facets
     ]
-    everything = frozenset(range(len(poly.vertices)))
+    everything = (1 << len(poly.vertices)) - 1
     closed = {everything}
     queue = [everything]
     while queue:
@@ -435,18 +419,32 @@ def faces(poly: ConvexPolytope, dim: int, cap: int = FACE_ENUM_CAP) -> list[Face
                 closed.add(t)
                 queue.append(t)
 
-    grade: dict[frozenset, int] = {}
-    for idx_set in sorted(closed, key=len):
-        below = (grade[t] for t in (idx_set & pf for pf in per_facet) if t and t != idx_set)
-        grade[idx_set] = 1 + max(below, default=-1)
+    grade: dict[int, int] = {}
+    for s in sorted(closed, key=int.bit_count):
+        below = (grade[t] for t in (s & pf for pf in per_facet) if t and t != s)
+        grade[s] = 1 + max(below, default=-1)
 
-    out = []
-    for idx_set in sorted(closed, key=sorted):
-        if grade[idx_set] == dim:
-            subset = [poly.vertices[i] for i in sorted(idx_set)]
-            sub_span, _ = affine_hull(subset, poly.ambient_dim)
-            out.append(Face(tuple(sorted(idx_set)), sub_span, dim))
+    planes = AffineSubspace.from_rational_rows(
+        poly.ambient_dim, [a for a, _ in poly.facets], [c for _, c in poly.facets]
+    )
+    out: list[list[Face]] = [[] for _ in range(poly.intrinsic_dim + 1)]
+    members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
+    for s in sorted(closed, key=members.__getitem__):
+        tight = [j for j, pf in enumerate(per_facet) if pf & s == s]
+        span = AffineSubspace(
+            poly.ambient_dim,
+            poly.span.rows + tuple(planes.rows[j] for j in tight),
+            poly.span.rhs + tuple(planes.rhs[j] for j in tight),
+        )
+        out[grade[s]].append(Face(members[s], span, grade[s]))
     return out
+
+
+def faces(poly: ConvexPolytope, dim: int) -> list[Face]:
+    """All ``dim``-dimensional faces: one grade of :func:`face_lattice`."""
+    if not 0 <= dim <= poly.intrinsic_dim:
+        raise ValueError(f"face dimension {dim} out of range")
+    return face_lattice(poly)[dim]
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +472,10 @@ def denominator(obj: ConvexPolytope | PolytopalUnion) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def polytope_to_dict(poly: ConvexPolytope) -> dict:
     return {
         "ambient_dim": poly.ambient_dim,
-        "vertices": [[_frac_str(c) for c in v] for v in poly.vertices],
+        "vertices": [[str(c) for c in v] for v in poly.vertices],
     }
 
 

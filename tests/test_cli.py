@@ -240,6 +240,19 @@ def test_internal_errors_are_not_usage_errors(monkeypatch):
         main(["verify", "heptagon"])
 
 
+def test_internal_errors_exit_3_with_traceback(monkeypatch, capsys):
+    def broken(ps, ns, budget):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._CLAIM_FUNCS, "heptagon", broken)
+    monkeypatch.setattr(sys, "argv", ["ehrhart", "verify", "heptagon"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'internal'" in err
+
+
 def test_module_entry_point_subprocess():
     import os
     from pathlib import Path

@@ -10,7 +10,8 @@ from oracles import brute_force_faces, brute_force_hull
 from strategies import clouds
 
 from ehrhart import constructions as C
-from ehrhart.polytope import embed_product, faces, from_vertices
+from ehrhart.linalg import min_dilate_with_lattice_point, rank
+from ehrhart.polytope import embed_product, face_lattice, faces, from_vertices
 
 F = Fraction
 
@@ -76,7 +77,30 @@ def _face_bodies():
     return bodies
 
 
+def _assert_faces_match_oracle(body, got, want):
+    """Equal vertex sets and dimensions; spans equal as sets, since each
+    contains the face's vertices and has the face's dimension."""
+    assert [(f.vertex_indices, f.dim) for f in got] == [(f.vertex_indices, f.dim) for f in want]
+    for face, oracle in zip(got, want):
+        for span in (face.span, oracle.span):
+            assert all(span.contains(body.vertices[i]) for i in face.vertex_indices)
+            assert rank(span.rows) == body.ambient_dim - face.dim
+        assert min_dilate_with_lattice_point(face.span) == min_dilate_with_lattice_point(
+            oracle.span
+        )
+
+
 @pytest.mark.parametrize("body", _face_bodies(), ids=repr)
 def test_faces_equal_closure_and_affine_hull_oracle(body):
     for dim in range(body.intrinsic_dim + 1):
-        assert faces(body, dim) == brute_force_faces(body, dim)
+        _assert_faces_match_oracle(body, faces(body, dim), brute_force_faces(body, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds(max_dim=4))
+def test_face_lattice_equals_oracle_on_random_clouds(points):
+    body = from_vertices(points)
+    lattice = face_lattice(body)
+    assert len(lattice) == body.intrinsic_dim + 1
+    for dim, grade in enumerate(lattice):
+        _assert_faces_match_oracle(body, grade, brute_force_faces(body, dim))

@@ -131,3 +131,10 @@ def test_period_divides_index_on_random_tetrahedra():
         report = mcmullen_check(body)
         assert report.ok, (pts, report)
         checked += 1
+
+
+def test_five_dimensional_hull_is_within_the_face_cap():
+    report = mcmullen_check(C.hull(5, 2))
+    assert report.period_sequence == (1, 2, 1, 1, 1, 1)
+    assert report.index_sequence == (2, 2, 1, 1, 1, 1)
+    assert report.ok

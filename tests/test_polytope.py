@@ -191,8 +191,9 @@ def test_faces_of_segment_top_dim_is_self():
 
 
 def test_faces_dimension_cap():
+    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
     with pytest.raises(DimensionCapExceeded):
-        faces(C.hull(5, 2), 0, cap=4)
+        faces(cube, 0)
 
 
 def test_face_counts_of_cube():
