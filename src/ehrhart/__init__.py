@@ -29,7 +29,6 @@ from .linalg import (
     AffineSubspace,
     Rational,
     min_dilate_with_lattice_point,
-    smith_normal_form,
     solve_rational,
 )
 from .polytope import (

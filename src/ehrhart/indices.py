@@ -7,8 +7,8 @@ coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
 independently and reports the comparison: indices from one face lattice
 (``polytope.face_lattice``, up to dimension 5), each face's span taken
-from the facets tight on it and solved by Smith normal form; periods by
-fitting raw counts.
+from the facets tight on it and solved over the integer lattice by
+``linalg.min_dilate_with_lattice_point``; periods by fitting raw counts.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
     One face lattice supplies the faces of every dimension. Per face the
-    minimal dilate comes in closed form from the Smith normal form of its
-    span equations, since dilating a face scales the right-hand side of
-    its span linearly. Convex inputs only; the ``i``-index of a union is
+    minimal dilate comes in closed form from an integer echelon basis of
+    the lattice spanned by the columns of its span equations, since
+    dilating a face scales the right-hand side of its span linearly. Convex inputs only; the ``i``-index of a union is
     not defined here.
     """
     if isinstance(poly, PolytopalUnion):

@@ -3,10 +3,13 @@
 Scalars are :class:`fractions.Fraction` throughout (aliased ``Rational``),
 so every operation in the package is exact; no floating point appears
 anywhere. Vectors are plain tuples of Fractions, matrices are sequences of
-rows. On top of that this module provides deterministic Gaussian
-elimination, integer Smith normal form with unimodular transforms, and the
-lattice-solvability query used for face indices: the least dilate ``m``
-for which ``A x = m b`` admits an integer solution.
+rows. On top of that this module has one elimination, an integer row
+echelon form reached by unimodular row steps, and builds every solver on
+it: rank, nullspace, exact solves, independent rows, and the
+lattice-solvability query used for face indices, the least dilate ``m``
+for which ``A x = m b`` admits an integer solution. Since the steps are
+unimodular, the echelon rows span the lattice of the input rows, which
+is what that query needs.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ def vdot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(vdot(row, v) for row in rows)
-
-
 def integerize(vals: Iterable) -> IntVector:
     """Scale a rational tuple by a positive factor to coprime integers.
 
@@ -83,53 +82,80 @@ def canonical_equation(coeffs: Iterable) -> IntVector:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over the rationals
+# Integer row echelon form
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with deterministic column-major pivoting.
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form and its pivot columns.
 
-    Returns the reduced matrix and the list of pivot columns. The pivot in
-    each column is the first nonzero entry scanning rows top to bottom, so
-    results are reproducible across runs.
+    Each row is first scaled by the lcm of its denominators (a no-op on
+    integer rows). Elimination then uses unimodular steps only: swapping
+    two rows, or subtracting an integer multiple of one row from another.
+    Per column, the row with the least nonzero absolute value below the
+    finished rows is moved up and the others are reduced modulo it, until
+    one nonzero entry is left (Euclid's algorithm on the column). Rows
+    are never divided, so the echelon rows span the same lattice as the
+    scaled input, not only the same rational space. The pivot columns are
+    those of the rational row echelon form, and the rows from
+    ``len(pivots)`` on are zero.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    mat = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
-    r = 0
+    ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
+        r = len(pivots)
+        live = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not live:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * p for a, p in zip(mat[i], mat[r])]
+        while True:
+            top = min(live, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[top] = mat[top], mat[r]
+            if len(live) == 1:
+                break
+            prow, p = mat[r], mat[r][c]
+            for i in range(r + 1, len(mat)):
+                q = mat[i][c] // p
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], prow)]
+            live = [i for i in range(r, len(mat)) if mat[i][c]]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
     return mat, pivots
 
 
+def _back_substitute(
+    mat: list[list[int]], pivots: list[int], x: list[Fraction], rhs: Sequence
+) -> Vector:
+    """Fill the pivot entries of ``x`` so that row ``i`` of ``mat`` dotted
+    with ``x`` equals ``rhs[i]``, bottom row first; the free entries are
+    taken as given."""
+    for i in reversed(range(len(pivots))):
+        row, c = mat[i], pivots[i]
+        rest = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j])
+        x[c] = Fraction(rhs[i] - rest, row[c])
+    return tuple(x)
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
-    """Basis of ``{x : rows @ x = 0}``, deterministic free-variable order."""
+    """Basis of ``{x : rows @ x = 0}``: per free column in order, the
+    solution with that variable 1 and the other free variables 0."""
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty row set")
         return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    mat, pivots = rref(rows)
+    mat, pivots = _echelon(rows)
+    zero = [0] * len(pivots)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -137,9 +163,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -mat[i][free]
-        basis.append(tuple(vec))
+        basis.append(_back_substitute(mat, pivots, vec, zero))
     return basis
 
 
@@ -154,149 +178,16 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Vector:
         raise ValueError("need at least one row")
     _check_dims(rows, rhs)
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    for i in range(len(mat)):
-        if all(x == 0 for x in mat[i][:ncols]) and mat[i][ncols] != 0:
-            raise NoSolution("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        if c == ncols:
-            raise NoSolution("inconsistent linear system")
-        x[c] = mat[i][ncols]
-    return tuple(x)
+    mat, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        raise NoSolution("inconsistent linear system")
+    return _back_substitute(mat, pivots, [Fraction(0)] * ncols, [row[ncols] for row in mat])
 
 
 def independent_rows(rows: Sequence[Sequence]) -> list[int]:
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    chosen: list[int] = []
-    current: list[Sequence] = []
-    current_rank = 0
-    for i, row in enumerate(rows):
-        if current_rank == len(row):
-            break  # full rank: no later row can be independent
-        if any(Fraction(x) != 0 for x in row):
-            r = rank(current + [row])
-            if r > current_rank:
-                chosen.append(i)
-                current.append(row)
-                current_rank = r
-    return chosen
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form ``U @ A @ V = S`` over the integers.
-
-    ``U`` and ``V`` are unimodular; ``S`` is diagonal with nonnegative
-    entries satisfying ``s1 | s2 | ...``. Pivots are chosen as the smallest
-    nonzero absolute value in the remaining submatrix, ties broken
-    row-major, which keeps both the output and the intermediate growth
-    reproducible. Suited to desk-scale matrices (tens of rows).
-    """
-    if not matrix or not matrix[0]:
-        raise ValueError("matrix must be nonempty")
-    m, n = len(matrix), len(matrix[0])
-    S = [[int(x) for x in row] for row in matrix]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(dst: int, src: int, q: int) -> None:
-        S[dst] = [a - q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        for row in S:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    for t in range(min(m, n)):
-        pivot = min(
-            ((abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    row_sub(i, t, S[i][t] // S[t][t])
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    col_sub(j, t, S[t][j] // S[t][t])
-            leftovers = [
-                (abs(S[i][t]), i, -1) for i in range(t + 1, m) if S[i][t]
-            ] + [
-                (abs(S[t][j]), -1, j) for j in range(t + 1, n) if S[t][j]
-            ]
-            if leftovers:
-                # a remainder smaller than the pivot survived; promote it
-                _, i, j = min(leftovers)
-                if i >= 0:
-                    swap_rows(t, i)
-                else:
-                    swap_cols(t, j)
-                continue
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if S[i][j] % S[t][t]
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            row_sub(t, bad, -1)  # fold the offending row in and re-reduce
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-
-    freeze = lambda rows: tuple(tuple(row) for row in rows)
-    return freeze(U), freeze(S), freeze(V)
-
-
-def integer_solution(rows: Sequence[Sequence[int]], rhs: Sequence) -> IntVector | None:
-    """An integer solution of ``A x = c`` via Smith back-substitution, or None."""
-    if not rows:
-        return ()
-    U, S, V = smith_normal_form(rows)
-    m, n = len(rows), len(rows[0])
-    uc = mat_vec(U, as_vector(rhs))
-    diag = [S[i][i] for i in range(min(m, n))]
-    r = sum(1 for d in diag if d != 0)
-    for i in range(r, m):
-        if uc[i] != 0:
-            return None
-    y = [Fraction(0)] * n
-    for i in range(r):
-        q = uc[i] / diag[i]
-        if q.denominator != 1:
-            return None
-        y[i] = q
-    x = mat_vec(V, y)
-    return tuple(int(c) for c in x)
+    """Indices of a maximal linearly independent subset, scanned in order:
+    the pivot columns of the transpose."""
+    return _echelon(list(zip(*rows)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +238,22 @@ class AffineSubspace:
 def min_dilate_with_lattice_point(sub: AffineSubspace) -> int:
     """Least ``m >= 1`` such that ``A x = m b`` has an integer solution.
 
-    Closed form from the Smith decomposition ``U A V = S``: consistency
-    over the rationals requires ``(U b)_i = 0`` beyond the rank, and then
-    ``m`` is the lcm of the denominators of ``(U b)_i / s_i`` over the
-    nonzero diagonal. Raises :class:`Infeasible` when the subspace is
-    empty over the rationals (a precondition violation).
+    The integer echelon form of the columns of ``A`` is a basis ``H`` of
+    the lattice they span, so ``A x = m b`` has an integer solution
+    exactly when ``m y`` is integral for the unique ``y`` with
+    ``H y = b``. Forward substitution over the pivot rows finds ``y``,
+    and ``m`` is the lcm of its denominators. Raises :class:`Infeasible`
+    when a row without a pivot leaves a nonzero residual, that is, when
+    the subspace is empty over the rationals (a precondition violation).
     """
     if not sub.rows:
         return 1
-    U, S, _ = smith_normal_form(sub.rows)
-    m, n = len(sub.rows), sub.ambient_dim
-    ub = mat_vec(U, sub.rhs)
-    diag = [S[i][i] for i in range(min(m, n))]
-    r = sum(1 for d in diag if d != 0)
-    for i in range(r, m):
-        if ub[i] != 0:
+    basis, pivots = _echelon(list(zip(*sub.rows)))
+    y: list[Fraction] = []
+    for t, b in enumerate(sub.rhs):
+        residual = Fraction(b) - sum(c * basis[j][t] for j, c in enumerate(y))
+        if len(y) < len(pivots) and pivots[len(y)] == t:
+            y.append(residual / basis[len(y)][t])
+        elif residual:
             raise Infeasible("affine subspace is empty over the rationals")
-    out = 1
-    for i in range(r):
-        out = math.lcm(out, (ub[i] / diag[i]).denominator)
-    return out
+    return math.lcm(*(c.denominator for c in y))

@@ -187,8 +187,8 @@ def affine_hull(points: Sequence[Vector], ambient_dim: int) -> tuple[AffineSubsp
     """Integer equations of the affine hull of a point set, and its dimension."""
     base = points[0]
     normals = nullspace([vsub(p, base) for p in points[1:]], ambient_dim)
-    rows = [canonical_equation(a) for a in normals]
-    sub = AffineSubspace.from_rational_rows(ambient_dim, rows, [vdot(a, base) for a in rows])
+    rows = tuple(canonical_equation(a) for a in normals)
+    sub = AffineSubspace(ambient_dim, rows, tuple(vdot(a, base) for a in rows))
     return sub, ambient_dim - len(rows)
 
 

@@ -6,51 +6,109 @@ facets by testing every spanning subset of points, face dimensions by the
 affine hull of every closed vertex set, interior counts from strict
 facet inequalities of that brute-force hull, determinants come from Bareiss
 elimination, Smith diagonals from minor gcds, and minimal dilates from
-explicit small searches.
+explicit small searches. Rank, nullspace, solves and affine hulls come
+from a Fraction reduced row echelon form, and minimal dilates also in
+closed form from a Smith normal form with unimodular transforms: two
+eliminations that the library itself no longer uses.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from ehrhart.linalg import (
+    AffineSubspace,
     as_vector,
+    canonical_equation,
     integerize,
-    nullspace,
-    rank,
-    solve_rational,
     vdot,
     vscale,
     vsub,
 )
-from ehrhart.polytope import ConvexPolytope, Face, affine_hull
+from ehrhart.polytope import ConvexPolytope, Face
 
 
-def _solve_exact(rows, rhs):
-    """Tiny deterministic Gaussian solver (None when inconsistent)."""
-    m, n = len(rows), len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+def rref(rows):
+    """Reduced row echelon form with deterministic column-major pivoting.
+
+    Returns the reduced matrix and the list of pivot columns. The pivot in
+    each column is the first nonzero entry scanning rows top to bottom.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
     pivots = []
     r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * p for a, p in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def nullspace(rows, ncols):
+    """Basis of ``{x : rows @ x = 0}`` read off the reduced form: per free
+    column in order, that variable 1 and the other free variables 0."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
+    mat, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -mat[i][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_rational(rows, rhs):
+    """The solution of ``A x = b`` with free variables zero, or None when
+    the system is inconsistent."""
+    ncols = len(rows[0])
+    mat, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+        x[c] = mat[i][ncols]
+    return tuple(x)
+
+
+def independent_rows(rows):
+    """Indices of a maximal linearly independent subset, greedily in order."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+def affine_hull(points, ambient_dim):
+    """Integer equations of the affine hull of a point set, and its dimension."""
+    base = points[0]
+    normals = nullspace([vsub(p, base) for p in points[1:]], ambient_dim)
+    rows = tuple(canonical_equation(a) for a in normals)
+    span = AffineSubspace(ambient_dim, rows, tuple(vdot(a, base) for a in rows))
+    return span, ambient_dim - len(rows)
 
 
 def in_hull(point, vertices):
@@ -65,7 +123,7 @@ def in_hull(point, vertices):
         k = len(sub)
         rows = [[Fraction(sub[j][i]) for j in range(k)] for i in range(d)]
         rows.append([Fraction(1)] * k)
-        lam = _solve_exact(rows, list(point) + [1])
+        lam = solve_rational(rows, list(point) + [1])
         if lam is None:
             continue
         residual_ok = all(
@@ -151,6 +209,135 @@ def minor_gcd_diagonal(matrix):
     return out
 
 
+def smith_normal_form(matrix):
+    """Smith normal form ``U @ A @ V = S`` over the integers.
+
+    ``U`` and ``V`` are unimodular; ``S`` is diagonal with nonnegative
+    entries satisfying ``s1 | s2 | ...``. Pivots are chosen as the smallest
+    nonzero absolute value in the remaining submatrix, ties broken
+    row-major.
+    """
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must be nonempty")
+    m, n = len(matrix), len(matrix[0])
+    S = [[int(x) for x in row] for row in matrix]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(dst, src, q):
+        S[dst] = [a - q * b for a, b in zip(S[dst], S[src])]
+        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+
+    def col_sub(dst, src, q):
+        for row in S:
+            row[dst] -= q * row[src]
+        for row in V:
+            row[dst] -= q * row[src]
+
+    for t in range(min(m, n)):
+        pivot = min(
+            ((abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            for i in range(t + 1, m):
+                if S[i][t]:
+                    row_sub(i, t, S[i][t] // S[t][t])
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    col_sub(j, t, S[t][j] // S[t][t])
+            leftovers = [
+                (abs(S[i][t]), i, -1) for i in range(t + 1, m) if S[i][t]
+            ] + [
+                (abs(S[t][j]), -1, j) for j in range(t + 1, n) if S[t][j]
+            ]
+            if leftovers:
+                # a remainder smaller than the pivot survived; promote it
+                _, i, j = min(leftovers)
+                if i >= 0:
+                    swap_rows(t, i)
+                else:
+                    swap_cols(t, j)
+                continue
+            bad = next(
+                (
+                    i
+                    for i in range(t + 1, m)
+                    for j in range(t + 1, n)
+                    if S[i][j] % S[t][t]
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            row_sub(t, bad, -1)  # fold the offending row in and re-reduce
+        if S[t][t] < 0:
+            S[t] = [-x for x in S[t]]
+            U[t] = [-x for x in U[t]]
+
+    freeze = lambda rows: tuple(tuple(row) for row in rows)
+    return freeze(U), freeze(S), freeze(V)
+
+
+def _mat_vec(rows, v):
+    return tuple(sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def integer_solution(rows, rhs):
+    """An integer solution of ``A x = c`` via Smith back-substitution, or None."""
+    if not rows:
+        return ()
+    U, S, V = smith_normal_form(rows)
+    m, n = len(rows), len(rows[0])
+    uc = _mat_vec(U, as_vector(rhs))
+    diag = [S[i][i] for i in range(min(m, n))]
+    r = sum(1 for d in diag if d != 0)
+    if any(uc[i] != 0 for i in range(r, m)):
+        return None
+    y = [Fraction(0)] * n
+    for i in range(r):
+        q = uc[i] / diag[i]
+        if q.denominator != 1:
+            return None
+        y[i] = q
+    return tuple(int(c) for c in _mat_vec(V, y))
+
+
+def snf_min_dilate(rows, rhs):
+    """Least ``m >= 1`` with an integer solution of ``A x = m b``, in closed
+    form from ``U A V = S``, or None when the system is inconsistent.
+
+    Rational consistency needs ``(U b)_i = 0`` beyond the rank; then ``m``
+    is the lcm of the denominators of ``(U b)_i / s_i`` over the nonzero
+    diagonal.
+    """
+    if not rows:
+        return 1
+    U, S, _ = smith_normal_form(rows)
+    ub = _mat_vec(U, as_vector(rhs))
+    diag = [d for d in (S[i][i] for i in range(min(len(S), len(S[0])))) if d]
+    if any(ub[i] != 0 for i in range(len(diag), len(rows))):
+        return None
+    return lcm(*((ub[i] / d).denominator for i, d in enumerate(diag)))
+
+
 def brute_has_integer_solution(rows, target, box=12):
     """Whether A x = target has an integer solution with |x_i| <= box.
 
@@ -232,7 +419,7 @@ def brute_force_hull(points):
     for subset in combinations(range(len(local)), dim):
         anchor = local[subset[0]]
         dirs = [vsub(local[s], anchor) for s in subset[1:]]
-        kernel = nullspace(dirs, ncols=dim) if dirs else nullspace([], dim)
+        kernel = nullspace(dirs, dim)
         if len(kernel) != 1:
             continue  # not a hyperplane of the hull
         g = kernel[0]

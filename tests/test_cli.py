@@ -297,6 +297,16 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
         assert f"error: {what}: listed vertices disagree" in err
 
 
+# sha256 of the stdout of the default ``ehrhart verify all``.
+VERIFY_ALL_SHA256 = "556e1e49d530f350e9aa9489d1d8d5eb3434cdabf70efa39371696600bfe7dee"
+
+
+def test_verify_all_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
 # sha256 of the stdout of ``ehrhart verify all --max-p 2``. It moved when
 # ``fit`` began sampling convex bodies on both sides of zero: the count maps
 # of the witnesses gained negative keys and lost their largest positive

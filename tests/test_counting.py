@@ -196,14 +196,14 @@ def test_interior_counts_match_strict_oracle(body):
         assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(clouds(max_dim=3, bound=2), st.integers(1, 2))
 def test_interior_counts_match_strict_oracle_on_random_clouds(points, k):
     body = from_vertices(points)
     assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(clouds(max_dim=2, bound=2))
 def test_two_sided_fit_equals_positive_fit_on_random_clouds(points):
     # reciprocity: the counts at k >= 1 and the signed interior counts
@@ -242,7 +242,7 @@ def translated_union(union, shift):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.integers(1, 3),
     st.integers(1, 4),

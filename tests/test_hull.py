@@ -49,7 +49,7 @@ def test_from_vertices_equals_brute_force_on_family_points(points):
     assert from_vertices(points) == brute_force_hull(points)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(clouds())
 def test_from_vertices_equals_brute_force_on_random_clouds(points):
     assert from_vertices(points) == brute_force_hull(points)
@@ -96,7 +96,7 @@ def test_faces_equal_closure_and_affine_hull_oracle(body):
         _assert_faces_match_oracle(body, faces(body, dim), brute_force_faces(body, dim))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(clouds(max_dim=4))
 def test_face_lattice_equals_oracle_on_random_clouds(points):
     body = from_vertices(points)

@@ -47,7 +47,7 @@ def box_with_systems(draw):
     return lo, hi, draw(st.lists(systems(len(lo)), min_size=1, max_size=3))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(box_with_systems())
 @example(([0, 0], [3, -1], [([[1, 1]], [2])]))  # empty box
 @example(([-2, 0, 1], [1, 2, 3], [([], [])]))  # no rows: the whole box
@@ -83,7 +83,7 @@ def moved(lo, hi, union, order, signs, shift):
     return new_lo, new_hi, new_union
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(moved_cases())
 # tied widths: the walk order of the moved box differs only by the tie-break
 @example(

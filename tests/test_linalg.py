@@ -1,17 +1,29 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
-from oracles import bareiss_det, brute_has_integer_solution, brute_min_dilate, minor_gcd_diagonal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    bareiss_det,
+    brute_has_integer_solution,
+    brute_min_dilate,
+    integer_solution,
+    minor_gcd_diagonal,
+    smith_normal_form,
+    snf_min_dilate,
+)
+from strategies import rationals
 
 from ehrhart.errors import Infeasible, NoSolution
 from ehrhart.linalg import (
     AffineSubspace,
-    integer_solution,
+    independent_rows,
     integerize,
     min_dilate_with_lattice_point,
     nullspace,
-    smith_normal_form,
+    rank,
     solve_rational,
     vadd,
     vdot,
@@ -176,3 +188,88 @@ def test_rational_exactness():
     # associativity on awkward denominators; nothing ever rounds
     xs = [Fraction(1, 3), Fraction(1, 7), Fraction(-5, 21)]
     assert (xs[0] + xs[1]) + xs[2] == xs[0] + (xs[1] + xs[2]) == Fraction(5, 21)
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-6 rows and columns of small rationals, with zero rows, scaled
+    copies of earlier rows and zero columns mixed in."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy"]))
+        if kind == "copy" and rows:
+            scale = draw(rationals(4).filter(bool))
+            rows.append([scale * x for x in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([draw(rationals(6)) for _ in range(ncols)])
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = Fraction(0)
+    return rows
+
+
+@settings(max_examples=400)
+@given(rational_matrices())
+def test_rank_nullspace_and_independent_rows_equal_rref_oracle(rows):
+    ncols = len(rows[0])
+    assert rank(rows) == oracles.rank(rows)
+    assert nullspace(rows) == oracles.nullspace(rows, ncols)
+    assert independent_rows(rows) == oracles.independent_rows(rows)
+
+
+@settings(max_examples=400)
+@given(rational_matrices(), st.data())
+def test_solve_rational_equals_rref_oracle(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans()):  # consistent by construction
+        point = [data.draw(rationals(6)) for _ in range(ncols)]
+        rhs = [vdot(row, point) for row in rows]
+    else:
+        rhs = [data.draw(rationals(6)) for _ in rows]
+    want = oracles.solve_rational(rows, rhs)
+    if want is None:
+        with pytest.raises(NoSolution):
+            solve_rational(rows, rhs)
+    else:
+        assert solve_rational(rows, rhs) == want
+
+
+@st.composite
+def integer_systems(draw):
+    """``(rows, rhs)``: 1-3 random integer rows in 1-5 unknowns, plus up to
+    three integer combinations of them, shuffled; the right-hand side is
+    consistent by construction, the same with one entry moved, or random."""
+    n = draw(st.integers(1, 5))
+    base = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(draw(st.integers(1, 3)))]
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in base]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n)])
+    rows = draw(st.permutations(rows))
+    kind = draw(st.sampled_from(["consistent", "moved", "random"]))
+    if kind == "random":
+        rhs = [draw(rationals(6)) for _ in rows]
+    else:
+        point = [draw(rationals(6)) for _ in range(n)]
+        rhs = [vdot(row, point) for row in rows]
+        if kind == "moved":
+            rhs[draw(st.integers(0, len(rows) - 1))] += draw(rationals(3).filter(bool))
+    return tuple(tuple(row) for row in rows), tuple(rhs)
+
+
+@settings(max_examples=400)
+@given(integer_systems())
+@example((((2,),), (Fraction(1, 3),)))  # a column with a common factor: 6, not 3
+@example((((1, 0), (1, 0)), (Fraction(0), Fraction(1))))  # dependent rows, inconsistent
+def test_min_dilate_equals_smith_closed_form(system):
+    rows, rhs = system
+    sub = AffineSubspace(len(rows[0]), rows, rhs)
+    want = snf_min_dilate(rows, rhs)
+    if want is None:
+        with pytest.raises(Infeasible):
+            min_dilate_with_lattice_point(sub)
+    else:
+        assert min_dilate_with_lattice_point(sub) == want
