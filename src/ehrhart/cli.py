@@ -267,7 +267,7 @@ def _claim_heptagon(ps, ns, budget) -> VerificationReport:
         good = seq == (1, p, 1)
         entry = {"period_sequence": list(seq), "counts": counter.samples()}
         if p == 2:
-            first = count_series(constructions.heptagon(2), 4, budget)
+            first = [counter(k) for k in range(1, 5)]
             mid = {
                 "odd": str(qp.coefficient(1, 1)),
                 "even": str(qp.coefficient(1, 2)),
@@ -399,7 +399,7 @@ def _claim_hn_periods(ps, ns, budget) -> VerificationReport:
         good = seq == expected
         entry = {"period_sequence": list(seq), "counts": counter.samples()}
         if (n, p) == (3, 2):
-            spot = count(constructions.hull(3, 2), 1, budget)
+            spot = counter(1)
             good = good and spot == 49
             entry["count_k1"] = spot
         witness[f"n={n},p={p}"] = entry
@@ -430,7 +430,7 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
             good = seq == expected
             entry = {"period_sequence": list(seq), "counts": counter.samples()}
             if n == 3 and p == 2:
-                enum = [count(union, k, budget) for k in (1, 2)]
+                enum = [counter(k) for k in (1, 2)]
                 direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
                 good = good and enum == [48, 253] and direct == enum
                 entry["counts_k1_k2"] = enum

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .polytope import (
     ConvexPolytope,
-    Factorization,
     HULL_DIM_CAP,
     PolytopalUnion,
     embed_product,
@@ -273,8 +272,8 @@ def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion
     ``1..n-1`` and ``n``); piece two is the box ``prod [0, t_j]`` times
     the pentagon (coordinates ``1..n-2`` and ``(n-1, n)``). They meet in
     the integral box ``prod [0, min(s_i, t_i)] x [0, min(s_(n-1), q)] x {0}``,
-    recorded together with the product structure so dilate counts come
-    from inclusion-exclusion over per-factor counts.
+    recorded as a product too, so dilate counts come from
+    inclusion-exclusion over per-factor counts.
 
     Requires a verified equal-power-sum pair of size ``n - 1``. For
     ``n <= 4`` (and ``check=True``) the recorded intersection is
@@ -291,23 +290,18 @@ def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion
 
     blocks1: list = [((i,), interval(0, s[i])) for i in range(n - 1)]
     blocks1.append(((n - 1,), segment(p)))
-    fact1: Factorization = tuple(blocks1)
 
     blocks2: list = [((j,), interval(0, t[j])) for j in range(n - 2)]
     blocks2.append(((n - 2, n - 1), pentagon(p)))
-    fact2: Factorization = tuple(blocks2)
 
     inter_blocks: list = [((i,), interval(0, min(s[i], t[i]))) for i in range(n - 2)]
     inter_blocks.append(((n - 2,), interval(0, min(s[n - 2], q))))
     inter_blocks.append(((n - 1,), interval(0, 0)))
-    fact_inter: Factorization = tuple(inter_blocks)
 
     union = PolytopalUnion(
         ambient_dim=n,
-        pieces=(embed_product(fact1, n), embed_product(fact2, n)),
-        intersections=((0, 1, embed_product(fact_inter, n)),),
-        product_structure=(fact1, fact2),
-        intersection_products=(fact_inter,),
+        pieces=(embed_product(tuple(blocks1), n), embed_product(tuple(blocks2), n)),
+        intersections=((0, 1, embed_product(tuple(inter_blocks), n)),),
     )
     if check and n <= 4:
         for k in (1, 2):

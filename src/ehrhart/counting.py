@@ -7,10 +7,12 @@ integers, which never overflow. A bounding box larger than the budget
 (``DEFAULT_BUDGET`` unless a caller passes ``budget``) raises
 ``BudgetExceeded`` instead of being walked.
 
-Product-structured unions are counted by inclusion-exclusion with each
-term split multiplicatively over its factors, which is what makes
+A union with recorded intersections and some piece that carries factors
+(a body built by ``embed_product``) is counted by inclusion-exclusion,
+each term the product of its factors' counts, which is what makes
 high-dimensional product bodies tractable. The enumeration path never
-looks at recorded intersections, so the two routes check each other.
+looks at recorded intersections or factors, so the two routes check each
+other; ``count_convex`` enumerates even a body with factors.
 
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from . import _enum_py
 from .errors import BudgetExceeded, MissingIntersection
-from .polytope import ConvexPolytope, Factorization, PolytopalUnion
+from .polytope import ConvexPolytope, PolytopalUnion
 
 DEFAULT_BUDGET = 10**9
 
@@ -97,9 +99,13 @@ def count_convex(
     return _enum_py.count_box(lo, hi, normals, offsets)
 
 
-def _count_factored(fact: Factorization, k: int, budget: int | None) -> int:
+def _count_term(body: ConvexPolytope, k: int, budget: int | None) -> int:
+    """One inclusion-exclusion term: the product of its factors' counts
+    when it has factors, else ``count_convex``."""
+    if body.factors is None:
+        return count_convex(body, k, budget)
     out = 1
-    for _, factor in fact:
+    for _, factor in body.factors:
         out *= count_convex(factor, k, budget)
         if out == 0:
             return 0
@@ -135,33 +141,17 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None
         raise MissingIntersection(
             "inclusion-exclusion needs recorded pairwise intersections"
         )
-    total = 0
-    for idx, piece in enumerate(union.pieces):
-        fact = None
-        if union.product_structure is not None:
-            fact = union.product_structure[idx]
-        total += (
-            _count_factored(fact, k, budget)
-            if fact is not None
-            else count_convex(piece, k, budget)
-        )
-    for idx, (_, _, body) in enumerate(union.intersections or ()):
-        fact = None
-        if union.intersection_products is not None:
-            fact = union.intersection_products[idx]
-        total -= (
-            _count_factored(fact, k, budget)
-            if fact is not None
-            else count_convex(body, k, budget)
-        )
-    return total
+    return sum(_count_term(piece, k, budget) for piece in union.pieces) - sum(
+        _count_term(body, k, budget) for _, _, body in union.intersections or ()
+    )
 
 
-def _union_strategy(union: PolytopalUnion, strategy: str) -> str:
-    """Resolve ``'auto'``: inclusion-exclusion with a product structure, else enumeration."""
-    if strategy != "auto":
-        return strategy
-    return "inclusion-exclusion" if union.product_structure is not None else "enumerate"
+def _union_strategy(union: PolytopalUnion) -> str:
+    """What ``'auto'`` means for ``union``: inclusion-exclusion when its
+    intersections are recorded and some piece has factors, else enumeration."""
+    if union.intersections is not None and any(p.factors is not None for p in union.pieces):
+        return "inclusion-exclusion"
+    return "enumerate"
 
 
 def count_union(
@@ -172,15 +162,16 @@ def count_union(
 ) -> int:
     """Lattice points of ``k * union``, each point counted once.
 
-    With ``strategy='auto'`` a recorded product structure selects
-    inclusion-exclusion over the pieces and recorded intersections;
-    otherwise the union's bounding box is enumerated, counting points
-    lying in at least one piece (immune to wrongly recorded
-    intersections, and used as the cross-check).
+    With ``strategy='auto'`` recorded intersections together with pieces
+    that have factors select inclusion-exclusion over the pieces and
+    intersections; otherwise the union's bounding box is enumerated,
+    counting points lying in at least one piece (immune to wrongly
+    recorded intersections, and used as the cross-check).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
-    strategy = _union_strategy(union, strategy)
+    if strategy == "auto":
+        strategy = _union_strategy(union)
     if strategy == "enumerate":
         return _union_enumerate(union, k, budget)
     if strategy == "inclusion-exclusion":
@@ -213,16 +204,11 @@ class CountFunction:
     ``|k| * X``; a union, where reciprocity fails, takes ``k >= 1`` only.
     """
 
-    def __init__(
-        self,
-        target: ConvexPolytope | PolytopalUnion,
-        budget: int | None = None,
-        strategy: str = "auto",
-    ) -> None:
+    def __init__(self, target: ConvexPolytope | PolytopalUnion, budget: int | None = None) -> None:
         self.target = target
         self.budget = budget
         if isinstance(target, PolytopalUnion):
-            self.strategy = _union_strategy(target, strategy)
+            self.strategy = _union_strategy(target)
         else:
             self.strategy = "enumerate"
         self._memo: dict[int, int] = {}

@@ -17,7 +17,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -51,6 +51,8 @@ class ConvexPolytope:
     facets: tuple[Facet, ...]
     span: AffineSubspace
     intrinsic_dim: int
+    # the blocks ``embed_product`` built this body from; never compared
+    factors: Factorization | None = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # large product bodies would flood output
         return (
@@ -121,17 +123,14 @@ class PolytopalUnion:
     """A finite union of full-dimensional convex pieces.
 
     ``intersections`` optionally records pairwise intersections
-    ``(i, j, piece_i & piece_j)``; ``product_structure`` optionally records
-    a factorization of each piece (and ``intersection_products`` of each
-    recorded intersection) into lower-dimensional factors on disjoint
-    coordinate blocks, which unlocks multiplicative counting.
+    ``(i, j, piece_i & piece_j)``. Pieces and intersections built by
+    ``embed_product`` carry their ``factors``, which unlocks counting by
+    inclusion-exclusion over per-factor counts.
     """
 
     ambient_dim: int
     pieces: tuple[ConvexPolytope, ...]
     intersections: tuple[tuple[int, int, ConvexPolytope], ...] | None = None
-    product_structure: tuple[Factorization | None, ...] | None = None
-    intersection_products: tuple[Factorization | None, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -141,22 +140,11 @@ class PolytopalUnion:
                 raise DimensionMismatch("piece ambient dimension mismatch")
             if piece.intrinsic_dim != self.ambient_dim:
                 raise InvalidInput("union pieces must be full-dimensional")
-        if self.product_structure is not None:
-            if len(self.product_structure) != len(self.pieces):
-                raise InvalidInput("product_structure must have one entry per piece")
-            for fact in self.product_structure:
-                if fact is not None:
-                    _check_factorization(fact, self.ambient_dim)
-        if self.intersections is not None:
-            for i, j, body in self.intersections:
-                if not (0 <= i < j < len(self.pieces)):
-                    raise InvalidInput("intersection indices out of range")
-                if body.ambient_dim != self.ambient_dim:
-                    raise DimensionMismatch("intersection ambient dimension mismatch")
-            if self.intersection_products is not None and len(
-                self.intersection_products
-            ) != len(self.intersections):
-                raise InvalidInput("intersection_products must match intersections")
+        for i, j, body in self.intersections or ():
+            if not (0 <= i < j < len(self.pieces)):
+                raise InvalidInput("intersection indices out of range")
+            if body.ambient_dim != self.ambient_dim:
+                raise DimensionMismatch("intersection ambient dimension mismatch")
 
     def __repr__(self) -> str:
         return (
@@ -166,16 +154,6 @@ class PolytopalUnion:
 
     def contains(self, point: Sequence) -> bool:
         return any(piece.contains(point) for piece in self.pieces)
-
-
-def _check_factorization(fact: Factorization, ambient_dim: int) -> None:
-    seen: list[int] = []
-    for coords, factor in fact:
-        if len(coords) != factor.ambient_dim:
-            raise DimensionMismatch("factor block width mismatch")
-        seen.extend(coords)
-    if sorted(seen) != list(range(ambient_dim)):
-        raise InvalidInput("factor blocks must partition the coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +306,15 @@ def embed_product(blocks: Factorization, ambient_dim: int) -> ConvexPolytope:
 
     Vertices, facets and hull equations all compose directly, so this
     never invokes hull enumeration and scales to high-dimensional boxes.
+    The body records ``blocks`` as its ``factors``.
     """
-    _check_factorization(blocks, ambient_dim)
+    seen: list[int] = []
+    for coords, factor in blocks:
+        if len(coords) != factor.ambient_dim:
+            raise DimensionMismatch("factor block width mismatch")
+        seen.extend(coords)
+    if sorted(seen) != list(range(ambient_dim)):
+        raise InvalidInput("factor blocks must partition the coordinates")
     verts = [(Fraction(0),) * ambient_dim]
     facets: list[Facet] = []
     span_rows: list[tuple[int, ...]] = []
@@ -349,6 +334,7 @@ def embed_product(blocks: Factorization, ambient_dim: int) -> ConvexPolytope:
         tuple(sorted(facets)),
         AffineSubspace(ambient_dim, tuple(span_rows), tuple(span_rhs)),
         intrinsic,
+        tuple(blocks),
     )
 
 
@@ -519,54 +505,53 @@ def polytope_from_dict(data: dict, what: str = "polytope") -> ConvexPolytope:
     return from_vertices(_listed_vertices(data, what))
 
 
-def _factorization_to_list(fact: Factorization | None):
-    if fact is None:
-        return None
+def _factorization_to_list(fact: Factorization):
     return [
         {"coords": list(coords), "factor": polytope_to_dict(factor)}
         for coords, factor in fact
     ]
 
 
-def _factorization_from_list(data, what: str) -> Factorization | None:
-    if data is None:
-        return None
-    if not isinstance(data, list):
-        raise InvalidInput(f"{what}: 'product_structure' must be a JSON list")
-    fact = []
-    for entry in data:
-        coords = _json_field(entry, "coords", what, list)
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
-            raise InvalidInput(f"{what}: factor coords must be integers")
-        fact.append((tuple(coords), polytope_from_dict(_json_field(entry, "factor", what), what)))
-    return tuple(fact)  # embed_product checks that the blocks partition the coordinates
-
-
 def union_to_dict(union: PolytopalUnion) -> dict:
+    """The JSON form of a union; ``product_structure`` lists each piece's
+    factors (null for a piece without), and is left out when no piece has
+    any. An intersection with factors lists them the same way."""
     out: dict = {
         "ambient_dim": union.ambient_dim,
         "pieces": [polytope_to_dict(p) for p in union.pieces],
     }
-    if union.product_structure is not None:
+    if any(p.factors is not None for p in union.pieces):
         out["product_structure"] = [
-            _factorization_to_list(f) for f in union.product_structure
+            None if p.factors is None else _factorization_to_list(p.factors)
+            for p in union.pieces
         ]
     if union.intersections is not None:
         inter = []
-        for idx, (i, j, body) in enumerate(union.intersections):
+        for i, j, body in union.intersections:
             entry = {"i": i, "j": j, "polytope": polytope_to_dict(body)}
-            if union.intersection_products is not None:
-                entry["product_structure"] = _factorization_to_list(
-                    union.intersection_products[idx]
-                )
+            if body.factors is not None:
+                entry["product_structure"] = _factorization_to_list(body.factors)
             inter.append(entry)
         out["intersections"] = inter
     return out
 
 
-def _product_body(fact: Factorization, listed: dict, ambient_dim: int, what: str) -> ConvexPolytope:
-    """The product body of ``fact``, checked against the vertices listed for it."""
-    body = embed_product(fact, ambient_dim)  # avoids hull enumeration
+def _union_body(listed, structure, ambient_dim: int, what: str) -> ConvexPolytope:
+    """A piece or intersection of a JSON union. With a ``structure`` (its
+    ``product_structure`` entry) it is the product of the listed factors,
+    whose vertices must match the listed ones; otherwise the hull of
+    ``listed``."""
+    if structure is None:
+        return polytope_from_dict(listed, what)
+    if not isinstance(structure, list):
+        raise InvalidInput(f"{what}: 'product_structure' must be a JSON list")
+    fact = []
+    for entry in structure:
+        coords = _json_field(entry, "coords", what, list)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+            raise InvalidInput(f"{what}: factor coords must be integers")
+        fact.append((tuple(coords), polytope_from_dict(_json_field(entry, "factor", what), what)))
+    body = embed_product(tuple(fact), ambient_dim)  # avoids hull enumeration
     if sorted(_listed_vertices(listed, what)) != list(body.vertices):
         raise InvalidInput(f"{what}: listed vertices disagree with its product_structure")
     return body
@@ -579,43 +564,23 @@ def union_from_dict(data: dict) -> PolytopalUnion:
     ambient = _json_field(data, "ambient_dim", "union", int)
     pieces_data = _json_field(data, "pieces", "union", list)
     structure = data.get("product_structure")
-    if structure is not None and (
-        not isinstance(structure, list) or len(structure) != len(pieces_data)
-    ):
+    if structure is None:
+        structure = [None] * len(pieces_data)
+    elif not isinstance(structure, list) or len(structure) != len(pieces_data):
         raise InvalidInput("union: 'product_structure' must list one entry per piece")
-    pieces = []
-    piece_facts = []
-    for idx, pdata in enumerate(pieces_data):
-        what = f"piece {idx}"
-        fact = _factorization_from_list(structure[idx], what) if structure else None
-        piece_facts.append(fact)
-        if fact is not None:
-            pieces.append(_product_body(fact, pdata, ambient, what))
-        else:
-            pieces.append(polytope_from_dict(pdata, what))
+    pieces = tuple(
+        _union_body(pdata, fact, ambient, f"piece {idx}")
+        for idx, (pdata, fact) in enumerate(zip(pieces_data, structure))
+    )
     intersections = None
-    inter_facts = None
     if "intersections" in data:
         intersections = []
-        inter_facts = []
         for idx, entry in enumerate(_json_field(data, "intersections", "union", list)):
             what = f"intersection {idx}"
             i = _json_field(entry, "i", what, int)
             j = _json_field(entry, "j", what, int)
             listed = _json_field(entry, "polytope", what)
-            fact = _factorization_from_list(entry.get("product_structure"), what)
-            inter_facts.append(fact)
-            if fact is not None:
-                body = _product_body(fact, listed, ambient, what)
-            else:
-                body = polytope_from_dict(listed, what)
+            body = _union_body(listed, entry.get("product_structure"), ambient, what)
             intersections.append((i, j, body))
         intersections = tuple(intersections)
-        inter_facts = tuple(inter_facts)
-    return PolytopalUnion(
-        ambient,
-        tuple(pieces),
-        intersections,
-        tuple(piece_facts) if structure else None,
-        inter_facts,
-    )
+    return PolytopalUnion(ambient, pieces, intersections)

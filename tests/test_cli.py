@@ -322,6 +322,22 @@ def test_verify_all_max_p2_output_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P2_SHA256
 
 
+# sha256 of the stdout of ``ehrhart construct --family barn --n N --p P``,
+# the JSON wire format of a product union, by (n, p).
+CONSTRUCT_BARN_SHA256 = {
+    (3, 2): "91969a391be6d6d66845c59c5f1024fc733e611b86ac228cb74bf5a66c3e2382",
+    (4, 3): "c1e1fcdf1d1a5396c3cd918371c2554fa5cf04121f6102eadf6307e815a0de73",
+    (5, 2): "865f5f2560aa95b5f2c88c886b7255181f84b8bdbbdeaba00138a373cf99ad5e",
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(CONSTRUCT_BARN_SHA256))
+def test_construct_barn_output_is_unchanged(capsys, n, p):
+    code, out, _ = run_cli(capsys, "construct", "--family", "barn", "--n", str(n), "--p", str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_BARN_SHA256[n, p]
+
+
 def _is_count_map(value):
     return isinstance(value, dict) and value and all(
         key.lstrip("-").isdigit() for key in value

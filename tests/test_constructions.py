@@ -132,7 +132,8 @@ def test_barn_structure():
     inter = union.intersections[0][2]
     assert count_convex(inter, 1) == 6
     assert is_integral(inter)
-    assert union.product_structure is not None
+    assert all(piece.factors is not None for piece in union.pieces)
+    assert union.intersections[0][2].factors is not None
 
 
 def test_barn_p1_is_integral_with_trivial_periods():

@@ -16,7 +16,14 @@ from ehrhart.counting import (
     count_union,
 )
 from ehrhart.errors import BudgetExceeded, MissingIntersection
-from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, pyramid
+from ehrhart.polytope import (
+    PolytopalUnion,
+    denominator,
+    embed_product,
+    from_vertices,
+    product,
+    pyramid,
+)
 from ehrhart.pte import PteSolution
 from ehrhart.quasipoly import fit
 
@@ -101,12 +108,14 @@ def test_single_piece_union_equals_convex():
 def test_missing_intersection_raises():
     box1 = product(C.interval(0, 2), C.interval(0, 2))
     box2 = product(C.interval(1, 3), C.interval(0, 2))
-    fact1 = (((0,), C.interval(0, 2)), ((1,), C.interval(0, 2)))
-    fact2 = (((0,), C.interval(1, 3)), ((1,), C.interval(0, 2)))
-    union = PolytopalUnion(2, (box1, box2), None, (fact1, fact2), None)
+    union = PolytopalUnion(2, (box1, box2))
+    assert all(piece.factors is not None for piece in union.pieces)
     with pytest.raises(MissingIntersection):
         count_union(union, 1, strategy="inclusion-exclusion")
     assert count_union(union, 1, strategy="enumerate") == 12  # [0,3] x [0,2]
+    # factors alone do not select inclusion-exclusion: it needs intersections
+    assert CountFunction(union).strategy == "enumerate"
+    assert count_union(union, 1) == 12
 
 
 def test_budget_exceeded():
@@ -226,19 +235,17 @@ def test_count_function_negative_dilates_use_reciprocity():
 
 
 def translated_union(union, shift):
-    """``union + shift`` with its pieces, intersections and factorizations."""
+    """``union + shift``, each piece and intersection rebuilt as the product
+    of its translated factors."""
 
-    def factors(fact):
-        if fact is None:
-            return None
-        return tuple((cs, f.translate([shift[c] for c in cs])) for cs, f in fact)
+    def moved(body):
+        factors = tuple((cs, f.translate([shift[c] for c in cs])) for cs, f in body.factors)
+        return embed_product(factors, union.ambient_dim)
 
     return PolytopalUnion(
         union.ambient_dim,
-        tuple(piece.translate(shift) for piece in union.pieces),
-        tuple((i, j, body.translate(shift)) for i, j, body in union.intersections),
-        tuple(factors(f) for f in union.product_structure),
-        tuple(factors(f) for f in union.intersection_products),
+        tuple(moved(piece) for piece in union.pieces),
+        tuple((i, j, moved(body)) for i, j, body in union.intersections),
     )
 
 

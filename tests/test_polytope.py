@@ -6,6 +6,7 @@ import pytest
 from oracles import in_hull
 
 from ehrhart import constructions as C
+from ehrhart.counting import CountFunction, count_union
 from ehrhart.errors import BadApex, DimensionCapExceeded, DimensionMismatch
 from ehrhart.linalg import rank, vdot, vsub
 from ehrhart.polytope import (
@@ -22,6 +23,7 @@ from ehrhart.polytope import (
     union_from_dict,
     union_to_dict,
 )
+from ehrhart.pte import table_lookup
 
 F = Fraction
 
@@ -244,12 +246,17 @@ def test_polytope_json_round_trip():
 
 
 def test_union_json_round_trip_uses_product_structure():
-    union = C.barn(4, 2, __import__("ehrhart.pte", fromlist=["table_lookup"]).table_lookup(3))
+    union = C.barn(4, 2, table_lookup(3))
     data = json.loads(json.dumps(union_to_dict(union)))
     again = union_from_dict(data)
     assert again.ambient_dim == union.ambient_dim
     assert [p.vertices for p in again.pieces] == [p.vertices for p in union.pieces]
     assert again.intersections[0][2].vertices == union.intersections[0][2].vertices
+    assert all(piece.factors is not None for piece in again.pieces)
+    assert again.intersections[0][2].factors is not None
+    assert CountFunction(again).strategy == "inclusion-exclusion"
+    for k in (1, 2):
+        assert count_union(again, k) == count_union(again, k, strategy="enumerate")
 
 
 def test_rational_serialization_format():

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.counting import CountFunction, count_convex
@@ -70,6 +73,14 @@ def test_round_trip_refit():
         back = refit(E)
         span = 3 * E.modulus * E.power
         assert all(back.evaluate(k) == qp.evaluate(k) for k in range(span + 1))
+
+
+@settings(max_examples=30)
+@given(clouds(max_dim=3, bound=4), st.booleans())
+def test_fit_series_refit_round_trip_on_random_clouds(points, two_sided):
+    body = from_vertices(points)
+    qp = fit(CountFunction(body), body.intrinsic_dim, denominator(body), two_sided=two_sided)
+    assert refit(from_quasipolynomial(qp)) == qp
 
 
 def test_pyramid_transform_matches_enumeration():
