@@ -10,7 +10,17 @@ fixes coordinates in that order, keeping one remaining offset
 is monotone in ``x``, so the feasible values of the coordinate form one
 interval, computed exactly by floor division; the walk visits only that
 interval, and the last coordinate's interval is counted, not iterated.
-It runs on Python integers and therefore never overflows.
+It runs on Python integers and therefore never overflows. A coordinate
+the box fixes (``lo == hi``) is substituted into the offsets, not walked.
+
+The walk's cost is its nodes: a node is one value of a non-last
+coordinate that the walk visits. Each kernel takes a budget of nodes,
+subtracts every interval it is about to walk (for the union kernel, the
+hull of the live systems' intervals) before walking it, and raises
+``BudgetExceeded`` once the budget is overdrawn; the last coordinate
+costs nothing, so a 1-D count never touches the budget. A walk never
+visits more nodes than its box has points, so a budget of box points
+never refuses a count.
 
 ``count_box`` counts one system; ``count_box_union`` counts the points
 lying in at least one of several systems. The test suite checks both
@@ -21,6 +31,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import BudgetExceeded
+
 # One level of the walk: the coordinate's box bounds, its column of
 # coefficients, and ``(row, |a|, minrest)`` for the rows whose coefficient
 # ``a`` is positive, then negative; ``minrest`` is the least contribution
@@ -30,11 +42,15 @@ Level = tuple[int, int, list[int], tuple, tuple]
 
 def _levels(
     lo: Sequence[int], hi: Sequence[int], normals: Sequence[Sequence[int]], offsets: Sequence[int]
-) -> list[Level] | None:
-    """Walk order and per-level rows of one system; None when no box point
-    satisfies it. Rows with a zero coefficient at a level need no test
+) -> tuple[list[Level], list[int]] | None:
+    """Walk order, per-level rows and root offsets of one system; None when
+    no box point satisfies it. The root offsets have the fixed coordinates
+    substituted. Rows with a zero coefficient at a level need no test
     there: the level above, or this root check, already made it."""
-    order = sorted(range(len(lo)), key=lambda j: (hi[j] - lo[j], j))
+    rem = [
+        c - sum(a * l for a, l, h in zip(row, lo, hi) if l == h) for row, c in zip(normals, offsets)
+    ]
+    order = sorted((j for j in range(len(lo)) if lo[j] < hi[j]), key=lambda j: (hi[j] - lo[j], j))
     minrest = [0] * len(normals)
     levels = []
     for j in reversed(order):
@@ -43,9 +59,9 @@ def _levels(
         neg = tuple((i, -a, minrest[i]) for i, a in enumerate(col) if a < 0)
         levels.append((lo[j], hi[j], col, pos, neg))
         minrest = [r + min(a * lo[j], a * hi[j]) for r, a in zip(minrest, col)]
-    if any(r > c for r, c in zip(minrest, offsets)):
+    if any(r > c for r, c in zip(minrest, rem)):
         return None
-    return levels[::-1]
+    return levels[::-1], rem
 
 
 def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
@@ -67,34 +83,45 @@ def count_box(
     hi: Sequence[int],
     normals: Sequence[Sequence[int]],
     offsets: Sequence[int],
+    budget: int,
 ) -> int:
-    """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``."""
+    """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``;
+    raises ``BudgetExceeded`` before the walk visits a ``budget + 1``-th node."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0
-    levels = _levels(lo, hi, normals, offsets)
-    if levels is None:
+    root = _levels(lo, hi, normals, offsets)
+    if root is None:
         return 0
+    levels, rem = root
     if not levels:
         return 1
     last = len(levels) - 1
+    left = budget
 
     def walk(j: int, rem: list[int]) -> int:
+        nonlocal left
         x_lo, x_hi = _clip(levels[j], rem)
+        if x_hi < x_lo:
+            return 0
         if j == last:
-            return x_hi - x_lo + 1 if x_hi >= x_lo else 0
+            return x_hi - x_lo + 1
+        left -= x_hi - x_lo + 1
+        if left < 0:
+            raise BudgetExceeded(f"the walk visits more than {budget} nodes")
         col = levels[j][2]
         total = 0
         for x in range(x_lo, x_hi + 1):
             total += walk(j + 1, [r - a * x for r, a in zip(rem, col)])
         return total
 
-    return walk(0, list(offsets))
+    return walk(0, rem)
 
 
 def count_box_union(
     lo: Sequence[int],
     hi: Sequence[int],
     systems: Sequence[tuple[Sequence[Sequence[int]], Sequence[int]]],
+    budget: int,
 ) -> int:
     """Points of the box lying in at least one of the inequality systems.
 
@@ -102,21 +129,20 @@ def count_box_union(
     level clips one interval per live system and walks their hull, passing
     a system down only inside its own interval; the last coordinate's
     intervals are merged, so a point in several pieces is counted once.
+    Raises ``BudgetExceeded`` before the walk visits a ``budget + 1``-th node.
     """
     if any(l > h for l, h in zip(lo, hi)):
         return 0
-    roots = []
-    for normals, offsets in systems:
-        levels = _levels(lo, hi, normals, offsets)
-        if levels is not None:
-            roots.append((levels, list(offsets)))
+    roots = [root for normals, offsets in systems if (root := _levels(lo, hi, normals, offsets))]
     if not roots:
         return 0
-    if not lo:
+    last = len(roots[0][0]) - 1
+    if last < 0:
         return 1
-    last = len(lo) - 1
+    left = budget
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
+        nonlocal left
         spans = []
         for levels, rem in live:
             x_lo, x_hi = _clip(levels[j], rem)
@@ -135,8 +161,12 @@ def count_box_union(
                 else:
                     cur_hi = max(cur_hi, s_hi)
             return total + cur_hi - cur_lo + 1
+        first, top = spans[0][0], max(s[1] for s in spans)
+        left -= top - first + 1
+        if left < 0:
+            raise BudgetExceeded(f"the walk visits more than {budget} nodes")
         total = 0
-        for x in range(spans[0][0], max(s[1] for s in spans) + 1):
+        for x in range(first, top + 1):
             nxt = [
                 (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
                 for x_lo, x_hi, levels, rem in spans

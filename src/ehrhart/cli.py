@@ -39,21 +39,6 @@ from .polytope import (
 )
 from .quasipoly import equivalent, fit, negate, period_sequence, to_dict as qp_to_dict
 
-CLAIMS = (
-    "pentagon-equivalence",
-    "heptagon",
-    "pyramid-equivalence",
-    "prism-identity",
-    "sn-pn-equivalence",
-    "decomposition",
-    "hn-periods",
-    "barn-periods",
-    "mcmullen",
-    "pte-table",
-    "product-identity",
-)
-
-
 @dataclass
 class VerificationReport:
     claim: str
@@ -81,13 +66,20 @@ def _degree(obj) -> int:
     return obj.intrinsic_dim
 
 
-@lru_cache(maxsize=None)
 def _fitted(obj, budget):
     """Fit the dilate-count quasi-polynomial; returns (qp, counter).
 
     Convex bodies are sampled on both sides of zero (reciprocity); unions
     at positive dilates only.
     """
+    return _fit_on_route(obj, CountFunction(obj).strategy, budget)
+
+
+@lru_cache(maxsize=None)
+def _fit_on_route(obj, strategy, budget):
+    """The cache behind ``_fitted``. Equal bodies can count by different
+    routes (a union whose pieces carry factors and an equal one whose
+    pieces do not), so the counting route is part of the key."""
     counter = CountFunction(obj, budget=budget)
     convex = not isinstance(obj, PolytopalUnion)
     return fit(counter, _degree(obj), denominator(obj), two_sided=convex), counter
@@ -551,6 +543,7 @@ _CLAIM_FUNCS = {
     "pte-table": _claim_pte_table,
     "product-identity": _claim_product_identity,
 }
+CLAIMS = tuple(_CLAIM_FUNCS)
 
 
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
@@ -616,7 +609,7 @@ def _add_object_options(sub, with_input: bool = True) -> None:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--budget", type=int, default=None, help="enumeration point budget")
+    sub.add_argument("--budget", type=int, default=None, help="nodes the counting kernel may walk")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 

@@ -36,7 +36,7 @@ from .polytope import (
     is_integral,
     product,
 )
-from .pte import PteSolution, verify as pte_verify
+from .pte import PteSolution, table_lookup, verify as pte_verify
 
 
 def q_value(p: int) -> int:
@@ -319,52 +319,39 @@ def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion
 # Family registry (CLI surface)
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "segment",
-    "pentagon",
-    "rectangle",
-    "heptagon",
-    "simplex",
-    "prism",
-    "pentagon-pyramid",
-    "hull",
-    "middle",
-    "barn",
-)
-
-_NEEDS_N = {"simplex", "prism", "pentagon-pyramid", "hull", "middle", "barn"}
+# family -> (constructor, whether it takes n), in the order ``FAMILIES``,
+# the CLI's choices and the unknown-family error list them
+_BUILDERS = {
+    "segment": (segment, False),
+    "pentagon": (pentagon, False),
+    "rectangle": (rectangle, False),
+    "heptagon": (heptagon, False),
+    "simplex": (simplex, True),
+    "prism": (prism, True),
+    "pentagon-pyramid": (pentagon_pyramid, True),
+    "hull": (hull, True),
+    "middle": (middle, True),
+    "barn": (barn, True),
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def build(family: str, p: int, n: int | None = None):
-    """Build a family member; returns ``(object, provenance dict)``."""
-    if family not in FAMILIES:
-        raise InvalidInput(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    if family in _NEEDS_N:
-        if n is None:
-            raise InvalidInput(f"family {family!r} needs --n")
-        provenance = {"family": family, "p": p, "n": n}
-    else:
-        provenance = {"family": family, "p": p}
-    if family == "segment":
-        return segment(p), provenance
-    if family == "pentagon":
-        return pentagon(p), provenance
-    if family == "rectangle":
-        return rectangle(p), provenance
-    if family == "heptagon":
-        return heptagon(p), provenance
-    if family == "simplex":
-        return simplex(n, p), provenance
-    if family == "prism":
-        return prism(n, p), provenance
-    if family == "pentagon-pyramid":
-        return pentagon_pyramid(n, p), provenance
-    if family == "hull":
-        return hull(n, p), provenance
-    if family == "middle":
-        return middle(n, p), provenance
-    from .pte import table_lookup
+    """Build a family member; returns ``(object, provenance dict)``.
 
+    A barn takes the tabulated PTE solution of size ``n - 1``, which its
+    provenance records.
+    """
+    if family not in _BUILDERS:
+        raise InvalidInput(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    make, needs_n = _BUILDERS[family]
+    if not needs_n:
+        return make(p), {"family": family, "p": p}
+    if n is None:
+        raise InvalidInput(f"family {family!r} needs --n")
+    provenance = {"family": family, "p": p, "n": n}
+    if family != "barn":
+        return make(n, p), provenance
     sol = table_lookup(n - 1)
     provenance["pte_solution"] = {"s": list(sol.s), "t": list(sol.t)}
-    return barn(n, p, sol), provenance
+    return make(n, p, sol), provenance

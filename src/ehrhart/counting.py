@@ -3,9 +3,9 @@
 The enumeration strategy is: scale all data to integers (dilate the facet
 system by ``k``), intersect with the integer bounding box of the dilate,
 and walk it with the per-row interval kernel of ``_enum_py`` on Python
-integers, which never overflow. A bounding box larger than the budget
-(``DEFAULT_BUDGET`` unless a caller passes ``budget``) raises
-``BudgetExceeded`` instead of being walked.
+integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
+caller passes ``budget``) caps the nodes that walk visits, not the points
+of the box; the kernel raises ``BudgetExceeded`` once a walk overdraws it.
 
 A union with recorded intersections and some piece that carries factors
 (a body built by ``embed_product``) is counted by inclusion-exclusion,
@@ -23,10 +23,9 @@ number of lattice points in the relative interior of ``kP``, so a
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from . import _enum_py
-from .errors import BudgetExceeded, MissingIntersection
+from .errors import MissingIntersection
 from .polytope import ConvexPolytope, PolytopalUnion
 
 DEFAULT_BUDGET = 10**9
@@ -70,13 +69,6 @@ def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
     return lo, hi, normals, offsets
 
 
-def _box_size(lo: Sequence[int], hi: Sequence[int]) -> int:
-    size = 1
-    for l, h in zip(lo, hi):
-        size *= h - l + 1
-    return size
-
-
 def count_convex(
     poly: ConvexPolytope, k: int, budget: int | None = None, interior: bool = False
 ) -> int:
@@ -91,12 +83,7 @@ def count_convex(
     system = _dilated_system(poly, k, interior)
     if system is None:
         return 0
-    lo, hi, normals, offsets = system
-    if _box_size(lo, hi) > budget:
-        raise BudgetExceeded(
-            f"bounding box of {k} * polytope has {_box_size(lo, hi)} points (budget {budget})"
-        )
-    return _enum_py.count_box(lo, hi, normals, offsets)
+    return _enum_py.count_box(*system, budget)
 
 
 def _count_term(body: ConvexPolytope, k: int, budget: int | None) -> int:
@@ -129,11 +116,7 @@ def _union_enumerate(union: PolytopalUnion, k: int, budget: int | None) -> int:
         return 0
     lo = [min(l[j] for l in los) for j in range(union.ambient_dim)]
     hi = [max(h[j] for h in his) for j in range(union.ambient_dim)]
-    if _box_size(lo, hi) > budget:
-        raise BudgetExceeded(
-            f"union bounding box has {_box_size(lo, hi)} points (budget {budget})"
-        )
-    return _enum_py.count_box_union(lo, hi, systems)
+    return _enum_py.count_box_union(lo, hi, systems, budget)
 
 
 def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None) -> int:

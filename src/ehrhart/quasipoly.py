@@ -73,7 +73,6 @@ def fit(
     counter: Counter,
     degree: int,
     modulus: int,
-    verify: bool = True,
     two_sided: bool = False,
 ) -> QuasiPolynomial:
     """Reconstruct the quasi-polynomial behind ``counter`` exactly.
@@ -82,10 +81,10 @@ def fit(
     ``two_sided`` in the order ``1, -1, 2, -2, ...`` (the counter must then
     be defined at negative ``k``); ``0`` is never used. Each residue ``r``
     mod ``D`` takes the first ``degree + 1`` candidates ``k = r (mod D)``
-    and interpolates its polynomial through them. A verification pass then
-    checks the next ``degree + 2`` candidates whose ``|k|`` exceeds every
-    interpolation node and raises :class:`VerificationFailed` on any
-    mismatch, which signals a wrong degree or modulus.
+    and interpolates its polynomial through them. Every fit is then
+    verified: the next ``degree + 2`` candidates whose ``|k|`` exceeds every
+    interpolation node are checked, and any mismatch raises
+    :class:`VerificationFailed`, which signals a wrong degree or modulus.
     """
     if degree < 0 or modulus < 1:
         raise ValueError("degree must be >= 0 and modulus >= 1")
@@ -104,16 +103,15 @@ def fit(
         for i in range(degree + 1):
             table[i][r] = poly[i]
     result = QuasiPolynomial(degree, modulus, tuple(tuple(row) for row in table))
-    if verify:
-        top = max(abs(k) for xs in nodes for k in xs)
-        fresh = (k for k in _dilates(two_sided) if abs(k) > top)
-        for _, k in zip(range(degree + 2), fresh):
-            expected = Fraction(counter(k))
-            if result.evaluate(k) != expected:
-                raise VerificationFailed(
-                    f"fitted value {result.evaluate(k)} != sample {expected} at k={k}; "
-                    "degree or modulus is wrong"
-                )
+    top = max(abs(k) for xs in nodes for k in xs)
+    fresh = (k for k in _dilates(two_sided) if abs(k) > top)
+    for _, k in zip(range(degree + 2), fresh):
+        expected = Fraction(counter(k))
+        if result.evaluate(k) != expected:
+            raise VerificationFailed(
+                f"fitted value {result.evaluate(k)} != sample {expected} at k={k}; "
+                "degree or modulus is wrong"
+            )
     return result
 
 

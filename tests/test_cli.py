@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ehrhart import cli
+from ehrhart import cli, constructions
 from ehrhart.cli import CLAIMS, main
-from ehrhart.polytope import PolytopalUnion
+from ehrhart.polytope import PolytopalUnion, from_vertices
+from ehrhart.pte import table_lookup
 from ehrhart.quasipoly import fit
 
 
@@ -338,6 +339,61 @@ def test_construct_barn_output_is_unchanged(capsys, n, p):
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_BARN_SHA256[n, p]
 
 
+# sha256 of the stdout of ``ehrhart construct --family F --p 2``, with
+# ``--n 3`` for the families that need it.
+CONSTRUCT_P2_SHA256 = {
+    "segment": "362dbda9900afa7a0626b948be939f75535a5b46ae64edd318fa36f6d60edfbf",
+    "pentagon": "ce041af1443c8402aa1cd90a3681251f1be86a2d1486b2b1361b6614e4181941",
+    "rectangle": "fdb295085b5ffb52a2adb901ea72312070fb4ab79965d2ee7459b979ebc9765f",
+    "heptagon": "a9b48d77beaed7dba1e33f9fe9e3195ca917ca762a132b328e714c9f901d6845",
+    "simplex": "0de43e95ce67152f58fe3ff6d82cb4bf49ee53a95c0370251e70acbc363aa2ec",
+    "prism": "a6da0d15158f8751414335f730bd5edee58433dbdf34aed8d8d313c381262ab5",
+    "pentagon-pyramid": "40c260265005c77df89fb9aed2bf40fff3fa2e3feca20992a46497e8107d521d",
+    "hull": "45a2395b2c1e1fc7ba1403764fb4b9c5ce11a65bff4fe776459429d7d60f20d5",
+    "middle": "1f7595466cb1d5c4605bd0fc522a92821446796084bdb973cb3e8d86dda085ba",
+}
+_NEEDS_N = {"simplex", "prism", "pentagon-pyramid", "hull", "middle"}
+
+
+@pytest.mark.parametrize("family", sorted(CONSTRUCT_P2_SHA256))
+def test_construct_output_is_unchanged(capsys, family):
+    extra = ("--n", "3") if family in _NEEDS_N else ()
+    code, out, _ = run_cli(capsys, "construct", "--family", family, "--p", "2", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_P2_SHA256[family]
+
+
+def test_families_keep_their_order():
+    # argparse's choices and the unknown-family error print this order
+    assert constructions.FAMILIES == (
+        "segment", "pentagon", "rectangle", "heptagon", "simplex",
+        "prism", "pentagon-pyramid", "hull", "middle", "barn",
+    )
+
+
+def test_fitted_follows_the_counting_route_of_equal_bodies():
+    # a factor-less copy of barn(3,2) compares and hashes equal to the barn,
+    # but its own counter enumerates; the cache must not hand it the barn's
+    # inclusion-exclusion counter
+    barn = constructions.barn(3, 2, table_lookup(2))
+    copy = PolytopalUnion(
+        barn.ambient_dim,
+        tuple(from_vertices(piece.vertices) for piece in barn.pieces),
+        tuple((i, j, from_vertices(body.vertices)) for i, j, body in barn.intersections),
+    )
+    assert copy == barn and hash(copy) == hash(barn)
+    cli._fit_on_route.cache_clear()
+    try:
+        qp_barn, counter_barn = cli._fitted(barn, None)
+        qp_copy, counter_copy = cli._fitted(copy, None)
+    finally:
+        cli._fit_on_route.cache_clear()
+    assert counter_barn.strategy == "inclusion-exclusion"
+    assert counter_copy.strategy == "enumerate"
+    assert counter_copy.target.pieces[0].factors is None
+    assert qp_copy == qp_barn
+
+
 def _is_count_map(value):
     return isinstance(value, dict) and value and all(
         key.lstrip("-").isdigit() for key in value
@@ -386,11 +442,11 @@ def test_two_sided_fits_equal_positive_fits(monkeypatch):
         return qp
 
     monkeypatch.setattr(cli, "fit", recording_fit)
-    cli._fitted.cache_clear()
+    cli._fit_on_route.cache_clear()
     try:
         cli.verify_all(max_p=2)
     finally:
-        cli._fitted.cache_clear()
+        cli._fit_on_route.cache_clear()
     for counter, _, _, two_sided, _ in fitted:
         assert two_sided == (not isinstance(counter.target, PolytopalUnion))
     convex = [entry for entry in fitted if entry[3]]

@@ -125,6 +125,20 @@ def test_budget_exceeded():
         count_union(C.barn(3, 2, SOL2), 50, budget=10, strategy="enumerate")
 
 
+@pytest.mark.parametrize(
+    "body, k, expected",
+    [
+        (from_vertices([(0, 0, 0), (1, 1, 1)]), 2000, 2001),  # 8.0e9-point box
+        (C.segment(2), 10**10, 5 * 10**9 + 1),  # 1-D: no nodes at all
+        (from_vertices([(0, 0, 0, 0), (1, 1, 1, 1), (1, 1, 1, 2)]), 1000, 501501),  # 2.0e12
+    ],
+    ids=["diagonal-segment", "segment-2", "thin-4d-triangle"],
+)
+def test_budget_counts_walked_nodes_not_box_points(body, k, expected):
+    # each box is far above DEFAULT_BUDGET points, but each walk is small
+    assert count_convex(body, k) == expected
+
+
 def test_prism_law():
     for n in (3, 4):
         for p in (2, 3):

@@ -1,14 +1,18 @@
-"""The enumeration kernel against a point-by-point scan of the box, and its
-invariance under the signed permutations and translations that keep a count."""
+"""The enumeration kernel against a point-by-point scan of the box, its
+invariance under the signed permutations and translations that keep a count,
+and its node budget."""
 
 import itertools
+import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrhart import _enum_py
 from ehrhart import constructions as C
 from ehrhart.counting import count_convex, kernel_name
+from ehrhart.errors import BudgetExceeded
 
 
 def scan(lo, hi, systems):
@@ -21,6 +25,10 @@ def scan(lo, hi, systems):
         )
         for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
     )
+
+
+def box_points(lo, hi):
+    return math.prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
 
 
 @st.composite
@@ -52,11 +60,17 @@ def box_with_systems(draw):
 @example(([0, 0], [3, -1], [([[1, 1]], [2])]))  # empty box
 @example(([-2, 0, 1], [1, 2, 3], [([], [])]))  # no rows: the whole box
 @example(([-2, 0], [1, 2], [([[1, 0]], [-5]), ([], [])]))  # empty piece, full piece
+@example(([0, 3, 1], [0, 3, 1], [([[1, -1, 2]], [0])]))  # one-point box: fixed, not walked
 def test_kernels_against_pointwise_scan(case):
+    # a budget of the box's points never refuses a count: a walk visits
+    # fewer nodes than that, so no count a box-size cap admitted is refused
     lo, hi, union = case
+    budget = box_points(lo, hi)
     for normals, offsets in union:
-        assert _enum_py.count_box(lo, hi, normals, offsets) == scan(lo, hi, [(normals, offsets)])
-    assert _enum_py.count_box_union(lo, hi, union) == scan(lo, hi, union)
+        assert _enum_py.count_box(lo, hi, normals, offsets, budget) == scan(
+            lo, hi, [(normals, offsets)]
+        )
+    assert _enum_py.count_box_union(lo, hi, union, budget) == scan(lo, hi, union)
 
 
 @st.composite
@@ -99,13 +113,14 @@ def moved(lo, hi, union, order, signs, shift):
 def test_kernels_invariant_under_signed_permutation_and_translation(case):
     lo, hi, union, *move = case
     new_lo, new_hi, new_union = moved(lo, hi, union, *move)
+    budget = box_points(lo, hi)
     for (normals, offsets), (new_normals, new_offsets) in zip(union, new_union):
-        assert _enum_py.count_box(new_lo, new_hi, new_normals, new_offsets) == _enum_py.count_box(
-            lo, hi, normals, offsets
-        )
-    assert _enum_py.count_box_union(new_lo, new_hi, new_union) == _enum_py.count_box_union(
-        lo, hi, union
-    )
+        assert _enum_py.count_box(
+            new_lo, new_hi, new_normals, new_offsets, budget
+        ) == _enum_py.count_box(lo, hi, normals, offsets, budget)
+    assert _enum_py.count_box_union(
+        new_lo, new_hi, new_union, budget
+    ) == _enum_py.count_box_union(lo, hi, union, budget)
 
 
 def test_far_translate_counts_with_big_integers():
@@ -122,8 +137,31 @@ def test_union_kernel_merges_intervals_once():
     lo, hi = [0, 0], [5, 5]
     box_a = ([[1, 0], [-1, 0], [0, 1], [0, -1]], [3, 0, 5, 0])
     box_b = ([[1, 0], [-1, 0], [0, 1], [0, -1]], [5, -2, 5, 0])
-    merged = _enum_py.count_box_union(lo, hi, [box_a, box_b])
+    merged = _enum_py.count_box_union(lo, hi, [box_a, box_b], box_points(lo, hi))
     assert merged == 6 * 6  # the union is the whole [0,5] x [0,5] box
+
+
+@pytest.mark.parametrize("widths", [(1, 2, 3), (2, 5, 9), (3, 4, 5)])
+def test_budget_is_the_exact_node_count(widths):
+    # row-free box with side widths a < b < c, listed out of order: the walk
+    # takes a + 1 values of the narrowest coordinate and (a + 1)(b + 1) of
+    # the middle one, and counts the widest in closed form
+    a, b, c = widths
+    lo, hi = [0, -3, 7], [b, c - 3, 7 + a]
+    nodes = (a + 1) + (a + 1) * (b + 1)
+    points = (a + 1) * (b + 1) * (c + 1)
+    assert _enum_py.count_box(lo, hi, [], [], nodes) == points
+    assert _enum_py.count_box_union(lo, hi, [([], [])], nodes) == points
+    with pytest.raises(BudgetExceeded):
+        _enum_py.count_box(lo, hi, [], [], nodes - 1)
+    with pytest.raises(BudgetExceeded):
+        _enum_py.count_box_union(lo, hi, [([], [])], nodes - 1)
+
+
+def test_last_coordinate_costs_no_nodes():
+    lo, hi = [-(10**12)], [10**12]
+    assert _enum_py.count_box(lo, hi, [[1]], [0], 0) == 10**12 + 1
+    assert _enum_py.count_box_union(lo, hi, [([[1]], [0]), ([[-1]], [0])], 0) == 2 * 10**12 + 1
 
 
 def test_kernel_name_reports_backend():
