@@ -106,6 +106,8 @@ def _to_csv(payload) -> str:
 
 
 def _load_object(args):
+    """The body a subcommand works on: read from ``--input`` or built from
+    ``--family``."""
     if getattr(args, "input", None):
         with open(args.input) as handle:
             try:
@@ -113,11 +115,11 @@ def _load_object(args):
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise InvalidInput(f"{args.input}: not a JSON file ({exc})") from None
         if isinstance(data, dict) and "pieces" in data:
-            return union_from_dict(data), {"input": args.input}
-        return polytope_from_dict(data), {"input": args.input}
+            return union_from_dict(data)
+        return polytope_from_dict(data)
     if not args.family:
         raise EhrhartError("need --family (or --input)")
-    return constructions.build(args.family, args.p, args.n)
+    return constructions.build(args.family, args.p, args.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    obj, _ = _load_object(args)
+    obj = _load_object(args)
     if args.k is not None:
         ks = [args.k]
     else:
@@ -150,14 +152,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    obj, _ = _load_object(args)
+    obj = _load_object(args)
     qp, _ = _fitted(obj, args.budget)
     _emit(qp_to_dict(qp), args.format)
     return 0
 
 
 def _cmd_periods(args) -> int:
-    obj, _ = _load_object(args)
+    obj = _load_object(args)
     qp, _ = _fitted(obj, args.budget)
     _emit(
         {
@@ -171,7 +173,7 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_indices(args) -> int:
-    obj, _ = _load_object(args)
+    obj = _load_object(args)
     if isinstance(obj, PolytopalUnion):
         raise EhrhartError("index sequences are defined for convex polytopes only")
     report = mcmullen_check(obj, budget=args.budget)
@@ -187,7 +189,7 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    obj, _ = _load_object(args)
+    obj = _load_object(args)
     qp, _ = _fitted(obj, args.budget)
     _emit(series_mod.to_dict(series_mod.from_quasipolynomial(qp)), args.format)
     return 0
@@ -608,9 +610,13 @@ def _add_object_options(sub, with_input: bool = True) -> None:
         sub.add_argument("--input", help="JSON polytope/union file instead of --family")
 
 
+def _add_format(sub) -> None:
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--budget", type=int, default=None, help="nodes the counting kernel may walk")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_format(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("construct", help="emit a family member as JSON")
     _add_object_options(sub, with_input=False)
-    _add_common(sub)
+    _add_format(sub)
     sub.set_defaults(func=_cmd_construct)
 
     sub = subs.add_parser("count", help="lattice-point counts of dilates")
@@ -662,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("pte", help="equal-power-sum solution table")
     pte_subs = sub.add_subparsers(dest="pte_command", required=True)
     lst = pte_subs.add_parser("list", help="show the shipped table")
-    _add_common(lst)
+    _add_format(lst)
     lst.set_defaults(func=_cmd_pte)
     ver = pte_subs.add_parser("verify", help="verify table entries or a given pair")
     ver.add_argument("--size", type=int, default=None)
@@ -670,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--t", type=_int_tuple, default=None, help="comma-separated side t (trailing 0)"
     )
-    _add_common(ver)
+    _add_format(ver)
     ver.set_defaults(func=_cmd_pte)
 
     sub = subs.add_parser("verify", help="run verification claims")

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .polytope import (
     ConvexPolytope,
-    HULL_DIM_CAP,
     PolytopalUnion,
     embed_product,
     from_vertices,
@@ -137,8 +136,6 @@ def prism(n: int, p: int) -> ConvexPolytope:
 def pentagon_pyramid(n: int, p: int) -> ConvexPolytope:
     """``conv(pentagon x {0} u {e_3, ..., e_n})`` in R^n: iterated pyramids."""
     _check_n(n)
-    if n > HULL_DIM_CAP:
-        raise DimensionCapExceeded(f"pentagon pyramid capped at n <= {HULL_DIM_CAP}")
     verts = [v + (0,) * (n - 2) for v in pentagon(p).vertices]
     for i in range(2, n):
         e = [0] * n
@@ -150,8 +147,6 @@ def pentagon_pyramid(n: int, p: int) -> ConvexPolytope:
 def hull(n: int, p: int) -> ConvexPolytope:
     """Hull of the prism and the pentagon pyramid; periods ``(1, p, 1, ..., 1)``."""
     _check_n(n)
-    if n > HULL_DIM_CAP:
-        raise DimensionCapExceeded(f"hull family capped at n <= {HULL_DIM_CAP}")
     return from_vertices(
         list(prism(n, p).vertices) + list(pentagon_pyramid(n, p).vertices)
     )
@@ -189,8 +184,6 @@ def pyramid_shared_facet(n: int, p: int) -> ConvexPolytope:
 def middle(n: int, p: int) -> ConvexPolytope:
     """Hull of the two shared facets: the integral slab between prism and pyramid."""
     _check_n(n)
-    if n > HULL_DIM_CAP:
-        raise DimensionCapExceeded(f"middle family capped at n <= {HULL_DIM_CAP}")
     return from_vertices(
         list(prism_shared_facet(n, p).vertices)
         + list(pyramid_shared_facet(n, p).vertices)

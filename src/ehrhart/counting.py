@@ -7,12 +7,14 @@ integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
 caller passes ``budget``) caps the nodes that walk visits, not the points
 of the box; the kernel raises ``BudgetExceeded`` once a walk overdraws it.
 
-A union with recorded intersections and some piece that carries factors
-(a body built by ``embed_product``) is counted by inclusion-exclusion,
-each term the product of its factors' counts, which is what makes
-high-dimensional product bodies tractable. The enumeration path never
-looks at recorded intersections or factors, so the two routes check each
-other; ``count_convex`` enumerates even a body with factors.
+A union of at most two pieces with recorded intersections and some piece
+that carries factors (a body built by ``embed_product``) is counted by
+inclusion-exclusion, each term the product of its factors' counts, which
+is what makes high-dimensional product bodies tractable. Only pairwise
+intersections are recorded, so larger unions are enumerated. The
+enumeration path never looks at recorded intersections or factors, so
+the two routes check each other; ``count_convex`` enumerates even a body
+with factors.
 
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
@@ -120,6 +122,11 @@ def _union_enumerate(union: PolytopalUnion, k: int, budget: int | None) -> int:
 
 
 def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None) -> int:
+    if len(union.pieces) > 2:
+        raise MissingIntersection(
+            "inclusion-exclusion over pairwise intersections is exact for at most "
+            f"two pieces, not {len(union.pieces)}"
+        )
     if len(union.pieces) > 1 and union.intersections is None:
         raise MissingIntersection(
             "inclusion-exclusion needs recorded pairwise intersections"
@@ -130,9 +137,11 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None
 
 
 def _union_strategy(union: PolytopalUnion) -> str:
-    """What ``'auto'`` means for ``union``: inclusion-exclusion when its
-    intersections are recorded and some piece has factors, else enumeration."""
-    if union.intersections is not None and any(p.factors is not None for p in union.pieces):
+    """What ``'auto'`` means for ``union``: inclusion-exclusion when it has
+    at most two pieces, its intersections are recorded and some piece has
+    factors, else enumeration."""
+    pairwise = len(union.pieces) <= 2 and union.intersections is not None
+    if pairwise and any(p.factors is not None for p in union.pieces):
         return "inclusion-exclusion"
     return "enumerate"
 
@@ -147,9 +156,11 @@ def count_union(
 
     With ``strategy='auto'`` recorded intersections together with pieces
     that have factors select inclusion-exclusion over the pieces and
-    intersections; otherwise the union's bounding box is enumerated,
-    counting points lying in at least one piece (immune to wrongly
-    recorded intersections, and used as the cross-check).
+    intersections, for a union of at most two pieces: only the pairwise
+    terms are recorded, and with three or more pieces the higher ones are
+    missing. Otherwise the union's bounding box is enumerated, counting
+    points lying in at least one piece (immune to wrongly recorded
+    intersections, and used as the cross-check).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")

@@ -197,33 +197,17 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """The solution set ``{x : A x = b}`` with integer, gcd-reduced rows.
+    """The solution set ``{x : A x = b}`` with integer rows.
 
-    ``rows`` may be empty, in which case the subspace is all of R^n.
+    A body's span has gcd-reduced rows; a face span also carries the
+    normals of the facets tight on it, which need not be (the facet
+    ``2x <= 1`` gives the row ``(2,)``). ``rows`` may be empty, in which
+    case the subspace is all of R^n.
     """
 
     ambient_dim: int
     rows: IntMatrix
     rhs: Vector
-
-    @classmethod
-    def from_rational_rows(cls, ambient_dim: int, rows: Sequence[Sequence], rhs: Sequence) -> "AffineSubspace":
-        """Build from rational equations, clearing denominators row by row."""
-        norm_rows = []
-        norm_rhs = []
-        for row, b in zip(rows, rhs):
-            fr = [Fraction(x) for x in row]
-            b = Fraction(b)
-            scale = math.lcm(*(f.denominator for f in fr)) if fr else 1
-            ints = [int(f * scale) for f in fr]
-            b = b * scale
-            g = math.gcd(*ints) if ints else 0
-            if g > 1:
-                ints = [x // g for x in ints]
-                b = b / g
-            norm_rows.append(tuple(ints))
-            norm_rhs.append(b)
-        return cls(ambient_dim, tuple(norm_rows), tuple(norm_rhs))
 
     def contains(self, point: Sequence) -> bool:
         if len(point) != self.ambient_dim:

@@ -5,11 +5,15 @@ extreme points, and integer facet inequalities ``normal . x <= offset``
 together with the integer equations of the affine hull. ``from_vertices``
 derives everything from a point list with the double description method
 on integer-scaled data, which is exact and also yields which points are
-tight on each facet. That incidence answers every combinatorial question
-without elimination: which points are vertices, and ``face_lattice``,
-every face graded with its span (both capped at dimension 5). Dilates,
-translates, products and pyramids are composed directly, without
-re-running the hull, so high-dimensional product bodies stay cheap.
+tight on each facet. Every body takes the same path: the points are
+projected onto the pivot coordinates of their affine hull, where they
+are full-dimensional, and each facet found there is read back with a
+normal that is zero on the other coordinates. The incidence answers
+every combinatorial question without elimination: which points are
+vertices, and ``face_lattice``, every face graded with its span (both
+capped at dimension 5). Dilates, translates, products and pyramids are
+composed directly, without re-running the hull, so high-dimensional
+product bodies stay cheap.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -32,14 +36,13 @@ from .linalg import (
     independent_rows,
     integerize,
     nullspace,
-    solve_rational,
     vadd,
     vdot,
     vscale,
     vsub,
 )
 
-HULL_DIM_CAP = 5  # largest body from_vertices hulls and face_lattice grades; caps the families too
+HULL_DIM_CAP = 5  # largest body from_vertices hulls and face_lattice grades, so also the hull-built families
 
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
 
@@ -161,23 +164,17 @@ class PolytopalUnion:
 # ---------------------------------------------------------------------------
 
 
-def affine_hull(points: Sequence[Vector], ambient_dim: int) -> tuple[AffineSubspace, int]:
-    """Integer equations of the affine hull of a point set, and its dimension."""
-    base = points[0]
-    normals = nullspace([vsub(p, base) for p in points[1:]], ambient_dim)
-    rows = tuple(canonical_equation(a) for a in normals)
-    sub = AffineSubspace(ambient_dim, rows, tuple(vdot(a, base) for a in rows))
-    return sub, ambient_dim - len(rows)
-
-
 def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     """Build a polytope from points: dedupe, find facets, drop non-extreme points.
 
-    Facets come from the double description method. Lower-dimensional
-    inputs are first projected to local coordinates on a basis of their
-    affine hull, and the facets found there are lifted back. A point is
-    kept as a vertex exactly when no other point lies on every facet
-    through it, that is, when its minimal face is the point itself.
+    Facets come from the double description method, run on the points
+    projected onto the pivot coordinates ``S`` of their directions
+    ``p - pts[0]``. The projection is one-to-one on the affine hull, so a
+    facet ``g . y <= c`` found there is the ambient facet whose normal is
+    ``g`` on ``S`` and 0 elsewhere; a full-dimensional body has every
+    coordinate in ``S``. A point is kept as a vertex exactly when no other
+    point lies on every facet through it, that is, when its minimal face
+    is the point itself.
     """
     pts = sorted({as_vector(p) for p in points})
     if not pts:
@@ -186,33 +183,26 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("ragged vertex list")
 
-    span, dim = affine_hull(pts, n)
-    if dim == 0:
-        return ConvexPolytope(n, (pts[0],), (), span, 0)
+    base = pts[0]
+    dirs = [vsub(p, base) for p in pts[1:]]
+    coords = independent_rows(list(zip(*dirs)))  # the pivot coordinates S
+    dim = len(coords)
     if dim > HULL_DIM_CAP:
         raise DimensionCapExceeded(
             f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
         )
+    rows = ()
+    if dim < n:  # a full-dimensional body has no hull equations
+        rows = tuple(canonical_equation(a) for a in nullspace(dirs, n))
+    span = AffineSubspace(n, rows, tuple(vdot(a, base) for a in rows))
+    if dim == 0:
+        return ConvexPolytope(n, (base,), (), span, 0)
 
-    base = pts[0]
-    dirs = [vsub(p, base) for p in pts[1:]]
-    chosen = independent_rows(dirs)
-    if dim == n:
-        local = pts  # full-dimensional: ambient coordinates already work
-    else:
-        basis = [dirs[i] for i in chosen]
-        cols = [[basis[j][i] for j in range(dim)] for i in range(n)]
-        local = [(Fraction(0),) * dim] + [solve_rational(cols, d) for d in dirs]
-
-    simplex = [0] + [i + 1 for i in chosen]
-    rays = _double_description(local, simplex)
-    if dim < n:
-        lifted = []
-        for (g, c), mask in rays:
-            a = solve_rational(basis, g)
-            lifted.append((_int_facet(a, vdot(a, base) + c), mask))
-        rays = lifted
-    facets = sorted(facet for facet, _ in rays)
+    local = [tuple(p[j] for j in coords) for p in pts]
+    chosen = independent_rows([tuple(d[j] for j in coords) for d in dirs])
+    rays = _double_description(local, [0] + [i + 1 for i in chosen])
+    zeros = (0,) * n
+    facets = sorted((_placed(zeros, coords, g), c) for (g, c), _ in rays)
 
     everything = (1 << len(pts)) - 1
     extreme = [  # the AND of the masks through a point is its minimal face
@@ -289,11 +279,6 @@ def _double_description(
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
-
-
-def _int_facet(normal: Sequence, offset) -> Facet:
-    joint = integerize(list(normal) + [offset])
-    return joint[:-1], joint[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +395,14 @@ def face_lattice(poly: ConvexPolytope) -> list[list[Face]]:
         below = (grade[t] for t in (s & pf for pf in per_facet) if t and t != s)
         grade[s] = 1 + max(below, default=-1)
 
-    planes = AffineSubspace.from_rational_rows(
-        poly.ambient_dim, [a for a, _ in poly.facets], [c for _, c in poly.facets]
-    )
     out: list[list[Face]] = [[] for _ in range(poly.intrinsic_dim + 1)]
     members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
     for s in sorted(closed, key=members.__getitem__):
         tight = [j for j, pf in enumerate(per_facet) if pf & s == s]
         span = AffineSubspace(
             poly.ambient_dim,
-            poly.span.rows + tuple(planes.rows[j] for j in tight),
-            poly.span.rhs + tuple(planes.rhs[j] for j in tight),
+            poly.span.rows + tuple(poly.facets[j][0] for j in tight),
+            poly.span.rhs + tuple(poly.facets[j][1] for j in tight),
         )
         out[grade[s]].append(Face(members[s], span, grade[s]))
     return out

@@ -9,7 +9,7 @@ import pytest
 
 from ehrhart import cli, constructions
 from ehrhart.cli import CLAIMS, main
-from ehrhart.polytope import PolytopalUnion, from_vertices
+from ehrhart.polytope import PolytopalUnion, from_vertices, product, union_to_dict
 from ehrhart.pte import table_lookup
 from ehrhart.quasipoly import fit
 
@@ -63,6 +63,18 @@ def test_count_from_json_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k-max", "2")
     assert code == 0
     assert json.loads(out)["count"] == [12, 34]
+
+
+def test_count_of_three_piece_union_input(tmp_path, capsys):
+    # three copies of the [0,1]^2 box with every pairwise intersection
+    # recorded; pairwise inclusion-exclusion would give 3*4 - 3*4 = 0
+    box = product(constructions.interval(0, 1), constructions.interval(0, 1))
+    union = PolytopalUnion(2, (box,) * 3, tuple((i, j, box) for i, j in ((0, 1), (0, 2), (1, 2))))
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps(union_to_dict(union)))
+    code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert code == 0
+    assert json.loads(out)["count"] == [4]
 
 
 def test_fit_and_periods(capsys):
@@ -172,6 +184,17 @@ def test_usage_error_exit_codes(capsys):
 
     with pytest.raises(SystemExit) as exc:
         main(["pte", "verify", "--s", "1,a", "--t", "3,0"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "pentagon", "--budget", "5"],
+    ["pte", "list", "--budget", "5"],
+    ["pte", "verify", "--budget", "5"],
+])
+def test_budget_is_rejected_where_nothing_is_counted(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -95,6 +95,8 @@ def test_hull_dimension_cap():
         C.hull(6, 2)
     with pytest.raises(DimensionCapExceeded):
         C.middle(6, 2)
+    with pytest.raises(DimensionCapExceeded):
+        C.pentagon_pyramid(6, 2)
 
 
 def test_decomposition_check():

@@ -118,6 +118,22 @@ def test_missing_intersection_raises():
     assert count_union(union, 1) == 12
 
 
+def test_three_piece_unions_are_enumerated_not_pairwise_inclusion_exclusion():
+    # [0,2]x[0,2], [1,3]x[0,2] and [2,4]x[0,2]: the pairwise terms give
+    # 27 - 15 = 12, but the union [0,4]x[0,2] has 15 points, because all
+    # three boxes share the column x = 2
+    boxes = [product(C.interval(a, a + 2), C.interval(0, 2)) for a in (0, 1, 2)]
+    pairs = tuple(
+        (i, j, product(C.interval(j, i + 2), C.interval(0, 2)))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    union = PolytopalUnion(2, tuple(boxes), pairs)
+    assert CountFunction(union).strategy == "enumerate"
+    assert [count_union(union, k) for k in (1, 2)] == [15, 45]
+    with pytest.raises(MissingIntersection):
+        count_union(union, 1, strategy="inclusion-exclusion")
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         count_convex(C.pentagon(2), 100, budget=10)

@@ -42,9 +42,22 @@ def _family_point_lists():
 
 FAMILY_POINT_LISTS = _family_point_lists()
 
+# embedded bodies whose pivot coordinates are not the leading ones
+EMBEDDED_POINT_LISTS = [
+    (
+        "polygon in R^4 with x0 constant and x3 fractional in x1, x2",
+        [(3, x1, x2, F(x1 - 2 * x2, 3) + F(1, 2))
+         for x1, x2 in ((0, 0), (3, 0), (4, 2), (1, 3), (-1, 1), (1, 1))],
+    ),
+    (
+        "segment in R^3 along (0, 2, 1/3)",
+        [(1, -1 + 2 * t, t / 3) for t in (F(0), F(1, 2), F(1), F(3))],
+    ),
+]
 
-@pytest.mark.parametrize("points", [pts for _, pts in FAMILY_POINT_LISTS],
-                         ids=[name for name, _ in FAMILY_POINT_LISTS])
+
+@pytest.mark.parametrize("points", [pts for _, pts in FAMILY_POINT_LISTS + EMBEDDED_POINT_LISTS],
+                         ids=[name for name, _ in FAMILY_POINT_LISTS + EMBEDDED_POINT_LISTS])
 def test_from_vertices_equals_brute_force_on_family_points(points):
     assert from_vertices(points) == brute_force_hull(points)
 

@@ -132,7 +132,7 @@ def test_min_dilate_random_witness_and_minimality():
             continue
         point = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(n)]
         rhs = [vdot(row, point) for row in rows]  # guarantees rational feasibility
-        sub = AffineSubspace.from_rational_rows(n, rows, rhs)
+        sub = AffineSubspace(n, tuple(rows), tuple(rhs))
         m = min_dilate_with_lattice_point(sub)
         # the claimed dilate has an explicit integer witness
         witness = integer_solution(sub.rows, tuple(b * m for b in sub.rhs))
