@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     EhrhartError,
     Infeasible,
-    MissingIntersection,
     NonterminatingNumerator,
     NoSolution,
     NotAvailable,

@@ -22,8 +22,9 @@ costs nothing, so a 1-D count never touches the budget. A walk never
 visits more nodes than its box has points, so a budget of box points
 never refuses a count.
 
-``count_box`` counts one system; ``count_box_union`` counts the points
-lying in at least one of several systems. The test suite checks both
+``count_box`` counts one system, and ``walk_box`` also returns the nodes
+its walk visited; ``count_box_union`` counts the points lying in at least
+one of several systems. The test suite checks both
 against a point-by-point scan of the box.
 """
 
@@ -87,14 +88,25 @@ def count_box(
 ) -> int:
     """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``;
     raises ``BudgetExceeded`` before the walk visits a ``budget + 1``-th node."""
+    return walk_box(lo, hi, normals, offsets, budget)[0]
+
+
+def walk_box(
+    lo: Sequence[int],
+    hi: Sequence[int],
+    normals: Sequence[Sequence[int]],
+    offsets: Sequence[int],
+    budget: int,
+) -> tuple[int, int]:
+    """``count_box``'s count and the number of nodes its walk visited."""
     if any(l > h for l, h in zip(lo, hi)):
-        return 0
+        return 0, 0
     root = _levels(lo, hi, normals, offsets)
     if root is None:
-        return 0
+        return 0, 0
     levels, rem = root
     if not levels:
-        return 1
+        return 1, 0
     last = len(levels) - 1
     left = budget
 
@@ -114,7 +126,8 @@ def count_box(
             total += walk(j + 1, [r - a * x for r, a in zip(rem, col)])
         return total
 
-    return walk(0, rem)
+    found = walk(0, rem)
+    return found, budget - left
 
 
 def count_box_union(

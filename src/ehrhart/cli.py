@@ -435,7 +435,7 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
     for n in list(range(3, 12)) + [12, 13]:
         try:
             sol = pte.table_lookup(n - 1)
-            constructions.barn(n, 2, sol, check=False)
+            constructions.barn(n, 2, sol)
             construction_range[str(n)] = "ok"
             good = n != 12  # size 11 must not exist
         except NotAvailable as exc:

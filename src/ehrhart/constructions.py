@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import count_convex, count_union
+from .counting import count_convex
 from .errors import (
     DimensionCapExceeded,
-    EhrhartError,
     InvalidInput,
     SizeMismatch,
     UnverifiedSolution,
@@ -212,7 +211,7 @@ def decomposition_check(n: int, p: int, k_max: int, budget: int | None = None) -
     """Verify count(hull) = count(prism) + count(middle) + count(pyramid)
     minus the two shared facets, for every dilate up to ``k_max``.
 
-    The shared facets are exactly the pairwise intersections of the three
+    The shared facets are exactly the pairwise overlaps of the three
     pieces, and both must be (and are checked to be) integral.
     """
     _check_n(n)
@@ -258,19 +257,17 @@ def decomposition_check(n: int, p: int, k_max: int, budget: int | None = None) -
     )
 
 
-def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion:
+def barn(n: int, p: int, sol: PteSolution) -> PolytopalUnion:
     """Two-piece product union with period sequence ``(1, ..., 1, p, 1)``.
 
     Piece one is the box ``prod [0, s_i]`` times the segment (coordinates
     ``1..n-1`` and ``n``); piece two is the box ``prod [0, t_j]`` times
     the pentagon (coordinates ``1..n-2`` and ``(n-1, n)``). They meet in
-    the integral box ``prod [0, min(s_i, t_i)] x [0, min(s_(n-1), q)] x {0}``,
-    recorded as a product too, so dilate counts come from
-    inclusion-exclusion over per-factor counts.
+    the integral box ``prod [0, min(s_i, t_i)] x [0, min(s_(n-1), q)] x {0}``.
+    Both pieces carry their factors, so dilate counts come from
+    inclusion-exclusion, whose terms split into the same blocks.
 
-    Requires a verified equal-power-sum pair of size ``n - 1``. For
-    ``n <= 4`` (and ``check=True``) the recorded intersection is
-    cross-checked against full enumeration at dilates 1 and 2.
+    Requires a verified equal-power-sum pair of size ``n - 1``.
     """
     _check_n(n)
     _check_p(p)
@@ -278,7 +275,6 @@ def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion
         raise SizeMismatch(f"need a solution of size {n - 1}, got {sol.size}")
     if not pte_verify(sol):
         raise UnverifiedSolution("equal-power-sum solution failed verification")
-    q = q_value(p)
     s, t = sol.s, sol.t
 
     blocks1: list = [((i,), interval(0, s[i])) for i in range(n - 1)]
@@ -287,25 +283,10 @@ def barn(n: int, p: int, sol: PteSolution, check: bool = True) -> PolytopalUnion
     blocks2: list = [((j,), interval(0, t[j])) for j in range(n - 2)]
     blocks2.append(((n - 2, n - 1), pentagon(p)))
 
-    inter_blocks: list = [((i,), interval(0, min(s[i], t[i]))) for i in range(n - 2)]
-    inter_blocks.append(((n - 2,), interval(0, min(s[n - 2], q))))
-    inter_blocks.append(((n - 1,), interval(0, 0)))
-
-    union = PolytopalUnion(
+    return PolytopalUnion(
         ambient_dim=n,
         pieces=(embed_product(tuple(blocks1), n), embed_product(tuple(blocks2), n)),
-        intersections=((0, 1, embed_product(tuple(inter_blocks), n)),),
     )
-    if check and n <= 4:
-        for k in (1, 2):
-            direct = count_union(union, k, strategy="enumerate")
-            fast = count_union(union, k, strategy="inclusion-exclusion")
-            if direct != fast:
-                raise EhrhartError(
-                    f"recorded intersection is wrong: enumeration {direct} != "
-                    f"inclusion-exclusion {fast} at k={k}"
-                )
-    return union
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,18 @@ integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
 caller passes ``budget``) caps the nodes that walk visits, not the points
 of the box; the kernel raises ``BudgetExceeded`` once a walk overdraws it.
 
-A union of at most two pieces with recorded intersections and some piece
-that carries factors (a body built by ``embed_product``) is counted by
-inclusion-exclusion, each term the product of its factors' counts, which
-is what makes high-dimensional product bodies tractable. Only pairwise
-intersections are recorded, so larger unions are enumerated. The
-enumeration path never looks at recorded intersections or factors, so
-the two routes check each other; ``count_convex`` enumerates even a body
-with factors.
+A union whose pieces include one that carries factors (a body built by
+``embed_product``) is counted by inclusion-exclusion over every
+intersection of its pieces (Beck & Robins, *Computing the Continuous
+Discretely*). An intersection of H-polytopes is their stacked inequality
+system, so each term is counted from the pieces' own inequalities, as the
+product of its counts on the coordinate blocks that no inequality
+couples; that split is what makes high-dimensional product bodies
+tractable. A subset is extended only while its intersection has lattice
+points. The terms share one budget: each subset visited costs one node
+plus the nodes its walks visit. The enumeration path counts the points
+of the union directly and never looks at factors, so the two routes
+check each other; ``count_convex`` enumerates even a body with factors.
 
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 
 from . import _enum_py
-from .errors import MissingIntersection
+from .errors import BudgetExceeded
 from .polytope import ConvexPolytope, PolytopalUnion
 
 DEFAULT_BUDGET = 10**9
@@ -47,15 +51,11 @@ def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
     strict: facet normals and offsets are integers, so on lattice points
     ``a.x < k*c`` is ``a.x <= k*c - 1``.
     """
-    n = poly.ambient_dim
-    lo = []
-    hi = []
-    for j in range(n):
-        coords = [v[j] * k for v in poly.vertices]
-        lo.append(math.ceil(min(coords)))
-        hi.append(math.floor(max(coords)))
-        if lo[j] > hi[j]:
-            return None
+    least, greatest = poly.bounds
+    lo = [math.ceil(x * k) for x in least]
+    hi = [math.floor(x * k) for x in greatest]
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
     normals = [list(a) for a, _ in poly.facets]
     strict = 1 if interior else 0
     offsets = [c * k - strict for _, c in poly.facets]
@@ -88,60 +88,90 @@ def count_convex(
     return _enum_py.count_box(*system, budget)
 
 
-def _count_term(body: ConvexPolytope, k: int, budget: int | None) -> int:
-    """One inclusion-exclusion term: the product of its factors' counts
-    when it has factors, else ``count_convex``."""
-    if body.factors is None:
-        return count_convex(body, k, budget)
-    out = 1
-    for _, factor in body.factors:
-        out *= count_convex(factor, k, budget)
-        if out == 0:
-            return 0
-    return out
-
-
-def _union_enumerate(union: PolytopalUnion, k: int, budget: int | None) -> int:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    systems = []
-    los = []
-    his = []
-    for piece in union.pieces:
-        system = _dilated_system(piece, k)
-        if system is None:
-            continue
-        lo, hi, normals, offsets = system
-        los.append(lo)
-        his.append(hi)
-        systems.append((normals, offsets))
+def _piece_systems(union: PolytopalUnion, k: int):
+    """The dilated systems of the pieces of ``k * union`` that have box
+    points, and the box that holds them all; None when there are none."""
+    systems = [s for piece in union.pieces if (s := _dilated_system(piece, k)) is not None]
     if not systems:
+        return None
+    lo = [min(s[0][j] for s in systems) for j in range(union.ambient_dim)]
+    hi = [max(s[1][j] for s in systems) for j in range(union.ambient_dim)]
+    return systems, lo, hi
+
+
+def _union_enumerate(union: PolytopalUnion, k: int, budget: int) -> int:
+    found = _piece_systems(union, k)
+    if found is None:
         return 0
-    lo = [min(l[j] for l in los) for j in range(union.ambient_dim)]
-    hi = [max(h[j] for h in his) for j in range(union.ambient_dim)]
-    return _enum_py.count_box_union(lo, hi, systems, budget)
+    systems, lo, hi = found
+    return _enum_py.count_box_union(lo, hi, [s[2:] for s in systems], budget)
 
 
-def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int | None) -> int:
-    if len(union.pieces) > 2:
-        raise MissingIntersection(
-            "inclusion-exclusion over pairwise intersections is exact for at most "
-            f"two pieces, not {len(union.pieces)}"
+def _count_split(lo, hi, normals, offsets, budget: int) -> tuple[int, int]:
+    """``count_box`` of one system, as the product of its counts on the
+    coordinate blocks that no row couples, and the nodes those walks
+    visited. The rows of a bounded piece touch every coordinate, so the
+    blocks cover them all."""
+    if any(l > h for l, h in zip(lo, hi)):
+        return 0, 0
+    blocks: list[tuple[set[int], list[int]]] = []  # coordinates, row indices
+    for i, row in enumerate(normals):
+        cols, rows = {j for j, a in enumerate(row) if a}, [i]
+        for block in [b for b in blocks if b[0] & cols]:
+            blocks.remove(block)
+            cols |= block[0]
+            rows += block[1]
+        blocks.append((cols, rows))
+    total, walked = 1, 0
+    for cols, rows in blocks:
+        cols = sorted(cols)
+        found, nodes = _enum_py.walk_box(
+            [lo[j] for j in cols],
+            [hi[j] for j in cols],
+            [[normals[i][j] for j in cols] for i in rows],
+            [offsets[i] for i in rows],
+            budget - walked,
         )
-    if len(union.pieces) > 1 and union.intersections is None:
-        raise MissingIntersection(
-            "inclusion-exclusion needs recorded pairwise intersections"
-        )
-    return sum(_count_term(piece, k, budget) for piece in union.pieces) - sum(
-        _count_term(body, k, budget) for _, _, body in union.intersections or ()
-    )
+        total, walked = total * found, walked + nodes
+        if total == 0:
+            break
+    return total, walked
+
+
+def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> int:
+    found = _piece_systems(union, k)
+    if found is None:
+        return 0
+    systems, lo, hi = found
+    left = budget
+
+    def terms(start: int, lo: list[int], hi: list[int], normals: list, offsets: list) -> int:
+        """Sum over nonempty subsets T of ``systems[start:]`` of
+        ``(-1)**(|T| + 1)`` times the points of the given system that lie
+        in every member of T."""
+        nonlocal left
+        total = 0
+        for i in range(start, len(systems)):
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(f"inclusion-exclusion costs more than {budget} nodes")
+            s_lo, s_hi, s_normals, s_offsets = systems[i]
+            lo_i = [max(a, b) for a, b in zip(lo, s_lo)]
+            hi_i = [min(a, b) for a, b in zip(hi, s_hi)]
+            normals_i, offsets_i = normals + s_normals, offsets + s_offsets
+            here, walked = _count_split(lo_i, hi_i, normals_i, offsets_i, left)
+            left -= walked
+            if here:  # else every larger intersection is empty too
+                total += here - terms(i + 1, lo_i, hi_i, normals_i, offsets_i)
+        return total
+
+    return terms(0, lo, hi, [], [])
 
 
 def _union_strategy(union: PolytopalUnion) -> str:
-    """What ``'auto'`` means for ``union``: inclusion-exclusion when it has
-    at most two pieces, its intersections are recorded and some piece has
-    factors, else enumeration."""
-    pairwise = len(union.pieces) <= 2 and union.intersections is not None
-    if pairwise and any(p.factors is not None for p in union.pieces):
+    """What ``'auto'`` means for ``union``: inclusion-exclusion when some
+    piece has factors, else enumeration."""
+    if any(p.factors is not None for p in union.pieces):
         return "inclusion-exclusion"
     return "enumerate"
 
@@ -154,16 +184,15 @@ def count_union(
 ) -> int:
     """Lattice points of ``k * union``, each point counted once.
 
-    With ``strategy='auto'`` recorded intersections together with pieces
-    that have factors select inclusion-exclusion over the pieces and
-    intersections, for a union of at most two pieces: only the pairwise
-    terms are recorded, and with three or more pieces the higher ones are
-    missing. Otherwise the union's bounding box is enumerated, counting
-    points lying in at least one piece (immune to wrongly recorded
-    intersections, and used as the cross-check).
+    With ``strategy='auto'`` a piece that has factors selects
+    inclusion-exclusion over every intersection of the pieces, each
+    counted from the stacked inequalities of its pieces. Otherwise the
+    union's bounding box is enumerated, counting points lying in at least
+    one piece once; that route is also the cross-check.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
+    budget = DEFAULT_BUDGET if budget is None else budget
     if strategy == "auto":
         strategy = _union_strategy(union)
     if strategy == "enumerate":

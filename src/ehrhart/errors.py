@@ -44,11 +44,6 @@ class NonterminatingNumerator(EhrhartError):
     quasi-polynomial of the declared degree and modulus."""
 
 
-class MissingIntersection(EhrhartError):
-    """Inclusion-exclusion counting requested on a union without
-    recorded pairwise intersections."""
-
-
 class SizeMismatch(EhrhartError):
     """A power-sum solution has the wrong number of entries."""
 

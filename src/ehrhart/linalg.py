@@ -149,11 +149,14 @@ def rank(rows: Sequence[Sequence]) -> int:
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
     """Basis of ``{x : rows @ x = 0}``: per free column in order, the
     solution with that variable 1 and the other free variables 0."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty row set")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    ncols = len(rows[0])
+    if not rows and ncols is None:
+        raise ValueError("ncols required for an empty row set")
+    return pivots_and_nullspace(rows, len(rows[0]) if rows else ncols)[1]
+
+
+def pivots_and_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[Vector]]:
+    """The pivot columns of ``rows`` and the :func:`nullspace` basis, from
+    one elimination; ``rows`` may be empty."""
     mat, pivots = _echelon(rows)
     zero = [0] * len(pivots)
     basis = []
@@ -164,7 +167,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         basis.append(_back_substitute(mat, pivots, vec, zero))
-    return basis
+    return pivots, basis
 
 
 def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Vector:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -36,6 +36,7 @@ from .linalg import (
     independent_rows,
     integerize,
     nullspace,
+    pivots_and_nullspace,
     vadd,
     vdot,
     vscale,
@@ -63,6 +64,11 @@ class ConvexPolytope:
             f"intrinsic_dim={self.intrinsic_dim}, "
             f"{len(self.vertices)} vertices, {len(self.facets)} facets)"
         )
+
+    @cached_property
+    def bounds(self) -> tuple[Vector, Vector]:
+        """The least and the greatest vertex coordinate on each axis."""
+        return tuple(map(min, zip(*self.vertices))), tuple(map(max, zip(*self.vertices)))
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership: affine-hull equations plus facet inequalities."""
@@ -125,15 +131,13 @@ Factorization = tuple[FactorBlock, ...]
 class PolytopalUnion:
     """A finite union of full-dimensional convex pieces.
 
-    ``intersections`` optionally records pairwise intersections
-    ``(i, j, piece_i & piece_j)``. Pieces and intersections built by
-    ``embed_product`` carry their ``factors``, which unlocks counting by
-    inclusion-exclusion over per-factor counts.
+    A piece built by ``embed_product`` carries its ``factors``, which
+    selects counting by inclusion-exclusion; every overlap that it
+    subtracts is counted from the pieces' own inequalities.
     """
 
     ambient_dim: int
     pieces: tuple[ConvexPolytope, ...]
-    intersections: tuple[tuple[int, int, ConvexPolytope], ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -143,11 +147,6 @@ class PolytopalUnion:
                 raise DimensionMismatch("piece ambient dimension mismatch")
             if piece.intrinsic_dim != self.ambient_dim:
                 raise InvalidInput("union pieces must be full-dimensional")
-        for i, j, body in self.intersections or ():
-            if not (0 <= i < j < len(self.pieces)):
-                raise InvalidInput("intersection indices out of range")
-            if body.ambient_dim != self.ambient_dim:
-                raise DimensionMismatch("intersection ambient dimension mismatch")
 
     def __repr__(self) -> str:
         return (
@@ -185,15 +184,13 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
 
     base = pts[0]
     dirs = [vsub(p, base) for p in pts[1:]]
-    coords = independent_rows(list(zip(*dirs)))  # the pivot coordinates S
+    coords, kernel = pivots_and_nullspace(dirs, n)  # S, and the hull equations
     dim = len(coords)
     if dim > HULL_DIM_CAP:
         raise DimensionCapExceeded(
             f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
         )
-    rows = ()
-    if dim < n:  # a full-dimensional body has no hull equations
-        rows = tuple(canonical_equation(a) for a in nullspace(dirs, n))
+    rows = tuple(canonical_equation(a) for a in kernel)
     span = AffineSubspace(n, rows, tuple(vdot(a, base) for a in rows))
     if dim == 0:
         return ConvexPolytope(n, (base,), (), span, 0)
@@ -497,7 +494,7 @@ def _factorization_to_list(fact: Factorization):
 def union_to_dict(union: PolytopalUnion) -> dict:
     """The JSON form of a union; ``product_structure`` lists each piece's
     factors (null for a piece without), and is left out when no piece has
-    any. An intersection with factors lists them the same way."""
+    any."""
     out: dict = {
         "ambient_dim": union.ambient_dim,
         "pieces": [polytope_to_dict(p) for p in union.pieces],
@@ -507,19 +504,11 @@ def union_to_dict(union: PolytopalUnion) -> dict:
             None if p.factors is None else _factorization_to_list(p.factors)
             for p in union.pieces
         ]
-    if union.intersections is not None:
-        inter = []
-        for i, j, body in union.intersections:
-            entry = {"i": i, "j": j, "polytope": polytope_to_dict(body)}
-            if body.factors is not None:
-                entry["product_structure"] = _factorization_to_list(body.factors)
-            inter.append(entry)
-        out["intersections"] = inter
     return out
 
 
 def _union_body(listed, structure, ambient_dim: int, what: str) -> ConvexPolytope:
-    """A piece or intersection of a JSON union. With a ``structure`` (its
+    """A piece of a JSON union. With a ``structure`` (its
     ``product_structure`` entry) it is the product of the listed factors,
     whose vertices must match the listed ones; otherwise the hull of
     ``listed``."""
@@ -540,9 +529,10 @@ def _union_body(listed, structure, ambient_dim: int, what: str) -> ConvexPolytop
 
 
 def union_from_dict(data: dict) -> PolytopalUnion:
-    """Rebuild a union; product-structured pieces and intersections are built
-    from their factors, and their listed vertices must match. Malformed data
-    raises ``InvalidInput``."""
+    """Rebuild a union; product-structured pieces are built from their
+    factors, and their listed vertices must match. Malformed data raises
+    ``InvalidInput``. Other keys are ignored, such as the recorded overlaps
+    of older files: counting computes every overlap from the pieces."""
     ambient = _json_field(data, "ambient_dim", "union", int)
     pieces_data = _json_field(data, "pieces", "union", list)
     structure = data.get("product_structure")
@@ -554,15 +544,4 @@ def union_from_dict(data: dict) -> PolytopalUnion:
         _union_body(pdata, fact, ambient, f"piece {idx}")
         for idx, (pdata, fact) in enumerate(zip(pieces_data, structure))
     )
-    intersections = None
-    if "intersections" in data:
-        intersections = []
-        for idx, entry in enumerate(_json_field(data, "intersections", "union", list)):
-            what = f"intersection {idx}"
-            i = _json_field(entry, "i", what, int)
-            j = _json_field(entry, "j", what, int)
-            listed = _json_field(entry, "polytope", what)
-            body = _union_body(listed, entry.get("product_structure"), ambient, what)
-            intersections.append((i, j, body))
-        intersections = tuple(intersections)
-    return PolytopalUnion(ambient, pieces, intersections)
+    return PolytopalUnion(ambient, pieces)

@@ -114,7 +114,7 @@ def test_criterion_7_barn_periods_and_range():
             union, k, strategy="inclusion-exclusion"
         )
     for n in list(range(3, 12)) + [13]:
-        built = C.barn(n, 2, table_lookup(n - 1), check=False)
+        built = C.barn(n, 2, table_lookup(n - 1))
         assert built.ambient_dim == n
     with pytest.raises(NotAvailable):
         table_lookup(11)  # blocks n = 12

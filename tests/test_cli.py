@@ -35,7 +35,8 @@ def test_construct_barn_union_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["pieces"]) == 2
-    assert payload["intersections"][0]["i"] == 0
+    assert len(payload["product_structure"]) == 2
+    assert "intersections" not in payload
     assert payload["provenance"]["pte_solution"] == {"s": [1, 2], "t": [3, 0]}
 
 
@@ -66,12 +67,24 @@ def test_count_from_json_input(tmp_path, capsys):
 
 
 def test_count_of_three_piece_union_input(tmp_path, capsys):
-    # three copies of the [0,1]^2 box with every pairwise intersection
-    # recorded; pairwise inclusion-exclusion would give 3*4 - 3*4 = 0
+    # three copies of the [0,1]^2 box; pairwise inclusion-exclusion would
+    # give 3*4 - 3*4 = 0
     box = product(constructions.interval(0, 1), constructions.interval(0, 1))
-    union = PolytopalUnion(2, (box,) * 3, tuple((i, j, box) for i, j in ((0, 1), (0, 2), (1, 2))))
     path = tmp_path / "boxes.json"
-    path.write_text(json.dumps(union_to_dict(union)))
+    path.write_text(json.dumps(union_to_dict(PolytopalUnion(2, (box,) * 3))))
+    code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert code == 0
+    assert json.loads(out)["count"] == [4]
+
+
+def test_count_of_union_input_ignores_recorded_overlaps(tmp_path, capsys):
+    # two copies of the [0,1]^2 box with an empty list of recorded
+    # overlaps, as older files could carry; the union still has 4 points
+    box = product(constructions.interval(0, 1), constructions.interval(0, 1))
+    data = union_to_dict(PolytopalUnion(2, (box, box)))
+    data["intersections"] = []
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k", "1")
     assert code == 0
     assert json.loads(out)["count"] == [4]
@@ -216,16 +229,6 @@ MALFORMED_INPUTS = {
         "pieces": [TRIANGLE],
         "product_structure": [[{"coords": ["x"], "factor": TRIANGLE}]],
     },
-    "intersection-index": {
-        "ambient_dim": 2,
-        "pieces": [TRIANGLE, TRIANGLE],
-        "intersections": [{"i": "0", "j": 1, "polytope": TRIANGLE}],
-    },
-    "intersection-range": {
-        "ambient_dim": 2,
-        "pieces": [TRIANGLE, TRIANGLE],
-        "intersections": [{"i": 0, "j": 5, "polytope": TRIANGLE}],
-    },
 }
 
 
@@ -304,21 +307,18 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
     shifted["pieces"][0]["vertices"] = [
         [str(Fraction(c) + 100) for c in v] for v in payload["pieces"][0]["vertices"]
     ]
-    moved = json.loads(out)
-    moved["intersections"][0]["polytope"]["vertices"][0][0] = "77"
-    for name, data in (("barn", payload), ("shifted", shifted), ("moved", moved)):
+    for name, data in (("barn", payload), ("shifted", shifted)):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
 
     code, out, _ = run_cli(capsys, "count", "--input", str(tmp_path / "barn.json"), "--k-max", "2")
     assert code == 0
     assert json.loads(out)["count"] == [48, 253]
-    for name, what in (("shifted", "piece 0"), ("moved", "intersection 0")):
-        code, out, err = run_cli(
-            capsys, "count", "--input", str(tmp_path / f"{name}.json"), "--k-max", "2"
-        )
-        assert code == 2
-        assert out == ""
-        assert f"error: {what}: listed vertices disagree" in err
+    code, out, err = run_cli(
+        capsys, "count", "--input", str(tmp_path / "shifted.json"), "--k-max", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: piece 0: listed vertices disagree" in err
 
 
 # sha256 of the stdout of the default ``ehrhart verify all``.
@@ -347,11 +347,13 @@ def test_verify_all_max_p2_output_is_unchanged(capsys):
 
 
 # sha256 of the stdout of ``ehrhart construct --family barn --n N --p P``,
-# the JSON wire format of a product union, by (n, p).
+# the JSON wire format of a product union, by (n, p). It moved when the
+# writer stopped listing recorded overlaps under ``"intersections"``; the
+# output before that, with that key deleted, is byte-identical to this one.
 CONSTRUCT_BARN_SHA256 = {
-    (3, 2): "91969a391be6d6d66845c59c5f1024fc733e611b86ac228cb74bf5a66c3e2382",
-    (4, 3): "c1e1fcdf1d1a5396c3cd918371c2554fa5cf04121f6102eadf6307e815a0de73",
-    (5, 2): "865f5f2560aa95b5f2c88c886b7255181f84b8bdbbdeaba00138a373cf99ad5e",
+    (3, 2): "bd6688492f6aa03f619345ce7ad89da1d7e70c9646324c62a3b07403c883aa94",
+    (4, 3): "f790908e9e12b7333c48bb2309b9e9e0eae5e77bea113f594a1212f554666417",
+    (5, 2): "a9ec20e409a8505db8d40d7b9ad939d086e142889d3ff4476836412cfeb08071",
 }
 
 
@@ -400,9 +402,7 @@ def test_fitted_follows_the_counting_route_of_equal_bodies():
     # inclusion-exclusion counter
     barn = constructions.barn(3, 2, table_lookup(2))
     copy = PolytopalUnion(
-        barn.ambient_dim,
-        tuple(from_vertices(piece.vertices) for piece in barn.pieces),
-        tuple((i, j, from_vertices(body.vertices)) for i, j, body in barn.intersections),
+        barn.ambient_dim, tuple(from_vertices(piece.vertices) for piece in barn.pieces)
     )
     assert copy == barn and hash(copy) == hash(barn)
     cli._fit_on_route.cache_clear()

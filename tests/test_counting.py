@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import brute_count, brute_count_interior, brute_count_union
-from strategies import clouds
+from strategies import clouds, rationals
 
 from ehrhart import constructions as C
 from ehrhart.counting import (
@@ -15,7 +15,7 @@ from ehrhart.counting import (
     count_series,
     count_union,
 )
-from ehrhart.errors import BudgetExceeded, MissingIntersection
+from ehrhart.errors import BudgetExceeded
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,
@@ -105,33 +105,77 @@ def test_single_piece_union_equals_convex():
         assert count_union(union, k) == count_convex(pent, k)
 
 
-def test_missing_intersection_raises():
+def test_union_of_equal_boxes_counts_each_point_once():
+    # two copies of the [0,1]^2 box overlap in all of it; the union has the
+    # box's counts, not twice them
+    box = product(C.interval(0, 1), C.interval(0, 1))
+    counter = CountFunction(PolytopalUnion(2, (box, box)))
+    assert counter.strategy == "inclusion-exclusion"
+    assert [counter(k) for k in (1, 2, 3)] == [4, 9, 16]
+
+
+def test_overlaps_of_product_pieces_are_computed():
     box1 = product(C.interval(0, 2), C.interval(0, 2))
     box2 = product(C.interval(1, 3), C.interval(0, 2))
     union = PolytopalUnion(2, (box1, box2))
-    assert all(piece.factors is not None for piece in union.pieces)
-    with pytest.raises(MissingIntersection):
-        count_union(union, 1, strategy="inclusion-exclusion")
-    assert count_union(union, 1, strategy="enumerate") == 12  # [0,3] x [0,2]
-    # factors alone do not select inclusion-exclusion: it needs intersections
-    assert CountFunction(union).strategy == "enumerate"
-    assert count_union(union, 1) == 12
+    assert CountFunction(union).strategy == "inclusion-exclusion"
+    for strategy in ("inclusion-exclusion", "enumerate"):
+        assert count_union(union, 1, strategy=strategy) == 12  # [0,3] x [0,2]
 
 
-def test_three_piece_unions_are_enumerated_not_pairwise_inclusion_exclusion():
+def test_three_piece_union_counts_its_triple_overlap():
     # [0,2]x[0,2], [1,3]x[0,2] and [2,4]x[0,2]: the pairwise terms give
     # 27 - 15 = 12, but the union [0,4]x[0,2] has 15 points, because all
     # three boxes share the column x = 2
     boxes = [product(C.interval(a, a + 2), C.interval(0, 2)) for a in (0, 1, 2)]
-    pairs = tuple(
-        (i, j, product(C.interval(j, i + 2), C.interval(0, 2)))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    )
-    union = PolytopalUnion(2, tuple(boxes), pairs)
-    assert CountFunction(union).strategy == "enumerate"
+    union = PolytopalUnion(2, tuple(boxes))
+    assert CountFunction(union).strategy == "inclusion-exclusion"
     assert [count_union(union, k) for k in (1, 2)] == [15, 45]
-    with pytest.raises(MissingIntersection):
-        count_union(union, 1, strategy="inclusion-exclusion")
+    assert [count_union(union, k, strategy="enumerate") for k in (1, 2)] == [15, 45]
+
+
+def test_overlap_terms_split_into_uncoupled_coordinate_blocks():
+    # a cube rebuilt as a hull has no factors, but each of its rows reads one
+    # coordinate, so every term is a product of 1-D counts, which walk no
+    # nodes: the three terms cost one node each, while enumerating the
+    # union's box walks far more than the budget
+    unit = C.interval(0, 1)
+    cube = from_vertices(product(unit, product(unit, unit)).vertices)
+    shifted = cube.translate([1, 0, 0])
+    assert cube.factors is None and shifted.factors is None
+    union = PolytopalUnion(3, (cube, shifted))
+    # [0,2k] x [0,k] x [0,k]
+    assert count_union(union, 20, budget=10, strategy="inclusion-exclusion") == 41 * 21 * 21
+    with pytest.raises(BudgetExceeded):
+        count_union(union, 20, budget=10, strategy="enumerate")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_union_terms_are_charged_against_the_budget(m):
+    # m equal product boxes: every one of the 2^m - 1 subsets is a term, and
+    # each costs one node (its 1-D walks cost none)
+    box = product(C.interval(0, 1), C.interval(0, 1))
+    union = PolytopalUnion(2, (box,) * m)
+    assert count_union(union, 1, budget=2**m - 1) == 4
+    with pytest.raises(BudgetExceeded):
+        count_union(union, 1, budget=2**m - 2)
+
+
+def test_many_overlapping_pieces_stop_at_the_budget():
+    box = product(C.interval(0, 1), C.interval(0, 1))
+    with pytest.raises(BudgetExceeded):
+        count_union(PolytopalUnion(2, (box,) * 30), 1, budget=1000)
+
+
+def test_walks_of_one_union_share_its_budget():
+    # three equal copies of pentagon(2) x [0,1] at k=60: 7 terms, each
+    # walking the 91 nodes of one pentagon walk, cost 7 + 7 * 91 nodes
+    piece = product(C.pentagon(2), C.interval(0, 1))
+    union = PolytopalUnion(3, (piece,) * 3)
+    expected = count_union(union, 60, strategy="enumerate")
+    assert count_union(union, 60, budget=644) == expected
+    with pytest.raises(BudgetExceeded):
+        count_union(union, 60, budget=643)
 
 
 def test_budget_exceeded():
@@ -265,29 +309,56 @@ def test_count_function_negative_dilates_use_reciprocity():
 
 
 def translated_union(union, shift):
-    """``union + shift``, each piece and intersection rebuilt as the product
-    of its translated factors."""
+    """``union + shift``, each piece rebuilt as the product of its
+    translated factors."""
 
     def moved(body):
         factors = tuple((cs, f.translate([shift[c] for c in cs])) for cs, f in body.factors)
         return embed_product(factors, union.ambient_dim)
 
-    return PolytopalUnion(
-        union.ambient_dim,
-        tuple(moved(piece) for piece in union.pieces),
-        tuple((i, j, moved(body)) for i, j, body in union.intersections),
-    )
+    return PolytopalUnion(union.ambient_dim, tuple(moved(piece) for piece in union.pieces))
 
 
-@settings(max_examples=30)
-@given(
+translated_barns = st.builds(
+    lambda p, shift: translated_union(C.barn(3, p, SOL2), shift),
     st.integers(1, 3),
-    st.integers(1, 4),
     st.lists(st.integers(-20, 20), min_size=3, max_size=3),
 )
-def test_union_enumeration_equals_inclusion_exclusion_on_translates(p, k, shift):
-    # the union kernel against the multiplicative inclusion-exclusion route
-    union = translated_union(C.barn(3, p, SOL2), shift)
+
+
+widths = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def mixed_unions(draw):
+    """Unions of 1-3 pieces in the plane or in space: boxes built by
+    ``embed_product``, the same boxes rebuilt as hulls (separable, but
+    without factors), and hulls of random clouds."""
+    n = draw(st.integers(2, 3))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("product", "separable", "hull")))
+        if kind == "hull":
+            points = draw(clouds(max_dim=n, bound=1).filter(lambda ps: len(ps[0]) == n))
+            piece = from_vertices(points)
+            assume(piece.intrinsic_dim == n)
+        else:
+            sides = [(draw(rationals(1)), draw(widths)) for _ in range(n)]
+            blocks = tuple(
+                ((j,), from_vertices([(a,), (a + w,)])) for j, (a, w) in enumerate(sides)
+            )
+            piece = embed_product(blocks, n)
+            if kind == "separable":
+                piece = from_vertices(piece.vertices)
+        pieces.append(piece)
+    return PolytopalUnion(n, tuple(pieces))
+
+
+@settings(max_examples=100)
+@given(st.one_of(mixed_unions(), translated_barns), st.integers(1, 4))
+def test_union_enumeration_equals_inclusion_exclusion_on_translates(union, k):
+    # the union kernel against inclusion-exclusion over the stacked systems
+    # of every overlap, on translated barns and on random unions
     assert count_union(union, k, strategy="enumerate") == count_union(
         union, k, strategy="inclusion-exclusion"
     )

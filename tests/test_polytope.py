@@ -248,12 +248,13 @@ def test_polytope_json_round_trip():
 def test_union_json_round_trip_uses_product_structure():
     union = C.barn(4, 2, table_lookup(3))
     data = json.loads(json.dumps(union_to_dict(union)))
+    assert "intersections" not in data
+    # older files also list recorded overlaps; reading ignores them
+    data["intersections"] = [{"i": 0, "j": 5, "polytope": "not a polytope"}]
     again = union_from_dict(data)
     assert again.ambient_dim == union.ambient_dim
     assert [p.vertices for p in again.pieces] == [p.vertices for p in union.pieces]
-    assert again.intersections[0][2].vertices == union.intersections[0][2].vertices
     assert all(piece.factors is not None for piece in again.pieces)
-    assert again.intersections[0][2].factors is not None
     assert CountFunction(again).strategy == "inclusion-exclusion"
     for k in (1, 2):
         assert count_union(again, k) == count_union(again, k, strategy="enumerate")
