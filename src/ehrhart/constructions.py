@@ -264,8 +264,8 @@ def barn(n: int, p: int, sol: PteSolution) -> PolytopalUnion:
     ``1..n-1`` and ``n``); piece two is the box ``prod [0, t_j]`` times
     the pentagon (coordinates ``1..n-2`` and ``(n-1, n)``). They meet in
     the integral box ``prod [0, min(s_i, t_i)] x [0, min(s_(n-1), q)] x {0}``.
-    Both pieces carry their factors, so dilate counts come from
-    inclusion-exclusion, whose terms split into the same blocks.
+    The facets of both pieces split into these blocks, so dilate counts
+    come from inclusion-exclusion, whose terms split the same way.
 
     Requires a verified equal-power-sum pair of size ``n - 1``.
     """

@@ -7,18 +7,20 @@ integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
 caller passes ``budget``) caps the nodes that walk visits, not the points
 of the box; the kernel raises ``BudgetExceeded`` once a walk overdraws it.
 
-A union whose pieces include one that carries factors (a body built by
-``embed_product``) is counted by inclusion-exclusion over every
-intersection of its pieces (Beck & Robins, *Computing the Continuous
-Discretely*). An intersection of H-polytopes is their stacked inequality
-system, so each term is counted from the pieces' own inequalities, as the
-product of its counts on the coordinate blocks that no inequality
-couples; that split is what makes high-dimensional product bodies
+Product structure is read off inequalities alone:
+``polytope.coordinate_blocks`` splits a system into the coordinate blocks
+that no inequality couples. When the facets of every piece split into at
+least two blocks, as those of the barns' product pieces do, the union is
+counted by inclusion-exclusion over every intersection of its pieces
+(Beck & Robins, *Computing the Continuous Discretely*). An intersection
+of H-polytopes is their stacked inequality system, so each term is
+counted from the pieces' own inequalities, as the product of its counts
+on its blocks; that split is what makes high-dimensional product bodies
 tractable. A subset is extended only while its intersection has lattice
 points. The terms share one budget: each subset visited costs one node
-plus the nodes its walks visit. The enumeration path counts the points
-of the union directly and never looks at factors, so the two routes
-check each other; ``count_convex`` enumerates even a body with factors.
+plus the nodes its walks visit. Any other union enumerates its points
+directly, which never splits a system, so the two routes check each
+other; ``count_convex`` enumerates even a product body.
 
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
@@ -32,7 +34,7 @@ import math
 
 from . import _enum_py
 from .errors import BudgetExceeded
-from .polytope import ConvexPolytope, PolytopalUnion
+from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks
 
 DEFAULT_BUDGET = 10**9
 
@@ -108,23 +110,13 @@ def _union_enumerate(union: PolytopalUnion, k: int, budget: int) -> int:
 
 
 def _count_split(lo, hi, normals, offsets, budget: int) -> tuple[int, int]:
-    """``count_box`` of one system, as the product of its counts on the
-    coordinate blocks that no row couples, and the nodes those walks
-    visited. The rows of a bounded piece touch every coordinate, so the
-    blocks cover them all."""
+    """``count_box`` of one system, as the product of its counts on its
+    ``coordinate_blocks``, and the nodes those walks visited. The rows of
+    a bounded piece touch every coordinate, so the blocks cover them all."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
-    blocks: list[tuple[set[int], list[int]]] = []  # coordinates, row indices
-    for i, row in enumerate(normals):
-        cols, rows = {j for j, a in enumerate(row) if a}, [i]
-        for block in [b for b in blocks if b[0] & cols]:
-            blocks.remove(block)
-            cols |= block[0]
-            rows += block[1]
-        blocks.append((cols, rows))
     total, walked = 1, 0
-    for cols, rows in blocks:
-        cols = sorted(cols)
+    for cols, rows in coordinate_blocks(normals):
         found, nodes = _enum_py.walk_box(
             [lo[j] for j in cols],
             [hi[j] for j in cols],
@@ -169,9 +161,10 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
 
 
 def _union_strategy(union: PolytopalUnion) -> str:
-    """What ``'auto'`` means for ``union``: inclusion-exclusion when some
-    piece has factors, else enumeration."""
-    if any(p.factors is not None for p in union.pieces):
+    """What ``'auto'`` means for ``union``: inclusion-exclusion when the
+    facets of every piece split into at least two coordinate blocks, else
+    enumeration."""
+    if all(len(coordinate_blocks([a for a, _ in p.facets])) > 1 for p in union.pieces):
         return "inclusion-exclusion"
     return "enumerate"
 
@@ -184,11 +177,11 @@ def count_union(
 ) -> int:
     """Lattice points of ``k * union``, each point counted once.
 
-    With ``strategy='auto'`` a piece that has factors selects
-    inclusion-exclusion over every intersection of the pieces, each
-    counted from the stacked inequalities of its pieces. Otherwise the
-    union's bounding box is enumerated, counting points lying in at least
-    one piece once; that route is also the cross-check.
+    With ``strategy='auto'``, pieces whose facets all split into several
+    coordinate blocks select inclusion-exclusion over every intersection
+    of the pieces, each counted from their stacked inequalities. Otherwise
+    the union's bounding box is enumerated, counting points lying in at
+    least one piece once; that route is also the cross-check.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")

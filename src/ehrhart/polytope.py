@@ -13,7 +13,8 @@ every combinatorial question without elimination: which points are
 vertices, and ``face_lattice``, every face graded with its span (both
 capped at dimension 5). Dilates, translates, products and pyramids are
 composed directly, without re-running the hull, so high-dimensional
-product bodies stay cheap.
+product bodies stay cheap. Whether a body is a product is read off its
+inequalities alone, by ``coordinate_blocks``.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -21,7 +22,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
@@ -55,8 +56,6 @@ class ConvexPolytope:
     facets: tuple[Facet, ...]
     span: AffineSubspace
     intrinsic_dim: int
-    # the blocks ``embed_product`` built this body from; never compared
-    factors: Factorization | None = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # large product bodies would flood output
         return (
@@ -122,18 +121,14 @@ class Face:
     dim: int
 
 
-# one factor of a product body: the coordinates it occupies, and its shape
-FactorBlock = tuple[tuple[int, ...], ConvexPolytope]
-Factorization = tuple[FactorBlock, ...]
-
-
 @dataclass(frozen=True)
 class PolytopalUnion:
     """A finite union of full-dimensional convex pieces.
 
-    A piece built by ``embed_product`` carries its ``factors``, which
-    selects counting by inclusion-exclusion; every overlap that it
-    subtracts is counted from the pieces' own inequalities.
+    When the facets of every piece split into several coordinate blocks
+    (``coordinate_blocks``), as those of the products ``embed_product``
+    builds do, the union is counted by inclusion-exclusion; every overlap
+    that it subtracts is counted from the pieces' own inequalities.
     """
 
     ambient_dim: int
@@ -283,12 +278,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def embed_product(blocks: Factorization, ambient_dim: int) -> ConvexPolytope:
-    """Product of factors occupying given coordinate blocks.
+def embed_product(blocks: Sequence[tuple], ambient_dim: int) -> ConvexPolytope:
+    """Product of bodies, each paired in ``blocks`` with the coordinates it occupies.
 
     Vertices, facets and hull equations all compose directly, so this
     never invokes hull enumeration and scales to high-dimensional boxes.
-    The body records ``blocks`` as its ``factors``.
+    The result records nothing of ``blocks``: ``coordinate_blocks`` reads
+    them back off its facets, split further where a body is a product.
     """
     seen: list[int] = []
     for coords, factor in blocks:
@@ -316,7 +312,6 @@ def embed_product(blocks: Factorization, ambient_dim: int) -> ConvexPolytope:
         tuple(sorted(facets)),
         AffineSubspace(ambient_dim, tuple(span_rows), tuple(span_rhs)),
         intrinsic,
-        tuple(blocks),
     )
 
 
@@ -326,6 +321,22 @@ def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:
     for i, x in zip(coords, values):
         out[i] = x
     return tuple(out)
+
+
+def coordinate_blocks(rows: Sequence[Sequence]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The finest split of the coordinates that no row couples: each block's
+    coordinates and the indices of the rows that read them, by least
+    coordinate. A body whose facet rows split into several blocks is the
+    product of its projections onto them. No block holds an unread coordinate."""
+    blocks: list[tuple[set[int], list[int]]] = []
+    for i, row in enumerate(rows):
+        cols, members = {j for j, a in enumerate(row) if a}, [i]
+        for block in [b for b in blocks if b[0] & cols]:
+            blocks.remove(block)
+            cols |= block[0]
+            members += block[1]
+        blocks.append((cols, members))
+    return sorted((tuple(sorted(cols)), tuple(sorted(members))) for cols, members in blocks)
 
 
 def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
@@ -484,34 +495,33 @@ def polytope_from_dict(data: dict, what: str = "polytope") -> ConvexPolytope:
     return from_vertices(_listed_vertices(data, what))
 
 
-def _factorization_to_list(fact: Factorization):
-    return [
-        {"coords": list(coords), "factor": polytope_to_dict(factor)}
-        for coords, factor in fact
-    ]
-
-
 def union_to_dict(union: PolytopalUnion) -> dict:
-    """The JSON form of a union; ``product_structure`` lists each piece's
-    factors (null for a piece without), and is left out when no piece has
-    any."""
+    """The JSON form of a union. ``product_structure`` gives each piece's
+    ``coordinate_blocks``, each with the piece's vertices projected onto
+    it, or null for a piece of one block; it is left out if every piece is."""
+    structure = []
+    for p in union.pieces:
+        blocks = coordinate_blocks([a for a, _ in p.facets])
+        structure.append(None if len(blocks) < 2 else [
+            {"coords": list(cols), "factor": {"ambient_dim": len(cols), "vertices": [
+                [str(x) for x in v] for v in sorted({tuple(v[j] for j in cols) for v in p.vertices})
+            ]}}
+            for cols, _ in blocks
+        ])
     out: dict = {
         "ambient_dim": union.ambient_dim,
         "pieces": [polytope_to_dict(p) for p in union.pieces],
     }
-    if any(p.factors is not None for p in union.pieces):
-        out["product_structure"] = [
-            None if p.factors is None else _factorization_to_list(p.factors)
-            for p in union.pieces
-        ]
+    if any(structure):
+        out["product_structure"] = structure
     return out
 
 
 def _union_body(listed, structure, ambient_dim: int, what: str) -> ConvexPolytope:
     """A piece of a JSON union. With a ``structure`` (its
-    ``product_structure`` entry) it is the product of the listed factors,
-    whose vertices must match the listed ones; otherwise the hull of
-    ``listed``."""
+    ``product_structure`` entry) it is the product of the bodies listed
+    there, whose vertices must match the listed ones; otherwise the hull
+    of ``listed``."""
     if structure is None:
         return polytope_from_dict(listed, what)
     if not isinstance(structure, list):
@@ -529,9 +539,9 @@ def _union_body(listed, structure, ambient_dim: int, what: str) -> ConvexPolytop
 
 
 def union_from_dict(data: dict) -> PolytopalUnion:
-    """Rebuild a union; product-structured pieces are built from their
-    factors, and their listed vertices must match. Malformed data raises
-    ``InvalidInput``. Other keys are ignored, such as the recorded overlaps
+    """Rebuild a union; product-structured pieces are built as the
+    products they list, and their listed vertices must match. Malformed
+    data raises ``InvalidInput``. Other keys are ignored, such as the recorded overlaps
     of older files: counting computes every overlap from the pieces."""
     ambient = _json_field(data, "ambient_dim", "union", int)
     pieces_data = _json_field(data, "pieces", "union", list)

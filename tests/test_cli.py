@@ -9,7 +9,8 @@ import pytest
 
 from ehrhart import cli, constructions
 from ehrhart.cli import CLAIMS, main
-from ehrhart.polytope import PolytopalUnion, from_vertices, product, union_to_dict
+from ehrhart.counting import CountFunction
+from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, union_to_dict
 from ehrhart.pte import table_lookup
 from ehrhart.quasipoly import fit
 
@@ -397,24 +398,24 @@ def test_families_keep_their_order():
 
 
 def test_fitted_follows_the_counting_route_of_equal_bodies():
-    # a factor-less copy of barn(3,2) compares and hashes equal to the barn,
-    # but its own counter enumerates; the cache must not hand it the barn's
-    # inclusion-exclusion counter
+    # barn(3,2) rebuilt from its pieces' vertices as hulls has the barn's
+    # inequalities, so it compares and hashes equal to the barn and counts
+    # by the same route: the cache may hand it the barn's fit
     barn = constructions.barn(3, 2, table_lookup(2))
     copy = PolytopalUnion(
         barn.ambient_dim, tuple(from_vertices(piece.vertices) for piece in barn.pieces)
     )
     assert copy == barn and hash(copy) == hash(barn)
-    cli._fit_on_route.cache_clear()
+    cli._fitted.cache_clear()
     try:
         qp_barn, counter_barn = cli._fitted(barn, None)
         qp_copy, counter_copy = cli._fitted(copy, None)
     finally:
-        cli._fit_on_route.cache_clear()
+        cli._fitted.cache_clear()
     assert counter_barn.strategy == "inclusion-exclusion"
-    assert counter_copy.strategy == "enumerate"
-    assert counter_copy.target.pieces[0].factors is None
-    assert qp_copy == qp_barn
+    own = CountFunction(copy)
+    assert own.strategy == "inclusion-exclusion"
+    assert qp_copy == qp_barn == fit(own, 3, denominator(copy))
 
 
 def _is_count_map(value):
@@ -465,11 +466,11 @@ def test_two_sided_fits_equal_positive_fits(monkeypatch):
         return qp
 
     monkeypatch.setattr(cli, "fit", recording_fit)
-    cli._fit_on_route.cache_clear()
+    cli._fitted.cache_clear()
     try:
         cli.verify_all(max_p=2)
     finally:
-        cli._fit_on_route.cache_clear()
+        cli._fitted.cache_clear()
     for counter, _, _, two_sided, _ in fitted:
         assert two_sided == (not isinstance(counter.target, PolytopalUnion))
     convex = [entry for entry in fitted if entry[3]]

@@ -10,7 +10,7 @@ from ehrhart.errors import (
     SizeMismatch,
     UnverifiedSolution,
 )
-from ehrhart.polytope import denominator, is_integral
+from ehrhart.polytope import coordinate_blocks, denominator, is_integral
 from ehrhart.pte import PteSolution, table_lookup
 from ehrhart.quasipoly import fit, period_sequence
 
@@ -133,7 +133,11 @@ def test_barn_structure():
     assert count_convex(union.pieces[1], 1) == 48
     # they overlap in the integral box [0,1] x [0,2] x {0} of 6 points
     assert count_union(union, 1, strategy="enumerate") == 6 + 48 - 6
-    assert all(piece.factors is not None for piece in union.pieces)
+    # the facets of each piece split into the blocks it was built from
+    assert [
+        [cols for cols, _ in coordinate_blocks([a for a, _ in piece.facets])]
+        for piece in union.pieces
+    ] == [[(0,), (1,), (2,)], [(0,), (1, 2)]]
 
 
 def test_barn_p1_is_integral_with_trivial_periods():

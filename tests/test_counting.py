@@ -135,15 +135,14 @@ def test_three_piece_union_counts_its_triple_overlap():
 
 
 def test_overlap_terms_split_into_uncoupled_coordinate_blocks():
-    # a cube rebuilt as a hull has no factors, but each of its rows reads one
-    # coordinate, so every term is a product of 1-D counts, which walk no
-    # nodes: the three terms cost one node each, while enumerating the
-    # union's box walks far more than the budget
+    # each row of a cube rebuilt as a hull reads one coordinate, so
+    # 'auto' takes inclusion-exclusion, and every term is a product of 1-D
+    # counts, which walk no nodes: the three terms cost one node each,
+    # while enumerating the union's box walks far more than the budget
     unit = C.interval(0, 1)
     cube = from_vertices(product(unit, product(unit, unit)).vertices)
-    shifted = cube.translate([1, 0, 0])
-    assert cube.factors is None and shifted.factors is None
-    union = PolytopalUnion(3, (cube, shifted))
+    union = PolytopalUnion(3, (cube, cube.translate([1, 0, 0])))
+    assert CountFunction(union).strategy == "inclusion-exclusion"
     # [0,2k] x [0,k] x [0,k]
     assert count_union(union, 20, budget=10, strategy="inclusion-exclusion") == 41 * 21 * 21
     with pytest.raises(BudgetExceeded):
@@ -257,6 +256,11 @@ def test_count_function_memoizes_and_tags():
     assert barn_counter.strategy == "inclusion-exclusion"
     assert barn_counter(1) == 48
     assert count(barn, 1) == 48
+    # 'auto' reads the route off the pieces' facets: a translate keeps the
+    # barn's blocks, but a piece of one block makes the union enumerate
+    assert CountFunction(translated_union(barn, [2, -3, 1])).strategy == "inclusion-exclusion"
+    box = product(C.interval(0, 1), C.interval(0, 1))
+    assert CountFunction(PolytopalUnion(2, (box, C.pentagon(2)))).strategy == "enumerate"
 
 
 INTERIOR_BODIES = [
@@ -309,14 +313,8 @@ def test_count_function_negative_dilates_use_reciprocity():
 
 
 def translated_union(union, shift):
-    """``union + shift``, each piece rebuilt as the product of its
-    translated factors."""
-
-    def moved(body):
-        factors = tuple((cs, f.translate([shift[c] for c in cs])) for cs, f in body.factors)
-        return embed_product(factors, union.ambient_dim)
-
-    return PolytopalUnion(union.ambient_dim, tuple(moved(piece) for piece in union.pieces))
+    """``union + shift``, piece by piece."""
+    return PolytopalUnion(union.ambient_dim, tuple(p.translate(shift) for p in union.pieces))
 
 
 translated_barns = st.builds(
@@ -332,8 +330,8 @@ widths = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
 @st.composite
 def mixed_unions(draw):
     """Unions of 1-3 pieces in the plane or in space: boxes built by
-    ``embed_product``, the same boxes rebuilt as hulls (separable, but
-    without factors), and hulls of random clouds."""
+    ``embed_product``, the same boxes rebuilt as hulls (whose facets are
+    the same separable rows), and hulls of random clouds."""
     n = draw(st.integers(2, 3))
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
