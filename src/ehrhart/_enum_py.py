@@ -9,23 +9,35 @@ fixes coordinates in that order, keeping one remaining offset
 ``a_j * x + (least contribution of the later coordinates) <= remaining``
 is monotone in ``x``, so the feasible values of the coordinate form one
 interval, computed exactly by floor division; the walk visits only that
-interval, and the last coordinate's interval is counted, not iterated.
-It runs on Python integers and therefore never overflows. A coordinate
-the box fixes (``lo == hi``) is substituted into the offsets, not walked.
+interval. It runs on Python integers and therefore never overflows. A
+coordinate the box fixes (``lo == hi``) is substituted into the offsets,
+not walked.
 
-The walk's cost is its nodes: a node is one value of a non-last
-coordinate that the walk visits. Each kernel takes a budget of nodes,
-subtracts every interval it is about to walk (for the union kernel, the
-hull of the live systems' intervals) before walking it, and raises
-``BudgetExceeded`` once the budget is overdrawn; the last coordinate
-costs nothing, so a 1-D count never touches the budget. A walk never
-visits more nodes than its box has points, so a budget of box points
-never refuses a count.
+``count_box`` walks all but the last two coordinates and counts each 2-D
+slice they leave in closed form. In a slice over ``(x, y)`` the rows
+without ``y`` have clipped ``x``; every other row, and each side of the
+box in ``y``, bounds ``y`` above or below by a line in ``x``. The least
+upper line and the greatest lower line on the integers of ``x`` are
+piecewise linear, found with integer cross-multiplication only. On each
+piece of their merge, one linear inequality keeps the ``x`` where the
+upper bound ``U`` reaches the lower bound ``L``, and there the column
+counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``. A 1-D
+count is one interval. ``count_box_union`` walks every coordinate but the
+last, whose intervals it merges and counts.
 
-``count_box`` counts one system, and ``walk_box`` also returns the nodes
-its walk visited; ``count_box_union`` counts the points lying in at least
-one of several systems. The test suite checks both
-against a point-by-point scan of the box.
+Each kernel takes a budget and raises ``BudgetExceeded`` once its charges
+overdraw it. Both charge a walked interval, one node per value, before
+walking it; ``count_box`` also charges each slice its merged envelope
+pieces, at least one and at most one per value of ``x``, and the union
+kernel charges nothing for its last coordinate. So a 1-D count never
+touches the budget, a charge never exceeds the points of the box, and a
+budget of box points never refuses a count.
+
+``count_box`` counts one system, and ``walk_box`` also returns what its
+walk charged; ``count_box_union`` counts the points lying in at least
+one of several systems. The test suite checks them against a
+point-by-point scan of the box, and ``count_box`` on wider boxes against
+a plain walk.
 """
 
 from __future__ import annotations
@@ -79,6 +91,92 @@ def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
     return x_lo, x_hi
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a*i + b) / m) for i in range(n))`` for ``m > 0`` and any
+    signs of ``a`` and ``b``, in O(log m) steps (the AtCoder Library's
+    Euclid-like reduction)."""
+    total = 0
+    while n > 0:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        # count the lattice points under the line from the other axis
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
+def _envelope(lines: list[tuple[int, int, int]], x_lo: int, x_hi: int) -> list:
+    """Pieces of the least of the lines ``(c - a*x) / b`` (``b > 0``) on the
+    integers ``x_lo..x_hi``: ``(start, a, b, c)`` with increasing starts,
+    the first at ``x_lo``, each line least from its start to the next one.
+    Of lines equal at a start, the piece takes the one falling fastest,
+    which stays least to the right. Integer cross-multiplication only."""
+    x = x_lo
+    a, b, c = lines[0]
+    v = c - a * x
+    for a2, b2, c2 in lines:
+        v2 = c2 - a2 * x
+        if v2 * b < v * b2 or (v2 * b == v * b2 and a2 * b > a * b2):
+            a, b, c, v = a2, b2, c2, v2
+    pieces = [(x, a, b, c)]
+    while True:
+        # the first integer where a faster-falling line drops below the
+        # current one; of the lines that do so there, the least takes over
+        x = x_hi + 1
+        for a2, b2, c2 in lines:
+            d = a2 * b - a * b2
+            if d > 0:
+                t = (c2 * b - c * b2) // d + 1
+                if t < x:
+                    x, line = t, (a2, b2, c2)
+                elif t == x and x <= x_hi:
+                    a3, b3, c3 = line
+                    v2, v3 = (c2 - a2 * t) * b3, (c3 - a3 * t) * b2
+                    if v2 < v3 or (v2 == v3 and a2 * b3 > a3 * b2):
+                        line = (a2, b2, c2)
+        if x > x_hi:
+            return pieces
+        a, b, c = line
+        pieces.append((x, a, b, c))
+
+
+def _plane(x_lo: int, x_hi: int, upper: list, lower: list) -> tuple[int, int]:
+    """Points ``(x, y)`` with ``x_lo <= x <= x_hi``, ``y <= (c - a*x) / b`` for
+    every ``upper`` line and ``-y <= (c - a*x) / b`` for every ``lower`` one
+    (all ``b > 0``), and the number of pieces of the merged envelopes."""
+    ups = _envelope(upper, x_lo, x_hi)
+    downs = _envelope(lower, x_lo, x_hi)
+    ups.append((x_hi + 1,))
+    downs.append((x_hi + 1,))
+    total = pieces = i = j = 0
+    s = x_lo
+    while s <= x_hi:
+        _, au, bu, cu = ups[i]
+        _, ad, bd, cd = downs[j]
+        lo, hi = s, min(ups[i + 1][0], downs[j + 1][0]) - 1
+        s = hi + 1
+        pieces += 1
+        if ups[i + 1][0] == s:
+            i += 1
+        if downs[j + 1][0] == s:
+            j += 1
+        # floor(U) - ceil(L) + 1 counts the column at x exactly where the
+        # real bounds meet, U(x) >= L(x): x * slope <= offset
+        slope, offset = bd * au + bu * ad, bd * cu + bu * cd
+        if slope > 0:
+            hi = min(hi, offset // slope)
+        elif slope < 0:
+            lo = max(lo, -(offset // -slope))
+        elif offset < 0:
+            continue
+        n = hi - lo + 1
+        if n > 0:
+            total += floor_sum(n, bu, -au, cu - au * lo) + floor_sum(n, bd, -ad, cd - ad * lo) + n
+    return total, pieces
+
+
 def count_box(
     lo: Sequence[int],
     hi: Sequence[int],
@@ -87,7 +185,7 @@ def count_box(
     budget: int,
 ) -> int:
     """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``;
-    raises ``BudgetExceeded`` before the walk visits a ``budget + 1``-th node."""
+    raises ``BudgetExceeded`` once the walk charges more than ``budget``."""
     return walk_box(lo, hi, normals, offsets, budget)[0]
 
 
@@ -98,7 +196,8 @@ def walk_box(
     offsets: Sequence[int],
     budget: int,
 ) -> tuple[int, int]:
-    """``count_box``'s count and the number of nodes its walk visited."""
+    """``count_box``'s count and what its walk charged: its nodes and the
+    envelope pieces of its slices."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
     root = _levels(lo, hi, normals, offsets)
@@ -107,19 +206,39 @@ def walk_box(
     levels, rem = root
     if not levels:
         return 1, 0
-    last = len(levels) - 1
+    if len(levels) == 1:
+        x_lo, x_hi = _clip(levels[0], rem)
+        return max(x_hi - x_lo + 1, 0), 0
+    plane = len(levels) - 2
+    # the rows of the slice: an upper line for y for each positive
+    # coefficient of the last coordinate y, a lower one for each negative
+    # one, and the box's sides of y; rows without y were clipped into x
+    col = levels[plane][2]
+    y_lo, y_hi, _, pos, neg = levels[-1]
+    upper = [(col[i], b, i) for i, b, _ in pos]
+    lower = [(col[i], b, i) for i, b, _ in neg]
     left = budget
+    overdrawn = f"the walk charges more than its budget of {budget}"
 
     def walk(j: int, rem: list[int]) -> int:
         nonlocal left
         x_lo, x_hi = _clip(levels[j], rem)
         if x_hi < x_lo:
             return 0
-        if j == last:
-            return x_hi - x_lo + 1
+        if j == plane:
+            found, pieces = _plane(
+                x_lo,
+                x_hi,
+                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, y_hi)],
+                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -y_lo)],
+            )
+            left -= pieces
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
+            return found
         left -= x_hi - x_lo + 1
         if left < 0:
-            raise BudgetExceeded(f"the walk visits more than {budget} nodes")
+            raise BudgetExceeded(overdrawn)
         col = levels[j][2]
         total = 0
         for x in range(x_lo, x_hi + 1):

@@ -578,14 +578,22 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -608,7 +616,9 @@ def _add_format(sub) -> None:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--budget", type=int, default=None, help="nodes the counting kernel may walk")
+    sub.add_argument(
+        "--budget", type=_nonnegative_int, default=None, help="nodes the counting kernel may charge"
+    )
     _add_format(sub)
 
 

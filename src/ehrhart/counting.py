@@ -4,8 +4,11 @@ The enumeration strategy is: scale all data to integers (dilate the facet
 system by ``k``), intersect with the integer bounding box of the dilate,
 and walk it with the per-row interval kernel of ``_enum_py`` on Python
 integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
-caller passes ``budget``) caps the nodes that walk visits, not the points
-of the box; the kernel raises ``BudgetExceeded`` once a walk overdraws it.
+caller passes ``budget``, which must not be negative) caps what that walk
+charges, not the points of the box: one node per value of a walked
+coordinate, and one per envelope piece of each 2-D slice that
+``count_box`` counts in closed form. The kernel raises ``BudgetExceeded``
+once a walk overdraws it.
 
 Product structure is read off inequalities alone:
 ``polytope.coordinate_blocks`` splits a system into the coordinate blocks
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 
 from . import _enum_py
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidInput
 from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks
 
 DEFAULT_BUDGET = 10**9
@@ -42,6 +45,15 @@ DEFAULT_BUDGET = 10**9
 def kernel_name() -> str:
     """Name of the kernel that counts lattice points: always 'python'."""
     return "python"
+
+
+def _budget(budget: int | None) -> int:
+    """The budget a count runs under: ``DEFAULT_BUDGET`` for None."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise InvalidInput(f"budget must be non-negative, got {budget}")
+    return budget
 
 
 def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
@@ -83,7 +95,7 @@ def count_convex(
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = _budget(budget)
     system = _dilated_system(poly, k, interior)
     if system is None:
         return 0
@@ -185,7 +197,7 @@ def count_union(
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = _budget(budget)
     if strategy == "auto":
         strategy = _union_strategy(union)
     if strategy == "enumerate":

@@ -24,7 +24,7 @@ class Infeasible(EhrhartError):
 
 
 class BudgetExceeded(EhrhartError):
-    """An enumeration would walk more nodes than the configured budget."""
+    """An enumeration would charge more than the configured budget."""
 
 
 class DimensionCapExceeded(EhrhartError):

@@ -6,10 +6,12 @@ facets by testing every spanning subset of points, face dimensions by the
 affine hull of every closed vertex set, interior counts from strict
 facet inequalities of that brute-force hull, determinants come from Bareiss
 elimination, Smith diagonals from minor gcds, and minimal dilates from
-explicit small searches. Rank, nullspace, solves and affine hulls come
-from a Fraction reduced row echelon form, and minimal dilates also in
-closed form from a Smith normal form with unimodular transforms: two
-eliminations that the library itself no longer uses.
+explicit small searches. Lattice points of boxes too wide to scan are
+counted by a plain coordinate-by-coordinate walk. Rank, nullspace,
+solves and affine hulls come from a Fraction reduced row echelon form,
+and minimal dilates also in closed form from a Smith normal form with
+unimodular transforms: two eliminations that the library itself no
+longer uses.
 """
 
 from fractions import Fraction
@@ -167,6 +169,43 @@ def brute_count_union(vertex_lists, k):
         return sum(rec(i + 1, prefix + (x,)) for x in ranges[i])
 
     return rec(0, ())
+
+
+def walk_count(lo, hi, normals, offsets):
+    """Integer points of the box ``lo..hi`` with ``normals @ x <= offsets``,
+    by a walk that fixes one coordinate at a time, narrowest side first,
+    clipping each to the values every row still allows once the later
+    coordinates take their most favourable values; only the last
+    coordinate's interval is counted rather than iterated. It sums no 2-D
+    slice in closed form and has no budget, so it checks ``count_box`` on
+    boxes too wide for a point scan."""
+    n = len(lo)
+    if any(l > h for l, h in zip(lo, hi)):
+        return 0
+    order = sorted(range(n), key=lambda j: (hi[j] - lo[j], j))
+    # least[t]: per row, the least contribution of the coordinates order[t:]
+    least = [[0] * len(normals)]
+    for j in reversed(order):
+        least.insert(0, [m + min(r[j] * lo[j], r[j] * hi[j]) for m, r in zip(least[0], normals)])
+    if any(c < m for c, m in zip(offsets, least[0])):
+        return 0
+
+    def walk(t, rem):
+        j = order[t]
+        x_lo, x_hi = lo[j], hi[j]
+        for row, r, m in zip(normals, rem, least[t + 1]):
+            if row[j] > 0:
+                x_hi = min(x_hi, (r - m) // row[j])
+            elif row[j] < 0:
+                x_lo = max(x_lo, -((r - m) // -row[j]))
+        if t == n - 1:
+            return max(x_hi - x_lo + 1, 0)
+        return sum(
+            walk(t + 1, [r - row[j] * x for r, row in zip(rem, normals)])
+            for x in range(x_lo, x_hi + 1)
+        )
+
+    return walk(0, list(offsets)) if n else 1
 
 
 def bareiss_det(matrix):

@@ -212,6 +212,21 @@ def test_budget_is_rejected_where_nothing_is_counted(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family", ["segment", "pentagon"])
+def test_negative_budget_is_a_usage_error(capsys, family):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", family, "--k", "5", "--budget", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget: must be at least 0, got -3" in captured.err
+
+
+def test_zero_budget_counts_what_charges_nothing(capsys):
+    code, out, _ = run_cli(capsys, "count", "--family", "segment", "--k", "5", "--budget", "0")
+    assert (code, json.loads(out)["count"]) == (0, [3])
+
+
 TRIANGLE = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 MALFORMED_INPUTS = {
     "vertices-not-a-list": {"ambient_dim": 2, "vertices": 5},

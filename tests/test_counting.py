@@ -168,20 +168,34 @@ def test_many_overlapping_pieces_stop_at_the_budget():
 
 def test_walks_of_one_union_share_its_budget():
     # three equal copies of pentagon(2) x [0,1] at k=60: 7 terms, each
-    # walking the 91 nodes of one pentagon walk, cost 7 + 7 * 91 nodes
+    # counting one pentagon slice over y in [0, 90], whose envelopes bend
+    # once, at y = 61, on both sides of x: 2 pieces, so 7 + 7 * 2 nodes
     piece = product(C.pentagon(2), C.interval(0, 1))
     union = PolytopalUnion(3, (piece,) * 3)
     expected = count_union(union, 60, strategy="enumerate")
-    assert count_union(union, 60, budget=644) == expected
+    assert count_union(union, 60, budget=21) == expected
     with pytest.raises(BudgetExceeded):
-        count_union(union, 60, budget=643)
+        count_union(union, 60, budget=20)
 
 
 def test_budget_exceeded():
+    # hull(3, 2) at k=60 walks the 61 values of its narrowest coordinate
+    # and charges 182 envelope pieces for the slices they leave
     with pytest.raises(BudgetExceeded):
-        count_convex(C.pentagon(2), 100, budget=10)
+        count_convex(C.hull(3, 2), 60, budget=100)
     with pytest.raises(BudgetExceeded):
         count_union(C.barn(3, 2, SOL2), 50, budget=10, strategy="enumerate")
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError):
+        count_convex(C.segment(2), 5, budget=-3)
+    with pytest.raises(ValueError):
+        count_union(C.barn(3, 2, SOL2), 1, budget=-1)
+    with pytest.raises(ValueError):
+        count_union(C.barn(3, 2, SOL2), 1, budget=-1, strategy="enumerate")
+    # a zero budget stays valid: a 1-D count charges nothing
+    assert count_convex(C.segment(2), 5, budget=0) == 3
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""The enumeration kernel against a point-by-point scan of the box, its
-invariance under the signed permutations and translations that keep a count,
-and its node budget."""
+"""The enumeration kernel against a point-by-point scan of the box and, on
+boxes too wide to scan, against a plain walk; its closed-form 2-D slices
+and ``floor_sum``; its invariance under the signed permutations and
+translations that keep a count; and its budget."""
 
 import itertools
 import math
@@ -8,10 +9,11 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import walk_count
 
 from ehrhart import _enum_py
 from ehrhart import constructions as C
-from ehrhart.counting import count_convex, kernel_name
+from ehrhart.counting import _dilated_system, count_convex, kernel_name
 from ehrhart.errors import BudgetExceeded
 
 
@@ -143,17 +145,20 @@ def test_union_kernel_merges_intervals_once():
 
 @pytest.mark.parametrize("widths", [(1, 2, 3), (2, 5, 9), (3, 4, 5)])
 def test_budget_is_the_exact_node_count(widths):
-    # row-free box with side widths a < b < c, listed out of order: the walk
-    # takes a + 1 values of the narrowest coordinate and (a + 1)(b + 1) of
-    # the middle one, and counts the widest in closed form
+    # row-free box with side widths a < b < c, listed out of order: both
+    # kernels walk a + 1 values of the narrowest coordinate. Each leaves
+    # count_box a slice over the other two whose envelopes are the box's
+    # sides, one piece each; the union kernel walks the (a + 1)(b + 1)
+    # values of the middle coordinate and counts the widest in closed form
     a, b, c = widths
     lo, hi = [0, -3, 7], [b, c - 3, 7 + a]
+    charged = (a + 1) + (a + 1)
     nodes = (a + 1) + (a + 1) * (b + 1)
     points = (a + 1) * (b + 1) * (c + 1)
-    assert _enum_py.count_box(lo, hi, [], [], nodes) == points
+    assert _enum_py.walk_box(lo, hi, [], [], charged) == (points, charged)
     assert _enum_py.count_box_union(lo, hi, [([], [])], nodes) == points
     with pytest.raises(BudgetExceeded):
-        _enum_py.count_box(lo, hi, [], [], nodes - 1)
+        _enum_py.count_box(lo, hi, [], [], charged - 1)
     with pytest.raises(BudgetExceeded):
         _enum_py.count_box_union(lo, hi, [([], [])], nodes - 1)
 
@@ -162,6 +167,116 @@ def test_last_coordinate_costs_no_nodes():
     lo, hi = [-(10**12)], [10**12]
     assert _enum_py.count_box(lo, hi, [[1]], [0], 0) == 10**12 + 1
     assert _enum_py.count_box_union(lo, hi, [([[1]], [0]), ([[-1]], [0])], 0) == 2 * 10**12 + 1
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 40),
+    st.integers(1, 25),
+    st.integers(-100, 100),
+    st.integers(-(10**6), 10**6),
+)
+@example(0, 7, -5, -3)  # no terms
+@example(9, 4, -13, -100)  # both negative
+def test_floor_sum_is_the_direct_sum(n, m, a, b):
+    assert _enum_py.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@st.composite
+def planes(draw):
+    """A 2-D box and up to six rows, drawn free, without one coordinate,
+    as a copy of an earlier row or parallel to it with another offset."""
+    lo = [draw(st.integers(-6, 3)) for _ in range(2)]
+    hi = [l + draw(st.integers(1, 12)) for l in lo]
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("free", "axis", "copy", "parallel")))
+        if kind in ("copy", "parallel") and normals:
+            i = draw(st.integers(0, len(normals) - 1))
+            scale = 1 if kind == "copy" else draw(st.integers(1, 3))
+            normals.append([scale * a for a in normals[i]])
+            offsets.append(scale * offsets[i] + (kind == "parallel") * draw(st.integers(-6, 6)))
+            continue
+        row = [draw(st.integers(-5, 5)) for _ in range(2)]
+        if kind == "axis":
+            row[draw(st.integers(0, 1))] = 0
+        normals.append(row)
+        offsets.append(draw(st.integers(-15, 30)))
+    return lo, hi, normals, offsets
+
+
+@settings(max_examples=400)
+@given(planes())
+@example(([0, -10], [6, 10], [[1, -2], [-1, 2]], [0, 0]))  # x = 2y: only even x
+@example(([0, 0], [4, 9], [[3, 0], [0, 0]], [7, 0]))  # rows without y clip x
+@example(([0, 0], [9, 9], [[1, 1], [1, 1], [2, 2]], [5, 5, 11]))  # equal, parallel
+@example(([-3, -3], [3, 3], [[1, 1], [-1, -1]], [-1, -1]))  # empty strip
+def test_plane_counts_against_pointwise_scan(case):
+    lo, hi, normals, offsets = case
+    found, charged = _enum_py.walk_box(lo, hi, normals, offsets, box_points(lo, hi))
+    assert found == scan(lo, hi, [(normals, offsets)])
+    # one slice: at most one envelope piece per value of the narrower
+    # coordinate, and at least one when it has points
+    assert (found > 0) <= charged <= min(h - l for l, h in zip(lo, hi)) + 1
+    far = [10**20, -3 * 10**20]
+    assert (
+        _enum_py.count_box(
+            [l + t for l, t in zip(lo, far)],
+            [h + t for h, t in zip(hi, far)],
+            normals,
+            [c + sum(a * t for a, t in zip(row, far)) for row, c in zip(normals, offsets)],
+            charged,
+        )
+        == found
+    )
+
+
+def test_a_slice_charges_one_piece_per_envelope_line():
+    # y <= 10 + x meets the box side y <= 10 at x = 0 and never binds: the
+    # upper envelope is the side alone, so the slice is one piece
+    assert _enum_py.walk_box([0, 0], [5, 10], [[-1, 1]], [10], 1) == (66, 1)
+    # y <= 11 - x takes over from the side at x = 2: two pieces
+    assert _enum_py.walk_box([0, 0], [5, 10], [[1, 1], [-1, 1]], [11, 10], 2) == (56, 2)
+
+
+@st.composite
+def wide_boxes(draw):
+    """A 3-D or 4-D box with sides up to 40, beyond a point scan, and up to
+    six rows."""
+    n = draw(st.integers(3, 4))
+    lo = [draw(st.integers(-30, 10)) for _ in range(n)]
+    hi = [l + draw(st.integers(0, 40)) for l in lo]
+    rows = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    normals = draw(st.lists(rows, max_size=6))
+    offsets = [draw(st.integers(-60, 200)) for _ in normals]
+    return lo, hi, normals, offsets
+
+
+@settings(max_examples=150)
+@given(wide_boxes())
+def test_count_box_against_plain_walk_on_wide_boxes(case):
+    lo, hi, normals, offsets = case
+    assert _enum_py.count_box(lo, hi, normals, offsets, box_points(lo, hi)) == walk_count(
+        lo, hi, normals, offsets
+    )
+
+
+FAMILY_BODIES = {
+    "pentagon": C.pentagon(3),
+    "heptagon": C.heptagon(2),
+    "simplex": C.simplex(3, 3),
+    "prism": C.prism(3, 2),
+    "pentagon-pyramid": C.pentagon_pyramid(3, 2),
+    "hull": C.hull(4, 2),
+}
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["closed", "interior"])
+@pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
+def test_families_against_plain_walk(family, interior):
+    for k in (1, 2, 5, 9):
+        system = _dilated_system(FAMILY_BODIES[family], k, interior)
+        assert _enum_py.count_box(*system, 10**9) == walk_count(*system)
 
 
 def test_kernel_name_reports_backend():
