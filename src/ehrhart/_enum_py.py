@@ -1,43 +1,45 @@
 """Lattice-point enumeration kernel.
 
-Counts integer points in an axis-aligned box subject to integer linear
-inequalities ``a . x <= c``. The walk first orders the coordinates by box
-width, narrowest first (ties by index), so the widest coordinate comes
-last; a count does not depend on the order, only its cost does. It then
-fixes coordinates in that order, keeping one remaining offset
+Counts the integer points of an axis-aligned box that satisfy at least
+one of several systems of integer linear inequalities ``a . x <= c``;
+``count_box`` is the case of one system, ``count_box_union`` that of
+several, and ``walk_box``, the one walk behind both, also returns what it
+charged. The walk first orders the coordinates by box width, narrowest
+first (ties by index), so the widest coordinate comes last; a count does
+not depend on the order, only its cost does. It then fixes coordinates in
+that order, keeping per live system one remaining offset
 ``c - a . (fixed part)`` per inequality. At every level each row's test
 ``a_j * x + (least contribution of the later coordinates) <= remaining``
-is monotone in ``x``, so the feasible values of the coordinate form one
-interval, computed exactly by floor division; the walk visits only that
-interval. It runs on Python integers and therefore never overflows. A
+is monotone in ``x``, so each system's feasible values of the coordinate
+form one interval, computed exactly by floor division. The walk visits
+the hull of those intervals and passes a system down only inside its
+own. It runs on Python integers and therefore never overflows. A
 coordinate the box fixes (``lo == hi``) is substituted into the offsets,
 not walked.
 
-``count_box`` walks all but the last two coordinates and counts each 2-D
-slice they leave in closed form. In a slice over ``(x, y)`` the rows
-without ``y`` have clipped ``x``; every other row, and each side of the
-box in ``y``, bounds ``y`` above or below by a line in ``x``. The least
-upper line and the greatest lower line on the integers of ``x`` are
-piecewise linear, found with integer cross-multiplication only. On each
-piece of their merge, one linear inequality keeps the ``x`` where the
-upper bound ``U`` reaches the lower bound ``L``, and there the column
-counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``. A 1-D
-count is one interval. ``count_box_union`` walks every coordinate but the
-last, whose intervals it merges and counts.
+A 2-D slice over the last two coordinates ``(x, y)`` in which a single
+system is live, over more than one value of ``x``, is counted in closed
+form. The system's rows without ``y`` have clipped ``x``; every other
+row, and each side of the box in ``y``, bounds ``y`` above or below by a
+line in ``x``. The least upper line and the greatest lower line on the
+integers of ``x`` are piecewise linear, found with integer
+cross-multiplication only. On each piece of their merge, one linear
+inequality keeps the ``x`` where the upper bound ``U`` reaches the lower
+bound ``L``, and there the column counts are ``floor(U) - ceil(L) + 1``,
+summed by ``floor_sum``. Elsewhere the walk reaches the last coordinate,
+whose intervals it merges and counts, so a point in several systems is
+counted once.
 
-Each kernel takes a budget and raises ``BudgetExceeded`` once its charges
-overdraw it. Both charge a walked interval, one node per value, before
-walking it; ``count_box`` also charges each slice its merged envelope
-pieces, at least one and at most one per value of ``x``, and the union
-kernel charges nothing for its last coordinate. So a 1-D count never
-touches the budget, a charge never exceeds the points of the box, and a
-budget of box points never refuses a count.
+The walk takes a budget and raises ``BudgetExceeded`` once its charges
+overdraw it. It has one charge rule: one node per value of a walked
+coordinate, charged before walking it; the merged envelope pieces of a
+slice counted in closed form, at least one and at most one per value of
+``x``; and nothing for the last coordinate. So a 1-D count never touches
+the budget, a charge never exceeds the points of the box, and a budget
+of box points never refuses a count.
 
-``count_box`` counts one system, and ``walk_box`` also returns what its
-walk charged; ``count_box_union`` counts the points lying in at least
-one of several systems. The test suite checks them against a
-point-by-point scan of the box, and ``count_box`` on wider boxes against
-a plain walk.
+The test suite checks the walk against a point-by-point scan of the box
+and, on wider boxes, against a plain row-by-row walk.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ from typing import Sequence
 from .errors import BudgetExceeded
 
 # One level of the walk: the coordinate's box bounds, its column of
-# coefficients, and ``(row, |a|, minrest)`` for the rows whose coefficient
-# ``a`` is positive, then negative; ``minrest`` is the least contribution
-# of the later coordinates to that row.
-Level = tuple[int, int, list[int], tuple, tuple]
+# coefficients, ``(row, |a|, minrest)`` for the rows whose coefficient
+# ``a`` is positive, then negative (``minrest`` is the least contribution
+# of the later coordinates to that row), and, at the second-to-last level
+# only, the lines of a slice over it and the last coordinate.
+Level = tuple[int, int, list[int], tuple, tuple, tuple | None]
 
 
 def _levels(
@@ -70,7 +73,15 @@ def _levels(
         col = [row[j] for row in normals]
         pos = tuple((i, a, minrest[i]) for i, a in enumerate(col) if a > 0)
         neg = tuple((i, -a, minrest[i]) for i, a in enumerate(col) if a < 0)
-        levels.append((lo[j], hi[j], col, pos, neg))
+        lines = None
+        if len(levels) == 1:
+            # the rows of a slice over (x, y), y the last coordinate: an
+            # upper line for y for each positive coefficient of y, a lower
+            # one for each negative one, as (coefficient of x, |coefficient
+            # of y|, row); rows without y clip x
+            _, _, _, y_pos, y_neg, _ = levels[0]
+            lines = [(col[i], b, i) for i, b, _ in y_pos], [(col[i], b, i) for i, b, _ in y_neg]
+        levels.append((lo[j], hi[j], col, pos, neg, lines))
         minrest = [r + min(a * lo[j], a * hi[j]) for r, a in zip(minrest, col)]
     if any(r > c for r, c in zip(minrest, rem)):
         return None
@@ -79,7 +90,7 @@ def _levels(
 
 def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
     """Values ``x`` of the level's coordinate that every row still allows."""
-    x_lo, x_hi, _, pos, neg = level
+    x_lo, x_hi, _, pos, neg, _ = level
     for i, a, mr in pos:
         q = (rem[i] - mr) // a
         if q < x_hi:
@@ -186,67 +197,7 @@ def count_box(
 ) -> int:
     """Number of integer ``x`` with ``lo <= x <= hi`` and ``normals @ x <= offsets``;
     raises ``BudgetExceeded`` once the walk charges more than ``budget``."""
-    return walk_box(lo, hi, normals, offsets, budget)[0]
-
-
-def walk_box(
-    lo: Sequence[int],
-    hi: Sequence[int],
-    normals: Sequence[Sequence[int]],
-    offsets: Sequence[int],
-    budget: int,
-) -> tuple[int, int]:
-    """``count_box``'s count and what its walk charged: its nodes and the
-    envelope pieces of its slices."""
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0, 0
-    root = _levels(lo, hi, normals, offsets)
-    if root is None:
-        return 0, 0
-    levels, rem = root
-    if not levels:
-        return 1, 0
-    if len(levels) == 1:
-        x_lo, x_hi = _clip(levels[0], rem)
-        return max(x_hi - x_lo + 1, 0), 0
-    plane = len(levels) - 2
-    # the rows of the slice: an upper line for y for each positive
-    # coefficient of the last coordinate y, a lower one for each negative
-    # one, and the box's sides of y; rows without y were clipped into x
-    col = levels[plane][2]
-    y_lo, y_hi, _, pos, neg = levels[-1]
-    upper = [(col[i], b, i) for i, b, _ in pos]
-    lower = [(col[i], b, i) for i, b, _ in neg]
-    left = budget
-    overdrawn = f"the walk charges more than its budget of {budget}"
-
-    def walk(j: int, rem: list[int]) -> int:
-        nonlocal left
-        x_lo, x_hi = _clip(levels[j], rem)
-        if x_hi < x_lo:
-            return 0
-        if j == plane:
-            found, pieces = _plane(
-                x_lo,
-                x_hi,
-                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, y_hi)],
-                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -y_lo)],
-            )
-            left -= pieces
-            if left < 0:
-                raise BudgetExceeded(overdrawn)
-            return found
-        left -= x_hi - x_lo + 1
-        if left < 0:
-            raise BudgetExceeded(overdrawn)
-        col = levels[j][2]
-        total = 0
-        for x in range(x_lo, x_hi + 1):
-            total += walk(j + 1, [r - a * x for r, a in zip(rem, col)])
-        return total
-
-    found = walk(0, rem)
-    return found, budget - left
+    return walk_box(lo, hi, [(normals, offsets)], budget)[0]
 
 
 def count_box_union(
@@ -255,57 +206,95 @@ def count_box_union(
     systems: Sequence[tuple[Sequence[Sequence[int]], Sequence[int]]],
     budget: int,
 ) -> int:
-    """Points of the box lying in at least one of the inequality systems.
+    """Points of the box lying in at least one of the ``(normals, offsets)``
+    systems; raises ``BudgetExceeded`` once the walk charges more than ``budget``."""
+    return walk_box(lo, hi, systems, budget)[0]
 
-    Each system is an ``(normals, offsets)`` pair over the same box. Every
-    level clips one interval per live system and walks their hull, passing
-    a system down only inside its own interval; the last coordinate's
-    intervals are merged, so a point in several pieces is counted once.
-    Raises ``BudgetExceeded`` before the walk visits a ``budget + 1``-th node.
-    """
+
+def walk_box(
+    lo: Sequence[int],
+    hi: Sequence[int],
+    systems: Sequence[tuple[Sequence[Sequence[int]], Sequence[int]]],
+    budget: int,
+) -> tuple[int, int]:
+    """Points of the box lying in at least one of the ``(normals, offsets)``
+    systems, and what the walk charged for them."""
     if any(l > h for l, h in zip(lo, hi)):
-        return 0
+        return 0, 0
     roots = [root for normals, offsets in systems if (root := _levels(lo, hi, normals, offsets))]
     if not roots:
-        return 0
+        return 0, 0
     last = len(roots[0][0]) - 1
     if last < 0:
-        return 1
+        return 1, 0
+    plane = last - 1
+    y_lo, y_hi = roots[0][0][last][:2]
     left = budget
+    overdrawn = f"the walk charges more than its budget of {budget}"
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         nonlocal left
-        spans = []
-        for levels, rem in live:
-            x_lo, x_hi = _clip(levels[j], rem)
-            if x_hi >= x_lo:
-                spans.append((x_lo, x_hi, levels, rem))
-        if not spans:
-            return 0
-        spans.sort(key=lambda s: s[0])
-        if j == last:
+        if len(live) > 1:
+            spans = []
+            for levels, rem in live:
+                x_lo, x_hi = _clip(levels[j], rem)
+                if x_lo <= x_hi:
+                    spans.append((x_lo, x_hi, levels, rem))
+            if len(spans) < 2:
+                # a system left alone takes the single-system path below
+                return walk(j, [s[2:] for s in spans]) if spans else 0
+            spans.sort(key=lambda s: s[0])
+            if j == last:
+                total = 0
+                cur_lo, cur_hi = spans[0][:2]
+                for s_lo, s_hi, _, _ in spans[1:]:
+                    if s_lo > cur_hi + 1:
+                        total += cur_hi - cur_lo + 1
+                        cur_lo, cur_hi = s_lo, s_hi
+                    else:
+                        cur_hi = max(cur_hi, s_hi)
+                return total + cur_hi - cur_lo + 1
+            first, top = spans[0][0], max(s[1] for s in spans)
+            left -= top - first + 1
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
             total = 0
-            cur_lo, cur_hi = spans[0][:2]
-            for s_lo, s_hi, _, _ in spans[1:]:
-                if s_lo > cur_hi + 1:
-                    total += cur_hi - cur_lo + 1
-                    cur_lo, cur_hi = s_lo, s_hi
-                else:
-                    cur_hi = max(cur_hi, s_hi)
-            return total + cur_hi - cur_lo + 1
-        first, top = spans[0][0], max(s[1] for s in spans)
+            for x in range(first, top + 1):
+                nxt = [
+                    (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
+                    for x_lo, x_hi, levels, rem in spans
+                    if x_lo <= x <= x_hi
+                ]
+                if nxt:
+                    total += walk(j + 1, nxt)
+            return total
+        ((levels, rem),) = live
+        first, top = _clip(levels[j], rem)
+        if top < first:
+            return 0
+        if j == last:
+            return top - first + 1
+        # a slice of one column costs less as one more clip below
+        if j == plane and first < top:
+            upper, lower = levels[j][5]
+            found, pieces = _plane(
+                first,
+                top,
+                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, y_hi)],
+                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -y_lo)],
+            )
+            left -= pieces
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
+            return found
         left -= top - first + 1
         if left < 0:
-            raise BudgetExceeded(f"the walk visits more than {budget} nodes")
+            raise BudgetExceeded(overdrawn)
+        col = levels[j][2]
         total = 0
         for x in range(first, top + 1):
-            nxt = [
-                (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
-                for x_lo, x_hi, levels, rem in spans
-                if x_lo <= x <= x_hi
-            ]
-            if nxt:
-                total += walk(j + 1, nxt)
+            total += walk(j + 1, [(levels, [r - a * x for r, a in zip(rem, col)])])
         return total
 
-    return walk(0, roots)
+    found = walk(0, roots)
+    return found, budget - left

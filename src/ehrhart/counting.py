@@ -3,12 +3,13 @@
 The enumeration strategy is: scale all data to integers (dilate the facet
 system by ``k``), intersect with the integer bounding box of the dilate,
 and walk it with the per-row interval kernel of ``_enum_py`` on Python
-integers, which never overflow. The budget (``DEFAULT_BUDGET`` unless a
-caller passes ``budget``, which must not be negative) caps what that walk
-charges, not the points of the box: one node per value of a walked
-coordinate, and one per envelope piece of each 2-D slice that
-``count_box`` counts in closed form. The kernel raises ``BudgetExceeded``
-once a walk overdraws it.
+integers, which never overflow; a body and a union enumerate through the
+same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
+``budget``, which must not be negative) caps what that walk charges, not
+the points of the box: one node per value of a walked coordinate, the
+envelope pieces of each 2-D slice with a single live system, and nothing
+for the last coordinate. The kernel raises ``BudgetExceeded`` once a walk
+overdraws it.
 
 Product structure is read off inequalities alone:
 ``polytope.coordinate_blocks`` splits a system into the coordinate blocks
@@ -123,7 +124,7 @@ def _union_enumerate(union: PolytopalUnion, k: int, budget: int) -> int:
 
 def _count_split(lo, hi, normals, offsets, budget: int) -> tuple[int, int]:
     """``count_box`` of one system, as the product of its counts on its
-    ``coordinate_blocks``, and the nodes those walks visited. The rows of
+    ``coordinate_blocks``, and what those walks charged. The rows of
     a bounded piece touch every coordinate, so the blocks cover them all."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
@@ -132,8 +133,7 @@ def _count_split(lo, hi, normals, offsets, budget: int) -> tuple[int, int]:
         found, nodes = _enum_py.walk_box(
             [lo[j] for j in cols],
             [hi[j] for j in cols],
-            [[normals[i][j] for j in cols] for i in rows],
-            [offsets[i] for i in rows],
+            [([[normals[i][j] for j in cols] for i in rows], [offsets[i] for i in rows])],
             budget - walked,
         )
         total, walked = total * found, walked + nodes

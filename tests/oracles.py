@@ -171,41 +171,67 @@ def brute_count_union(vertex_lists, k):
     return rec(0, ())
 
 
-def walk_count(lo, hi, normals, offsets):
-    """Integer points of the box ``lo..hi`` with ``normals @ x <= offsets``,
-    by a walk that fixes one coordinate at a time, narrowest side first,
-    clipping each to the values every row still allows once the later
-    coordinates take their most favourable values; only the last
-    coordinate's interval is counted rather than iterated. It sums no 2-D
-    slice in closed form and has no budget, so it checks ``count_box`` on
-    boxes too wide for a point scan."""
+def walk_count(lo, hi, systems):
+    """Integer points of the box ``lo..hi`` lying in at least one of the
+    ``(normals, offsets)`` systems, by a walk that fixes one coordinate at
+    a time, narrowest side first. Each level clips one interval per system
+    to the values its rows still allow once the later coordinates take
+    their most favourable values, and walks the hull of those intervals,
+    passing a system down only inside its own; the last coordinate's
+    intervals are merged rather than iterated. It sums no 2-D slice in
+    closed form and has no budget, so it checks ``count_box`` and
+    ``count_box_union`` on boxes too wide for a point scan."""
     n = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
     order = sorted(range(n), key=lambda j: (hi[j] - lo[j], j))
-    # least[t]: per row, the least contribution of the coordinates order[t:]
-    least = [[0] * len(normals)]
-    for j in reversed(order):
-        least.insert(0, [m + min(r[j] * lo[j], r[j] * hi[j]) for m, r in zip(least[0], normals)])
-    if any(c < m for c, m in zip(offsets, least[0])):
-        return 0
+    live = []
+    for normals, offsets in systems:
+        # least[t]: per row, the least contribution of the coordinates order[t:]
+        least = [[0] * len(normals)]
+        for j in reversed(order):
+            least.insert(
+                0, [m + min(r[j] * lo[j], r[j] * hi[j]) for m, r in zip(least[0], normals)]
+            )
+        if all(c >= m for c, m in zip(offsets, least[0])):
+            live.append((normals, least, list(offsets)))
+    if not live or n == 0:
+        return int(bool(live))
 
-    def walk(t, rem):
+    def walk(t, live):
         j = order[t]
-        x_lo, x_hi = lo[j], hi[j]
-        for row, r, m in zip(normals, rem, least[t + 1]):
-            if row[j] > 0:
-                x_hi = min(x_hi, (r - m) // row[j])
-            elif row[j] < 0:
-                x_lo = max(x_lo, -((r - m) // -row[j]))
+        spans = []
+        for normals, least, rem in live:
+            x_lo, x_hi = lo[j], hi[j]
+            for row, r, m in zip(normals, rem, least[t + 1]):
+                if row[j] > 0:
+                    x_hi = min(x_hi, (r - m) // row[j])
+                elif row[j] < 0:
+                    x_lo = max(x_lo, -((r - m) // -row[j]))
+            if x_lo <= x_hi:
+                spans.append((x_lo, x_hi, normals, least, rem))
+        if not spans:
+            return 0
         if t == n - 1:
-            return max(x_hi - x_lo + 1, 0)
+            # each value once, however many intervals hold it
+            total, end = 0, lo[j] - 1
+            for x_lo, x_hi in sorted(s[:2] for s in spans):
+                total += max(x_hi - max(x_lo, end + 1) + 1, 0)
+                end = max(end, x_hi)
+            return total
         return sum(
-            walk(t + 1, [r - row[j] * x for r, row in zip(rem, normals)])
-            for x in range(x_lo, x_hi + 1)
+            walk(
+                t + 1,
+                [
+                    (normals, least, [r - row[j] * x for r, row in zip(rem, normals)])
+                    for x_lo, x_hi, normals, least, rem in spans
+                    if x_lo <= x <= x_hi
+                ],
+            )
+            for x in range(min(s[0] for s in spans), max(s[1] for s in spans) + 1)
         )
 
-    return walk(0, list(offsets)) if n else 1
+    return walk(0, live)
 
 
 def bareiss_det(matrix):

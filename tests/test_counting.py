@@ -199,17 +199,23 @@ def test_negative_budget_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "body, k, expected",
+    "body, k, expected, charged",
     [
-        (from_vertices([(0, 0, 0), (1, 1, 1)]), 2000, 2001),  # 8.0e9-point box
-        (C.segment(2), 10**10, 5 * 10**9 + 1),  # 1-D: no nodes at all
-        (from_vertices([(0, 0, 0, 0), (1, 1, 1, 1), (1, 1, 1, 2)]), 1000, 501501),  # 2.0e12
+        # 8.0e9-point box: 2001 values of x, then one column per slice
+        (from_vertices([(0, 0, 0), (1, 1, 1)]), 2000, 2001, 4002),
+        (C.segment(2), 10**10, 5 * 10**9 + 1, 0),  # 1-D: no nodes at all
+        (from_vertices([(0, 0, 0, 0), (1, 1, 1, 1), (1, 1, 1, 2)]), 1000, 501501, 3003),  # 2.0e12
     ],
     ids=["diagonal-segment", "segment-2", "thin-4d-triangle"],
 )
-def test_budget_counts_walked_nodes_not_box_points(body, k, expected):
+def test_budget_counts_walked_nodes_not_box_points(body, k, expected, charged):
     # each box is far above DEFAULT_BUDGET points, but each walk is small
+    # and charges exactly its nodes and envelope pieces
     assert count_convex(body, k) == expected
+    assert count_convex(body, k, budget=charged) == expected
+    if charged:
+        with pytest.raises(BudgetExceeded):
+            count_convex(body, k, budget=charged - 1)
 
 
 def test_prism_law():

@@ -145,22 +145,37 @@ def test_union_kernel_merges_intervals_once():
 
 @pytest.mark.parametrize("widths", [(1, 2, 3), (2, 5, 9), (3, 4, 5)])
 def test_budget_is_the_exact_node_count(widths):
-    # row-free box with side widths a < b < c, listed out of order: both
-    # kernels walk a + 1 values of the narrowest coordinate. Each leaves
-    # count_box a slice over the other two whose envelopes are the box's
-    # sides, one piece each; the union kernel walks the (a + 1)(b + 1)
-    # values of the middle coordinate and counts the widest in closed form
+    # row-free box with side widths a < b < c, listed out of order: the walk
+    # charges a + 1 values of the narrowest coordinate, and each leaves a
+    # slice over the other two whose envelopes are the box's sides, one
+    # piece each; a union of that one system charges the same
     a, b, c = widths
     lo, hi = [0, -3, 7], [b, c - 3, 7 + a]
     charged = (a + 1) + (a + 1)
-    nodes = (a + 1) + (a + 1) * (b + 1)
     points = (a + 1) * (b + 1) * (c + 1)
-    assert _enum_py.walk_box(lo, hi, [], [], charged) == (points, charged)
-    assert _enum_py.count_box_union(lo, hi, [([], [])], nodes) == points
+    assert _enum_py.walk_box(lo, hi, [([], [])], charged) == (points, charged)
+    assert _enum_py.count_box_union(lo, hi, [([], [])], charged) == points
     with pytest.raises(BudgetExceeded):
         _enum_py.count_box(lo, hi, [], [], charged - 1)
     with pytest.raises(BudgetExceeded):
-        _enum_py.count_box_union(lo, hi, [([], [])], nodes - 1)
+        _enum_py.count_box_union(lo, hi, [([], [])], charged - 1)
+
+
+def test_a_union_charges_pieces_where_one_system_is_live():
+    # u <= 2, and u >= 2 with v <= 3 and v + w <= 11, in a box of widths
+    # 4 < 6 < 9: the walk charges the 5 values of u. The slices at u = 0, 1
+    # hold the first piece alone, one envelope piece each, and those at
+    # u = 3, 4 the second, two pieces each (w <= 11 - v takes over from the
+    # side w <= 9 at v = 3). At u = 2 both are live, so the walk charges
+    # the 7 values of v and merges the intervals of w.
+    lo, hi = [0, 0, 0], [4, 6, 9]
+    pieces = [([[1, 0, 0]], [2]), ([[-1, 0, 0], [0, 1, 0], [0, 1, 1]], [-2, 3, 11])]
+    charged = 5 + 2 * 1 + 7 + 2 * 2
+    points = scan(lo, hi, pieces)
+    assert _enum_py.count_box_union(lo, hi, pieces, charged) == points
+    assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
+    with pytest.raises(BudgetExceeded):
+        _enum_py.count_box_union(lo, hi, pieces, charged - 1)
 
 
 def test_last_coordinate_costs_no_nodes():
@@ -213,7 +228,7 @@ def planes(draw):
 @example(([-3, -3], [3, 3], [[1, 1], [-1, -1]], [-1, -1]))  # empty strip
 def test_plane_counts_against_pointwise_scan(case):
     lo, hi, normals, offsets = case
-    found, charged = _enum_py.walk_box(lo, hi, normals, offsets, box_points(lo, hi))
+    found, charged = _enum_py.walk_box(lo, hi, [(normals, offsets)], box_points(lo, hi))
     assert found == scan(lo, hi, [(normals, offsets)])
     # one slice: at most one envelope piece per value of the narrower
     # coordinate, and at least one when it has points
@@ -234,31 +249,40 @@ def test_plane_counts_against_pointwise_scan(case):
 def test_a_slice_charges_one_piece_per_envelope_line():
     # y <= 10 + x meets the box side y <= 10 at x = 0 and never binds: the
     # upper envelope is the side alone, so the slice is one piece
-    assert _enum_py.walk_box([0, 0], [5, 10], [[-1, 1]], [10], 1) == (66, 1)
+    assert _enum_py.walk_box([0, 0], [5, 10], [([[-1, 1]], [10])], 1) == (66, 1)
     # y <= 11 - x takes over from the side at x = 2: two pieces
-    assert _enum_py.walk_box([0, 0], [5, 10], [[1, 1], [-1, 1]], [11, 10], 2) == (56, 2)
+    assert _enum_py.walk_box([0, 0], [5, 10], [([[1, 1], [-1, 1]], [11, 10])], 2) == (56, 2)
 
 
 @st.composite
-def wide_boxes(draw):
-    """A 3-D or 4-D box with sides up to 40, beyond a point scan, and up to
-    six rows."""
+def wide_boxes(draw, max_systems=1):
+    """A 3-D or 4-D box with sides up to 40, beyond a point scan, and
+    1 to ``max_systems`` systems of up to six rows."""
     n = draw(st.integers(3, 4))
     lo = [draw(st.integers(-30, 10)) for _ in range(n)]
     hi = [l + draw(st.integers(0, 40)) for l in lo]
     rows = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    normals = draw(st.lists(rows, max_size=6))
-    offsets = [draw(st.integers(-60, 200)) for _ in normals]
-    return lo, hi, normals, offsets
+    union = []
+    for _ in range(draw(st.integers(1, max_systems))):
+        normals = draw(st.lists(rows, max_size=6))
+        union.append((normals, [draw(st.integers(-60, 200)) for _ in normals]))
+    return lo, hi, union
 
 
 @settings(max_examples=150)
 @given(wide_boxes())
 def test_count_box_against_plain_walk_on_wide_boxes(case):
-    lo, hi, normals, offsets = case
+    lo, hi, [(normals, offsets)] = case
     assert _enum_py.count_box(lo, hi, normals, offsets, box_points(lo, hi)) == walk_count(
-        lo, hi, normals, offsets
+        lo, hi, [(normals, offsets)]
     )
+
+
+@settings(max_examples=60)
+@given(wide_boxes(max_systems=3))
+def test_count_box_union_against_plain_walk_on_wide_boxes(case):
+    lo, hi, union = case
+    assert _enum_py.count_box_union(lo, hi, union, box_points(lo, hi)) == walk_count(lo, hi, union)
 
 
 FAMILY_BODIES = {
@@ -276,7 +300,7 @@ FAMILY_BODIES = {
 def test_families_against_plain_walk(family, interior):
     for k in (1, 2, 5, 9):
         system = _dilated_system(FAMILY_BODIES[family], k, interior)
-        assert _enum_py.count_box(*system, 10**9) == walk_count(*system)
+        assert _enum_py.count_box(*system, 10**9) == walk_count(*system[:2], [system[2:]])
 
 
 def test_kernel_name_reports_backend():
