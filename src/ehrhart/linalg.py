@@ -1,15 +1,18 @@
 """Exact rational linear algebra.
 
-Scalars are :class:`fractions.Fraction` throughout (aliased ``Rational``),
-so every operation in the package is exact; no floating point appears
-anywhere. Vectors are plain tuples of Fractions, matrices are sequences of
-rows. On top of that this module has one elimination, an integer row
-echelon form reached by unimodular row steps, and builds every solver on
-it: rank, nullspace, exact solves, independent rows, and the
-lattice-solvability query used for face indices, the least dilate ``m``
-for which ``A x = m b`` admits an integer solution. Since the steps are
-unimodular, the echelon rows span the lattice of the input rows, which
-is what that query needs.
+Every operation is exact; no floating point appears anywhere. Rational
+values are :class:`fractions.Fraction` (aliased ``Rational``) where they
+meet the caller: the vector helpers return tuples of Fractions, and so
+do ``solve_rational`` (which coerces its input with ``as_vector``) and
+the nullspace basis. Matrices are sequences of rows of ``int`` or
+``Fraction``. Inside, the work is on Python ints: this module has one
+elimination, an integer row echelon form reached by unimodular row
+steps, and builds every solver on it: rank, nullspace, exact solves,
+independent rows, and the lattice-solvability query used for face
+indices, the least dilate ``m`` for which ``A x = m b`` admits an
+integer solution, which substitutes on integers over one running
+denominator. Since the steps are unimodular, the echelon rows span the
+lattice of the input rows, which is what that query needs.
 """
 
 from __future__ import annotations
@@ -89,12 +92,13 @@ def canonical_equation(coeffs: Iterable) -> IntVector:
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Integer row echelon form and its pivot columns.
 
-    Each row is first scaled by the lcm of its denominators (a no-op on
-    integer rows). Elimination then uses unimodular steps only: swapping
-    two rows, or subtracting an integer multiple of one row from another.
-    Per column, the row with the least nonzero absolute value below the
-    finished rows is moved up and the others are reduced modulo it, until
-    one nonzero entry is left (Euclid's algorithm on the column). Rows
+    Entries are ``int`` or ``Fraction``; each row is first scaled by the
+    lcm of their denominators (a no-op on integer rows). Elimination then
+    uses unimodular steps only: swapping two rows, or subtracting an
+    integer multiple of one row from another. Per column, the row with
+    the least nonzero absolute value below the finished rows is moved up
+    and the others are reduced modulo it, until one nonzero entry is
+    left (Euclid's algorithm on the column). Rows
     are never divided, so the echelon rows span the same lattice as the
     scaled input, not only the same rational space. The pivot columns are
     those of the rational row echelon form, and the rows from
@@ -102,7 +106,6 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """
     mat = []
     for row in rows:
-        row = [Fraction(x) for x in row]
         scale = math.lcm(*(x.denominator for x in row))
         mat.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
@@ -146,17 +149,10 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
-    """Basis of ``{x : rows @ x = 0}``: per free column in order, the
-    solution with that variable 1 and the other free variables 0."""
-    if not rows and ncols is None:
-        raise ValueError("ncols required for an empty row set")
-    return pivots_and_nullspace(rows, len(rows[0]) if rows else ncols)[1]
-
-
 def pivots_and_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[Vector]]:
-    """The pivot columns of ``rows`` and the :func:`nullspace` basis, from
-    one elimination; ``rows`` may be empty."""
+    """The pivot columns of ``rows`` and a basis of ``{x : rows @ x = 0}``,
+    from one elimination: per free column in order, the solution with
+    that variable 1 and the other free variables 0. ``rows`` may be empty."""
     mat, pivots = _echelon(rows)
     zero = [0] * len(pivots)
     basis = []
@@ -180,6 +176,7 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Vector:
     if not rows:
         raise ValueError("need at least one row")
     _check_dims(rows, rhs)
+    rows, rhs = [as_vector(row) for row in rows], as_vector(rhs)
     ncols = len(rows[0])
     mat, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
@@ -228,19 +225,28 @@ def min_dilate_with_lattice_point(sub: AffineSubspace) -> int:
     The integer echelon form of the columns of ``A`` is a basis ``H`` of
     the lattice they span, so ``A x = m b`` has an integer solution
     exactly when ``m y`` is integral for the unique ``y`` with
-    ``H y = b``. Forward substitution over the pivot rows finds ``y``,
-    and ``m`` is the lcm of its denominators. Raises :class:`Infeasible`
-    when a row without a pivot leaves a nonzero residual, that is, when
-    the subspace is empty over the rationals (a precondition violation).
+    ``H y = b``. Forward substitution over the pivot rows finds ``y`` as
+    integers ``Y`` over one running denominator ``den``, so ``m`` is
+    ``den / gcd(den, Y)``. Raises :class:`Infeasible` when a row without
+    a pivot leaves a nonzero residual, that is, when the subspace is
+    empty over the rationals (a precondition violation).
     """
     if not sub.rows:
         return 1
     basis, pivots = _echelon(list(zip(*sub.rows)))
-    y: list[Fraction] = []
+    rhs_den = math.lcm(*(b.denominator for b in sub.rhs))
+    lift = 1  # y = Y / den with den = lift * rhs_den
+    ys: list[int] = []
     for t, b in enumerate(sub.rhs):
-        residual = Fraction(b) - sum(c * basis[j][t] for j, c in enumerate(y))
-        if len(y) < len(pivots) and pivots[len(y)] == t:
-            y.append(residual / basis[len(y)][t])
+        residual = b.numerator * (rhs_den // b.denominator) * lift - sum(
+            c * basis[j][t] for j, c in enumerate(ys)
+        )
+        if len(ys) < len(pivots) and pivots[len(ys)] == t:
+            p = basis[len(ys)][t]
+            ys = [c * abs(p) for c in ys]
+            ys.append(residual if p > 0 else -residual)
+            lift *= abs(p)
         elif residual:
             raise Infeasible("affine subspace is empty over the rationals")
-    return math.lcm(*(c.denominator for c in y))
+    den = lift * rhs_den
+    return den // math.gcd(den, *ys)

@@ -35,13 +35,10 @@ from .linalg import (
     as_vector,
     canonical_equation,
     independent_rows,
-    integerize,
-    nullspace,
     pivots_and_nullspace,
     vadd,
     vdot,
     vscale,
-    vsub,
 )
 
 HULL_DIM_CAP = 5  # largest body from_vertices hulls and face_lattice grades, so also the hull-built families
@@ -93,8 +90,9 @@ class ConvexPolytope:
         )
 
     def translate(self, shift: Sequence[int]) -> "ConvexPolytope":
-        """Translate by an integer vector (lattice-point counts are unchanged)."""
-        t = tuple(int(s) for s in shift)
+        """Translate by an integer vector (lattice-point counts are unchanged);
+        a non-integral entry raises ``InvalidInput``."""
+        t = _integers(shift, InvalidInput("translation shift must be an integer vector"))
         if len(t) != self.ambient_dim:
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
         return ConvexPolytope(
@@ -108,6 +106,14 @@ class ConvexPolytope:
             ),
             self.intrinsic_dim,
         )
+
+
+def _integers(values: Sequence, error: Exception) -> tuple[int, ...]:
+    """``values`` as ints; raises ``error`` if any entry is not integral."""
+    exact = as_vector(values)
+    if any(x.denominator != 1 for x in exact):
+        raise error
+    return tuple(int(x) for x in exact)
 
 
 @dataclass(frozen=True)
@@ -161,24 +167,30 @@ class PolytopalUnion:
 def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     """Build a polytope from points: dedupe, find facets, drop non-extreme points.
 
-    Facets come from the double description method, run on the points
-    projected onto the pivot coordinates ``S`` of their directions
-    ``p - pts[0]``. The projection is one-to-one on the affine hull, so a
-    facet ``g . y <= c`` found there is the ambient facet whose normal is
-    ``g`` on ``S`` and 0 elsewhere; a full-dimensional body has every
-    coordinate in ``S``. A point is kept as a vertex exactly when no other
-    point lies on every facet through it, that is, when its minimal face
-    is the point itself.
+    The points are scaled once by the lcm ``L`` of their denominators, so
+    everything below the vertex tuples and the span's right-hand sides
+    runs on integers. Facets come from the double description method, run
+    on the scaled points projected onto the pivot coordinates ``S`` of
+    their directions ``p - pts[0]``. The projection is one-to-one on the
+    affine hull, so a facet ``g . y <= c`` found there is the ambient
+    facet whose normal is ``g`` on ``S`` and 0 elsewhere; a
+    full-dimensional body has every coordinate in ``S``. A point is kept
+    as a vertex exactly when no other point lies on every facet through
+    it, that is, when its minimal face is the point itself.
     """
-    pts = sorted({as_vector(p) for p in points})
-    if not pts:
+    unique = {as_vector(p) for p in points}
+    if not unique:
         raise ValueError("need at least one point")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
+    n = len(next(iter(unique)))
+    if any(len(p) != n for p in unique):
         raise DimensionMismatch("ragged vertex list")
 
-    base = pts[0]
-    dirs = [vsub(p, base) for p in pts[1:]]
+    scale = math.lcm(*(x.denominator for p in unique for x in p))
+    scaled, pts = zip(*sorted(  # sorting the scaled points sorts the points
+        (tuple(x.numerator * (scale // x.denominator) for x in p), p) for p in unique
+    ))
+    base = scaled[0]
+    dirs = [tuple(x - y for x, y in zip(p, base)) for p in scaled[1:]]
     coords, kernel = pivots_and_nullspace(dirs, n)  # S, and the hull equations
     dim = len(coords)
     if dim > HULL_DIM_CAP:
@@ -186,13 +198,13 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
             f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
         )
     rows = tuple(canonical_equation(a) for a in kernel)
-    span = AffineSubspace(n, rows, tuple(vdot(a, base) for a in rows))
+    span = AffineSubspace(n, rows, tuple(Fraction(_dot(a, base), scale) for a in rows))
     if dim == 0:
-        return ConvexPolytope(n, (base,), (), span, 0)
+        return ConvexPolytope(n, (pts[0],), (), span, 0)
 
-    local = [tuple(p[j] for j in coords) for p in pts]
+    local = [tuple(p[j] for j in coords) for p in scaled]
     chosen = independent_rows([tuple(d[j] for j in coords) for d in dirs])
-    rays = _double_description(local, [0] + [i + 1 for i in chosen])
+    rays = _double_description(local, scale, [0] + [i + 1 for i in chosen])
     zeros = (0,) * n
     facets = sorted((_placed(zeros, coords, g), c) for (g, c), _ in rays)
 
@@ -205,36 +217,37 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
 
 
 def _double_description(
-    local: Sequence[Vector], simplex: Sequence[int]
+    local: Sequence[tuple[int, ...]], scale: int, simplex: Sequence[int]
 ) -> list[tuple[Facet, int]]:
-    """Facets ``g . x <= c`` of the hull of full-dimensional points, each
-    with the bitmask of the points tight on it.
+    """Facets ``g . x <= c`` of the hull of the full-dimensional points
+    ``local / scale``, each with the bitmask of the points tight on it.
 
-    Every point ``v`` is the homogeneous constraint ``(-g, c) . (v, 1) >= 0``
-    on the candidate inequality ``(g, c)``; the extreme rays of the cone of
-    valid inequalities are exactly the facets of a bounded body. The cone
-    starts as that of the simplex on the points indexed by ``simplex``,
-    whose rays are its facets, and the other points are added one at a
-    time (Motzkin et al. 1953; Fukuda & Prodon 1996). All data is scaled
-    to integers, rays are normalized by their gcd, and two rays are
-    adjacent exactly when no third ray vanishes on every constraint that
-    both vanish on. Each ray carries its zero set as a bitmask over
-    ``local``, which ends as the set of points tight on the facet.
+    Every integer point ``v`` of ``local`` is the homogeneous constraint
+    ``(-v, scale) . (g, c) >= 0`` on the candidate inequality ``(g, c)``;
+    the extreme rays of the cone of valid inequalities are exactly the
+    facets of a bounded body. The cone starts as that of the simplex on
+    the points indexed by ``simplex``: the constraints of its ``d + 1``
+    points form a nonsingular square integer matrix ``R``, and the facet
+    opposite point ``i`` is the ray vanishing on every other row of ``R``
+    and positive on row ``i``, that is, column ``i`` of ``R``'s inverse.
+    One fraction-free Gauss-Jordan inversion (:func:`_scaled_inverse`)
+    gives all ``d + 1`` columns, up to one common factor. The other points
+    are then added one at a time (Motzkin et al. 1953; Fukuda & Prodon
+    1996). Rays are normalized by their gcd, and two rays are adjacent
+    exactly when no third ray vanishes on every constraint that both
+    vanish on. Each ray carries its zero set as a bitmask over ``local``,
+    which ends as the set of points tight on the facet.
     """
-    rows = []
-    for v in local:
-        scale = math.lcm(*(x.denominator for x in v))
-        rows.append(tuple(-int(x * scale) for x in v) + (scale,))
+    rows = [tuple(-x for x in v) + (scale,) for v in local]
     width = len(rows[0])
 
-    rays: list[tuple[tuple[int, ...], int]] = []
+    det, inverse = _scaled_inverse([rows[i] for i in simplex])
     start_mask = sum(1 << i for i in simplex)
-    for i in simplex:
-        others = [rows[j] for j in simplex if j != i]
-        ray = integerize(nullspace(others, ncols=width)[0])
-        if _dot(rows[i], ray) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append((ray, start_mask & ~(1 << i)))
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for k, i in enumerate(simplex):
+        ray = tuple(row[k] if det > 0 else -row[k] for row in inverse)
+        g = math.gcd(*ray)
+        rays.append((tuple(x // g for x in ray), start_mask & ~(1 << i)))
 
     in_simplex = set(simplex)
     for i, row in enumerate(rows):
@@ -271,6 +284,26 @@ def _double_description(
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
+
+
+def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, d * matrix^-1)`` for a nonsingular square integer matrix,
+    where ``d`` is its determinant up to sign, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on ``[matrix | I]``: every division is
+    exact, and after the last column the left block is ``d * I``."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        top = next(i for i in range(k, n) if aug[i][k])
+        aug[k], aug[top] = aug[top], aug[k]
+        prow, p = aug[k], aug[k][k]
+        for i in range(n):
+            if i != k:
+                a = aug[i][k]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], prow)]
+        prev = p
+    return prev, [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +382,9 @@ def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
 
 
 def pyramid(base: ConvexPolytope, apex: Sequence[int]) -> ConvexPolytope:
-    """Pyramid: hull of ``base x {0}`` and an integer apex at height 1."""
-    apex_t = tuple(int(x) for x in apex)
+    """Pyramid: hull of ``base x {0}`` and an integer apex at height 1;
+    any other apex raises ``BadApex``."""
+    apex_t = _integers(apex, BadApex("apex must be an integer point"))
     if len(apex_t) != base.ambient_dim + 1:
         raise DimensionMismatch("apex must live one dimension above the base")
     if apex_t[-1] != 1:

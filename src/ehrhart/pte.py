@@ -56,7 +56,7 @@ def elem_sym(k: int, xs: Sequence[int]) -> int:
         return 0
     poly = [1]
     for x in xs:
-        poly = [int(c) for c in poly_mul(poly, [1, x])]  # multiply (1 + x*y)
+        poly = poly_mul(poly, [1, x])  # multiply (1 + x*y)
     return poly[k]
 
 
@@ -106,12 +106,12 @@ def difference_polynomial(sol: PteSolution) -> list[int]:
     """
     left = [1]
     for x in sol.s:
-        left = [int(c) for c in poly_mul(left, [1, x])]
+        left = poly_mul(left, [1, x])
     right = [1]
     for x in sol.t[:-1]:
-        right = [int(c) for c in poly_mul(right, [1, x])]
+        right = poly_mul(right, [1, x])
     right += [0] * (len(left) - len(right))
-    return [int(c) for c in poly_trim([l - r for l, r in zip(left, right)])]
+    return poly_trim([l - r for l, r in zip(left, right)])
 
 
 def product_identity_check(sol: PteSolution) -> bool:

@@ -7,7 +7,8 @@ affine hull of every closed vertex set, interior counts from strict
 facet inequalities of that brute-force hull, determinants come from Bareiss
 elimination, Smith diagonals from minor gcds, and minimal dilates from
 explicit small searches. Lattice points of boxes too wide to scan are
-counted by a plain coordinate-by-coordinate walk. Rank, nullspace,
+counted by a plain coordinate-by-coordinate walk. Interpolation is
+Lagrange's, against the library's Newton form. Rank, nullspace,
 solves and affine hulls come from a Fraction reduced row echelon form,
 and minimal dilates also in closed form from a Smith normal form with
 unimodular transforms: two eliminations that the library itself no
@@ -62,6 +63,25 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[1])
+
+
+def lagrange_interpolate(xs, ys):
+    """Interpolating coefficients, constant first, as the sum of the
+    Lagrange basis polynomials weighted by the values."""
+    out = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            shifted = [Fraction(0)] + num  # num * (x - xj)
+            num = [a - xj * b for a, b in zip(shifted, num + [Fraction(0)])]
+            den *= Fraction(xi) - Fraction(xj)
+        w = Fraction(yi) / den
+        for t, c in enumerate(num):
+            out[t] += w * c
+    return out
 
 
 def nullspace(rows, ncols):

@@ -63,7 +63,7 @@ def test_from_vertices_equals_brute_force_on_family_points(points):
 
 
 @settings(max_examples=150)
-@given(clouds())
+@given(clouds(max_den=12))  # coprime denominators make the common scale large
 def test_from_vertices_equals_brute_force_on_random_clouds(points):
     assert from_vertices(points) == brute_force_hull(points)
 

@@ -22,7 +22,7 @@ from ehrhart.linalg import (
     independent_rows,
     integerize,
     min_dilate_with_lattice_point,
-    nullspace,
+    pivots_and_nullspace,
     rank,
     solve_rational,
     vadd,
@@ -154,6 +154,13 @@ def test_solve_vandermonde_square_polynomial():
     assert solve_rational(rows, [1, 4, 9]) == (0, 0, 1)
 
 
+def test_solve_coerces_int_fraction_and_string_entries():
+    rows = [[1, Fraction(1, 2)], ["2/3", "-1"]]
+    x = solve_rational(rows, ["1", 0])
+    assert x == (Fraction(3, 4), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in x)
+
+
 def test_solve_inconsistent():
     with pytest.raises(NoSolution):
         solve_rational([[1, 1], [2, 2]], [1, 3])
@@ -165,7 +172,7 @@ def test_solve_underdetermined_deterministic():
 
 
 def test_nullspace_dimensions():
-    basis = nullspace([[1, 1, 0]])
+    basis = pivots_and_nullspace([[1, 1, 0]], 3)[1]
     assert len(basis) == 2
     for vec in basis:
         assert vdot([1, 1, 0], vec) == 0
@@ -216,7 +223,7 @@ def rational_matrices(draw):
 def test_rank_nullspace_and_independent_rows_equal_rref_oracle(rows):
     ncols = len(rows[0])
     assert rank(rows) == oracles.rank(rows)
-    assert nullspace(rows) == oracles.nullspace(rows, ncols)
+    assert pivots_and_nullspace(rows, ncols)[1] == oracles.nullspace(rows, ncols)
     assert independent_rows(rows) == oracles.independent_rows(rows)
 
 

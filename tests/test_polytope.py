@@ -7,7 +7,7 @@ from oracles import in_hull
 
 from ehrhart import constructions as C
 from ehrhart.counting import CountFunction, count_union
-from ehrhart.errors import BadApex, DimensionCapExceeded, DimensionMismatch
+from ehrhart.errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
 from ehrhart.linalg import rank, vdot, vsub
 from ehrhart.polytope import (
     PolytopalUnion,
@@ -134,6 +134,15 @@ def test_translate_matches_prism_construction():
     assert set(body.facets) == set(C.prism(3, 2).facets)
 
 
+def test_translate_rejects_non_integral_shift():
+    with pytest.raises(InvalidInput):
+        C.pentagon(2).translate([1 / 2, 3 / 2])
+    with pytest.raises(InvalidInput):
+        C.pentagon(2).translate([F(1, 3), 0])
+    moved = C.pentagon(2).translate([F(2), 1.0])
+    assert moved.vertices == C.pentagon(2).translate([2, 1]).vertices
+
+
 def test_product_box():
     box = product(C.interval(0, 1), C.interval(0, 2))
     assert len(box.vertices) == 4
@@ -173,6 +182,12 @@ def test_pyramid_over_point_is_segment():
 def test_pyramid_bad_apex():
     with pytest.raises(BadApex):
         pyramid(C.segment(2), (0, 2))
+
+
+@pytest.mark.parametrize("apex", [(1 / 2, 0, 1), (0, 0, F(3, 2)), (0, F(1, 3), 1)])
+def test_pyramid_rejects_non_integral_apex(apex):
+    with pytest.raises(BadApex):
+        pyramid(C.pentagon(2), apex)
 
 
 def test_faces_of_pentagon():

@@ -27,6 +27,13 @@ def test_elem_sym():
     assert elem_sym(1, [4, 5]) == 9
 
 
+def test_elem_sym_and_difference_polynomial_return_plain_ints():
+    sol = table_lookup(12)
+    assert all(type(elem_sym(k, sol.s)) is int for k in range(sol.size + 1))
+    diff = difference_polynomial(sol)
+    assert diff and all(type(c) is int for c in diff)
+
+
 def test_verify_examples():
     assert verify(PteSolution((1, 2), (3, 0)))
     assert verify(PteSolution((1, 2, 6), (4, 5, 0)))
