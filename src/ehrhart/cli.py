@@ -10,7 +10,12 @@ is ``L(-k)``, which is ``(-1)**dim`` times what ``count --interior --k k``
 prints. Output is deterministic: keys are sorted, ordering is fixed, and
 nothing time-dependent is ever emitted.
 
-Exit codes: 0 success / all claims pass, 1 verification failure,
+One verdict rule judges every claim: it passes when every case passes,
+and it is ``skipped`` (exit 0) when no case matches the flags or the
+budget runs out. ``--p``/``--max-p`` accept values from 1, ``--n``/
+``--max-n`` from 3.
+
+Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
 3 internal error. ``main`` lets every other exception propagate;
 ``entry``, the installed script and ``python -m ehrhart.cli``, prints
@@ -22,8 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
 
 from . import constructions, pte, series as series_mod
 from .counting import CountFunction, count, count_convex, count_series, count_union
@@ -47,12 +52,7 @@ class VerificationReport:
     witness: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "outcome": self.outcome,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -224,31 +224,29 @@ def _cmd_pte(args) -> int:
 # ---------------------------------------------------------------------------
 # verification claims
 # ---------------------------------------------------------------------------
+# A claim maps ``(ps, ns, budget)`` to ``(params, cases)``, each case a
+# ``(label, good, entry)``; ``run_claim`` alone judges them. A ``None``
+# label counts toward the verdict but adds no witness entry.
 
 
-def _claim_pentagon_equivalence(ps, ns, budget) -> VerificationReport:
+def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [1, 2, 3, 4, 5]
-    witness = {}
-    ok = True
+    cases = []
     for p in ps:
         fp, cp = _fitted(constructions.pentagon(p), budget)
         fl, cl = _fitted(constructions.segment(p), budget)
         good = equivalent(fp, negate(fl))
-        ok = ok and good
-        witness[f"p={p}"] = {
+        cases.append((f"p={p}", good, {
             "equivalent": good,
             "pentagon_counts": cp.samples(),
             "segment_counts": cl.samples(),
-        }
-    return VerificationReport(
-        "pentagon-equivalence", {"p": ps}, "pass" if ok else "fail", witness
-    )
+        }))
+    return {"p": ps}, cases
 
 
-def _claim_heptagon(ps, ns, budget) -> VerificationReport:
+def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3, 4, 5]
-    witness = {}
-    ok = True
+    cases = []
     for p in ps:
         qp, counter = _fitted(constructions.heptagon(p), budget)
         seq = period_sequence(qp)
@@ -264,16 +262,14 @@ def _claim_heptagon(ps, ns, budget) -> VerificationReport:
             good = good and qp.coefficient(1, 1) == 2 and qp.coefficient(1, 2) == 5
             entry["counts_k1_to_4"] = first
             entry["middle_coefficient"] = mid
-        witness[f"p={p}"] = entry
-        ok = ok and good
-    return VerificationReport("heptagon", {"p": ps}, "pass" if ok else "fail", witness)
+        cases.append((f"p={p}", good, entry))
+    return {"p": ps}, cases
 
 
-def _claim_pyramid_equivalence(ps, ns, budget) -> VerificationReport:
+def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3]
     folds = [1, 2]
-    witness = {}
-    ok = True
+    cases = []
     for p in ps:
         for i in folds:
             n = 2 + i
@@ -282,23 +278,19 @@ def _claim_pyramid_equivalence(ps, ns, budget) -> VerificationReport:
             left = series_mod.from_quasipolynomial(qp_pyr)
             right = series_mod.negate(series_mod.from_quasipolynomial(qp_smp))
             good = series_mod.series_equivalent(left, right)
-            ok = ok and good
-            witness[f"p={p},i={i}"] = {
+            cases.append((f"p={p},i={i}", good, {
                 "series_equivalent": good,
                 "pyramid_counts": c1.samples(),
                 "simplex_counts": c2.samples(),
-            }
-    return VerificationReport(
-        "pyramid-equivalence", {"p": ps, "folds": folds}, "pass" if ok else "fail", witness
-    )
+            }))
+    return {"p": ps, "folds": folds}, cases
 
 
-def _claim_prism_identity(ps, ns, budget) -> VerificationReport:
+def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3]
     ns = ns or [3, 4]
     k_max = 8
-    witness = {}
-    ok = True
+    cases = []
     for n in ns:
         for p in ps:
             q = constructions.q_value(p)
@@ -308,42 +300,32 @@ def _claim_prism_identity(ps, ns, budget) -> VerificationReport:
                 w == (2 * q * k + 1) * s
                 for k, (w, s) in enumerate(zip(w_counts, s_counts), start=1)
             )
-            ok = ok and good
-            witness[f"n={n},p={p}"] = {
+            cases.append((f"n={n},p={p}", good, {
                 "prism_counts": w_counts,
                 "simplex_counts": s_counts,
                 "identity": good,
-            }
-    return VerificationReport(
-        "prism-identity",
-        {"n": ns, "p": ps, "k_max": k_max},
-        "pass" if ok else "fail",
-        witness,
-    )
+            }))
+    return {"n": ns, "p": ps, "k_max": k_max}, cases
 
 
-def _claim_sn_pn_equivalence(ps, ns, budget) -> VerificationReport:
+def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3]
     ns = ns or [3, 4]
-    witness = {}
-    ok = True
+    cases = []
     for n in ns:
         for p in ps:
             qs, cs = _fitted(constructions.simplex(n, p), budget)
             qp, cp = _fitted(constructions.pentagon_pyramid(n, p), budget)
             good = equivalent(qs, negate(qp))
-            ok = ok and good
-            witness[f"n={n},p={p}"] = {
+            cases.append((f"n={n},p={p}", good, {
                 "equivalent": good,
                 "simplex_counts": cs.samples(),
                 "pyramid_counts": cp.samples(),
-            }
-    return VerificationReport(
-        "sn-pn-equivalence", {"n": ns, "p": ps}, "pass" if ok else "fail", witness
-    )
+            }))
+    return {"n": ns, "p": ps}, cases
 
 
-def _cases(ps, ns) -> list[tuple[int, int]]:
+def _hull_cases(ps, ns) -> list[tuple[int, int]]:
     """The ``(n, p)`` cases of the hull claims that the flags allow."""
     return [
         (n, p)
@@ -352,35 +334,27 @@ def _cases(ps, ns) -> list[tuple[int, int]]:
     ]
 
 
-def _claim_decomposition(ps, ns, budget) -> VerificationReport:
-    cases = _cases(ps, ns)
-    if not cases:
-        return VerificationReport("decomposition", {"cases": []}, "skipped: no matching cases")
-    witness = {}
-    ok = True
-    for n, p in cases:
+def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
+    hull_cases = _hull_cases(ps, ns)
+    cases = []
+    for n, p in hull_cases:
         report = constructions.decomposition_check(n, p, 4, budget)
-        ok = ok and report.ok
-        witness[f"n={n},p={p}"] = {
+        cases.append((f"n={n},p={p}", report.ok, {
             "ok": report.ok,
             "first_failing_k": report.first_failing_k,
             "integral_middle": report.integral_middle,
             "integral_prism_side": report.integral_prism_side,
             "integral_pyramid_side": report.integral_pyramid_side,
             "counts": report.counts,
-        }
-    return VerificationReport(
-        "decomposition", {"cases": cases, "k_max": 4}, "pass" if ok else "fail", witness
-    )
+        }))
+    # a skipped report names no k_max
+    return ({"cases": hull_cases, "k_max": 4} if hull_cases else {"cases": []}), cases
 
 
-def _claim_hn_periods(ps, ns, budget) -> VerificationReport:
-    cases = _cases(ps, ns)
-    if not cases:
-        return VerificationReport("hn-periods", {"cases": []}, "skipped: no matching cases")
-    witness = {}
-    ok = True
-    for n, p in cases:
+def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
+    hull_cases = _hull_cases(ps, ns)
+    cases = []
+    for n, p in hull_cases:
         qp, counter = _fitted(constructions.hull(n, p), budget)
         seq = period_sequence(qp)
         expected = (1, p) + (1,) * (n - 1)
@@ -390,18 +364,14 @@ def _claim_hn_periods(ps, ns, budget) -> VerificationReport:
             spot = counter(1)
             good = good and spot == 49
             entry["count_k1"] = spot
-        witness[f"n={n},p={p}"] = entry
-        ok = ok and good
-    return VerificationReport(
-        "hn-periods", {"cases": cases}, "pass" if ok else "fail", witness
-    )
+        cases.append((f"n={n},p={p}", good, entry))
+    return {"cases": hull_cases}, cases
 
 
-def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
+def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3]
     ns = ns or [3, 4, 5]
-    witness = {}
-    ok = True
+    cases = []
     for n in ns:
         for p in ps:
             try:
@@ -409,7 +379,7 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
             except NotAvailable as exc:
                 # requesting an impossible dimension is reported, not failed:
                 # the construction-range check below asserts exactly this
-                witness[f"n={n},p={p}"] = f"NotAvailable: {exc}"
+                cases.append((f"n={n},p={p}", True, f"NotAvailable: {exc}"))
                 continue
             union = constructions.barn(n, p, solution)
             qp, counter = _fitted(union, budget)
@@ -423,9 +393,9 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
                 good = good and enum == [48, 253] and direct == enum
                 entry["counts_k1_k2"] = enum
                 entry["enumeration_cross_check"] = direct
-            witness[f"n={n},p={p}"] = entry
-            ok = ok and good
+            cases.append((f"n={n},p={p}", good, entry))
     construction_range = {}
+    in_range = True
     for n in list(range(3, 12)) + [12, 13]:
         try:  # barn(n, 2) checks exactly this before it builds anything
             verified = pte.verify(pte.table_lookup(n - 1))
@@ -434,11 +404,9 @@ def _claim_barn_periods(ps, ns, budget) -> VerificationReport:
         except NotAvailable as exc:
             construction_range[str(n)] = f"NotAvailable: {exc}"
             good = n == 12
-        ok = ok and good
-    witness["construction_range"] = construction_range
-    return VerificationReport(
-        "barn-periods", {"n": ns, "p": ps}, "pass" if ok else "fail", witness
-    )
+        in_range = in_range and good
+    cases.append(("construction_range", in_range, construction_range))
+    return {"n": ns, "p": ps}, cases
 
 
 def _mcmullen_targets(max_p: int):
@@ -456,15 +424,13 @@ def _mcmullen_targets(max_p: int):
             yield f"middle n={n} p={p}", constructions.middle(n, p)
 
 
-def _claim_mcmullen(ps, ns, budget) -> VerificationReport:
+def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
     max_p = max(ps) if ps else 3
-    witness = {}
-    ok = True
+    cases = []
     for label, poly in _mcmullen_targets(max_p):
         report = mcmullen_check(poly, qp=_fitted(poly, budget)[0])
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
-        ok = ok and good
         entry = {
             "period_sequence": list(report.period_sequence),
             "index_sequence": list(report.index_sequence),
@@ -475,54 +441,39 @@ def _claim_mcmullen(ps, ns, budget) -> VerificationReport:
             # how far the bound is from tight on the linear coefficient;
             # only divisibility is asserted, the gap is recorded
             entry["linear_gap"] = report.index_sequence[1] // report.period_sequence[1]
-        witness[label] = entry
-    return VerificationReport(
-        "mcmullen", {"max_p": max_p}, "pass" if ok else "fail", witness
-    )
+        cases.append((label, good, entry))
+    return {"max_p": max_p}, cases
 
 
-def _claim_pte_table(ps, ns, budget) -> VerificationReport:
-    witness = {}
-    ok = True
+def _claim_pte_table(ps, ns, budget) -> tuple[dict, list]:
+    cases = []
     for size in pte.available_sizes():
         sol = pte.table_lookup(size)
         verified = pte.verify(sol)
         identity = pte.product_identity_check(sol)
-        ok = ok and verified and identity
-        witness[f"size={size}"] = {
+        cases.append((f"size={size}", verified and identity, {
             "s": list(sol.s),
             "t": list(sol.t),
             "verified": verified,
             "product_identity": identity,
-        }
-    two = pte.table_lookup(2)
-    three = pte.table_lookup(3)
-    ok = ok and two == pte.PteSolution((1, 2), (3, 0))
-    ok = ok and three == pte.PteSolution((1, 2, 6), (4, 5, 0))
-    return VerificationReport(
-        "pte-table", {"sizes": pte.available_sizes()}, "pass" if ok else "fail", witness
-    )
+        }))
+    cases.append((None, pte.table_lookup(2) == pte.PteSolution((1, 2), (3, 0)), None))
+    cases.append((None, pte.table_lookup(3) == pte.PteSolution((1, 2, 6), (4, 5, 0)), None))
+    return {"sizes": pte.available_sizes()}, cases
 
 
-def _claim_product_identity(ps, ns, budget) -> VerificationReport:
-    witness = {}
-    ok = True
+def _claim_product_identity(ps, ns, budget) -> tuple[dict, list]:
+    cases = []
     for size in pte.available_sizes():
         sol = pte.table_lookup(size)
         good = pte.product_identity_check(sol)
-        witness[f"size={size}"] = {
+        cases.append((f"size={size}", good, {
             "holds": good,
             "difference_polynomial": pte.difference_polynomial(sol),
-        }
-        ok = ok and good
-    ok = ok and pte.difference_polynomial(pte.table_lookup(2)) == [0, 0, 2]
-    ok = ok and pte.difference_polynomial(pte.table_lookup(3)) == [0, 0, 0, 12]
-    return VerificationReport(
-        "product-identity",
-        {"sizes": pte.available_sizes()},
-        "pass" if ok else "fail",
-        witness,
-    )
+        }))
+    cases.append((None, pte.difference_polynomial(pte.table_lookup(2)) == [0, 0, 2], None))
+    cases.append((None, pte.difference_polynomial(pte.table_lookup(3)) == [0, 0, 0, 12], None))
+    return {"sizes": pte.available_sizes()}, cases
 
 
 _CLAIM_FUNCS = {
@@ -542,11 +493,18 @@ CLAIMS = tuple(_CLAIM_FUNCS)
 
 
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
-    """Run one verification claim; budget exhaustion is flagged, not failed."""
+    """Run one verification claim and judge its cases by the one verdict
+    rule: it passes when every case is good; no cases, or budget
+    exhaustion, is skipped, not failed."""
     try:
-        return _CLAIM_FUNCS[claim](ps, ns, budget)
+        params, cases = _CLAIM_FUNCS[claim](ps, ns, budget)
     except BudgetExceeded as exc:
         return VerificationReport(claim, {}, f"skipped: budget exceeded ({exc})")
+    if not cases:
+        return VerificationReport(claim, params, "skipped: no matching cases")
+    ok = all(good for _, good, _ in cases)
+    witness = {label: entry for label, _, entry in cases if label is not None}
+    return VerificationReport(claim, params, "pass" if ok else "fail", witness)
 
 
 def verify_all(
@@ -588,12 +546,9 @@ def _int_at_least(text: str, least: int) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+_nonnegative_int = partial(_int_at_least, least=0)
+_positive_int = partial(_int_at_least, least=1)
+_dimension = partial(_int_at_least, least=3)
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -684,10 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run verification claims")
     sub.add_argument("claim", choices=CLAIMS + ("all",))
-    sub.add_argument("--p", type=int, default=None, help="restrict to one period value")
-    sub.add_argument("--n", type=int, default=None, help="restrict to one dimension")
-    sub.add_argument("--max-p", type=int, default=None)
-    sub.add_argument("--max-n", type=int, default=None)
+    sub.add_argument("--p", type=_positive_int, default=None, help="restrict to one period value")
+    sub.add_argument("--n", type=_dimension, default=None, help="restrict to one dimension")
+    sub.add_argument("--max-p", type=_positive_int, default=None)
+    sub.add_argument("--max-n", type=_dimension, default=None)
     _add_common(sub)
     sub.set_defaults(func=_cmd_verify)
 

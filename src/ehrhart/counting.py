@@ -34,8 +34,6 @@ number of lattice points in the relative interior of ``kP``, so a
 
 from __future__ import annotations
 
-import math
-
 from . import _enum_py
 from .errors import BudgetExceeded, InvalidInput
 from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks
@@ -67,18 +65,17 @@ def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
     ``a.x < k*c`` is ``a.x <= k*c - 1``.
     """
     least, greatest = poly.bounds
-    lo = [math.ceil(x * k) for x in least]
-    hi = [math.floor(x * k) for x in greatest]
+    lo = [-(-x.numerator * k // x.denominator) for x in least]
+    hi = [x.numerator * k // x.denominator for x in greatest]
     if any(l > h for l, h in zip(lo, hi)):
         return None
     normals = [list(a) for a, _ in poly.facets]
     strict = 1 if interior else 0
     offsets = [c * k - strict for _, c in poly.facets]
     for row, b in zip(poly.span.rows, poly.span.rhs):
-        rhs = b * k
-        if rhs.denominator != 1:
+        if b.numerator * k % b.denominator:
             return None
-        rhs = int(rhs)
+        rhs = b.numerator * k // b.denominator
         normals.append(list(row))
         offsets.append(rhs)
         normals.append([-x for x in row])

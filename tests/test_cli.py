@@ -274,6 +274,62 @@ def test_nonpositive_dilates_are_rejected_by_the_parser(option, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--p", "0"), ("--p", "-1"), ("--max-p", "0"), ("--p", "x"),
+    ("--n", "2"), ("--n", "0"), ("--max-n", "2"), ("--max-n", "x"),
+])
+def test_verify_flags_out_of_range_are_rejected_by_the_parser(option, value):
+    # a falsy value used to read as unset and run the default grid
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "heptagon", option, value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, outcome, params", [
+    (("decomposition", "--n", "5"), "skipped: no matching cases", {"cases": []}),
+    (("hn-periods", "--p", "5"), "skipped: no matching cases", {"cases": []}),
+    (
+        ("heptagon", "--budget", "0"),
+        "skipped: budget exceeded (the walk charges more than its budget of 0)",
+        {},
+    ),
+])
+def test_skipped_claims_exit_0_with_empty_witness(capsys, argv, outcome, params):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "claim": argv[0], "params": params, "outcome": outcome, "witness": {}
+    }
+
+
+def _verify_synthetic(monkeypatch, capsys, cases):
+    monkeypatch.setitem(cli._CLAIM_FUNCS, "heptagon", lambda ps, ns, budget: ({"p": ps}, cases))
+    code, out, _ = run_cli(capsys, "verify", "heptagon", "--p", "3")
+    report = json.loads(out)
+    assert report["params"] == {"p": [3]}
+    return code, report["outcome"], report["witness"]
+
+
+def test_one_bad_case_fails_the_claim(monkeypatch, capsys):
+    cases = [("a", True, 1), ("b", False, 2), ("c", True, 3)]
+    assert _verify_synthetic(monkeypatch, capsys, cases) == (
+        1, "fail", {"a": 1, "b": 2, "c": 3}
+    )
+
+
+def test_unlabelled_cases_judge_but_leave_no_witness(monkeypatch, capsys):
+    good = [("a", True, 1), (None, True, "hidden")]
+    assert _verify_synthetic(monkeypatch, capsys, good) == (0, "pass", {"a": 1})
+    bad = [("a", True, 1), (None, False, "hidden")]
+    assert _verify_synthetic(monkeypatch, capsys, bad) == (1, "fail", {"a": 1})
+
+
+def test_no_cases_is_skipped_not_passed(monkeypatch, capsys):
+    assert _verify_synthetic(monkeypatch, capsys, []) == (
+        0, "skipped: no matching cases", {}
+    )
+
+
 def test_internal_errors_are_not_usage_errors(monkeypatch):
     def broken(ps, ns, budget):
         raise KeyError("internal")
