@@ -36,7 +36,6 @@ from .polytope import (
     PolytopalUnion,
     denominator,
     embed_product,
-    face_lattice,
     faces,
     from_vertices,
     is_integral,

@@ -517,9 +517,12 @@ def verify_all(
     n: int | None = None,
 ) -> list[VerificationReport]:
     """The given claims (all by default), in order; ``p``/``n`` restrict to
-    one value, ``max_p``/``max_n`` to the values up to it."""
-    ps = [p] if p else (list(range(1, max_p + 1)) if max_p else None)
-    ns = [n] if n else (list(range(3, max_n + 1)) if max_n else None)
+    one value, ``max_p``/``max_n`` to the values up to it; ``None`` is unset."""
+    for name, value, least in (("p", p, 1), ("max_p", max_p, 1), ("n", n, 3), ("max_n", max_n, 3)):
+        if value is not None and value < least:
+            raise InvalidInput(f"{name} must be at least {least}, got {value}")
+    ps = [p] if p is not None else (None if max_p is None else list(range(1, max_p + 1)))
+    ns = [n] if n is not None else (None if max_n is None else list(range(3, max_n + 1)))
     return [run_claim(claim, ps, ns, budget) for claim in claims]
 
 

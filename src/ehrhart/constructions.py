@@ -203,9 +203,6 @@ class DecompositionReport:
     integral_pyramid_side: bool
     counts: dict
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def decomposition_check(n: int, p: int, k_max: int, budget: int | None = None) -> DecompositionReport:
     """Verify count(hull) = count(prism) + count(middle) + count(pyramid)

@@ -5,9 +5,9 @@ The ``i``-index of a polytope is the least dilate whose every
 indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
-independently and reports the comparison: indices from one face lattice
-(``polytope.face_lattice``, up to dimension 5), each face's span taken
-from the facets tight on it and solved over the integer lattice by
+independently and reports the comparison: indices from the body's face
+lattice (built on first use and kept; up to dimension 5), each face's span
+taken from the facets tight on it and solved over the integer lattice by
 ``linalg.min_dilate_with_lattice_point``; periods by fitting raw counts.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .counting import CountFunction
 from .linalg import min_dilate_with_lattice_point
-from .polytope import ConvexPolytope, PolytopalUnion, denominator, face_lattice
+from .polytope import ConvexPolytope, PolytopalUnion, denominator
 from .quasipoly import QuasiPolynomial, fit, period_sequence
 
 
@@ -32,7 +32,7 @@ class IndexSequence:
 def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
-    One face lattice supplies the faces of every dimension. Per face the
+    The body's face lattice supplies the faces of every dimension. Per face the
     minimal dilate comes in closed form from an integer echelon basis of
     the lattice spanned by the columns of its span equations, since
     dilating a face scales the right-hand side of its span linearly. Convex inputs only; the ``i``-index of a union is
@@ -42,7 +42,7 @@ def index_sequence(poly: ConvexPolytope) -> IndexSequence:
         raise ValueError("index sequences are defined for convex polytopes only")
     return IndexSequence(tuple(
         math.lcm(*(min_dilate_with_lattice_point(face.span) for face in grade))
-        for grade in face_lattice(poly)
+        for grade in poly.face_lattice
     ))
 
 

@@ -10,8 +10,9 @@ projected onto the pivot coordinates of their affine hull, where they
 are full-dimensional, and each facet found there is read back with a
 normal that is zero on the other coordinates. The incidence answers
 every combinatorial question without elimination: which points are
-vertices, and ``face_lattice``, every face graded with its span (both
-capped at dimension 5). Dilates, translates, products and pyramids are
+vertices, and the body's ``face_lattice``, every face graded with its
+span, computed on first use and kept with the body (both capped at
+dimension 5). Dilates, translates, products and pyramids are
 composed directly, without re-running the hull, so high-dimensional
 product bodies stay cheap. Whether a body is a product is read off its
 inequalities alone, by ``coordinate_blocks``.
@@ -41,7 +42,7 @@ from .linalg import (
     vscale,
 )
 
-HULL_DIM_CAP = 5  # largest body from_vertices hulls and face_lattice grades, so also the hull-built families
+HULL_DIM_CAP = 5  # largest body that from_vertices hulls or face_lattice grades, so also the hull-built families
 
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
 
@@ -65,6 +66,58 @@ class ConvexPolytope:
     def bounds(self) -> tuple[Vector, Vector]:
         """The least and the greatest vertex coordinate on each axis."""
         return tuple(map(min, zip(*self.vertices))), tuple(map(max, zip(*self.vertices)))
+
+    @cached_property
+    def face_lattice(self) -> tuple[tuple["Face", ...], ...]:
+        """Every nonempty face, graded: ``[d]`` holds the ``d``-faces in
+        order of their vertex indices, and ``[intrinsic_dim]`` is the
+        polytope itself. Built on first use and kept with the body.
+
+        Every face is an intersection of facets and is recovered as the set of
+        vertices tight on those facets. Dimensions come from the grading of
+        this lattice: a vertex has dimension 0, and any other face one more
+        than the largest face it strictly contains, which is its intersection
+        with some facet. A face's span is the body's span plus the facets
+        tight on it, since ``aff(F)`` is ``aff(P)`` cut by every facet
+        hyperplane through ``F``.
+        """
+        if self.intrinsic_dim > HULL_DIM_CAP:
+            raise DimensionCapExceeded(
+                f"face enumeration capped at dimension {HULL_DIM_CAP}, got {self.intrinsic_dim}"
+            )
+        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        scaled = [[int(x * scale) for x in v] for v in self.vertices]
+        per_facet = [
+            sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
+            for a, c in self.facets
+        ]
+        everything = (1 << len(self.vertices)) - 1
+        closed = {everything}
+        queue = [everything]
+        while queue:
+            s = queue.pop()
+            for pf in per_facet:
+                t = s & pf
+                if t and t not in closed:
+                    closed.add(t)
+                    queue.append(t)
+
+        grade: dict[int, int] = {}
+        for s in sorted(closed, key=int.bit_count):
+            below = (grade[t] for t in (s & pf for pf in per_facet) if t and t != s)
+            grade[s] = 1 + max(below, default=-1)
+
+        out: list[list[Face]] = [[] for _ in range(self.intrinsic_dim + 1)]
+        members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
+        for s in sorted(closed, key=members.__getitem__):
+            tight = [j for j, pf in enumerate(per_facet) if pf & s == s]
+            span = AffineSubspace(
+                self.ambient_dim,
+                self.span.rows + tuple(self.facets[j][0] for j in tight),
+                self.span.rhs + tuple(self.facets[j][1] for j in tight),
+            )
+            out[grade[s]].append(Face(members[s], span, grade[s]))
+        return tuple(map(tuple, out))
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership: affine-hull equations plus facet inequalities."""
@@ -398,63 +451,11 @@ def pyramid(base: ConvexPolytope, apex: Sequence[int]) -> ConvexPolytope:
 # ---------------------------------------------------------------------------
 
 
-def face_lattice(poly: ConvexPolytope) -> list[list[Face]]:
-    """Every nonempty face, graded: ``out[d]`` lists the ``d``-faces in
-    order of their vertex indices, and ``out[intrinsic_dim]`` is the
-    polytope itself.
-
-    Every face is an intersection of facets and is recovered as the set of
-    vertices tight on those facets. Dimensions come from the grading of
-    this lattice: a vertex has dimension 0, and any other face one more
-    than the largest face it strictly contains, which is its intersection
-    with some facet. A face's span is the body's span plus the facets
-    tight on it, since ``aff(F)`` is ``aff(P)`` cut by every facet
-    hyperplane through ``F``.
-    """
-    if poly.intrinsic_dim > HULL_DIM_CAP:
-        raise DimensionCapExceeded(
-            f"face enumeration capped at dimension {HULL_DIM_CAP}, got {poly.intrinsic_dim}"
-        )
-    scale = math.lcm(*(x.denominator for v in poly.vertices for x in v))
-    scaled = [[int(x * scale) for x in v] for v in poly.vertices]
-    per_facet = [
-        sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
-        for a, c in poly.facets
-    ]
-    everything = (1 << len(poly.vertices)) - 1
-    closed = {everything}
-    queue = [everything]
-    while queue:
-        s = queue.pop()
-        for pf in per_facet:
-            t = s & pf
-            if t and t not in closed:
-                closed.add(t)
-                queue.append(t)
-
-    grade: dict[int, int] = {}
-    for s in sorted(closed, key=int.bit_count):
-        below = (grade[t] for t in (s & pf for pf in per_facet) if t and t != s)
-        grade[s] = 1 + max(below, default=-1)
-
-    out: list[list[Face]] = [[] for _ in range(poly.intrinsic_dim + 1)]
-    members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
-    for s in sorted(closed, key=members.__getitem__):
-        tight = [j for j, pf in enumerate(per_facet) if pf & s == s]
-        span = AffineSubspace(
-            poly.ambient_dim,
-            poly.span.rows + tuple(poly.facets[j][0] for j in tight),
-            poly.span.rhs + tuple(poly.facets[j][1] for j in tight),
-        )
-        out[grade[s]].append(Face(members[s], span, grade[s]))
-    return out
-
-
 def faces(poly: ConvexPolytope, dim: int) -> list[Face]:
-    """All ``dim``-dimensional faces: one grade of :func:`face_lattice`."""
+    """All ``dim``-dimensional faces: one grade of the body's ``face_lattice``."""
     if not 0 <= dim <= poly.intrinsic_dim:
         raise ValueError(f"face dimension {dim} out of range")
-    return face_lattice(poly)[dim]
+    return list(poly.face_lattice[dim])
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,7 @@ def table_lookup(size: int) -> PteSolution:
     """A shipped, verified solution of the given size.
 
     Raises :class:`NotAvailable` for sizes with no known ideal solution
-    (11, and everything above 12 except none): the table holds 2-10
-    and 12.
+    (below 2, 11, and above 12): the table holds 2-10 and 12.
     """
     if size < 2:
         raise NotAvailable(f"no ideal solutions of size {size}")

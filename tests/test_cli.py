@@ -10,6 +10,7 @@ import pytest
 from ehrhart import cli, constructions
 from ehrhart.cli import CLAIMS, main
 from ehrhart.counting import CountFunction
+from ehrhart.errors import InvalidInput
 from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, union_to_dict
 from ehrhart.pte import table_lookup
 from ehrhart.quasipoly import fit
@@ -283,6 +284,24 @@ def test_verify_flags_out_of_range_are_rejected_by_the_parser(option, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "heptagon", option, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid, claim", [
+    ({"p": 0}, "heptagon"), ({"p": -1}, "heptagon"),
+    ({"max_p": 0}, "pentagon-equivalence"), ({"max_p": -1}, "pentagon-equivalence"),
+    ({"n": 2}, "hn-periods"), ({"max_n": 2}, "hn-periods"),
+])
+def test_verify_all_rejects_the_grids_the_parser_rejects(grid, claim):
+    # a falsy or empty grid used to read as unset and run the default one
+    with pytest.raises(InvalidInput, match=f"{next(iter(grid))} must be at least"):
+        cli.verify_all(claims=(claim,), **grid)
+
+
+def test_verify_all_takes_the_least_grid_values():
+    (report,) = cli.verify_all(p=1, claims=("pentagon-equivalence",))
+    assert report.params == {"p": [1]}
+    (report,) = cli.verify_all(max_n=3, claims=("hn-periods",))
+    assert report.params == {"cases": [(3, 2), (3, 3)]}
 
 
 @pytest.mark.parametrize("argv, outcome, params", [

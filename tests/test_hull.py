@@ -11,7 +11,7 @@ from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point, rank
-from ehrhart.polytope import embed_product, face_lattice, faces, from_vertices
+from ehrhart.polytope import embed_product, faces, from_vertices
 
 F = Fraction
 
@@ -113,7 +113,7 @@ def test_faces_equal_closure_and_affine_hull_oracle(body):
 @given(clouds(max_dim=4))
 def test_face_lattice_equals_oracle_on_random_clouds(points):
     body = from_vertices(points)
-    lattice = face_lattice(body)
+    lattice = body.face_lattice
     assert len(lattice) == body.intrinsic_dim + 1
     for dim, grade in enumerate(lattice):
         _assert_faces_match_oracle(body, grade, brute_force_faces(body, dim))

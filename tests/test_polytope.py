@@ -8,6 +8,7 @@ from oracles import in_hull
 from ehrhart import constructions as C
 from ehrhart.counting import CountFunction, count_union
 from ehrhart.errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
+from ehrhart.indices import index_sequence
 from ehrhart.linalg import rank, vdot, vsub
 from ehrhart.polytope import (
     PolytopalUnion,
@@ -211,6 +212,31 @@ def test_faces_dimension_cap():
     cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
     with pytest.raises(DimensionCapExceeded):
         faces(cube, 0)
+
+
+def test_face_lattice_is_built_once_and_shared_by_every_reader():
+    body = C.pentagon_pyramid(3, 2)
+    assert body.face_lattice is body.face_lattice
+    grades = [faces(body, i) for i in range(body.intrinsic_dim + 1)]
+    index_sequence(body)
+    for i, grade in enumerate(grades):
+        assert all(f is g for f, g in zip(faces(body, i), body.face_lattice[i], strict=True))
+        assert all(f is g for f, g in zip(grade, body.face_lattice[i], strict=True))
+
+
+def test_faces_returns_a_copy_of_its_grade():
+    body = C.pentagon(2)
+    edges = faces(body, 1)
+    edges.clear()
+    assert len(body.face_lattice[1]) == len(faces(body, 1)) == 5
+
+
+def test_face_lattice_above_the_cap_raises_on_every_access():
+    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
+    for _ in range(2):
+        with pytest.raises(DimensionCapExceeded):
+            cube.face_lattice
+    assert "face_lattice" not in vars(cube)
 
 
 def test_face_counts_of_cube():
