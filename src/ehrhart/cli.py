@@ -10,6 +10,10 @@ is ``L(-k)``, which is ``(-1)**dim`` times what ``count --interior --k k``
 prints. Output is deterministic: keys are sorted, ordering is fixed, and
 nothing time-dependent is ever emitted.
 
+One ``verify`` run computes each exact object once: claims share one body
+per family member (``_body``) and one fit per body (``_fitted``), and
+``main`` parses with one parser built per process.
+
 One verdict rule judges every claim: it passes when every case passes,
 and it is ``skipped`` (exit 0) when no case matches the flags or the
 budget runs out. ``--p``/``--max-p`` accept values from 1, ``--n``/
@@ -79,6 +83,14 @@ def _fitted(obj, budget):
     return fit(counter, _degree(obj), denominator(obj), two_sided=convex), counter
 
 
+@lru_cache(maxsize=None)
+def _body(family: str, p: int, n: int | None = None):
+    """The family member ``build(family, p, n)``, built once per process, so
+    claims share it and with it its face lattice, bounds and ``_fitted``
+    entry. Call it positionally: the cache keys ``n`` and ``n=`` apart."""
+    return constructions.build(family, p, n)[0]
+
+
 def _emit(payload, fmt: str) -> None:
     if fmt == "csv":
         print(_to_csv(payload), end="")
@@ -113,7 +125,7 @@ def _load_object(args):
         return polytope_from_dict(data)
     if not args.family:
         raise EhrhartError("need --family (or --input)")
-    return constructions.build(args.family, args.p, args.n)[0]
+    return _body(args.family, args.p, args.n)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +245,8 @@ def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [1, 2, 3, 4, 5]
     cases = []
     for p in ps:
-        fp, cp = _fitted(constructions.pentagon(p), budget)
-        fl, cl = _fitted(constructions.segment(p), budget)
+        fp, cp = _fitted(_body("pentagon", p), budget)
+        fl, cl = _fitted(_body("segment", p), budget)
         good = equivalent(fp, negate(fl))
         cases.append((f"p={p}", good, {
             "equivalent": good,
@@ -248,7 +260,7 @@ def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3, 4, 5]
     cases = []
     for p in ps:
-        qp, counter = _fitted(constructions.heptagon(p), budget)
+        qp, counter = _fitted(_body("heptagon", p), budget)
         seq = period_sequence(qp)
         good = seq == (1, p, 1)
         entry = {"period_sequence": list(seq), "counts": counter.samples()}
@@ -273,8 +285,8 @@ def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
     for p in ps:
         for i in folds:
             n = 2 + i
-            qp_pyr, c1 = _fitted(constructions.pentagon_pyramid(n, p), budget)
-            qp_smp, c2 = _fitted(constructions.simplex(n, p), budget)
+            qp_pyr, c1 = _fitted(_body("pentagon-pyramid", p, n), budget)
+            qp_smp, c2 = _fitted(_body("simplex", p, n), budget)
             left = series_mod.from_quasipolynomial(qp_pyr)
             right = series_mod.negate(series_mod.from_quasipolynomial(qp_smp))
             good = series_mod.series_equivalent(left, right)
@@ -294,8 +306,8 @@ def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
     for n in ns:
         for p in ps:
             q = constructions.q_value(p)
-            w_counts = count_series(constructions.prism(n, p), k_max, budget)
-            s_counts = count_series(constructions.simplex(n, p), k_max, budget)
+            w_counts = count_series(_body("prism", p, n), k_max, budget)
+            s_counts = count_series(_body("simplex", p, n), k_max, budget)
             good = all(
                 w == (2 * q * k + 1) * s
                 for k, (w, s) in enumerate(zip(w_counts, s_counts), start=1)
@@ -314,8 +326,8 @@ def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
     cases = []
     for n in ns:
         for p in ps:
-            qs, cs = _fitted(constructions.simplex(n, p), budget)
-            qp, cp = _fitted(constructions.pentagon_pyramid(n, p), budget)
+            qs, cs = _fitted(_body("simplex", p, n), budget)
+            qp, cp = _fitted(_body("pentagon-pyramid", p, n), budget)
             good = equivalent(qs, negate(qp))
             cases.append((f"n={n},p={p}", good, {
                 "equivalent": good,
@@ -355,7 +367,7 @@ def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
     hull_cases = _hull_cases(ps, ns)
     cases = []
     for n, p in hull_cases:
-        qp, counter = _fitted(constructions.hull(n, p), budget)
+        qp, counter = _fitted(_body("hull", p, n), budget)
         seq = period_sequence(qp)
         expected = (1, p) + (1,) * (n - 1)
         good = seq == expected
@@ -374,14 +386,13 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     cases = []
     for n in ns:
         for p in ps:
-            try:
-                solution = pte.table_lookup(n - 1)
+            try:  # the barn takes the tabulated solution of size n - 1
+                union = _body("barn", p, n)
             except NotAvailable as exc:
                 # requesting an impossible dimension is reported, not failed:
                 # the construction-range check below asserts exactly this
                 cases.append((f"n={n},p={p}", True, f"NotAvailable: {exc}"))
                 continue
-            union = constructions.barn(n, p, solution)
             qp, counter = _fitted(union, budget)
             seq = period_sequence(qp)
             expected = (1,) * (n - 1) + (p, 1)
@@ -411,17 +422,13 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
 
 def _mcmullen_targets(max_p: int):
     for p in range(1, max_p + 1):
-        yield f"segment p={p}", constructions.segment(p)
-        yield f"pentagon p={p}", constructions.pentagon(p)
-        yield f"rectangle p={p}", constructions.rectangle(p)
-        yield f"heptagon p={p}", constructions.heptagon(p)
+        for family in ("segment", "pentagon", "rectangle", "heptagon"):
+            yield f"{family} p={p}", _body(family, p)
         for n in (3, 4, 5):
-            yield f"simplex n={n} p={p}", constructions.simplex(n, p)
+            yield f"simplex n={n} p={p}", _body("simplex", p, n)
         for n in (3, 4):
-            yield f"prism n={n} p={p}", constructions.prism(n, p)
-            yield f"pentagon-pyramid n={n} p={p}", constructions.pentagon_pyramid(n, p)
-            yield f"hull n={n} p={p}", constructions.hull(n, p)
-            yield f"middle n={n} p={p}", constructions.middle(n, p)
+            for family in ("prism", "pentagon-pyramid", "hull", "middle"):
+                yield f"{family} n={n} p={p}", _body(family, p, n)
 
 
 def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
@@ -580,7 +587,10 @@ def _add_common(sub) -> None:
     _add_format(sub)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="ehrhart",
         description="Exact dilate counting, quasi-polynomial fitting and period verification for rational polytopes",

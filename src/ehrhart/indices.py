@@ -6,9 +6,11 @@ indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
 independently and reports the comparison: indices from the body's face
-lattice (built on first use and kept; up to dimension 5), each face's span
+lattice (built on first use and kept; up to dimension 5), periods by
+fitting raw counts. A face whose vertex denominators have gcd 1 has index
+1, since its minimal dilate divides each of them; any other face's span is
 taken from the facets tight on it and solved over the integer lattice by
-``linalg.min_dilate_with_lattice_point``; periods by fitting raw counts.
+``linalg.min_dilate_with_lattice_point``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,28 @@ class IndexSequence:
 def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
-    The body's face lattice supplies the faces of every dimension. Per face the
-    minimal dilate comes in closed form from an integer echelon basis of
-    the lattice spanned by the columns of its span equations, since
-    dilating a face scales the right-hand side of its span linearly. Convex inputs only; the ``i``-index of a union is
-    not defined here.
+    The body's face lattice supplies the faces of every dimension. A face's
+    minimal dilate ``m(F)`` is 1 when the gcd of ``den(v)`` over its
+    vertices is 1, ``den(v)`` being the lcm of the coordinate denominators
+    of vertex ``v``: the dilates whose span holds a lattice point are the
+    multiples of ``m(F)``, and ``den(v) * v`` is a lattice point of
+    ``aff(den(v) * F)``, so ``m(F)`` divides every ``den(v)``. Any other
+    face is solved in closed form from an integer echelon basis of the
+    lattice spanned by the columns of its span equations, since dilating a
+    face scales the right-hand side of its span linearly. Convex inputs
+    only; the ``i``-index of a union is not defined here.
     """
     if isinstance(poly, PolytopalUnion):
         raise ValueError("index sequences are defined for convex polytopes only")
+    dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
+
+    def index(face) -> int:
+        if math.gcd(*(dens[i] for i in face.vertex_indices)) == 1:
+            return 1
+        return min_dilate_with_lattice_point(face.span)
+
     return IndexSequence(tuple(
-        math.lcm(*(min_dilate_with_lattice_point(face.span) for face in grade))
-        for grade in poly.face_lattice
+        math.lcm(*map(index, grade)) for grade in poly.face_lattice
     ))
 
 

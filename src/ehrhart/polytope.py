@@ -12,10 +12,11 @@ normal that is zero on the other coordinates. The incidence answers
 every combinatorial question without elimination: which points are
 vertices, and the body's ``face_lattice``, every face graded with its
 span, computed on first use and kept with the body (both capped at
-dimension 5). Dilates, translates, products and pyramids are
-composed directly, without re-running the hull, so high-dimensional
-product bodies stay cheap. Whether a body is a product is read off its
-inequalities alone, by ``coordinate_blocks``.
+dimension 5). Dilates, translates and products are composed directly,
+without re-running the hull, so high-dimensional product bodies stay
+cheap; a pyramid re-runs the hull on the lifted base and its apex.
+Whether a body is a product is read off its inequalities alone, by
+``coordinate_blocks``.
 
 All objects are immutable after construction and all operations are pure.
 """

@@ -591,3 +591,46 @@ def test_count_interior_rejects_unions(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_verify_builds_each_family_member_once(monkeypatch):
+    built = []
+    real_build = constructions.build
+
+    def counting_build(family, p, n=None):
+        built.append((family, p, n))
+        return real_build(family, p, n)
+
+    monkeypatch.setattr(constructions, "build", counting_build)
+    cli._body.cache_clear()
+    cli._fitted.cache_clear()
+    try:
+        reports = cli.verify_all(max_p=2)
+        assert cli._body("hull", 2, 3) is cli._body("hull", 2, 3)
+    finally:
+        cli._body.cache_clear()
+        cli._fitted.cache_clear()
+    assert [r.outcome for r in reports] == ["pass"] * len(CLAIMS)
+    assert ("hull", 2, 3) in built and ("barn", 2, 3) in built
+    assert len(built) == len(set(built))
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(capsys, "verify", "heptagon", "--p", "2")
+    code, out, _ = run_cli(capsys, "verify", "heptagon")
+    assert code == 0
+    assert json.loads(out)["params"] == {"p": [2, 3, 4, 5]}
+
+    run_cli(capsys, "count", "--family", "segment", "--p", "2", "--k", "3")
+    code, out, _ = run_cli(capsys, "count", "--family", "segment", "--p", "2")
+    assert code == 0
+    assert json.loads(out)["k"] == [1, 2, 3, 4, 5, 6]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "heptagon", "--p", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "verify", "heptagon", "--p", "2")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "pass"

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 from oracles import brute_min_dilate
+from strategies import clouds
 
-from ehrhart import constructions as C
+from ehrhart import cli, constructions as C
 from ehrhart.indices import IndexSequence, chain_check, index_sequence, mcmullen_check
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import denominator, embed_product, faces
+from ehrhart.polytope import denominator, embed_product, faces, from_vertices
 from ehrhart.pte import PteSolution
 
 
@@ -138,3 +141,55 @@ def test_five_dimensional_hull_is_within_the_face_cap():
     assert report.period_sequence == (1, 2, 1, 1, 1, 1)
     assert report.index_sequence == (2, 2, 1, 1, 1, 1)
     assert report.ok
+
+
+def solved_index_sequence(body):
+    """The index sequence with every face solved, no face skipped."""
+    return tuple(
+        math.lcm(*(min_dilate_with_lattice_point(face.span) for face in grade))
+        for grade in body.face_lattice
+    )
+
+
+def vertex_gcd(body, face):
+    """gcd over the face's vertices of their coordinate-denominator lcm."""
+    return math.gcd(*(
+        math.lcm(*(x.denominator for x in body.vertices[i])) for i in face.vertex_indices
+    ))
+
+
+def test_vertex_denominator_rule_agrees_with_the_solve_on_every_mcmullen_target():
+    for label, body in cli._mcmullen_targets(3):
+        assert index_sequence(body).values == solved_index_sequence(body), label
+
+
+@settings(max_examples=150)
+@given(clouds(max_dim=4, max_den=12))  # ambient up to 4-D, lower-dimensional clouds embedded
+def test_vertex_denominator_rule_agrees_with_the_solve_on_random_clouds(points):
+    body = from_vertices(points)
+    assert index_sequence(body).values == solved_index_sequence(body)
+    for grade in body.face_lattice:
+        for face in grade:
+            # the minimal dilate divides every vertex denominator
+            assert vertex_gcd(body, face) % min_dilate_with_lattice_point(face.span) == 0
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: C.segment(2), (2, 1)),  # the vertex -1/2
+    # every vertex is non-integral, yet the span x = y holds (1, 1)
+    (lambda: from_vertices([(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2))]), (2, 1)),
+], ids=["segment", "half-integral-diagonal"])
+def test_faces_whose_vertex_denominators_share_a_factor_are_solved(make, expected):
+    body = make()
+    assert any(vertex_gcd(body, face) > 1 for grade in body.face_lattice for face in grade)
+    assert index_sequence(body).values == expected == solved_index_sequence(body)
+
+
+def test_pentagon_apex_needs_the_solve():
+    body = C.pentagon(2)
+    (apex,) = [
+        face for face in body.face_lattice[0]
+        if body.vertices[face.vertex_indices[0]] == (0, Fraction(3, 2))
+    ]
+    assert vertex_gcd(body, apex) == 2
+    assert index_sequence(body).values[0] == min_dilate_with_lattice_point(apex.span) == 2
