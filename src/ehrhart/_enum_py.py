@@ -30,6 +30,16 @@ summed by ``floor_sum``. Elsewhere the walk reaches the last coordinate,
 whose intervals it merges and counts, so a point in several systems is
 counted once.
 
+A walk needs per level the coordinate's column and the rows split by the
+sign of their coefficient, and at the second-to-last level the slice's
+lines. These depend only on the rows and the walk order, so ``Rows``, a
+system's rows, keeps one such skeleton per order it is walked in; a body
+counted at many dilates builds it once per order (the order follows the
+box, so it may change with ``k``). Per count the walk fills in only the
+box bounds, the root offsets and each row's least contribution of the
+later coordinates. A single system over a 1-D box is one clip of its
+rows, not a walk.
+
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per value of a walked
 coordinate, charged before walking it; the merged envelope pieces of a
@@ -56,33 +66,86 @@ from .errors import BudgetExceeded
 Level = tuple[int, int, list[int], tuple, tuple, tuple | None]
 
 
+def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple[list, list]:
+    """What the levels of a walk in ``order`` take from the rows alone: the
+    nonzero ``(row, a)`` of each coordinate the box fixes, and per level,
+    in walk order, the coordinate, its column, ``(row, |a|)`` for the rows
+    whose coefficient ``a`` is positive, then negative, and the slice
+    lines (None but at the second-to-last level)."""
+    walked = set(order)
+    fixed = [
+        (j, [(i, row[j]) for i, row in enumerate(normals) if row[j]])
+        for j in range(len(normals[0]) if normals else 0)
+        if j not in walked
+    ]
+    levels = []
+    for j in order:
+        col = [row[j] for row in normals]
+        pos = tuple((i, a) for i, a in enumerate(col) if a > 0)
+        neg = tuple((i, -a) for i, a in enumerate(col) if a < 0)
+        levels.append([j, col, pos, neg, None])
+    if len(levels) > 1:
+        # the rows of a slice over (x, y), y the last coordinate: an upper
+        # line for y for each positive coefficient of y, a lower one for
+        # each negative one, as (coefficient of x, |coefficient of y|,
+        # row); rows without y clip x
+        _, col, _, _, _ = levels[-2]
+        _, _, y_pos, y_neg, _ = levels[-1]
+        levels[-2][4] = [(col[i], b, i) for i, b in y_pos], [(col[i], b, i) for i, b in y_neg]
+    return fixed, levels
+
+
+class Rows(tuple):
+    """The integer rows of one system, keeping the skeleton of every walk
+    order they are walked in: rows counted at many dilates build each
+    skeleton once. The walk takes plain row lists too and then builds the
+    skeleton per count."""
+
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "Rows":
+        self = super().__new__(cls, map(tuple, rows))
+        self.skeletons = {}
+        return self
+
+    def skeleton(self, order: tuple[int, ...]) -> tuple[list, list]:
+        found = self.skeletons.get(order)
+        if found is None:
+            found = self.skeletons[order] = _skeleton(self, order)
+        return found
+
+
 def _levels(
     lo: Sequence[int], hi: Sequence[int], normals: Sequence[Sequence[int]], offsets: Sequence[int]
 ) -> tuple[list[Level], list[int]] | None:
-    """Walk order, per-level rows and root offsets of one system; None when
-    no box point satisfies it. The root offsets have the fixed coordinates
-    substituted. Rows with a zero coefficient at a level need no test
-    there: the level above, or this root check, already made it."""
-    rem = [
-        c - sum(a * l for a, l, h in zip(row, lo, hi) if l == h) for row, c in zip(normals, offsets)
-    ]
-    order = sorted((j for j in range(len(lo)) if lo[j] < hi[j]), key=lambda j: (hi[j] - lo[j], j))
-    minrest = [0] * len(normals)
+    """Per-level rows and root offsets of one system, in walk order; None
+    when no box point satisfies it. The root offsets have the fixed
+    coordinates substituted. Rows with a zero coefficient at a level need
+    no test there: the level above, or this root check, already made it."""
+    walked = (j for j in range(len(lo)) if lo[j] < hi[j])
+    order = tuple(sorted(walked, key=lambda j: (hi[j] - lo[j], j)))
+    if isinstance(normals, Rows):
+        fixed, skeleton = normals.skeleton(order)
+    else:
+        fixed, skeleton = _skeleton(normals, order)
+    rem = list(offsets)
+    for j, nonzero in fixed:
+        for i, a in nonzero:
+            rem[i] -= a * lo[j]
+    minrest = [0] * len(rem)
     levels = []
-    for j in reversed(order):
-        col = [row[j] for row in normals]
-        pos = tuple((i, a, minrest[i]) for i, a in enumerate(col) if a > 0)
-        neg = tuple((i, -a, minrest[i]) for i, a in enumerate(col) if a < 0)
-        lines = None
-        if len(levels) == 1:
-            # the rows of a slice over (x, y), y the last coordinate: an
-            # upper line for y for each positive coefficient of y, a lower
-            # one for each negative one, as (coefficient of x, |coefficient
-            # of y|, row); rows without y clip x
-            _, _, _, y_pos, y_neg, _ = levels[0]
-            lines = [(col[i], b, i) for i, b, _ in y_pos], [(col[i], b, i) for i, b, _ in y_neg]
-        levels.append((lo[j], hi[j], col, pos, neg, lines))
-        minrest = [r + min(a * lo[j], a * hi[j]) for r, a in zip(minrest, col)]
+    for j, col, pos, neg, lines in reversed(skeleton):
+        x_lo, x_hi = lo[j], hi[j]
+        levels.append((
+            x_lo,
+            x_hi,
+            col,
+            tuple((i, a, minrest[i]) for i, a in pos),
+            tuple((i, b, minrest[i]) for i, b in neg),
+            lines,
+        ))
+        for i, a in pos:
+            minrest[i] += a * x_lo
+        for i, b in neg:
+            minrest[i] -= b * x_hi
     if any(r > c for r, c in zip(minrest, rem)):
         return None
     return levels[::-1], rem
@@ -100,6 +163,21 @@ def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
         if q > x_lo:
             x_lo = q
     return x_lo, x_hi
+
+
+def _interval(
+    x_lo: int, x_hi: int, normals: Sequence[Sequence[int]], offsets: Sequence[int]
+) -> int:
+    """Integers ``x_lo <= x <= x_hi`` with ``a * x <= c`` for every row ``(a,)``
+    and offset ``c``: one clip, no walk."""
+    for (a,), c in zip(normals, offsets):
+        if a > 0:
+            x_hi = min(x_hi, c // a)
+        elif a < 0:
+            x_lo = max(x_lo, -(c // -a))
+        elif c < 0:
+            return 0
+    return max(x_hi - x_lo + 1, 0)
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -221,6 +299,8 @@ def walk_box(
     systems, and what the walk charged for them."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
+    if len(lo) == 1 and len(systems) == 1:
+        return _interval(lo[0], hi[0], *systems[0]), 0
     roots = [root for normals, offsets in systems if (root := _levels(lo, hi, normals, offsets))]
     if not roots:
         return 0, 0

@@ -350,7 +350,7 @@ def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
     hull_cases = _hull_cases(ps, ns)
     cases = []
     for n, p in hull_cases:
-        report = constructions.decomposition_check(n, p, 4, budget)
+        report = constructions.decomposition_check(n, p, 4, budget, _body)
         cases.append((f"n={n},p={p}", report.ok, {
             "ok": report.ok,
             "first_failing_k": report.first_failing_k,

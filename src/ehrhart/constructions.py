@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .counting import count_convex
 from .errors import (
@@ -204,21 +205,35 @@ class DecompositionReport:
     counts: dict
 
 
-def decomposition_check(n: int, p: int, k_max: int, budget: int | None = None) -> DecompositionReport:
+def _member(family: str, p: int, n: int) -> ConvexPolytope:
+    """A family member built afresh: ``build``'s object."""
+    return build(family, p, n)[0]
+
+
+def decomposition_check(
+    n: int,
+    p: int,
+    k_max: int,
+    budget: int | None = None,
+    member: Callable[[str, int, int], ConvexPolytope] = _member,
+) -> DecompositionReport:
     """Verify count(hull) = count(prism) + count(middle) + count(pyramid)
     minus the two shared facets, for every dilate up to ``k_max``.
 
     The shared facets are exactly the pairwise overlaps of the three
-    pieces, and both must be (and are checked to be) integral.
+    pieces, and both must be (and are checked to be) integral. The hull,
+    prism, middle and pentagon pyramid come from ``member(family, p, n)``,
+    so a caller that already holds them shares them and the counts they
+    keep; by default they are built.
     """
     _check_n(n)
     if n > 4:
         raise DimensionCapExceeded("decomposition check supported for n <= 4")
     bodies = {
-        "hull": hull(n, p),
-        "prism": prism(n, p),
-        "middle": middle(n, p),
-        "pyramid": pentagon_pyramid(n, p),
+        "hull": member("hull", p, n),
+        "prism": member("prism", p, n),
+        "middle": member("middle", p, n),
+        "pyramid": member("pentagon-pyramid", p, n),
         "prism_facet": prism_shared_facet(n, p),
         "pyramid_facet": pyramid_shared_facet(n, p),
     }

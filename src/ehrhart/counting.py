@@ -26,6 +26,15 @@ plus the nodes its walks visit. Any other union enumerates its points
 directly, which never splits a system, so the two routes check each
 other; ``count_convex`` enumerates even a product body.
 
+What a count does not need ``k`` for is built once and kept with the
+body or union, never in a module-level cache. A body keeps its integer
+``rows`` (with the kernel's level skeletons) and its ``dilate_counts``,
+so each ``(k, interior, budget)`` is counted once; a union keeps its
+``dilate_counts`` by ``(k, strategy, budget)`` and the ``term_blocks``
+of each intersection of pieces, by piece indices. A count that overdraws
+its budget is never kept, so a smaller budget still raises. Per dilate
+only the box, the offsets and the walk are computed.
+
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
 number of lattice points in the relative interior of ``kP``, so a
@@ -56,31 +65,28 @@ def _budget(budget: int | None) -> int:
 
 
 def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
-    """Integer box and inequality system of ``k * poly``; None when empty.
+    """Integer box, rows and offsets of ``k * poly``; None when empty.
 
-    Affine-hull equations are emitted as inequality pairs; a hull equation
-    whose scaled right-hand side is not an integer proves the dilate has
-    no lattice points at all. With ``interior`` the facet inequalities are
-    strict: facet normals and offsets are integers, so on lattice points
-    ``a.x < k*c`` is ``a.x <= k*c - 1``.
+    The rows are the body's own ``rows``, the same at every dilate: its
+    facet normals, then each affine-hull equation as an inequality pair. A
+    hull equation whose scaled right-hand side is not an integer proves
+    the dilate has no lattice points at all. With ``interior`` the facet
+    inequalities are strict: facet normals and offsets are integers, so
+    on lattice points ``a.x < k*c`` is ``a.x <= k*c - 1``.
     """
     least, greatest = poly.bounds
     lo = [-(-x.numerator * k // x.denominator) for x in least]
     hi = [x.numerator * k // x.denominator for x in greatest]
     if any(l > h for l, h in zip(lo, hi)):
         return None
-    normals = [list(a) for a, _ in poly.facets]
     strict = 1 if interior else 0
     offsets = [c * k - strict for _, c in poly.facets]
-    for row, b in zip(poly.span.rows, poly.span.rhs):
+    for b in poly.span.rhs:
         if b.numerator * k % b.denominator:
             return None
         rhs = b.numerator * k // b.denominator
-        normals.append(list(row))
-        offsets.append(rhs)
-        normals.append([-x for x in row])
-        offsets.append(-rhs)
-    return lo, hi, normals, offsets
+        offsets += (rhs, -rhs)
+    return lo, hi, poly.rows, offsets
 
 
 def count_convex(
@@ -89,25 +95,31 @@ def count_convex(
     """``|k * poly intersect Z^n|`` by direct enumeration, exactly.
 
     With ``interior`` only the points of the relative interior of
-    ``k * poly`` are counted.
+    ``k * poly`` are counted. Each ``(k, interior, budget)`` is counted
+    once per body and kept in its ``dilate_counts``.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("dilation factor must be a positive integer")
     budget = _budget(budget)
-    system = _dilated_system(poly, k, interior)
-    if system is None:
-        return 0
-    return _enum_py.count_box(*system, budget)
+    key = (k, interior, budget)
+    found = poly.dilate_counts.get(key)
+    if found is None:
+        system = _dilated_system(poly, k, interior)
+        found = 0 if system is None else _enum_py.count_box(*system, budget)
+        poly.dilate_counts[key] = found
+    return found
 
 
 def _piece_systems(union: PolytopalUnion, k: int):
-    """The dilated systems of the pieces of ``k * union`` that have box
-    points, and the box that holds them all; None when there are none."""
-    systems = [s for piece in union.pieces if (s := _dilated_system(piece, k)) is not None]
-    if not systems:
+    """The dilated systems of the pieces of ``k * union``, None for a piece
+    without box points, and the box that holds them all; None when every
+    piece is empty."""
+    systems = [_dilated_system(piece, k) for piece in union.pieces]
+    found = [s for s in systems if s is not None]
+    if not found:
         return None
-    lo = [min(s[0][j] for s in systems) for j in range(union.ambient_dim)]
-    hi = [max(s[1][j] for s in systems) for j in range(union.ambient_dim)]
+    lo = [min(s[0][j] for s in found) for j in range(union.ambient_dim)]
+    hi = [max(s[1][j] for s in found) for j in range(union.ambient_dim)]
     return systems, lo, hi
 
 
@@ -116,21 +128,35 @@ def _union_enumerate(union: PolytopalUnion, k: int, budget: int) -> int:
     if found is None:
         return 0
     systems, lo, hi = found
-    return _enum_py.count_box_union(lo, hi, [s[2:] for s in systems], budget)
+    return _enum_py.count_box_union(lo, hi, [s[2:] for s in systems if s is not None], budget)
 
 
-def _count_split(lo, hi, normals, offsets, budget: int) -> tuple[int, int]:
-    """``count_box`` of one system, as the product of its counts on its
-    ``coordinate_blocks``, and what those walks charged. The rows of
-    a bounded piece touch every coordinate, so the blocks cover them all."""
+def _term_blocks(union: PolytopalUnion, term: tuple[int, ...]) -> list:
+    """The union's ``term_blocks`` entry for the intersection of the pieces
+    ``term``, built on first use."""
+    blocks = union.term_blocks.get(term)
+    if blocks is None:
+        rows = [row for i in term for row in union.pieces[i].rows]
+        blocks = union.term_blocks[term] = [
+            (cols, members, _enum_py.Rows([[rows[i][j] for j in cols] for i in members]))
+            for cols, members in coordinate_blocks(rows)
+        ]
+    return blocks
+
+
+def _count_split(union: PolytopalUnion, term: tuple[int, ...], lo, hi, offsets, budget: int):
+    """``count_box`` of the stacked system of the pieces ``term``, as the
+    product of its counts on its ``coordinate_blocks``, and what those
+    walks charged. The rows of a bounded piece touch every coordinate, so
+    the blocks cover them all."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
     total, walked = 1, 0
-    for cols, rows in coordinate_blocks(normals):
+    for cols, members, rows in _term_blocks(union, term):
         found, nodes = _enum_py.walk_box(
             [lo[j] for j in cols],
             [hi[j] for j in cols],
-            [([[normals[i][j] for j in cols] for i in rows], [offsets[i] for i in rows])],
+            [(rows, [offsets[i] for i in members])],
             budget - walked,
         )
         total, walked = total * found, walked + nodes
@@ -146,27 +172,29 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
     systems, lo, hi = found
     left = budget
 
-    def terms(start: int, lo: list[int], hi: list[int], normals: list, offsets: list) -> int:
-        """Sum over nonempty subsets T of ``systems[start:]`` of
-        ``(-1)**(|T| + 1)`` times the points of the given system that lie
-        in every member of T."""
+    def terms(term: tuple[int, ...], lo: list[int], hi: list[int], offsets: list) -> int:
+        """Sum over nonempty sets T of pieces after those of ``term`` of
+        ``(-1)**(|T| + 1)`` times the points of the intersection of
+        ``term``'s pieces that lie in every member of T."""
         nonlocal left
         total = 0
-        for i in range(start, len(systems)):
+        for i in range(term[-1] + 1 if term else 0, len(systems)):
+            if systems[i] is None:
+                continue
             left -= 1
             if left < 0:
                 raise BudgetExceeded(f"inclusion-exclusion costs more than {budget} nodes")
-            s_lo, s_hi, s_normals, s_offsets = systems[i]
+            s_lo, s_hi, _, s_offsets = systems[i]
             lo_i = [max(a, b) for a, b in zip(lo, s_lo)]
             hi_i = [min(a, b) for a, b in zip(hi, s_hi)]
-            normals_i, offsets_i = normals + s_normals, offsets + s_offsets
-            here, walked = _count_split(lo_i, hi_i, normals_i, offsets_i, left)
+            term_i, offsets_i = term + (i,), offsets + s_offsets
+            here, walked = _count_split(union, term_i, lo_i, hi_i, offsets_i, left)
             left -= walked
             if here:  # else every larger intersection is empty too
-                total += here - terms(i + 1, lo_i, hi_i, normals_i, offsets_i)
+                total += here - terms(term_i, lo_i, hi_i, offsets_i)
         return total
 
-    return terms(0, lo, hi, [], [])
+    return terms((), lo, hi, [])
 
 
 def _union_strategy(union: PolytopalUnion) -> str:
@@ -198,10 +226,16 @@ def count_union(
     if strategy == "auto":
         strategy = _union_strategy(union)
     if strategy == "enumerate":
-        return _union_enumerate(union, k, budget)
-    if strategy == "inclusion-exclusion":
-        return _union_inclusion_exclusion(union, k, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        route = _union_enumerate
+    elif strategy == "inclusion-exclusion":
+        route = _union_inclusion_exclusion
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    key = (k, strategy, budget)
+    found = union.dilate_counts.get(key)
+    if found is None:
+        found = union.dilate_counts[key] = route(union, k, budget)
+    return found
 
 
 def count(obj: ConvexPolytope | PolytopalUnion, k: int, budget: int | None = None) -> int:

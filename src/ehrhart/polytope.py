@@ -12,13 +12,16 @@ normal that is zero on the other coordinates. The incidence answers
 every combinatorial question without elimination: which points are
 vertices, and the body's ``face_lattice``, every face graded with its
 span, computed on first use and kept with the body (both capped at
-dimension 5). Dilates, translates and products are composed directly,
-without re-running the hull, so high-dimensional product bodies stay
-cheap; a pyramid re-runs the hull on the lifted base and its apex.
-Whether a body is a product is read off its inequalities alone, by
-``coordinate_blocks``.
+dimension 5). A body likewise keeps the integer ``rows`` that count its
+dilates and the counts made of them, and a union the coordinate blocks
+of its counted intersections (see ``counting``). Dilates, translates and
+products are composed directly, without re-running the hull, so
+high-dimensional product bodies stay cheap; a pyramid re-runs the hull
+on the lifted base and its apex. Whether a body is a product is read off
+its inequalities alone, by ``coordinate_blocks``.
 
-All objects are immutable after construction and all operations are pure.
+All objects are immutable after construction, but for what they keep of
+their own on first use, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from functools import cached_property, reduce
 from operator import and_
 from typing import Iterable, Sequence
 
+from ._enum_py import Rows
 from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
@@ -67,6 +71,23 @@ class ConvexPolytope:
     def bounds(self) -> tuple[Vector, Vector]:
         """The least and the greatest vertex coordinate on each axis."""
         return tuple(map(min, zip(*self.vertices))), tuple(map(max, zip(*self.vertices)))
+
+    @cached_property
+    def rows(self) -> Rows:
+        """The integer rows of every dilate's counting system: the facet
+        normals, then each hull equation's row ``a`` followed by ``-a``.
+        Built on first use and kept with the body, with the walk's level
+        skeletons."""
+        return Rows(
+            [a for a, _ in self.facets] + [r for a in self.span.rows for r in (a, [-x for x in a])]
+        )
+
+    @cached_property
+    def dilate_counts(self) -> dict[tuple[int, bool, int], int]:
+        """The lattice-point counts ``counting`` has made of this body's
+        dilates, keyed ``(k, interior, budget)``; a count that overdrew its
+        budget is not kept."""
+        return {}
 
     @cached_property
     def face_lattice(self) -> tuple[tuple["Face", ...], ...]:
@@ -202,6 +223,20 @@ class PolytopalUnion:
                 raise DimensionMismatch("piece ambient dimension mismatch")
             if piece.intrinsic_dim != self.ambient_dim:
                 raise InvalidInput("union pieces must be full-dimensional")
+
+    @cached_property
+    def dilate_counts(self) -> dict[tuple[int, str, int], int]:
+        """The lattice-point counts ``counting`` has made of this union's
+        dilates, keyed ``(k, strategy, budget)``; a count that overdrew its
+        budget is not kept."""
+        return {}
+
+    @cached_property
+    def term_blocks(self) -> dict[tuple[int, ...], list]:
+        """Per intersection of pieces that ``counting`` has counted, keyed by
+        the piece indices: the ``coordinate_blocks`` of the pieces' stacked
+        rows, each with its own rows restricted to its coordinates."""
+        return {}
 
     def __repr__(self) -> str:
         return (

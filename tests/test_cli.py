@@ -437,6 +437,18 @@ def test_verify_all_max_p2_output_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P2_SHA256
 
 
+# sha256 of the stdout of ``ehrhart verify all --max-p 6``: the McMullen
+# targets up to p = 6 are fitted on more dilates, each counted from the
+# rows, level skeletons and counts that its body keeps.
+VERIFY_ALL_P6_SHA256 = "2dc1dad6ad495dc715d0db2abc053e557a6ab34b1e4532bd47d439846799ac8f"
+
+
+def test_verify_all_max_p6_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P6_SHA256
+
+
 # sha256 of the stdout of ``ehrhart construct --family barn --n N --p P``,
 # the JSON wire format of a product union, by (n, p). It moved when the
 # writer stopped listing recorded overlaps under ``"intersections"``; the

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ehrhart import constructions as C
-from ehrhart.counting import CountFunction, count, count_convex, count_union
+from ehrhart.counting import DEFAULT_BUDGET, CountFunction, count, count_convex, count_union
 from ehrhart.errors import (
     DimensionCapExceeded,
     NotAvailable,
@@ -104,6 +104,20 @@ def test_decomposition_check():
         report = C.decomposition_check(n, p, 4)
         assert report.ok
         assert report.first_failing_k is None
+
+
+def test_decomposition_check_counts_the_bodies_its_caller_supplies():
+    held = {}
+
+    def member(family, p, n):
+        held[family] = C.build(family, p, n)[0]
+        return held[family]
+
+    report = C.decomposition_check(3, 2, 4, member=member)
+    assert report == C.decomposition_check(3, 2, 4)
+    assert sorted(held) == ["hull", "middle", "pentagon-pyramid", "prism"]
+    for body in held.values():  # the counts are kept with the supplied bodies
+        assert {(k, False, DEFAULT_BUDGET) for k in range(1, 5)} <= set(body.dilate_counts)
 
 
 def test_shared_facets_are_slices_of_their_bodies():

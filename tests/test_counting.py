@@ -387,3 +387,90 @@ def test_count_function_rejects_nonpositive_dilates_of_unions():
     for k in (-1, 0):
         with pytest.raises(ValueError):
             counter(k)
+
+
+# Rational bodies whose box widths change order from dilate to dilate: the
+# tetrahedron walks only its last coordinate at k=1 and five orders over
+# k=1..6; the triangle is lower-dimensional, so its rows hold span pairs.
+ORDER_FLIPPING_BODIES = [
+    [
+        (Fraction(5, 3), Fraction(3, 2), 0),
+        (Fraction(8, 3), Fraction(5, 4), 0),
+        (Fraction(5, 4), Fraction(7, 4), Fraction(1, 4)),
+        (2, Fraction(1, 2), 1),
+    ],
+    [
+        (0, 0, 0),
+        (Fraction(3, 2), Fraction(1, 3), 1),
+        (Fraction(1, 2), Fraction(4, 3), Fraction(2, 3)),
+    ],
+]
+
+
+@pytest.mark.parametrize("vertices", ORDER_FLIPPING_BODIES, ids=["tetrahedron", "triangle"])
+def test_one_body_counts_every_walk_order_like_a_fresh_one(vertices):
+    # the body keeps one level skeleton per walk order; each dilate must
+    # read the skeleton of its own order, counting forward and back
+    body = from_vertices(vertices)
+    dilates = range(1, 7)
+    closed = {k: brute_count(vertices, k) for k in dilates}
+    interior = {k: brute_count_interior(vertices, k) for k in dilates}
+    for k in [*dilates, *reversed(dilates)]:
+        assert count_convex(body, k) == closed[k] == count_convex(from_vertices(vertices), k)
+        assert count_convex(body, k, interior=True) == interior[k]
+    assert len(body.rows.skeletons) >= 3
+
+
+def test_union_terms_keep_their_pieces_when_a_piece_is_empty():
+    # the thin piece's x-side [2k/5, 3k/5] holds no integer at k = 1 and 3,
+    # so only two pieces have box points there; the blocks kept for each
+    # term must still be those of its own pieces
+    thin = embed_product(
+        (((0,), from_vertices([(Fraction(2, 5),), (Fraction(3, 5),)])), ((1,), C.interval(0, 3))), 2
+    )
+    wide = product(C.interval(0, 2), C.interval(1, 2))
+    tall = product(C.interval(1, 2), C.interval(0, 4))
+    union = PolytopalUnion(2, (thin, wide, tall))
+    assert CountFunction(union).strategy == "inclusion-exclusion"
+    vertex_lists = [piece.vertices for piece in union.pieces]
+    expected = {k: brute_count_union(vertex_lists, k) for k in range(1, 5)}
+    for k in (1, 2, 3, 4, 3, 1):
+        assert count_union(union, k) == count_union(union, k, strategy="enumerate") == expected[k]
+
+
+def _least_budget(count, upper):
+    """The least budget under which ``count(budget)`` does not raise."""
+    lo, hi = 0, upper
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            count(mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("first_fails", [False, True], ids=["pass-first", "fail-first"])
+def test_a_kept_count_still_refuses_a_smaller_budget(first_fails):
+    k = 12
+    least = _least_budget(lambda b: count_convex(C.hull(3, 2), k, budget=b), 10**6)
+    barn = C.barn(3, 2, SOL2)
+    union_least = _least_budget(
+        lambda b: count_union(PolytopalUnion(3, barn.pieces), k, budget=b), 10**6
+    )
+    body, union = C.hull(3, 2), PolytopalUnion(3, barn.pieces)
+    calls = [
+        (lambda b: count_convex(body, k, budget=b), least, body, (k, False, least - 1)),
+        (lambda b: count_union(union, k, budget=b), union_least, union,
+         (k, "inclusion-exclusion", union_least - 1)),
+    ]
+    for run, budget, target, refused in calls:
+        if first_fails:
+            with pytest.raises(BudgetExceeded):
+                run(budget - 1)
+            assert refused not in target.dilate_counts
+        assert run(budget) == run(None)
+        with pytest.raises(BudgetExceeded):
+            run(budget - 1)
+        assert refused not in target.dilate_counts

@@ -184,6 +184,24 @@ def test_last_coordinate_costs_no_nodes():
     assert _enum_py.count_box_union(lo, hi, [([[1]], [0]), ([[-1]], [0])], 0) == 2 * 10**12 + 1
 
 
+@settings(max_examples=200)
+@given(st.integers(-5, 2), st.integers(-1, 5), systems(1))
+@example(0, 9, ([[0], [1]], [-1, 5]))  # a zero row with a negative offset
+@example(0, 9, ([[0], [-2]], [0, -3]))  # a zero row that holds
+@example(4, -1, ([[1]], [10]))  # an empty box
+def test_one_coordinate_system_is_one_clip(start, width, system):
+    # a single system over a 1-D box is clipped, not walked, and charges 0
+    lo, hi = [start], [start + width]
+    assert _enum_py.walk_box(lo, hi, [system], 0) == (scan(lo, hi, [system]), 0)
+
+
+def test_one_coordinate_count_at_a_huge_dilate_charges_nothing():
+    lo, hi, normals, offsets = _dilated_system(C.segment(2), 10**10)
+    found = walk_count(lo, hi, [(normals, offsets)])
+    assert found == 10**10 // 2 + 1
+    assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 0) == (found, 0)
+
+
 @settings(max_examples=300)
 @given(
     st.integers(0, 40),
