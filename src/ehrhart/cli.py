@@ -11,8 +11,9 @@ prints. Output is deterministic: keys are sorted, ordering is fixed, and
 nothing time-dependent is ever emitted.
 
 One ``verify`` run computes each exact object once: claims share one body
-per family member (``_body``) and one fit per body (``_fitted``), and
-``main`` parses with one parser built per process.
+per family member (``_body``), and with it the counts and the fit that
+the body keeps (``counting.fitted``); ``main`` parses with one parser
+built per process.
 
 One verdict rule judges every claim: it passes when every case passes,
 and it is ``skipped`` (exit 0) when no case matches the flags or the
@@ -21,7 +22,8 @@ budget runs out. ``--p``/``--max-p`` accept values from 1, ``--n``/
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
-3 internal error. ``main`` lets every other exception propagate;
+3 internal error, 141 (128 + SIGPIPE) when the reader of stdout has gone,
+with nothing on stderr. ``main`` lets every other exception propagate;
 ``entry``, the installed script and ``python -m ehrhart.cli``, prints
 its traceback to stderr and exits 3.
 """
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 from . import constructions, pte, series as series_mod
-from .counting import CountFunction, count, count_convex, count_series, count_union
+from .counting import count, count_convex, count_series, count_union, fitted
 from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
 from .indices import mcmullen_check
 from .polytope import (
@@ -46,7 +49,7 @@ from .polytope import (
     union_from_dict,
     union_to_dict,
 )
-from .quasipoly import equivalent, fit, negate, period_sequence, to_dict as qp_to_dict
+from .quasipoly import equivalent, negate, period_sequence, to_dict as qp_to_dict
 
 @dataclass
 class VerificationReport:
@@ -64,30 +67,11 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _degree(obj) -> int:
-    if isinstance(obj, PolytopalUnion):
-        return obj.ambient_dim
-    return obj.intrinsic_dim
-
-
-@lru_cache(maxsize=None)
-def _fitted(obj, budget):
-    """Fit the dilate-count quasi-polynomial; returns (qp, counter).
-
-    Convex bodies are sampled on both sides of zero (reciprocity); unions
-    at positive dilates only. Claims share the cache: equal bodies have
-    equal inequalities, so they also count by the same route.
-    """
-    counter = CountFunction(obj, budget=budget)
-    convex = not isinstance(obj, PolytopalUnion)
-    return fit(counter, _degree(obj), denominator(obj), two_sided=convex), counter
-
-
 @lru_cache(maxsize=None)
 def _body(family: str, p: int, n: int | None = None):
     """The family member ``build(family, p, n)``, built once per process, so
-    claims share it and with it its face lattice, bounds and ``_fitted``
-    entry. Call it positionally: the cache keys ``n`` and ``n=`` apart."""
+    claims share it and with it its face lattice, bounds, counts and fit.
+    Call it positionally: the cache keys ``n`` and ``n=`` apart."""
     return constructions.build(family, p, n)[0]
 
 
@@ -159,14 +143,14 @@ def _cmd_count(args) -> int:
 
 def _cmd_fit(args) -> int:
     obj = _load_object(args)
-    qp, _ = _fitted(obj, args.budget)
+    qp, _ = fitted(obj, args.budget)
     _emit(qp_to_dict(qp), args.format)
     return 0
 
 
 def _cmd_periods(args) -> int:
     obj = _load_object(args)
-    qp, _ = _fitted(obj, args.budget)
+    qp, _ = fitted(obj, args.budget)
     _emit(
         {
             "period_sequence": list(period_sequence(qp)),
@@ -196,7 +180,7 @@ def _cmd_indices(args) -> int:
 
 def _cmd_series(args) -> int:
     obj = _load_object(args)
-    qp, _ = _fitted(obj, args.budget)
+    qp, _ = fitted(obj, args.budget)
     _emit(series_mod.to_dict(series_mod.from_quasipolynomial(qp)), args.format)
     return 0
 
@@ -245,13 +229,13 @@ def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [1, 2, 3, 4, 5]
     cases = []
     for p in ps:
-        fp, cp = _fitted(_body("pentagon", p), budget)
-        fl, cl = _fitted(_body("segment", p), budget)
+        fp, cp = fitted(_body("pentagon", p), budget)
+        fl, cl = fitted(_body("segment", p), budget)
         good = equivalent(fp, negate(fl))
         cases.append((f"p={p}", good, {
             "equivalent": good,
-            "pentagon_counts": cp.samples(),
-            "segment_counts": cl.samples(),
+            "pentagon_counts": cp,
+            "segment_counts": cl,
         }))
     return {"p": ps}, cases
 
@@ -260,12 +244,13 @@ def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3, 4, 5]
     cases = []
     for p in ps:
-        qp, counter = _fitted(_body("heptagon", p), budget)
+        body = _body("heptagon", p)
+        qp, samples = fitted(body, budget)
         seq = period_sequence(qp)
         good = seq == (1, p, 1)
-        entry = {"period_sequence": list(seq), "counts": counter.samples()}
+        entry = {"period_sequence": list(seq), "counts": samples}
         if p == 2:
-            first = [counter(k) for k in range(1, 5)]
+            first = [count(body, k, budget) for k in range(1, 5)]
             mid = {
                 "odd": str(qp.coefficient(1, 1)),
                 "even": str(qp.coefficient(1, 2)),
@@ -285,15 +270,15 @@ def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
     for p in ps:
         for i in folds:
             n = 2 + i
-            qp_pyr, c1 = _fitted(_body("pentagon-pyramid", p, n), budget)
-            qp_smp, c2 = _fitted(_body("simplex", p, n), budget)
+            qp_pyr, c1 = fitted(_body("pentagon-pyramid", p, n), budget)
+            qp_smp, c2 = fitted(_body("simplex", p, n), budget)
             left = series_mod.from_quasipolynomial(qp_pyr)
             right = series_mod.negate(series_mod.from_quasipolynomial(qp_smp))
             good = series_mod.series_equivalent(left, right)
             cases.append((f"p={p},i={i}", good, {
                 "series_equivalent": good,
-                "pyramid_counts": c1.samples(),
-                "simplex_counts": c2.samples(),
+                "pyramid_counts": c1,
+                "simplex_counts": c2,
             }))
     return {"p": ps, "folds": folds}, cases
 
@@ -326,13 +311,13 @@ def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
     cases = []
     for n in ns:
         for p in ps:
-            qs, cs = _fitted(_body("simplex", p, n), budget)
-            qp, cp = _fitted(_body("pentagon-pyramid", p, n), budget)
+            qs, cs = fitted(_body("simplex", p, n), budget)
+            qp, cp = fitted(_body("pentagon-pyramid", p, n), budget)
             good = equivalent(qs, negate(qp))
             cases.append((f"n={n},p={p}", good, {
                 "equivalent": good,
-                "simplex_counts": cs.samples(),
-                "pyramid_counts": cp.samples(),
+                "simplex_counts": cs,
+                "pyramid_counts": cp,
             }))
     return {"n": ns, "p": ps}, cases
 
@@ -367,13 +352,14 @@ def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
     hull_cases = _hull_cases(ps, ns)
     cases = []
     for n, p in hull_cases:
-        qp, counter = _fitted(_body("hull", p, n), budget)
+        body = _body("hull", p, n)
+        qp, samples = fitted(body, budget)
         seq = period_sequence(qp)
         expected = (1, p) + (1,) * (n - 1)
         good = seq == expected
-        entry = {"period_sequence": list(seq), "counts": counter.samples()}
+        entry = {"period_sequence": list(seq), "counts": samples}
         if (n, p) == (3, 2):
-            spot = counter(1)
+            spot = count(body, 1, budget)
             good = good and spot == 49
             entry["count_k1"] = spot
         cases.append((f"n={n},p={p}", good, entry))
@@ -393,13 +379,13 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
                 # the construction-range check below asserts exactly this
                 cases.append((f"n={n},p={p}", True, f"NotAvailable: {exc}"))
                 continue
-            qp, counter = _fitted(union, budget)
+            qp, samples = fitted(union, budget)
             seq = period_sequence(qp)
             expected = (1,) * (n - 1) + (p, 1)
             good = seq == expected
-            entry = {"period_sequence": list(seq), "counts": counter.samples()}
+            entry = {"period_sequence": list(seq), "counts": samples}
             if n == 3 and p == 2:
-                enum = [counter(k) for k in (1, 2)]
+                enum = [count(union, k, budget) for k in (1, 2)]
                 direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
                 good = good and enum == [48, 253] and direct == enum
                 entry["counts_k1_k2"] = enum
@@ -435,7 +421,7 @@ def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
     max_p = max(ps) if ps else 3
     cases = []
     for label, poly in _mcmullen_targets(max_p):
-        report = mcmullen_check(poly, qp=_fitted(poly, budget)[0])
+        report = mcmullen_check(poly, budget)
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
         entry = {
@@ -666,7 +652,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: what is still buffered goes to
+        # os.devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (EhrhartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

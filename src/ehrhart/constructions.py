@@ -65,22 +65,23 @@ def segment(p: int) -> ConvexPolytope:
     return from_vertices([(Fraction(-1, p),), (0,)])
 
 
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    """The ``i``-th unit vector of R^n."""
+    return tuple(int(j == i) for j in range(n))
+
+
+def _pentagon_points(p: int) -> list[tuple]:
+    q = q_value(p)
+    return [(q, 0), (-q, 0), (q - 1, 1), (-(q - 1), 1), (0, Fraction(q, p))]
+
+
 def pentagon(p: int) -> ConvexPolytope:
     """Pentagon with vertices ``(+-q, 0)``, ``(+-(q-1), 1)``, ``(0, q/p)``.
 
     Its dilate counts are complementary to the segment's: the periodic
     parts cancel in the sum. Degenerates to a triangle at ``p = 1``.
     """
-    q = q_value(p)
-    return from_vertices(
-        [
-            (q, 0),
-            (-q, 0),
-            (q - 1, 1),
-            (-(q - 1), 1),
-            (0, Fraction(q, p)),
-        ]
-    )
+    return from_vertices(_pentagon_points(p))
 
 
 def rectangle(p: int) -> ConvexPolytope:
@@ -95,9 +96,9 @@ def heptagon(p: int) -> ConvexPolytope:
     the hull is their union and the periodic parts interact only through
     the box factor.
     """
-    r = rectangle(p)
-    pent = pentagon(p)
-    return from_vertices(list(r.vertices) + list(pent.vertices))
+    q = q_value(p)
+    corners = [(x, y) for x in (q, -q) for y in (Fraction(-1, p), 0)]  # the rectangle's
+    return from_vertices(corners + _pentagon_points(p))
 
 
 def simplex(n: int, p: int) -> ConvexPolytope:
@@ -106,15 +107,14 @@ def simplex(n: int, p: int) -> ConvexPolytope:
     An ``(n-2)``-fold pyramid over the segment; period sequence
     ``(p, 1, ..., 1)``.
     """
+    return from_vertices(_simplex_points(n, p))
+
+
+def _simplex_points(n: int, p: int) -> list[tuple]:
     _check_n(n)
     _check_p(p)
     d = n - 1
-    verts: list[tuple] = [tuple([0] * d), (Fraction(-1, p),) + (0,) * (d - 1)]
-    for i in range(1, d):
-        e = [0] * d
-        e[i] = 1
-        verts.append(tuple(e))
-    return from_vertices(verts)
+    return [(0,) * d, (Fraction(-1, p),) + (0,) * (d - 1)] + [_unit(d, i) for i in range(1, d)]
 
 
 def prism(n: int, p: int) -> ConvexPolytope:
@@ -133,61 +133,52 @@ def prism(n: int, p: int) -> ConvexPolytope:
     return body.translate(shift)
 
 
+def _pentagon_pyramid_points(n: int, p: int) -> list[tuple]:
+    _check_n(n)
+    return [v + (0,) * (n - 2) for v in _pentagon_points(p)] + [_unit(n, i) for i in range(2, n)]
+
+
 def pentagon_pyramid(n: int, p: int) -> ConvexPolytope:
     """``conv(pentagon x {0} u {e_3, ..., e_n})`` in R^n: iterated pyramids."""
-    _check_n(n)
-    verts = [v + (0,) * (n - 2) for v in pentagon(p).vertices]
-    for i in range(2, n):
-        e = [0] * n
-        e[i] = 1
-        verts.append(tuple(e))
-    return from_vertices(verts)
+    return from_vertices(_pentagon_pyramid_points(n, p))
 
 
 def hull(n: int, p: int) -> ConvexPolytope:
-    """Hull of the prism and the pentagon pyramid; periods ``(1, p, 1, ..., 1)``."""
+    """Hull of the prism and the pentagon pyramid; periods ``(1, p, 1, ..., 1)``.
+
+    The prism's points are ``+-q`` times the simplex's, dropped by ``q e_2``
+    as ``prism`` drops them."""
+    q = q_value(p)
+    prism_points = [(x, v[0] - q) + v[1:] for x in (q, -q) for v in _simplex_points(n, p)]
+    return from_vertices(prism_points + _pentagon_pyramid_points(n, p))
+
+
+def _prism_facet_points(n: int, p: int) -> list[tuple]:
     _check_n(n)
-    return from_vertices(
-        list(prism(n, p).vertices) + list(pentagon_pyramid(n, p).vertices)
-    )
+    q = q_value(p)
+    offsets = [(0,) * (n - 2)] + [_unit(n - 2, j) for j in range(n - 2)]
+    return [(x, -q) + v for x in (q, -q) for v in offsets]
+
+
+def _pyramid_facet_points(n: int, p: int) -> list[tuple]:
+    _check_n(n)
+    q = q_value(p)
+    return [(q,) + (0,) * (n - 1), (-q,) + (0,) * (n - 1)] + [_unit(n, j) for j in range(2, n)]
 
 
 def prism_shared_facet(n: int, p: int) -> ConvexPolytope:
     """The prism facet on ``x_2 = -q``: ``conv{+-q e_1 (+ e_j)} - q e_2``."""
-    _check_n(n)
-    q = q_value(p)
-    verts = []
-    for sign in (q, -q):
-        base = [0] * n
-        base[0] = sign
-        base[1] = -q
-        verts.append(tuple(base))
-        for j in range(2, n):
-            v = list(base)
-            v[j] = 1
-            verts.append(tuple(v))
-    return from_vertices(verts)
+    return from_vertices(_prism_facet_points(n, p))
 
 
 def pyramid_shared_facet(n: int, p: int) -> ConvexPolytope:
     """The pyramid facet on ``x_2 = 0``: ``conv{+-q e_1, e_3, ..., e_n}``."""
-    _check_n(n)
-    q = q_value(p)
-    verts = [(q,) + (0,) * (n - 1), (-q,) + (0,) * (n - 1)]
-    for j in range(2, n):
-        e = [0] * n
-        e[j] = 1
-        verts.append(tuple(e))
-    return from_vertices(verts)
+    return from_vertices(_pyramid_facet_points(n, p))
 
 
 def middle(n: int, p: int) -> ConvexPolytope:
     """Hull of the two shared facets: the integral slab between prism and pyramid."""
-    _check_n(n)
-    return from_vertices(
-        list(prism_shared_facet(n, p).vertices)
-        + list(pyramid_shared_facet(n, p).vertices)
-    )
+    return from_vertices(_prism_facet_points(n, p) + _pyramid_facet_points(n, p))
 
 
 @dataclass(frozen=True)

@@ -31,21 +31,24 @@ body or union, never in a module-level cache. A body keeps its integer
 ``rows`` (with the kernel's level skeletons) and its ``dilate_counts``,
 so each ``(k, interior, budget)`` is counted once; a union keeps its
 ``dilate_counts`` by ``(k, strategy, budget)`` and the ``term_blocks``
-of each intersection of pieces, by piece indices. A count that overdraws
-its budget is never kept, so a smaller budget still raises. Per dilate
-only the box, the offsets and the walk are computed.
+of each intersection of pieces, by piece indices. Both keep their
+``fitted`` quasi-polynomial in ``fits``, by budget. A count or fit that
+overdraws its budget is never kept, so a smaller budget still raises.
+Per dilate only the box, the offsets and the walk are computed.
 
 Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
 for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
-number of lattice points in the relative interior of ``kP``, so a
-``CountFunction`` of a convex body is defined at every ``k != 0``.
+number of lattice points in the relative interior of ``kP``, so ``count``
+of a convex body is defined at every ``k != 0``, and ``fitted`` samples
+a body on both sides of zero.
 """
 
 from __future__ import annotations
 
 from . import _enum_py
 from .errors import BudgetExceeded, InvalidInput
-from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks
+from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks, denominator
+from .quasipoly import QuasiPolynomial, fit
 
 DEFAULT_BUDGET = 10**9
 
@@ -239,8 +242,14 @@ def count_union(
 
 
 def count(obj: ConvexPolytope | PolytopalUnion, k: int, budget: int | None = None) -> int:
+    """``L(k)``: the lattice points of ``k * obj`` for ``k >= 1``. A convex
+    body is also defined at ``k <= -1``, by reciprocity: ``(-1)**dim``
+    times the interior count of ``|k| * obj``. A union, where reciprocity
+    fails, takes ``k >= 1`` only."""
     if isinstance(obj, PolytopalUnion):
         return count_union(obj, k, budget)
+    if isinstance(k, int) and k < 0:
+        return (-1) ** obj.intrinsic_dim * count_convex(obj, -k, budget, interior=True)
     return count_convex(obj, k, budget)
 
 
@@ -253,40 +262,28 @@ def count_series(
     return [count(obj, k, budget) for k in range(1, k_max + 1)]
 
 
-class CountFunction:
-    """Memoized ``k -> |kX intersect Z^n|`` with its strategy recorded.
+def fitted(
+    obj: ConvexPolytope | PolytopalUnion, budget: int | None = None
+) -> tuple[QuasiPolynomial, dict[int, int]]:
+    """The dilate-count quasi-polynomial of ``obj`` and the samples it was
+    fitted from, by dilate (report witness data), kept in ``obj.fits``.
 
-    The strategy tag only documents how values are produced; the counting
-    routes agree wherever both are defined, which the tests enforce. For a
-    convex body a negative ``k`` gives the Ehrhart quasi-polynomial's value
-    there by reciprocity, ``(-1)**dim`` times the interior count of
-    ``|k| * X``; a union, where reciprocity fails, takes ``k >= 1`` only.
+    The degree is the intrinsic dimension of a body and the ambient one of
+    a union, the modulus its ``denominator``. A body is sampled on both
+    sides of zero, so a negative key ``-k`` holds ``L(-k)``; a union at
+    positive dilates only.
     """
+    budget = _budget(budget)
+    found = obj.fits.get(budget)
+    if found is None:
+        samples = {}
 
-    def __init__(self, target: ConvexPolytope | PolytopalUnion, budget: int | None = None) -> None:
-        self.target = target
-        self.budget = budget
-        if isinstance(target, PolytopalUnion):
-            self.strategy = _union_strategy(target)
-        else:
-            self.strategy = "enumerate"
-        self._memo: dict[int, int] = {}
+        def counter(k: int) -> int:
+            samples[k] = count(obj, k, budget)
+            return samples[k]
 
-    def __call__(self, k: int) -> int:
-        if k not in self._memo:
-            if isinstance(self.target, PolytopalUnion):
-                self._memo[k] = count_union(self.target, k, self.budget, self.strategy)
-            elif k < 0:
-                sign = (-1) ** self.target.intrinsic_dim
-                self._memo[k] = sign * count_convex(self.target, -k, self.budget, interior=True)
-            else:
-                self._memo[k] = count_convex(self.target, k, self.budget)
-        return self._memo[k]
-
-    def samples(self) -> dict[int, int]:
-        """All values computed so far, by dilate (report witness data).
-
-        A negative key ``-k`` holds ``L(-k)``, not a count: it is
-        ``(-1)**dim`` times the interior count of ``k * X``.
-        """
-        return dict(sorted(self._memo.items()))
+        union = isinstance(obj, PolytopalUnion)
+        degree = obj.ambient_dim if union else obj.intrinsic_dim
+        qp = fit(counter, degree, denominator(obj), two_sided=not union)
+        found = obj.fits[budget] = qp, dict(sorted(samples.items()))
+    return found

@@ -6,10 +6,11 @@ indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
 independently and reports the comparison: indices from the body's face
-lattice (built on first use and kept; up to dimension 5), periods by
-fitting raw counts. A face whose vertex denominators have gcd 1 has index
-1, since its minimal dilate divides each of them; any other face's span is
-taken from the facets tight on it and solved over the integer lattice by
+lattice (built on first use and kept; up to dimension 5), periods from
+the fit of raw counts that ``counting.fitted`` keeps with the body. A
+face whose vertex denominators have gcd 1 has index 1, since its minimal
+dilate divides each of them; any other face's span is taken from the
+facets tight on it and solved over the integer lattice by
 ``linalg.min_dilate_with_lattice_point``.
 """
 
@@ -18,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import CountFunction
+from .counting import fitted
 from .linalg import min_dilate_with_lattice_point
-from .polytope import ConvexPolytope, PolytopalUnion, denominator
-from .quasipoly import QuasiPolynomial, fit, period_sequence
+from .polytope import ConvexPolytope, PolytopalUnion
+from .quasipoly import period_sequence
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,15 @@ class McMullenReport:
     ok: bool
 
 
-def mcmullen_check(
-    poly: ConvexPolytope,
-    qp: QuasiPolynomial | None = None,
-    budget: int | None = None,
-) -> McMullenReport:
+def mcmullen_check(poly: ConvexPolytope, budget: int | None = None) -> McMullenReport:
     """Compare the period sequence against the index sequence.
 
-    The two sequences come from independent routes: periods from a fit of
-    raw counts (``qp``, fitted here on both sides of zero when not given),
-    indices from face spans. The report records whether every period
-    divides the matching index and whether the chain invariant holds.
+    The two sequences come from independent routes: periods from the
+    body's ``fitted`` quasi-polynomial, indices from face spans. The report
+    records whether every period divides the matching index and whether
+    the chain invariant holds.
     """
-    if qp is None:
-        counter = CountFunction(poly, budget=budget)
-        qp = fit(counter, poly.intrinsic_dim, denominator(poly), two_sided=True)
-    periods = period_sequence(qp)
+    periods = period_sequence(fitted(poly, budget)[0])
     indices = index_sequence(poly).values
     divides = tuple(g % p == 0 for p, g in zip(periods, indices))
     chain_ok = chain_check(IndexSequence(indices))

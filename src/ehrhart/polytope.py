@@ -13,12 +13,13 @@ every combinatorial question without elimination: which points are
 vertices, and the body's ``face_lattice``, every face graded with its
 span, computed on first use and kept with the body (both capped at
 dimension 5). A body likewise keeps the integer ``rows`` that count its
-dilates and the counts made of them, and a union the coordinate blocks
-of its counted intersections (see ``counting``). Dilates, translates and
-products are composed directly, without re-running the hull, so
-high-dimensional product bodies stay cheap; a pyramid re-runs the hull
-on the lifted base and its apex. Whether a body is a product is read off
-its inequalities alone, by ``coordinate_blocks``.
+dilates, the counts made of them and its fitted quasi-polynomial, and a
+union its counts, its fit and the coordinate blocks of its counted
+intersections (see ``counting``). Dilates, translates and products are
+composed directly, without re-running the hull, so high-dimensional
+product bodies stay cheap; a pyramid re-runs the hull on the lifted base
+and its apex. Whether a body is a product is read off its inequalities
+alone, by ``coordinate_blocks``.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure.
@@ -87,6 +88,12 @@ class ConvexPolytope:
         """The lattice-point counts ``counting`` has made of this body's
         dilates, keyed ``(k, interior, budget)``; a count that overdrew its
         budget is not kept."""
+        return {}
+
+    @cached_property
+    def fits(self) -> dict[int, tuple]:
+        """The ``counting.fitted`` result for this body, by budget; a fit
+        that raised is not kept."""
         return {}
 
     @cached_property
@@ -229,6 +236,12 @@ class PolytopalUnion:
         """The lattice-point counts ``counting`` has made of this union's
         dilates, keyed ``(k, strategy, budget)``; a count that overdrew its
         budget is not kept."""
+        return {}
+
+    @cached_property
+    def fits(self) -> dict[int, tuple]:
+        """The ``counting.fitted`` result for this union, by budget; a fit
+        that raised is not kept."""
         return {}
 
     @cached_property

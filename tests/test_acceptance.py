@@ -6,11 +6,13 @@ once its criterion holds; fitted quasi-polynomials are cached in a
 module-level store because several criteria share the same bodies.
 """
 
+from functools import partial
+
 import pytest
 
 from ehrhart import constructions as C
 from ehrhart import pte
-from ehrhart.counting import CountFunction, count, count_convex, count_union
+from ehrhart.counting import count, count_convex, count_union
 from ehrhart.errors import NotAvailable
 from ehrhart.indices import mcmullen_check
 from ehrhart.polytope import denominator, is_integral
@@ -24,7 +26,7 @@ _FITS: dict = {}
 def fitted(body):
     """Fit (and cache) the dilate-count quasi-polynomial of a body."""
     if body not in _FITS:
-        counter = CountFunction(body)
+        counter = partial(count, body)
         degree = body.intrinsic_dim if hasattr(body, "intrinsic_dim") else body.ambient_dim
         qp = fit(counter, degree, denominator(body))
         # five fresh dilates beyond the fitting and verification window

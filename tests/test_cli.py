@@ -1,15 +1,18 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ehrhart import cli, constructions
+import ehrhart
+from ehrhart import cli, constructions, indices
 from ehrhart.cli import CLAIMS, main
-from ehrhart.counting import CountFunction
+from ehrhart.counting import DEFAULT_BUDGET, count, fitted
 from ehrhart.errors import InvalidInput
 from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, union_to_dict
 from ehrhart.pte import table_lookup
@@ -371,24 +374,36 @@ def test_internal_errors_exit_3_with_traceback(monkeypatch, capsys):
     assert "Traceback" in err and "KeyError: 'internal'" in err
 
 
-def test_module_entry_point_subprocess():
-    import os
-    from pathlib import Path
-
-    import ehrhart
-
+def run_module(*argv, **kwargs):
+    """``python -m ehrhart.cli *argv`` in a fresh process that imports this
+    ``ehrhart``; output is captured unless ``kwargs`` direct it."""
     src_dir = str(Path(ehrhart.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "ehrhart.cli", "periods", "--family", "simplex",
-         "--n", "3", "--p", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "ehrhart.cli", *argv], env=env, **kwargs)
+
+
+def test_module_entry_point_subprocess():
+    proc = run_module("periods", "--family", "simplex", "--n", "3", "--p", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["period_sequence"] == [2, 1, 1]
+
+
+# the first output fits the stdout buffer and fails on the flush in
+# ``main``; the second overflows it and fails inside ``print``
+@pytest.mark.parametrize("argv", [("verify", "pte-table"), ("verify", "all", "--max-p", "1")])
+@pytest.mark.parametrize("shared_stderr", [False, True], ids=["own-stderr", "shared-stderr"])
+def test_closed_stdout_exits_141_and_says_nothing(argv, shared_stderr):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the process starts
+    try:
+        proc = run_module(*argv, stdout=write, stderr=write if shared_stderr else subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr in (None, b"")
 
 
 def test_tampered_union_input_is_rejected(tmp_path, capsys):
@@ -435,6 +450,14 @@ def test_verify_all_max_p2_output_is_unchanged(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_P2_SHA256
+
+
+def test_verify_all_max_p2_output_is_unchanged_in_a_fresh_process():
+    # fits are kept on the bodies that ``_body`` holds for the whole test
+    # run, so the in-process pin may read what earlier tests left there
+    proc = run_module("verify", "all", "--max-p", "2")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_P2_SHA256
 
 
 # sha256 of the stdout of ``ehrhart verify all --max-p 6``: the McMullen
@@ -502,22 +525,17 @@ def test_families_keep_their_order():
 def test_fitted_follows_the_counting_route_of_equal_bodies():
     # barn(3,2) rebuilt from its pieces' vertices as hulls has the barn's
     # inequalities, so it compares and hashes equal to the barn and counts
-    # by the same route: the cache may hand it the barn's fit
+    # by the same route, to the same fit
     barn = constructions.barn(3, 2, table_lookup(2))
     copy = PolytopalUnion(
         barn.ambient_dim, tuple(from_vertices(piece.vertices) for piece in barn.pieces)
     )
     assert copy == barn and hash(copy) == hash(barn)
-    cli._fitted.cache_clear()
-    try:
-        qp_barn, counter_barn = cli._fitted(barn, None)
-        qp_copy, counter_copy = cli._fitted(copy, None)
-    finally:
-        cli._fitted.cache_clear()
-    assert counter_barn.strategy == "inclusion-exclusion"
-    own = CountFunction(copy)
-    assert own.strategy == "inclusion-exclusion"
-    assert qp_copy == qp_barn == fit(own, 3, denominator(copy))
+    qp_barn, _ = fitted(barn)
+    qp_copy, _ = fitted(copy)
+    for union in (barn, copy):
+        assert {route for _, route, _ in union.dilate_counts} == {"inclusion-exclusion"}
+    assert qp_copy == qp_barn == fit(partial(count, copy), 3, denominator(copy))
 
 
 def _is_count_map(value):
@@ -560,25 +578,25 @@ def test_verify_all_max_p2_agrees_with_parent_output(capsys):
 
 
 def test_two_sided_fits_equal_positive_fits(monkeypatch):
-    fitted = []
+    objects = {}
 
-    def recording_fit(counter, degree, modulus, two_sided):
-        qp = fit(counter, degree, modulus, two_sided=two_sided)
-        fitted.append((counter, degree, modulus, two_sided, qp))
-        return qp
+    def recording_fitted(obj, budget=None):
+        objects[id(obj)] = obj
+        return fitted(obj, budget)
 
-    monkeypatch.setattr(cli, "fit", recording_fit)
-    cli._fitted.cache_clear()
-    try:
-        cli.verify_all(max_p=2)
-    finally:
-        cli._fitted.cache_clear()
-    for counter, _, _, two_sided, _ in fitted:
-        assert two_sided == (not isinstance(counter.target, PolytopalUnion))
-    convex = [entry for entry in fitted if entry[3]]
+    monkeypatch.setattr(cli, "fitted", recording_fitted)
+    monkeypatch.setattr(indices, "fitted", recording_fitted)
+    cli.verify_all(max_p=2)
+    convex = []
+    for obj in objects.values():
+        qp, samples = obj.fits[DEFAULT_BUDGET]
+        two_sided = min(samples) < 0
+        assert two_sided == (not isinstance(obj, PolytopalUnion))
+        if two_sided:
+            convex.append((obj, qp))
     assert len(convex) == 30  # the mcmullen targets, which include every other claim's body
-    for counter, degree, modulus, _, qp in convex:
-        assert fit(counter, degree, modulus) == qp
+    for obj, qp in convex:
+        assert fit(partial(count, obj), obj.intrinsic_dim, denominator(obj)) == qp
 
 
 def test_negative_witness_keys_recheck_with_count_interior(capsys):
@@ -615,13 +633,11 @@ def test_verify_builds_each_family_member_once(monkeypatch):
 
     monkeypatch.setattr(constructions, "build", counting_build)
     cli._body.cache_clear()
-    cli._fitted.cache_clear()
     try:
         reports = cli.verify_all(max_p=2)
         assert cli._body("hull", 2, 3) is cli._body("hull", 2, 3)
     finally:
         cli._body.cache_clear()
-        cli._fitted.cache_clear()
     assert [r.outcome for r in reports] == ["pass"] * len(CLAIMS)
     assert ("hull", 2, 3) in built and ("barn", 2, 3) in built
     assert len(built) == len(set(built))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,11 +10,12 @@ from strategies import clouds, rationals
 
 from ehrhart import constructions as C
 from ehrhart.counting import (
-    CountFunction,
+    DEFAULT_BUDGET,
     count,
     count_convex,
     count_series,
     count_union,
+    fitted,
 )
 from ehrhart.errors import BudgetExceeded
 from ehrhart.polytope import (
@@ -29,6 +31,12 @@ from ehrhart.quasipoly import fit
 
 SOL2 = PteSolution((1, 2), (3, 0))
 SOL3 = PteSolution((1, 2, 6), (4, 5, 0))
+
+
+def routes(union):
+    """The routes ``count_union`` has counted ``union`` by, read off the
+    keys of its ``dilate_counts``."""
+    return {route for _, route, _ in union.dilate_counts}
 
 
 def test_segment_counts():
@@ -109,16 +117,17 @@ def test_union_of_equal_boxes_counts_each_point_once():
     # two copies of the [0,1]^2 box overlap in all of it; the union has the
     # box's counts, not twice them
     box = product(C.interval(0, 1), C.interval(0, 1))
-    counter = CountFunction(PolytopalUnion(2, (box, box)))
-    assert counter.strategy == "inclusion-exclusion"
-    assert [counter(k) for k in (1, 2, 3)] == [4, 9, 16]
+    union = PolytopalUnion(2, (box, box))
+    assert [count(union, k) for k in (1, 2, 3)] == [4, 9, 16]
+    assert routes(union) == {"inclusion-exclusion"}
 
 
 def test_overlaps_of_product_pieces_are_computed():
     box1 = product(C.interval(0, 2), C.interval(0, 2))
     box2 = product(C.interval(1, 3), C.interval(0, 2))
     union = PolytopalUnion(2, (box1, box2))
-    assert CountFunction(union).strategy == "inclusion-exclusion"
+    count(union, 1)
+    assert routes(union) == {"inclusion-exclusion"}
     for strategy in ("inclusion-exclusion", "enumerate"):
         assert count_union(union, 1, strategy=strategy) == 12  # [0,3] x [0,2]
 
@@ -129,8 +138,8 @@ def test_three_piece_union_counts_its_triple_overlap():
     # three boxes share the column x = 2
     boxes = [product(C.interval(a, a + 2), C.interval(0, 2)) for a in (0, 1, 2)]
     union = PolytopalUnion(2, tuple(boxes))
-    assert CountFunction(union).strategy == "inclusion-exclusion"
     assert [count_union(union, k) for k in (1, 2)] == [15, 45]
+    assert routes(union) == {"inclusion-exclusion"}
     assert [count_union(union, k, strategy="enumerate") for k in (1, 2)] == [15, 45]
 
 
@@ -142,7 +151,8 @@ def test_overlap_terms_split_into_uncoupled_coordinate_blocks():
     unit = C.interval(0, 1)
     cube = from_vertices(product(unit, product(unit, unit)).vertices)
     union = PolytopalUnion(3, (cube, cube.translate([1, 0, 0])))
-    assert CountFunction(union).strategy == "inclusion-exclusion"
+    count(union, 1)
+    assert routes(union) == {"inclusion-exclusion"}
     # [0,2k] x [0,k] x [0,k]
     assert count_union(union, 20, budget=10, strategy="inclusion-exclusion") == 41 * 21 * 21
     with pytest.raises(BudgetExceeded):
@@ -266,21 +276,22 @@ def test_monotone_in_k_for_bodies_containing_origin():
         assert all(a <= b for a, b in zip(series, series[1:]))
 
 
-def test_count_function_memoizes_and_tags():
-    counter = CountFunction(C.pentagon(2))
-    assert counter.strategy == "enumerate"
-    assert counter(2) == 34
-    assert counter.samples() == {2: 34}
+def test_count_keeps_each_count_with_its_route():
+    pentagon = C.pentagon(2)
+    assert count(pentagon, 2) == 34
+    assert pentagon.dilate_counts == {(2, False, DEFAULT_BUDGET): 34}
     barn = C.barn(3, 2, SOL2)
-    barn_counter = CountFunction(barn)
-    assert barn_counter.strategy == "inclusion-exclusion"
-    assert barn_counter(1) == 48
     assert count(barn, 1) == 48
+    assert barn.dilate_counts == {(1, "inclusion-exclusion", DEFAULT_BUDGET): 48}
     # 'auto' reads the route off the pieces' facets: a translate keeps the
     # barn's blocks, but a piece of one block makes the union enumerate
-    assert CountFunction(translated_union(barn, [2, -3, 1])).strategy == "inclusion-exclusion"
+    moved = translated_union(barn, [2, -3, 1])
+    count(moved, 1)
+    assert routes(moved) == {"inclusion-exclusion"}
     box = product(C.interval(0, 1), C.interval(0, 1))
-    assert CountFunction(PolytopalUnion(2, (box, C.pentagon(2)))).strategy == "enumerate"
+    mixed = PolytopalUnion(2, (box, C.pentagon(2)))
+    count(mixed, 1)
+    assert routes(mixed) == {"enumerate"}
 
 
 INTERIOR_BODIES = [
@@ -299,15 +310,20 @@ INTERIOR_BODIES = [
 
 @pytest.mark.parametrize("body", INTERIOR_BODIES, ids=repr)
 def test_interior_counts_match_strict_oracle(body):
+    # and ``count`` at -k is the interior count of k * body, signed
     for k in (1, 2, 3):
-        assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
+        interior = brute_count_interior(body.vertices, k)
+        assert count_convex(body, k, interior=True) == interior
+        assert count(body, -k) == (-1) ** body.intrinsic_dim * interior
 
 
 @settings(max_examples=100)
 @given(clouds(max_dim=3, bound=2), st.integers(1, 2))
 def test_interior_counts_match_strict_oracle_on_random_clouds(points, k):
     body = from_vertices(points)
-    assert count_convex(body, k, interior=True) == brute_count_interior(body.vertices, k)
+    interior = brute_count_interior(body.vertices, k)
+    assert count_convex(body, k, interior=True) == interior
+    assert count(body, -k) == (-1) ** body.intrinsic_dim * interior
 
 
 @settings(max_examples=40)
@@ -316,20 +332,44 @@ def test_two_sided_fit_equals_positive_fit_on_random_clouds(points):
     # reciprocity: the counts at k >= 1 and the signed interior counts
     # at k <= -1 lie on one quasi-polynomial
     body = from_vertices(points)
-    counter = CountFunction(body)
-    args = (counter, body.intrinsic_dim, denominator(body))
+    args = (partial(count, body), body.intrinsic_dim, denominator(body))
     assert fit(*args, two_sided=True) == fit(*args)
 
 
-def test_count_function_negative_dilates_use_reciprocity():
+def test_count_at_negative_dilates_uses_reciprocity():
     for body in (C.pentagon(2), C.simplex(3, 2), C.prism_shared_facet(3, 2)):
-        counter = CountFunction(body)
         for k in (1, 2):
             expected = (-1) ** body.intrinsic_dim * count_convex(body, k, interior=True)
-            assert counter(-k) == expected
-            assert counter.samples()[-k] == expected
+            assert count(body, -k) == expected
     with pytest.raises(ValueError):
-        CountFunction(C.segment(2))(0)
+        count(C.segment(2), 0)
+
+
+def test_fitted_keeps_one_fit_per_object_and_budget():
+    body = C.pentagon(2)
+    qp, samples = fitted(body)
+    assert fitted(body) is fitted(body, DEFAULT_BUDGET) is body.fits[DEFAULT_BUDGET]
+    assert fit(partial(count, body), 2, 2, two_sided=True) == qp
+    assert min(samples) < 0 < max(samples)  # a body is fitted on both sides of zero
+    assert all(count(body, k) == value for k, value in samples.items())
+    fitted(body, 10**6)
+    assert sorted(body.fits) == [10**6, DEFAULT_BUDGET]
+    barn = C.barn(3, 2, SOL2)
+    qp, samples = fitted(barn)
+    assert list(barn.fits) == [DEFAULT_BUDGET]
+    assert qp.degree == 3 and min(samples) == 1  # a union at positive dilates only
+
+
+def test_a_fit_that_overdraws_its_budget_is_not_kept():
+    body = C.pentagon_pyramid(3, 2)
+    with pytest.raises(BudgetExceeded):
+        fitted(body, budget=20)
+    assert body.fits == {}
+    with pytest.raises(BudgetExceeded):
+        fitted(body, budget=10)
+    assert body.fits == {}
+    fitted(body)
+    assert list(body.fits) == [DEFAULT_BUDGET]
 
 
 def translated_union(union, shift):
@@ -382,11 +422,11 @@ def test_union_enumeration_equals_inclusion_exclusion_on_translates(union, k):
     )
 
 
-def test_count_function_rejects_nonpositive_dilates_of_unions():
-    counter = CountFunction(C.barn(3, 2, SOL2))
+def test_count_rejects_nonpositive_dilates_of_unions():
+    barn = C.barn(3, 2, SOL2)
     for k in (-1, 0):
         with pytest.raises(ValueError):
-            counter(k)
+            count(barn, k)  # reciprocity fails for unions
 
 
 # Rational bodies whose box widths change order from dilate to dilate: the
@@ -431,7 +471,8 @@ def test_union_terms_keep_their_pieces_when_a_piece_is_empty():
     wide = product(C.interval(0, 2), C.interval(1, 2))
     tall = product(C.interval(1, 2), C.interval(0, 4))
     union = PolytopalUnion(2, (thin, wide, tall))
-    assert CountFunction(union).strategy == "inclusion-exclusion"
+    count(union, 1)
+    assert routes(union) == {"inclusion-exclusion"}
     vertex_lists = [piece.vertices for piece in union.pieces]
     expected = {k: brute_count_union(vertex_lists, k) for k in range(1, 5)}
     for k in (1, 2, 3, 4, 3, 1):

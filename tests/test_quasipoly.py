@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from ehrhart import constructions as C
-from ehrhart.counting import CountFunction, count_convex
+from ehrhart.counting import count, count_convex, fitted
 from ehrhart.errors import VerificationFailed
 from ehrhart.polytope import denominator, product, pyramid
 from ehrhart.quasipoly import (
@@ -24,7 +25,7 @@ F = Fraction
 
 
 def fit_body(body, budget=None):
-    return fit(CountFunction(body, budget), body.intrinsic_dim, denominator(body))
+    return fit(partial(count, body, budget=budget), body.intrinsic_dim, denominator(body))
 
 
 def test_fit_segment():
@@ -57,7 +58,7 @@ def test_fit_off_lattice_point():
     from ehrhart.polytope import from_vertices
 
     half = from_vertices([(F(1, 2),)])
-    qp = fit(CountFunction(half), 0, 2)
+    qp = fit(partial(count, half), 0, 2)
     assert qp.coeffs == ((F(1), F(0)),)
     assert period_sequence(qp) == (2,)
 
@@ -65,29 +66,26 @@ def test_fit_off_lattice_point():
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_fit_detects_wrong_modulus(two_sided):
     with pytest.raises(VerificationFailed):
-        fit(CountFunction(C.segment(2)), 1, 1, two_sided=two_sided)  # true modulus is 2
+        fit(partial(count, C.segment(2)), 1, 1, two_sided=two_sided)  # true modulus is 2
     with pytest.raises(VerificationFailed):
-        fit(CountFunction(C.heptagon(3)), 2, 1, two_sided=two_sided)  # true modulus is 3
+        fit(partial(count, C.heptagon(3)), 2, 1, two_sided=two_sided)  # true modulus is 3
 
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_fit_detects_wrong_degree(two_sided):
     with pytest.raises(VerificationFailed):
-        fit(CountFunction(C.pentagon(2)), 1, 2, two_sided=two_sided)  # true degree is 2
+        fit(partial(count, C.pentagon(2)), 1, 2, two_sided=two_sided)  # true degree is 2
 
 
 def test_fit_sample_points():
     # nodes per residue, then degree + 2 checks beyond every node's |k|
-    counter = CountFunction(C.segment(2))
-    fit(counter, 1, 2)
-    assert list(counter.samples()) == [1, 2, 3, 4, 5, 6, 7]
-    counter = CountFunction(C.segment(2))
-    fit(counter, 1, 2, two_sided=True)
-    assert list(counter.samples()) == [-3, -2, -1, 1, 2, 3, 4]
-    counter = CountFunction(C.heptagon(3))
-    fit(counter, 2, 3, two_sided=True)
+    asked = []
+    segment = C.segment(2)
+    fit(lambda k: asked.append(k) or count(segment, k), 1, 2)
+    assert sorted(asked) == [1, 2, 3, 4, 5, 6, 7]
+    assert list(fitted(C.segment(2))[1]) == [-3, -2, -1, 1, 2, 3, 4]
     # residues 1, 2, 0 fill at 4, -4, 6; 5 and -5 fall in full residues
-    assert list(counter.samples()) == [-8, -7, -4, -3, -2, -1, 1, 2, 3, 4, 6, 7, 8]
+    assert list(fitted(C.heptagon(3))[1]) == [-8, -7, -4, -3, -2, -1, 1, 2, 3, 4, 6, 7, 8]
 
 
 def test_coefficient_periods_segment():
