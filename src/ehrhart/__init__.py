@@ -9,14 +9,12 @@ identities relating the families. All arithmetic is exact rational.
 
 from .counting import count, count_convex, count_series, count_union, fitted, kernel_name
 from .errors import (
-    BadApex,
     BudgetExceeded,
     DimensionCapExceeded,
     DimensionMismatch,
     EhrhartError,
     Infeasible,
     NonterminatingNumerator,
-    NoSolution,
     NotAvailable,
     RejectedSolution,
     SizeMismatch,
@@ -24,12 +22,7 @@ from .errors import (
     VerificationFailed,
 )
 from .indices import IndexSequence, McMullenReport, chain_check, index_sequence, mcmullen_check
-from .linalg import (
-    AffineSubspace,
-    Rational,
-    min_dilate_with_lattice_point,
-    solve_rational,
-)
+from .linalg import AffineSubspace, Rational, min_dilate_with_lattice_point
 from .polytope import (
     ConvexPolytope,
     Face,
@@ -40,21 +33,9 @@ from .polytope import (
     from_vertices,
     is_integral,
     product,
-    pyramid,
 )
-from .pte import PteSolution, elem_sym, power_sum, product_identity_check, table_lookup
-from .quasipoly import (
-    QuasiPolynomial,
-    add,
-    coefficient_period,
-    equivalent,
-    fit,
-    multiply_by_polynomial,
-    negate,
-    period_sequence,
-    prefix_sum,
-    scale,
-)
+from .pte import PteSolution, power_sum, product_identity_check, table_lookup
+from .quasipoly import QuasiPolynomial, coefficient_period, equivalent, fit, negate, period_sequence
 from .series import EhrhartSeries, from_quasipolynomial, pyramid_transform, series_equivalent
 
 __version__ = "0.1.0"

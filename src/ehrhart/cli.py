@@ -37,7 +37,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
-from . import constructions, pte, series as series_mod
+from . import constructions, pte
 from .counting import count, count_convex, count_series, count_union, fitted
 from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
 from .indices import mcmullen_check
@@ -50,6 +50,7 @@ from .polytope import (
     union_to_dict,
 )
 from .quasipoly import equivalent, negate, period_sequence, to_dict as qp_to_dict
+from .series import from_quasipolynomial, pyramid_transform, to_dict as series_to_dict
 
 @dataclass
 class VerificationReport:
@@ -181,7 +182,7 @@ def _cmd_indices(args) -> int:
 def _cmd_series(args) -> int:
     obj = _load_object(args)
     qp, _ = fitted(obj, args.budget)
-    _emit(series_mod.to_dict(series_mod.from_quasipolynomial(qp)), args.format)
+    _emit(series_to_dict(from_quasipolynomial(qp)), args.format)
     return 0
 
 
@@ -202,7 +203,7 @@ def _cmd_pte(args) -> int:
             raise EhrhartError("provide both --s and --t")
         sol = pte.PteSolution(args.s, args.t)
         solutions = {sol.size: sol}
-    elif args.size:
+    elif args.size is not None:
         solutions = {args.size: pte.table_lookup(args.size)}
     else:
         solutions = {size: pte.table_lookup(size) for size in pte.available_sizes()}
@@ -264,23 +265,25 @@ def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
 
 
 def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
+    # an (n-2)-fold pyramid divides the series of its base by (1-t)^(n-2)
     ps = ps or [2, 3]
-    folds = [1, 2]
+    ns = ns or [3, 4]
     cases = []
-    for p in ps:
-        for i in folds:
-            n = 2 + i
-            qp_pyr, c1 = fitted(_body("pentagon-pyramid", p, n), budget)
-            qp_smp, c2 = fitted(_body("simplex", p, n), budget)
-            left = series_mod.from_quasipolynomial(qp_pyr)
-            right = series_mod.negate(series_mod.from_quasipolynomial(qp_smp))
-            good = series_mod.series_equivalent(left, right)
-            cases.append((f"p={p},i={i}", good, {
-                "series_equivalent": good,
-                "pyramid_counts": c1,
-                "simplex_counts": c2,
-            }))
-    return {"p": ps, "folds": folds}, cases
+    for n in ns:
+        for p in ps:
+            entry = {}
+            for name, family, base in (
+                ("pyramid", "pentagon-pyramid", "pentagon"),
+                ("simplex", "simplex", "segment"),
+            ):
+                qp, entry[f"{name}_counts"] = fitted(_body(family, p, n), budget)
+                qb, entry[f"{base}_counts"] = fitted(_body(base, p), budget)
+                entry[f"{name}_law"] = from_quasipolynomial(qp) == pyramid_transform(
+                    from_quasipolynomial(qb), n - 2
+                )
+            good = entry["pyramid_law"] and entry["simplex_law"]
+            cases.append((f"n={n},p={p}", good, entry))
+    return {"n": ns, "p": ps}, cases
 
 
 def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:

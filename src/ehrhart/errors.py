@@ -15,10 +15,6 @@ class DimensionMismatch(EhrhartError):
     """Operands live in different ambient dimensions."""
 
 
-class NoSolution(EhrhartError):
-    """A rational linear system is inconsistent."""
-
-
 class Infeasible(EhrhartError):
     """An affine subspace is empty over the rationals."""
 
@@ -29,10 +25,6 @@ class BudgetExceeded(EhrhartError):
 
 class DimensionCapExceeded(EhrhartError):
     """Hull or face enumeration requested above the supported cap."""
-
-
-class BadApex(EhrhartError):
-    """Pyramid apex whose final coordinate is not 1."""
 
 
 class VerificationFailed(EhrhartError):

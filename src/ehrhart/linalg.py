@@ -2,14 +2,13 @@
 
 Every operation is exact; no floating point appears anywhere. Rational
 values are :class:`fractions.Fraction` (aliased ``Rational``) where they
-meet the caller: the vector helpers return tuples of Fractions, and so
-do ``solve_rational`` (which coerces its input with ``as_vector``) and
-the nullspace basis. Matrices are sequences of rows of ``int`` or
-``Fraction``. Inside, the work is on Python ints: this module has one
-elimination, an integer row echelon form reached by unimodular row
-steps, and builds every solver on it: rank, nullspace, exact solves,
-independent rows, and the lattice-solvability query used for face
-indices, the least dilate ``m`` for which ``A x = m b`` admits an
+meet the caller: the vector helpers and the nullspace basis are tuples
+of Fractions, and ``as_vector`` coerces any sequence of numbers into
+one. Matrices are sequences of rows of ``int`` or ``Fraction``. Inside,
+the work is on Python ints: this module has one elimination, an integer
+row echelon form reached by unimodular row steps, and builds every
+solver on it: rank, nullspace, independent rows, and the
+lattice-solvability query used for face indices, the least dilate ``m`` for which ``A x = m b`` admits an
 integer solution, which substitutes on integers over one running
 denominator. Since the steps are unimodular, the echelon rows span the
 lattice of the input rows, which is what that query needs.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, Infeasible, NoSolution
+from .errors import DimensionMismatch, Infeasible
 
 Rational = Fraction
 
@@ -132,19 +131,6 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def _back_substitute(
-    mat: list[list[int]], pivots: list[int], x: list[Fraction], rhs: Sequence
-) -> Vector:
-    """Fill the pivot entries of ``x`` so that row ``i`` of ``mat`` dotted
-    with ``x`` equals ``rhs[i]``, bottom row first; the free entries are
-    taken as given."""
-    for i in reversed(range(len(pivots))):
-        row, c = mat[i], pivots[i]
-        rest = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j])
-        x[c] = Fraction(rhs[i] - rest, row[c])
-    return tuple(x)
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[1])
 
@@ -154,34 +140,18 @@ def pivots_and_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[int
     from one elimination: per free column in order, the solution with
     that variable 1 and the other free variables 0. ``rows`` may be empty."""
     mat, pivots = _echelon(rows)
-    zero = [0] * len(pivots)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        basis.append(_back_substitute(mat, pivots, vec, zero))
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, c in reversed(list(zip(mat, pivots))):  # back substitution
+            rest = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j])
+            x[c] = Fraction(-rest, row[c])
+        basis.append(tuple(x))
     return pivots, basis
-
-
-def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> Vector:
-    """Exact solution of ``A x = b``.
-
-    Underdetermined systems get free variables set to zero, with pivots
-    chosen in column-major order, so the returned solution is deterministic.
-    Raises :class:`NoSolution` when the system is inconsistent.
-    """
-    if not rows:
-        raise ValueError("need at least one row")
-    _check_dims(rows, rhs)
-    rows, rhs = [as_vector(row) for row in rows], as_vector(rhs)
-    ncols = len(rows[0])
-    mat, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:
-        raise NoSolution("inconsistent linear system")
-    return _back_substitute(mat, pivots, [Fraction(0)] * ncols, [row[ncols] for row in mat])
 
 
 def independent_rows(rows: Sequence[Sequence]) -> list[int]:
@@ -214,9 +184,6 @@ class AffineSubspace:
             raise DimensionMismatch(f"point dim {len(point)} vs {self.ambient_dim}")
         return all(vdot(row, point) == b for row, b in zip(self.rows, self.rhs))
 
-    def scaled(self, k: int) -> "AffineSubspace":
-        """The subspace of the dilate: ``{x : A x = k b}``."""
-        return AffineSubspace(self.ambient_dim, self.rows, tuple(b * k for b in self.rhs))
 
 
 def min_dilate_with_lattice_point(sub: AffineSubspace) -> int:

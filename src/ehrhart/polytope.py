@@ -15,11 +15,10 @@ span, computed on first use and kept with the body (both capped at
 dimension 5). A body likewise keeps the integer ``rows`` that count its
 dilates, the counts made of them and its fitted quasi-polynomial, and a
 union its counts, its fit and the coordinate blocks of its counted
-intersections (see ``counting``). Dilates, translates and products are
-composed directly, without re-running the hull, so high-dimensional
-product bodies stay cheap; a pyramid re-runs the hull on the lifted base
-and its apex. Whether a body is a product is read off its inequalities
-alone, by ``coordinate_blocks``.
+intersections (see ``counting``). Translates and products are composed
+directly, without re-running the hull, so high-dimensional product
+bodies stay cheap. Whether a body is a product is read off its
+inequalities alone, by ``coordinate_blocks``.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure.
@@ -35,7 +34,7 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from ._enum_py import Rows
-from .errors import BadApex, DimensionCapExceeded, DimensionMismatch, InvalidInput
+from .errors import DimensionCapExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
     Vector,
@@ -45,7 +44,6 @@ from .linalg import (
     pivots_and_nullspace,
     vadd,
     vdot,
-    vscale,
 )
 
 HULL_DIM_CAP = 5  # largest body that from_vertices hulls or face_lattice grades, so also the hull-built families
@@ -157,24 +155,13 @@ class ConvexPolytope:
             return False
         return all(vdot(a, x) <= c for a, c in self.facets)
 
-    def dilate(self, k: int) -> "ConvexPolytope":
-        """The dilate ``k * self`` for a positive integer ``k``."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("dilation factor must be a positive integer")
-        if k == 1:
-            return self
-        return ConvexPolytope(
-            self.ambient_dim,
-            tuple(vscale(v, k) for v in self.vertices),
-            tuple((a, c * k) for a, c in self.facets),
-            self.span.scaled(k),
-            self.intrinsic_dim,
-        )
-
     def translate(self, shift: Sequence[int]) -> "ConvexPolytope":
         """Translate by an integer vector (lattice-point counts are unchanged);
         a non-integral entry raises ``InvalidInput``."""
-        t = _integers(shift, InvalidInput("translation shift must be an integer vector"))
+        exact = as_vector(shift)
+        if any(x.denominator != 1 for x in exact):
+            raise InvalidInput("translation shift must be an integer vector")
+        t = tuple(int(x) for x in exact)
         if len(t) != self.ambient_dim:
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
         return ConvexPolytope(
@@ -188,14 +175,6 @@ class ConvexPolytope:
             ),
             self.intrinsic_dim,
         )
-
-
-def _integers(values: Sequence, error: Exception) -> tuple[int, ...]:
-    """``values`` as ints; raises ``error`` if any entry is not integral."""
-    exact = as_vector(values)
-    if any(x.denominator != 1 for x in exact):
-        raise error
-    return tuple(int(x) for x in exact)
 
 
 @dataclass(frozen=True)
@@ -481,18 +460,6 @@ def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
         ((tuple(range(a)), first), (tuple(range(a, a + b)), second)),
         a + b,
     )
-
-
-def pyramid(base: ConvexPolytope, apex: Sequence[int]) -> ConvexPolytope:
-    """Pyramid: hull of ``base x {0}`` and an integer apex at height 1;
-    any other apex raises ``BadApex``."""
-    apex_t = _integers(apex, BadApex("apex must be an integer point"))
-    if len(apex_t) != base.ambient_dim + 1:
-        raise DimensionMismatch("apex must live one dimension above the base")
-    if apex_t[-1] != 1:
-        raise BadApex("apex final coordinate must equal 1")
-    lifted = [v + (Fraction(0),) for v in base.vertices]
-    return from_vertices(lifted + [apex_t])
 
 
 # ---------------------------------------------------------------------------

@@ -48,18 +48,6 @@ def power_sum(k: int, xs: Sequence[int]) -> int:
     return sum(x**k for x in xs)
 
 
-def elem_sym(k: int, xs: Sequence[int]) -> int:
-    """Elementary symmetric function ``e_k``; ``e_0 = 1``."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k > len(xs):
-        return 0
-    poly = [1]
-    for x in xs:
-        poly = poly_mul(poly, [1, x])  # multiply (1 + x*y)
-    return poly[k]
-
-
 def verify(sol: PteSolution) -> bool:
     """Power sums equal through degree ``size - 1``, plus the sign shape."""
     m = sol.size

@@ -1,4 +1,4 @@
-"""Quasi-polynomials: fitting, minimal periods, equivalence, arithmetic.
+"""Quasi-polynomials: fitting, minimal periods and equivalence.
 
 A quasi-polynomial of degree ``n`` and modulus ``D`` is
 ``f(k) = sum_i c[i][k mod D] * k**i`` with rational coefficient tables.
@@ -11,6 +11,8 @@ which about halves the largest dilate it has to count. Two
 quasi-polynomials are *equivalent* when their difference is an honest
 polynomial (all periodic parts cancel); equivalent functions share a
 period sequence, which is the fact the verification suite leans on.
+Taking a pyramid is a transform of the generating function, not of the
+quasi-polynomial: see ``series.pyramid_transform``.
 
 Period sequences are reported constant term first: position ``i`` holds
 the minimal period of the coefficient of ``k**i``.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import VerificationFailed
 from .polynomials import interpolate
@@ -146,63 +148,10 @@ def equivalent(f: QuasiPolynomial, g: QuasiPolynomial) -> bool:
     return True
 
 
-def add(f: QuasiPolynomial, g: QuasiPolynomial) -> QuasiPolynomial:
-    span = math.lcm(f.modulus, g.modulus)
-    degree = max(f.degree, g.degree)
-    table = tuple(
-        tuple(f.coefficient(i, r) + g.coefficient(i, r) for r in range(span))
-        for i in range(degree + 1)
-    )
-    return QuasiPolynomial(degree, span, table)
-
-
 def negate(f: QuasiPolynomial) -> QuasiPolynomial:
     return QuasiPolynomial(
         f.degree, f.modulus, tuple(tuple(-c for c in row) for row in f.coeffs)
     )
-
-
-def scale(f: QuasiPolynomial, factor) -> QuasiPolynomial:
-    factor = Fraction(factor)
-    return QuasiPolynomial(
-        f.degree, f.modulus, tuple(tuple(factor * c for c in row) for row in f.coeffs)
-    )
-
-
-def multiply_by_polynomial(f: QuasiPolynomial, poly: Sequence) -> QuasiPolynomial:
-    """Multiply by a constant-coefficient polynomial (ascending coefficients)."""
-    coefs = [Fraction(c) for c in poly]
-    while coefs and coefs[-1] == 0:
-        coefs.pop()
-    if not coefs:
-        return QuasiPolynomial(0, f.modulus, (tuple([Fraction(0)] * f.modulus),))
-    degree = f.degree + len(coefs) - 1
-    table = [[Fraction(0)] * f.modulus for _ in range(degree + 1)]
-    for i in range(f.degree + 1):
-        for j, b in enumerate(coefs):
-            if b == 0:
-                continue
-            for r in range(f.modulus):
-                table[i + j][r] += f.coeffs[i][r] * b
-    return QuasiPolynomial(degree, f.modulus, tuple(tuple(row) for row in table))
-
-
-def prefix_sum(f: QuasiPolynomial) -> QuasiPolynomial:
-    """The quasi-polynomial ``g(k) = 1 + f(1) + ... + f(k)``.
-
-    This is the dilate-count transform of taking a pyramid: the count of
-    the base at dilate 0 enters as the conventional 1, so ``g(0) = 1``.
-    The result again has modulus ``f.modulus`` and degree one higher, and
-    is reconstructed by fitting exact partial sums.
-    """
-    running: list[Fraction] = [Fraction(1)]  # running[k] = g(k)
-
-    def partial(k: int) -> Fraction:
-        while len(running) <= k:
-            running.append(running[-1] + f.evaluate(len(running)))
-        return running[k]
-
-    return fit(partial, f.degree + 1, f.modulus)
 
 
 def to_dict(f: QuasiPolynomial) -> dict:

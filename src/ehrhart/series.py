@@ -94,26 +94,6 @@ def pyramid_transform(series: EhrhartSeries, i: int) -> EhrhartSeries:
     return EhrhartSeries(tuple(numerator), series.modulus, series.power + i)
 
 
-def normalized(series: EhrhartSeries, modulus: int, power: int) -> EhrhartSeries:
-    """Rewrite over ``(1 - t^modulus)^power``; requires D | modulus, power >= m."""
-    D, m = series.modulus, series.power
-    if modulus % D or power < m:
-        raise ValueError("target denominator must be a multiple form")
-    numerator = list(series.numerator)
-    if modulus != D:
-        step = [Fraction(0)] * modulus
-        for j in range(0, modulus, D):
-            step[j] = Fraction(1)  # (1 - t^modulus) / (1 - t^D)
-        for _ in range(m):
-            numerator = poly_mul(numerator, step)
-    for _ in range(power - m):
-        big = [Fraction(0)] * (modulus + 1)
-        big[0] = Fraction(1)
-        big[modulus] = Fraction(-1)
-        numerator = poly_mul(numerator, big)
-    return EhrhartSeries(tuple(numerator), modulus, power)
-
-
 def refit(series: EhrhartSeries) -> QuasiPolynomial:
     """Recover the quasi-polynomial from the expansion coefficients."""
     degree = series.power - 1

@@ -141,6 +141,12 @@ def test_pte_list_and_verify(capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_pte_verify_size_0_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "pte", "verify", "--size", "0")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_heptagon_claim(capsys):
     code, out, _ = run_cli(capsys, "verify", "heptagon", "--p", "2")
     assert code == 0
@@ -175,6 +181,28 @@ def test_verify_pentagon_equivalence_single_p(capsys):
     assert payload["witness"]["p=4"]["equivalent"] is True
     # witness embeds the raw counts used by the fit
     assert payload["witness"]["p=4"]["segment_counts"]["4"] == 2
+
+
+def test_pyramid_equivalence_fails_on_a_wrong_fold_count(monkeypatch, capsys):
+    real = cli.pyramid_transform
+    monkeypatch.setattr(  # one fold short: n - 3 instead of n - 2
+        cli, "pyramid_transform", lambda series, i: real(series, i - 1) if i > 1 else series
+    )
+    code, out, _ = run_cli(capsys, "verify", "pyramid-equivalence")
+    report = json.loads(out)
+    assert (code, report["outcome"]) == (1, "fail")
+    assert not any(e["pyramid_law"] or e["simplex_law"] for e in report["witness"].values())
+
+
+def test_pyramid_equivalence_follows_the_dimension_flags(capsys):
+    code, out, _ = run_cli(capsys, "verify", "pyramid-equivalence", "--n", "5", "--p", "2")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"n": [5], "p": [2]})
+    assert list(report["witness"]) == ["n=5,p=2"]
+    code, out, _ = run_cli(capsys, "verify", "pyramid-equivalence", "--max-n", "3")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"n": [3], "p": [2, 3]})
+    assert list(report["witness"]) == ["n=3,p=2", "n=3,p=3"]
 
 
 def test_verify_output_is_byte_stable(capsys):
@@ -427,8 +455,11 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
     assert "error: piece 0: listed vertices disagree" in err
 
 
-# sha256 of the stdout of the default ``ehrhart verify all``.
-VERIFY_ALL_SHA256 = "556e1e49d530f350e9aa9489d1d8d5eb3434cdabf70efa39371696600bfe7dee"
+# sha256 of the stdout of the default ``ehrhart verify all``. All three
+# ``verify all`` pins moved when ``pyramid-equivalence`` began checking
+# the pyramid law of the series on the (n, p) grid; every other report
+# stayed byte-identical.
+VERIFY_ALL_SHA256 = "d55ebf0a17628cf9ccc135ef497038f252deb8b0429207d616c4a8cc350822b2"
 
 
 def test_verify_all_output_is_unchanged(capsys):
@@ -442,7 +473,7 @@ def test_verify_all_output_is_unchanged(capsys):
 # of the witnesses gained negative keys and lost their largest positive
 # dilates. ``test_verify_all_max_p2_agrees_with_parent_output`` checks that
 # change against the output recorded before it.
-VERIFY_ALL_P2_SHA256 = "fde8a67a64c74cd8cb830ea3bc2ee80942d4ed677a9d5fce404fed2de760182a"
+VERIFY_ALL_P2_SHA256 = "f15326c6646d332ba9261ee190571e21246446a0e858a64e2d8b6ef4589ce604"
 PARENT_OUTPUT = Path(__file__).parent / "data" / "verify_all_p2_parent.json"
 
 
@@ -463,7 +494,7 @@ def test_verify_all_max_p2_output_is_unchanged_in_a_fresh_process():
 # sha256 of the stdout of ``ehrhart verify all --max-p 6``: the McMullen
 # targets up to p = 6 are fitted on more dilates, each counted from the
 # rows, level skeletons and counts that its body keeps.
-VERIFY_ALL_P6_SHA256 = "2dc1dad6ad495dc715d0db2abc053e557a6ab34b1e4532bd47d439846799ac8f"
+VERIFY_ALL_P6_SHA256 = "9a70c3ca6d8418b0b442b1350b76bfc3b1c92fe7f3c763d76ec71080a3ef4047"
 
 
 def test_verify_all_max_p6_output_is_unchanged(capsys):
@@ -570,9 +601,23 @@ def test_verify_all_max_p2_agrees_with_parent_output(capsys):
     assert code == 0
     old = json.loads(PARENT_OUTPUT.read_text())
     new = json.loads(out)
+    assert [r["outcome"] for r in new] == ["pass"] * len(CLAIMS)
+    at = CLAIMS.index("pyramid-equivalence")
+    law, _ = new.pop(at), old.pop(at)
     dropped, added = [], []
     _compare_with_parent(old, new, "", dropped, added)
-    assert [r["outcome"] for r in new] == ["pass"] * len(CLAIMS)
+    # pyramid-equivalence has since changed what it checks; the parent
+    # recorded each body it fits under pentagon-equivalence (the bases)
+    # or sn-pn-equivalence (the pyramids)
+    recorded = {r["claim"]: r["witness"] for r in old}
+    assert law["params"] == {"n": [3, 4], "p": [1, 2]}
+    for label, entry in law["witness"].items():
+        maps = {
+            **recorded["pentagon-equivalence"][label.split(",")[1]],
+            **recorded["sn-pn-equivalence"][label],
+        }
+        for key in ("pentagon_counts", "segment_counts", "pyramid_counts", "simplex_counts"):
+            _compare_with_parent(maps[key], entry[key], f"{label}/{key}", dropped, added)
     assert dropped and all(k > 0 for k in dropped)
     assert added and all(k < 0 for k in added)
 

@@ -24,7 +24,6 @@ from ehrhart.polytope import (
     embed_product,
     from_vertices,
     product,
-    pyramid,
 )
 from ehrhart.pte import PteSolution
 from ehrhart.quasipoly import fit
@@ -244,7 +243,7 @@ def test_pyramid_prefix_sum_law():
     for p in (1, 2, 3):
         for base in (C.segment(p), C.pentagon(p)):
             apex = (0,) * base.ambient_dim + (1,)
-            pyr = pyramid(base, apex)
+            pyr = from_vertices([v + (0,) for v in base.vertices] + [apex])
             for k in range(1, 9):
                 expected = 1 + sum(count_convex(base, j) for j in range(1, k + 1))
                 assert count_convex(pyr, k) == expected

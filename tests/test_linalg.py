@@ -16,7 +16,7 @@ from oracles import (
 )
 from strategies import rationals
 
-from ehrhart.errors import Infeasible, NoSolution
+from ehrhart.errors import Infeasible
 from ehrhart.linalg import (
     AffineSubspace,
     independent_rows,
@@ -24,7 +24,6 @@ from ehrhart.linalg import (
     min_dilate_with_lattice_point,
     pivots_and_nullspace,
     rank,
-    solve_rational,
     vadd,
     vdot,
 )
@@ -144,33 +143,6 @@ def test_min_dilate_random_witness_and_minimality():
             assert not brute_has_integer_solution(sub.rows, target, box=12)
 
 
-def test_solve_identity():
-    assert solve_rational([[1, 0], [0, 1]], [5, Fraction(1, 3)]) == (5, Fraction(1, 3))
-
-
-def test_solve_vandermonde_square_polynomial():
-    nodes = [1, 2, 3]
-    rows = [[1, x, x * x] for x in nodes]
-    assert solve_rational(rows, [1, 4, 9]) == (0, 0, 1)
-
-
-def test_solve_coerces_int_fraction_and_string_entries():
-    rows = [[1, Fraction(1, 2)], ["2/3", "-1"]]
-    x = solve_rational(rows, ["1", 0])
-    assert x == (Fraction(3, 4), Fraction(1, 2))
-    assert all(type(c) is Fraction for c in x)
-
-
-def test_solve_inconsistent():
-    with pytest.raises(NoSolution):
-        solve_rational([[1, 1], [2, 2]], [1, 3])
-
-
-def test_solve_underdetermined_deterministic():
-    # one equation, two unknowns: pivot in the first column, free var zero
-    assert solve_rational([[2, 4]], [6]) == (3, 0)
-
-
 def test_nullspace_dimensions():
     basis = pivots_and_nullspace([[1, 1, 0]], 3)[1]
     assert len(basis) == 2
@@ -225,23 +197,6 @@ def test_rank_nullspace_and_independent_rows_equal_rref_oracle(rows):
     assert rank(rows) == oracles.rank(rows)
     assert pivots_and_nullspace(rows, ncols)[1] == oracles.nullspace(rows, ncols)
     assert independent_rows(rows) == oracles.independent_rows(rows)
-
-
-@settings(max_examples=400)
-@given(rational_matrices(), st.data())
-def test_solve_rational_equals_rref_oracle(rows, data):
-    ncols = len(rows[0])
-    if data.draw(st.booleans()):  # consistent by construction
-        point = [data.draw(rationals(6)) for _ in range(ncols)]
-        rhs = [vdot(row, point) for row in rows]
-    else:
-        rhs = [data.draw(rationals(6)) for _ in rows]
-    want = oracles.solve_rational(rows, rhs)
-    if want is None:
-        with pytest.raises(NoSolution):
-            solve_rational(rows, rhs)
-    else:
-        assert solve_rational(rows, rhs) == want
 
 
 @st.composite

@@ -5,7 +5,6 @@ from ehrhart.pte import (
     PteSolution,
     available_sizes,
     difference_polynomial,
-    elem_sym,
     normalize,
     power_sum,
     product_identity_check,
@@ -20,16 +19,8 @@ def test_power_sum():
     assert power_sum(5, []) == 0
 
 
-def test_elem_sym():
-    assert elem_sym(2, [1, 2, 6]) == 20
-    assert elem_sym(0, [7, 8]) == 1
-    assert elem_sym(3, [1, 2]) == 0
-    assert elem_sym(1, [4, 5]) == 9
-
-
-def test_elem_sym_and_difference_polynomial_return_plain_ints():
+def test_difference_polynomial_returns_plain_ints():
     sol = table_lookup(12)
-    assert all(type(elem_sym(k, sol.s)) is int for k in range(sol.size + 1))
     diff = difference_polynomial(sol)
     assert diff and all(type(c) is int for c in diff)
 
@@ -94,11 +85,11 @@ def test_shift_invariance():
 
 
 def test_newton_consistency():
-    # equal power sums through m-1 force equal elementary symmetric functions
+    # equal power sums through m-1 force equal elementary symmetric
+    # functions, the coefficients of prod(1 + s_i x) and prod(1 + t_i x)
     for size in available_sizes():
-        sol = table_lookup(size)
-        for k in range(size - 1):
-            assert elem_sym(k, sol.s) == elem_sym(k, sol.t)
+        diff = difference_polynomial(table_lookup(size))
+        assert diff[: size - 1] == [0] * (size - 1)
 
 
 def test_product_identity_witnesses():

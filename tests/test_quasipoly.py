@@ -6,18 +6,14 @@ import pytest
 from ehrhart import constructions as C
 from ehrhart.counting import count, count_convex, fitted
 from ehrhart.errors import VerificationFailed
-from ehrhart.polytope import denominator, product, pyramid
+from ehrhart.polytope import denominator, product
 from ehrhart.quasipoly import (
     QuasiPolynomial,
-    add,
     coefficient_period,
     equivalent,
     fit,
-    multiply_by_polynomial,
     negate,
     period_sequence,
-    prefix_sum,
-    scale,
     to_dict,
 )
 
@@ -129,69 +125,29 @@ def test_equivalent_implies_same_period_sequence():
         assert pf == pg
 
 
-def test_arithmetic_rectangle_identity():
-    # (2qx + 1) * segment count = rectangle count, q = 3
-    fl = fit_body(C.segment(2))
-    rect = multiply_by_polynomial(fl, [1, 6])
-    assert rect.evaluate(2) == 26 == count_convex(C.rectangle(2), 2)
-    for k in range(1, 8):
-        assert rect.evaluate(k) == count_convex(C.rectangle(2), k)
-
-
-def test_add_negate_cancel():
+def test_negate_cancels_every_count():
     f = fit_body(C.pentagon(3))
-    zero = add(f, negate(f))
-    assert all(c == 0 for row in zero.coeffs for c in row)
+    g = negate(f)
+    assert g.coeffs == tuple(tuple(-c for c in row) for row in f.coeffs)
+    assert all(f.evaluate(k) + g.evaluate(k) == 0 for k in range(-4, 9))
 
 
-def test_multiply_by_x_shifts_periods():
-    fl = fit_body(C.segment(2))
-    shifted = multiply_by_polynomial(fl, [0, 1])
-    assert shifted.degree == 2
-    assert period_sequence(shifted) == (1, 2, 1)
-
-
-def test_scale():
-    f = fit_body(C.segment(2))
-    half = scale(f, F(1, 2))
-    assert half.evaluate(4) == F(3, 2)
-
-
-def test_prefix_sum_matches_pyramid_counts():
-    fl = fit_body(C.segment(2))
-    g = prefix_sum(fl)
-    pyr = pyramid(C.segment(2), (0, 1))
-    assert g.evaluate(2) == 4 == count_convex(pyr, 2)
-    for k in range(1, 9):
-        assert g.evaluate(k) == count_convex(pyr, k)
-    assert g.evaluate(0) == 1
-
-
-def test_prefix_sum_of_constant_one():
-    one = fit(lambda k: 1, 0, 1)
-    g = prefix_sum(one)
-    assert [g.evaluate(k) for k in range(5)] == [1, 2, 3, 4, 5]
-
-
-def test_iterated_prefix_sum_equivalent_to_simplex():
-    for n in (3, 4):
-        for p in (2, 3):
-            g = fit_body(C.segment(p))
-            for _ in range(n - 2):
-                g = prefix_sum(g)
-            direct = fit_body(C.simplex(n, p))
-            # the prefix sums ARE the simplex counts, not merely equivalent
-            for k in range(1, 10):
-                assert g.evaluate(k) == direct.evaluate(k)
-            assert equivalent(g, direct)
+def test_arithmetic_rectangle_identity():
+    # (2qk + 1) * segment count = rectangle count
+    assert count(C.rectangle(2), 2) == 26 == (1 + 2 * 3 * 2) * count(C.segment(2), 2)
+    for p in (2, 3, 4):
+        q = C.q_value(p)
+        for k in range(1, 8):
+            assert count(C.rectangle(p), k) == (1 + 2 * q * k) * count(C.segment(p), k)
 
 
 def test_additivity_over_integral_intersection():
-    # heptagon = rectangle u pentagon glued along a lattice segment
-    fh = fit_body(C.heptagon(2))
-    fr = fit_body(C.rectangle(2))
-    fp = fit_body(C.pentagon(2))
-    assert equivalent(fh, add(fr, fp))
+    # heptagon = rectangle u pentagon glued along a lattice segment, so the
+    # difference of counts is minus the segment's: a polynomial, fit with
+    # modulus 1
+    hept, rect, pent = C.heptagon(2), C.rectangle(2), C.pentagon(2)
+    diff = fit(lambda k: count(hept, k) - count(rect, k) - count(pent, k), 1, 1)
+    assert diff.coeffs == ((F(-1),), (F(-6),))  # -(6k + 1)
 
 
 def test_leading_coefficient_constant_and_positive():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strategies import clouds
 
 from ehrhart import constructions as C
-from ehrhart.counting import count, count_convex
+from ehrhart.counting import count, count_convex, fitted
 from ehrhart.errors import NonterminatingNumerator
 from ehrhart.polytope import denominator, from_vertices
 from ehrhart.quasipoly import fit
@@ -16,7 +16,6 @@ from ehrhart.series import (
     expansion,
     from_quasipolynomial,
     negate,
-    normalized,
     pyramid_transform,
     refit,
     series_equivalent,
@@ -109,6 +108,43 @@ def test_pyramid_transform_of_geometric_series():
     assert [int(v) for v in expansion(out, 4)] == [1, 2, 3, 4, 5]
 
 
+def lifted_pyramid(base, apex):
+    return from_vertices([v + (0,) for v in base.vertices] + [apex])
+
+
+def fitted_series(body):
+    return from_quasipolynomial(fitted(body)[0])
+
+
+@settings(max_examples=60)
+@given(clouds(max_dim=3, bound=4), st.data())
+def test_pyramid_divides_the_series_of_its_base_by_one_minus_t(points, data):
+    base = from_vertices(points)
+    apex = tuple(data.draw(st.integers(-4, 4)) for _ in range(base.ambient_dim)) + (1,)
+    pyr = lifted_pyramid(base, apex)
+    assert fitted_series(pyr) == pyramid_transform(fitted_series(base), 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "family, base",
+    [(C.pentagon_pyramid, C.pentagon), (C.simplex, C.segment)],
+    ids=["pentagon_pyramid", "simplex"],
+)
+def test_family_series_is_its_base_series_over_one_minus_t_to_the_n_minus_2(
+    family, base, n, p
+):
+    # each family member is an (n - 2)-fold lattice pyramid over its base
+    assert fitted_series(family(n, p)) == pyramid_transform(fitted_series(base(p)), n - 2)
+
+
+@pytest.mark.parametrize("apex", [(F(1, 2), 0, 1), (0, 0, F(3, 2)), (0, F(1, 3), 1), (0, 0, 2)])
+def test_pyramid_law_needs_an_integral_apex_at_height_one(apex):
+    base = C.pentagon(2)
+    assert fitted_series(lifted_pyramid(base, apex)) != pyramid_transform(fitted_series(base), 1)
+
+
 def test_series_equivalence_pyramids():
     left = series_of(C.pentagon_pyramid(3, 2))
     right = negate(series_of(C.simplex(3, 2)))
@@ -126,13 +162,6 @@ def test_pyramid_transform_preserves_negated_equivalence():
             assert series_equivalent(
                 pyramid_transform(pent, folds), negate(pyramid_transform(seg, folds))
             )
-
-
-def test_normalized_preserves_expansion():
-    E = series_of(C.segment(2))
-    bigger = normalized(E, 4, 3)
-    assert bigger.modulus == 4 and bigger.power == 3
-    assert expansion(bigger, 16) == expansion(E, 16)
 
 
 def test_to_dict():
