@@ -16,7 +16,6 @@ from .errors import (
     Infeasible,
     NonterminatingNumerator,
     NotAvailable,
-    RejectedSolution,
     SizeMismatch,
     UnverifiedSolution,
     VerificationFailed,

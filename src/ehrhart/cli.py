@@ -17,7 +17,9 @@ built per process.
 
 One verdict rule judges every claim: it passes when every case passes,
 and it is ``skipped`` (exit 0) when no case matches the flags or the
-budget runs out. ``--p``/``--max-p`` accept values from 1, ``--n``/
+budget runs out. Each claim counts and compares here, from the bodies
+``constructions`` builds; ``decomposition`` too checks its count identity
+on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
 ``--max-n`` from 3.
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
@@ -44,6 +46,8 @@ from .indices import mcmullen_check
 from .polytope import (
     PolytopalUnion,
     denominator,
+    exact_rational,
+    is_integral,
     polytope_from_dict,
     polytope_to_dict,
     union_from_dict,
@@ -69,10 +73,9 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _body(family: str, p: int, n: int | None = None):
+def _body(family: str, p: int, n: int | None = None, /):
     """The family member ``build(family, p, n)``, built once per process, so
-    claims share it and with it its face lattice, bounds, counts and fit.
-    Call it positionally: the cache keys ``n`` and ``n=`` apart."""
+    claims share it and with it its face lattice, bounds, counts and fit."""
     return constructions.build(family, p, n)[0]
 
 
@@ -102,7 +105,9 @@ def _load_object(args):
     if getattr(args, "input", None):
         with open(args.input) as handle:
             try:
-                data = json.load(handle)
+                data = json.load(handle, parse_float=exact_rational)
+            except InvalidInput as exc:
+                raise InvalidInput(f"{args.input}: {exc}") from None
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise InvalidInput(f"{args.input}: not a JSON file ({exc})") from None
         if isinstance(data, dict) and "pieces" in data:
@@ -335,20 +340,41 @@ def _hull_cases(ps, ns) -> list[tuple[int, int]]:
 
 
 def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
+    # count(hull) = count(prism) + count(middle) + count(pyramid) minus the
+    # two shared facets, which are the pieces' pairwise overlaps and integral
+    k_max = 4
     hull_cases = _hull_cases(ps, ns)
     cases = []
     for n, p in hull_cases:
-        report = constructions.decomposition_check(n, p, 4, budget, _body)
-        cases.append((f"n={n},p={p}", report.ok, {
-            "ok": report.ok,
-            "first_failing_k": report.first_failing_k,
-            "integral_middle": report.integral_middle,
-            "integral_prism_side": report.integral_prism_side,
-            "integral_pyramid_side": report.integral_pyramid_side,
-            "counts": report.counts,
+        bodies = {
+            "hull": _body("hull", p, n),
+            "prism": _body("prism", p, n),
+            "middle": _body("middle", p, n),
+            "pyramid": _body("pentagon-pyramid", p, n),
+            "prism_facet": constructions.prism_shared_facet(n, p),
+            "pyramid_facet": constructions.pyramid_shared_facet(n, p),
+        }
+        counts = {name: count_series(body, k_max, budget) for name, body in bodies.items()}
+        first_fail = next(
+            (
+                k
+                for k, (h, w, m, y, wf, yf) in enumerate(zip(*counts.values()), start=1)
+                if h != w + m + y - wf - yf
+            ),
+            None,
+        )
+        flags = [is_integral(bodies[name]) for name in ("middle", "prism_facet", "pyramid_facet")]
+        good = first_fail is None and all(flags)
+        cases.append((f"n={n},p={p}", good, {
+            "ok": good,
+            "first_failing_k": first_fail,
+            "integral_middle": flags[0],
+            "integral_prism_side": flags[1],
+            "integral_pyramid_side": flags[2],
+            "counts": counts,
         }))
     # a skipped report names no k_max
-    return ({"cases": hull_cases, "k_max": 4} if hull_cases else {"cases": []}), cases
+    return ({"cases": hull_cases, "k_max": k_max} if hull_cases else {"cases": []}), cases
 
 
 def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:

@@ -16,23 +16,14 @@ beyond vertex deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .counting import count_convex
-from .errors import (
-    DimensionCapExceeded,
-    InvalidInput,
-    SizeMismatch,
-    UnverifiedSolution,
-)
+from .errors import InvalidInput, SizeMismatch, UnverifiedSolution
 from .polytope import (
     ConvexPolytope,
     PolytopalUnion,
     embed_product,
     from_vertices,
-    is_integral,
     product,
 )
 from .pte import PteSolution, table_lookup, verify as pte_verify
@@ -179,85 +170,6 @@ def pyramid_shared_facet(n: int, p: int) -> ConvexPolytope:
 def middle(n: int, p: int) -> ConvexPolytope:
     """Hull of the two shared facets: the integral slab between prism and pyramid."""
     return from_vertices(_prism_facet_points(n, p) + _pyramid_facet_points(n, p))
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Outcome of the hull = prism u middle u pyramid count identity."""
-
-    n: int
-    p: int
-    k_max: int
-    ok: bool
-    first_failing_k: int | None
-    integral_middle: bool
-    integral_prism_side: bool
-    integral_pyramid_side: bool
-    counts: dict
-
-
-def _member(family: str, p: int, n: int) -> ConvexPolytope:
-    """A family member built afresh: ``build``'s object."""
-    return build(family, p, n)[0]
-
-
-def decomposition_check(
-    n: int,
-    p: int,
-    k_max: int,
-    budget: int | None = None,
-    member: Callable[[str, int, int], ConvexPolytope] = _member,
-) -> DecompositionReport:
-    """Verify count(hull) = count(prism) + count(middle) + count(pyramid)
-    minus the two shared facets, for every dilate up to ``k_max``.
-
-    The shared facets are exactly the pairwise overlaps of the three
-    pieces, and both must be (and are checked to be) integral. The hull,
-    prism, middle and pentagon pyramid come from ``member(family, p, n)``,
-    so a caller that already holds them shares them and the counts they
-    keep; by default they are built.
-    """
-    _check_n(n)
-    if n > 4:
-        raise DimensionCapExceeded("decomposition check supported for n <= 4")
-    bodies = {
-        "hull": member("hull", p, n),
-        "prism": member("prism", p, n),
-        "middle": member("middle", p, n),
-        "pyramid": member("pentagon-pyramid", p, n),
-        "prism_facet": prism_shared_facet(n, p),
-        "pyramid_facet": pyramid_shared_facet(n, p),
-    }
-    counts: dict = {name: [] for name in bodies}
-    first_fail = None
-    for k in range(1, k_max + 1):
-        row = {name: count_convex(body, k, budget) for name, body in bodies.items()}
-        for name in bodies:
-            counts[name].append(row[name])
-        lhs = row["hull"]
-        rhs = (
-            row["prism"]
-            + row["middle"]
-            + row["pyramid"]
-            - row["prism_facet"]
-            - row["pyramid_facet"]
-        )
-        if lhs != rhs and first_fail is None:
-            first_fail = k
-    flags = (
-        is_integral(bodies["middle"]),
-        is_integral(bodies["prism_facet"]),
-        is_integral(bodies["pyramid_facet"]),
-    )
-    return DecompositionReport(
-        n,
-        p,
-        k_max,
-        first_fail is None and all(flags),
-        first_fail,
-        *flags,
-        counts,
-    )
 
 
 def barn(n: int, p: int, sol: PteSolution) -> PolytopalUnion:

@@ -44,9 +44,5 @@ class UnverifiedSolution(EhrhartError):
     """A power-sum solution failed verification."""
 
 
-class RejectedSolution(EhrhartError):
-    """A power-sum pair cannot be normalized (minimum not unique)."""
-
-
 class NotAvailable(EhrhartError):
     """No shipped power-sum solution of the requested size exists."""

@@ -7,7 +7,7 @@ of Fractions, and ``as_vector`` coerces any sequence of numbers into
 one. Matrices are sequences of rows of ``int`` or ``Fraction``. Inside,
 the work is on Python ints: this module has one elimination, an integer
 row echelon form reached by unimodular row steps, and builds every
-solver on it: rank, nullspace, independent rows, and the
+solver on it: nullspace, independent rows, and the
 lattice-solvability query used for face indices, the least dilate ``m`` for which ``A x = m b`` admits an
 integer solution, which substitutes on integers over one running
 denominator. Since the steps are unimodular, the echelon rows span the
@@ -43,15 +43,6 @@ def _check_dims(u: Sequence, v: Sequence) -> None:
 def vadd(u: Sequence, v: Sequence) -> Vector:
     _check_dims(u, v)
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> Vector:
-    _check_dims(u, v)
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vscale(u: Sequence, c) -> Vector:
-    return tuple(Fraction(a) * Fraction(c) for a in u)
 
 
 def vdot(u: Sequence, v: Sequence) -> Fraction:
@@ -129,10 +120,6 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
         if len(pivots) == len(mat):
             break
     return mat, pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
 
 
 def pivots_and_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[Vector]]:

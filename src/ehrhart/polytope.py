@@ -520,11 +520,28 @@ def _json_field(data, key: str, what: str, kind: type | None = None):
     return value
 
 
+# a decimal exponent past this would cost a power of ten of that many
+# digits; it is the digit count Python reads in an int by default
+_MAX_EXPONENT = 4300
+
+
+def exact_rational(text: str) -> Fraction:
+    """The rational a ``num/den`` or decimal text names, read as written:
+    ``"0.1"`` is 1/10, not the nearest binary float. An exponent beyond
+    ``_MAX_EXPONENT`` raises ``InvalidInput``; malformed text ``ValueError``."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise InvalidInput(f"number {text}: exponent beyond {_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _coordinate(c, what: str) -> Fraction:
-    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, float, str)):
         raise InvalidInput(f"{what}: coordinate {c!r} is not a number")
     try:
-        return Fraction(c)
+        return exact_rational(c) if isinstance(c, str) else Fraction(c)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{what}: {exc}") from None
     except (ValueError, ZeroDivisionError, OverflowError):
         raise InvalidInput(f"{what}: coordinate {c!r} is not a rational number") from None
 

@@ -2,11 +2,11 @@
 
 An ideal solution of size ``m`` is a pair of integer multisets
 ``s_1..s_m`` and ``t_1..t_m`` with equal power sums through degree
-``m - 1``, stored here in the normalized shape the union construction
+``m - 1``, stored here in the shape the union construction
 needs: all ``s_i > 0``, all ``t_j > 0`` except a single trailing
 ``t_m = 0``. Shifting every entry by a constant preserves all the power
 sum identities, so any pair whose overall minimum is attained once can
-be normalized.
+be shifted into this shape.
 
 The shipped table covers sizes 2-10 and 12, transcribed from the
 classical published solution lists; no search is implemented and the
@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .errors import NotAvailable, RejectedSolution, SizeMismatch, UnverifiedSolution
+from .errors import NotAvailable, SizeMismatch, UnverifiedSolution
 from .polynomials import poly_mul, poly_trim
 
 
@@ -56,34 +56,6 @@ def verify(sol: PteSolution) -> bool:
     if sol.t[-1] != 0 or any(x <= 0 for x in sol.t[:-1]):
         return False
     return all(power_sum(k, sol.s) == power_sum(k, sol.t) for k in range(m))
-
-
-def normalize(a: Sequence[int], b: Sequence[int]) -> PteSolution:
-    """Shift an ideal pair so its unique minimum becomes the trailing zero.
-
-    The side containing the zero after the shift becomes ``t``; raises
-    :class:`RejectedSolution` when the overall minimum appears more than
-    once (no shift can produce the required shape) or when the input is
-    not an equal-power-sum pair to begin with.
-    """
-    a = [int(x) for x in a]
-    b = [int(x) for x in b]
-    if len(a) != len(b):
-        raise SizeMismatch(f"sides have sizes {len(a)} and {len(b)}")
-    m = len(a)
-    if any(power_sum(k, a) != power_sum(k, b) for k in range(m)):
-        raise RejectedSolution("power sums differ; not an ideal pair")
-    low = min(a + b)
-    if (a + b).count(low) != 1:
-        raise RejectedSolution("minimum value is not unique; cannot normalize")
-    a = [x - low for x in a]
-    b = [x - low for x in b]
-    if 0 in a:
-        zero_side, other = a, b
-    else:
-        zero_side, other = b, a
-    t = tuple(sorted(x for x in zero_side if x != 0)) + (0,)
-    return PteSolution(tuple(sorted(other)), t)
 
 
 def difference_polynomial(sol: PteSolution) -> list[int]:

@@ -25,8 +25,6 @@ from ehrhart.linalg import (
     canonical_equation,
     integerize,
     vdot,
-    vscale,
-    vsub,
 )
 from ehrhart.polytope import ConvexPolytope, Face
 
@@ -63,6 +61,14 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[1])
+
+
+def vsub(u, v):
+    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v, strict=True))
+
+
+def vscale(u, c):
+    return tuple(Fraction(a) * Fraction(c) for a in u)
 
 
 def lagrange_interpolate(xs, ys):

@@ -12,6 +12,7 @@ import pytest
 
 from ehrhart import constructions as C
 from ehrhart import pte
+from ehrhart.cli import run_claim
 from ehrhart.counting import count, count_convex, count_union
 from ehrhart.errors import NotAvailable
 from ehrhart.indices import mcmullen_check
@@ -66,9 +67,11 @@ def test_criterion_3_hull_periods():
 
 
 def test_criterion_4_decomposition():
+    rep = run_claim("decomposition")
+    assert rep.outcome == "pass"
     for n, p in ((3, 2), (3, 3), (4, 2)):
-        rep = C.decomposition_check(n, p, 4)
-        assert rep.ok and rep.first_failing_k is None
+        entry = rep.witness[f"n={n},p={p}"]
+        assert entry["ok"] and entry["first_failing_k"] is None
         assert is_integral(C.middle(n, p))
         assert is_integral(C.prism_shared_facet(n, p))
         assert is_integral(C.pyramid_shared_facet(n, p))

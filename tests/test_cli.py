@@ -268,6 +268,7 @@ MALFORMED_INPUTS = {
     "ragged-vertex": {"ambient_dim": 2, "vertices": [[0, 0], [1]]},
     "bad-coordinate": {"ambient_dim": 2, "vertices": [[0, 0], ["1/0", 1]]},
     "null-coordinate": {"ambient_dim": 2, "vertices": [[0, None]]},
+    "huge-exponent": {"ambient_dim": 1, "vertices": [[0], ["1e5000"]]},
     "not-an-object": [1, 2],
     "piece-not-an-object": {"ambient_dim": 2, "pieces": [7]},
     "no-pieces": {"ambient_dim": 2, "pieces": []},
@@ -296,6 +297,21 @@ def test_input_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_float_coordinates_are_read_as_written(tmp_path, capsys):
+    # a float parse would make 0.1 a fraction over 2**55, and the fit's
+    # modulus with it
+    path = tmp_path / "tenth.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [0.1]]}')
+    body = cli._load_object(cli.build_parser().parse_args(["fit", "--input", str(path)]))
+    assert body.vertices == ((Fraction(0),), (Fraction(1, 10),))
+    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+    assert (code, json.loads(out)["modulus"]) == (0, 10)
+    # an exponent that would cost a 5000-digit power of ten is refused
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [1e5000]]}')
+    code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert (code, out) == (2, "") and "exponent beyond" in err
 
 
 @pytest.mark.parametrize("option", ["--k", "--k-max"])
@@ -686,6 +702,49 @@ def test_verify_builds_each_family_member_once(monkeypatch):
     assert [r.outcome for r in reports] == ["pass"] * len(CLAIMS)
     assert ("hull", 2, 3) in built and ("barn", 2, 3) in built
     assert len(built) == len(set(built))
+
+
+def test_body_takes_its_arguments_by_position():
+    # the cache would key n and n= apart, so n= is refused
+    with pytest.raises(TypeError):
+        cli._body("hull", 2, n=3)
+
+
+DECOMPOSITION_FAMILIES = ["hull", "middle", "pentagon-pyramid", "prism"]
+
+
+def test_decomposition_claim_passes():
+    report = cli.run_claim("decomposition", [2], [3])
+    assert (report.outcome, report.params) == ("pass", {"cases": [(3, 2)], "k_max": 4})
+    entry = report.witness["n=3,p=2"]
+    assert entry["ok"] and entry["first_failing_k"] is None
+    assert entry["integral_middle"] and entry["integral_prism_side"] and entry["integral_pyramid_side"]
+
+
+def test_decomposition_counts_the_bodies_body_supplies(monkeypatch):
+    held = {}
+
+    def fresh_body(family, p, n=None, /):
+        held[family] = constructions.build(family, p, n)[0]
+        return held[family]
+
+    monkeypatch.setattr(cli, "_body", fresh_body)
+    report = cli.run_claim("decomposition", [2], [3])
+    monkeypatch.undo()
+    assert report == cli.run_claim("decomposition", [2], [3])
+    assert sorted(held) == DECOMPOSITION_FAMILIES
+    for body in held.values():  # the counts are kept with the supplied bodies
+        assert {(k, False, DEFAULT_BUDGET) for k in range(1, 5)} <= set(body.dilate_counts)
+
+
+def test_decomposition_fails_at_the_first_wrong_count(monkeypatch):
+    bodies = {f: constructions.build(f, 2, 3)[0] for f in DECOMPOSITION_FAMILIES}
+    hull = bodies["hull"]
+    hull.dilate_counts[(2, False, DEFAULT_BUDGET)] = count(hull, 2) + 1
+    monkeypatch.setattr(cli, "_body", lambda f, p, n=None, /: bodies[f])
+    report = cli.run_claim("decomposition", [2], [3])
+    entry = report.witness["n=3,p=2"]
+    assert (report.outcome, entry["ok"], entry["first_failing_k"]) == ("fail", False, 2)
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):

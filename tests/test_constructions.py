@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from ehrhart import constructions as C
-from ehrhart.counting import DEFAULT_BUDGET, count, count_convex, count_union
+from ehrhart.counting import count, count_convex, count_union
 from ehrhart.errors import (
     DimensionCapExceeded,
     NotAvailable,
@@ -100,25 +100,16 @@ def test_hull_dimension_cap():
         C.pentagon_pyramid(6, 2)
 
 
-def test_decomposition_check():
-    for n, p in [(3, 2), (3, 1)]:
-        report = C.decomposition_check(n, p, 4)
-        assert report.ok
-        assert report.first_failing_k is None
-
-
-def test_decomposition_check_counts_the_bodies_its_caller_supplies():
-    held = {}
-
-    def member(family, p, n):
-        held[family] = C.build(family, p, n)[0]
-        return held[family]
-
-    report = C.decomposition_check(3, 2, 4, member=member)
-    assert report == C.decomposition_check(3, 2, 4)
-    assert sorted(held) == ["hull", "middle", "pentagon-pyramid", "prism"]
-    for body in held.values():  # the counts are kept with the supplied bodies
-        assert {(k, False, DEFAULT_BUDGET) for k in range(1, 5)} <= set(body.dilate_counts)
+def test_decomposition_identity_at_p_1():
+    # the decomposition claim's grid has no p = 1, where every piece is integral
+    n, p = 3, 1
+    pieces = [C.build(f, p, n)[0] for f in ("hull", "prism", "middle", "pentagon-pyramid")]
+    pieces += [C.prism_shared_facet(n, p), C.pyramid_shared_facet(n, p)]
+    for k in range(1, 5):
+        hull, prism, middle, pyramid, prism_facet, pyramid_facet = (
+            count_convex(body, k) for body in pieces
+        )
+        assert hull == prism + middle + pyramid - prism_facet - pyramid_facet
 
 
 def test_shared_facets_are_slices_of_their_bodies():

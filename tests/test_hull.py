@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from oracles import brute_force_faces, brute_force_hull
+from oracles import brute_force_faces, brute_force_hull, rank
 from strategies import clouds
 
 from ehrhart import constructions as C
-from ehrhart.linalg import min_dilate_with_lattice_point, rank
+from ehrhart.linalg import min_dilate_with_lattice_point
 from ehrhart.polytope import embed_product, faces, from_vertices
 
 F = Fraction

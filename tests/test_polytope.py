@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import in_hull
+from oracles import in_hull, rank, vsub
 
 from ehrhart import constructions as C
 from ehrhart.counting import count_union
 from ehrhart.errors import DimensionCapExceeded, DimensionMismatch, InvalidInput
 from ehrhart.indices import index_sequence
-from ehrhart.linalg import rank, vdot, vsub
+from ehrhart.linalg import vdot
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,

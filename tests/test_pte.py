@@ -1,11 +1,10 @@
 import pytest
 
-from ehrhart.errors import NotAvailable, RejectedSolution, SizeMismatch
+from ehrhart.errors import NotAvailable, SizeMismatch
 from ehrhart.pte import (
     PteSolution,
     available_sizes,
     difference_polynomial,
-    normalize,
     power_sum,
     product_identity_check,
     table_lookup,
@@ -33,21 +32,6 @@ def test_verify_examples():
     assert not verify(PteSolution((1, -2), (-1, 0)))
 
 
-def test_normalize_examples():
-    assert normalize((1, 5, 6), (2, 3, 7)) == PteSolution((1, 2, 6), (4, 5, 0))
-    assert normalize((0, 3), (1, 2)) == PteSolution((1, 2), (3, 0))
-    assert normalize((0, 4, 7, 11), (1, 2, 9, 10)) == PteSolution((1, 2, 9, 10), (4, 7, 11, 0))
-
-
-def test_normalize_rejects_repeated_minimum():
-    with pytest.raises(RejectedSolution):
-        normalize((0, 5, 7), (0, 4, 8))  # equal sums/squares but min appears twice
-    with pytest.raises(RejectedSolution):
-        normalize((1, 2), (1, 3))  # not an equal-power-sum pair
-    with pytest.raises(SizeMismatch):
-        normalize((1, 2, 3), (1, 2))
-
-
 def test_table_sizes():
     assert available_sizes() == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
@@ -63,7 +47,7 @@ def test_table_entries_all_verify():
 def test_table_small_witnesses():
     assert table_lookup(2) == PteSolution((1, 2), (3, 0))
     assert table_lookup(3) == PteSolution((1, 2, 6), (4, 5, 0))
-    assert table_lookup(4) == normalize((0, 4, 7, 11), (1, 2, 9, 10))
+    assert table_lookup(4) == PteSolution((1, 2, 9, 10), (4, 7, 11, 0))
 
 
 def test_table_lookup_unavailable():
