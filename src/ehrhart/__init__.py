@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     EhrhartError,
     Infeasible,
-    NonterminatingNumerator,
     NotAvailable,
     SizeMismatch,
     UnverifiedSolution,

@@ -1,14 +1,18 @@
 """Command-line interface.
 
-Subcommands expose the library surface (construct, count, fit, periods,
-indices, series, pte) plus ``verify``, which runs named verification
-claims and emits one JSON report per claim. Reports embed the raw counts
+Subcommands expose the library surface (construct, count, fit, indices,
+series, pte list, pte verify) plus ``verify``, which runs named
+verification claims and emits one JSON report per claim. Every
+subcommand writes JSON; ``count`` alone also writes ``k,count`` CSV rows
+(``--format csv``). ``fit``'s JSON carries the period sequence, modulus
+and degree along with the coefficients. Reports embed the raw counts
 they used, so every number is independently recheckable by re-running
 the corresponding subcommands. Convex bodies are fitted on both sides of
 zero, so their count maps also carry negative keys: the value at ``-k``
 is ``L(-k)``, which is ``(-1)**dim`` times what ``count --interior --k k``
 prints. Output is deterministic: keys are sorted, ordering is fixed, and
-nothing time-dependent is ever emitted.
+nothing time-dependent is ever emitted. Integers print in full, however
+many digits they have; numbers read from ``--input`` are bounded instead.
 
 One ``verify`` run computes each exact object once: claims share one body
 per family member (``_body``), and with it the counts and the fit that
@@ -46,6 +50,7 @@ from .indices import mcmullen_check
 from .polytope import (
     PolytopalUnion,
     denominator,
+    exact_integer,
     exact_rational,
     is_integral,
     polytope_from_dict,
@@ -79,24 +84,8 @@ def _body(family: str, p: int, n: int | None = None, /):
     return constructions.build(family, p, n)[0]
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "csv":
-        print(_to_csv(payload), end="")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _to_csv(payload) -> str:
-    if isinstance(payload, dict) and set(payload) >= {"k", "count"}:
-        lines = ["k,count"]
-        lines += [f"{k},{c}" for k, c in zip(payload["k"], payload["count"])]
-        return "\n".join(lines) + "\n"
-    if isinstance(payload, list):
-        return "".join(_to_csv(item) for item in payload)
-    lines = []
-    for key, value in sorted(payload.items()):
-        lines.append(f"{key},{json.dumps(value, sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _load_object(args):
@@ -105,7 +94,7 @@ def _load_object(args):
     if getattr(args, "input", None):
         with open(args.input) as handle:
             try:
-                data = json.load(handle, parse_float=exact_rational)
+                data = json.load(handle, parse_float=exact_rational, parse_int=exact_integer)
             except InvalidInput as exc:
                 raise InvalidInput(f"{args.input}: {exc}") from None
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -127,7 +116,7 @@ def _cmd_construct(args) -> int:
     obj, provenance = constructions.build(args.family, args.p, args.n)
     payload = union_to_dict(obj) if isinstance(obj, PolytopalUnion) else polytope_to_dict(obj)
     payload["provenance"] = provenance
-    _emit(payload, args.format)
+    _emit(payload)
     return 0
 
 
@@ -143,28 +132,17 @@ def _cmd_count(args) -> int:
         counts = [count_convex(obj, k, args.budget, interior=True) for k in ks]
     else:
         counts = [count(obj, k, args.budget) for k in ks]
-    _emit({"k": ks, "count": counts}, args.format)
+    if args.format == "csv":
+        print("k,count\n" + "".join(f"{k},{c}\n" for k, c in zip(ks, counts)), end="")
+    else:
+        _emit({"k": ks, "count": counts})
     return 0
 
 
 def _cmd_fit(args) -> int:
     obj = _load_object(args)
     qp, _ = fitted(obj, args.budget)
-    _emit(qp_to_dict(qp), args.format)
-    return 0
-
-
-def _cmd_periods(args) -> int:
-    obj = _load_object(args)
-    qp, _ = fitted(obj, args.budget)
-    _emit(
-        {
-            "period_sequence": list(period_sequence(qp)),
-            "modulus": qp.modulus,
-            "degree": qp.degree,
-        },
-        args.format,
-    )
+    _emit(qp_to_dict(qp))
     return 0
 
 
@@ -173,21 +151,18 @@ def _cmd_indices(args) -> int:
     if isinstance(obj, PolytopalUnion):
         raise EhrhartError("index sequences are defined for convex polytopes only")
     report = mcmullen_check(obj, budget=args.budget)
-    _emit(
-        {
-            "index_sequence": list(report.index_sequence),
-            "period_sequence": list(report.period_sequence),
-            "mcmullen_ok": report.ok,
-        },
-        args.format,
-    )
+    _emit({
+        "index_sequence": list(report.index_sequence),
+        "period_sequence": list(report.period_sequence),
+        "mcmullen_ok": report.ok,
+    })
     return 0
 
 
 def _cmd_series(args) -> int:
     obj = _load_object(args)
     qp, _ = fitted(obj, args.budget)
-    _emit(series_to_dict(from_quasipolynomial(qp)), args.format)
+    _emit(series_to_dict(from_quasipolynomial(qp)))
     return 0
 
 
@@ -200,7 +175,7 @@ def _cmd_pte(args) -> int:
             }
             for size in pte.available_sizes()
         }
-        _emit({"sizes": pte.available_sizes(), "solutions": payload}, args.format)
+        _emit({"sizes": pte.available_sizes(), "solutions": payload})
         return 0
     # pte verify
     if args.s or args.t:
@@ -219,7 +194,7 @@ def _cmd_pte(args) -> int:
         identity = ok and pte.product_identity_check(sol)
         results[str(size)] = {"verified": ok, "product_identity": identity}
         all_ok = all_ok and ok and identity
-    _emit({"results": results, "ok": all_ok}, args.format)
+    _emit({"results": results, "ok": all_ok})
     return 0 if all_ok else 1
 
 
@@ -552,7 +527,7 @@ def _cmd_verify(args) -> int:
     claims = CLAIMS if args.claim == "all" else (args.claim,)
     reports = verify_all(args.max_p, args.max_n, args.budget, claims=claims, p=args.p, n=args.n)
     payload = [r.to_dict() for r in reports]
-    _emit(payload[0] if len(payload) == 1 else payload, args.format)
+    _emit(payload[0] if len(payload) == 1 else payload)
     return 0 if all(r.outcome != "fail" for r in reports) else 1
 
 
@@ -591,15 +566,10 @@ def _add_object_options(sub, with_input: bool = True) -> None:
         sub.add_argument("--input", help="JSON polytope/union file instead of --family")
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_common(sub) -> None:
+def _add_budget(sub) -> None:
     sub.add_argument(
         "--budget", type=_nonnegative_int, default=None, help="nodes the counting kernel may charge"
     )
-    _add_format(sub)
 
 
 @lru_cache(maxsize=None)
@@ -614,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("construct", help="emit a family member as JSON")
     _add_object_options(sub, with_input=False)
-    _add_format(sub)
     sub.set_defaults(func=_cmd_construct)
 
     sub = subs.add_parser("count", help="lattice-point counts of dilates")
@@ -628,33 +597,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count the relative interior of each dilate (convex polytopes only)",
     )
-    _add_common(sub)
+    _add_budget(sub)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(func=_cmd_count)
 
     sub = subs.add_parser("fit", help="fit the dilate-count quasi-polynomial")
     _add_object_options(sub)
-    _add_common(sub)
+    _add_budget(sub)
     sub.set_defaults(func=_cmd_fit)
-
-    sub = subs.add_parser("periods", help="minimal coefficient periods")
-    _add_object_options(sub)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_periods)
 
     sub = subs.add_parser("indices", help="face index sequence and period bound check")
     _add_object_options(sub)
-    _add_common(sub)
+    _add_budget(sub)
     sub.set_defaults(func=_cmd_indices)
 
     sub = subs.add_parser("series", help="rational generating function of the counts")
     _add_object_options(sub)
-    _add_common(sub)
+    _add_budget(sub)
     sub.set_defaults(func=_cmd_series)
 
     sub = subs.add_parser("pte", help="equal-power-sum solution table")
     pte_subs = sub.add_subparsers(dest="pte_command", required=True)
     lst = pte_subs.add_parser("list", help="show the shipped table")
-    _add_format(lst)
     lst.set_defaults(func=_cmd_pte)
     ver = pte_subs.add_parser("verify", help="verify table entries or a given pair")
     ver.add_argument("--size", type=int, default=None)
@@ -662,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--t", type=_int_tuple, default=None, help="comma-separated side t (trailing 0)"
     )
-    _add_format(ver)
     ver.set_defaults(func=_cmd_pte)
 
     sub = subs.add_parser("verify", help="run verification claims")
@@ -671,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=_dimension, default=None, help="restrict to one dimension")
     sub.add_argument("--max-p", type=_positive_int, default=None)
     sub.add_argument("--max-n", type=_dimension, default=None)
-    _add_common(sub)
+    _add_budget(sub)
     sub.set_defaults(func=_cmd_verify)
 
     return parser
@@ -680,6 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a count may outgrow the digits Python writes an int in by default;
+    # the parser above read its ints under that limit, and ``--input``
+    # bounds the numbers it reads itself
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -692,6 +661,9 @@ def main(argv=None) -> int:
     except (EhrhartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

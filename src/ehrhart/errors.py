@@ -31,11 +31,6 @@ class VerificationFailed(EhrhartError):
     """A fitted quasi-polynomial disagrees with a fresh sample."""
 
 
-class NonterminatingNumerator(EhrhartError):
-    """Series numerator fails to truncate; the source is not a
-    quasi-polynomial of the declared degree and modulus."""
-
-
 class SizeMismatch(EhrhartError):
     """A power-sum solution has the wrong number of entries."""
 

@@ -520,18 +520,33 @@ def _json_field(data, key: str, what: str, kind: type | None = None):
     return value
 
 
-# a decimal exponent past this would cost a power of ten of that many
-# digits; it is the digit count Python reads in an int by default
-_MAX_EXPONENT = 4300
+# the digit count Python reads in an int by default: a numerator or
+# denominator with more digits, or a decimal exponent past it (a power of
+# ten that long), is refused
+_MAX_DIGITS = 4300
+
+
+def _bounded(text: str) -> str:
+    digits = max(sum(map(str.isdigit, part)) for part in text.split("/"))
+    if digits > _MAX_DIGITS:
+        raise InvalidInput(f"number of {digits} digits, beyond {_MAX_DIGITS}")
+    return text
+
+
+def exact_integer(text: str) -> int:
+    """The integer a JSON integer literal names. One of more than
+    ``_MAX_DIGITS`` digits raises ``InvalidInput``."""
+    return int(_bounded(text))
 
 
 def exact_rational(text: str) -> Fraction:
     """The rational a ``num/den`` or decimal text names, read as written:
-    ``"0.1"`` is 1/10, not the nearest binary float. An exponent beyond
-    ``_MAX_EXPONENT`` raises ``InvalidInput``; malformed text ``ValueError``."""
-    exponent = text.lower().partition("e")[2]
-    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
-        raise InvalidInput(f"number {text}: exponent beyond {_MAX_EXPONENT}")
+    ``"0.1"`` is 1/10, not the nearest binary float. A numerator or
+    denominator of more than ``_MAX_DIGITS`` digits, or an exponent beyond
+    that, raises ``InvalidInput``; malformed text ``ValueError``."""
+    exponent = _bounded(text).lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > _MAX_DIGITS:
+        raise InvalidInput(f"number {text}: exponent beyond {_MAX_DIGITS}")
     return Fraction(text)
 
 

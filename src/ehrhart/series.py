@@ -3,11 +3,12 @@
 A series is stored in the normal form ``N(t) / (1 - t^D)^m`` with an
 explicit numerator polynomial. For a quasi-polynomial of degree ``n``
 and modulus ``D`` the canonical denominator is ``(1 - t^D)^(n+1)``; the
-numerator then has degree below ``D * (n + 1)``, which the constructor
-verifies by checking that the defining product truncates. Taking a
-pyramid over the underlying body divides the series by ``1 - t``,
-realized here by multiplying the numerator by ``1 + t + ... + t^(D-1)``
-and raising the denominator power.
+numerator then has degree below ``D * (n + 1)``, because on each residue
+class modulo ``D`` the values form a polynomial of degree at most ``n``,
+whose series over ``(1 - t^D)^(n+1)`` has a numerator of degree at most
+``n`` in ``t^D``. Taking a pyramid over the underlying body divides the
+series by ``1 - t``, realized here by multiplying the numerator by
+``1 + t + ... + t^(D-1)`` and raising the denominator power.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonterminatingNumerator
 from .polynomials import poly_mul, poly_neg, poly_trim
 from .quasipoly import QuasiPolynomial, equivalent, fit
 
@@ -35,34 +35,19 @@ class EhrhartSeries:
 def from_quasipolynomial(f: QuasiPolynomial) -> EhrhartSeries:
     """The series ``sum_k f(k) t^k`` over the denominator ``(1-t^D)^(n+1)``.
 
-    The numerator is computed exactly as ``(1 - t^D)^(n+1)`` times the
-    truncated series of ``f`` (the value at 0 comes from evaluating the
-    residue-0 polynomial, which is 1 for genuine dilate counts). The
-    product is checked to vanish well past the expected numerator degree;
-    failure to truncate means ``f`` is not a quasi-polynomial of its
-    declared degree and modulus.
+    The numerator is ``(1 - t^D)^(n+1)`` times the series of ``f``, of
+    which only the terms below ``t^(D*(n+1))`` can be nonzero; the value at
+    0 comes from evaluating the residue-0 polynomial, which is 1 for
+    genuine dilate counts.
     """
     D = f.modulus
     power = f.degree + 1
-    bound = D * power  # numerator degree is < bound for a true quasi-polynomial
-    check_to = 3 * D * power
-    signs = [
-        Fraction((-1) ** j * math.comb(power, j)) for j in range(power + 1)
+    values = [f.evaluate(k) for k in range(D * power)]
+    coeffs = [
+        sum((-1) ** j * math.comb(power, j) * values[k - j * D] for j in range(k // D + 1))
+        for k in range(D * power)
     ]
-    values = [f.evaluate(k) for k in range(check_to + 1)]
-    coeffs = []
-    for k in range(check_to + 1):
-        acc = Fraction(0)
-        for j in range(power + 1):
-            if j * D > k:
-                break
-            acc += signs[j] * values[k - j * D]
-        if k >= bound and acc != 0:
-            raise NonterminatingNumerator(
-                f"numerator coefficient {acc} at t^{k} (expected 0 past t^{bound - 1})"
-            )
-        coeffs.append(acc)
-    return EhrhartSeries(tuple(poly_trim(coeffs[:bound])), D, power)
+    return EhrhartSeries(tuple(poly_trim(coeffs)), D, power)
 
 
 def expansion(series: EhrhartSeries, k_max: int) -> list[Fraction]:

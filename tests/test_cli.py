@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -104,7 +105,7 @@ def test_fit_and_periods(capsys):
     assert payload["coeffs"] == [["1", "1/2"], ["1/2", "1/2"]]
     assert payload["period_sequence"] == [2, 1]
 
-    code, out, _ = run_cli(capsys, "periods", "--family", "heptagon", "--p", "3")
+    code, out, _ = run_cli(capsys, "fit", "--family", "heptagon", "--p", "3")
     assert json.loads(out)["period_sequence"] == [1, 3, 1]
 
 
@@ -244,6 +245,60 @@ def test_budget_is_rejected_where_nothing_is_counted(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "pentagon", "--format", "csv"],
+    ["fit", "--family", "pentagon", "--format", "csv"],
+    ["indices", "--family", "pentagon", "--format", "csv"],
+    ["series", "--family", "pentagon", "--format", "csv"],
+    ["pte", "list", "--format", "csv"],
+    ["pte", "verify", "--format", "csv"],
+    ["verify", "heptagon", "--format", "csv"],
+    ["periods", "--family", "heptagon", "--p", "2"],  # fit's JSON carries the periods
+])
+def test_only_count_takes_a_format_and_periods_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _leaf_options(parser, prefix=()):
+    """``{leaf subcommand: its option strings, positionals by name}``."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_leaf_options(sub, prefix + (name,)))
+    if not out and prefix:
+        out[" ".join(prefix)] = [
+            s
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+            for s in (a.option_strings or [a.dest])
+        ]
+    return out
+
+
+# every settable option of every leaf subcommand: 36 over 8 leaves
+OPTION_TABLE = {
+    "construct": ["--family", "--p", "--n"],
+    "count": [
+        "--family", "--p", "--n", "--input", "--k", "--k-max", "--interior", "--budget", "--format",
+    ],
+    "fit": ["--family", "--p", "--n", "--input", "--budget"],
+    "indices": ["--family", "--p", "--n", "--input", "--budget"],
+    "series": ["--family", "--p", "--n", "--input", "--budget"],
+    "pte list": [],
+    "pte verify": ["--size", "--s", "--t"],
+    "verify": ["claim", "--p", "--n", "--max-p", "--max-n", "--budget"],
+}
+
+
+def test_the_option_table_is_pinned():
+    table = _leaf_options(cli.build_parser())
+    assert table == OPTION_TABLE
+    assert (sum(map(len, table.values())), len(table)) == (36, 8)
+
+
 @pytest.mark.parametrize("family", ["segment", "pentagon"])
 def test_negative_budget_is_a_usage_error(capsys, family):
     with pytest.raises(SystemExit) as exc:
@@ -269,6 +324,8 @@ MALFORMED_INPUTS = {
     "bad-coordinate": {"ambient_dim": 2, "vertices": [[0, 0], ["1/0", 1]]},
     "null-coordinate": {"ambient_dim": 2, "vertices": [[0, None]]},
     "huge-exponent": {"ambient_dim": 1, "vertices": [[0], ["1e5000"]]},
+    "long-numerator": {"ambient_dim": 1, "vertices": [[0], ["1" * 5000]]},
+    "long-denominator": {"ambient_dim": 1, "vertices": [[0], ["1/" + "3" * 5000]]},
     "not-an-object": [1, 2],
     "piece-not-an-object": {"ambient_dim": 2, "pieces": [7]},
     "no-pieces": {"ambient_dim": 2, "pieces": []},
@@ -297,6 +354,31 @@ def test_input_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BIG = "1" + "0" * 4299 + "1"  # 10**4300 + 1, written out: str() would refuse it
+
+
+def test_numbers_beyond_the_default_digit_limit_print_in_full(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [1e4300]]}')
+    code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert code == 0 and f"[\n    {BIG}\n  ]" in out
+    code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k", "1", "--format", "csv")
+    assert (code, out) == (0, f"k,count\n1,{BIG}\n")
+    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+    assert code == 0 and '"modulus": 1' in out
+    assert sys.get_int_max_str_digits() == limit  # restored when main returns
+
+
+def test_a_json_integer_of_more_digits_than_the_limit_is_refused(tmp_path, capsys):
+    # json.dumps cannot write it under the limit, so it is written out
+    path = tmp_path / "long.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [' + "1" * 5000 + "]]}")
+    code, out, err = run_cli(capsys, "count", "--input", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5000 digits" in err
 
 
 def test_json_float_coordinates_are_read_as_written(tmp_path, capsys):
@@ -430,7 +512,7 @@ def run_module(*argv, **kwargs):
 
 
 def test_module_entry_point_subprocess():
-    proc = run_module("periods", "--family", "simplex", "--n", "3", "--p", "2")
+    proc = run_module("fit", "--family", "simplex", "--n", "3", "--p", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["period_sequence"] == [2, 1, 1]
 

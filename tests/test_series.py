@@ -4,13 +4,12 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import clouds
+from strategies import clouds, rationals
 
 from ehrhart import constructions as C
 from ehrhart.counting import count, count_convex, fitted
-from ehrhart.errors import NonterminatingNumerator
 from ehrhart.polytope import denominator, from_vertices
-from ehrhart.quasipoly import fit
+from ehrhart.quasipoly import QuasiPolynomial, fit
 from ehrhart.series import (
     EhrhartSeries,
     expansion,
@@ -54,16 +53,19 @@ def test_unit_segment_series():
     assert [int(v) for v in expansion(E, 4)] == [1, 2, 3, 4, 5]
 
 
-def test_nonterminating_numerator_detected():
-    class Fake:
-        degree = 0
-        modulus = 1
+@st.composite
+def quasipolynomials(draw):
+    degree, modulus = draw(st.integers(0, 5)), draw(st.integers(1, 7))
+    coeffs = tuple(tuple(draw(rationals(9)) for _ in range(modulus)) for _ in range(degree + 1))
+    return QuasiPolynomial(degree, modulus, coeffs)
 
-        def evaluate(self, k):
-            return 2**k  # not a quasi-polynomial
 
-    with pytest.raises(NonterminatingNumerator):
-        from_quasipolynomial(Fake())
+@settings(max_examples=200)
+@given(quasipolynomials())
+def test_series_expands_back_to_the_quasipolynomial(qp):
+    # the numerator's D*(n+1) coefficients carry all of f, well past them
+    span = 3 * qp.modulus * (qp.degree + 1)
+    assert expansion(from_quasipolynomial(qp), span) == [qp.evaluate(k) for k in range(span + 1)]
 
 
 def test_round_trip_refit():
