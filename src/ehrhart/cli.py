@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands expose the library surface (construct, count, fit, indices,
-series, pte list, pte verify) plus ``verify``, which runs named
-verification claims and emits one JSON report per claim. Every
+series, and ``pte``, which checks an equal-power-sum pair given on the
+command line) plus ``verify``, which runs named verification claims and
+emits one JSON report per claim; ``verify pte-table`` is the one report
+of the shipped table, and ``pte`` prints the same entry for its pair. Every
 subcommand writes JSON; ``count`` alone also writes ``k,count`` CSV rows
 (``--format csv``). ``fit``'s JSON carries the period sequence, modulus
 and degree along with the coefficients. Reports embed the raw counts
@@ -24,7 +26,9 @@ and it is ``skipped`` (exit 0) when no case matches the flags or the
 budget runs out. Each claim counts and compares here, from the bodies
 ``constructions`` builds; ``decomposition`` too checks its count identity
 on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
-``--max-n`` from 3.
+``--max-n`` from 3. Flags that would contradict each other (``--k`` and
+``--k-max``, ``--p`` and ``--max-p``, ``--n`` and ``--max-n``, ``--family``
+and ``--input``) are a usage error together.
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
@@ -122,10 +126,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_count(args) -> int:
     obj = _load_object(args)
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        ks = list(range(1, args.k_max + 1))
+    ks = [args.k] if args.k is not None else list(range(1, (args.k_max or 6) + 1))
     if args.interior:
         if isinstance(obj, PolytopalUnion):
             raise EhrhartError("--interior counts are defined for convex polytopes only")
@@ -166,36 +167,20 @@ def _cmd_series(args) -> int:
     return 0
 
 
+def _pte_entry(sol: pte.PteSolution) -> dict:
+    """One size's report: the pair, its power sums and its product identity."""
+    return {
+        "s": list(sol.s),
+        "t": list(sol.t),
+        "verified": pte.verify(sol),
+        "product_identity": pte.product_identity_check(sol),
+    }
+
+
 def _cmd_pte(args) -> int:
-    if args.pte_command == "list":
-        payload = {
-            str(size): {
-                "s": list(pte.table_lookup(size).s),
-                "t": list(pte.table_lookup(size).t),
-            }
-            for size in pte.available_sizes()
-        }
-        _emit({"sizes": pte.available_sizes(), "solutions": payload})
-        return 0
-    # pte verify
-    if args.s or args.t:
-        if not (args.s and args.t):
-            raise EhrhartError("provide both --s and --t")
-        sol = pte.PteSolution(args.s, args.t)
-        solutions = {sol.size: sol}
-    elif args.size is not None:
-        solutions = {args.size: pte.table_lookup(args.size)}
-    else:
-        solutions = {size: pte.table_lookup(size) for size in pte.available_sizes()}
-    results = {}
-    all_ok = True
-    for size, sol in sorted(solutions.items()):
-        ok = pte.verify(sol)
-        identity = ok and pte.product_identity_check(sol)
-        results[str(size)] = {"verified": ok, "product_identity": identity}
-        all_ok = all_ok and ok and identity
-    _emit({"results": results, "ok": all_ok})
-    return 0 if all_ok else 1
+    entry = _pte_entry(pte.PteSolution(args.s, args.t))
+    _emit(entry)
+    return 0 if entry["verified"] and entry["product_identity"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +395,8 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-def _mcmullen_targets(max_p: int):
-    for p in range(1, max_p + 1):
+def _mcmullen_targets(ps):
+    for p in ps:
         for family in ("segment", "pentagon", "rectangle", "heptagon"):
             yield f"{family} p={p}", _body(family, p)
         for n in (3, 4, 5):
@@ -422,9 +407,9 @@ def _mcmullen_targets(max_p: int):
 
 
 def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
-    max_p = max(ps) if ps else 3
+    ps = ps or [1, 2, 3]
     cases = []
-    for label, poly in _mcmullen_targets(max_p):
+    for label, poly in _mcmullen_targets(ps):
         report = mcmullen_check(poly, budget)
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
@@ -439,21 +424,14 @@ def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
             # only divisibility is asserted, the gap is recorded
             entry["linear_gap"] = report.index_sequence[1] // report.period_sequence[1]
         cases.append((label, good, entry))
-    return {"max_p": max_p}, cases
+    return {"max_p": max(ps)}, cases
 
 
 def _claim_pte_table(ps, ns, budget) -> tuple[dict, list]:
     cases = []
     for size in pte.available_sizes():
-        sol = pte.table_lookup(size)
-        verified = pte.verify(sol)
-        identity = pte.product_identity_check(sol)
-        cases.append((f"size={size}", verified and identity, {
-            "s": list(sol.s),
-            "t": list(sol.t),
-            "verified": verified,
-            "product_identity": identity,
-        }))
+        entry = _pte_entry(pte.table_lookup(size))
+        cases.append((f"size={size}", entry["verified"] and entry["product_identity"], entry))
     cases.append((None, pte.table_lookup(2) == pte.PteSolution((1, 2), (3, 0)), None))
     cases.append((None, pte.table_lookup(3) == pte.PteSolution((1, 2, 6), (4, 5, 0)), None))
     return {"sizes": pte.available_sizes()}, cases
@@ -514,7 +492,11 @@ def verify_all(
     n: int | None = None,
 ) -> list[VerificationReport]:
     """The given claims (all by default), in order; ``p``/``n`` restrict to
-    one value, ``max_p``/``max_n`` to the values up to it; ``None`` is unset."""
+    one value, ``max_p``/``max_n`` to the values up to it; ``None`` is unset,
+    and a value and its maximum may not both be set."""
+    for one, most, value, maximum in (("p", "max_p", p, max_p), ("n", "max_n", n, max_n)):
+        if value is not None and maximum is not None:
+            raise InvalidInput(f"give {one} or {most}, not both")
     for name, value, least in (("p", p, 1), ("max_p", max_p, 1), ("n", n, 3), ("max_n", max_n, 3)):
         if value is not None and value < least:
             raise InvalidInput(f"{name} must be at least {least}, got {value}")
@@ -559,11 +541,12 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 
 def _add_object_options(sub, with_input: bool = True) -> None:
-    sub.add_argument("--family", choices=constructions.FAMILIES, help="polytope family")
+    source = sub.add_mutually_exclusive_group() if with_input else sub
+    source.add_argument("--family", choices=constructions.FAMILIES, help="polytope family")
     sub.add_argument("--p", type=int, default=2, help="period parameter (default 2)")
     sub.add_argument("--n", type=int, default=None, help="ambient dimension, where needed")
     if with_input:
-        sub.add_argument("--input", help="JSON polytope/union file instead of --family")
+        source.add_argument("--input", help="JSON polytope/union file instead of --family")
 
 
 def _add_budget(sub) -> None:
@@ -588,9 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="lattice-point counts of dilates")
     _add_object_options(sub)
-    sub.add_argument("--k", type=_positive_int, default=None, help="single dilate")
-    sub.add_argument(
-        "--k-max", type=_positive_int, default=6, help="count k = 1..k_max (default 6)"
+    dilates = sub.add_mutually_exclusive_group()
+    dilates.add_argument("--k", type=_positive_int, default=None, help="single dilate")
+    # no parser default: argparse sees no conflict when --k-max gives the default
+    dilates.add_argument(
+        "--k-max", type=_positive_int, default=None, help="count k = 1..k_max (default 6)"
     )
     sub.add_argument(
         "--interior",
@@ -616,24 +601,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(sub)
     sub.set_defaults(func=_cmd_series)
 
-    sub = subs.add_parser("pte", help="equal-power-sum solution table")
-    pte_subs = sub.add_subparsers(dest="pte_command", required=True)
-    lst = pte_subs.add_parser("list", help="show the shipped table")
-    lst.set_defaults(func=_cmd_pte)
-    ver = pte_subs.add_parser("verify", help="verify table entries or a given pair")
-    ver.add_argument("--size", type=int, default=None)
-    ver.add_argument("--s", type=_int_tuple, default=None, help="comma-separated side s")
-    ver.add_argument(
-        "--t", type=_int_tuple, default=None, help="comma-separated side t (trailing 0)"
+    sub = subs.add_parser("pte", help="check a given equal-power-sum pair")
+    sub.add_argument("--s", type=_int_tuple, required=True, help="comma-separated side s")
+    sub.add_argument(
+        "--t", type=_int_tuple, required=True, help="comma-separated side t (trailing 0)"
     )
-    ver.set_defaults(func=_cmd_pte)
+    sub.set_defaults(func=_cmd_pte)
 
     sub = subs.add_parser("verify", help="run verification claims")
     sub.add_argument("claim", choices=CLAIMS + ("all",))
-    sub.add_argument("--p", type=_positive_int, default=None, help="restrict to one period value")
-    sub.add_argument("--n", type=_dimension, default=None, help="restrict to one dimension")
-    sub.add_argument("--max-p", type=_positive_int, default=None)
-    sub.add_argument("--max-n", type=_dimension, default=None)
+    periods = sub.add_mutually_exclusive_group()
+    dimensions = sub.add_mutually_exclusive_group()
+    periods.add_argument("--p", type=_positive_int, help="restrict to one period value")
+    dimensions.add_argument("--n", type=_dimension, help="restrict to one dimension")
+    periods.add_argument("--max-p", type=_positive_int)
+    dimensions.add_argument("--max-n", type=_dimension)
     _add_budget(sub)
     sub.set_defaults(func=_cmd_verify)
 

@@ -8,11 +8,10 @@ needs: all ``s_i > 0``, all ``t_j > 0`` except a single trailing
 sum identities, so any pair whose overall minimum is attained once can
 be shifted into this shape.
 
-The shipped table covers sizes 2-10 and 12, transcribed from the
-classical published solution lists; no search is implemented and the
-verifier, not the transcription, is the source of truth: the table load
-hard-fails unless every entry passes both the power-sum check and the
-product identity below.
+The table of sizes 2-10 and 12 is the literal ``_ENTRIES``; no search is
+implemented. It is built on the first lookup, never at import, and
+refused whole with ``UnverifiedSolution`` unless every entry passes both
+the power-sum check and the product identity below.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Sequence
 
 from .errors import NotAvailable, SizeMismatch, UnverifiedSolution
@@ -84,27 +82,43 @@ def product_identity_check(sol: PteSolution) -> bool:
     return difference_polynomial(sol) == [0] * sol.size + [math.prod(sol.s)]
 
 
+# One ideal pair per size, normalized so that t ends with its single zero
+# and all other entries are positive. Entries are transcribed from the
+# classical published lists of ideal solutions (sizes 7-10 and 12 are the
+# well-known symmetric ones); ``_table`` re-verifies every entry, so the
+# verifier is the source of truth, not the transcription.
+_ENTRIES = {
+    2: ((1, 2), (3, 0)),
+    3: ((1, 2, 6), (4, 5, 0)),
+    4: ((1, 2, 9, 10), (4, 7, 11, 0)),
+    5: ((1, 2, 10, 14, 18), (4, 8, 16, 17, 0)),
+    6: ((1, 2, 10, 12, 20, 21), (5, 6, 16, 17, 22, 0)),
+    7: ((1, 13, 38, 44, 75, 84, 102), (18, 27, 58, 64, 89, 101, 0)),
+    8: ((1, 2, 11, 20, 30, 39, 48, 49), (4, 9, 23, 27, 41, 46, 50, 0)),
+    9: ((1, 17, 41, 65, 112, 115, 168, 174, 198), (24, 30, 83, 86, 133, 157, 181, 197, 0)),
+    10: (
+        (5, 6, 133, 182, 242, 384, 444, 493, 620, 621),
+        (12, 125, 213, 214, 412, 413, 501, 614, 626, 0),
+    ),
+    12: (
+        (3, 5, 30, 57, 104, 116, 186, 198, 245, 272, 297, 299),
+        (11, 24, 65, 90, 129, 173, 212, 237, 278, 291, 302, 0),
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def _table() -> dict[int, PteSolution]:
-    text = resources.files("ehrhart").joinpath("data/pte_table.txt").read_text()
     table: dict[int, PteSolution] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        size_part, rest = line.split(":", 1)
-        s_part, t_part = rest.split(";")
-        sol = PteSolution(
-            tuple(int(x) for x in s_part.split(",")),
-            tuple(int(x) for x in t_part.split(",")),
-        )
-        if sol.size != int(size_part):
-            raise UnverifiedSolution(f"table entry size mismatch on line {line!r}")
+    for size, (s, t) in _ENTRIES.items():
+        sol = PteSolution(s, t)
+        if sol.size != size:
+            raise UnverifiedSolution(f"table entry {size} has size {sol.size}")
         if not verify(sol):
-            raise UnverifiedSolution(f"table entry of size {sol.size} fails power sums")
+            raise UnverifiedSolution(f"table entry of size {size} fails power sums")
         if not product_identity_check(sol):
-            raise UnverifiedSolution(f"table entry of size {sol.size} fails product identity")
-        table[sol.size] = sol
+            raise UnverifiedSolution(f"table entry of size {size} fails product identity")
+        table[size] = sol
     return table
 
 

@@ -126,26 +126,33 @@ def test_series_payload(capsys):
     assert payload == {"numerator": [1, 1], "modulus": 2, "power": 2}
 
 
-def test_pte_list_and_verify(capsys):
-    code, out, _ = run_cli(capsys, "pte", "list")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["sizes"] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
-    assert payload["solutions"]["2"] == {"s": [1, 2], "t": [3, 0]}
+def test_the_pte_table_report_holds_what_pte_list_and_verify_printed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "pte-table")
+    report = json.loads(out)
+    assert (code, report["outcome"]) == (0, "pass")
+    assert report["params"] == {"sizes": [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]}
+    for size in report["params"]["sizes"]:
+        entry = report["witness"][f"size={size}"]
+        sol = table_lookup(size)
+        assert (entry["s"], entry["t"]) == (list(sol.s), list(sol.t))
+        assert entry["verified"] and entry["product_identity"]
+        # the pte leaf prints the claim's entry for a table pair
+        pair = [",".join(map(str, side)) for side in (sol.s, sol.t)]
+        code, out, _ = run_cli(capsys, "pte", "--s", pair[0], "--t", pair[1])
+        assert (code, json.loads(out)) == (0, entry)
 
-    code, out, _ = run_cli(capsys, "pte", "verify", "--size", "3")
-    assert code == 0
-    assert json.loads(out)["ok"] is True
-
-    code, out, _ = run_cli(capsys, "pte", "verify", "--s", "1,2", "--t", "2,0")
+    code, out, _ = run_cli(capsys, "pte", "--s", "1,2", "--t", "2,0")
     assert code == 1
-    assert json.loads(out)["ok"] is False
+    assert json.loads(out) == {
+        "s": [1, 2], "t": [2, 0], "verified": False, "product_identity": False
+    }
 
 
-def test_pte_verify_size_0_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "pte", "verify", "--size", "0")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+@pytest.mark.parametrize("argv", [["pte", "list"], ["pte", "verify"], ["pte", "--s", "1,2"]])
+def test_pte_takes_exactly_one_pair(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
 def test_verify_heptagon_claim(capsys):
@@ -230,14 +237,13 @@ def test_usage_error_exit_codes(capsys):
         assert err.startswith("error: ")
 
     with pytest.raises(SystemExit) as exc:
-        main(["pte", "verify", "--s", "1,a", "--t", "3,0"])
+        main(["pte", "--s", "1,a", "--t", "3,0"])
     assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
     ["construct", "--family", "pentagon", "--budget", "5"],
-    ["pte", "list", "--budget", "5"],
-    ["pte", "verify", "--budget", "5"],
+    ["pte", "--s", "1,2", "--t", "3,0", "--budget", "5"],
 ])
 def test_budget_is_rejected_where_nothing_is_counted(argv):
     with pytest.raises(SystemExit) as exc:
@@ -250,8 +256,7 @@ def test_budget_is_rejected_where_nothing_is_counted(argv):
     ["fit", "--family", "pentagon", "--format", "csv"],
     ["indices", "--family", "pentagon", "--format", "csv"],
     ["series", "--family", "pentagon", "--format", "csv"],
-    ["pte", "list", "--format", "csv"],
-    ["pte", "verify", "--format", "csv"],
+    ["pte", "--s", "1,2", "--t", "3,0", "--format", "csv"],
     ["verify", "heptagon", "--format", "csv"],
     ["periods", "--family", "heptagon", "--p", "2"],  # fit's JSON carries the periods
 ])
@@ -278,7 +283,7 @@ def _leaf_options(parser, prefix=()):
     return out
 
 
-# every settable option of every leaf subcommand: 36 over 8 leaves
+# every settable option of every leaf subcommand: 35 over 7 leaves
 OPTION_TABLE = {
     "construct": ["--family", "--p", "--n"],
     "count": [
@@ -287,8 +292,7 @@ OPTION_TABLE = {
     "fit": ["--family", "--p", "--n", "--input", "--budget"],
     "indices": ["--family", "--p", "--n", "--input", "--budget"],
     "series": ["--family", "--p", "--n", "--input", "--budget"],
-    "pte list": [],
-    "pte verify": ["--size", "--s", "--t"],
+    "pte": ["--s", "--t"],
     "verify": ["claim", "--p", "--n", "--max-p", "--max-n", "--budget"],
 }
 
@@ -296,7 +300,22 @@ OPTION_TABLE = {
 def test_the_option_table_is_pinned():
     table = _leaf_options(cli.build_parser())
     assert table == OPTION_TABLE
-    assert (sum(map(len, table.values())), len(table)) == (36, 8)
+    assert (sum(map(len, table.values())), len(table)) == (35, 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "pentagon", "--k", "3", "--k-max", "5"],
+    ["count", "--family", "pentagon", "--k", "3", "--k-max", "6"],  # the default, given
+    ["verify", "heptagon", "--p", "3", "--max-p", "2"],
+    ["verify", "barn-periods", "--n", "3", "--max-n", "4"],
+    ["count", "--family", "pentagon", "--input", "body.json"],
+    ["fit", "--input", "body.json", "--family", "pentagon"],
+])
+def test_conflicting_flags_are_usage_errors(capsys, argv):
+    # the first flag used to win silently
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
 @pytest.mark.parametrize("family", ["segment", "pentagon"])
@@ -424,6 +443,19 @@ def test_verify_all_rejects_the_grids_the_parser_rejects(grid, claim):
     # a falsy or empty grid used to read as unset and run the default one
     with pytest.raises(InvalidInput, match=f"{next(iter(grid))} must be at least"):
         cli.verify_all(claims=(claim,), **grid)
+
+
+@pytest.mark.parametrize("grid", [{"p": 2, "max_p": 3}, {"n": 4, "max_n": 4}])
+def test_verify_all_rejects_a_value_with_its_maximum(grid):
+    with pytest.raises(InvalidInput, match="not both"):
+        cli.verify_all(claims=("heptagon",), **grid)
+
+
+def test_mcmullen_single_p_runs_that_p_only(capsys):
+    code, out, _ = run_cli(capsys, "verify", "mcmullen", "--p", "2")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"max_p": 2})
+    assert report["witness"] and all(label.endswith("p=2") for label in report["witness"])
 
 
 def test_verify_all_takes_the_least_grid_values():
