@@ -7,7 +7,7 @@ verifies period sequences, face-index bounds and the algebraic
 identities relating the families. All arithmetic is exact rational.
 """
 
-from .counting import count, count_convex, count_series, count_union, fitted, kernel_name
+from .counting import count, count_convex, count_union, fitted, kernel_name
 from .errors import (
     BudgetExceeded,
     DimensionCapExceeded,

@@ -11,9 +11,10 @@ and degree along with the coefficients. Reports embed the raw counts
 they used, so every number is independently recheckable by re-running
 the corresponding subcommands. Convex bodies are fitted on both sides of
 zero, so their count maps also carry negative keys: the value at ``-k``
-is ``L(-k)``, which is ``(-1)**dim`` times what ``count --interior --k k``
-prints. Output is deterministic: keys are sorted, ordering is fixed, and
-nothing time-dependent is ever emitted. Integers print in full, however
+is ``L(-k)``, which is what ``count --k -k`` prints (``--k`` takes any
+nonzero dilate of a body, a positive one of a union). Output is
+deterministic: keys are sorted, ordering is fixed, and nothing
+time-dependent is ever emitted. Integers print in full, however
 many digits they have; numbers read from ``--input`` are bounded instead.
 
 One ``verify`` run computes each exact object once: claims share one body
@@ -28,7 +29,8 @@ budget runs out. Each claim counts and compares here, from the bodies
 on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
 ``--max-n`` from 3. Flags that would contradict each other (``--k`` and
 ``--k-max``, ``--p`` and ``--max-p``, ``--n`` and ``--max-n``, ``--family``
-and ``--input``) are a usage error together.
+and ``--input``) are a usage error together, and so are ``--p`` or ``--n``
+with ``--input``, which only a ``--family`` member takes.
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
@@ -48,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 from . import constructions, pte
-from .counting import count, count_convex, count_series, count_union, fitted
+from .counting import count, count_union, fitted
 from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
 from .indices import mcmullen_check
 from .polytope import (
@@ -92,10 +94,17 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _family_p(args) -> int:
+    """The period parameter of a ``--family`` member: ``--p``, else 2."""
+    return 2 if args.p is None else args.p
+
+
 def _load_object(args):
     """The body a subcommand works on: read from ``--input`` or built from
     ``--family``."""
     if getattr(args, "input", None):
+        if args.p is not None or args.n is not None:
+            raise InvalidInput("--p and --n build a --family member; they do not apply to --input")
         with open(args.input) as handle:
             try:
                 data = json.load(handle, parse_float=exact_rational, parse_int=exact_integer)
@@ -108,7 +117,7 @@ def _load_object(args):
         return polytope_from_dict(data)
     if not args.family:
         raise EhrhartError("need --family (or --input)")
-    return _body(args.family, args.p, args.n)
+    return _body(args.family, _family_p(args), args.n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def _load_object(args):
 
 
 def _cmd_construct(args) -> int:
-    obj, provenance = constructions.build(args.family, args.p, args.n)
+    obj, provenance = constructions.build(args.family, _family_p(args), args.n)
     payload = union_to_dict(obj) if isinstance(obj, PolytopalUnion) else polytope_to_dict(obj)
     payload["provenance"] = provenance
     _emit(payload)
@@ -127,12 +136,7 @@ def _cmd_construct(args) -> int:
 def _cmd_count(args) -> int:
     obj = _load_object(args)
     ks = [args.k] if args.k is not None else list(range(1, (args.k_max or 6) + 1))
-    if args.interior:
-        if isinstance(obj, PolytopalUnion):
-            raise EhrhartError("--interior counts are defined for convex polytopes only")
-        counts = [count_convex(obj, k, args.budget, interior=True) for k in ks]
-    else:
-        counts = [count(obj, k, args.budget) for k in ks]
+    counts = [count(obj, k, args.budget) for k in ks]
     if args.format == "csv":
         print("k,count\n" + "".join(f"{k},{c}\n" for k, c in zip(ks, counts)), end="")
     else:
@@ -255,16 +259,14 @@ def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [2, 3]
     ns = ns or [3, 4]
     k_max = 8
+    ks = range(1, k_max + 1)
     cases = []
     for n in ns:
         for p in ps:
             q = constructions.q_value(p)
-            w_counts = count_series(_body("prism", p, n), k_max, budget)
-            s_counts = count_series(_body("simplex", p, n), k_max, budget)
-            good = all(
-                w == (2 * q * k + 1) * s
-                for k, (w, s) in enumerate(zip(w_counts, s_counts), start=1)
-            )
+            w_counts = [count(_body("prism", p, n), k, budget) for k in ks]
+            s_counts = [count(_body("simplex", p, n), k, budget) for k in ks]
+            good = all(w == (2 * q * k + 1) * s for k, w, s in zip(ks, w_counts, s_counts))
             cases.append((f"n={n},p={p}", good, {
                 "prism_counts": w_counts,
                 "simplex_counts": s_counts,
@@ -303,6 +305,7 @@ def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
     # count(hull) = count(prism) + count(middle) + count(pyramid) minus the
     # two shared facets, which are the pieces' pairwise overlaps and integral
     k_max = 4
+    ks = range(1, k_max + 1)
     hull_cases = _hull_cases(ps, ns)
     cases = []
     for n, p in hull_cases:
@@ -314,11 +317,11 @@ def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
             "prism_facet": constructions.prism_shared_facet(n, p),
             "pyramid_facet": constructions.pyramid_shared_facet(n, p),
         }
-        counts = {name: count_series(body, k_max, budget) for name, body in bodies.items()}
+        counts = {name: [count(body, k, budget) for k in ks] for name, body in bodies.items()}
         first_fail = next(
             (
                 k
-                for k, (h, w, m, y, wf, yf) in enumerate(zip(*counts.values()), start=1)
+                for k, h, w, m, y, wf, yf in zip(ks, *counts.values())
                 if h != w + m + y - wf - yf
             ),
             None,
@@ -518,19 +521,20 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(text: str, least: int) -> int:
+def _int_where(text: str, ok, wanted: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
     return value
 
 
-_nonnegative_int = partial(_int_at_least, least=0)
-_positive_int = partial(_int_at_least, least=1)
-_dimension = partial(_int_at_least, least=3)
+_nonnegative_int = partial(_int_where, ok=lambda v: v >= 0, wanted="at least 0")
+_positive_int = partial(_int_where, ok=lambda v: v >= 1, wanted="at least 1")
+_dimension = partial(_int_where, ok=lambda v: v >= 3, wanted="at least 3")
+_nonzero_int = partial(_int_where, ok=lambda v: v != 0, wanted="nonzero")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -543,7 +547,8 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 def _add_object_options(sub, with_input: bool = True) -> None:
     source = sub.add_mutually_exclusive_group() if with_input else sub
     source.add_argument("--family", choices=constructions.FAMILIES, help="polytope family")
-    sub.add_argument("--p", type=int, default=2, help="period parameter (default 2)")
+    # no parser default: a --p given with --input is refused, not ignored
+    sub.add_argument("--p", type=int, default=None, help="period parameter (default 2)")
     sub.add_argument("--n", type=int, default=None, help="ambient dimension, where needed")
     if with_input:
         source.add_argument("--input", help="JSON polytope/union file instead of --family")
@@ -572,15 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("count", help="lattice-point counts of dilates")
     _add_object_options(sub)
     dilates = sub.add_mutually_exclusive_group()
-    dilates.add_argument("--k", type=_positive_int, default=None, help="single dilate")
+    dilates.add_argument(
+        "--k", type=_nonzero_int, default=None, help="single dilate; k < 0 gives L(k) of a body"
+    )
     # no parser default: argparse sees no conflict when --k-max gives the default
     dilates.add_argument(
         "--k-max", type=_positive_int, default=None, help="count k = 1..k_max (default 6)"
-    )
-    sub.add_argument(
-        "--interior",
-        action="store_true",
-        help="count the relative interior of each dilate (convex polytopes only)",
     )
     _add_budget(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")

@@ -29,18 +29,18 @@ other; ``count_convex`` enumerates even a product body.
 What a count does not need ``k`` for is built once and kept with the
 body or union, never in a module-level cache. A body keeps its integer
 ``rows`` (with the kernel's level skeletons) and its ``dilate_counts``,
-so each ``(k, interior, budget)`` is counted once; a union keeps its
+so each signed ``(k, budget)`` is counted once; a union keeps its
 ``dilate_counts`` by ``(k, strategy, budget)`` and the ``term_blocks``
 of each intersection of pieces, by piece indices. Both keep their
 ``fitted`` quasi-polynomial in ``fits``, by budget. A count or fit that
 overdraws its budget is never kept, so a smaller budget still raises.
 Per dilate only the box, the offsets and the walk are computed.
 
-Interior counts (``interior=True``) feed Ehrhart-Macdonald reciprocity:
-for a convex rational polytope ``P``, ``L_P(-k) = (-1)**dim P`` times the
-number of lattice points in the relative interior of ``kP``, so ``count``
-of a convex body is defined at every ``k != 0``, and ``fitted`` samples
-a body on both sides of zero.
+``count(obj, k)`` is ``L(k)``. Ehrhart-Macdonald reciprocity defines it
+for a convex body at every ``k != 0``: ``L_P(-k) = (-1)**dim P`` times the
+lattice points in the relative interior of ``kP``, which strict facet
+inequalities count, so ``fitted`` samples a body on both sides of zero.
+A union, where reciprocity fails, takes ``k >= 1`` only.
 """
 
 from __future__ import annotations
@@ -67,22 +67,23 @@ def _budget(budget: int | None) -> int:
     return budget
 
 
-def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
-    """Integer box, rows and offsets of ``k * poly``; None when empty.
+def _dilated_system(poly: ConvexPolytope, k: int):
+    """Integer box, rows and offsets of ``k * poly``, or of the relative
+    interior of ``|k| * poly`` for ``k < 0``; None when empty.
 
     The rows are the body's own ``rows``, the same at every dilate: its
     facet normals, then each affine-hull equation as an inequality pair. A
     hull equation whose scaled right-hand side is not an integer proves
-    the dilate has no lattice points at all. With ``interior`` the facet
+    the dilate has no lattice points at all. For ``k < 0`` the facet
     inequalities are strict: facet normals and offsets are integers, so
-    on lattice points ``a.x < k*c`` is ``a.x <= k*c - 1``.
+    on lattice points ``a.x < |k|*c`` is ``a.x <= |k|*c - 1``.
     """
+    strict, k = (1, -k) if k < 0 else (0, k)
     least, greatest = poly.bounds
     lo = [-(-x.numerator * k // x.denominator) for x in least]
     hi = [x.numerator * k // x.denominator for x in greatest]
     if any(l > h for l, h in zip(lo, hi)):
         return None
-    strict = 1 if interior else 0
     offsets = [c * k - strict for _, c in poly.facets]
     for b in poly.span.rhs:
         if b.numerator * k % b.denominator:
@@ -92,23 +93,21 @@ def _dilated_system(poly: ConvexPolytope, k: int, interior: bool = False):
     return lo, hi, poly.rows, offsets
 
 
-def count_convex(
-    poly: ConvexPolytope, k: int, budget: int | None = None, interior: bool = False
-) -> int:
-    """``|k * poly intersect Z^n|`` by direct enumeration, exactly.
-
-    With ``interior`` only the points of the relative interior of
-    ``k * poly`` are counted. Each ``(k, interior, budget)`` is counted
-    once per body and kept in its ``dilate_counts``.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("dilation factor must be a positive integer")
+def count_convex(poly: ConvexPolytope, k: int, budget: int | None = None) -> int:
+    """``L(k)`` by direct enumeration, exactly: ``|k * poly intersect Z^n|``
+    for ``k >= 1``, ``(-1)**dim`` times the relative-interior count of
+    ``|k| * poly`` for ``k <= -1``. Each ``(k, budget)`` is counted once
+    per body and kept in its ``dilate_counts``."""
+    if not isinstance(k, int) or k == 0:
+        raise InvalidInput(f"a body's dilation factor must be a nonzero integer, got {k!r}")
     budget = _budget(budget)
-    key = (k, interior, budget)
+    key = (k, budget)
     found = poly.dilate_counts.get(key)
     if found is None:
-        system = _dilated_system(poly, k, interior)
+        system = _dilated_system(poly, k)
         found = 0 if system is None else _enum_py.count_box(*system, budget)
+        if k < 0:
+            found *= (-1) ** poly.intrinsic_dim
         poly.dilate_counts[key] = found
     return found
 
@@ -224,7 +223,7 @@ def count_union(
     least one piece once; that route is also the cross-check.
     """
     if not isinstance(k, int) or k < 1:
-        raise ValueError("dilation factor must be a positive integer")
+        raise InvalidInput(f"a union's dilation factor must be a positive integer, got {k!r}")
     budget = _budget(budget)
     if strategy == "auto":
         strategy = _union_strategy(union)
@@ -242,24 +241,10 @@ def count_union(
 
 
 def count(obj: ConvexPolytope | PolytopalUnion, k: int, budget: int | None = None) -> int:
-    """``L(k)``: the lattice points of ``k * obj`` for ``k >= 1``. A convex
-    body is also defined at ``k <= -1``, by reciprocity: ``(-1)**dim``
-    times the interior count of ``|k| * obj``. A union, where reciprocity
-    fails, takes ``k >= 1`` only."""
+    """``L(k)``: ``count_union`` of a union, ``count_convex`` of a body."""
     if isinstance(obj, PolytopalUnion):
         return count_union(obj, k, budget)
-    if isinstance(k, int) and k < 0:
-        return (-1) ** obj.intrinsic_dim * count_convex(obj, -k, budget, interior=True)
     return count_convex(obj, k, budget)
-
-
-def count_series(
-    obj: ConvexPolytope | PolytopalUnion, k_max: int, budget: int | None = None
-) -> list[int]:
-    """Counts at dilates ``1..k_max``."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return [count(obj, k, budget) for k in range(1, k_max + 1)]
 
 
 def fitted(

@@ -82,10 +82,10 @@ class ConvexPolytope:
         )
 
     @cached_property
-    def dilate_counts(self) -> dict[tuple[int, bool, int], int]:
-        """The lattice-point counts ``counting`` has made of this body's
-        dilates, keyed ``(k, interior, budget)``; a count that overdrew its
-        budget is not kept."""
+    def dilate_counts(self) -> dict[tuple[int, int], int]:
+        """The counts ``L(k)`` that ``counting`` has made of this body, keyed
+        by signed ``(k, budget)``; a count that overdrew its budget is not
+        kept."""
         return {}
 
     @cached_property

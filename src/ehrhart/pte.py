@@ -47,9 +47,10 @@ def power_sum(k: int, xs: Sequence[int]) -> int:
 
 
 def verify(sol: PteSolution) -> bool:
-    """Power sums equal through degree ``size - 1``, plus the sign shape."""
+    """Power sums equal through degree ``size - 1``, plus the sign shape; a
+    pair of size below 2 is no ideal solution, as in ``table_lookup``."""
     m = sol.size
-    if any(x <= 0 for x in sol.s):
+    if m < 2 or any(x <= 0 for x in sol.s):
         return False
     if sol.t[-1] != 0 or any(x <= 0 for x in sol.t[:-1]):
         return False

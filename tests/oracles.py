@@ -142,12 +142,16 @@ def affine_hull(points, ambient_dim):
 def in_hull(point, vertices):
     """Membership in conv(vertices) by barycentric coordinates.
 
-    Tries every (d+1)-subset of the vertices; the point is inside iff
-    some affinely independent subset carries it with nonnegative weights
-    summing to one (Caratheodory).
+    Tries every (m+1)-subset of the vertices, m the dimension of their
+    affine hull; the point is inside iff some affinely independent subset
+    carries it with nonnegative weights summing to one (Caratheodory).
+    Such a subset's weights are unique. A larger subset of a
+    lower-dimensional set would not do: its weights are not unique, and
+    the one solution tried may be negative for a point inside.
     """
     d = len(point)
-    for sub in combinations(vertices, min(d + 1, len(vertices))):
+    m = rank([vsub(v, vertices[0]) for v in vertices[1:]])
+    for sub in combinations(vertices, m + 1):
         k = len(sub)
         rows = [[Fraction(sub[j][i]) for j in range(k)] for i in range(d)]
         rows.append([Fraction(1)] * k)

@@ -2,10 +2,11 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,25 @@ def test_count_from_json_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--input", str(path), "--k-max", "2")
     assert code == 0
     assert json.loads(out)["count"] == [12, 34]
+
+
+@pytest.mark.parametrize("flags", [["--p", "3"], ["--n", "9"], ["--p", "7", "--n", "9"]])
+@pytest.mark.parametrize("command", ["count", "fit"])
+def test_family_parameters_with_input_are_usage_errors(tmp_path, capsys, command, flags):
+    # --p and --n build a --family member; with --input they were ignored
+    code, out, _ = run_cli(capsys, "construct", "--family", "segment")
+    path = tmp_path / "segment.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, command, "--input", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["construct"], ["count", "--k", "2"]])
+def test_a_family_member_without_p_is_built_at_p_2(capsys, command):
+    _, default, _ = run_cli(capsys, *command, "--family", "hull", "--n", "3")
+    _, given, _ = run_cli(capsys, *command, "--family", "hull", "--n", "3", "--p", "2")
+    assert default == given != ""
 
 
 def test_count_of_three_piece_union_input(tmp_path, capsys):
@@ -146,6 +166,9 @@ def test_the_pte_table_report_holds_what_pte_list_and_verify_printed(capsys):
     assert json.loads(out) == {
         "s": [1, 2], "t": [2, 0], "verified": False, "product_identity": False
     }
+    # no pair of size 1 is an ideal solution, as table_lookup says too
+    code, out, _ = run_cli(capsys, "pte", "--s", "1", "--t", "0")
+    assert (code, json.loads(out)["verified"]) == (1, False)
 
 
 @pytest.mark.parametrize("argv", [["pte", "list"], ["pte", "verify"], ["pte", "--s", "1,2"]])
@@ -283,11 +306,11 @@ def _leaf_options(parser, prefix=()):
     return out
 
 
-# every settable option of every leaf subcommand: 35 over 7 leaves
+# every settable option of every leaf subcommand: 34 over 7 leaves
 OPTION_TABLE = {
     "construct": ["--family", "--p", "--n"],
     "count": [
-        "--family", "--p", "--n", "--input", "--k", "--k-max", "--interior", "--budget", "--format",
+        "--family", "--p", "--n", "--input", "--k", "--k-max", "--budget", "--format",
     ],
     "fit": ["--family", "--p", "--n", "--input", "--budget"],
     "indices": ["--family", "--p", "--n", "--input", "--budget"],
@@ -300,7 +323,7 @@ OPTION_TABLE = {
 def test_the_option_table_is_pinned():
     table = _leaf_options(cli.build_parser())
     assert table == OPTION_TABLE
-    assert (sum(map(len, table.values())), len(table)) == (35, 7)
+    assert (sum(map(len, table.values())), len(table)) == (34, 7)
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,9 +438,11 @@ def test_json_float_coordinates_are_read_as_written(tmp_path, capsys):
     assert (code, out) == (2, "") and "exponent beyond" in err
 
 
-@pytest.mark.parametrize("option", ["--k", "--k-max"])
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize("option, value", [
+    ("--k", "0"), ("--k", "x"), ("--k-max", "0"), ("--k-max", "-3"), ("--k-max", "x"),
+])
 def test_nonpositive_dilates_are_rejected_by_the_parser(option, value):
+    # --k takes any nonzero dilate, --k-max a positive one
     with pytest.raises(SystemExit) as exc:
         main(["count", "--family", "pentagon", option, value])
     assert exc.value.code == 2
@@ -774,28 +799,59 @@ def test_two_sided_fits_equal_positive_fits(monkeypatch):
         assert fit(partial(count, obj), obj.intrinsic_dim, denominator(obj)) == qp
 
 
-def test_negative_witness_keys_recheck_with_count_interior(capsys):
-    code, out, _ = run_cli(capsys, "verify", "hn-periods", "--n", "3", "--p", "2")
+# the family behind each count map of a convex-body witness; a union's
+# maps (barn-periods) hold positive keys only
+WITNESS_FAMILIES = {
+    ("pentagon-equivalence", "pentagon_counts"): "pentagon",
+    ("pentagon-equivalence", "segment_counts"): "segment",
+    ("heptagon", "counts"): "heptagon",
+    ("pyramid-equivalence", "pyramid_counts"): "pentagon-pyramid",
+    ("pyramid-equivalence", "pentagon_counts"): "pentagon",
+    ("pyramid-equivalence", "simplex_counts"): "simplex",
+    ("pyramid-equivalence", "segment_counts"): "segment",
+    ("sn-pn-equivalence", "simplex_counts"): "simplex",
+    ("sn-pn-equivalence", "pyramid_counts"): "pentagon-pyramid",
+    ("hn-periods", "counts"): "hull",
+}
+
+
+def test_every_negative_witness_key_rechecks_with_count(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-p", "2")
     assert code == 0
-    counts = json.loads(out)["witness"]["n=3,p=2"]["counts"]
-    negative = sorted(int(key) for key in counts if int(key) < 0)
-    assert negative == list(range(-len(negative), 0))
-    for k in negative:
-        code, out, _ = run_cli(
-            capsys, "count", "--family", "hull", "--n", "3", "--p", "2",
-            "--interior", "--k", str(-k),
-        )
-        assert code == 0
-        assert counts[str(k)] == (-1) ** 3 * json.loads(out)["count"][0]
+    expected = {}  # (family, p, n, k) -> every value the witnesses hold for it
+    for report in json.loads(out):
+        for label, entry in report["witness"].items():
+            if not isinstance(entry, dict):
+                continue
+            for name, counts in entry.items():
+                # a count map is keyed by dilate (decomposition's holds lists)
+                if not (isinstance(counts, dict) and isinstance(next(iter(counts.values())), int)):
+                    continue
+                negative = sorted(int(key) for key in counts if int(key) < 0)
+                family = WITNESS_FAMILIES.get((report["claim"], name))
+                assert (family is None) == (report["claim"] == "barn-periods")
+                if family is None:
+                    assert negative == []
+                    continue
+                assert negative != []
+                params = dict(part.split("=") for part in label.split(","))
+                n = params["n"] if constructions._BUILDERS[family][1] else None
+                for k in negative:
+                    expected.setdefault((family, params["p"], n, k), set()).add(counts[str(k)])
+    assert {family for family, *_ in expected} == set(WITNESS_FAMILIES.values())
+    # recount on bodies built afresh, not on those that verify kept its counts with
+    monkeypatch.setattr(cli, "_body", cache(lambda *key: constructions.build(*key)[0]))
+    for (family, p, n, k), values in expected.items():
+        argv = ["count", "--family", family, "--p", p, "--k", str(k)]
+        code, out, _ = run_cli(capsys, *argv, *(["--n", n] if n else []))
+        assert (code, [json.loads(out)["count"][0]]) == (0, sorted(values))
 
 
-def test_count_interior_rejects_unions(capsys):
-    code, out, err = run_cli(
-        capsys, "count", "--family", "barn", "--n", "3", "--p", "2", "--interior"
-    )
-    assert code == 2
-    assert out == ""
-    assert "error:" in err
+def test_a_union_counts_positive_dilates_only(capsys):
+    # reciprocity does not hold for a union: one error line, not a traceback
+    code, out, err = run_cli(capsys, "count", "--family", "barn", "--n", "3", "--p", "2", "--k", "-1")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_verify_builds_each_family_member_once(monkeypatch):
@@ -848,13 +904,13 @@ def test_decomposition_counts_the_bodies_body_supplies(monkeypatch):
     assert report == cli.run_claim("decomposition", [2], [3])
     assert sorted(held) == DECOMPOSITION_FAMILIES
     for body in held.values():  # the counts are kept with the supplied bodies
-        assert {(k, False, DEFAULT_BUDGET) for k in range(1, 5)} <= set(body.dilate_counts)
+        assert {(k, DEFAULT_BUDGET) for k in range(1, 5)} <= set(body.dilate_counts)
 
 
 def test_decomposition_fails_at_the_first_wrong_count(monkeypatch):
     bodies = {f: constructions.build(f, 2, 3)[0] for f in DECOMPOSITION_FAMILIES}
     hull = bodies["hull"]
-    hull.dilate_counts[(2, False, DEFAULT_BUDGET)] = count(hull, 2) + 1
+    hull.dilate_counts[(2, DEFAULT_BUDGET)] = count(hull, 2) + 1
     monkeypatch.setattr(cli, "_body", lambda f, p, n=None, /: bodies[f])
     report = cli.run_claim("decomposition", [2], [3])
     entry = report.witness["n=3,p=2"]
@@ -880,3 +936,23 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     code, out, _ = run_cli(capsys, "verify", "heptagon", "--p", "2")
     assert code == 0
     assert json.loads(out)["outcome"] == "pass"
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``ehrhart`` lines of the code block under README's ``## CLI``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ehrhart ")]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # a flag deleted from the CLI cannot stay in the README's examples
+    lines = _readme_cli_lines()
+    assert any("--input body.json" in line for line in lines)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "construct", "--family", "pentagon", "--p", "3")
+    assert code == 0
+    (tmp_path / "body.json").write_text(out)
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert (line, code, err) == (line, 0, "")

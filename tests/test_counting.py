@@ -13,11 +13,10 @@ from ehrhart.counting import (
     DEFAULT_BUDGET,
     count,
     count_convex,
-    count_series,
     count_union,
     fitted,
 )
-from ehrhart.errors import BudgetExceeded
+from ehrhart.errors import BudgetExceeded, InvalidInput
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,
@@ -61,11 +60,11 @@ def test_counts_match_barycentric_oracle():
             assert count_convex(body, k) == brute_count(body.vertices, k)
 
 
-def test_count_series():
-    assert count_series(C.segment(3), 4) == [1, 1, 2, 2]
+def test_counts_at_consecutive_dilates():
+    assert [count(C.segment(3), k) for k in range(1, 5)] == [1, 1, 2, 2]
     origin = from_vertices([(0, 0)])
-    assert count_series(origin, 5) == [1] * 5
-    assert count_series(C.simplex(3, 2), 4) == [2, 4, 6, 9]
+    assert [count(origin, k) for k in range(1, 6)] == [1] * 5
+    assert [count(C.simplex(3, 2), k) for k in range(1, 5)] == [2, 4, 6, 9]
 
 
 def test_count_rejects_nonpositive_dilates():
@@ -271,14 +270,14 @@ def test_translation_invariance():
 def test_monotone_in_k_for_bodies_containing_origin():
     for body in [C.simplex(3, 2), C.heptagon(2), product(C.interval(-1, 1), C.interval(0, 2))]:
         assert body.contains((0,) * body.ambient_dim)
-        series = count_series(body, 8)
+        series = [count(body, k) for k in range(1, 9)]
         assert all(a <= b for a, b in zip(series, series[1:]))
 
 
 def test_count_keeps_each_count_with_its_route():
     pentagon = C.pentagon(2)
     assert count(pentagon, 2) == 34
-    assert pentagon.dilate_counts == {(2, False, DEFAULT_BUDGET): 34}
+    assert pentagon.dilate_counts == {(2, DEFAULT_BUDGET): 34}
     barn = C.barn(3, 2, SOL2)
     assert count(barn, 1) == 48
     assert barn.dilate_counts == {(1, "inclusion-exclusion", DEFAULT_BUDGET): 48}
@@ -309,10 +308,9 @@ INTERIOR_BODIES = [
 
 @pytest.mark.parametrize("body", INTERIOR_BODIES, ids=repr)
 def test_interior_counts_match_strict_oracle(body):
-    # and ``count`` at -k is the interior count of k * body, signed
+    # ``count`` at -k is the interior count of k * body, signed
     for k in (1, 2, 3):
         interior = brute_count_interior(body.vertices, k)
-        assert count_convex(body, k, interior=True) == interior
         assert count(body, -k) == (-1) ** body.intrinsic_dim * interior
 
 
@@ -321,7 +319,6 @@ def test_interior_counts_match_strict_oracle(body):
 def test_interior_counts_match_strict_oracle_on_random_clouds(points, k):
     body = from_vertices(points)
     interior = brute_count_interior(body.vertices, k)
-    assert count_convex(body, k, interior=True) == interior
     assert count(body, -k) == (-1) ** body.intrinsic_dim * interior
 
 
@@ -335,12 +332,37 @@ def test_two_sided_fit_equals_positive_fit_on_random_clouds(points):
     assert fit(*args, two_sided=True) == fit(*args)
 
 
+# a shuffled run of signed dilates, each |k| at both signs and each dilate twice
+signed_dilates = (
+    st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)
+    .map(lambda ks: [sign * k for k in ks for sign in (1, -1)] * 2)
+    .flatmap(st.permutations)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds(max_dim=2, bound=2), signed_dilates)
+def test_one_body_counts_signed_dilates_like_a_fresh_one(points, dilates):
+    # the kept counts must keep k and -k apart, and a repeat must read its own
+    body = from_vertices(points)
+    sign = (-1) ** body.intrinsic_dim
+    oracle = {}
+    for k in set(dilates):
+        if k > 0:
+            oracle[k] = brute_count(body.vertices, k)
+        else:
+            oracle[k] = sign * brute_count_interior(body.vertices, -k)
+    for k in dilates:
+        assert count(body, k) == count(from_vertices(points), k) == oracle[k]
+
+
 def test_count_at_negative_dilates_uses_reciprocity():
     for body in (C.pentagon(2), C.simplex(3, 2), C.prism_shared_facet(3, 2)):
         for k in (1, 2):
-            expected = (-1) ** body.intrinsic_dim * count_convex(body, k, interior=True)
-            assert count(body, -k) == expected
-    with pytest.raises(ValueError):
+            expected = (-1) ** body.intrinsic_dim * brute_count_interior(body.vertices, k)
+            assert count(body, -k) == count_convex(body, -k) == expected
+            assert (-k, DEFAULT_BUDGET) in body.dilate_counts
+    with pytest.raises(InvalidInput):
         count(C.segment(2), 0)
 
 
@@ -424,7 +446,7 @@ def test_union_enumeration_equals_inclusion_exclusion_on_translates(union, k):
 def test_count_rejects_nonpositive_dilates_of_unions():
     barn = C.barn(3, 2, SOL2)
     for k in (-1, 0):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             count(barn, k)  # reciprocity fails for unions
 
 
@@ -456,7 +478,7 @@ def test_one_body_counts_every_walk_order_like_a_fresh_one(vertices):
     interior = {k: brute_count_interior(vertices, k) for k in dilates}
     for k in [*dilates, *reversed(dilates)]:
         assert count_convex(body, k) == closed[k] == count_convex(from_vertices(vertices), k)
-        assert count_convex(body, k, interior=True) == interior[k]
+        assert (-1) ** body.intrinsic_dim * count_convex(body, -k) == interior[k]
     assert len(body.rows.skeletons) >= 3
 
 
@@ -501,7 +523,7 @@ def test_a_kept_count_still_refuses_a_smaller_budget(first_fails):
     )
     body, union = C.hull(3, 2), PolytopalUnion(3, barn.pieces)
     calls = [
-        (lambda b: count_convex(body, k, budget=b), least, body, (k, False, least - 1)),
+        (lambda b: count_convex(body, k, budget=b), least, body, (k, least - 1)),
         (lambda b: count_union(union, k, budget=b), union_least, union,
          (k, "inclusion-exclusion", union_least - 1)),
     ]

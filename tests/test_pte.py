@@ -30,6 +30,9 @@ def test_verify_examples():
     assert not verify(PteSolution((1, 2), (2, 0)))
     assert not verify(PteSolution((1, 2), (0, 3)))  # zero must come last
     assert not verify(PteSolution((1, -2), (-1, 0)))
+    # below size 2 there is no ideal solution, as table_lookup says
+    assert not verify(PteSolution((1,), (0,)))
+    assert not verify(PteSolution((), ()))
 
 
 def test_table_sizes():
