@@ -30,7 +30,8 @@ on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
 ``--max-n`` from 3. Flags that would contradict each other (``--k`` and
 ``--k-max``, ``--p`` and ``--max-p``, ``--n`` and ``--max-n``, ``--family``
 and ``--input``) are a usage error together, and so are ``--p`` or ``--n``
-with ``--input``, which only a ``--family`` member takes.
+with ``--input``, which only a ``--family`` member takes, and ``--n`` with
+a family that takes no dimension. An object subcommand needs a source.
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
@@ -74,9 +75,6 @@ class VerificationReport:
     outcome: str  # "pass" | "fail" | "skipped: ..."
     witness: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -115,8 +113,6 @@ def _load_object(args):
         if isinstance(data, dict) and "pieces" in data:
             return union_from_dict(data)
         return polytope_from_dict(data)
-    if not args.family:
-        raise EhrhartError("need --family (or --input)")
     return _body(args.family, _family_p(args), args.n)
 
 
@@ -398,21 +394,24 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-def _mcmullen_targets(ps):
+def _mcmullen_targets(ps, ns=None):
+    """The bodies ``mcmullen`` checks; ``ns``, when set, keeps the n-bodies of those ``n``."""
     for p in ps:
         for family in ("segment", "pentagon", "rectangle", "heptagon"):
             yield f"{family} p={p}", _body(family, p)
         for n in (3, 4, 5):
-            yield f"simplex n={n} p={p}", _body("simplex", p, n)
+            if not ns or n in ns:
+                yield f"simplex n={n} p={p}", _body("simplex", p, n)
         for n in (3, 4):
             for family in ("prism", "pentagon-pyramid", "hull", "middle"):
-                yield f"{family} n={n} p={p}", _body(family, p, n)
+                if not ns or n in ns:
+                    yield f"{family} n={n} p={p}", _body(family, p, n)
 
 
 def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
     ps = ps or [1, 2, 3]
     cases = []
-    for label, poly in _mcmullen_targets(ps):
+    for label, poly in _mcmullen_targets(ps, ns):
         report = mcmullen_check(poly, budget)
         d0 = denominator(poly)
         good = report.ok and report.index_sequence[0] == d0
@@ -511,7 +510,7 @@ def verify_all(
 def _cmd_verify(args) -> int:
     claims = CLAIMS if args.claim == "all" else (args.claim,)
     reports = verify_all(args.max_p, args.max_n, args.budget, claims=claims, p=args.p, n=args.n)
-    payload = [r.to_dict() for r in reports]
+    payload = [asdict(r) for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload)
     return 0 if all(r.outcome != "fail" for r in reports) else 1
 
@@ -545,11 +544,11 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 
 def _add_object_options(sub, with_input: bool = True) -> None:
-    source = sub.add_mutually_exclusive_group() if with_input else sub
+    source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=constructions.FAMILIES, help="polytope family")
     # no parser default: a --p given with --input is refused, not ignored
     sub.add_argument("--p", type=int, default=None, help="period parameter (default 2)")
-    sub.add_argument("--n", type=int, default=None, help="ambient dimension, where needed")
+    sub.add_argument("--n", type=int, help="ambient dimension; only for the families that take one")
     if with_input:
         source.add_argument("--input", help="JSON polytope/union file instead of --family")
 

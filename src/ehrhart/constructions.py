@@ -40,9 +40,9 @@ def _check_p(p: int) -> None:
         raise InvalidInput("p must be a positive integer")
 
 
-def _check_n(n: int, minimum: int = 3) -> None:
-    if not isinstance(n, int) or n < minimum:
-        raise InvalidInput(f"n must be an integer >= {minimum}")
+def _check_n(n: int) -> None:
+    if not isinstance(n, int) or n < 3:
+        raise InvalidInput("n must be an integer >= 3")
 
 
 def interval(lo: int, hi: int) -> ConvexPolytope:
@@ -228,16 +228,17 @@ FAMILIES = tuple(_BUILDERS)
 def build(family: str, p: int, n: int | None = None):
     """Build a family member; returns ``(object, provenance dict)``.
 
-    A barn takes the tabulated PTE solution of size ``n - 1``, which its
-    provenance records.
+    A family that takes no dimension refuses ``n``, as one that takes one
+    needs it. A barn takes the tabulated PTE solution of size ``n - 1``,
+    which its provenance records.
     """
     if family not in _BUILDERS:
         raise InvalidInput(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     make, needs_n = _BUILDERS[family]
+    if needs_n != (n is not None):
+        raise InvalidInput(f"family {family!r} {'needs' if needs_n else 'takes no'} --n")
     if not needs_n:
         return make(p), {"family": family, "p": p}
-    if n is None:
-        raise InvalidInput(f"family {family!r} needs --n")
     provenance = {"family": family, "p": p, "n": n}
     if family != "barn":
         return make(n, p), provenance

@@ -92,6 +92,33 @@ def test_a_family_member_without_p_is_built_at_p_2(capsys, command):
     assert default == given != ""
 
 
+TWO_D_FAMILIES = ["segment", "pentagon", "rectangle", "heptagon"]
+OBJECT_COMMANDS = ["construct", "count", "fit", "indices", "series"]
+
+
+@pytest.mark.parametrize("command", OBJECT_COMMANDS)
+@pytest.mark.parametrize("family", TWO_D_FAMILIES)
+def test_n_on_a_family_without_a_dimension_is_a_usage_error(capsys, family, command):
+    # --n used to be dropped: count --family pentagon --n 9 printed the pentagon's count
+    code, out, err = run_cli(capsys, command, "--family", family, "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_one_family_member_is_one_body():
+    with pytest.raises(InvalidInput, match="takes no --n"):
+        constructions.build("pentagon", 2, 3)
+    with pytest.raises(InvalidInput, match="takes no --n"):
+        cli._body("pentagon", 2, 3)
+
+
+@pytest.mark.parametrize("command", OBJECT_COMMANDS)
+def test_an_object_subcommand_needs_a_source(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+
 def test_count_of_three_piece_union_input(tmp_path, capsys):
     # three copies of the [0,1]^2 box; pairwise inclusion-exclusion would
     # give 3*4 - 3*4 = 0
@@ -481,6 +508,15 @@ def test_mcmullen_single_p_runs_that_p_only(capsys):
     report = json.loads(out)
     assert (code, report["outcome"], report["params"]) == (0, "pass", {"max_p": 2})
     assert report["witness"] and all(label.endswith("p=2") for label in report["witness"])
+
+
+def test_mcmullen_single_n_checks_the_bodies_of_that_n_only(capsys):
+    code, out, _ = run_cli(capsys, "verify", "mcmullen", "--n", "3", "--p", "1")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"max_p": 1})
+    dims = {part for label in report["witness"] for part in label.split() if part.startswith("n=")}
+    assert dims == {"n=3"}
+    assert "pentagon p=1" in report["witness"] and "hull n=3 p=1" in report["witness"]
 
 
 def test_verify_all_takes_the_least_grid_values():
