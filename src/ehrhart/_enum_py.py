@@ -40,6 +40,21 @@ box bounds, the root offsets and each row's least contribution of the
 later coordinates. A single system over a 1-D box is one clip of its
 rows, not a walk.
 
+One walk counts each sub-walk once. Below the root and above the last
+level, what the walk of a single live system finds and charges is a
+function of the remaining offsets of the rows it reads, those with a
+nonzero coefficient at its level or a later one: within one walk the
+box, the order and every ``minrest`` are fixed, and every clip, slice
+and charge below reads only those offsets. So ``walk_box`` keeps, for
+the length of one call, ``(count, charge)`` per system, level and those
+offsets, and a repeat adds the count and charges the charge again,
+checking the budget as a walked charge does. Every count and every
+charge is that of the walk without the memo, so the walk raises exactly
+when its total charge exceeds the budget, and nothing outlives the call.
+A level is keyed only where a repeat can happen, where the columns of
+the earlier coordinates on those rows are linearly dependent; the
+skeleton holds the rows, or None.
+
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per value of a walked
 coordinate, charged before walking it; the merged envelope pieces of a
@@ -57,21 +72,24 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BudgetExceeded
+from .linalg import independent_rows
 
 # One level of the walk: the coordinate's box bounds, its column of
 # coefficients, ``(row, |a|, minrest)`` for the rows whose coefficient
 # ``a`` is positive, then negative (``minrest`` is the least contribution
-# of the later coordinates to that row), and, at the second-to-last level
-# only, the lines of a slice over it and the last coordinate.
-Level = tuple[int, int, list[int], tuple, tuple, tuple | None]
+# of the later coordinates to that row), at the second-to-last level only
+# the lines of a slice over it and the last coordinate, and, where a
+# sub-walk from this level can recur, the rows it reads (else None).
+Level = tuple[int, int, list[int], tuple, tuple, tuple | None, tuple[int, ...] | None]
 
 
 def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple[list, list]:
     """What the levels of a walk in ``order`` take from the rows alone: the
     nonzero ``(row, a)`` of each coordinate the box fixes, and per level,
     in walk order, the coordinate, its column, ``(row, |a|)`` for the rows
-    whose coefficient ``a`` is positive, then negative, and the slice
-    lines (None but at the second-to-last level)."""
+    whose coefficient ``a`` is positive, then negative, the slice lines
+    (None but at the second-to-last level), and the rows a sub-walk from
+    that level reads (None where it cannot recur)."""
     walked = set(order)
     fixed = [
         (j, [(i, row[j]) for i, row in enumerate(normals) if row[j]])
@@ -83,15 +101,27 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
         col = [row[j] for row in normals]
         pos = tuple((i, a) for i, a in enumerate(col) if a > 0)
         neg = tuple((i, -a) for i, a in enumerate(col) if a < 0)
-        levels.append([j, col, pos, neg, None])
+        levels.append([j, col, pos, neg, None, None])
     if len(levels) > 1:
         # the rows of a slice over (x, y), y the last coordinate: an upper
         # line for y for each positive coefficient of y, a lower one for
         # each negative one, as (coefficient of x, |coefficient of y|,
         # row); rows without y clip x
-        _, col, _, _, _ = levels[-2]
-        _, _, y_pos, y_neg, _ = levels[-1]
+        _, col, _, _, _, _ = levels[-2]
+        _, _, y_pos, y_neg, _, _ = levels[-1]
         levels[-2][4] = [(col[i], b, i) for i, b in y_pos], [(col[i], b, i) for i, b in y_neg]
+    # the rows a sub-walk from level t reads are those with a nonzero
+    # coefficient there or later. Between the root and the last level, it
+    # recurs where two prefixes of t values leave those rows the same
+    # offsets, which needs the prefix's t columns, on those rows, to be
+    # linearly dependent; elsewhere every key would be new
+    reads = set()
+    for t in range(len(levels) - 1, 0, -1):
+        reads.update(i for i, _ in levels[t][2] + levels[t][3])
+        rows = sorted(reads)
+        prefix = [[normals[i][j] for i in rows] for j in order[:t]]
+        if t < len(levels) - 1 and len(independent_rows(prefix)) < t:
+            levels[t][5] = tuple(rows)
     return fixed, levels
 
 
@@ -132,7 +162,7 @@ def _levels(
             rem[i] -= a * lo[j]
     minrest = [0] * len(rem)
     levels = []
-    for j, col, pos, neg, lines in reversed(skeleton):
+    for j, col, pos, neg, lines, reads in reversed(skeleton):
         x_lo, x_hi = lo[j], hi[j]
         levels.append((
             x_lo,
@@ -141,6 +171,7 @@ def _levels(
             tuple((i, a, minrest[i]) for i, a in pos),
             tuple((i, b, minrest[i]) for i, b in neg),
             lines,
+            reads,
         ))
         for i, a in pos:
             minrest[i] += a * x_lo
@@ -153,7 +184,7 @@ def _levels(
 
 def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
     """Values ``x`` of the level's coordinate that every row still allows."""
-    x_lo, x_hi, _, pos, neg, _ = level
+    x_lo, x_hi, _, pos, neg, _, _ = level
     for i, a, mr in pos:
         q = (rem[i] - mr) // a
         if q < x_hi:
@@ -311,52 +342,70 @@ def walk_box(
     y_lo, y_hi = roots[0][0][last][:2]
     left = budget
     overdrawn = f"the walk charges more than its budget of {budget}"
+    memo = {}
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         nonlocal left
-        if len(live) > 1:
-            spans = []
-            for levels, rem in live:
-                x_lo, x_hi = _clip(levels[j], rem)
-                if x_lo <= x_hi:
-                    spans.append((x_lo, x_hi, levels, rem))
-            if len(spans) < 2:
-                # a system left alone takes the single-system path below
-                return walk(j, [s[2:] for s in spans]) if spans else 0
-            spans.sort(key=lambda s: s[0])
-            if j == last:
-                total = 0
-                cur_lo, cur_hi = spans[0][:2]
-                for s_lo, s_hi, _, _ in spans[1:]:
-                    if s_lo > cur_hi + 1:
-                        total += cur_hi - cur_lo + 1
-                        cur_lo, cur_hi = s_lo, s_hi
-                    else:
-                        cur_hi = max(cur_hi, s_hi)
-                return total + cur_hi - cur_lo + 1
-            first, top = spans[0][0], max(s[1] for s in spans)
-            left -= top - first + 1
-            if left < 0:
-                raise BudgetExceeded(overdrawn)
+        if len(live) == 1:
+            return one(j, *live[0])
+        spans = []
+        for levels, rem in live:
+            x_lo, x_hi = _clip(levels[j], rem)
+            if x_lo <= x_hi:
+                spans.append((x_lo, x_hi, levels, rem))
+        if len(spans) < 2:
+            # a system left alone takes the single-system path
+            return one(j, *spans[0][2:]) if spans else 0
+        spans.sort(key=lambda s: s[0])
+        if j == last:
             total = 0
-            for x in range(first, top + 1):
-                nxt = [
-                    (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
-                    for x_lo, x_hi, levels, rem in spans
-                    if x_lo <= x <= x_hi
-                ]
-                if nxt:
-                    total += walk(j + 1, nxt)
-            return total
-        ((levels, rem),) = live
-        first, top = _clip(levels[j], rem)
+            cur_lo, cur_hi = spans[0][:2]
+            for s_lo, s_hi, _, _ in spans[1:]:
+                if s_lo > cur_hi + 1:
+                    total += cur_hi - cur_lo + 1
+                    cur_lo, cur_hi = s_lo, s_hi
+                else:
+                    cur_hi = max(cur_hi, s_hi)
+            return total + cur_hi - cur_lo + 1
+        first, top = spans[0][0], max(s[1] for s in spans)
+        left -= top - first + 1
+        if left < 0:
+            raise BudgetExceeded(overdrawn)
+        total = 0
+        for x in range(first, top + 1):
+            nxt = [
+                (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
+                for x_lo, x_hi, levels, rem in spans
+                if x_lo <= x <= x_hi
+            ]
+            if nxt:
+                total += walk(j + 1, nxt)
+        return total
+
+    def one(j: int, levels: list[Level], rem: list[int]) -> int:
+        nonlocal left
+        level = levels[j]
+        # a sub-walk that can recur is walked once per walk, and a repeat
+        # replays what it found and charged; each system has its own
+        # ``levels`` for the whole walk, so their id tells systems apart
+        reads = level[6]
+        if reads is not None:
+            key = (id(levels), j, *[rem[i] for i in reads])
+            hit = memo.get(key)
+            if hit is not None:
+                left -= hit[1]
+                if left < 0:
+                    raise BudgetExceeded(overdrawn)
+                return hit[0]
+            before = left
+        first, top = _clip(level, rem)
         if top < first:
             return 0
         if j == last:
             return top - first + 1
         # a slice of one column costs less as one more clip below
         if j == plane and first < top:
-            upper, lower = levels[j][5]
+            upper, lower = level[5]
             found, pieces = _plane(
                 first,
                 top,
@@ -366,15 +415,17 @@ def walk_box(
             left -= pieces
             if left < 0:
                 raise BudgetExceeded(overdrawn)
-            return found
-        left -= top - first + 1
-        if left < 0:
-            raise BudgetExceeded(overdrawn)
-        col = levels[j][2]
-        total = 0
-        for x in range(first, top + 1):
-            total += walk(j + 1, [(levels, [r - a * x for r, a in zip(rem, col)])])
-        return total
+        else:
+            left -= top - first + 1
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
+            col = level[2]
+            found = 0
+            for x in range(first, top + 1):
+                found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)])
+        if reads is not None:
+            memo[key] = found, before - left
+        return found
 
     found = walk(0, roots)
     return found, budget - left

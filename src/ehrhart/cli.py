@@ -468,6 +468,26 @@ _CLAIM_FUNCS = {
 }
 CLAIMS = tuple(_CLAIM_FUNCS)
 
+# The grid flags each claim takes, by ``verify_all`` keyword: ``p`` and
+# ``max_p`` where it has a period axis, ``n`` and ``max_n`` where it has a
+# dimension axis. The PTE claims have neither, but accept ``max_p`` and
+# ignore it: perfbench's verify-p2 workload runs every claim with
+# ``--max-p 2``.
+_P, _N = ("p", "max_p"), ("n", "max_n")
+_CLAIM_FLAGS = {
+    "pentagon-equivalence": _P,
+    "heptagon": _P,
+    "pyramid-equivalence": _P + _N,
+    "prism-identity": _P + _N,
+    "sn-pn-equivalence": _P + _N,
+    "decomposition": _P + _N,
+    "hn-periods": _P + _N,
+    "barn-periods": _P + _N,
+    "mcmullen": _P + _N,
+    "pte-table": ("max_p",),
+    "product-identity": ("max_p",),
+}
+
 
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
     """Run one verification claim and judge its cases by the one verdict
@@ -495,13 +515,20 @@ def verify_all(
 ) -> list[VerificationReport]:
     """The given claims (all by default), in order; ``p``/``n`` restrict to
     one value, ``max_p``/``max_n`` to the values up to it; ``None`` is unset,
-    and a value and its maximum may not both be set."""
+    and a value and its maximum may not both be set. Each claim takes the
+    flags of its own axes only, and a flag that no claim run takes is
+    refused, so a claim run alone refuses a grid it does not have."""
     for one, most, value, maximum in (("p", "max_p", p, max_p), ("n", "max_n", n, max_n)):
         if value is not None and maximum is not None:
             raise InvalidInput(f"give {one} or {most}, not both")
     for name, value, least in (("p", p, 1), ("max_p", max_p, 1), ("n", n, 3), ("max_n", max_n, 3)):
-        if value is not None and value < least:
+        if value is None:
+            continue
+        if value < least:
             raise InvalidInput(f"{name} must be at least {least}, got {value}")
+        if not any(name in _CLAIM_FLAGS[claim] for claim in claims):
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInput(f"{', '.join(claims)} take{'s' * (len(claims) == 1)} no {flag}")
     ps = [p] if p is not None else (None if max_p is None else list(range(1, max_p + 1)))
     ns = [n] if n is not None else (None if max_n is None else list(range(3, max_n + 1)))
     return [run_claim(claim, ps, ns, budget) for claim in claims]

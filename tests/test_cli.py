@@ -519,6 +519,47 @@ def test_mcmullen_single_n_checks_the_bodies_of_that_n_only(capsys):
     assert "pentagon p=1" in report["witness"] and "hull n=3 p=1" in report["witness"]
 
 
+# every (claim, flag) pair whose grid axis the claim does not have; the
+# PTE claims accept --max-p, which perfbench's verify-p2 workload gives
+# every claim, and ignore it
+FLAGS_A_CLAIM_DOES_NOT_TAKE = [
+    ("pentagon-equivalence", "--n", "3"),
+    ("pentagon-equivalence", "--max-n", "3"),
+    ("heptagon", "--n", "5"),
+    ("heptagon", "--max-n", "3"),
+    ("pte-table", "--p", "3"),
+    ("pte-table", "--n", "3"),
+    ("pte-table", "--max-n", "3"),
+    ("product-identity", "--p", "3"),
+    ("product-identity", "--n", "3"),
+    ("product-identity", "--max-n", "3"),
+]
+
+
+@pytest.mark.parametrize("claim, flag, value", FLAGS_A_CLAIM_DOES_NOT_TAKE)
+def test_a_claim_refuses_a_grid_flag_it_has_no_axis_for(capsys, claim, flag, value):
+    # verify heptagon --n 5 and verify pte-table --p 3 used to pass, ignoring the flag
+    code, out, err = run_cli(capsys, "verify", claim, flag, value)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {claim} takes no {flag}")
+
+
+@pytest.mark.parametrize("claim", ["pte-table", "product-identity"])
+def test_a_pte_claim_accepts_and_ignores_max_p(capsys, claim):
+    _, alone, _ = run_cli(capsys, "verify", claim)
+    code, out, _ = run_cli(capsys, "verify", claim, "--max-p", "2")
+    assert (code, out) == (0, alone)
+
+
+def test_a_grid_flag_applies_to_the_claims_that_take_it():
+    # n is refused only when no claim run takes it; the others run as without it
+    assert cli.verify_all(p=2, n=3, claims=("heptagon", "hn-periods")) == (
+        cli.verify_all(p=2, claims=("heptagon",)) + cli.verify_all(p=2, n=3, claims=("hn-periods",))
+    )
+    with pytest.raises(InvalidInput, match="heptagon, pte-table take no --max-n"):
+        cli.verify_all(max_n=4, claims=("heptagon", "pte-table"))
+
+
 def test_verify_all_takes_the_least_grid_values():
     (report,) = cli.verify_all(p=1, claims=("pentagon-equivalence",))
     assert report.params == {"p": [1]}

@@ -323,3 +323,96 @@ def test_families_against_plain_walk(family, sign):
 
 def test_kernel_name_reports_backend():
     assert kernel_name() == "python"
+
+
+# ``walk_box`` ``(count, charge)`` of one body's system at signed dilates,
+# recorded from the walk before it kept its sub-walks: a replayed sub-walk
+# must find and charge what walking it did
+WALK_PINS = {
+    "hull(4,2)": (C.hull(4, 2), {
+        1: (65, 9), -1: (0, 0), 2: (440, 24), -2: (0, 1), 5: (8671, 84), -5: (2206, 28),
+    }),
+    "hull(4,3)": (C.hull(4, 3), {
+        1: (264, 11), -1: (0, 0), 2: (1974, 24), -2: (0, 1), 5: (41916, 84), -5: (11676, 28),
+    }),
+    "pentagon_pyramid(4,3)": (C.pentagon_pyramid(4, 3), {
+        1: (33, 9), -1: (0, 1), 2: (168, 22), -2: (0, 6), 5: (2535, 87), -5: (342, 52),
+    }),
+    "hull(5,2)": (C.hull(5, 2), {
+        1: (81, 14), -1: (0, 0), 2: (671, 43), -2: (0, 1), 5: (20950, 230), -5: (1323, 26),
+    }),
+    "pentagon_pyramid(5,2)": (C.pentagon_pyramid(5, 2), {
+        1: (15, 13), -1: (0, 1), 2: (76, 49), -2: (0, 3), 5: (1474, 287), -5: (25, 80),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PINS))
+def test_walks_find_and_charge_the_pinned_counts(name):
+    body, pins = WALK_PINS[name]
+    for k, (found, charged) in pins.items():
+        lo, hi, normals, offsets = _dilated_system(body, k)
+        assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (found, charged)
+        # the replayed charges overdraw the budget where walking them did
+        assert _enum_py.walk_box(lo, hi, [(normals, offsets)], charged) == (found, charged)
+        if charged:
+            with pytest.raises(BudgetExceeded):
+                _enum_py.walk_box(lo, hi, [(normals, offsets)], charged - 1)
+
+
+def test_pieces_with_equal_offsets_on_different_rows_keep_apart():
+    # x0 <= 1 with x1 + x2 + x3 <= 5, and x0 >= 2 with x1 + 2*x2 - x3 <= 5:
+    # each piece is alone on its values of x0, and below x0 both read one
+    # row, x0-free, with the remaining offset 5. Their sub-walks share the
+    # level and the offsets but not the rows, so neither may replay the other
+    lo, hi = [0, 0, 0, 0], [3, 4, 5, 6]
+    pieces = [
+        ([[1, 0, 0, 0], [0, 1, 1, 1]], [1, 5]),
+        ([[-1, 0, 0, 0], [0, 1, 2, -1]], [-2, 5]),
+    ]
+    found, _ = _enum_py.walk_box(lo, hi, pieces, 10**9)
+    assert found == walk_count(lo, hi, pieces) == scan(lo, hi, pieces)
+    # what the first piece's sub-walk, replayed at all four x0, would give
+    assert found != 4 * scan(lo[1:], hi[1:], [([[1, 1, 1]], [5])])
+
+
+@st.composite
+def recurring_walks(draw):
+    """A 3-D or 4-D box with sides up to 40 whose first coordinate is the
+    narrowest, walked but at most 11 wide, with rows in that coordinate
+    alone and sparse rows in the others: every value of the first
+    coordinate leaves the same sub-walk."""
+    n = draw(st.integers(3, 4))
+    lo = [draw(st.integers(-30, 10)) for _ in range(n)]
+    first = draw(st.integers(1, 10))
+    hi = [lo[0] + first] + [l + first + draw(st.integers(0, 30)) for l in lo[1:]]
+    entry = st.integers(-9, 9) | st.just(0)
+    rest = draw(st.lists(st.lists(entry, min_size=n - 1, max_size=n - 1), max_size=6))
+    own = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=2))
+    normals = [[a] + [0] * (n - 1) for a in own] + [[0] + row for row in rest]
+    offsets = [draw(st.integers(-60, 200)) for _ in normals]
+    return lo, hi, normals, offsets
+
+
+@settings(max_examples=100)
+@given(recurring_walks())
+def test_a_recurring_sub_walk_counts_and_charges_as_walked(case):
+    # the first coordinate is walked first and its rows are the only ones
+    # reading it, so the walk below each of its values is the walk of the
+    # other coordinates: found and charged once, it must be replayed with
+    # the same count and charge for every other value
+    lo, hi, normals, offsets = case
+    own = len(normals) - sum(1 for row in normals if row[0] == 0)
+    values = sum(
+        all(row[0] * x <= c for row, c in zip(normals[:own], offsets))
+        for x in range(lo[0], hi[0] + 1)
+    )
+    rest = [row[1:] for row in normals[own:]]
+    found, charged = _enum_py.walk_box(lo[1:], hi[1:], [(rest, offsets[own:])], 10**9)
+    whole = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
+    assert whole[0] == walk_count(lo, hi, [(normals, offsets)]) == values * found
+    if found:
+        assert whole[1] == values * (1 + charged)
+    if whole[1]:
+        with pytest.raises(BudgetExceeded):
+            _enum_py.walk_box(lo, hi, [(normals, offsets)], whole[1] - 1)
