@@ -31,7 +31,9 @@ on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
 ``--k-max``, ``--p`` and ``--max-p``, ``--n`` and ``--max-n``, ``--family``
 and ``--input``) are a usage error together, and so are ``--p`` or ``--n``
 with ``--input``, which only a ``--family`` member takes, and ``--n`` with
-a family that takes no dimension. An object subcommand needs a source.
+a family that takes no dimension. A claim refuses a grid flag for an axis
+it does not have, except ``--max-p``: every claim accepts it, and the PTE
+claims ignore it. An object subcommand needs a source.
 
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
@@ -148,10 +150,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_indices(args) -> int:
-    obj = _load_object(args)
-    if isinstance(obj, PolytopalUnion):
-        raise EhrhartError("index sequences are defined for convex polytopes only")
-    report = mcmullen_check(obj, budget=args.budget)
+    report = mcmullen_check(_load_object(args), budget=args.budget)
     _emit({
         "index_sequence": list(report.index_sequence),
         "period_sequence": list(report.period_sequence),
@@ -189,10 +188,29 @@ def _cmd_pte(args) -> int:
 # A claim maps ``(ps, ns, budget)`` to ``(params, cases)``, each case a
 # ``(label, good, entry)``; ``run_claim`` alone judges them. A ``None``
 # label counts toward the verdict but adds no witness entry.
+#
+# ``_GRIDS`` gives each claim its default periods and dimensions, None for
+# an axis it does not have; ``run_claim`` hands a claim the flags' lists,
+# else these. A claim takes ``p`` where it has a period axis, and ``n`` and
+# ``max_n`` where it has a dimension axis. Every claim takes ``max_p``; the
+# PTE claims, which have neither axis, ignore it: perfbench's verify-p2
+# workload runs every claim with ``--max-p 2``.
+_GRIDS = {
+    "pentagon-equivalence": ([1, 2, 3, 4, 5], None),
+    "heptagon": ([2, 3, 4, 5], None),
+    "pyramid-equivalence": ([2, 3], [3, 4]),
+    "prism-identity": ([2, 3], [3, 4]),
+    "sn-pn-equivalence": ([2, 3], [3, 4]),
+    "decomposition": ([2, 3], [3, 4]),
+    "hn-periods": ([2, 3], [3, 4]),
+    "barn-periods": ([2, 3], [3, 4, 5]),
+    "mcmullen": ([1, 2, 3], [3, 4, 5]),
+    "pte-table": (None, None),
+    "product-identity": (None, None),
+}
 
 
 def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [1, 2, 3, 4, 5]
     cases = []
     for p in ps:
         fp, cp = fitted(_body("pentagon", p), budget)
@@ -206,15 +224,19 @@ def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
     return {"p": ps}, cases
 
 
+def _periods(body, expected, budget):
+    """Fit ``body``: its quasi-polynomial, whether its period sequence is
+    ``expected``, and the case entry with that sequence and the samples."""
+    qp, samples = fitted(body, budget)
+    seq = period_sequence(qp)
+    return qp, seq == expected, {"period_sequence": list(seq), "counts": samples}
+
+
 def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [2, 3, 4, 5]
     cases = []
     for p in ps:
         body = _body("heptagon", p)
-        qp, samples = fitted(body, budget)
-        seq = period_sequence(qp)
-        good = seq == (1, p, 1)
-        entry = {"period_sequence": list(seq), "counts": samples}
+        qp, good, entry = _periods(body, (1, p, 1), budget)
         if p == 2:
             first = [count(body, k, budget) for k in range(1, 5)]
             mid = {
@@ -231,8 +253,6 @@ def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
 
 def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
     # an (n-2)-fold pyramid divides the series of its base by (1-t)^(n-2)
-    ps = ps or [2, 3]
-    ns = ns or [3, 4]
     cases = []
     for n in ns:
         for p in ps:
@@ -252,8 +272,6 @@ def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
 
 
 def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [2, 3]
-    ns = ns or [3, 4]
     k_max = 8
     ks = range(1, k_max + 1)
     cases = []
@@ -272,8 +290,6 @@ def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
 
 
 def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [2, 3]
-    ns = ns or [3, 4]
     cases = []
     for n in ns:
         for p in ps:
@@ -288,13 +304,8 @@ def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-def _hull_cases(ps, ns) -> list[tuple[int, int]]:
-    """The ``(n, p)`` cases of the hull claims that the flags allow."""
-    return [
-        (n, p)
-        for n, p in ((3, 2), (3, 3), (4, 2))
-        if (not ps or p in ps) and (not ns or n in ns)
-    ]
+# the ``(n, p)`` of the hull claims; each runs those in its ``ns`` and ``ps``
+_HULL_CASES = ((3, 2), (3, 3), (4, 2))
 
 
 def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
@@ -302,7 +313,7 @@ def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
     # two shared facets, which are the pieces' pairwise overlaps and integral
     k_max = 4
     ks = range(1, k_max + 1)
-    hull_cases = _hull_cases(ps, ns)
+    hull_cases = [(n, p) for n, p in _HULL_CASES if n in ns and p in ps]
     cases = []
     for n, p in hull_cases:
         bodies = {
@@ -337,15 +348,11 @@ def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
 
 
 def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
-    hull_cases = _hull_cases(ps, ns)
+    hull_cases = [(n, p) for n, p in _HULL_CASES if n in ns and p in ps]
     cases = []
     for n, p in hull_cases:
         body = _body("hull", p, n)
-        qp, samples = fitted(body, budget)
-        seq = period_sequence(qp)
-        expected = (1, p) + (1,) * (n - 1)
-        good = seq == expected
-        entry = {"period_sequence": list(seq), "counts": samples}
+        _, good, entry = _periods(body, (1, p) + (1,) * (n - 1), budget)
         if (n, p) == (3, 2):
             spot = count(body, 1, budget)
             good = good and spot == 49
@@ -355,8 +362,6 @@ def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
 
 
 def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [2, 3]
-    ns = ns or [3, 4, 5]
     cases = []
     for n in ns:
         for p in ps:
@@ -367,11 +372,7 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
                 # the construction-range check below asserts exactly this
                 cases.append((f"n={n},p={p}", True, f"NotAvailable: {exc}"))
                 continue
-            qp, samples = fitted(union, budget)
-            seq = period_sequence(qp)
-            expected = (1,) * (n - 1) + (p, 1)
-            good = seq == expected
-            entry = {"period_sequence": list(seq), "counts": samples}
+            _, good, entry = _periods(union, (1,) * (n - 1) + (p, 1), budget)
             if n == 3 and p == 2:
                 enum = [count(union, k, budget) for k in (1, 2)]
                 direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
@@ -394,22 +395,21 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-def _mcmullen_targets(ps, ns=None):
-    """The bodies ``mcmullen`` checks; ``ns``, when set, keeps the n-bodies of those ``n``."""
+def _mcmullen_targets(ps, ns=_GRIDS["mcmullen"][1]):
+    """The bodies ``mcmullen`` checks: the 2-D families, and the n-bodies of the ``n`` in ``ns``."""
     for p in ps:
         for family in ("segment", "pentagon", "rectangle", "heptagon"):
             yield f"{family} p={p}", _body(family, p)
         for n in (3, 4, 5):
-            if not ns or n in ns:
+            if n in ns:
                 yield f"simplex n={n} p={p}", _body("simplex", p, n)
         for n in (3, 4):
-            for family in ("prism", "pentagon-pyramid", "hull", "middle"):
-                if not ns or n in ns:
+            if n in ns:
+                for family in ("prism", "pentagon-pyramid", "hull", "middle"):
                     yield f"{family} n={n} p={p}", _body(family, p, n)
 
 
 def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
-    ps = ps or [1, 2, 3]
     cases = []
     for label, poly in _mcmullen_targets(ps, ns):
         report = mcmullen_check(poly, budget)
@@ -468,33 +468,16 @@ _CLAIM_FUNCS = {
 }
 CLAIMS = tuple(_CLAIM_FUNCS)
 
-# The grid flags each claim takes, by ``verify_all`` keyword: ``p`` and
-# ``max_p`` where it has a period axis, ``n`` and ``max_n`` where it has a
-# dimension axis. The PTE claims have neither, but accept ``max_p`` and
-# ignore it: perfbench's verify-p2 workload runs every claim with
-# ``--max-p 2``.
-_P, _N = ("p", "max_p"), ("n", "max_n")
-_CLAIM_FLAGS = {
-    "pentagon-equivalence": _P,
-    "heptagon": _P,
-    "pyramid-equivalence": _P + _N,
-    "prism-identity": _P + _N,
-    "sn-pn-equivalence": _P + _N,
-    "decomposition": _P + _N,
-    "hn-periods": _P + _N,
-    "barn-periods": _P + _N,
-    "mcmullen": _P + _N,
-    "pte-table": ("max_p",),
-    "product-identity": ("max_p",),
-}
-
 
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
     """Run one verification claim and judge its cases by the one verdict
     rule: it passes when every case is good; no cases, or budget
-    exhaustion, is skipped, not failed."""
+    exhaustion, is skipped, not failed. Unset ``ps`` and ``ns`` are the
+    claim's defaults in ``_GRIDS``."""
+    # copies: a report's params hold these lists, and must not alias the table
+    periods, dimensions = (None if axis is None else list(axis) for axis in _GRIDS[claim])
     try:
-        params, cases = _CLAIM_FUNCS[claim](ps, ns, budget)
+        params, cases = _CLAIM_FUNCS[claim](ps or periods, ns or dimensions, budget)
     except BudgetExceeded as exc:
         return VerificationReport(claim, {}, f"skipped: budget exceeded ({exc})")
     if not cases:
@@ -516,17 +499,21 @@ def verify_all(
     """The given claims (all by default), in order; ``p``/``n`` restrict to
     one value, ``max_p``/``max_n`` to the values up to it; ``None`` is unset,
     and a value and its maximum may not both be set. Each claim takes the
-    flags of its own axes only, and a flag that no claim run takes is
-    refused, so a claim run alone refuses a grid it does not have."""
+    flags of the axes ``_GRIDS`` gives it, and ``max_p``; a flag that no
+    claim run takes is refused, so a claim run alone refuses a grid it
+    does not have."""
     for one, most, value, maximum in (("p", "max_p", p, max_p), ("n", "max_n", n, max_n)):
         if value is not None and maximum is not None:
             raise InvalidInput(f"give {one} or {most}, not both")
-    for name, value, least in (("p", p, 1), ("max_p", max_p, 1), ("n", n, 3), ("max_n", max_n, 3)):
+    # the axis of _GRIDS that a flag needs; max_p needs none
+    for name, value, least, axis in (
+        ("p", p, 1, 0), ("max_p", max_p, 1, None), ("n", n, 3, 1), ("max_n", max_n, 3, 1)
+    ):
         if value is None:
             continue
         if value < least:
             raise InvalidInput(f"{name} must be at least {least}, got {value}")
-        if not any(name in _CLAIM_FLAGS[claim] for claim in claims):
+        if axis is not None and all(_GRIDS[claim][axis] is None for claim in claims):
             flag = "--" + name.replace("_", "-")
             raise InvalidInput(f"{', '.join(claims)} take{'s' * (len(claims) == 1)} no {flag}")
     ps = [p] if p is not None else (None if max_p is None else list(range(1, max_p + 1)))

@@ -202,8 +202,10 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
 def _union_strategy(union: PolytopalUnion) -> str:
     """What ``'auto'`` means for ``union``: inclusion-exclusion when the
     facets of every piece split into at least two coordinate blocks, else
-    enumeration."""
-    if all(len(coordinate_blocks([a for a, _ in p.facets])) > 1 for p in union.pieces):
+    enumeration. A piece is full-dimensional, so its rows are its facets,
+    and its one-piece ``term_blocks`` entry, which inclusion-exclusion
+    counts from, holds that split."""
+    if all(len(_term_blocks(union, (i,))) > 1 for i in range(len(union.pieces))):
         return "inclusion-exclusion"
     return "enumerate"
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import fitted
+from .errors import InvalidInput
 from .linalg import min_dilate_with_lattice_point
 from .polytope import ConvexPolytope, PolytopalUnion
 from .quasipoly import period_sequence
@@ -47,7 +48,7 @@ def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     only; the ``i``-index of a union is not defined here.
     """
     if isinstance(poly, PolytopalUnion):
-        raise ValueError("index sequences are defined for convex polytopes only")
+        raise InvalidInput("index sequences are defined for convex polytopes only")
     dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
 
     def index(face) -> int:
@@ -83,8 +84,8 @@ def mcmullen_check(poly: ConvexPolytope, budget: int | None = None) -> McMullenR
     records whether every period divides the matching index and whether
     the chain invariant holds.
     """
+    indices = index_sequence(poly).values  # first: it refuses a union before any fit
     periods = period_sequence(fitted(poly, budget)[0])
-    indices = index_sequence(poly).values
     divides = tuple(g % p == 0 for p, g in zip(periods, indices))
     chain_ok = chain_check(IndexSequence(indices))
     return McMullenReport(periods, indices, divides, chain_ok, all(divides) and chain_ok)

@@ -344,9 +344,6 @@ def _double_description(
                 minus.append((ray, mask, s))
             else:
                 zero.append((ray, mask | bit))
-        if not minus:
-            rays = [(ray, mask) for ray, mask, _ in plus] + zero
-            continue
         masks = [mask for _, mask in rays]
         fresh = []
         for rp, mp, sp in plus:

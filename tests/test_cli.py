@@ -544,6 +544,70 @@ def test_a_claim_refuses_a_grid_flag_it_has_no_axis_for(capsys, claim, flag, val
     assert err.count("\n") == 1 and err.startswith(f"error: {claim} takes no {flag}")
 
 
+# every (claim, flag) pair the claim takes: with the pairs above, the
+# whole (claim, grid flag) matrix
+FLAGS_A_CLAIM_TAKES = [
+    ("pentagon-equivalence", "--p", "2"),
+    ("pentagon-equivalence", "--max-p", "2"),
+    ("heptagon", "--p", "2"),
+    ("heptagon", "--max-p", "2"),
+    ("pyramid-equivalence", "--p", "2"),
+    ("pyramid-equivalence", "--max-p", "2"),
+    ("pyramid-equivalence", "--n", "3"),
+    ("pyramid-equivalence", "--max-n", "3"),
+    ("prism-identity", "--p", "2"),
+    ("prism-identity", "--max-p", "2"),
+    ("prism-identity", "--n", "3"),
+    ("prism-identity", "--max-n", "3"),
+    ("sn-pn-equivalence", "--p", "2"),
+    ("sn-pn-equivalence", "--max-p", "2"),
+    ("sn-pn-equivalence", "--n", "3"),
+    ("sn-pn-equivalence", "--max-n", "3"),
+    ("decomposition", "--p", "2"),
+    ("decomposition", "--max-p", "2"),
+    ("decomposition", "--n", "3"),
+    ("decomposition", "--max-n", "3"),
+    ("hn-periods", "--p", "2"),
+    ("hn-periods", "--max-p", "2"),
+    ("hn-periods", "--n", "3"),
+    ("hn-periods", "--max-n", "3"),
+    ("barn-periods", "--p", "2"),
+    ("barn-periods", "--max-p", "2"),
+    ("barn-periods", "--n", "3"),
+    ("barn-periods", "--max-n", "3"),
+    ("mcmullen", "--p", "2"),
+    ("mcmullen", "--max-p", "2"),
+    ("mcmullen", "--n", "3"),
+    ("mcmullen", "--max-n", "3"),
+    ("pte-table", "--max-p", "2"),
+    ("product-identity", "--max-p", "2"),
+]
+
+
+def test_the_flag_lists_cover_every_claim_and_grid_flag_once():
+    refused = {(claim, flag) for claim, flag, _ in FLAGS_A_CLAIM_DOES_NOT_TAKE}
+    taken = {(claim, flag) for claim, flag, _ in FLAGS_A_CLAIM_TAKES}
+    assert not refused & taken
+    assert refused | taken == {
+        (claim, flag) for claim in CLAIMS for flag in ("--p", "--max-p", "--n", "--max-n")
+    }
+
+
+@pytest.mark.parametrize("claim, flag, value", FLAGS_A_CLAIM_TAKES)
+def test_a_claim_takes_a_grid_flag_it_has_an_axis_for(capsys, claim, flag, value):
+    # budget 0 keeps it cheap: a claim that counts is skipped at its first count
+    code, out, err = run_cli(capsys, "verify", claim, flag, value, "--budget", "0")
+    report = json.loads(out)
+    assert (code, err, report["claim"]) == (0, "", claim)
+    assert report["outcome"] == "pass" or report["outcome"].startswith("skipped: budget exceeded")
+
+
+def test_indices_refuses_a_union_once(capsys):
+    code, out, err = run_cli(capsys, "indices", "--family", "barn", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: index sequences are defined for convex polytopes only\n"
+
+
 @pytest.mark.parametrize("claim", ["pte-table", "product-identity"])
 def test_a_pte_claim_accepts_and_ignores_max_p(capsys, claim):
     _, alone, _ = run_cli(capsys, "verify", claim)
@@ -558,6 +622,12 @@ def test_a_grid_flag_applies_to_the_claims_that_take_it():
     )
     with pytest.raises(InvalidInput, match="heptagon, pte-table take no --max-n"):
         cli.verify_all(max_n=4, claims=("heptagon", "pte-table"))
+
+
+def test_a_report_does_not_alias_a_claims_default_grid():
+    report = cli.run_claim("heptagon")
+    report.params["p"].append(9)
+    assert cli.run_claim("heptagon").params == {"p": [2, 3, 4, 5]}
 
 
 def test_verify_all_takes_the_least_grid_values():

@@ -141,6 +141,19 @@ def test_three_piece_union_counts_its_triple_overlap():
     assert [count_union(union, k, strategy="enumerate") for k in (1, 2)] == [15, 45]
 
 
+def test_a_union_with_no_box_point_at_a_dilate_counts_zero_there():
+    # x in [2/5, 3/5] holds no integer at k = 1 or 3, so every piece's
+    # dilated box is empty there and both routes return 0 before any walk
+    side = from_vertices([(Fraction(2, 5),), (Fraction(3, 5),)])
+    pieces = (product(side, C.interval(0, 3)), product(side, C.interval(1, 2)))
+    union = PolytopalUnion(2, pieces)
+    expected = [0, 7, 0, 13, 32]
+    assert [brute_count_union([p.vertices for p in pieces], k) for k in range(1, 6)] == expected
+    for strategy in ("enumerate", "inclusion-exclusion"):
+        assert [count_union(union, k, strategy=strategy) for k in range(1, 6)] == expected
+        assert [count_union(union, k, 0, strategy) for k in (1, 3)] == [0, 0]
+
+
 def test_overlap_terms_split_into_uncoupled_coordinate_blocks():
     # each row of a cube rebuilt as a hull reads one coordinate, so
     # 'auto' takes inclusion-exclusion, and every term is a product of 1-D

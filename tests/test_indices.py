@@ -7,6 +7,7 @@ from oracles import brute_min_dilate
 from strategies import clouds
 
 from ehrhart import cli, constructions as C
+from ehrhart.errors import InvalidInput
 from ehrhart.indices import IndexSequence, chain_check, index_sequence, mcmullen_check
 from ehrhart.linalg import min_dilate_with_lattice_point
 from ehrhart.polytope import denominator, embed_product, faces, from_vertices
@@ -87,6 +88,13 @@ def test_union_rejected():
     union = C.barn(3, 2, PteSolution((1, 2), (3, 0)))
     with pytest.raises(ValueError):
         index_sequence(union)
+
+
+def test_mcmullen_check_refuses_a_union_before_fitting_it():
+    union = C.barn(3, 2, PteSolution((1, 2), (3, 0)))
+    with pytest.raises(InvalidInput, match="convex polytopes only"):
+        mcmullen_check(union)
+    assert union.fits == {}
 
 
 def test_period_divides_index_on_random_polygons():
