@@ -55,6 +55,23 @@ A level is keyed only where a repeat can happen, where the columns of
 the earlier coordinates on those rows are linearly dependent; the
 skeleton holds the rows, or None.
 
+A keyed sub-walk recurs along a line when, on the rows it reads, every
+earlier column is an integer multiple of its parent level's column
+``col``: every prefix then leaves those rows the offsets ``base - m *
+col`` for one ``base`` per system, and the values ``x = first..top`` of
+the parent read consecutive positions ``m``. The skeleton marks such a
+parent with one row on which ``col`` is nonzero, which tells the
+position. For each line ``walk_box`` keeps, again for one call, prefix
+sums of ``(count, charge)`` over one run of consecutive positions. A
+range of the parent walks, through the keyed path, only the positions it
+adds to the run; its count is the difference of two prefix sums, and it
+charges the sum of its positions' charges, less what walking the added
+ones already charged, checking the budget once. A range that would leave
+a gap on its line walks each position as before. So a family whose apex
+coordinates enter the normals with equal columns loops over their
+widths, not over their product, and every count and charge is still that
+of the plain walk.
+
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per value of a walked
 coordinate, charged before walking it; the merged envelope pieces of a
@@ -78,9 +95,13 @@ from .linalg import independent_rows
 # coefficients, ``(row, |a|, minrest)`` for the rows whose coefficient
 # ``a`` is positive, then negative (``minrest`` is the least contribution
 # of the later coordinates to that row), at the second-to-last level only
-# the lines of a slice over it and the last coordinate, and, where a
-# sub-walk from this level can recur, the rows it reads (else None).
-Level = tuple[int, int, list[int], tuple, tuple, tuple | None, tuple[int, ...] | None]
+# the lines of a slice over it and the last coordinate, where a sub-walk
+# from this level can recur, the rows it reads (else None), and, where the
+# keyed sub-walks below this level lie on one line, a row on which this
+# level's column is nonzero (else None).
+Level = tuple[
+    int, int, list[int], tuple, tuple, tuple | None, tuple[int, ...] | None, int | None
+]
 
 
 def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple[list, list]:
@@ -88,8 +109,10 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
     nonzero ``(row, a)`` of each coordinate the box fixes, and per level,
     in walk order, the coordinate, its column, ``(row, |a|)`` for the rows
     whose coefficient ``a`` is positive, then negative, the slice lines
-    (None but at the second-to-last level), and the rows a sub-walk from
-    that level reads (None where it cannot recur)."""
+    (None but at the second-to-last level), the rows a sub-walk from that
+    level reads (None where it cannot recur), and the row that tells the
+    position of the next level's sub-walk on its line (None where they lie
+    on none)."""
     walked = set(order)
     fixed = [
         (j, [(i, row[j]) for i, row in enumerate(normals) if row[j]])
@@ -101,14 +124,14 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
         col = [row[j] for row in normals]
         pos = tuple((i, a) for i, a in enumerate(col) if a > 0)
         neg = tuple((i, -a) for i, a in enumerate(col) if a < 0)
-        levels.append([j, col, pos, neg, None, None])
+        levels.append([j, col, pos, neg, None, None, None])
     if len(levels) > 1:
         # the rows of a slice over (x, y), y the last coordinate: an upper
         # line for y for each positive coefficient of y, a lower one for
         # each negative one, as (coefficient of x, |coefficient of y|,
         # row); rows without y clip x
-        _, col, _, _, _, _ = levels[-2]
-        _, _, y_pos, y_neg, _, _ = levels[-1]
+        col = levels[-2][1]
+        y_pos, y_neg = levels[-1][2:4]
         levels[-2][4] = [(col[i], b, i) for i, b in y_pos], [(col[i], b, i) for i, b in y_neg]
     # the rows a sub-walk from level t reads are those with a nonzero
     # coefficient there or later. Between the root and the last level, it
@@ -122,7 +145,24 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
         prefix = [[normals[i][j] for i in rows] for j in order[:t]]
         if t < len(levels) - 1 and len(independent_rows(prefix)) < t:
             levels[t][5] = tuple(rows)
+            levels[t - 1][6] = _line(rows, prefix)
     return fixed, levels
+
+
+def _line(rows: list[int], prefix: list[list[int]]) -> int | None:
+    """A row on which the last of the ``prefix`` columns is nonzero, when
+    every earlier column is an integer multiple of the last one (on
+    ``rows``); else None. Then every prefix of values leaves the offsets
+    of ``rows`` on one line, stepped by the last column."""
+    *earlier, step = prefix
+    p = next((i for i, a in enumerate(step) if a), None)
+    if p is None:
+        return None
+    for col in earlier:
+        m, r = divmod(col[p], step[p])
+        if r or any(a != m * b for a, b in zip(col, step)):
+            return None
+    return rows[p]
 
 
 class Rows(tuple):
@@ -162,7 +202,7 @@ def _levels(
             rem[i] -= a * lo[j]
     minrest = [0] * len(rem)
     levels = []
-    for j, col, pos, neg, lines, reads in reversed(skeleton):
+    for j, col, pos, neg, lines, reads, line in reversed(skeleton):
         x_lo, x_hi = lo[j], hi[j]
         levels.append((
             x_lo,
@@ -172,6 +212,7 @@ def _levels(
             tuple((i, b, minrest[i]) for i, b in neg),
             lines,
             reads,
+            line,
         ))
         for i, a in pos:
             minrest[i] += a * x_lo
@@ -184,7 +225,7 @@ def _levels(
 
 def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
     """Values ``x`` of the level's coordinate that every row still allows."""
-    x_lo, x_hi, _, pos, neg, _, _ = level
+    x_lo, x_hi, _, pos, neg, _, _, _ = level
     for i, a, mr in pos:
         q = (rem[i] - mr) // a
         if q < x_hi:
@@ -343,6 +384,7 @@ def walk_box(
     left = budget
     overdrawn = f"the walk charges more than its budget of {budget}"
     memo = {}
+    runs = {}
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         nonlocal left
@@ -419,13 +461,51 @@ def walk_box(
             left -= top - first + 1
             if left < 0:
                 raise BudgetExceeded(overdrawn)
-            col = level[2]
-            found = 0
-            for x in range(first, top + 1):
-                found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)])
+            found = None if level[7] is None else along(j, levels, rem, first, top)
+            if found is None:
+                col = level[2]
+                found = 0
+                for x in range(first, top + 1):
+                    found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)])
         if reads is not None:
             memo[key] = found, before - left
         return found
+
+    def along(j: int, levels: list[Level], rem: list[int], first: int, top: int) -> int | None:
+        # the sub-walks below x = first..top sit at consecutive positions of
+        # one line per system and level, kept as prefix sums of (count,
+        # charge) over one run of positions; the range walks only what it
+        # adds to the run, and charges the rest at once. None where the
+        # range would leave a gap on the line
+        nonlocal left
+        level = levels[j]
+        p, col = level[7], level[2]
+        run = runs.get((id(levels), j))
+        if run is None:
+            run = runs[id(levels), j] = [rem[p], first, first - 1, {first: (0, 0)}]
+        base, lo, hi, sums = run
+        # x's sub-walk reads the offsets base - m * col at m = x + shift
+        shift = (base - rem[p]) // col[p]
+        a, b = first + shift, top + shift
+        if a > hi + 1 or b < lo - 1:
+            return None
+        start = left
+        for m in range(lo - 1, a - 1, -1):
+            before = left
+            found = one(j + 1, levels, [r - c * (m - shift) for r, c in zip(rem, col)])
+            n, h = sums[m + 1]
+            sums[m] = n - found, h - (before - left)
+        for m in range(hi + 1, b + 1):
+            before = left
+            found = one(j + 1, levels, [r - c * (m - shift) for r, c in zip(rem, col)])
+            n, h = sums[m]
+            sums[m + 1] = n + found, h + (before - left)
+        run[1], run[2] = min(lo, a), max(hi, b)
+        (n, h), (n2, h2) = sums[a], sums[b + 1]
+        left = start - (h2 - h)
+        if left < 0:
+            raise BudgetExceeded(overdrawn)
+        return n2 - n
 
     found = walk(0, roots)
     return found, budget - left

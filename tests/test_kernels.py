@@ -5,6 +5,7 @@ translations that keep a count; and its budget."""
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -344,6 +345,13 @@ WALK_PINS = {
     "pentagon_pyramid(5,2)": (C.pentagon_pyramid(5, 2), {
         1: (15, 13), -1: (0, 1), 2: (76, 49), -2: (0, 3), 5: (1474, 287), -5: (25, 80),
     }),
+    # deeper walks, recorded before sub-walks were summed along their lines
+    "pentagon_pyramid(4,2)": (C.pentagon_pyramid(4, 2), {
+        20: (104236, 1003), 21: (125169, 1089), -20: (60066, 841),
+    }),
+    "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 364), -12: (619087, 231)}),
+    "hull(5,3)": (C.hull(5, 3), {6: (220836, 343), -6: (25684, 55)}),
+    "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 1114), -8: (3266, 565)}),
 }
 
 
@@ -416,3 +424,81 @@ def test_a_recurring_sub_walk_counts_and_charges_as_walked(case):
     if whole[1]:
         with pytest.raises(BudgetExceeded):
             _enum_py.walk_box(lo, hi, [(normals, offsets)], whole[1] - 1)
+
+
+@st.composite
+def lined_walks(draw):
+    """A 3- to 5-D box walked in coordinate order (widths increase), whose
+    rows reading coordinate t or a later one have, in each coordinate
+    before t - 1, an integer multiple (negative ones too) of their column
+    at t - 1, and free rows in the coordinates before t. So every prefix of
+    values puts the sub-walk from level t at a position on one line; the
+    free rows clip the outer ranges, which may leave gaps on it."""
+    n = draw(st.integers(3, 5))
+    t = draw(st.integers(min(2, n - 2), n - 2))
+    widths = sorted(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True)))
+    lo = [draw(st.integers(-6, 3)) for _ in range(n)]
+    hi = [l + w for l, w in zip(lo, widths)]
+    multiples = [draw(st.integers(-6, 6)) for _ in range(t - 1)]
+    entry = st.integers(-4, 4)
+    normals = []
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(entry)
+        rest = draw(st.lists(entry, min_size=n - t, max_size=n - t))
+        normals.append([m * step for m in multiples] + [step] + rest)
+    for _ in range(draw(st.integers(0, 3))):
+        normals.append(draw(st.lists(entry, min_size=t, max_size=t)) + [0] * (n - t))
+    offsets = [draw(st.integers(-20, 60)) for _ in normals]
+    return lo, hi, normals, offsets
+
+
+@settings(max_examples=200)
+@given(lined_walks())
+# the rows reading x2 or x3 read x0 and x1 alike, with the non-primitive
+# step (3, 6, 0, 3, 6): the position is x0 + x1
+@example((
+    [0, 0, 0, 0], [2, 3, 5, 8],
+    [[3, 3, 1, -1], [6, 6, 4, -1], [0, 0, -1, 0], [3, 3, 1, 1], [6, 6, 4, 1], [1, 1, 0, 0]],
+    [20, 30, 0, 24, 40, 4],
+))
+# a negative multiple: below level 2 the position is x2 - 2*x1
+@example((
+    [0, 0, 0, 0, 0], [1, 2, 3, 5, 7],
+    [[0, -2, 1, 1, 1], [0, 2, -1, -1, -1], [0, 0, 0, 1, -1], [1, 1, 0, 0, 0]],
+    [6, 4, 2, 2],
+))
+# x1 walks 0..1 and the position is 5*x0 + x1: x0 = 0 holds 0..1, x0 = 1
+# holds 5..6, a gap on the line, walked as without the sums
+@example((
+    [0, 0, 0, 0], [2, 3, 6, 8],
+    [[5, 1, 1, 1], [-5, -1, -1, -2], [0, 1, 0, 0]],
+    [30, 0, 1],
+))
+def test_a_lined_walk_counts_and_charges_as_walked(case):
+    # the sub-walks along one line are summed, not walked one by one; the
+    # count is still the plain walk's, the charge that of the walk which
+    # visits each of them, and the charge still refuses a budget one below it
+    lo, hi, normals, offsets = case
+    found, charged = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
+    assert found == walk_count(lo, hi, [(normals, offsets)])
+    with mock.patch.object(_enum_py, "_line", lambda rows, prefix: None):
+        assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (found, charged)
+    assert _enum_py.walk_box(lo, hi, [(normals, offsets)], charged) == (found, charged)
+    if charged:
+        with pytest.raises(BudgetExceeded):
+            _enum_py.walk_box(lo, hi, [(normals, offsets)], charged - 1)
+
+
+@pytest.mark.parametrize(
+    "body, lined",
+    [(C.pentagon_pyramid(4, 2), [1]), (C.hull(4, 2), [1]), (C.hull(3, 2), [])],
+    ids=["pentagon_pyramid(4,2)", "hull(4,2)", "hull(3,2)"],
+)
+def test_the_families_sum_their_sub_walks_along_lines(body, lined):
+    # the apex coordinates, walked first, enter the facet normals with equal
+    # columns, so level 1 sums the keyed sub-walks below it along a line.
+    # In 3-D only level 1 can be keyed, where level 0's column vanishes on
+    # the rows it reads, so no line has a step
+    for k in (2, 20, -20):
+        levels, _ = _enum_py._levels(*_dilated_system(body, k))
+        assert [t for t, level in enumerate(levels) if level[7] is not None] == lined

@@ -169,3 +169,36 @@ def test_pyramid_transform_preserves_negated_equivalence():
 def test_to_dict():
     payload = to_dict(series_of(C.segment(2)))
     assert payload == {"numerator": [1, 1], "modulus": 2, "power": 2}
+
+
+def h_star_is_nonnegative(qp):
+    """Stanley (1980): for a rational polytope of dimension d whose
+    ``modulus``-th dilate is integral, the numerator of its Ehrhart series
+    over ``(1 - t^modulus)^(d+1)`` has no negative coefficient. It reads no
+    lattice-point count, so it checks the counts and the fit from outside."""
+    return all(c >= 0 for c in from_quasipolynomial(qp).numerator)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["simplex", "prism", "pentagon-pyramid", "hull", "middle"])
+def test_stanley_nonnegativity_on_convex_family_members(family, n, p):
+    body, _ = C.build(family, p, n)
+    assert h_star_is_nonnegative(fitted(body)[0])
+
+
+@settings(max_examples=60)
+@given(clouds(max_dim=3, bound=4))
+def test_stanley_nonnegativity_on_random_clouds(points):
+    assert h_star_is_nonnegative(fitted(from_vertices(points))[0])
+
+
+def test_a_perturbed_fit_breaks_stanley_nonnegativity():
+    qp = fitted(C.pentagon_pyramid(3, 2))[0]
+    assert h_star_is_nonnegative(qp)
+    # the k^3 coefficient on even k lowered by one: h* drops from 3 to -5 at t^6
+    coeffs = [list(row) for row in qp.coeffs]
+    coeffs[3][0] -= 1
+    perturbed = QuasiPolynomial(qp.degree, qp.modulus, tuple(map(tuple, coeffs)))
+    assert from_quasipolynomial(perturbed).numerator[6] == -5
+    assert not h_star_is_nonnegative(perturbed)
