@@ -8,10 +8,10 @@ index of matching degree. ``mcmullen_check`` computes both sequences
 independently and reports the comparison: indices from the body's face
 lattice (built on first use and kept; up to dimension 5), periods from
 the fit of raw counts that ``counting.fitted`` keeps with the body. A
-face whose vertex denominators have gcd 1 has index 1, since its minimal
-dilate divides each of them; any other face's span is taken from the
-facets tight on it and solved over the integer lattice by
-``linalg.min_dilate_with_lattice_point``.
+face's minimal dilate divides its vertices' denominators and is divided
+by that of each face containing it, so most faces are fixed by their
+vertices and cofaces; only the rest are solved over the integer lattice
+by ``linalg.min_dilate_with_lattice_point``.
 """
 
 from __future__ import annotations
@@ -36,29 +36,38 @@ class IndexSequence:
 def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
-    The body's face lattice supplies the faces of every dimension. A face's
-    minimal dilate ``m(F)`` is 1 when the gcd of ``den(v)`` over its
-    vertices is 1, ``den(v)`` being the lcm of the coordinate denominators
-    of vertex ``v``: the dilates whose span holds a lattice point are the
-    multiples of ``m(F)``, and ``den(v) * v`` is a lattice point of
-    ``aff(den(v) * F)``, so ``m(F)`` divides every ``den(v)``. Any other
-    face is solved in closed form from an integer echelon basis of the
-    lattice spanned by the columns of its span equations, since dilating a
-    face scales the right-hand side of its span linearly. Convex inputs
-    only; the ``i``-index of a union is not defined here.
+    The body's face lattice is walked from the top grade down. Write
+    ``m(F)`` for a face's minimal dilate, whose multiples are the dilates
+    whose span holds a lattice point, and ``den(v)`` for the lcm of the
+    coordinate denominators of vertex ``v``. Two rules are exact:
+
+    - ``m(F)`` divides ``den(v)`` for every vertex ``v`` of ``F``, as
+      ``den(v) * v`` lies in ``aff(den(v) * F)``; a vertex has
+      ``m = den(v)``, as ``aff(m * v)`` is the point ``m * v``;
+    - ``m(G)`` divides ``m(F)`` for every face ``G`` containing ``F``.
+
+    So a face is fixed when the lcm of its cofaces' indices one grade up
+    (1 for the body) equals the gcd of its vertices' ``den``, as it must
+    when that gcd is 1. Only the other faces are solved, in closed form
+    from an integer echelon basis of the lattice spanned by the columns of
+    their span equations. Convex inputs only; the ``i``-index of a union
+    is not defined here.
     """
     if isinstance(poly, PolytopalUnion):
         raise InvalidInput("index sequences are defined for convex polytopes only")
     dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
-
-    def index(face) -> int:
-        if math.gcd(*(dens[i] for i in face.vertex_indices)) == 1:
-            return 1
-        return min_dilate_with_lattice_point(face.span)
-
-    return IndexSequence(tuple(
-        math.lcm(*map(index, grade)) for grade in poly.face_lattice
-    ))
+    values, above = [], []
+    for grade in reversed(poly.face_lattice):
+        here = []
+        for face in grade:
+            mask = sum(1 << i for i in face.vertex_indices)
+            m = math.gcd(*(dens[i] for i in face.vertex_indices))
+            if face.dim and m > 1 and m != math.lcm(*(g for s, g in above if s & mask == mask)):
+                m = min_dilate_with_lattice_point(face.span)
+            here.append((mask, m))
+        values.append(math.lcm(*(m for _, m in here)))
+        above = here
+    return IndexSequence(tuple(reversed(values)))
 
 
 def chain_check(seq: IndexSequence) -> bool:

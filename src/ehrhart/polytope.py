@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_
+from itertools import compress
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from ._enum_py import Rows
@@ -100,20 +101,25 @@ class ConvexPolytope:
         order of their vertex indices, and ``[intrinsic_dim]`` is the
         polytope itself. Built on first use and kept with the body.
 
-        Every face is an intersection of facets and is recovered as the set of
-        vertices tight on those facets. Dimensions come from the grading of
-        this lattice: a vertex has dimension 0, and any other face one more
-        than the largest face it strictly contains, which is its intersection
-        with some facet. A face's span is the body's span plus the facets
-        tight on it, since ``aff(F)`` is ``aff(P)`` cut by every facet
-        hyperplane through ``F``.
+        Every face is an intersection of facets and is recovered, on the
+        vertices scaled to integers, as the bitmask of vertices tight on
+        those facets. Dimensions come from the grading of this lattice: the
+        empty mask has grade -1, and a face one more than the largest of
+        its intersections with the facets not containing it. A face's span
+        is the body's span plus the facets tight on it, since ``aff(F)`` is
+        ``aff(P)`` cut by every facet hyperplane through ``F``. So a vertex's
+        span is the vertex alone, and ``aff(F)`` lies in ``aff(G)`` for every
+        face ``G`` containing ``F``: the vertex rule and the coface rule by
+        which ``indices.index_sequence`` fixes most faces without a solve.
         """
         if self.intrinsic_dim > HULL_DIM_CAP:
             raise DimensionCapExceeded(
                 f"face enumeration capped at dimension {HULL_DIM_CAP}, got {self.intrinsic_dim}"
             )
         scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        scaled = [[int(x * scale) for x in v] for v in self.vertices]
+        scaled = [[x.numerator * (scale // x.denominator) for x in v] for v in self.vertices]
+        normals = [a for a, _ in self.facets]
+        offsets = [c for _, c in self.facets]
         per_facet = [
             sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
             for a, c in self.facets
@@ -129,19 +135,18 @@ class ConvexPolytope:
                     closed.add(t)
                     queue.append(t)
 
-        grade: dict[int, int] = {}
+        grade = {0: -1}
         for s in sorted(closed, key=int.bit_count):
-            below = (grade[t] for t in (s & pf for pf in per_facet) if t and t != s)
-            grade[s] = 1 + max(below, default=-1)
+            grade[s] = 1 + max([grade[s & pf] for pf in per_facet if s & pf != s], default=-1)
 
         out: list[list[Face]] = [[] for _ in range(self.intrinsic_dim + 1)]
         members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
         for s in sorted(closed, key=members.__getitem__):
-            tight = [j for j, pf in enumerate(per_facet) if pf & s == s]
+            tight = [pf & s == s for pf in per_facet]
             span = AffineSubspace(
                 self.ambient_dim,
-                self.span.rows + tuple(self.facets[j][0] for j in tight),
-                self.span.rhs + tuple(self.facets[j][1] for j in tight),
+                self.span.rows + tuple(compress(normals, tight)),
+                self.span.rhs + tuple(compress(offsets, tight)),
             )
             out[grade[s]].append(Face(members[s], span, grade[s]))
         return tuple(map(tuple, out))
@@ -361,7 +366,7 @@ def _double_description(
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from oracles import brute_min_dilate
 from strategies import clouds
 
-from ehrhart import cli, constructions as C
+from ehrhart import cli, constructions as C, indices
 from ehrhart.errors import InvalidInput
 from ehrhart.indices import IndexSequence, chain_check, index_sequence, mcmullen_check
 from ehrhart.linalg import min_dilate_with_lattice_point
@@ -201,3 +201,50 @@ def test_pentagon_apex_needs_the_solve():
     ]
     assert vertex_gcd(body, apex) == 2
     assert index_sequence(body).values[0] == min_dilate_with_lattice_point(apex.span) == 2
+
+
+@settings(max_examples=150)
+@given(clouds(max_dim=4, max_den=12))
+def test_face_minimal_dilates_obey_the_vertex_and_coface_rules(points):
+    # the two divisibilities index_sequence fixes faces by, read off the
+    # solve alone: m(vertex) = den(vertex), and m(G) | m(F) for F inside G
+    body = from_vertices(points)
+    solved = [
+        {face.vertex_indices: min_dilate_with_lattice_point(face.span) for face in grade}
+        for grade in body.face_lattice
+    ]
+    for (i,), m in solved[0].items():
+        assert m == math.lcm(*(x.denominator for x in body.vertices[i]))
+    for lower, upper in zip(solved, solved[1:]):
+        for face, m in lower.items():
+            cofaces = [g for g in upper if set(face) <= set(g)]
+            assert cofaces
+            assert all(m % upper[g] == 0 for g in cofaces)
+
+
+def counted_solves(monkeypatch, body):
+    """``index_sequence(body)`` and the number of faces it solved."""
+    calls = []
+
+    def solve(span):
+        calls.append(span)
+        return min_dilate_with_lattice_point(span)
+
+    monkeypatch.setattr(indices, "min_dilate_with_lattice_point", solve)
+    return index_sequence(body).values, len(calls)
+
+
+def test_only_the_undecided_faces_are_solved(monkeypatch):
+    half = Fraction(1, 2)
+    triangle = from_vertices([(0, 0, half), (1, 0, half), (0, 1, half)])
+    # every vertex has den 2; the triangle's span z = 1/2 has no lattice point
+    # undilated, and each edge is fixed at 2 by the triangle above it
+    assert counted_solves(monkeypatch, triangle) == ((2, 2, 2), 1)
+    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(3)), 3)
+    assert counted_solves(monkeypatch, cube) == ((1, 1, 1, 1), 0)
+    # the vertex -1/2 is fixed at its den 2, above its coface's index 1
+    segment = C.segment(2)
+    assert counted_solves(monkeypatch, segment) == ((2, 1), 0)
+    monkeypatch.undo()
+    for body in (triangle, cube, segment):
+        assert index_sequence(body).values == solved_index_sequence(body)

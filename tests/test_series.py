@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import clouds, rationals
 
-from ehrhart import constructions as C
+from ehrhart import cli, constructions as C, indices
 from ehrhart.counting import count, count_convex, fitted
-from ehrhart.polytope import denominator, from_vertices
+from ehrhart.polytope import ConvexPolytope, denominator, from_vertices
 from ehrhart.quasipoly import QuasiPolynomial, fit
 from ehrhart.series import (
     EhrhartSeries,
@@ -191,6 +191,23 @@ def test_stanley_nonnegativity_on_convex_family_members(family, n, p):
 @given(clouds(max_dim=3, bound=4))
 def test_stanley_nonnegativity_on_random_clouds(points):
     assert h_star_is_nonnegative(fitted(from_vertices(points))[0])
+
+
+def test_stanley_nonnegativity_on_every_body_verify_all_fits(monkeypatch):
+    # unions are fitted too, but no theorem covers them: only bodies are asserted
+    bodies = []
+
+    def recording(obj, budget=None):
+        bodies.append(obj)
+        return fitted(obj, budget)
+
+    monkeypatch.setattr(cli, "fitted", recording)
+    monkeypatch.setattr(indices, "fitted", recording)
+    assert all(report.outcome == "pass" for report in cli.verify_all(max_p=2))
+    convex = [body for body in bodies if isinstance(body, ConvexPolytope)]
+    assert len(convex) < len(bodies)
+    for body in convex:
+        assert h_star_is_nonnegative(fitted(body)[0]), body
 
 
 def test_a_perturbed_fit_breaks_stanley_nonnegativity():
