@@ -41,19 +41,15 @@ later coordinates. A single system over a 1-D box is one clip of its
 rows, not a walk.
 
 One walk counts each sub-walk once. Below the root and above the last
-level, what the walk of a single live system finds and charges is a
-function of the remaining offsets of the rows it reads, those with a
-nonzero coefficient at its level or a later one: within one walk the
-box, the order and every ``minrest`` are fixed, and every clip, slice
-and charge below reads only those offsets. So ``walk_box`` keeps, for
-the length of one call, ``(count, charge)`` per system, level and those
-offsets, and a repeat adds the count and charges the charge again,
-checking the budget as a walked charge does. Every count and every
-charge is that of the walk without the memo, so the walk raises exactly
-when its total charge exceeds the budget, and nothing outlives the call.
-A level is keyed only where a repeat can happen, where the columns of
-the earlier coordinates on those rows are linearly dependent; the
-skeleton holds the rows, or None.
+level, what the walk of a single live system finds is a function of the
+remaining offsets of the rows it reads, those with a nonzero coefficient
+at its level or a later one: within one walk the box, the order and
+every ``minrest`` are fixed, and every clip and slice below reads only
+those offsets. So ``walk_box`` keeps, for the length of one call, the
+count per system, level and those offsets, and a repeat adds the count;
+nothing outlives the call. A level is keyed only where a repeat can
+happen, where the columns of the earlier coordinates on those rows are
+linearly dependent; the skeleton holds the rows, or None.
 
 A keyed sub-walk recurs along a line when, on the rows it reads, every
 earlier column is an integer multiple of its parent level's column
@@ -62,23 +58,25 @@ col`` for one ``base`` per system, and the values ``x = first..top`` of
 the parent read consecutive positions ``m``. The skeleton marks such a
 parent with one row on which ``col`` is nonzero, which tells the
 position. For each line ``walk_box`` keeps, again for one call, prefix
-sums of ``(count, charge)`` over one run of consecutive positions. A
-range of the parent walks, through the keyed path, only the positions it
-adds to the run; its count is the difference of two prefix sums, and it
-charges the sum of its positions' charges, less what walking the added
-ones already charged, checking the budget once. A range that would leave
-a gap on its line walks each position as before. So a family whose apex
-coordinates enter the normals with equal columns loops over their
-widths, not over their product, and every count and charge is still that
-of the plain walk.
+sums of the counts over one run of consecutive positions. A range of the
+parent walks, through the keyed path, only the positions it adds to the
+run, and its count is the difference of two prefix sums. A range that
+would leave a gap on its line walks each position as before. So a family
+whose apex coordinates enter the normals with equal columns loops over
+their widths, not over their product, and every count is still that of
+the plain walk.
 
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
-overdraw it. It has one charge rule: one node per value of a walked
-coordinate, charged before walking it; the merged envelope pieces of a
-slice counted in closed form, at least one and at most one per value of
-``x``; and nothing for the last coordinate. So a 1-D count never touches
-the budget, a charge never exceeds the points of the box, and a budget
-of box points never refuses a count.
+overdraw it. It has one charge rule, and charges only what it visits:
+one node per value of a walked coordinate, charged before walking it;
+the merged envelope pieces of a slice counted in closed form, at least
+one and at most one per value of ``x``; one node per repeat taken from
+the memo; and nothing for the last coordinate. A range summed along a
+line charges only the positions it walks, its values having been charged
+already. Every kept sub-walk charged at least one node when it was
+walked, so no walk charges more than the plain walk, a 1-D count never
+touches the budget, a charge never exceeds the points of the box, and a
+budget of box points never refuses a count.
 
 The test suite checks the walk against a point-by-point scan of the box
 and, on wider boxes, against a plain row-by-row walk.
@@ -428,18 +426,17 @@ def walk_box(
         nonlocal left
         level = levels[j]
         # a sub-walk that can recur is walked once per walk, and a repeat
-        # replays what it found and charged; each system has its own
-        # ``levels`` for the whole walk, so their id tells systems apart
+        # takes its count for one node; each system has its own ``levels``
+        # for the whole walk, so their id tells systems apart
         reads = level[6]
         if reads is not None:
             key = (id(levels), j, *[rem[i] for i in reads])
-            hit = memo.get(key)
-            if hit is not None:
-                left -= hit[1]
+            found = memo.get(key)
+            if found is not None:
+                left -= 1
                 if left < 0:
                     raise BudgetExceeded(overdrawn)
-                return hit[0]
-            before = left
+                return found
         first, top = _clip(level, rem)
         if top < first:
             return 0
@@ -468,44 +465,33 @@ def walk_box(
                 for x in range(first, top + 1):
                     found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)])
         if reads is not None:
-            memo[key] = found, before - left
+            memo[key] = found
         return found
 
     def along(j: int, levels: list[Level], rem: list[int], first: int, top: int) -> int | None:
         # the sub-walks below x = first..top sit at consecutive positions of
-        # one line per system and level, kept as prefix sums of (count,
-        # charge) over one run of positions; the range walks only what it
-        # adds to the run, and charges the rest at once. None where the
-        # range would leave a gap on the line
-        nonlocal left
+        # one line per system and level, kept as prefix sums of their counts
+        # over one run of positions; the range walks only what it adds to
+        # the run. None where the range would leave a gap on the line
         level = levels[j]
         p, col = level[7], level[2]
         run = runs.get((id(levels), j))
         if run is None:
-            run = runs[id(levels), j] = [rem[p], first, first - 1, {first: (0, 0)}]
+            run = runs[id(levels), j] = [rem[p], first, first - 1, {first: 0}]
         base, lo, hi, sums = run
-        # x's sub-walk reads the offsets base - m * col at m = x + shift
+        # x's sub-walk reads the offsets base - m * col at m = x + shift,
+        # which are origin - m * col on every row
         shift = (base - rem[p]) // col[p]
         a, b = first + shift, top + shift
         if a > hi + 1 or b < lo - 1:
             return None
-        start = left
+        origin = [r + c * shift for r, c in zip(rem, col)]
         for m in range(lo - 1, a - 1, -1):
-            before = left
-            found = one(j + 1, levels, [r - c * (m - shift) for r, c in zip(rem, col)])
-            n, h = sums[m + 1]
-            sums[m] = n - found, h - (before - left)
+            sums[m] = sums[m + 1] - one(j + 1, levels, [r - c * m for r, c in zip(origin, col)])
         for m in range(hi + 1, b + 1):
-            before = left
-            found = one(j + 1, levels, [r - c * (m - shift) for r, c in zip(rem, col)])
-            n, h = sums[m]
-            sums[m + 1] = n + found, h + (before - left)
+            sums[m + 1] = sums[m] + one(j + 1, levels, [r - c * m for r, c in zip(origin, col)])
         run[1], run[2] = min(lo, a), max(hi, b)
-        (n, h), (n2, h2) = sums[a], sums[b + 1]
-        left = start - (h2 - h)
-        if left < 0:
-            raise BudgetExceeded(overdrawn)
-        return n2 - n
+        return sums[b + 1] - sums[a]
 
     found = walk(0, roots)
     return found, budget - left

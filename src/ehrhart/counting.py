@@ -7,9 +7,9 @@ integers, which never overflow; a body and a union enumerate through the
 same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
 ``budget``, which must not be negative) caps what that walk charges, not
 the points of the box: one node per value of a walked coordinate, the
-envelope pieces of each 2-D slice with a single live system, and nothing
-for the last coordinate. The kernel raises ``BudgetExceeded`` once a walk
-overdraws it.
+envelope pieces of each 2-D slice with a single live system, one node per
+sub-walk it reuses rather than walks again, and nothing for the last
+coordinate. The kernel raises ``BudgetExceeded`` once a walk overdraws it.
 
 Product structure is read off inequalities alone:
 ``polytope.coordinate_blocks`` splits a system into the coordinate blocks
@@ -173,6 +173,7 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
         return 0
     systems, lo, hi = found
     left = budget
+    overdrawn = f"inclusion-exclusion costs more than {budget} nodes"
 
     def terms(term: tuple[int, ...], lo: list[int], hi: list[int], offsets: list) -> int:
         """Sum over nonempty sets T of pieces after those of ``term`` of
@@ -185,12 +186,16 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
                 continue
             left -= 1
             if left < 0:
-                raise BudgetExceeded(f"inclusion-exclusion costs more than {budget} nodes")
+                raise BudgetExceeded(overdrawn)
             s_lo, s_hi, _, s_offsets = systems[i]
             lo_i = [max(a, b) for a, b in zip(lo, s_lo)]
             hi_i = [min(a, b) for a, b in zip(hi, s_hi)]
             term_i, offsets_i = term + (i,), offsets + s_offsets
-            here, walked = _count_split(union, term_i, lo_i, hi_i, offsets_i, left)
+            # a walk overdraws what is left, but the caller gave ``budget``
+            try:
+                here, walked = _count_split(union, term_i, lo_i, hi_i, offsets_i, left)
+            except BudgetExceeded:
+                raise BudgetExceeded(overdrawn) from None
             left -= walked
             if here:  # else every larger intersection is empty too
                 total += here - terms(term_i, lo_i, hi_i, offsets_i)

@@ -383,6 +383,14 @@ def test_zero_budget_counts_what_charges_nothing(capsys):
     assert (code, json.loads(out)["count"]) == (0, [3])
 
 
+def test_an_overdrawn_union_names_the_budget_it_was_given(capsys):
+    # barn(4,2) counts by inclusion-exclusion, and at k = 6 a term's walk
+    # overdraws what the subsets before it left of the budget of 3
+    argv = ("count", "--family", "barn", "--n", "4", "--p", "2", "--k", "6", "--budget", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: inclusion-exclusion costs more than 3 nodes\n")
+
+
 TRIANGLE = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 MALFORMED_INPUTS = {
     "vertices-not-a-list": {"ambient_dim": 2, "vertices": 5},

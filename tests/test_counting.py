@@ -239,6 +239,14 @@ def test_budget_counts_walked_nodes_not_box_points(body, k, expected, charged):
             count_convex(body, k, budget=charged - 1)
 
 
+def test_a_body_past_the_hull_cap_counts_under_a_small_budget():
+    # a 10-D product of two pentagon pyramids at k = 8: most of its
+    # sub-walks recur, and each reuse charges one node, so the walk charges
+    # 25023 where walking every reuse again would charge 7479504
+    body = product(C.pentagon_pyramid(5, 2), C.pentagon_pyramid(5, 2))
+    assert count_convex(body, 8, budget=10**5) == 84805681
+
+
 def test_prism_law():
     for n in (3, 4):
         for p in (2, 3):

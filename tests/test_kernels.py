@@ -164,14 +164,15 @@ def test_budget_is_the_exact_node_count(widths):
 
 def test_a_union_charges_pieces_where_one_system_is_live():
     # u <= 2, and u >= 2 with v <= 3 and v + w <= 11, in a box of widths
-    # 4 < 6 < 9: the walk charges the 5 values of u. The slices at u = 0, 1
-    # hold the first piece alone, one envelope piece each, and those at
-    # u = 3, 4 the second, two pieces each (w <= 11 - v takes over from the
-    # side w <= 9 at v = 3). At u = 2 both are live, so the walk charges
-    # the 7 values of v and merges the intervals of w.
+    # 4 < 6 < 9: the walk charges the 5 values of u. The slice at u = 0
+    # holds the first piece alone, one envelope piece, and the one at u = 3
+    # the second, two pieces (w <= 11 - v takes over from the side w <= 9
+    # at v = 3). Neither piece reads u below it, so the slices at u = 1 and
+    # u = 4 reuse those for one node each. At u = 2 both are live, so the
+    # walk charges the 7 values of v and merges the intervals of w.
     lo, hi = [0, 0, 0], [4, 6, 9]
     pieces = [([[1, 0, 0]], [2]), ([[-1, 0, 0], [0, 1, 0], [0, 1, 1]], [-2, 3, 11])]
-    charged = 5 + 2 * 1 + 7 + 2 * 2
+    charged = 5 + (1 + 1) + 7 + (2 + 1)
     points = scan(lo, hi, pieces)
     assert _enum_py.count_box_union(lo, hi, pieces, charged) == points
     assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
@@ -326,32 +327,33 @@ def test_kernel_name_reports_backend():
     assert kernel_name() == "python"
 
 
-# ``walk_box`` ``(count, charge)`` of one body's system at signed dilates,
-# recorded from the walk before it kept its sub-walks: a replayed sub-walk
-# must find and charge what walking it did
+# ``walk_box`` ``(count, charge)`` of one body's system at signed dilates.
+# The counts were recorded from the plain walk, before it kept or summed
+# its sub-walks; the charges are those of the walk that charges one node
+# per reused sub-walk, each at most the plain walk's
 WALK_PINS = {
     "hull(4,2)": (C.hull(4, 2), {
-        1: (65, 9), -1: (0, 0), 2: (440, 24), -2: (0, 1), 5: (8671, 84), -5: (2206, 28),
+        1: (65, 8), -1: (0, 0), 2: (440, 17), -2: (0, 1), 5: (8671, 44), -5: (2206, 19),
     }),
     "hull(4,3)": (C.hull(4, 3), {
-        1: (264, 11), -1: (0, 0), 2: (1974, 24), -2: (0, 1), 5: (41916, 84), -5: (11676, 28),
+        1: (264, 9), -1: (0, 0), 2: (1974, 17), -2: (0, 1), 5: (41916, 44), -5: (11676, 19),
     }),
     "pentagon_pyramid(4,3)": (C.pentagon_pyramid(4, 3), {
-        1: (33, 9), -1: (0, 1), 2: (168, 22), -2: (0, 6), 5: (2535, 87), -5: (342, 52),
+        1: (33, 8), -1: (0, 1), 2: (168, 17), -2: (0, 6), 5: (2535, 53), -5: (342, 36),
     }),
     "hull(5,2)": (C.hull(5, 2), {
-        1: (81, 14), -1: (0, 0), 2: (671, 43), -2: (0, 1), 5: (20950, 230), -5: (1323, 26),
+        1: (81, 11), -1: (0, 0), 2: (671, 23), -2: (0, 1), 5: (20950, 65), -5: (1323, 19),
     }),
     "pentagon_pyramid(5,2)": (C.pentagon_pyramid(5, 2), {
-        1: (15, 13), -1: (0, 1), 2: (76, 49), -2: (0, 3), 5: (1474, 287), -5: (25, 80),
+        1: (15, 13), -1: (0, 1), 2: (76, 26), -2: (0, 3), 5: (1474, 82), -5: (25, 44),
     }),
-    # deeper walks, recorded before sub-walks were summed along their lines
+    # deeper walks, which sum their sub-walks along lines
     "pentagon_pyramid(4,2)": (C.pentagon_pyramid(4, 2), {
-        20: (104236, 1003), 21: (125169, 1089), -20: (60066, 841),
+        20: (104236, 458), 21: (125169, 493), -20: (60066, 399),
     }),
-    "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 364), -12: (619087, 231)}),
-    "hull(5,3)": (C.hull(5, 3), {6: (220836, 343), -6: (25684, 55)}),
-    "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 1114), -8: (3266, 565)}),
+    "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 142), -12: (619087, 96)}),
+    "hull(5,3)": (C.hull(5, 3), {6: (220836, 83), -6: (25684, 30)}),
+    "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 196), -8: (3266, 141)}),
 }
 
 
@@ -361,7 +363,7 @@ def test_walks_find_and_charge_the_pinned_counts(name):
     for k, (found, charged) in pins.items():
         lo, hi, normals, offsets = _dilated_system(body, k)
         assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (found, charged)
-        # the replayed charges overdraw the budget where walking them did
+        # the charge is exact: a budget one below it is refused
         assert _enum_py.walk_box(lo, hi, [(normals, offsets)], charged) == (found, charged)
         if charged:
             with pytest.raises(BudgetExceeded):
@@ -372,7 +374,7 @@ def test_pieces_with_equal_offsets_on_different_rows_keep_apart():
     # x0 <= 1 with x1 + x2 + x3 <= 5, and x0 >= 2 with x1 + 2*x2 - x3 <= 5:
     # each piece is alone on its values of x0, and below x0 both read one
     # row, x0-free, with the remaining offset 5. Their sub-walks share the
-    # level and the offsets but not the rows, so neither may replay the other
+    # level and the offsets but not the rows, so neither may reuse the other
     lo, hi = [0, 0, 0, 0], [3, 4, 5, 6]
     pieces = [
         ([[1, 0, 0, 0], [0, 1, 1, 1]], [1, 5]),
@@ -380,7 +382,7 @@ def test_pieces_with_equal_offsets_on_different_rows_keep_apart():
     ]
     found, _ = _enum_py.walk_box(lo, hi, pieces, 10**9)
     assert found == walk_count(lo, hi, pieces) == scan(lo, hi, pieces)
-    # what the first piece's sub-walk, replayed at all four x0, would give
+    # what the first piece's sub-walk, reused at all four x0, would give
     assert found != 4 * scan(lo[1:], hi[1:], [([[1, 1, 1]], [5])])
 
 
@@ -404,11 +406,11 @@ def recurring_walks(draw):
 
 @settings(max_examples=100)
 @given(recurring_walks())
-def test_a_recurring_sub_walk_counts_and_charges_as_walked(case):
+def test_a_recurring_sub_walk_is_walked_once_and_reused_for_one_node(case):
     # the first coordinate is walked first and its rows are the only ones
     # reading it, so the walk below each of its values is the walk of the
-    # other coordinates: found and charged once, it must be replayed with
-    # the same count and charge for every other value
+    # other coordinates: walked and charged at the first value, it is
+    # reused with the same count for one node at every other value
     lo, hi, normals, offsets = case
     own = len(normals) - sum(1 for row in normals if row[0] == 0)
     values = sum(
@@ -419,8 +421,8 @@ def test_a_recurring_sub_walk_counts_and_charges_as_walked(case):
     found, charged = _enum_py.walk_box(lo[1:], hi[1:], [(rest, offsets[own:])], 10**9)
     whole = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
     assert whole[0] == walk_count(lo, hi, [(normals, offsets)]) == values * found
-    if found:
-        assert whole[1] == values * (1 + charged)
+    if found and values:
+        assert whole[1] == values + charged + (values - 1)
     if whole[1]:
         with pytest.raises(BudgetExceeded):
             _enum_py.walk_box(lo, hi, [(normals, offsets)], whole[1] - 1)
@@ -474,19 +476,49 @@ def lined_walks(draw):
     [[5, 1, 1, 1], [-5, -1, -1, -2], [0, 1, 0, 0]],
     [30, 0, 1],
 ))
-def test_a_lined_walk_counts_and_charges_as_walked(case):
+def test_a_lined_walk_counts_as_walked_and_charges_no_more(case):
     # the sub-walks along one line are summed, not walked one by one; the
-    # count is still the plain walk's, the charge that of the walk which
-    # visits each of them, and the charge still refuses a budget one below it
+    # count is still that of the walk which visits each of them, the charge
+    # at most that walk's, and the charge still refuses a budget one below it
     lo, hi, normals, offsets = case
     found, charged = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
     assert found == walk_count(lo, hi, [(normals, offsets)])
     with mock.patch.object(_enum_py, "_line", lambda rows, prefix: None):
-        assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (found, charged)
+        unsummed = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
+    assert unsummed[0] == found and charged <= unsummed[1]
     assert _enum_py.walk_box(lo, hi, [(normals, offsets)], charged) == (found, charged)
     if charged:
         with pytest.raises(BudgetExceeded):
             _enum_py.walk_box(lo, hi, [(normals, offsets)], charged - 1)
+
+
+def plain_walk(lo, hi, systems):
+    """``walk_box`` with no keyed level: every prefix of columns reports full
+    rank, so no sub-walk is kept or summed, and each is walked wherever it
+    recurs."""
+    with mock.patch.object(_enum_py, "independent_rows", lambda rows: list(range(len(rows)))):
+        return _enum_py.walk_box(lo, hi, systems, 10**9)
+
+
+def one_system(case):
+    lo, hi, normals, offsets = case
+    return lo, hi, [(normals, offsets)]
+
+
+@pytest.mark.parametrize(
+    "walks",
+    [recurring_walks().map(one_system), lined_walks().map(one_system), box_with_systems()],
+    ids=["recurring", "lined", "union"],
+)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_kept_or_summed_sub_walk_charges_at_most_the_plain_walk(walks, data):
+    # a reused sub-walk charges one node where walking it charged at least
+    # one, and a summed range charges only the sub-walks it walks
+    lo, hi, systems = data.draw(walks)
+    found, charged = _enum_py.walk_box(lo, hi, systems, 10**9)
+    plain = plain_walk(lo, hi, systems)
+    assert found == plain[0] and charged <= plain[1]
 
 
 @pytest.mark.parametrize(
