@@ -23,15 +23,18 @@ the body keeps (``counting.fitted``); ``main`` parses with one parser
 built per process.
 
 One verdict rule judges every claim: it passes when every case passes,
-and it is ``skipped`` (exit 0) when no case matches the flags or the
-budget runs out. Each claim counts and compares here, from the bodies
+and it is ``skipped`` (exit 0) when it has no case or the budget runs
+out. Each claim counts and compares here, from the bodies
 ``constructions`` builds; ``decomposition`` too checks its count identity
-on the shared bodies. ``--p``/``--max-p`` accept values from 1, ``--n``/
-``--max-n`` from 3. Flags that would contradict each other (``--k`` and
-``--k-max``, ``--p`` and ``--max-p``, ``--n`` and ``--max-n``, ``--family``
-and ``--input``) are a usage error together, and so are ``--p`` or ``--n``
-with ``--input``, which only a ``--family`` member takes, and ``--n`` with
-a family that takes no dimension. A claim refuses a grid flag for an axis
+on the shared bodies. ``_GRIDS`` alone says which cases a claim runs: a
+claim with a period and a dimension axis runs every ``(n, p)`` of the
+two lists, and a flag replaces a list, never filters it. ``--p``/
+``--max-p`` accept values from 1, ``--n``/``--max-n`` from 3. Flags that
+would contradict each other (``--k`` and ``--k-max``, ``--p`` and
+``--max-p``, ``--n`` and ``--max-n``, ``--family`` and ``--input``) are a
+usage error together, and so are ``--p`` or ``--n`` with ``--input``,
+which only a ``--family`` member takes, and ``--n`` with a family that
+takes no dimension. A claim refuses a grid flag for an axis
 it does not have, except ``--max-p``: every claim accepts it, and the PTE
 claims ignore it. An object subcommand needs a source.
 
@@ -191,9 +194,10 @@ def _cmd_pte(args) -> int:
 #
 # ``_GRIDS`` gives each claim its default periods and dimensions, None for
 # an axis it does not have; ``run_claim`` hands a claim the flags' lists,
-# else these. A claim takes ``p`` where it has a period axis, and ``n`` and
-# ``max_n`` where it has a dimension axis. Every claim takes ``max_p``; the
-# PTE claims, which have neither axis, ignore it: perfbench's verify-p2
+# else these, and a claim with both axes runs every ``(n, p)`` of them. A
+# claim takes ``p`` where it has a period axis, and ``n`` and ``max_n``
+# where it has a dimension axis. Every claim takes ``max_p``; the PTE
+# claims, which have neither axis, ignore it: perfbench's verify-p2
 # workload runs every claim with ``--max-p 2``.
 _GRIDS = {
     "pentagon-equivalence": ([1, 2, 3, 4, 5], None),
@@ -204,7 +208,7 @@ _GRIDS = {
     "decomposition": ([2, 3], [3, 4]),
     "hn-periods": ([2, 3], [3, 4]),
     "barn-periods": ([2, 3], [3, 4, 5]),
-    "mcmullen": ([1, 2, 3], [3, 4, 5]),
+    "mcmullen": ([1, 2, 3], [3, 4]),
     "pte-table": (None, None),
     "product-identity": (None, None),
 }
@@ -304,61 +308,58 @@ def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-# the ``(n, p)`` of the hull claims; each runs those in its ``ns`` and ``ps``
-_HULL_CASES = ((3, 2), (3, 3), (4, 2))
-
-
 def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
     # count(hull) = count(prism) + count(middle) + count(pyramid) minus the
     # two shared facets, which are the pieces' pairwise overlaps and integral
     k_max = 4
     ks = range(1, k_max + 1)
-    hull_cases = [(n, p) for n, p in _HULL_CASES if n in ns and p in ps]
     cases = []
-    for n, p in hull_cases:
-        bodies = {
-            "hull": _body("hull", p, n),
-            "prism": _body("prism", p, n),
-            "middle": _body("middle", p, n),
-            "pyramid": _body("pentagon-pyramid", p, n),
-            "prism_facet": constructions.prism_shared_facet(n, p),
-            "pyramid_facet": constructions.pyramid_shared_facet(n, p),
-        }
-        counts = {name: [count(body, k, budget) for k in ks] for name, body in bodies.items()}
-        first_fail = next(
-            (
-                k
-                for k, h, w, m, y, wf, yf in zip(ks, *counts.values())
-                if h != w + m + y - wf - yf
-            ),
-            None,
-        )
-        flags = [is_integral(bodies[name]) for name in ("middle", "prism_facet", "pyramid_facet")]
-        good = first_fail is None and all(flags)
-        cases.append((f"n={n},p={p}", good, {
-            "ok": good,
-            "first_failing_k": first_fail,
-            "integral_middle": flags[0],
-            "integral_prism_side": flags[1],
-            "integral_pyramid_side": flags[2],
-            "counts": counts,
-        }))
-    # a skipped report names no k_max
-    return ({"cases": hull_cases, "k_max": k_max} if hull_cases else {"cases": []}), cases
+    for n in ns:
+        for p in ps:
+            bodies = {
+                "hull": _body("hull", p, n),
+                "prism": _body("prism", p, n),
+                "middle": _body("middle", p, n),
+                "pyramid": _body("pentagon-pyramid", p, n),
+                "prism_facet": constructions.prism_shared_facet(n, p),
+                "pyramid_facet": constructions.pyramid_shared_facet(n, p),
+            }
+            counts = {name: [count(body, k, budget) for k in ks] for name, body in bodies.items()}
+            first_fail = next(
+                (
+                    k
+                    for k, h, w, m, y, wf, yf in zip(ks, *counts.values())
+                    if h != w + m + y - wf - yf
+                ),
+                None,
+            )
+            flags = [
+                is_integral(bodies[name]) for name in ("middle", "prism_facet", "pyramid_facet")
+            ]
+            good = first_fail is None and all(flags)
+            cases.append((f"n={n},p={p}", good, {
+                "ok": good,
+                "first_failing_k": first_fail,
+                "integral_middle": flags[0],
+                "integral_prism_side": flags[1],
+                "integral_pyramid_side": flags[2],
+                "counts": counts,
+            }))
+    return {"n": ns, "p": ps, "k_max": k_max}, cases
 
 
 def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
-    hull_cases = [(n, p) for n, p in _HULL_CASES if n in ns and p in ps]
     cases = []
-    for n, p in hull_cases:
-        body = _body("hull", p, n)
-        _, good, entry = _periods(body, (1, p) + (1,) * (n - 1), budget)
-        if (n, p) == (3, 2):
-            spot = count(body, 1, budget)
-            good = good and spot == 49
-            entry["count_k1"] = spot
-        cases.append((f"n={n},p={p}", good, entry))
-    return {"cases": hull_cases}, cases
+    for n in ns:
+        for p in ps:
+            body = _body("hull", p, n)
+            _, good, entry = _periods(body, (1, p) + (1,) * (n - 1), budget)
+            if (n, p) == (3, 2):
+                spot = count(body, 1, budget)
+                good = good and spot == 49
+                entry["count_k1"] = spot
+            cases.append((f"n={n},p={p}", good, entry))
+    return {"n": ns, "p": ps}, cases
 
 
 def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
@@ -395,18 +396,15 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
     return {"n": ns, "p": ps}, cases
 
 
-def _mcmullen_targets(ps, ns=_GRIDS["mcmullen"][1]):
-    """The bodies ``mcmullen`` checks: the 2-D families, and the n-bodies of the ``n`` in ``ns``."""
+def _mcmullen_targets(ps, ns):
+    """The bodies ``mcmullen`` checks: the 2-D families at each ``p``, then
+    every n-family at each ``n`` in ``ns``."""
     for p in ps:
         for family in ("segment", "pentagon", "rectangle", "heptagon"):
             yield f"{family} p={p}", _body(family, p)
-        for n in (3, 4, 5):
-            if n in ns:
-                yield f"simplex n={n} p={p}", _body("simplex", p, n)
-        for n in (3, 4):
-            if n in ns:
-                for family in ("prism", "pentagon-pyramid", "hull", "middle"):
-                    yield f"{family} n={n} p={p}", _body(family, p, n)
+        for n in ns:
+            for family in ("simplex", "prism", "pentagon-pyramid", "hull", "middle"):
+                yield f"{family} n={n} p={p}", _body(family, p, n)
 
 
 def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
@@ -426,7 +424,7 @@ def _claim_mcmullen(ps, ns, budget) -> tuple[dict, list]:
             # only divisibility is asserted, the gap is recorded
             entry["linear_gap"] = report.index_sequence[1] // report.period_sequence[1]
         cases.append((label, good, entry))
-    return {"max_p": max(ps)}, cases
+    return {"n": ns, "p": ps}, cases
 
 
 def _claim_pte_table(ps, ns, budget) -> tuple[dict, list]:

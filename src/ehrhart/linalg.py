@@ -82,22 +82,18 @@ def canonical_equation(coeffs: Iterable) -> IntVector:
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Integer row echelon form and its pivot columns.
 
-    Entries are ``int`` or ``Fraction``; each row is first scaled by the
-    lcm of their denominators (a no-op on integer rows). Elimination then
-    uses unimodular steps only: swapping two rows, or subtracting an
-    integer multiple of one row from another. Per column, the row with
-    the least nonzero absolute value below the finished rows is moved up
-    and the others are reduced modulo it, until one nonzero entry is
-    left (Euclid's algorithm on the column). Rows
+    Every caller passes integer rows; ``Fraction`` entries work too, and
+    stay fractions. Elimination uses unimodular steps only: swapping two
+    rows, or subtracting an integer multiple of one row from another. Per
+    column, the row with the least nonzero absolute value below the
+    finished rows is moved up and the others are reduced modulo it, until
+    one nonzero entry is left (Euclid's algorithm on the column). Rows
     are never divided, so the echelon rows span the same lattice as the
-    scaled input, not only the same rational space. The pivot columns are
-    those of the rational row echelon form, and the rows from
-    ``len(pivots)`` on are zero.
+    input, not only the same rational space. The pivot columns are those
+    of the rational row echelon form, and the rows from ``len(pivots)``
+    on are zero.
     """
-    mat = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):

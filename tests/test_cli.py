@@ -514,14 +514,14 @@ def test_verify_all_rejects_a_value_with_its_maximum(grid):
 def test_mcmullen_single_p_runs_that_p_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "mcmullen", "--p", "2")
     report = json.loads(out)
-    assert (code, report["outcome"], report["params"]) == (0, "pass", {"max_p": 2})
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"n": [3, 4], "p": [2]})
     assert report["witness"] and all(label.endswith("p=2") for label in report["witness"])
 
 
 def test_mcmullen_single_n_checks_the_bodies_of_that_n_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "mcmullen", "--n", "3", "--p", "1")
     report = json.loads(out)
-    assert (code, report["outcome"], report["params"]) == (0, "pass", {"max_p": 1})
+    assert (code, report["outcome"], report["params"]) == (0, "pass", {"n": [3], "p": [1]})
     dims = {part for label in report["witness"] for part in label.split() if part.startswith("n=")}
     assert dims == {"n=3"}
     assert "pentagon p=1" in report["witness"] and "hull n=3 p=1" in report["witness"]
@@ -642,16 +642,46 @@ def test_verify_all_takes_the_least_grid_values():
     (report,) = cli.verify_all(p=1, claims=("pentagon-equivalence",))
     assert report.params == {"p": [1]}
     (report,) = cli.verify_all(max_n=3, claims=("hn-periods",))
-    assert report.params == {"cases": [(3, 2), (3, 3)]}
+    assert report.params == {"n": [3], "p": [2, 3]}
+
+
+def grid_labels(claim, ps, ns):
+    """The witness labels of ``claim`` run on periods ``ps`` and dimensions ``ns``."""
+    if claim == "mcmullen":  # every convex family, the 2-D ones at each p alone
+        return {
+            f"{family} n={n} p={p}" if needs_n else f"{family} p={p}"
+            for family, (_, needs_n) in constructions._BUILDERS.items() if family != "barn"
+            for n in ns for p in ps
+        }
+    labels = {f"n={n},p={p}" for n in ns for p in ps}
+    return labels | {"construction_range"} if claim == "barn-periods" else labels
+
+
+@pytest.mark.parametrize("claim", [claim for claim, (ps, ns) in cli._GRIDS.items() if ps and ns])
+def test_a_claim_with_both_axes_runs_exactly_its_grid(claim):
+    report = cli.run_claim(claim)
+    assert (report.outcome, set(report.witness)) == ("pass", grid_labels(claim, *cli._GRIDS[claim]))
+
+
+@pytest.mark.parametrize("claim, max_p", [("hn-periods", 3), ("decomposition", 3), ("mcmullen", 2)])
+def test_a_claim_runs_its_whole_grid_at_5_d(capsys, claim, max_p):
+    # hn-periods --n 5 and decomposition --n 5 used to be skipped, and
+    # mcmullen --n 5 to check the 5-D simplex alone
+    code, out, _ = run_cli(capsys, "verify", claim, "--n", "5", "--max-p", str(max_p))
+    report = json.loads(out)
+    assert (code, report["outcome"]) == (0, "pass")
+    assert set(report["witness"]) == grid_labels(claim, list(range(1, max_p + 1)), [5])
 
 
 @pytest.mark.parametrize("argv, outcome, params", [
-    (("decomposition", "--n", "5"), "skipped: no matching cases", {"cases": []}),
-    (("hn-periods", "--p", "5"), "skipped: no matching cases", {"cases": []}),
-    (
-        ("heptagon", "--budget", "0"),
-        "skipped: budget exceeded (the walk charges more than its budget of 0)",
-        {},
+    # no flag leaves a claim without cases, so the budget is the one way to skip
+    *(
+        (
+            (claim, "--budget", "0"),
+            "skipped: budget exceeded (the walk charges more than its budget of 0)",
+            {},
+        )
+        for claim in ("decomposition", "hn-periods", "heptagon")
     ),
 ])
 def test_skipped_claims_exit_0_with_empty_witness(capsys, argv, outcome, params):
@@ -766,10 +796,13 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
 
 
 # sha256 of the stdout of the default ``ehrhart verify all``. All three
-# ``verify all`` pins moved when ``pyramid-equivalence`` began checking
-# the pyramid law of the series on the (n, p) grid; every other report
-# stayed byte-identical.
-VERIFY_ALL_SHA256 = "d55ebf0a17628cf9ccc135ef497038f252deb8b0429207d616c4a8cc350822b2"
+# ``verify all`` pins moved when every claim began to run exactly the
+# (n, p) of its grid: ``decomposition`` and ``hn-periods`` gained the
+# cases that ``_HULL_CASES`` had dropped (n=4,p=3 by default, p = 1 at
+# ``--max-p``), ``mcmullen`` checks every n-family at n = 3, 4 and no
+# longer its 5-D simplex, and the three claims record their grid in
+# ``params``; every other report stayed byte-identical.
+VERIFY_ALL_SHA256 = "6b8dbad769dbdbd7dc0e8e1720c9fdb18334eba3f138e2798f20dcf42d0b9ac6"
 
 
 def test_verify_all_output_is_unchanged(capsys):
@@ -783,7 +816,7 @@ def test_verify_all_output_is_unchanged(capsys):
 # of the witnesses gained negative keys and lost their largest positive
 # dilates. ``test_verify_all_max_p2_agrees_with_parent_output`` checks that
 # change against the output recorded before it.
-VERIFY_ALL_P2_SHA256 = "f15326c6646d332ba9261ee190571e21246446a0e858a64e2d8b6ef4589ce604"
+VERIFY_ALL_P2_SHA256 = "96ffc8c1cccd9a9160964c9f9d65a0c84b173a2615ca06067e87f4650a743889"
 PARENT_OUTPUT = Path(__file__).parent / "data" / "verify_all_p2_parent.json"
 
 
@@ -804,7 +837,7 @@ def test_verify_all_max_p2_output_is_unchanged_in_a_fresh_process():
 # sha256 of the stdout of ``ehrhart verify all --max-p 6``: the McMullen
 # targets up to p = 6 are fitted on more dilates, each counted from the
 # rows, level skeletons and counts that its body keeps.
-VERIFY_ALL_P6_SHA256 = "9a70c3ca6d8418b0b442b1350b76bfc3b1c92fe7f3c763d76ec71080a3ef4047"
+VERIFY_ALL_P6_SHA256 = "e0ce8ed379c08b51f1882a213028ea060a6c703dedaea20885c66723d0affb1e"
 
 
 def test_verify_all_max_p6_output_is_unchanged(capsys):
@@ -914,6 +947,26 @@ def test_verify_all_max_p2_agrees_with_parent_output(capsys):
     assert [r["outcome"] for r in new] == ["pass"] * len(CLAIMS)
     at = CLAIMS.index("pyramid-equivalence")
     law, _ = new.pop(at), old.pop(at)
+    # the hull claims have since gained p = 1 and mcmullen has lost its 5-D
+    # simplex, as each began to run exactly its grid; the cases both hold
+    # are compared below
+    changed = {
+        "decomposition": ({"n": [3, 4], "p": [1, 2], "k_max": 4}, {"n=3,p=1", "n=4,p=1"}, set()),
+        "hn-periods": ({"n": [3, 4], "p": [1, 2]}, {"n=3,p=1", "n=4,p=1"}, set()),
+        "mcmullen": ({"n": [3, 4], "p": [1, 2]}, set(), {"simplex n=5 p=1", "simplex n=5 p=2"}),
+    }
+    for was, report in zip(old, new):
+        if report["claim"] not in changed:
+            continue
+        params, gained, lost = changed[report["claim"]]
+        assert report["params"] == params
+        assert report["witness"].keys() - was["witness"].keys() == gained
+        assert was["witness"].keys() - report["witness"].keys() == lost
+        was["params"] = params
+        for label in gained:
+            del report["witness"][label]
+        for label in lost:
+            del was["witness"][label]
     dropped, added = [], []
     _compare_with_parent(old, new, "", dropped, added)
     # pyramid-equivalence has since changed what it checks; the parent
@@ -949,7 +1002,7 @@ def test_two_sided_fits_equal_positive_fits(monkeypatch):
         assert two_sided == (not isinstance(obj, PolytopalUnion))
         if two_sided:
             convex.append((obj, qp))
-    assert len(convex) == 30  # the mcmullen targets, which include every other claim's body
+    assert len(convex) == 28  # the mcmullen targets, which include every other claim's body
     for obj, qp in convex:
         assert fit(partial(count, obj), obj.intrinsic_dim, denominator(obj)) == qp
 
@@ -1040,7 +1093,7 @@ DECOMPOSITION_FAMILIES = ["hull", "middle", "pentagon-pyramid", "prism"]
 
 def test_decomposition_claim_passes():
     report = cli.run_claim("decomposition", [2], [3])
-    assert (report.outcome, report.params) == ("pass", {"cases": [(3, 2)], "k_max": 4})
+    assert (report.outcome, report.params) == ("pass", {"n": [3], "p": [2], "k_max": 4})
     entry = report.witness["n=3,p=2"]
     assert entry["ok"] and entry["first_failing_k"] is None
     assert entry["integral_middle"] and entry["integral_prism_side"] and entry["integral_pyramid_side"]

@@ -101,7 +101,7 @@ def test_hull_dimension_cap():
 
 
 def test_decomposition_identity_at_p_1():
-    # the decomposition claim's grid has no p = 1, where every piece is integral
+    # the decomposition claim's default grid has no p = 1, where every piece is integral
     n, p = 3, 1
     pieces = [C.build(f, p, n)[0] for f in ("hull", "prism", "middle", "pentagon-pyramid")]
     pieces += [C.prism_shared_facet(n, p), C.pyramid_shared_facet(n, p)]

@@ -167,7 +167,7 @@ def vertex_gcd(body, face):
 
 
 def test_vertex_denominator_rule_agrees_with_the_solve_on_every_mcmullen_target():
-    for label, body in cli._mcmullen_targets((1, 2, 3)):
+    for label, body in cli._mcmullen_targets((1, 2, 3), (3, 4, 5)):
         assert index_sequence(body).values == solved_index_sequence(body), label
 
 

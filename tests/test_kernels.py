@@ -522,6 +522,32 @@ def test_a_kept_or_summed_sub_walk_charges_at_most_the_plain_walk(walks, data):
 
 
 @pytest.mark.parametrize(
+    "walks",
+    [recurring_walks().map(one_system), lined_walks().map(one_system), box_with_systems()],
+    ids=["recurring", "lined", "union"],
+)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
+    # every clip but the first of each system follows a charged node, so
+    # the charge bounds the work the walk does, not only the nodes it names.
+    # A walk of several systems clips each live one, and clips again the
+    # one it hands alone to the single-system path
+    lo, hi, systems = data.draw(walks)
+    clips = 0
+    clip = _enum_py._clip
+
+    def counted(level, rem):
+        nonlocal clips
+        clips += 1
+        return clip(level, rem)
+
+    with mock.patch.object(_enum_py, "_clip", counted):
+        _, charged = _enum_py.walk_box(lo, hi, systems, 10**9)
+    assert clips <= (len(systems) + (len(systems) > 1)) * (charged + 1)
+
+
+@pytest.mark.parametrize(
     "body, lined",
     [(C.pentagon_pyramid(4, 2), [1]), (C.hull(4, 2), [1]), (C.hull(3, 2), [])],
     ids=["pentagon_pyramid(4,2)", "hull(4,2)", "hull(3,2)"],
