@@ -394,8 +394,8 @@ def walk_box(
             if x_lo <= x_hi:
                 spans.append((x_lo, x_hi, levels, rem))
         if len(spans) < 2:
-            # a system left alone takes the single-system path
-            return one(j, *spans[0][2:]) if spans else 0
+            # a system left alone takes the single-system path, with its clip
+            return one(j, spans[0][2], spans[0][3], spans[0][:2]) if spans else 0
         spans.sort(key=lambda s: s[0])
         if j == last:
             total = 0
@@ -422,7 +422,9 @@ def walk_box(
                 total += walk(j + 1, nxt)
         return total
 
-    def one(j: int, levels: list[Level], rem: list[int]) -> int:
+    def one(
+        j: int, levels: list[Level], rem: list[int], clip: tuple[int, int] | None = None
+    ) -> int:
         nonlocal left
         level = levels[j]
         # a sub-walk that can recur is walked once per walk, and a repeat
@@ -437,7 +439,7 @@ def walk_box(
                 if left < 0:
                     raise BudgetExceeded(overdrawn)
                 return found
-        first, top = _clip(level, rem)
+        first, top = _clip(level, rem) if clip is None else clip
         if top < first:
             return 0
         if j == last:

@@ -5,13 +5,15 @@ The ``i``-index of a polytope is the least dilate whose every
 indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
-independently and reports the comparison: indices from the body's face
-lattice (built on first use and kept; up to dimension 5), periods from
-the fit of raw counts that ``counting.fitted`` keeps with the body. A
-face's minimal dilate divides its vertices' denominators and is divided
-by that of each face containing it, so most faces are fixed by their
-vertices and cofaces; only the rest are solved over the integer lattice
-by ``linalg.min_dilate_with_lattice_point``.
+independently and reports the comparison: indices from the body's faces
+(up to dimension 5), periods from the fit of raw counts that
+``counting.fitted`` keeps with the body. A face's minimal dilate divides
+its vertices' denominators and is divided by that of each face
+containing it. So a face with an integral vertex has index 1, and only
+the faces whose vertices are all non-integral are read
+(``ConvexPolytope.faces_within``); of those, most are fixed by their
+vertices and cofaces, and only the rest have their span derived and are
+solved over the integer lattice by ``linalg.min_dilate_with_lattice_point``.
 """
 
 from __future__ import annotations
@@ -36,31 +38,33 @@ class IndexSequence:
 def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     """The index sequence ``(g_0, ..., g_d)`` over the intrinsic dimension.
 
-    The body's face lattice is walked from the top grade down. Write
-    ``m(F)`` for a face's minimal dilate, whose multiples are the dilates
-    whose span holds a lattice point, and ``den(v)`` for the lcm of the
-    coordinate denominators of vertex ``v``. Two rules are exact:
+    Write ``m(F)`` for a face's minimal dilate, whose multiples are the
+    dilates whose span holds a lattice point, and ``den(v)`` for the lcm
+    of the coordinate denominators of vertex ``v``. Two rules are exact:
 
     - ``m(F)`` divides ``den(v)`` for every vertex ``v`` of ``F``, as
       ``den(v) * v`` lies in ``aff(den(v) * F)``; a vertex has
       ``m = den(v)``, as ``aff(m * v)`` is the point ``m * v``;
     - ``m(G)`` divides ``m(F)`` for every face ``G`` containing ``F``.
 
-    So a face is fixed when the lcm of its cofaces' indices one grade up
-    (1 for the body) equals the gcd of its vertices' ``den``, as it must
-    when that gcd is 1. Only the other faces are solved, in closed form
-    from an integer echelon basis of the lattice spanned by the columns of
-    their span equations. Convex inputs only; the ``i``-index of a union
-    is not defined here.
+    By the first, a face with an integral vertex has ``m = 1`` and adds
+    nothing to an lcm. So only the faces whose vertices are all
+    non-integral are walked, from the top grade down, and a grade with
+    none has index 1. A face is fixed when the lcm of its walked cofaces'
+    indices one grade up (1 if none) equals the gcd of its vertices'
+    ``den``, as it must when that gcd is 1. Only the other faces are
+    solved, in closed form from an integer echelon basis of the lattice
+    spanned by the columns of their span equations. Convex inputs only;
+    the ``i``-index of a union is not defined here.
     """
     if isinstance(poly, PolytopalUnion):
         raise InvalidInput("index sequences are defined for convex polytopes only")
     dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
     values, above = [], []
-    for grade in reversed(poly.face_lattice):
+    for grade in reversed(poly.faces_within(sum(1 << i for i, d in enumerate(dens) if d > 1))):
         here = []
         for face in grade:
-            mask = sum(1 << i for i in face.vertex_indices)
+            mask = face.mask
             m = math.gcd(*(dens[i] for i in face.vertex_indices))
             if face.dim and m > 1 and m != math.lcm(*(g for s, g in above if s & mask == mask)):
                 m = min_dilate_with_lattice_point(face.span)

@@ -10,9 +10,13 @@ projected onto the pivot coordinates of their affine hull, where they
 are full-dimensional, and each facet found there is read back with a
 normal that is zero on the other coordinates. The incidence answers
 every combinatorial question without elimination: which points are
-vertices, and the body's ``face_lattice``, every face graded with its
-span, computed on first use and kept with the body (both capped at
-dimension 5). A body likewise keeps the integer ``rows`` that count its
+vertices, and the faces, graded by one routine over the facets' vertex
+masks. The body's ``face_lattice`` holds them all, computed on first use
+and kept with the body; ``faces_within`` grades only the faces inside a
+vertex mask, which is how ``indices`` reads the faces of the
+non-integral vertices alone (both capped at dimension 5). A face is its
+vertex mask and dimension; its span is derived on first read. A body
+likewise keeps the integer ``rows`` that count its
 dilates, the counts made of them and its fitted quasi-polynomial, and a
 union its counts, its fit and the coordinate blocks of its counted
 intersections (see ``counting``). Translates and products are composed
@@ -27,10 +31,10 @@ their own on first use, and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, count
 from operator import and_, mul
 from typing import Iterable, Sequence
 
@@ -96,37 +100,51 @@ class ConvexPolytope:
         return {}
 
     @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per facet, the bitmask of the vertices tight on it (bit ``i`` for
+        ``vertices[i]``), computed on the vertices scaled to integers."""
+        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        scaled = [[x.numerator * (scale // x.denominator) for x in v] for v in self.vertices]
+        return tuple(
+            sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
+            for a, c in self.facets
+        )
+
+    @cached_property
     def face_lattice(self) -> tuple[tuple["Face", ...], ...]:
         """Every nonempty face, graded: ``[d]`` holds the ``d``-faces in
         order of their vertex indices, and ``[intrinsic_dim]`` is the
-        polytope itself. Built on first use and kept with the body.
+        polytope itself. Built on first use and kept with the body; it is
+        ``faces_within`` at the mask of every vertex."""
+        return self._graded((1 << len(self.vertices)) - 1)
 
-        Every face is an intersection of facets and is recovered, on the
-        vertices scaled to integers, as the bitmask of vertices tight on
-        those facets. Dimensions come from the grading of this lattice: the
-        empty mask has grade -1, and a face one more than the largest of
-        its intersections with the facets not containing it. A face's span
-        is the body's span plus the facets tight on it, since ``aff(F)`` is
-        ``aff(P)`` cut by every facet hyperplane through ``F``. So a vertex's
-        span is the vertex alone, and ``aff(F)`` lies in ``aff(G)`` for every
-        face ``G`` containing ``F``: the vertex rule and the coface rule by
-        which ``indices.index_sequence`` fixes most faces without a solve.
+    def faces_within(self, within: int) -> tuple[tuple["Face", ...], ...]:
+        """The faces whose vertices all lie in the bitmask ``within``,
+        graded as in ``face_lattice``. For the mask of every vertex this is
+        ``face_lattice`` itself; any other sub-lattice is built afresh and
+        not kept."""
+        if within == (1 << len(self.vertices)) - 1:
+            return self.face_lattice
+        return self._graded(within)
+
+    def _graded(self, within: int) -> tuple[tuple["Face", ...], ...]:
+        """The faces inside the vertex mask ``within``, graded.
+
+        Every face is an intersection of facets, so the faces inside
+        ``within`` are among the closure of ``{within}`` under ``&`` with
+        the facet masks of ``incidence``. A closed set ``s`` is a face when
+        the AND of the facet masks containing it is ``s`` itself. The empty
+        mask has grade -1, and a face one more than the largest of its
+        intersections with the facets not containing it, which are faces
+        again; so a face is graded from faces alone, smaller ones first.
         """
         if self.intrinsic_dim > HULL_DIM_CAP:
             raise DimensionCapExceeded(
                 f"face enumeration capped at dimension {HULL_DIM_CAP}, got {self.intrinsic_dim}"
             )
-        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        scaled = [[x.numerator * (scale // x.denominator) for x in v] for v in self.vertices]
-        normals = [a for a, _ in self.facets]
-        offsets = [c for _, c in self.facets]
-        per_facet = [
-            sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
-            for a, c in self.facets
-        ]
-        everything = (1 << len(self.vertices)) - 1
-        closed = {everything}
-        queue = [everything]
+        per_facet = self.incidence
+        closed = {within} if within else set()
+        queue = list(closed)
         while queue:
             s = queue.pop()
             for pf in per_facet:
@@ -135,21 +153,23 @@ class ConvexPolytope:
                     closed.add(t)
                     queue.append(t)
 
-        grade = {0: -1}
-        for s in sorted(closed, key=int.bit_count):
-            grade[s] = 1 + max([grade[s & pf] for pf in per_facet if s & pf != s], default=-1)
-
+        everything = (1 << len(self.vertices)) - 1
         out: list[list[Face]] = [[] for _ in range(self.intrinsic_dim + 1)]
-        members = {s: tuple(i for i in range(len(scaled)) if s >> i & 1) for s in closed}
-        for s in sorted(closed, key=members.__getitem__):
-            tight = [pf & s == s for pf in per_facet]
-            span = AffineSubspace(
-                self.ambient_dim,
-                self.span.rows + tuple(compress(normals, tight)),
-                self.span.rhs + tuple(compress(offsets, tight)),
-            )
-            out[grade[s]].append(Face(members[s], span, grade[s]))
-        return tuple(map(tuple, out))
+        grade = {0: -1}  # of the faces only
+        for s in sorted(closed, key=int.bit_count):
+            top, hull = -1, everything
+            for pf in per_facet:
+                t = s & pf
+                if t == s:
+                    hull &= pf
+                elif t in grade and grade[t] > top:  # only a face's grade is read
+                    top = grade[t]
+            if hull == s:
+                grade[s] = top + 1
+                out[top + 1].append(Face(s, top + 1, self))
+        # in vertex-index order: of two faces of a grade, which never nest,
+        # the first holds the lowest vertex where they differ
+        return tuple(tuple(sorted(g, key=lambda f: bin(f.mask)[:1:-1], reverse=True)) for g in out)
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership: affine-hull equations plus facet inequalities."""
@@ -184,13 +204,34 @@ class ConvexPolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope: its vertex indices, affine span and dimension.
-    The span's rows are the body's span and the facets tight on the face;
-    they may be dependent."""
+    """A face of a polytope: the bitmask of its vertices (bit ``i`` for
+    ``body.vertices[i]``) and its dimension. Its vertex indices and affine
+    span are derived on first read and kept. The span's rows are the
+    body's span and the facets tight on the face; they may be dependent.
+    Since ``aff(F)`` is ``aff(P)`` cut by every facet hyperplane through
+    ``F``, a vertex's span is the vertex alone, and ``aff(F)`` lies in
+    ``aff(G)`` for every face ``G`` containing ``F``: the vertex rule and
+    the coface rule by which ``indices.index_sequence`` fixes most faces
+    without a solve."""
 
-    vertex_indices: tuple[int, ...]
-    span: AffineSubspace
+    mask: int
     dim: int
+    body: ConvexPolytope = field(compare=False, repr=False)
+
+    @cached_property
+    def vertex_indices(self) -> tuple[int, ...]:
+        """The indices of the face's vertices in ``body.vertices``, increasing."""
+        return tuple(compress(count(), map(int, bin(self.mask)[:1:-1])))
+
+    @cached_property
+    def span(self) -> AffineSubspace:
+        body, mask = self.body, self.mask
+        tight = [f for f, pf in zip(body.facets, body.incidence) if pf & mask == mask]
+        return AffineSubspace(
+            body.ambient_dim,
+            body.span.rows + tuple(a for a, _ in tight),
+            body.span.rhs + tuple(c for _, c in tight),
+        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ longer uses.
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
+from typing import NamedTuple
 
 from ehrhart.linalg import (
     AffineSubspace,
@@ -26,7 +27,7 @@ from ehrhart.linalg import (
     integerize,
     vdot,
 )
-from ehrhart.polytope import ConvexPolytope, Face
+from ehrhart.polytope import ConvexPolytope
 
 
 def rref(rows):
@@ -545,6 +546,14 @@ def brute_force_hull(points):
     return ConvexPolytope(n, tuple(extreme), tuple(facets), span, dim)
 
 
+class OracleFace(NamedTuple):
+    """A face as the oracle finds it, apart from the library's ``Face``."""
+
+    vertex_indices: tuple[int, ...]
+    span: AffineSubspace
+    dim: int
+
+
 def brute_force_faces(poly, dim):
     """``faces`` by closing the facet vertex sets under intersection and
     taking the affine hull of every closed set."""
@@ -567,7 +576,7 @@ def brute_force_faces(poly, dim):
         subset = [poly.vertices[i] for i in sorted(idx_set)]
         sub_span, sub_dim = affine_hull(subset, poly.ambient_dim)
         if sub_dim == dim:
-            out.append(Face(tuple(sorted(idx_set)), sub_span, sub_dim))
+            out.append(OracleFace(tuple(sorted(idx_set)), sub_span, sub_dim))
     return out
 
 

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_faces, brute_force_hull, rank
 from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import embed_product, faces, from_vertices
+from ehrhart.polytope import Face, embed_product, faces, from_vertices
 
 F = Fraction
 
@@ -117,3 +118,23 @@ def test_face_lattice_equals_oracle_on_random_clouds(points):
     assert len(lattice) == body.intrinsic_dim + 1
     for dim, grade in enumerate(lattice):
         _assert_faces_match_oracle(body, grade, brute_force_faces(body, dim))
+
+
+def test_the_face_oracle_builds_no_library_face():
+    body = C.pentagon_pyramid(3, 2)
+    assert not any(
+        isinstance(face, Face) for dim in range(4) for face in brute_force_faces(body, dim)
+    )
+
+
+@settings(max_examples=60)
+@given(clouds(max_dim=4, max_den=12), st.data())
+def test_faces_within_a_mask_are_the_lattice_faces_inside_it(points, data):
+    body = from_vertices(points)
+    everything = (1 << len(body.vertices)) - 1
+    within = data.draw(st.integers(0, everything), label="within")
+    sub = body.faces_within(within)  # built before the whole lattice, from the facets alone
+    assert len(sub) == body.intrinsic_dim + 1
+    for got, grade in zip(sub, body.face_lattice):
+        _assert_faces_match_oracle(body, got, [f for f in grade if f.mask & within == f.mask])
+    assert body.faces_within(everything) is body.face_lattice

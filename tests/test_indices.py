@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from oracles import brute_min_dilate
 from strategies import clouds
 
-from ehrhart import cli, constructions as C, indices
+from ehrhart import cli, constructions as C, indices, polytope
 from ehrhart.errors import InvalidInput
 from ehrhart.indices import IndexSequence, chain_check, index_sequence, mcmullen_check
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import denominator, embed_product, faces, from_vertices
+from ehrhart.polytope import denominator, embed_product, faces, from_vertices, is_integral
 from ehrhart.pte import PteSolution
 
 
@@ -248,3 +248,22 @@ def test_only_the_undecided_faces_are_solved(monkeypatch):
     monkeypatch.undo()
     for body in (triangle, cube, segment):
         assert index_sequence(body).values == solved_index_sequence(body)
+
+
+def test_the_index_of_a_family_body_reads_only_its_non_integral_faces():
+    body = C.hull(4, 2)
+    values = index_sequence(body).values
+    assert "face_lattice" not in vars(body)
+    assert values == solved_index_sequence(body)
+
+
+def test_an_integral_body_has_index_one_without_building_a_face(monkeypatch):
+    body = C.middle(4, 2)
+    assert is_integral(body)
+
+    def no_face(*args):
+        raise AssertionError("a face was built")
+
+    monkeypatch.setattr(polytope, "Face", no_face)
+    assert index_sequence(body).values == (1, 1, 1, 1, 1)
+    assert "face_lattice" not in vars(body)

@@ -531,9 +531,15 @@ def test_a_kept_or_summed_sub_walk_charges_at_most_the_plain_walk(walks, data):
 def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
     # every clip but the first of each system follows a charged node, so
     # the charge bounds the work the walk does, not only the nodes it names.
-    # A walk of several systems clips each live one, and clips again the
-    # one it hands alone to the single-system path
+    # A walk of several systems clips each live one once, and hands the one
+    # left alone to the single-system path with its clip
     lo, hi, systems = data.draw(walks)
+    clips, (_, charged) = clipped_walk(lo, hi, systems)
+    assert clips <= len(systems) * (charged + 1)
+
+
+def clipped_walk(lo, hi, systems):
+    """The number of ``_clip`` calls of one ``walk_box``, and its result."""
     clips = 0
     clip = _enum_py._clip
 
@@ -543,8 +549,16 @@ def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
         return clip(level, rem)
 
     with mock.patch.object(_enum_py, "_clip", counted):
-        _, charged = _enum_py.walk_box(lo, hi, systems, 10**9)
-    assert clips <= (len(systems) + (len(systems) > 1)) * (charged + 1)
+        walked = _enum_py.walk_box(lo, hi, systems, 10**9)
+    return clips, walked
+
+
+def test_a_system_left_alone_is_not_clipped_again():
+    # both systems are clipped at the first level, where the second allows
+    # nothing (x <= 0 and x >= 1), so the first goes on alone with its clip
+    clips, walked = clipped_walk([0, 0], [1, 0], [([], []), ([[1, 0], [-1, 0]], [0, -1])])
+    assert walked == (2, 0)
+    assert clips == 2
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,19 @@ def test_face_lattice_is_built_once_and_shared_by_every_reader():
         assert all(f is g for f, g in zip(grade, body.face_lattice[i], strict=True))
 
 
+def test_a_face_derives_its_vertices_and_span_on_first_read():
+    body = C.pentagon(2)
+    edge = body.face_lattice[1][0]
+    assert vars(edge).keys() == {"mask", "dim", "body"}
+    assert edge.vertex_indices == (0, 1) and edge.mask == 0b11
+    assert all(edge.span.contains(body.vertices[i]) for i in edge.vertex_indices)
+    assert {"vertex_indices", "span"} <= vars(edge).keys()
+    # the body is left out of equality and repr
+    twin = C.pentagon(2).face_lattice[1][0]
+    assert twin == edge and twin.body is not edge.body
+    assert repr(edge) == "Face(mask=3, dim=1)"
+
+
 def test_faces_returns_a_copy_of_its_grade():
     body = C.pentagon(2)
     edges = faces(body, 1)
