@@ -11,11 +11,22 @@ that order, keeping per live system one remaining offset
 ``c - a . (fixed part)`` per inequality. At every level each row's test
 ``a_j * x + (least contribution of the later coordinates) <= remaining``
 is monotone in ``x``, so each system's feasible values of the coordinate
-form one interval, computed exactly by floor division. The walk visits
-the hull of those intervals and passes a system down only inside its
-own. It runs on Python integers and therefore never overflows. A
-coordinate the box fixes (``lo == hi``) is substituted into the offsets,
-not walked.
+form one interval, computed exactly by floor division. It runs on Python
+integers and therefore never overflows. A coordinate the box fixes
+(``lo == hi``) is substituted into the offsets, not walked.
+
+One system, be it a body, an intersection of pieces or a piece alone,
+is counted as the product of its ``coordinate_blocks``, which no row
+couples. If a row of some block holds at no box point, the count is 0
+before any walk; else each block is walked alone, under the budget the
+earlier ones left. A block of one coordinate is one clip, not a walk.
+
+Several systems are walked together, never split. Each level is cut at
+the start of every live system's interval and after its end. A stretch
+between two cuts where one system is live goes to that system's own
+walk; one where several are is charged and walked value by value, or at
+the last coordinate adds its width, so a point in several systems is
+counted once. Gaps are neither walked nor charged.
 
 A 2-D slice over the last two coordinates ``(x, y)`` in which a single
 system is live, over more than one value of ``x``, is counted in closed
@@ -26,19 +37,18 @@ integers of ``x`` are piecewise linear, found with integer
 cross-multiplication only. On each piece of their merge, one linear
 inequality keeps the ``x`` where the upper bound ``U`` reaches the lower
 bound ``L``, and there the column counts are ``floor(U) - ceil(L) + 1``,
-summed by ``floor_sum``. Elsewhere the walk reaches the last coordinate,
-whose intervals it merges and counts, so a point in several systems is
-counted once.
+summed by ``floor_sum``. Elsewhere the walk reaches the last coordinate
+and counts its interval.
 
 A walk needs per level the coordinate's column and the rows split by the
 sign of their coefficient, and at the second-to-last level the slice's
 lines. These depend only on the rows and the walk order, so ``Rows``, a
 system's rows, keeps one such skeleton per order it is walked in; a body
 counted at many dilates builds it once per order (the order follows the
-box, so it may change with ``k``). Per count the walk fills in only the
-box bounds, the root offsets and each row's least contribution of the
-later coordinates. A single system over a 1-D box is one clip of its
-rows, not a walk.
+box, so it may change with ``k``). ``Rows`` likewise keeps its blocks,
+each with its own ``Rows``. Per count the walk fills in only the box
+bounds, the root offsets and each row's least contribution of the later
+coordinates.
 
 One walk counts each sub-walk once. Below the root and above the last
 level, what the walk of a single live system finds is a function of the
@@ -49,7 +59,10 @@ those offsets. So ``walk_box`` keeps, for the length of one call, the
 count per system, level and those offsets, and a repeat adds the count;
 nothing outlives the call. A level is keyed only where a repeat can
 happen, where the columns of the earlier coordinates on those rows are
-linearly dependent; the skeleton holds the rows, or None.
+linearly dependent; the skeleton holds the rows, or None. A stretch of a
+union's level where a system is live alone over only part of its
+interval is not the whole sub-walk from that level, so it neither reads
+nor writes the memo there.
 
 A keyed sub-walk recurs along a line when, on the rows it reads, every
 earlier column is an integer multiple of its parent level's column
@@ -84,6 +97,8 @@ and, on wider boxes, against a plain row-by-row walk.
 
 from __future__ import annotations
 
+from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .errors import BudgetExceeded
@@ -163,16 +178,46 @@ def _line(rows: list[int], prefix: list[list[int]]) -> int | None:
     return rows[p]
 
 
+def coordinate_blocks(rows: Sequence[Sequence]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The finest split of the coordinates that no row couples: each block's
+    coordinates and the indices of the rows that read them, by least
+    coordinate. A body whose facet rows split into several blocks is the
+    product of its projections onto them. A coordinate no row reads, or a
+    row that reads none, is a block of its own."""
+    blocks = [({j}, []) for j in range(len(rows[0]) if rows else 0)]
+    for i, row in enumerate(rows):
+        cols, members = {j for j, a in enumerate(row) if a}, [i]
+        for block in [b for b in blocks if b[0] & cols]:
+            blocks.remove(block)
+            cols |= block[0]
+            members += block[1]
+        blocks.append((cols, members))
+    return sorted((tuple(sorted(cols)), tuple(sorted(members))) for cols, members in blocks)
+
+
 class Rows(tuple):
-    """The integer rows of one system, keeping the skeleton of every walk
-    order they are walked in: rows counted at many dilates build each
-    skeleton once. The walk takes plain row lists too and then builds the
-    skeleton per count."""
+    """The integer rows of one system, keeping its ``blocks`` and the
+    skeleton of every walk order they are walked in: rows counted at many
+    dilates split and build each skeleton once. ``walk_box`` wraps plain
+    row lists once per call."""
 
     def __new__(cls, rows: Sequence[Sequence[int]]) -> "Rows":
         self = super().__new__(cls, map(tuple, rows))
         self.skeletons = {}
         return self
+
+    @cached_property
+    def blocks(self) -> list[tuple[tuple[int, ...], tuple[int, ...], "Rows"]]:
+        """The ``coordinate_blocks`` of the rows, each with its own rows
+        restricted to its coordinates; a single block is these rows
+        themselves, not a copy."""
+        split = coordinate_blocks(self)
+        if len(split) == 1:
+            return [(*split[0], self)]
+        return [
+            (cols, members, Rows([[self[i][j] for j in cols] for i in members]))
+            for cols, members in split
+        ]
 
     def skeleton(self, order: tuple[int, ...]) -> tuple[list, list]:
         found = self.skeletons.get(order)
@@ -182,7 +227,7 @@ class Rows(tuple):
 
 
 def _levels(
-    lo: Sequence[int], hi: Sequence[int], normals: Sequence[Sequence[int]], offsets: Sequence[int]
+    lo: Sequence[int], hi: Sequence[int], normals: Rows, offsets: Sequence[int]
 ) -> tuple[list[Level], list[int]] | None:
     """Per-level rows and root offsets of one system, in walk order; None
     when no box point satisfies it. The root offsets have the fixed
@@ -190,10 +235,7 @@ def _levels(
     no test there: the level above, or this root check, already made it."""
     walked = (j for j in range(len(lo)) if lo[j] < hi[j])
     order = tuple(sorted(walked, key=lambda j: (hi[j] - lo[j], j)))
-    if isinstance(normals, Rows):
-        fixed, skeleton = normals.skeleton(order)
-    else:
-        fixed, skeleton = _skeleton(normals, order)
+    fixed, skeleton = normals.skeleton(order)
     rem = list(offsets)
     for j, nonzero in fixed:
         for i, a in nonzero:
@@ -238,15 +280,13 @@ def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
 def _interval(
     x_lo: int, x_hi: int, normals: Sequence[Sequence[int]], offsets: Sequence[int]
 ) -> int:
-    """Integers ``x_lo <= x <= x_hi`` with ``a * x <= c`` for every row ``(a,)``
-    and offset ``c``: one clip, no walk."""
+    """Integers ``x_lo <= x <= x_hi`` with ``a * x <= c`` for every row ``(a,)``,
+    ``a != 0``, and offset ``c``: one clip, no walk."""
     for (a,), c in zip(normals, offsets):
         if a > 0:
             x_hi = min(x_hi, c // a)
-        elif a < 0:
+        else:
             x_lo = max(x_lo, -(c // -a))
-        elif c < 0:
-            return 0
     return max(x_hi - x_lo + 1, 0)
 
 
@@ -366,71 +406,74 @@ def walk_box(
     budget: int,
 ) -> tuple[int, int]:
     """Points of the box lying in at least one of the ``(normals, offsets)``
-    systems, and what the walk charged for them."""
+    systems, and what the walk charged for them. One system is counted as
+    the product of its blocks; several are walked together, unsplit, and
+    none give ``(0, 0)``."""
     if any(l > h for l, h in zip(lo, hi)):
         return 0, 0
-    if len(lo) == 1 and len(systems) == 1:
-        return _interval(lo[0], hi[0], *systems[0]), 0
-    roots = [root for normals, offsets in systems if (root := _levels(lo, hi, normals, offsets))]
-    if not roots:
+    systems = [(n if isinstance(n, Rows) else Rows(n), offsets) for n, offsets in systems]
+    if len(systems) != 1:
+        roots = [root for rows, offsets in systems if (root := _levels(lo, hi, rows, offsets))]
+        found, parts = (1 if roots else 0), [roots]
+    elif not systems[0][0]:
+        return prod(h - l + 1 for l, h in zip(lo, hi)), 0
+    else:
+        # each block alone, after a root check of every block
+        [(rows, offsets)] = systems
+        found, parts = 1, []
+        for cols, members, sub in rows.blocks:
+            b_lo, b_hi = [lo[j] for j in cols], [hi[j] for j in cols]
+            b_offsets = [offsets[i] for i in members]
+            if len(cols) == 1:
+                found *= _interval(b_lo[0], b_hi[0], sub, b_offsets)
+            elif root := _levels(b_lo, b_hi, sub, b_offsets):
+                parts.append([root])
+            else:
+                return 0, 0
+    if not found:
         return 0, 0
-    last = len(roots[0][0]) - 1
-    if last < 0:
-        return 1, 0
-    plane = last - 1
-    y_lo, y_hi = roots[0][0][last][:2]
     left = budget
     overdrawn = f"the walk charges more than its budget of {budget}"
     memo = {}
     runs = {}
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
+        # between two cuts the same systems are live: one walks its stretch
+        # alone, several walk each value, or merge at the last level. An
+        # empty clip makes no cut, which would split another's stretch
         nonlocal left
-        if len(live) == 1:
-            return one(j, *live[0])
-        spans = []
-        for levels, rem in live:
-            x_lo, x_hi = _clip(levels[j], rem)
-            if x_lo <= x_hi:
-                spans.append((x_lo, x_hi, levels, rem))
-        if len(spans) < 2:
-            # a system left alone takes the single-system path, with its clip
-            return one(j, spans[0][2], spans[0][3], spans[0][:2]) if spans else 0
-        spans.sort(key=lambda s: s[0])
-        if j == last:
-            total = 0
-            cur_lo, cur_hi = spans[0][:2]
-            for s_lo, s_hi, _, _ in spans[1:]:
-                if s_lo > cur_hi + 1:
-                    total += cur_hi - cur_lo + 1
-                    cur_lo, cur_hi = s_lo, s_hi
-                else:
-                    cur_hi = max(cur_hi, s_hi)
-            return total + cur_hi - cur_lo + 1
-        first, top = spans[0][0], max(s[1] for s in spans)
-        left -= top - first + 1
-        if left < 0:
-            raise BudgetExceeded(overdrawn)
+        spans = [(*_clip(levels[j], rem), levels, rem) for levels, rem in live]
+        spans = [s for s in spans if s[0] <= s[1]]
+        cuts = sorted({s[0] for s in spans} | {s[1] + 1 for s in spans})
         total = 0
-        for x in range(first, top + 1):
-            nxt = [
-                (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
-                for x_lo, x_hi, levels, rem in spans
-                if x_lo <= x <= x_hi
-            ]
-            if nxt:
-                total += walk(j + 1, nxt)
+        for start, stop in zip(cuts, cuts[1:]):
+            here = [s for s in spans if s[0] <= start and stop <= s[1] + 1]
+            if len(here) == 1:
+                # only a stretch over the whole clip is the sub-walk from here
+                x_lo, x_hi, levels, rem = here[0]
+                total += one(j, levels, rem, (start, stop - 1), x_lo == start and x_hi == stop - 1)
+            elif here and j == len(live[0][0]) - 1:
+                total += stop - start
+            elif here:
+                left -= stop - start
+                if left < 0:
+                    raise BudgetExceeded(overdrawn)
+                for x in range(start, stop):
+                    total += walk(j + 1, [
+                        (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
+                        for _, _, levels, rem in here
+                    ])
         return total
 
     def one(
-        j: int, levels: list[Level], rem: list[int], clip: tuple[int, int] | None = None
+        j: int, levels: list[Level], rem: list[int], clip: tuple | None = None, whole: bool = True
     ) -> int:
         nonlocal left
         level = levels[j]
         # a sub-walk that can recur is walked once per walk, and a repeat
-        # takes its count for one node; each system has its own ``levels``
-        # for the whole walk, so their id tells systems apart
-        reads = level[6]
+        # takes its count for one node; each system and block has its own
+        # ``levels`` for the whole walk, so their id tells them apart
+        reads = level[6] if whole else None
         if reads is not None:
             key = (id(levels), j, *[rem[i] for i in reads])
             found = memo.get(key)
@@ -442,16 +485,16 @@ def walk_box(
         first, top = _clip(level, rem) if clip is None else clip
         if top < first:
             return 0
-        if j == last:
+        if j == len(levels) - 1:
             return top - first + 1
         # a slice of one column costs less as one more clip below
-        if j == plane and first < top:
+        if level[5] is not None and first < top:
             upper, lower = level[5]
             found, pieces = _plane(
                 first,
                 top,
-                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, y_hi)],
-                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -y_lo)],
+                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, levels[-1][1])],
+                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -levels[-1][0])],
             )
             left -= pieces
             if left < 0:
@@ -495,5 +538,9 @@ def walk_box(
         run[1], run[2] = min(lo, a), max(hi, b)
         return sums[b + 1] - sums[a]
 
-    found = walk(0, roots)
+    for part in parts:
+        if part[0][0]:  # else the root check found the part's one box point
+            found *= one(0, *part[0]) if len(part) == 1 else walk(0, part)
+        if not found:
+            break
     return found, budget - left

@@ -5,36 +5,36 @@ system by ``k``), intersect with the integer bounding box of the dilate,
 and walk it with the per-row interval kernel of ``_enum_py`` on Python
 integers, which never overflow; a body and a union enumerate through the
 same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
-``budget``, which must not be negative) caps what that walk charges, not
-the points of the box: one node per value of a walked coordinate, the
-envelope pieces of each 2-D slice with a single live system, one node per
-sub-walk it reuses rather than walks again, and nothing for the last
-coordinate. The kernel raises ``BudgetExceeded`` once a walk overdraws it.
+``budget``, which must not be negative) caps what that walk charges by
+the kernel's one charge rule, not the points of the box; the kernel
+raises ``BudgetExceeded`` once a walk overdraws it.
 
-Product structure is read off inequalities alone:
-``polytope.coordinate_blocks`` splits a system into the coordinate blocks
-that no inequality couples. When the facets of every piece split into at
-least two blocks, as those of the barns' product pieces do, the union is
-counted by inclusion-exclusion over every intersection of its pieces
-(Beck & Robins, *Computing the Continuous Discretely*). An intersection
-of H-polytopes is their stacked inequality system, so each term is
-counted from the pieces' own inequalities, as the product of its counts
-on its blocks; that split is what makes high-dimensional product bodies
-tractable. A subset is extended only while its intersection has lattice
-points. The terms share one budget: each subset visited costs one node
-plus the nodes its walks visit. Any other union enumerates its points
-directly, which never splits a system, so the two routes check each
-other; ``count_convex`` enumerates even a product body.
+Product structure is read off inequalities alone: the kernel counts
+every single system as the product of its counts on its coordinate
+blocks, those that no inequality couples (``_enum_py.coordinate_blocks``),
+which is what makes high-dimensional product bodies tractable. When the
+facets of every piece split into at least two blocks, as those of the
+barns' product pieces do, the union is counted by inclusion-exclusion
+over every intersection of its pieces (Beck & Robins, *Computing the
+Continuous Discretely*). An intersection of H-polytopes is their stacked
+inequality system, so each term is one system, counted from the pieces'
+own inequalities. A subset is extended only while its intersection has
+lattice points. The terms share one budget: each subset visited costs
+one node plus the nodes its walks visit. Any other union enumerates its
+points directly, walking its pieces' systems together; that walk never
+splits a system, so the two routes still check each other. The split
+itself is checked against a plain walk (``oracles.walk_count``) and a
+point-by-point scan in the tests.
 
 What a count does not need ``k`` for is built once and kept with the
 body or union, never in a module-level cache. A body keeps its integer
-``rows`` (with the kernel's level skeletons) and its ``dilate_counts``,
-so each signed ``(k, budget)`` is counted once; a union keeps its
-``dilate_counts`` by ``(k, strategy, budget)`` and the ``term_blocks``
-of each intersection of pieces, by piece indices. Both keep their
-``fitted`` quasi-polynomial in ``fits``, by budget. A count or fit that
-overdraws its budget is never kept, so a smaller budget still raises.
-Per dilate only the box, the offsets and the walk are computed.
+``rows`` (with the kernel's blocks and level skeletons) and its
+``dilate_counts``, so each signed ``(k, budget)`` is counted once; a
+union keeps its ``dilate_counts`` by ``(k, strategy, budget)`` and the
+``term_rows`` of each intersection of pieces, by piece indices. Both
+keep their ``fitted`` quasi-polynomial in ``fits``, by budget. A count
+or fit that overdraws its budget is never kept, so a smaller budget
+still raises. Per dilate only the box, offsets and walk are computed.
 
 ``count(obj, k)`` is ``L(k)``. Ehrhart-Macdonald reciprocity defines it
 for a convex body at every ``k != 0``: ``L_P(-k) = (-1)**dim P`` times the
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from . import _enum_py
 from .errors import BudgetExceeded, InvalidInput
-from .polytope import ConvexPolytope, PolytopalUnion, coordinate_blocks, denominator
+from .polytope import ConvexPolytope, PolytopalUnion, denominator
 from .quasipoly import QuasiPolynomial, fit
 
 DEFAULT_BUDGET = 10**9
@@ -115,7 +115,7 @@ def count_convex(poly: ConvexPolytope, k: int, budget: int | None = None) -> int
 def _piece_systems(union: PolytopalUnion, k: int):
     """The dilated systems of the pieces of ``k * union``, None for a piece
     without box points, and the box that holds them all; None when every
-    piece is empty."""
+    piece is empty, which either route counts as 0."""
     systems = [_dilated_system(piece, k) for piece in union.pieces]
     found = [s for s in systems if s is not None]
     if not found:
@@ -125,53 +125,13 @@ def _piece_systems(union: PolytopalUnion, k: int):
     return systems, lo, hi
 
 
-def _union_enumerate(union: PolytopalUnion, k: int, budget: int) -> int:
-    found = _piece_systems(union, k)
-    if found is None:
-        return 0
-    systems, lo, hi = found
+def _union_enumerate(union: PolytopalUnion, systems: list, lo: list, hi: list, budget: int) -> int:
     return _enum_py.count_box_union(lo, hi, [s[2:] for s in systems if s is not None], budget)
 
 
-def _term_blocks(union: PolytopalUnion, term: tuple[int, ...]) -> list:
-    """The union's ``term_blocks`` entry for the intersection of the pieces
-    ``term``, built on first use."""
-    blocks = union.term_blocks.get(term)
-    if blocks is None:
-        rows = [row for i in term for row in union.pieces[i].rows]
-        blocks = union.term_blocks[term] = [
-            (cols, members, _enum_py.Rows([[rows[i][j] for j in cols] for i in members]))
-            for cols, members in coordinate_blocks(rows)
-        ]
-    return blocks
-
-
-def _count_split(union: PolytopalUnion, term: tuple[int, ...], lo, hi, offsets, budget: int):
-    """``count_box`` of the stacked system of the pieces ``term``, as the
-    product of its counts on its ``coordinate_blocks``, and what those
-    walks charged. The rows of a bounded piece touch every coordinate, so
-    the blocks cover them all."""
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0, 0
-    total, walked = 1, 0
-    for cols, members, rows in _term_blocks(union, term):
-        found, nodes = _enum_py.walk_box(
-            [lo[j] for j in cols],
-            [hi[j] for j in cols],
-            [(rows, [offsets[i] for i in members])],
-            budget - walked,
-        )
-        total, walked = total * found, walked + nodes
-        if total == 0:
-            break
-    return total, walked
-
-
-def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> int:
-    found = _piece_systems(union, k)
-    if found is None:
-        return 0
-    systems, lo, hi = found
+def _union_inclusion_exclusion(
+    union: PolytopalUnion, systems: list, lo: list, hi: list, budget: int
+) -> int:
     left = budget
     overdrawn = f"inclusion-exclusion costs more than {budget} nodes"
 
@@ -191,9 +151,14 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
             lo_i = [max(a, b) for a, b in zip(lo, s_lo)]
             hi_i = [min(a, b) for a, b in zip(hi, s_hi)]
             term_i, offsets_i = term + (i,), offsets + s_offsets
+            rows = union.term_rows.get(term_i)
+            if rows is None:
+                rows = union.term_rows[term_i] = _enum_py.Rows(
+                    [row for j in term_i for row in union.pieces[j].rows]
+                )
             # a walk overdraws what is left, but the caller gave ``budget``
             try:
-                here, walked = _count_split(union, term_i, lo_i, hi_i, offsets_i, left)
+                here, walked = _enum_py.walk_box(lo_i, hi_i, [(rows, offsets_i)], left)
             except BudgetExceeded:
                 raise BudgetExceeded(overdrawn) from None
             left -= walked
@@ -207,10 +172,8 @@ def _union_inclusion_exclusion(union: PolytopalUnion, k: int, budget: int) -> in
 def _union_strategy(union: PolytopalUnion) -> str:
     """What ``'auto'`` means for ``union``: inclusion-exclusion when the
     facets of every piece split into at least two coordinate blocks, else
-    enumeration. A piece is full-dimensional, so its rows are its facets,
-    and its one-piece ``term_blocks`` entry, which inclusion-exclusion
-    counts from, holds that split."""
-    if all(len(_term_blocks(union, (i,))) > 1 for i in range(len(union.pieces))):
+    enumeration. A piece is full-dimensional, so its rows are its facets."""
+    if all(len(piece.rows.blocks) > 1 for piece in union.pieces):
         return "inclusion-exclusion"
     return "enumerate"
 
@@ -243,7 +206,8 @@ def count_union(
     key = (k, strategy, budget)
     found = union.dilate_counts.get(key)
     if found is None:
-        found = union.dilate_counts[key] = route(union, k, budget)
+        pieces = _piece_systems(union, k)
+        found = union.dilate_counts[key] = 0 if pieces is None else route(union, *pieces, budget)
     return found
 
 

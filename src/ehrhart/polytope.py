@@ -18,11 +18,12 @@ non-integral vertices alone (both capped at dimension 5). A face is its
 vertex mask and dimension; its span is derived on first read. A body
 likewise keeps the integer ``rows`` that count its
 dilates, the counts made of them and its fitted quasi-polynomial, and a
-union its counts, its fit and the coordinate blocks of its counted
+union its counts, its fit and the stacked rows of its counted
 intersections (see ``counting``). Translates and products are composed
 directly, without re-running the hull, so high-dimensional product
 bodies stay cheap. Whether a body is a product is read off its
-inequalities alone, by ``coordinate_blocks``.
+inequalities alone, by the kernel's ``coordinate_blocks``, and a product
+is counted as the product of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure.
@@ -38,7 +39,7 @@ from itertools import compress, count
 from operator import and_, mul
 from typing import Iterable, Sequence
 
-from ._enum_py import Rows
+from ._enum_py import Rows, coordinate_blocks
 from .errors import DimensionCapExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
@@ -241,7 +242,8 @@ class PolytopalUnion:
     When the facets of every piece split into several coordinate blocks
     (``coordinate_blocks``), as those of the products ``embed_product``
     builds do, the union is counted by inclusion-exclusion; every overlap
-    that it subtracts is counted from the pieces' own inequalities.
+    that it subtracts is counted from the pieces' own inequalities, kept
+    stacked in ``term_rows``.
     """
 
     ambient_dim: int
@@ -270,10 +272,10 @@ class PolytopalUnion:
         return {}
 
     @cached_property
-    def term_blocks(self) -> dict[tuple[int, ...], list]:
+    def term_rows(self) -> dict[tuple[int, ...], Rows]:
         """Per intersection of pieces that ``counting`` has counted, keyed by
-        the piece indices: the ``coordinate_blocks`` of the pieces' stacked
-        rows, each with its own rows restricted to its coordinates."""
+        the piece indices: the pieces' stacked rows, which keep their
+        coordinate blocks and walk skeletons."""
         return {}
 
     def __repr__(self) -> str:
@@ -478,22 +480,6 @@ def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:
     for i, x in zip(coords, values):
         out[i] = x
     return tuple(out)
-
-
-def coordinate_blocks(rows: Sequence[Sequence]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The finest split of the coordinates that no row couples: each block's
-    coordinates and the indices of the rows that read them, by least
-    coordinate. A body whose facet rows split into several blocks is the
-    product of its projections onto them. No block holds an unread coordinate."""
-    blocks: list[tuple[set[int], list[int]]] = []
-    for i, row in enumerate(rows):
-        cols, members = {j for j, a in enumerate(row) if a}, [i]
-        for block in [b for b in blocks if b[0] & cols]:
-            blocks.remove(block)
-            cols |= block[0]
-            members += block[1]
-        blocks.append((cols, members))
-    return sorted((tuple(sorted(cols)), tuple(sorted(members))) for cols, members in blocks)
 
 
 def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:

@@ -240,11 +240,35 @@ def test_budget_counts_walked_nodes_not_box_points(body, k, expected, charged):
 
 
 def test_a_body_past_the_hull_cap_counts_under_a_small_budget():
-    # a 10-D product of two pentagon pyramids at k = 8: most of its
-    # sub-walks recur, and each reuse charges one node, so the walk charges
-    # 25023 where walking every reuse again would charge 7479504
+    # a 10-D product of two pentagon pyramids at k = 8 is counted as the
+    # square of one pyramid's count: its two walks charge 364 in all, where
+    # one walk of the whole body charged 25023
     body = product(C.pentagon_pyramid(5, 2), C.pentagon_pyramid(5, 2))
     assert count_convex(body, 8, budget=10**5) == 84805681
+
+
+def test_a_product_fits_from_its_factors_walks():
+    # each count walks hull(3, 2) and pentagon(3) apart and charges at most
+    # 93; one walk of the 5-D body charged up to 227679 at one sample
+    hull, pentagon = C.hull(3, 2), C.pentagon(3)
+    _, samples = fitted(product(hull, pentagon), budget=1000)
+    assert samples == {k: count(hull, k) * count(pentagon, k) for k in samples}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (C.heptagon(2), C.heptagon(3)),
+        (C.simplex(3, 2), C.pentagon(3)),
+        (C.segment(2), C.pentagon_pyramid(3, 2)),
+        (C.prism(3, 2), C.interval(-1, 2)),
+    ],
+    ids=["heptagon(2)xheptagon(3)", "simplex(3,2)xpentagon(3)", "segment(2)xpyramid", "prism(3,2)xinterval"],
+)
+def test_a_product_counts_as_its_factors_on_both_sides_of_zero(first, second):
+    body = product(first, second)
+    for k in (1, 2, 3, -1, -2, -3):
+        assert count_convex(body, k) == count(first, k) * count(second, k)
 
 
 def test_prism_law():

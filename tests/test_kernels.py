@@ -146,38 +146,61 @@ def test_union_kernel_merges_intervals_once():
 
 @pytest.mark.parametrize("widths", [(1, 2, 3), (2, 5, 9), (3, 4, 5)])
 def test_budget_is_the_exact_node_count(widths):
-    # row-free box with side widths a < b < c, listed out of order: the walk
-    # charges a + 1 values of the narrowest coordinate, and each leaves a
-    # slice over the other two whose envelopes are the box's sides, one
-    # piece each; a union of that one system charges the same
+    # a box with side widths a < b < c, listed out of order, and one row
+    # that couples all three coordinates but never binds: the walk charges
+    # a + 1 values of the narrowest coordinate, and each leaves a slice over
+    # the other two whose envelopes are the box's sides, one piece each; a
+    # union of that one system charges the same
     a, b, c = widths
     lo, hi = [0, -3, 7], [b, c - 3, 7 + a]
+    system = ([[1, 1, 1]], [sum(hi) + 1])
     charged = (a + 1) + (a + 1)
     points = (a + 1) * (b + 1) * (c + 1)
-    assert _enum_py.walk_box(lo, hi, [([], [])], charged) == (points, charged)
-    assert _enum_py.count_box_union(lo, hi, [([], [])], charged) == points
+    assert _enum_py.walk_box(lo, hi, [system], charged) == (points, charged)
+    assert _enum_py.count_box_union(lo, hi, [system], charged) == points
     with pytest.raises(BudgetExceeded):
-        _enum_py.count_box(lo, hi, [], [], charged - 1)
+        _enum_py.count_box(lo, hi, *system, charged - 1)
     with pytest.raises(BudgetExceeded):
-        _enum_py.count_box_union(lo, hi, [([], [])], charged - 1)
+        _enum_py.count_box_union(lo, hi, [system], charged - 1)
+    # without the row no coordinate is read: the count is the product of
+    # the widths, and charges nothing
+    assert _enum_py.walk_box(lo, hi, [([], [])], 0) == (points, 0)
 
 
 def test_a_union_charges_pieces_where_one_system_is_live():
     # u <= 2, and u >= 2 with v <= 3 and v + w <= 11, in a box of widths
-    # 4 < 6 < 9: the walk charges the 5 values of u. The slice at u = 0
-    # holds the first piece alone, one envelope piece, and the one at u = 3
-    # the second, two pieces (w <= 11 - v takes over from the side w <= 9
-    # at v = 3). Neither piece reads u below it, so the slices at u = 1 and
-    # u = 4 reuse those for one node each. At u = 2 both are live, so the
-    # walk charges the 7 values of v and merges the intervals of w.
+    # 4 < 6 < 9. The first piece is live alone at u = 0, 1, and the second
+    # at u = 3, 4: each stretch charges its 2 values of u. The slice at
+    # u = 0 is one envelope piece, and the one at u = 3 two (w <= 11 - v
+    # takes over from the side w <= 9 at v = 3). Neither piece reads u below
+    # it, so the slices at u = 1 and u = 4 reuse those for one node each.
+    # At u = 2 both are live: the walk charges that value, then the 4 values
+    # v = 0..3 where both are live, whose intervals of w it merges, and one
+    # envelope piece for the slice v = 4..6, where the first is live alone.
     lo, hi = [0, 0, 0], [4, 6, 9]
     pieces = [([[1, 0, 0]], [2]), ([[-1, 0, 0], [0, 1, 0], [0, 1, 1]], [-2, 3, 11])]
-    charged = 5 + (1 + 1) + 7 + (2 + 1)
+    charged = (2 + 1 + 1) + (1 + 4 + 1) + (2 + 2 + 1)
     points = scan(lo, hi, pieces)
     assert _enum_py.count_box_union(lo, hi, pieces, charged) == points
     assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
     with pytest.raises(BudgetExceeded):
         _enum_py.count_box_union(lo, hi, pieces, charged - 1)
+
+
+def test_a_stretch_with_one_live_piece_is_a_slice_in_closed_form():
+    # x <= 12 with x + y <= 25, and x >= 5 with y <= x, in [0, 20]^2. At the
+    # second-to-last level, x, the first piece is live alone on x = 0..4
+    # and the second on x = 13..20. Each stretch is one slice in closed
+    # form, charged its one envelope piece: the side y <= 20 there, and the
+    # line y <= x. Only the 8 values x = 5..12, where both are live, are
+    # charged one node each, and their intervals of y are merged
+    lo, hi = [0, 0], [20, 20]
+    pieces = [([[1, 0], [1, 1]], [12, 25]), ([[-1, 0], [-1, 1]], [-5, 0])]
+    charged = 1 + 8 + 1
+    points = scan(lo, hi, pieces)
+    assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
+    with pytest.raises(BudgetExceeded):
+        _enum_py.walk_box(lo, hi, pieces, charged - 1)
 
 
 def test_last_coordinate_costs_no_nodes():
@@ -243,7 +266,7 @@ def planes(draw):
 @settings(max_examples=400)
 @given(planes())
 @example(([0, -10], [6, 10], [[1, -2], [-1, 2]], [0, 0]))  # x = 2y: only even x
-@example(([0, 0], [4, 9], [[3, 0], [0, 0]], [7, 0]))  # rows without y clip x
+@example(([0, 0], [4, 9], [[3, 0], [0, 0], [1, 1]], [7, 0, 20]))  # rows without y clip x
 @example(([0, 0], [9, 9], [[1, 1], [1, 1], [2, 2]], [5, 5, 11]))  # equal, parallel
 @example(([-3, -3], [3, 3], [[1, 1], [-1, -1]], [-1, -1]))  # empty strip
 def test_plane_counts_against_pointwise_scan(case):
@@ -251,8 +274,10 @@ def test_plane_counts_against_pointwise_scan(case):
     found, charged = _enum_py.walk_box(lo, hi, [(normals, offsets)], box_points(lo, hi))
     assert found == scan(lo, hi, [(normals, offsets)])
     # one slice: at most one envelope piece per value of the narrower
-    # coordinate, and at least one when it has points
-    assert (found > 0) <= charged <= min(h - l for l, h in zip(lo, hi)) + 1
+    # coordinate, and at least one when it has points and a row couples
+    # the two; else each coordinate is a block of its own, counted alone
+    coupled = any(all(row) for row in normals)
+    assert (found > 0 and coupled) <= charged <= min(h - l for l, h in zip(lo, hi)) + 1
     far = [10**20, -3 * 10**20]
     assert (
         _enum_py.count_box(
@@ -305,6 +330,50 @@ def test_count_box_union_against_plain_walk_on_wide_boxes(case):
     assert _enum_py.count_box_union(lo, hi, union, box_points(lo, hi)) == walk_count(lo, hi, union)
 
 
+@st.composite
+def split_systems(draw):
+    """Two systems on disjoint coordinates, the first ``a`` and the next
+    ``b`` (1-3 each), in a box with one more coordinate, read by no row;
+    when ``empty``, the second has a row that no box point satisfies."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lo = [draw(st.integers(-5, 2)) for _ in range(a + b + 1)]
+    hi = [l + draw(st.integers(0, 5)) for l in lo]
+    first, second = draw(systems(a)), draw(systems(b))
+    empty = draw(st.booleans())
+    if empty:
+        second[0].append([1] + [0] * (b - 1))
+        second[1].append(lo[a] - 1)
+    return a, lo, hi, first, second, empty
+
+
+@settings(max_examples=200)
+@given(split_systems())
+def test_a_system_on_disjoint_coordinates_is_the_product_of_its_blocks(case):
+    # the stacked system counts the product of its parts' counts and the
+    # unread coordinate's width, charges the sum of their charges under
+    # one budget, and stops at a part that no box point satisfies before
+    # it walks any
+    a, lo, hi, (normals_a, offsets_a), (normals_b, offsets_b), empty = case
+    b = len(lo) - a - 1
+    found_a, charged_a = _enum_py.walk_box(lo[:a], hi[:a], [(normals_a, offsets_a)], 10**9)
+    found_b, charged_b = _enum_py.walk_box(lo[a:-1], hi[a:-1], [(normals_b, offsets_b)], 10**9)
+    assert found_a == scan(lo[:a], hi[:a], [(normals_a, offsets_a)])
+    assert found_b == scan(lo[a:-1], hi[a:-1], [(normals_b, offsets_b)])
+    stacked = [row + [0] * (b + 1) for row in normals_a] + [[0] * a + row + [0] for row in normals_b]
+    system = (stacked, offsets_a + offsets_b)
+    found, charged = _enum_py.walk_box(lo, hi, [system], 10**9)
+    assert found == found_a * found_b * (hi[-1] - lo[-1] + 1)
+    if empty:
+        assert (found, charged) == (0, 0)
+    elif found:
+        assert charged == charged_a + charged_b
+        if charged:
+            with pytest.raises(BudgetExceeded):
+                _enum_py.walk_box(lo, hi, [system], charged - 1)
+    else:
+        assert charged <= charged_a + charged_b
+
+
 FAMILY_BODIES = {
     "pentagon": C.pentagon(3),
     "heptagon": C.heptagon(2),
@@ -354,6 +423,9 @@ WALK_PINS = {
     "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 142), -12: (619087, 96)}),
     "hull(5,3)": (C.hull(5, 3), {6: (220836, 83), -6: (25684, 30)}),
     "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 196), -8: (3266, 141)}),
+    # its level-3 sub-walk reads x1 + x2 + x3 and x2 + x3, a pair that
+    # neither a line nor a block split covers: only the memo reuses it
+    "middle(5,1)": (C.middle(5, 1), {9: (29326, 1246), -9: (5348, 474)}),
 }
 
 
@@ -406,11 +478,11 @@ def recurring_walks(draw):
 
 @settings(max_examples=100)
 @given(recurring_walks())
-def test_a_recurring_sub_walk_is_walked_once_and_reused_for_one_node(case):
-    # the first coordinate is walked first and its rows are the only ones
-    # reading it, so the walk below each of its values is the walk of the
-    # other coordinates: walked and charged at the first value, it is
-    # reused with the same count for one node at every other value
+def test_a_coordinate_only_its_own_rows_read_is_a_factor_of_the_count(case):
+    # the rows reading the first coordinate read no other, so it is a block
+    # of its own, counted by one clip: the count is its values times the
+    # count of the other coordinates, and only their walk charges. A block
+    # without values is found before any walk, which then charges nothing
     lo, hi, normals, offsets = case
     own = len(normals) - sum(1 for row in normals if row[0] == 0)
     values = sum(
@@ -421,8 +493,7 @@ def test_a_recurring_sub_walk_is_walked_once_and_reused_for_one_node(case):
     found, charged = _enum_py.walk_box(lo[1:], hi[1:], [(rest, offsets[own:])], 10**9)
     whole = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
     assert whole[0] == walk_count(lo, hi, [(normals, offsets)]) == values * found
-    if found and values:
-        assert whole[1] == values + charged + (values - 1)
+    assert whole[1] == (charged if values else 0)
     if whole[1]:
         with pytest.raises(BudgetExceeded):
             _enum_py.walk_box(lo, hi, [(normals, offsets)], whole[1] - 1)
@@ -529,13 +600,35 @@ def test_a_kept_or_summed_sub_walk_charges_at_most_the_plain_walk(walks, data):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
-    # every clip but the first of each system follows a charged node, so
-    # the charge bounds the work the walk does, not only the nodes it names.
-    # A walk of several systems clips each live one once, and hands the one
-    # left alone to the single-system path with its clip
+    # every clip but the first of each walk follows a charged node, so the
+    # charge bounds the work the walk does, not only the nodes it names. A
+    # walk of several systems clips each live one once, and hands a stretch
+    # where one is live alone to the single-system path with its clip. One
+    # system walks each block of two or more coordinates from one uncharged
+    # root clip; a block of one coordinate is counted without a clip
     lo, hi, systems = data.draw(walks)
     clips, (_, charged) = clipped_walk(lo, hi, systems)
-    assert clips <= len(systems) * (charged + 1)
+    if len(systems) > 1:
+        assert clips <= len(systems) * (charged + 1)
+    else:
+        walked = sum(len(cols) > 1 for cols, _, _ in _enum_py.Rows(systems[0][0]).blocks)
+        assert clips <= charged + walked
+
+
+def test_each_block_of_one_system_takes_one_clip_without_a_charge():
+    # x0 = 0 with x0 + x1 <= 5, and x2 = 0 with x2 + x3 <= 5: two blocks,
+    # each one value of its first coordinate, charged, then one clip of its
+    # second. The walk of both together charged 5 for the same 4 clips
+    lo, hi = [0, 0, 0, 0], [1, 1, 1, 1]
+    block = [[1, 0], [-1, 0], [1, 1]]
+    normals = [row + [0, 0] for row in block] + [[0, 0] + row for row in block]
+    clips, walked = clipped_walk(lo, hi, [(normals, [0, 0, 5] * 2)])
+    assert walked == (4, 2)
+    assert clips == 4
+
+
+def test_no_systems_hold_no_point():
+    assert _enum_py.walk_box([0, 0], [3, 3], [], 10) == (0, 0)
 
 
 def clipped_walk(lo, hi, systems):
@@ -559,6 +652,10 @@ def test_a_system_left_alone_is_not_clipped_again():
     clips, walked = clipped_walk([0, 0], [1, 0], [([], []), ([[1, 0], [-1, 0]], [0, -1])])
     assert walked == (2, 0)
     assert clips == 2
+    # nor is its stretch cut where the empty clip would start or end: alone
+    # over its whole clip, it is one slice of one envelope piece
+    pieces = [([], []), ([[1, 0], [-1, 0]], [-1, 0])]
+    assert _enum_py.walk_box([-1, 0], [0, 1], pieces, 1) == (4, 1)
 
 
 @pytest.mark.parametrize(
