@@ -24,9 +24,9 @@ earlier ones left. A block of one coordinate is one clip, not a walk.
 Several systems are walked together, never split. Each level is cut at
 the start of every live system's interval and after its end. A stretch
 between two cuts where one system is live goes to that system's own
-walk; one where several are is charged and walked value by value, or at
-the last coordinate adds its width, so a point in several systems is
-counted once. Gaps are neither walked nor charged.
+walk; one where several are is walked value by value, or at the last
+coordinate adds its width, so a point in several systems is counted
+once. Gaps are neither walked nor charged.
 
 A 2-D slice over the last two coordinates ``(x, y)`` in which a single
 system is live, over more than one value of ``x``, is counted in closed
@@ -80,16 +80,14 @@ their widths, not over their product, and every count is still that of
 the plain walk.
 
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
-overdraw it. It has one charge rule, and charges only what it visits:
-one node per value of a walked coordinate, charged before walking it;
-the merged envelope pieces of a slice counted in closed form, at least
-one and at most one per value of ``x``; one node per repeat taken from
-the memo; and nothing for the last coordinate. A range summed along a
-line charges only the positions it walks, its values having been charged
-already. Every kept sub-walk charged at least one node when it was
-walked, so no walk charges more than the plain walk, a 1-D count never
-touches the budget, a charge never exceeds the points of the box, and a
-budget of box points never refuses a count.
+overdraw it. It has one charge rule: one node per sub-walk entered below
+the root (a value of a walked coordinate, a position a line walks, a
+repeat taken from the memo), and one per merged envelope piece of a
+slice counted in closed form, at most one per value of ``x``. Nothing
+else is charged, not even a position summed from prefix sums, so no walk
+charges more than the plain walk, a 1-D count never touches the budget,
+a charge never exceeds the points of the box, and a budget of box points
+never refuses a count.
 
 The test suite checks the walk against a point-by-point scan of the box
 and, on wider boxes, against a plain row-by-row walk.
@@ -442,6 +440,10 @@ def walk_box(
         # alone, several walk each value, or merge at the last level. An
         # empty clip makes no cut, which would split another's stretch
         nonlocal left
+        if j:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
         spans = [(*_clip(levels[j], rem), levels, rem) for levels, rem in live]
         spans = [s for s in spans if s[0] <= s[1]]
         cuts = sorted({s[0] for s in spans} | {s[1] + 1 for s in spans})
@@ -455,9 +457,6 @@ def walk_box(
             elif here and j == len(live[0][0]) - 1:
                 total += stop - start
             elif here:
-                left -= stop - start
-                if left < 0:
-                    raise BudgetExceeded(overdrawn)
                 for x in range(start, stop):
                     total += walk(j + 1, [
                         (levels, [r - a * x for r, a in zip(rem, levels[j][2])])
@@ -469,18 +468,19 @@ def walk_box(
         j: int, levels: list[Level], rem: list[int], clip: tuple | None = None, whole: bool = True
     ) -> int:
         nonlocal left
+        # a stretch handed over with its clip was entered by the union's walk
+        if j and clip is None:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(overdrawn)
         level = levels[j]
         # a sub-walk that can recur is walked once per walk, and a repeat
-        # takes its count for one node; each system and block has its own
-        # ``levels`` for the whole walk, so their id tells them apart
+        # takes its count; each system and block has its own ``levels`` for
+        # the whole walk, so their id tells them apart
         reads = level[6] if whole else None
         if reads is not None:
             key = (id(levels), j, *[rem[i] for i in reads])
-            found = memo.get(key)
-            if found is not None:
-                left -= 1
-                if left < 0:
-                    raise BudgetExceeded(overdrawn)
+            if (found := memo.get(key)) is not None:
                 return found
         first, top = _clip(level, rem) if clip is None else clip
         if top < first:
@@ -500,9 +500,6 @@ def walk_box(
             if left < 0:
                 raise BudgetExceeded(overdrawn)
         else:
-            left -= top - first + 1
-            if left < 0:
-                raise BudgetExceeded(overdrawn)
             found = None if level[7] is None else along(j, levels, rem, first, top)
             if found is None:
                 col = level[2]

@@ -5,9 +5,9 @@ system by ``k``), intersect with the integer bounding box of the dilate,
 and walk it with the per-row interval kernel of ``_enum_py`` on Python
 integers, which never overflow; a body and a union enumerate through the
 same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
-``budget``, which must not be negative) caps what that walk charges by
-the kernel's one charge rule, not the points of the box; the kernel
-raises ``BudgetExceeded`` once a walk overdraws it.
+``budget``, which must not be negative) caps what that walk charges: a
+node per sub-walk entered below the root and per envelope piece of a
+slice, not the points of the box. An overdraw raises ``BudgetExceeded``.
 
 Product structure is read off inequalities alone: the kernel counts
 every single system as the product of its counts on its coordinate
@@ -20,7 +20,7 @@ Continuous Discretely*). An intersection of H-polytopes is their stacked
 inequality system, so each term is one system, counted from the pieces'
 own inequalities. A subset is extended only while its intersection has
 lattice points. The terms share one budget: each subset visited costs
-one node plus the nodes its walks visit. Any other union enumerates its
+one node plus what its walks charge. Any other union enumerates its
 points directly, walking its pieces' systems together; that walk never
 splits a system, so the two routes still check each other. The split
 itself is checked against a plain walk (``oracles.walk_count``) and a
@@ -190,7 +190,9 @@ def count_union(
     coordinate blocks select inclusion-exclusion over every intersection
     of the pieces, each counted from their stacked inequalities. Otherwise
     the union's bounding box is enumerated, counting points lying in at
-    least one piece once; that route is also the cross-check.
+    least one piece once; that route is also the cross-check. ``'auto'``
+    reads the pieces' structure alone: for many overlapping product pieces,
+    pass ``strategy='enumerate'``.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidInput(f"a union's dilation factor must be a positive integer, got {k!r}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -128,6 +129,20 @@ def test_overlaps_of_product_pieces_are_computed():
     assert routes(union) == {"inclusion-exclusion"}
     for strategy in ("inclusion-exclusion", "enumerate"):
         assert count_union(union, 1, strategy=strategy) == 12  # [0,3] x [0,2]
+
+
+def test_many_overlapping_product_pieces_count_alike_on_both_routes():
+    # ten translates of [0,4]^3 by the first ten vectors of {0,1,2}^3: every
+    # piece splits, so 'auto' takes inclusion-exclusion, where all 1023
+    # intersections hold points; enumeration walks the box once
+    cube = product(product(C.interval(0, 4), C.interval(0, 4)), C.interval(0, 4))
+    shifts = list(itertools.product(range(3), repeat=3))[:10]
+    union = PolytopalUnion(3, tuple(cube.translate(v) for v in shifts))
+    assert count(union, 1) == 270
+    assert routes(union) == {"inclusion-exclusion"}
+    for k, points in ((1, 270), (2, 1683)):
+        for strategy in ("inclusion-exclusion", "enumerate"):
+            assert count_union(union, k, strategy=strategy) == points
 
 
 def test_three_piece_union_counts_its_triple_overlap():

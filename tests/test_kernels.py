@@ -170,16 +170,17 @@ def test_budget_is_the_exact_node_count(widths):
 def test_a_union_charges_pieces_where_one_system_is_live():
     # u <= 2, and u >= 2 with v <= 3 and v + w <= 11, in a box of widths
     # 4 < 6 < 9. The first piece is live alone at u = 0, 1, and the second
-    # at u = 3, 4: each stretch charges its 2 values of u. The slice at
-    # u = 0 is one envelope piece, and the one at u = 3 two (w <= 11 - v
-    # takes over from the side w <= 9 at v = 3). Neither piece reads u below
-    # it, so the slices at u = 1 and u = 4 reuse those for one node each.
-    # At u = 2 both are live: the walk charges that value, then the 4 values
-    # v = 0..3 where both are live, whose intervals of w it merges, and one
-    # envelope piece for the slice v = 4..6, where the first is live alone.
+    # at u = 3, 4: each slice charges one node where it is entered. The
+    # slice at u = 0 is one envelope piece, and the one at u = 3 two
+    # (w <= 11 - v takes over from the side w <= 9 at v = 3). Neither piece
+    # reads u below it, so the slices at u = 1 and u = 4 reuse those for
+    # only their entry node. At u = 2 both are live: the walk charges that
+    # value, then the 4 values v = 0..3 where both are live, whose intervals
+    # of w it merges, and one envelope piece for the slice v = 4..6, where
+    # the first is live alone.
     lo, hi = [0, 0, 0], [4, 6, 9]
     pieces = [([[1, 0, 0]], [2]), ([[-1, 0, 0], [0, 1, 0], [0, 1, 1]], [-2, 3, 11])]
-    charged = (2 + 1 + 1) + (1 + 4 + 1) + (2 + 2 + 1)
+    charged = (1 + 1 + 1) + (1 + 4 + 1) + (1 + 2 + 1)
     points = scan(lo, hi, pieces)
     assert _enum_py.count_box_union(lo, hi, pieces, charged) == points
     assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
@@ -399,33 +400,34 @@ def test_kernel_name_reports_backend():
 # ``walk_box`` ``(count, charge)`` of one body's system at signed dilates.
 # The counts were recorded from the plain walk, before it kept or summed
 # its sub-walks; the charges are those of the walk that charges one node
-# per reused sub-walk, each at most the plain walk's
+# per sub-walk it enters, a reused one included, and nothing for a
+# position summed along a line, each at most the plain walk's
 WALK_PINS = {
     "hull(4,2)": (C.hull(4, 2), {
-        1: (65, 8), -1: (0, 0), 2: (440, 17), -2: (0, 1), 5: (8671, 44), -5: (2206, 19),
+        1: (65, 7), -1: (0, 0), 2: (440, 14), -2: (0, 1), 5: (8671, 29), -5: (2206, 16),
     }),
     "hull(4,3)": (C.hull(4, 3), {
-        1: (264, 9), -1: (0, 0), 2: (1974, 17), -2: (0, 1), 5: (41916, 44), -5: (11676, 19),
+        1: (264, 8), -1: (0, 0), 2: (1974, 14), -2: (0, 1), 5: (41916, 29), -5: (11676, 16),
     }),
     "pentagon_pyramid(4,3)": (C.pentagon_pyramid(4, 3), {
-        1: (33, 8), -1: (0, 1), 2: (168, 17), -2: (0, 6), 5: (2535, 53), -5: (342, 36),
+        1: (33, 7), -1: (0, 1), 2: (168, 13), -2: (0, 5), 5: (2535, 29), -5: (342, 21),
     }),
     "hull(5,2)": (C.hull(5, 2), {
-        1: (81, 11), -1: (0, 0), 2: (671, 23), -2: (0, 1), 5: (20950, 65), -5: (1323, 19),
+        1: (81, 9), -1: (0, 0), 2: (671, 17), -2: (0, 1), 5: (20950, 35), -5: (1323, 15),
     }),
     "pentagon_pyramid(5,2)": (C.pentagon_pyramid(5, 2), {
-        1: (15, 13), -1: (0, 1), 2: (76, 26), -2: (0, 3), 5: (1474, 82), -5: (25, 44),
+        1: (15, 12), -1: (0, 1), 2: (76, 17), -2: (0, 3), 5: (1474, 35), -5: (25, 21),
     }),
     # deeper walks, which sum their sub-walks along lines
     "pentagon_pyramid(4,2)": (C.pentagon_pyramid(4, 2), {
-        20: (104236, 458), 21: (125169, 493), -20: (60066, 399),
+        20: (104236, 103), 21: (125169, 107), -20: (60066, 93),
     }),
-    "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 142), -12: (619087, 96)}),
-    "hull(5,3)": (C.hull(5, 3), {6: (220836, 83), -6: (25684, 30)}),
-    "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 196), -8: (3266, 141)}),
+    "hull(4,3) deep": (C.hull(4, 3), {12: (1035811, 64), -12: (619087, 51)}),
+    "hull(5,3)": (C.hull(5, 3), {6: (220836, 41), -6: (25684, 21)}),
+    "pentagon_pyramid(5,3)": (C.pentagon_pyramid(5, 3), {8: (29403, 59), -8: (3266, 46)}),
     # its level-3 sub-walk reads x1 + x2 + x3 and x2 + x3, a pair that
     # neither a line nor a block split covers: only the memo reuses it
-    "middle(5,1)": (C.middle(5, 1), {9: (29326, 1246), -9: (5348, 474)}),
+    "middle(5,1)": (C.middle(5, 1), {9: (29326, 796), -9: (5348, 354)}),
 }
 
 
@@ -584,8 +586,8 @@ def one_system(case):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_a_kept_or_summed_sub_walk_charges_at_most_the_plain_walk(walks, data):
-    # a reused sub-walk charges one node where walking it charged at least
-    # one, and a summed range charges only the sub-walks it walks
+    # a reused sub-walk charges only the node where it is entered, which
+    # walking it charges too, and a position summed along a line nothing
     lo, hi, systems = data.draw(walks)
     found, charged = _enum_py.walk_box(lo, hi, systems, 10**9)
     plain = plain_walk(lo, hi, systems)
@@ -613,6 +615,33 @@ def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
     else:
         walked = sum(len(cols) > 1 for cols, _, _ in _enum_py.Rows(systems[0][0]).blocks)
         assert clips <= charged + walked
+    # and the other way: the plain walk charges one node per sub-walk it
+    # enters, each of which clips, and one per envelope piece of a slice
+    pieces = 0
+    plane = _enum_py._plane
+
+    def counted(*args):
+        nonlocal pieces
+        found = plane(*args)
+        pieces += found[1]
+        return found
+
+    with mock.patch.object(_enum_py, "_plane", counted):
+        clips, (_, charged) = clipped_walk(lo, hi, systems, plain_walk)
+    assert charged <= clips + pieces
+
+
+@pytest.mark.parametrize(
+    "body",
+    [C.pentagon_pyramid(4, 2), C.pentagon_pyramid(5, 3), C.hull(4, 3), C.hull(5, 3)],
+    ids=["pentagon_pyramid(4,2)", "pentagon_pyramid(5,3)", "hull(4,3)", "hull(5,3)"],
+)
+def test_a_lined_walk_charges_a_few_nodes_per_clip(body):
+    # a position summed along a line costs nothing, so as k grows the charge
+    # follows the clips the walk makes, not the widths of the ranges it sums
+    for k in (5, 20, 80, -80):
+        clips, (_, charged) = clipped_walk(*one_system(_dilated_system(body, k)))
+        assert charged <= 3 * clips
 
 
 def test_each_block_of_one_system_takes_one_clip_without_a_charge():
@@ -631,8 +660,9 @@ def test_no_systems_hold_no_point():
     assert _enum_py.walk_box([0, 0], [3, 3], [], 10) == (0, 0)
 
 
-def clipped_walk(lo, hi, systems):
-    """The number of ``_clip`` calls of one ``walk_box``, and its result."""
+def clipped_walk(lo, hi, systems, walk=None):
+    """The number of ``_clip`` calls of one ``walk_box``, or of ``walk``, and
+    its result."""
     clips = 0
     clip = _enum_py._clip
 
@@ -642,7 +672,7 @@ def clipped_walk(lo, hi, systems):
         return clip(level, rem)
 
     with mock.patch.object(_enum_py, "_clip", counted):
-        walked = _enum_py.walk_box(lo, hi, systems, 10**9)
+        walked = walk(lo, hi, systems) if walk else _enum_py.walk_box(lo, hi, systems, 10**9)
     return clips, walked
 
 
