@@ -11,9 +11,10 @@ independently and reports the comparison: indices from the body's faces
 its vertices' denominators and is divided by that of each face
 containing it. So a face with an integral vertex has index 1, and only
 the faces whose vertices are all non-integral are read
-(``ConvexPolytope.faces_within``); of those, most are fixed by their
-vertices and cofaces, and only the rest have their span derived and are
-solved over the integer lattice by ``linalg.min_dilate_with_lattice_point``.
+(``ConvexPolytope.faces_within``: taken from a kept face lattice, else
+graded alone); most are fixed by their vertices and cofaces, and only
+the rest have their span derived and are solved over the integer lattice
+by ``linalg.min_dilate_with_lattice_point``.
 """
 
 from __future__ import annotations

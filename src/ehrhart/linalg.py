@@ -31,8 +31,9 @@ IntMatrix = tuple[IntVector, ...]
 
 
 def as_vector(coords: Iterable) -> Vector:
-    """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(Fraction(c) for c in coords)
+    """Coerce an iterable of numbers into a tuple of Fractions; a Fraction
+    is kept as it is."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def _check_dims(u: Sequence, v: Sequence) -> None:

@@ -8,22 +8,22 @@ on integer-scaled data, which is exact and also yields which points are
 tight on each facet. Every body takes the same path: the points are
 projected onto the pivot coordinates of their affine hull, where they
 are full-dimensional, and each facet found there is read back with a
-normal that is zero on the other coordinates. The incidence answers
-every combinatorial question without elimination: which points are
-vertices, and the faces, graded by one routine over the facets' vertex
-masks. The body's ``face_lattice`` holds them all, computed on first use
-and kept with the body; ``faces_within`` grades only the faces inside a
-vertex mask, which is how ``indices`` reads the faces of the
-non-integral vertices alone (both capped at dimension 5). A face is its
+normal that is zero on the other coordinates. The body keeps those masks
+as its ``incidence``, which answers every combinatorial question without
+elimination: which points are vertices, and the faces, graded by one
+routine. ``face_lattice`` holds them all, built on first use and kept;
+``faces_within`` gives those inside a vertex mask, filtered from a kept
+lattice or else graded alone, which is how ``indices`` reads the faces
+of the non-integral vertices (both capped at dimension 5). A face is its
 vertex mask and dimension; its span is derived on first read. A body
-likewise keeps the integer ``rows`` that count its
-dilates, the counts made of them and its fitted quasi-polynomial, and a
-union its counts, its fit and the stacked rows of its counted
-intersections (see ``counting``). Translates and products are composed
-directly, without re-running the hull, so high-dimensional product
-bodies stay cheap. Whether a body is a product is read off its
-inequalities alone, by the kernel's ``coordinate_blocks``, and a product
-is counted as the product of its factors' counts.
+likewise keeps the integer ``rows`` that count its dilates, the counts
+made of them and its fitted quasi-polynomial, and a union its counts,
+its fit and the stacked rows of its counted intersections (see
+``counting``). Translates and products are composed directly, without
+re-running the hull, so high-dimensional product bodies stay cheap.
+Whether a body is a product is read off its inequalities alone, by the
+kernel's ``coordinate_blocks``, and a product is counted as the product
+of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure.
@@ -102,8 +102,8 @@ class ConvexPolytope:
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Per facet, the bitmask of the vertices tight on it (bit ``i`` for
-        ``vertices[i]``), computed on the vertices scaled to integers."""
+        """Per facet, the bitmask of its vertices (bit ``i`` for ``vertices[i]``):
+        the hull's own, else dot products on the integer-scaled vertices."""
         scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
         scaled = [[x.numerator * (scale // x.denominator) for x in v] for v in self.vertices]
         return tuple(
@@ -121,12 +121,15 @@ class ConvexPolytope:
 
     def faces_within(self, within: int) -> tuple[tuple["Face", ...], ...]:
         """The faces whose vertices all lie in the bitmask ``within``,
-        graded as in ``face_lattice``. For the mask of every vertex this is
-        ``face_lattice`` itself; any other sub-lattice is built afresh and
-        not kept."""
+        graded as in ``face_lattice``: its own faces when it is kept or
+        ``within`` holds every vertex, else graded alone and not kept."""
         if within == (1 << len(self.vertices)) - 1:
             return self.face_lattice
-        return self._graded(within)
+        if "face_lattice" not in vars(self):
+            return self._graded(within)
+        return tuple(
+            tuple(f for f in grade if f.mask & within == f.mask) for grade in self.face_lattice
+        )
 
     def _graded(self, within: int) -> tuple[tuple["Face", ...], ...]:
         """The faces inside the vertex mask ``within``, graded.
@@ -190,10 +193,10 @@ class ConvexPolytope:
         t = tuple(int(x) for x in exact)
         if len(t) != self.ambient_dim:
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
-        return ConvexPolytope(
+        moved = ConvexPolytope(
             self.ambient_dim,
-            tuple(sorted(vadd(v, t) for v in self.vertices)),
-            tuple(sorted((a, c + sum(ai * ti for ai, ti in zip(a, t))) for a, c in self.facets)),
+            tuple(vadd(v, t) for v in self.vertices),
+            tuple((a, c + _dot(a, t)) for a, c in self.facets),
             AffineSubspace(
                 self.ambient_dim,
                 self.span.rows,
@@ -201,6 +204,9 @@ class ConvexPolytope:
             ),
             self.intrinsic_dim,
         )
+        if "incidence" in vars(self):  # a shift keeps the vertex and facet orders
+            vars(moved)["incidence"] = self.incidence
+        return moved
 
 
 @dataclass(frozen=True)
@@ -305,7 +311,7 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     facet whose normal is ``g`` on ``S`` and 0 elsewhere; a
     full-dimensional body has every coordinate in ``S``. A point is kept
     as a vertex exactly when no other point lies on every facet through
-    it, that is, when its minimal face is the point itself.
+    it; the facets' masks, less the dropped points, are its ``incidence``.
     """
     unique = {as_vector(p) for p in points}
     if not unique:
@@ -320,29 +326,34 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     ))
     base = scaled[0]
     dirs = [tuple(x - y for x, y in zip(p, base)) for p in scaled[1:]]
-    coords, kernel = pivots_and_nullspace(dirs, n)  # S, and the hull equations
-    dim = len(coords)
+    chosen = independent_rows(dirs)
+    dim = len(chosen)
     if dim > HULL_DIM_CAP:
         raise DimensionCapExceeded(
             f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
         )
+    # S and the hull equations, from the rows that span the directions
+    coords, kernel = pivots_and_nullspace([dirs[i] for i in chosen], n)
     rows = tuple(canonical_equation(a) for a in kernel)
     span = AffineSubspace(n, rows, tuple(Fraction(_dot(a, base), scale) for a in rows))
     if dim == 0:
         return ConvexPolytope(n, (pts[0],), (), span, 0)
 
     local = [tuple(p[j] for j in coords) for p in scaled]
-    chosen = independent_rows([tuple(d[j] for j in coords) for d in dirs])
     rays = _double_description(local, scale, [0] + [i + 1 for i in chosen])
     zeros = (0,) * n
-    facets = sorted((_placed(zeros, coords, g), c) for (g, c), _ in rays)
+    facets, masks = zip(*sorted(((_placed(zeros, coords, g), c), m) for (g, c), m in rays))
 
     everything = (1 << len(pts)) - 1
-    extreme = [  # the AND of the masks through a point is its minimal face
-        p for i, p in enumerate(pts)
-        if reduce(and_, (mask for _, mask in rays if mask >> i & 1), everything) == 1 << i
+    kept = [  # the AND of the masks through a point is its minimal face
+        i for i in range(len(pts))
+        if reduce(and_, (m for m in masks if m >> i & 1), everything) == 1 << i
     ]
-    return ConvexPolytope(n, tuple(extreme), tuple(facets), span, dim)
+    if len(kept) < len(pts):  # a dropped point may be tight on a facet: drop its bit
+        masks = tuple(sum(1 << j for j, i in enumerate(kept) if m >> i & 1) for m in masks)
+    body = ConvexPolytope(n, tuple(pts[i] for i in kept), facets, span, dim)
+    vars(body)["incidence"] = masks
+    return body
 
 
 def _double_description(

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the production code paths: hull
 membership is decided by barycentric coordinates over vertex subsets,
-facets by testing every spanning subset of points, face dimensions by the
-affine hull of every closed vertex set, interior counts from strict
-facet inequalities of that brute-force hull, determinants come from Bareiss
-elimination, Smith diagonals from minor gcds, and minimal dilates from
-explicit small searches. Lattice points of boxes too wide to scan are
+facets by testing every spanning subset of points, the vertices on each
+facet by rational dot products, face dimensions by the affine hull of
+every closed vertex set, interior counts from strict facet inequalities
+of that brute-force hull, determinants come from Bareiss elimination,
+Smith diagonals from minor gcds, and minimal dilates from explicit small
+searches. Lattice points of boxes too wide to scan are
 counted by a plain coordinate-by-coordinate walk. Interpolation is
 Lagrange's, against the library's Newton form. Rank, nullspace,
 solves and affine hulls come from a Fraction reduced row echelon form,
@@ -552,6 +553,15 @@ class OracleFace(NamedTuple):
     vertex_indices: tuple[int, ...]
     span: AffineSubspace
     dim: int
+
+
+def facet_vertex_masks(poly):
+    """``ConvexPolytope.incidence`` from exact rational dot products: per
+    facet, the bitmask of the vertices on its hyperplane."""
+    return tuple(
+        sum(1 << i for i, v in enumerate(poly.vertices) if vdot(a, v) == c)
+        for a, c in poly.facets
+    )
 
 
 def brute_force_faces(poly, dim):

@@ -17,7 +17,7 @@ from ehrhart.counting import (
     count_union,
     fitted,
 )
-from ehrhart.errors import BudgetExceeded, InvalidInput
+from ehrhart.errors import BudgetExceeded, InvalidInput, VerificationFailed
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,
@@ -26,7 +26,7 @@ from ehrhart.polytope import (
     product,
 )
 from ehrhart.pte import PteSolution
-from ehrhart.quasipoly import fit
+from ehrhart.quasipoly import fit, period_sequence
 
 SOL2 = PteSolution((1, 2), (3, 0))
 SOL3 = PteSolution((1, 2, 6), (4, 5, 0))
@@ -451,6 +451,25 @@ def test_a_fit_that_overdraws_its_budget_is_not_kept():
     assert body.fits == {}
     fitted(body)
     assert list(body.fits) == [DEFAULT_BUDGET]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=VerificationFailed,
+    reason="ROADMAP item 1: a union is fitted with the lcm of its pieces' denominators, "
+    "which misses a denominator that only an overlap has",
+)
+def test_a_union_whose_overlap_has_a_new_denominator_fits_its_periods():
+    # both triangles are integral, but they meet in conv{(0,0), (1/2,1/2), (0,1)}
+    union = PolytopalUnion(2, (
+        from_vertices([(0, 0), (1, 0), (0, 1)]),
+        from_vertices([(0, 0), (1, 1), (-1, 1)]),
+    ))
+    counts = [count(union, k) for k in range(1, 6)]
+    assert counts == [5, 11, 20, 31, 45]
+    qp, _ = fitted(union)  # raises: "fitted value 32 != sample 31 at k=4"
+    assert period_sequence(qp) == (2, 1, 1)
+    assert [qp.evaluate(k) for k in range(1, 6)] == counts
 
 
 def translated_union(union, shift):

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_faces, brute_force_hull, rank
+from oracles import brute_force_faces, brute_force_hull, facet_vertex_masks, rank
 from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import Face, embed_product, faces, from_vertices
+from ehrhart.polytope import Face, embed_product, faces, from_vertices, product
 
 F = Fraction
 
@@ -67,6 +67,26 @@ def test_from_vertices_equals_brute_force_on_family_points(points):
 @given(clouds(max_den=12))  # coprime denominators make the common scale large
 def test_from_vertices_equals_brute_force_on_random_clouds(points):
     assert from_vertices(points) == brute_force_hull(points)
+
+
+def test_a_non_extreme_point_on_a_facet_leaves_no_bit_in_its_mask():
+    # the midpoint (1, 0) is tight on y >= 0 but no vertex
+    body = from_vertices([(0, 0), (1, 0), (2, 0), (0, 2), (2, 2)])
+    assert (1, 0) not in body.vertices
+    assert body.incidence == facet_vertex_masks(body)
+
+
+@settings(max_examples=100)
+@given(clouds(max_den=12), st.data())
+def test_the_hull_hands_the_body_its_facet_masks(points, data):
+    # a midpoint of two vertices lies on every facet through both: a point
+    # the hull drops, whose bit the masks must drop too
+    body = from_vertices(points)
+    pair = st.tuples(st.sampled_from(body.vertices), st.sampled_from(body.vertices))
+    pairs = data.draw(st.lists(pair, max_size=4), label="pairs")
+    more = from_vertices(points + [tuple((x + y) / 2 for x, y in zip(u, v)) for u, v in pairs])
+    assert more == body
+    assert body.incidence == more.incidence == facet_vertex_masks(body)
 
 
 def _face_bodies():
@@ -127,14 +147,33 @@ def test_the_face_oracle_builds_no_library_face():
     )
 
 
+@pytest.mark.parametrize("body", _face_bodies(), ids=repr)
+def test_translates_and_products_have_the_dot_product_masks(body):
+    moved = body.translate((3, -1, 2, 0)[:body.ambient_dim])
+    assert body.incidence == moved.incidence == facet_vertex_masks(moved)
+    assert body.incidence == facet_vertex_masks(body)
+    with_segment = product(moved, C.segment(2))
+    assert with_segment.incidence == facet_vertex_masks(with_segment)
+
+
 @settings(max_examples=60)
 @given(clouds(max_dim=4, max_den=12), st.data())
 def test_faces_within_a_mask_are_the_lattice_faces_inside_it(points, data):
     body = from_vertices(points)
     everything = (1 << len(body.vertices)) - 1
     within = data.draw(st.integers(0, everything), label="within")
-    sub = body.faces_within(within)  # built before the whole lattice, from the facets alone
+    if data.draw(st.booleans(), label="lattice first"):
+        lattice = body.face_lattice
+        sub = body.faces_within(within)  # the kept lattice's own faces
+        for got, grade in zip(sub, lattice, strict=True):
+            inside = [f for f in grade if f.mask & within == f.mask]
+            assert len(got) == len(inside) and all(f is g for f, g in zip(got, inside))
+    else:
+        sub = body.faces_within(within)  # graded from the facets alone
+        lattice = body.face_lattice
     assert len(sub) == body.intrinsic_dim + 1
-    for got, grade in zip(sub, body.face_lattice):
+    for got, grade in zip(sub, lattice):
         _assert_faces_match_oracle(body, got, [f for f in grade if f.mask & within == f.mask])
+    fresh = from_vertices(points).faces_within(within)
+    assert [[f.mask for f in g] for g in sub] == [[f.mask for f in g] for g in fresh]
     assert body.faces_within(everything) is body.face_lattice

@@ -257,6 +257,23 @@ def test_the_index_of_a_family_body_reads_only_its_non_integral_faces():
     assert values == solved_index_sequence(body)
 
 
+@settings(max_examples=100)
+@given(clouds(max_dim=4))  # small denominators: some vertices integral, some not
+def test_the_index_is_the_same_with_the_face_lattice_built_first(points):
+    # the order of the hull-faces benchmark: every face, then the index
+    fresh, built = from_vertices(points), from_vertices(points)
+    built.face_lattice
+    assert index_sequence(built) == index_sequence(fresh)
+
+
+@pytest.mark.parametrize("family", ["pentagon", "heptagon", "simplex", "hull", "middle"])
+def test_a_family_index_is_the_same_with_the_face_lattice_built_first(family):
+    n = None if family in ("pentagon", "heptagon") else 4
+    fresh, built = (C.build(family, 3, n)[0] for _ in range(2))
+    built.face_lattice
+    assert index_sequence(built) == index_sequence(fresh)
+
+
 def test_an_integral_body_has_index_one_without_building_a_face(monkeypatch):
     body = C.middle(4, 2)
     assert is_integral(body)
