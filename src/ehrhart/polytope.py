@@ -193,7 +193,7 @@ class ConvexPolytope:
         t = tuple(int(x) for x in exact)
         if len(t) != self.ambient_dim:
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
-        moved = ConvexPolytope(
+        return ConvexPolytope(
             self.ambient_dim,
             tuple(vadd(v, t) for v in self.vertices),
             tuple((a, c + _dot(a, t)) for a, c in self.facets),
@@ -204,9 +204,6 @@ class ConvexPolytope:
             ),
             self.intrinsic_dim,
         )
-        if "incidence" in vars(self):  # a shift keeps the vertex and facet orders
-            vars(moved)["incidence"] = self.incidence
-        return moved
 
 
 @dataclass(frozen=True)
@@ -352,7 +349,7 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     if len(kept) < len(pts):  # a dropped point may be tight on a facet: drop its bit
         masks = tuple(sum(1 << j for j, i in enumerate(kept) if m >> i & 1) for m in masks)
     body = ConvexPolytope(n, tuple(pts[i] for i in kept), facets, span, dim)
-    vars(body)["incidence"] = masks
+    vars(body)["incidence"] = masks  # fills the cached_property: no dot products
     return body
 
 
