@@ -10,7 +10,6 @@ identities relating the families. All arithmetic is exact rational.
 from .counting import count, count_convex, count_union, fitted, kernel_name
 from .errors import (
     BudgetExceeded,
-    DimensionCapExceeded,
     DimensionMismatch,
     EhrhartError,
     Infeasible,

@@ -102,6 +102,8 @@ from typing import Sequence
 from .errors import BudgetExceeded
 from .linalg import independent_rows
 
+DEFAULT_BUDGET = 10**9  # a walk's budget when none is given; hulls and face lattices always
+
 # One level of the walk: the coordinate's box bounds, its column of
 # coefficients, ``(row, |a|, minrest)`` for the rows whose coefficient
 # ``a`` is positive, then negative (``minrest`` is the least contribution

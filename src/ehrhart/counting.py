@@ -8,6 +8,7 @@ same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
 ``budget``, which must not be negative) caps what that walk charges: a
 node per sub-walk entered below the root and per envelope piece of a
 slice, not the points of the box. An overdraw raises ``BudgetExceeded``.
+Hulls and face lattices charge their own work under the default alone.
 
 Product structure is read off inequalities alone: the kernel counts
 every single system as the product of its counts on its coordinate
@@ -46,11 +47,10 @@ A union, where reciprocity fails, takes ``k >= 1`` only.
 from __future__ import annotations
 
 from . import _enum_py
+from ._enum_py import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvalidInput
 from .polytope import ConvexPolytope, PolytopalUnion, denominator
 from .quasipoly import QuasiPolynomial, fit
-
-DEFAULT_BUDGET = 10**9
 
 
 def kernel_name() -> str:

@@ -20,11 +20,8 @@ class Infeasible(EhrhartError):
 
 
 class BudgetExceeded(EhrhartError):
-    """An enumeration would charge more than the configured budget."""
-
-
-class DimensionCapExceeded(EhrhartError):
-    """Hull or face enumeration requested above the supported cap."""
+    """A counting walk (under the caller's budget or the default), a hull or
+    a face lattice (under ``DEFAULT_BUDGET``) would overdraw its budget."""
 
 
 class VerificationFailed(EhrhartError):

@@ -6,7 +6,7 @@ indices form a divisibility chain from the top dimension down, and each
 coefficient period of the dilate-count quasi-polynomial divides the
 index of matching degree. ``mcmullen_check`` computes both sequences
 independently and reports the comparison: indices from the body's faces
-(up to dimension 5), periods from the fit of raw counts that
+(graded within the budget), periods from the fit of raw counts that
 ``counting.fitted`` keeps with the body. A face's minimal dilate divides
 its vertices' denominators and is divided by that of each face
 containing it. So a face with an integral vertex has index 1, and only

@@ -14,16 +14,18 @@ elimination: which points are vertices, and the faces, graded by one
 routine. ``face_lattice`` holds them all, built on first use and kept;
 ``faces_within`` gives those inside a vertex mask, filtered from a kept
 lattice or else graded alone, which is how ``indices`` reads the faces
-of the non-integral vertices (both capped at dimension 5). A face is its
-vertex mask and dimension; its span is derived on first read. A body
-likewise keeps the integer ``rows`` that count its dilates, the counts
-made of them and its fitted quasi-polynomial, and a union its counts,
-its fit and the stacked rows of its counted intersections (see
-``counting``). Translates and products are composed directly, without
-re-running the hull, so high-dimensional product bodies stay cheap.
-Whether a body is a product is read off its inequalities alone, by the
-kernel's ``coordinate_blocks``, and a product is counted as the product
-of its factors' counts.
+of the non-integral vertices. The hull and the grading charge the
+kernel's ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and
+one per AND of a closed set with a facet mask; an overdraw raises
+``BudgetExceeded``. A face is its vertex mask and dimension; its span is
+derived on first read. A body likewise keeps the integer ``rows`` that
+count its dilates, the counts made of them and its fitted
+quasi-polynomial, and a union its counts, its fit and the stacked rows
+of its counted intersections (see ``counting``). Translates and products
+are composed directly, without re-running the hull, so high-dimensional
+product bodies stay cheap. Whether a body is a product is read off its
+inequalities alone, by the kernel's ``coordinate_blocks``, and a product
+is counted as the product of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure.
@@ -39,8 +41,8 @@ from itertools import compress, count
 from operator import and_, mul
 from typing import Iterable, Sequence
 
-from ._enum_py import Rows, coordinate_blocks
-from .errors import DimensionCapExceeded, DimensionMismatch, InvalidInput
+from ._enum_py import DEFAULT_BUDGET, Rows, coordinate_blocks
+from .errors import BudgetExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
     Vector,
@@ -51,8 +53,6 @@ from .linalg import (
     vadd,
     vdot,
 )
-
-HULL_DIM_CAP = 5  # largest body that from_vertices hulls or face_lattice grades, so also the hull-built families
 
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
 
@@ -142,15 +142,15 @@ class ConvexPolytope:
         intersections with the facets not containing it, which are faces
         again; so a face is graded from faces alone, smaller ones first.
         """
-        if self.intrinsic_dim > HULL_DIM_CAP:
-            raise DimensionCapExceeded(
-                f"face enumeration capped at dimension {HULL_DIM_CAP}, got {self.intrinsic_dim}"
-            )
         per_facet = self.incidence
         closed = {within} if within else set()
         queue = list(closed)
+        left = DEFAULT_BUDGET
         while queue:
             s = queue.pop()
+            left -= len(per_facet)  # one unit per AND with a facet mask
+            if left < 0:
+                raise BudgetExceeded(f"the faces charge more than their budget of {DEFAULT_BUDGET}")
             for pf in per_facet:
                 t = s & pf
                 if t and t not in closed:
@@ -325,10 +325,6 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     dirs = [tuple(x - y for x, y in zip(p, base)) for p in scaled[1:]]
     chosen = independent_rows(dirs)
     dim = len(chosen)
-    if dim > HULL_DIM_CAP:
-        raise DimensionCapExceeded(
-            f"hull enumeration capped at dimension {HULL_DIM_CAP}, got {dim}"
-        )
     # S and the hull equations, from the rows that span the directions
     coords, kernel = pivots_and_nullspace([dirs[i] for i in chosen], n)
     rows = tuple(canonical_equation(a) for a in kernel)
@@ -387,6 +383,7 @@ def _double_description(
         rays.append((tuple(x // g for x in ray), start_mask & ~(1 << i)))
 
     in_simplex = set(simplex)
+    left = DEFAULT_BUDGET
     for i, row in enumerate(rows):
         if i in in_simplex:
             continue
@@ -400,6 +397,9 @@ def _double_description(
                 minus.append((ray, mask, s))
             else:
                 zero.append((ray, mask | bit))
+        left -= len(plus) * len(minus)  # one unit per candidate pair tested
+        if left < 0:
+            raise BudgetExceeded(f"the hull charges more than its budget of {DEFAULT_BUDGET}")
         masks = [mask for _, mask in rays]
         fresh = []
         for rp, mp, sp in plus:

@@ -673,6 +673,24 @@ def test_a_claim_runs_its_whole_grid_at_5_d(capsys, claim, max_p):
     assert set(report["witness"]) == grid_labels(claim, list(range(1, max_p + 1)), [5])
 
 
+def test_claims_reach_past_5_d(capsys):
+    code, out, _ = run_cli(capsys, "verify", "hn-periods", "--n", "6")
+    report = json.loads(out)
+    assert (code, report["outcome"]) == (0, "pass")
+    assert report["witness"]["n=6,p=2"]["period_sequence"] == [1, 2, 1, 1, 1, 1, 1]
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "6")
+    assert code == 0 and {r["outcome"] for r in json.loads(out)} == {"pass"}
+
+
+def test_fit_of_a_6_d_input_body_with_a_rational_vertex(tmp_path, capsys):
+    # the simplex on 0, e_1, ..., e_5 and e_6 / 2, hulled from the JSON
+    rows = [[0] * 6] + [[int(i == j) for j in range(6)] for i in range(5)] + [[0] * 5 + ["1/2"]]
+    path = tmp_path / "simplex6.json"
+    path.write_text(json.dumps({"ambient_dim": 6, "vertices": rows}))
+    code, out, _ = run_cli(capsys, "fit", "--input", str(path))
+    assert (code, json.loads(out)["modulus"]) == (0, 2)
+
+
 @pytest.mark.parametrize("argv, outcome, params", [
     # no flag leaves a claim without cases, so the budget is the one way to skip
     *(

@@ -4,13 +4,8 @@ from functools import partial
 import pytest
 
 from ehrhart import constructions as C
-from ehrhart.counting import count, count_convex, count_union
-from ehrhart.errors import (
-    DimensionCapExceeded,
-    NotAvailable,
-    SizeMismatch,
-    UnverifiedSolution,
-)
+from ehrhart.counting import count, count_convex, count_union, fitted
+from ehrhart.errors import NotAvailable, SizeMismatch, UnverifiedSolution
 from ehrhart.polytope import coordinate_blocks, denominator, is_integral
 from ehrhart.pte import PteSolution, table_lookup
 from ehrhart.quasipoly import fit, period_sequence
@@ -91,13 +86,10 @@ def test_hull_count_spot_value():
     assert count_convex(C.hull(3, 2), 1) == 49
 
 
-def test_hull_dimension_cap():
-    with pytest.raises(DimensionCapExceeded):
-        C.hull(6, 2)
-    with pytest.raises(DimensionCapExceeded):
-        C.middle(6, 2)
-    with pytest.raises(DimensionCapExceeded):
-        C.pentagon_pyramid(6, 2)
+def test_hull_built_families_build_past_5_d():
+    assert [C.hull(6, 2).intrinsic_dim, C.middle(6, 2).intrinsic_dim] == [6, 6]
+    assert C.pentagon_pyramid(6, 2).intrinsic_dim == 6
+    assert period_sequence(fitted(C.hull(6, 2))[0]) == (1, 2, 1, 1, 1, 1, 1)
 
 
 def test_decomposition_identity_at_p_1():

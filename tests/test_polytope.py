@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from oracles import in_hull, rank, vsub
 
-from ehrhart import constructions as C
+from ehrhart import constructions as C, polytope
 from ehrhart.counting import count_union
-from ehrhart.errors import DimensionCapExceeded, DimensionMismatch, InvalidInput
+from ehrhart.errors import BudgetExceeded, DimensionMismatch, InvalidInput
 from ehrhart.indices import index_sequence
 from ehrhart.linalg import vdot
 from ehrhart.polytope import (
@@ -192,10 +192,22 @@ def test_faces_of_segment_top_dim_is_self():
     assert top[0].vertex_indices == (0, 1)
 
 
-def test_faces_dimension_cap():
+def test_six_cube_faces_under_the_default_budget():
+    # its lattice charges 729 closed sets times 12 facets = 8,748
     cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
-    with pytest.raises(DimensionCapExceeded):
-        faces(cube, 0)
+    assert [len(faces(cube, i)) for i in range(7)] == [64, 192, 240, 160, 60, 12, 1]
+
+
+def test_moment_curve_hull_charges_its_candidate_pairs(monkeypatch):
+    # (x, ..., x^8) for x = 0..15 tests 67,616 candidate ray pairs
+    points = [[x**e for e in range(1, 9)] for x in range(16)]
+    monkeypatch.setattr(polytope, "DEFAULT_BUDGET", 10_000)
+    with pytest.raises(BudgetExceeded, match="the hull charges more than its budget of 10000"):
+        from_vertices(points)
+    monkeypatch.setattr(polytope, "DEFAULT_BUDGET", 67_616)
+    assert len(from_vertices(points).facets) == 660
+    monkeypatch.undo()
+    assert len(from_vertices(points).facets) == 660
 
 
 def test_face_lattice_is_built_once_and_shared_by_every_reader():
@@ -228,10 +240,11 @@ def test_faces_returns_a_copy_of_its_grade():
     assert len(body.face_lattice[1]) == len(faces(body, 1)) == 5
 
 
-def test_face_lattice_above_the_cap_raises_on_every_access():
+def test_face_lattice_over_its_budget_raises_on_every_access(monkeypatch):
     cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
+    monkeypatch.setattr(polytope, "DEFAULT_BUDGET", 1_000)
     for _ in range(2):
-        with pytest.raises(DimensionCapExceeded):
+        with pytest.raises(BudgetExceeded, match="the faces charge more than their budget"):
             cube.face_lattice
     assert "face_lattice" not in vars(cube)
 

@@ -179,12 +179,27 @@ def h_star_is_nonnegative(qp):
     return all(c >= 0 for c in from_quasipolynomial(qp).numerator)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("family", ["simplex", "prism", "pentagon-pyramid", "hull", "middle"])
+convex_family_members = pytest.mark.parametrize(
+    "family, n, p",
+    [
+        (family, n, p)
+        for family in ["simplex", "prism", "pentagon-pyramid", "hull", "middle"]
+        for n in [3, 4, 5, 6, 8]
+        for p in [1, 2, 3, 4]
+    ],
+)
+
+
+@convex_family_members
 def test_stanley_nonnegativity_on_convex_family_members(family, n, p):
     body, _ = C.build(family, p, n)
     assert h_star_is_nonnegative(fitted(body)[0])
+
+
+@convex_family_members
+def test_mcmullen_bound_on_convex_family_members(family, n, p):
+    body, _ = C.build(family, p, n)
+    assert indices.mcmullen_check(body).ok
 
 
 @settings(max_examples=60)
