@@ -52,7 +52,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from . import constructions, pte
@@ -73,12 +73,14 @@ from .polytope import (
 from .quasipoly import equivalent, negate, period_sequence, to_dict as qp_to_dict
 from .series import from_quasipolynomial, pyramid_transform, to_dict as series_to_dict
 
-@dataclass
-class VerificationReport:
-    claim: str
-    params: dict
-    outcome: str  # "pass" | "fail" | "skipped: ..."
-    witness: dict = field(default_factory=dict)
+class VerificationReport(namedtuple("VerificationReport", "claim params outcome witness")):
+    """``outcome`` is "pass", "fail" or "skipped: ..."; ``witness`` is a new
+    dict when not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, claim: str, params: dict, outcome: str, witness: dict | None = None):
+        return tuple.__new__(cls, (claim, params, outcome, {} if witness is None else witness))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +524,7 @@ def verify_all(
 def _cmd_verify(args) -> int:
     claims = CLAIMS if args.claim == "all" else (args.claim,)
     reports = verify_all(args.max_p, args.max_n, args.budget, claims=claims, p=args.p, n=args.n)
-    payload = [vars(r) for r in reports]  # the fields, without asdict's deep copy
+    payload = [r._asdict() for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload)
     return 0 if all(r.outcome != "fail" for r in reports) else 1
 

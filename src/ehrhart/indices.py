@@ -20,7 +20,7 @@ by ``linalg.min_dilate_with_lattice_point``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import fitted
 from .errors import InvalidInput
@@ -29,11 +29,10 @@ from .polytope import ConvexPolytope, PolytopalUnion
 from .quasipoly import period_sequence
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(namedtuple("IndexSequence", "values")):
     """``values[i]`` is the i-index; lowest dimension first."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
 def index_sequence(poly: ConvexPolytope) -> IndexSequence:
@@ -81,13 +80,9 @@ def chain_check(seq: IndexSequence) -> bool:
     return all(values[i + 1] != 0 and values[i] % values[i + 1] == 0 for i in range(len(values) - 1))
 
 
-@dataclass(frozen=True)
-class McMullenReport:
-    period_sequence: tuple[int, ...]
-    index_sequence: tuple[int, ...]
-    period_divides_index: tuple[bool, ...]
-    chain_ok: bool
-    ok: bool
+McMullenReport = namedtuple(
+    "McMullenReport", "period_sequence index_sequence period_divides_index chain_ok ok"
+)
 
 
 def mcmullen_check(poly: ConvexPolytope, budget: int | None = None) -> McMullenReport:

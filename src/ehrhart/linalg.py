@@ -17,7 +17,7 @@ lattice of the input rows, which is what that query needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,7 +27,6 @@ Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-IntMatrix = tuple[IntVector, ...]
 
 
 def as_vector(coords: Iterable) -> Vector:
@@ -149,9 +148,9 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    """The solution set ``{x : A x = b}`` with integer rows.
+class AffineSubspace(namedtuple("AffineSubspace", "ambient_dim rows rhs")):
+    """The solution set ``{x : A x = b}``: ``rows`` are the integer rows
+    of ``A`` (tuples), ``rhs`` the ``Fraction`` entries of ``b``.
 
     A body's span has gcd-reduced rows; a face span also carries the
     normals of the facets tight on it, which need not be (the facet
@@ -159,9 +158,7 @@ class AffineSubspace:
     case the subspace is all of R^n.
     """
 
-    ambient_dim: int
-    rows: IntMatrix
-    rhs: Vector
+    __slots__ = ()
 
     def contains(self, point: Sequence) -> bool:
         if len(point) != self.ambient_dim:

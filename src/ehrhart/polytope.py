@@ -18,23 +18,27 @@ of the non-integral vertices. The hull and the grading charge the
 kernel's ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and
 one per AND of a closed set with a facet mask; an overdraw raises
 ``BudgetExceeded``. A face is its vertex mask and dimension; its span is
-derived on first read. A body likewise keeps the integer ``rows`` that
-count its dilates, the counts made of them and its fitted
-quasi-polynomial, and a union its counts, its fit and the stacked rows
-of its counted intersections (see ``counting``). Translates and products
+derived on first read. A body likewise keeps its ``bounds`` (a
+product's are placed from its factors'), the integer ``rows`` that count
+its dilates, the counts made of them and its fitted quasi-polynomial, and
+a union its counts, its fit and the stacked rows of its counted
+intersections (see ``counting``). Translates and products
 are composed directly, without re-running the hull, so high-dimensional
 product bodies stay cheap. Whether a body is a product is read off its
 inequalities alone, by the kernel's ``coordinate_blocks``, and a product
 is counted as the product of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
-their own on first use, and all operations are pure.
+their own on first use, and all operations are pure. A body, a face and a
+union are named tuples of their fields, which alone compare and hash them:
+what they keep sits in their ``__dict__``, outside the tuple, as does a
+face's ``body``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, count
@@ -57,13 +61,17 @@ from .linalg import (
 Facet = tuple[tuple[int, ...], int]  # (normal, offset): normal . x <= offset
 
 
-@dataclass(frozen=True)
-class ConvexPolytope:
-    ambient_dim: int
-    vertices: tuple[Vector, ...]
-    facets: tuple[Facet, ...]
-    span: AffineSubspace
-    intrinsic_dim: int
+def _frozen(self, name, value):
+    raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+
+class ConvexPolytope(
+    namedtuple("ConvexPolytope", "ambient_dim vertices facets span intrinsic_dim")
+):
+    """A body: its ``vertices`` (tuples of ``Fraction``), its ``facets``
+    (``Facet`` pairs), its affine hull ``span`` and that hull's dimension."""
+
+    __setattr__ = _frozen  # what it keeps on first use is written to its __dict__
 
     def __repr__(self) -> str:  # large product bodies would flood output
         return (
@@ -74,8 +82,14 @@ class ConvexPolytope:
 
     @cached_property
     def bounds(self) -> tuple[Vector, Vector]:
-        """The least and the greatest vertex coordinate on each axis."""
-        return tuple(map(min, zip(*self.vertices))), tuple(map(max, zip(*self.vertices)))
+        """The least and the greatest vertex coordinate on each axis, found
+        on the integer-scaled vertices; a product's are its factors'."""
+        scale, scaled = _scaled(self.vertices)
+        axes = list(zip(*scaled))
+        return (
+            tuple(Fraction(min(c), scale) for c in axes),
+            tuple(Fraction(max(c), scale) for c in axes),
+        )
 
     @cached_property
     def rows(self) -> Rows:
@@ -104,8 +118,7 @@ class ConvexPolytope:
     def incidence(self) -> tuple[int, ...]:
         """Per facet, the bitmask of its vertices (bit ``i`` for ``vertices[i]``):
         the hull's own, else dot products on the integer-scaled vertices."""
-        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        scaled = [[x.numerator * (scale // x.denominator) for x in v] for v in self.vertices]
+        scale, scaled = _scaled(self.vertices)
         return tuple(
             sum(1 << i for i, v in enumerate(scaled) if _dot(a, v) == c * scale)
             for a, c in self.facets
@@ -206,8 +219,7 @@ class ConvexPolytope:
         )
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "mask dim")):
     """A face of a polytope: the bitmask of its vertices (bit ``i`` for
     ``body.vertices[i]``) and its dimension. Its vertex indices and affine
     span are derived on first read and kept. The span's rows are the
@@ -216,11 +228,18 @@ class Face:
     ``F``, a vertex's span is the vertex alone, and ``aff(F)`` lies in
     ``aff(G)`` for every face ``G`` containing ``F``: the vertex rule and
     the coface rule by which ``indices.index_sequence`` fixes most faces
-    without a solve."""
+    without a solve. The body is kept outside the tuple, so it takes no
+    part in equality, hashing or ``repr``."""
 
-    mask: int
-    dim: int
-    body: ConvexPolytope = field(compare=False, repr=False)
+    __setattr__ = _frozen
+
+    def __new__(cls, mask: int, dim: int, body: ConvexPolytope):
+        self = tuple.__new__(cls, (mask, dim))
+        vars(self)["body"] = body
+        return self
+
+    def __getnewargs__(self):  # pickle and copy rebuild a face with its body
+        return (*self, self.body)
 
     @cached_property
     def vertex_indices(self) -> tuple[int, ...]:
@@ -238,8 +257,7 @@ class Face:
         )
 
 
-@dataclass(frozen=True)
-class PolytopalUnion:
+class PolytopalUnion(namedtuple("PolytopalUnion", "ambient_dim pieces")):
     """A finite union of full-dimensional convex pieces.
 
     When the facets of every piece split into several coordinate blocks
@@ -249,17 +267,17 @@ class PolytopalUnion:
     stacked in ``term_rows``.
     """
 
-    ambient_dim: int
-    pieces: tuple[ConvexPolytope, ...]
+    __setattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if not self.pieces:
+    def __new__(cls, ambient_dim: int, pieces: tuple[ConvexPolytope, ...]):
+        if not pieces:
             raise InvalidInput("a union needs at least one piece")
-        for piece in self.pieces:
-            if piece.ambient_dim != self.ambient_dim:
+        for piece in pieces:
+            if piece.ambient_dim != ambient_dim:
                 raise DimensionMismatch("piece ambient dimension mismatch")
-            if piece.intrinsic_dim != self.ambient_dim:
+            if piece.intrinsic_dim != ambient_dim:
                 raise InvalidInput("union pieces must be full-dimensional")
+        return tuple.__new__(cls, (ambient_dim, pieces))
 
     @cached_property
     def dilate_counts(self) -> dict[tuple[int, str, int], int]:
@@ -310,17 +328,16 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     as a vertex exactly when no other point lies on every facet through
     it; the facets' masks, less the dropped points, are its ``incidence``.
     """
-    unique = {as_vector(p) for p in points}
-    if not unique:
+    given = [as_vector(p) for p in points]
+    if not given:
         raise ValueError("need at least one point")
-    n = len(next(iter(unique)))
-    if any(len(p) != n for p in unique):
+    n = len(given[0])
+    if any(len(p) != n for p in given):
         raise DimensionMismatch("ragged vertex list")
 
-    scale = math.lcm(*(x.denominator for p in unique for x in p))
-    scaled, pts = zip(*sorted(  # sorting the scaled points sorts the points
-        (tuple(x.numerator * (scale // x.denominator) for x in p), p) for p in unique
-    ))
+    scale, keys = _scaled(given)
+    # deduped by the integer keys, whose sort is the points' sort too
+    scaled, pts = zip(*sorted(dict(zip(keys, given)).items()))
     base = scaled[0]
     dirs = [tuple(x - y for x, y in zip(p, base)) for p in scaled[1:]]
     chosen = independent_rows(dirs)
@@ -420,6 +437,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _scaled(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm ``L`` of the points' coordinate denominators, and the points
+    times ``L`` as integer tuples."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
 def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """``(d, d * matrix^-1)`` for a nonsingular square integer matrix,
     where ``d`` is its determinant up to sign, by fraction-free (Bareiss)
@@ -466,20 +490,25 @@ def embed_product(blocks: Sequence[tuple], ambient_dim: int) -> ConvexPolytope:
     span_rhs: list[Fraction] = []
     intrinsic = 0
     zeros = (0,) * ambient_dim
+    least = greatest = verts[0]
     for coords, factor in blocks:
         verts = [_placed(v, coords, fv) for v in verts for fv in factor.vertices]
         facets += [(_placed(zeros, coords, a), c) for a, c in factor.facets]
         span_rows += [_placed(zeros, coords, row) for row in factor.span.rows]
         span_rhs += factor.span.rhs
         intrinsic += factor.intrinsic_dim
+        low, high = factor.bounds
+        least, greatest = _placed(least, coords, low), _placed(greatest, coords, high)
 
-    return ConvexPolytope(
+    body = ConvexPolytope(
         ambient_dim,
         tuple(sorted(verts)),
         tuple(sorted(facets)),
         AffineSubspace(ambient_dim, tuple(span_rows), tuple(span_rhs)),
         intrinsic,
     )
+    vars(body)["bounds"] = least, greatest  # fills the cached_property: no vertex scan
+    return body
 
 
 def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:

@@ -17,7 +17,7 @@ the power-sum check and the product identity below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -25,14 +25,13 @@ from .errors import NotAvailable, SizeMismatch, UnverifiedSolution
 from .polynomials import poly_mul, poly_trim
 
 
-@dataclass(frozen=True)
-class PteSolution:
-    s: tuple[int, ...]
-    t: tuple[int, ...]
+class PteSolution(namedtuple("PteSolution", "s t")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.s) != len(self.t):
-            raise SizeMismatch(f"sides have sizes {len(self.s)} and {len(self.t)}")
+    def __new__(cls, s: tuple[int, ...], t: tuple[int, ...]):
+        if len(s) != len(t):
+            raise SizeMismatch(f"sides have sizes {len(s)} and {len(t)}")
+        return tuple.__new__(cls, (s, t))
 
     @property
     def size(self) -> int:

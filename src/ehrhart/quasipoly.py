@@ -21,7 +21,7 @@ the minimal period of the coefficient of ``k**i``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
@@ -31,19 +31,19 @@ from .polynomials import interpolate
 Counter = Callable[[int], object]  # k != 0 -> exact count or rational value
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
-    degree: int
-    modulus: int
-    coeffs: tuple[tuple[Fraction, ...], ...]  # coeffs[i][r]: coefficient of k**i on k = r (mod D)
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree modulus coeffs")):
+    """``coeffs[i][r]`` is the coefficient of ``k**i`` on ``k = r (mod modulus)``."""
 
-    def __post_init__(self) -> None:
-        if self.degree < 0 or self.modulus < 1:
+    __slots__ = ()
+
+    def __new__(cls, degree: int, modulus: int, coeffs: tuple[tuple[Fraction, ...], ...]):
+        if degree < 0 or modulus < 1:
             raise ValueError("degree must be >= 0 and modulus >= 1")
-        if len(self.coeffs) != self.degree + 1:
+        if len(coeffs) != degree + 1:
             raise ValueError("need one coefficient row per power")
-        if any(len(row) != self.modulus for row in self.coeffs):
+        if any(len(row) != modulus for row in coeffs):
             raise ValueError("each coefficient row needs one entry per residue")
+        return tuple.__new__(cls, (degree, modulus, coeffs))
 
     def evaluate(self, k: int) -> Fraction:
         r = k % self.modulus

@@ -14,22 +14,22 @@ series by ``1 - t``, realized here by multiplying the numerator by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomials import poly_mul, poly_neg, poly_trim
 from .quasipoly import QuasiPolynomial, equivalent, fit
 
 
-@dataclass(frozen=True)
-class EhrhartSeries:
-    numerator: tuple[Fraction, ...]  # ascending coefficients
-    modulus: int  # D in (1 - t^D)^power
-    power: int
+class EhrhartSeries(namedtuple("EhrhartSeries", "numerator modulus power")):
+    """Ascending ``numerator`` coefficients over ``(1 - t^modulus)^power``."""
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1 or self.power < 1:
+    __slots__ = ()
+
+    def __new__(cls, numerator: tuple[Fraction, ...], modulus: int, power: int):
+        if modulus < 1 or power < 1:
             raise ValueError("modulus and power must be positive")
+        return tuple.__new__(cls, (numerator, modulus, power))
 
 
 def from_quasipolynomial(f: QuasiPolynomial) -> EhrhartSeries:

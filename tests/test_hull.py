@@ -177,3 +177,20 @@ def test_faces_within_a_mask_are_the_lattice_faces_inside_it(points, data):
     fresh = from_vertices(points).faces_within(within)
     assert [[f.mask for f in g] for g in sub] == [[f.mask for f in g] for g in fresh]
     assert body.faces_within(everything) is body.face_lattice
+
+
+def _vertex_extremes(body):
+    return tuple(map(min, zip(*body.vertices))), tuple(map(max, zip(*body.vertices)))
+
+
+@settings(max_examples=60)
+@given(clouds(max_dim=3), clouds(max_dim=3), st.data())
+def test_bounds_are_the_least_and_greatest_vertex_coordinates(first, second, data):
+    # a product's bounds are placed from its factors', the others' found
+    # on the scaled vertices
+    body, other = from_vertices(first), from_vertices(second)
+    pair = product(body, other)
+    shift = data.draw(st.lists(st.integers(-5, 5), min_size=pair.ambient_dim,
+                               max_size=pair.ambient_dim), label="shift")
+    for each in (body, pair, product(pair, body), pair.translate(shift)):
+        assert each.bounds == _vertex_extremes(each)

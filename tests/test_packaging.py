@@ -28,3 +28,16 @@ def test_sdist_ships_python_sources_and_data_only(tmp_path):
     # is a literal in ``pte.py``, not a data file
     package = {f for f in files if f.startswith("src/ehrhart/")}
     assert package and all(f.endswith(".py") for f in package)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site hooks from loading either module first; -B writes no bytecode
+    check = "import sys, ehrhart.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", check],
+        env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
