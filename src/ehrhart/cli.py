@@ -41,7 +41,8 @@ claims ignore it. An object subcommand needs a source.
 Exit codes: 0 success / all claims pass or skip, 1 verification failure,
 2 usage error or invalid input (any ``EhrhartError`` or ``OSError``),
 3 internal error, 141 (128 + SIGPIPE) when the reader of stdout has gone,
-with nothing on stderr. ``main`` lets every other exception propagate;
+with nothing on stderr. ``main`` lets every other exception propagate,
+and ``VerificationFailed``, as ``fitted`` picks the degree and modulus;
 ``entry``, the installed script and ``python -m ehrhart.cli``, prints
 its traceback to stderr and exits 3.
 """
@@ -57,7 +58,7 @@ from functools import lru_cache, partial
 
 from . import constructions, pte
 from .counting import count, count_union, fitted
-from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable
+from .errors import BudgetExceeded, EhrhartError, InvalidInput, NotAvailable, VerificationFailed
 from .indices import mcmullen_check
 from .polytope import (
     PolytopalUnion,
@@ -469,13 +470,20 @@ _CLAIM_FUNCS = {
 CLAIMS = tuple(_CLAIM_FUNCS)
 
 
+def _grid(claim: str) -> tuple:
+    """The claim's ``_GRIDS`` entry; an unknown claim is invalid input."""
+    if claim not in _GRIDS:
+        raise InvalidInput(f"unknown claim {claim!r}; choose from {', '.join(CLAIMS)}")
+    return _GRIDS[claim]
+
+
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
     """Run one verification claim and judge its cases by the one verdict
     rule: it passes when every case is good; no cases, or budget
     exhaustion, is skipped, not failed. Unset ``ps`` and ``ns`` are the
     claim's defaults in ``_GRIDS``."""
     # copies: a report's params hold these lists, and must not alias the table
-    periods, dimensions = (None if axis is None else list(axis) for axis in _GRIDS[claim])
+    periods, dimensions = (None if axis is None else list(axis) for axis in _grid(claim))
     try:
         params, cases = _CLAIM_FUNCS[claim](ps or periods, ns or dimensions, budget)
     except BudgetExceeded as exc:
@@ -502,6 +510,7 @@ def verify_all(
     flags of the axes ``_GRIDS`` gives it, and ``max_p``; a flag that no
     claim run takes is refused, so a claim run alone refuses a grid it
     does not have."""
+    grids = [_grid(claim) for claim in claims]
     for one, most, value, maximum in (("p", "max_p", p, max_p), ("n", "max_n", n, max_n)):
         if value is not None and maximum is not None:
             raise InvalidInput(f"give {one} or {most}, not both")
@@ -513,7 +522,7 @@ def verify_all(
             continue
         if value < least:
             raise InvalidInput(f"{name} must be at least {least}, got {value}")
-        if axis is not None and all(_GRIDS[claim][axis] is None for claim in claims):
+        if axis is not None and all(grid[axis] is None for grid in grids):
             flag = "--" + name.replace("_", "-")
             raise InvalidInput(f"{', '.join(claims)} take{'s' * (len(claims) == 1)} no {flag}")
     ps = [p] if p is not None else (None if max_p is None else list(range(1, max_p + 1)))
@@ -655,6 +664,8 @@ def main(argv=None) -> int:
         # os.devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except VerificationFailed:
+        raise  # the library's defect, not a usage error: ``entry`` exits 3
     except (EhrhartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -197,14 +197,12 @@ def count_union(
     if not isinstance(k, int) or k < 1:
         raise InvalidInput(f"a union's dilation factor must be a positive integer, got {k!r}")
     budget = _budget(budget)
+    routes = {"enumerate": _union_enumerate, "inclusion-exclusion": _union_inclusion_exclusion}
     if strategy == "auto":
         strategy = _union_strategy(union)
-    if strategy == "enumerate":
-        route = _union_enumerate
-    elif strategy == "inclusion-exclusion":
-        route = _union_inclusion_exclusion
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    route = routes.get(strategy)
+    if route is None:
+        raise InvalidInput(f"unknown strategy {strategy!r}; choose from auto, {', '.join(routes)}")
     key = (k, strategy, budget)
     found = union.dilate_counts.get(key)
     if found is None:

@@ -14,9 +14,16 @@ import pytest
 import ehrhart
 from ehrhart import cli, constructions, indices
 from ehrhart.cli import CLAIMS, main
-from ehrhart.counting import DEFAULT_BUDGET, count, fitted
-from ehrhart.errors import InvalidInput
-from ehrhart.polytope import PolytopalUnion, denominator, from_vertices, product, union_to_dict
+from ehrhart.counting import DEFAULT_BUDGET, count, count_union, fitted
+from ehrhart.errors import InvalidInput, VerificationFailed
+from ehrhart.polytope import (
+    PolytopalUnion,
+    denominator,
+    from_vertices,
+    polytope_from_dict,
+    product,
+    union_to_dict,
+)
 from ehrhart.pte import table_lookup
 from ehrhart.quasipoly import fit
 
@@ -42,7 +49,7 @@ def test_construct_barn_union_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["pieces"]) == 2
-    assert len(payload["product_structure"]) == 2
+    assert "product_structure" not in payload
     assert "intersections" not in payload
     assert payload["provenance"]["pte_solution"] == {"s": [1, 2], "t": [3, 0]}
 
@@ -406,12 +413,6 @@ MALFORMED_INPUTS = {
     "not-an-object": [1, 2],
     "piece-not-an-object": {"ambient_dim": 2, "pieces": [7]},
     "no-pieces": {"ambient_dim": 2, "pieces": []},
-    "structure-length": {"ambient_dim": 2, "pieces": [TRIANGLE], "product_structure": []},
-    "structure-coords": {
-        "ambient_dim": 2,
-        "pieces": [TRIANGLE],
-        "product_structure": [[{"coords": ["x"], "factor": TRIANGLE}]],
-    },
 }
 
 
@@ -509,6 +510,22 @@ def test_verify_all_rejects_the_grids_the_parser_rejects(grid, claim):
 def test_verify_all_rejects_a_value_with_its_maximum(grid):
     with pytest.raises(InvalidInput, match="not both"):
         cli.verify_all(claims=("heptagon",), **grid)
+
+
+@pytest.mark.parametrize("call, choices", [
+    (partial(cli.run_claim, "nope"), "unknown claim 'nope'; choose from pentagon-equivalence, "),
+    (partial(cli.verify_all, claims=("nope",)), "unknown claim 'nope'; choose from "),
+    (partial(cli.verify_all, max_n=4, claims=("heptagon", "nope")), "unknown claim 'nope'"),
+    (
+        partial(count_union, constructions.build("barn", 2, 3)[0], 1, strategy="nope"),
+        "unknown strategy 'nope'; choose from auto, enumerate, inclusion-exclusion",
+    ),
+    (partial(constructions.build, "nope", 2), "unknown family 'nope'; choose from segment, "),
+], ids=["run_claim", "verify_all", "verify_all with a grid", "count_union", "build"])
+def test_an_unknown_name_is_a_usage_error_naming_the_choices(call, choices):
+    with pytest.raises(InvalidInput) as exc:
+        call()
+    assert str(exc.value).startswith(choices)
 
 
 def test_mcmullen_single_p_runs_that_p_only(capsys):
@@ -738,26 +755,43 @@ def test_no_cases_is_skipped_not_passed(monkeypatch, capsys):
     )
 
 
-def test_internal_errors_are_not_usage_errors(monkeypatch):
+# a fit picks its own degree and modulus, so one that fails its check is
+# the library's defect, though ``VerificationFailed`` is an ``EhrhartError``
+INTERNAL_ERRORS = {
+    "KeyError": (KeyError("internal"), "KeyError: 'internal'"),
+    "VerificationFailed": (
+        VerificationFailed("fitted value 32 != sample 31 at k=4"),
+        "VerificationFailed: fitted value 32 != sample 31 at k=4",
+    ),
+}
+
+
+def _break_a_claim(monkeypatch, error):
     def broken(ps, ns, budget):
-        raise KeyError("internal")
+        raise error
 
     monkeypatch.setitem(cli._CLAIM_FUNCS, "heptagon", broken)
-    with pytest.raises(KeyError):
+
+
+@pytest.mark.parametrize("name", sorted(INTERNAL_ERRORS))
+def test_internal_errors_are_not_usage_errors(monkeypatch, name):
+    error, _ = INTERNAL_ERRORS[name]
+    _break_a_claim(monkeypatch, error)
+    with pytest.raises(type(error)):
         main(["verify", "heptagon"])
 
 
-def test_internal_errors_exit_3_with_traceback(monkeypatch, capsys):
-    def broken(ps, ns, budget):
-        raise KeyError("internal")
-
-    monkeypatch.setitem(cli._CLAIM_FUNCS, "heptagon", broken)
+@pytest.mark.parametrize("name", sorted(INTERNAL_ERRORS))
+def test_internal_errors_exit_3_with_traceback(monkeypatch, capsys, name):
+    error, line = INTERNAL_ERRORS[name]
+    _break_a_claim(monkeypatch, error)
     monkeypatch.setattr(sys, "argv", ["ehrhart", "verify", "heptagon"])
     with pytest.raises(SystemExit) as exc:
         cli.entry()
     assert exc.value.code == 3
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "KeyError: 'internal'" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and line in captured.err
 
 
 def run_module(*argv, **kwargs):
@@ -792,7 +826,7 @@ def test_closed_stdout_exits_141_and_says_nothing(argv, shared_stderr):
     assert proc.stderr in (None, b"")
 
 
-def test_tampered_union_input_is_rejected(tmp_path, capsys):
+def test_a_union_file_reads_as_its_listed_vertices(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "construct", "--family", "barn", "--p", "2", "--n", "3")
     payload = json.loads(out)
     shifted = json.loads(out)
@@ -805,12 +839,15 @@ def test_tampered_union_input_is_rejected(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--input", str(tmp_path / "barn.json"), "--k-max", "2")
     assert code == 0
     assert json.loads(out)["count"] == [48, 253]
-    code, out, err = run_cli(
+    # the shifted piece no longer meets the other: the count is the two
+    # pieces' sum, each counted alone
+    pieces = [polytope_from_dict(piece) for piece in shifted["pieces"]]
+    alone = [[count(piece, k) for piece in pieces] for k in (1, 2)]
+    code, out, _ = run_cli(
         capsys, "count", "--input", str(tmp_path / "shifted.json"), "--k-max", "2"
     )
-    assert code == 2
-    assert out == ""
-    assert "error: piece 0: listed vertices disagree" in err
+    assert code == 0
+    assert json.loads(out)["count"] == [sum(c) for c in alone] == [54, 268]
 
 
 # sha256 of the stdout of the default ``ehrhart verify all``. All three
@@ -866,12 +903,13 @@ def test_verify_all_max_p6_output_is_unchanged(capsys):
 
 # sha256 of the stdout of ``ehrhart construct --family barn --n N --p P``,
 # the JSON wire format of a product union, by (n, p). It moved when the
-# writer stopped listing recorded overlaps under ``"intersections"``; the
-# output before that, with that key deleted, is byte-identical to this one.
+# writer stopped listing recorded overlaps under ``"intersections"``, and
+# again when it stopped writing each piece's ``"product_structure"``; the
+# output before each, with that key deleted, is byte-identical to this one.
 CONSTRUCT_BARN_SHA256 = {
-    (3, 2): "bd6688492f6aa03f619345ce7ad89da1d7e70c9646324c62a3b07403c883aa94",
-    (4, 3): "f790908e9e12b7333c48bb2309b9e9e0eae5e77bea113f594a1212f554666417",
-    (5, 2): "a9ec20e409a8505db8d40d7b9ad939d086e142889d3ff4476836412cfeb08071",
+    (3, 2): "24c5195cbb28758d4684b5605c9a3ef94ad7ca79b948001d3763ed9821f2a90d",
+    (4, 3): "d0cf9764dbcdb99561a8682ecf5f7ac81e81843d723f476b562a0c92479668ba",
+    (5, 2): "f6c224180ca2682df86ca41d43b506a7b0d9bdcb3364dffd593f0aa5915ce9f9",
 }
 
 

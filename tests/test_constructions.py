@@ -4,9 +4,10 @@ from functools import partial
 import pytest
 
 from ehrhart import constructions as C
+from ehrhart._enum_py import coordinate_blocks
 from ehrhart.counting import count, count_convex, count_union, fitted
 from ehrhart.errors import NotAvailable, SizeMismatch, UnverifiedSolution
-from ehrhart.polytope import coordinate_blocks, denominator, is_integral
+from ehrhart.polytope import denominator, is_integral
 from ehrhart.pte import PteSolution, table_lookup
 from ehrhart.quasipoly import fit, period_sequence
 

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from oracles import in_hull, rank, vsub
+from strategies import clouds
 
 from ehrhart import constructions as C, polytope
 from ehrhart.counting import count_union
@@ -303,25 +306,90 @@ def _translated_barn(n, shift):
     return PolytopalUnion(n, tuple(piece.translate(shift) for piece in barn.pieces))
 
 
-@pytest.mark.parametrize(
-    "union",
-    # the 6-D pieces of the translate cannot be hulled, so reading it back
-    # relies on the product structure read off their facets
-    [C.barn(4, 2, table_lookup(3)), _translated_barn(6, [3, -1, 0, 2, -5, 1])],
-    ids=["barn(4,2)", "translated barn(6,2)"],
-)
-def test_union_json_round_trip_uses_product_structure(union):
-    data = json.loads(json.dumps(union_to_dict(union)))
-    assert "intersections" not in data
+@st.composite
+def unions(draw):
+    """Unions of 1-3 full-dimensional pieces in 2-D to 4-D, each the hull
+    of a random cloud or a translated product (``embed_product``) of a
+    random cloud and intervals, on shuffled coordinates."""
+    n = draw(st.integers(2, 4))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, n))  # the cloud's dimension
+        cloud = from_vertices(draw(clouds(max_dim=m, bound=2).filter(lambda ps: len(ps[0]) == m)))
+        coords = draw(st.permutations(range(n)))
+        blocks = [(tuple(coords[:m]), cloud)]
+        for j in coords[m:]:
+            lo = draw(st.integers(-2, 2))
+            blocks.append(((j,), C.interval(lo, lo + draw(st.integers(1, 2)))))
+        shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        piece = embed_product(tuple(blocks), n).translate(shift)
+        assume(piece.intrinsic_dim == n)
+        pieces.append(piece)
+    return PolytopalUnion(n, tuple(pieces))
+
+
+def _read_back(data):
+    return union_from_dict(json.loads(json.dumps(data)))
+
+
+@settings(max_examples=60)
+@given(unions())
+@example(C.barn(4, 2, table_lookup(3)))
+@example(_translated_barn(6, [3, -1, 0, 2, -5, 1]))
+def test_a_union_reads_back_from_its_vertices_as_itself(union):
+    data = union_to_dict(union)
+    assert list(data) == ["ambient_dim", "pieces"]
+    again = _read_back(data)
+    assert again == union
+    assert [p.incidence for p in again.pieces] == [p.incidence for p in union.pieces]
+    # the same 'auto' route, read off the rebuilt pieces' facets
+    assert [count_union(again, k) for k in (1, 2)] == [count_union(union, k) for k in (1, 2)]
+    assert list(again.dilate_counts) == list(union.dilate_counts)
+
+
+# the ``product_structure`` an older writer gave barn(3,2): the factors of
+# each piece and their coordinates
+OLD_PRODUCT_STRUCTURE = [
+    [
+        {"coords": [0], "factor": {"ambient_dim": 1, "vertices": [["0"], ["1"]]}},
+        {"coords": [1], "factor": {"ambient_dim": 1, "vertices": [["0"], ["2"]]}},
+        {"coords": [2], "factor": {"ambient_dim": 1, "vertices": [["-1/2"], ["0"]]}},
+    ],
+    [
+        {"coords": [0], "factor": {"ambient_dim": 1, "vertices": [["0"], ["3"]]}},
+        {"coords": [1, 2], "factor": {"ambient_dim": 2, "vertices": [
+            ["-3", "0"], ["-2", "1"], ["0", "3/2"], ["2", "1"], ["3", "0"],
+        ]}},
+    ],
+]
+
+
+@pytest.mark.parametrize("agrees", [True, False], ids=["agreeing", "disagreeing"])
+def test_an_older_union_file_reads_as_its_listed_vertices(agrees):
+    barn = C.barn(3, 2, _sol2())
+    structure = json.loads(json.dumps(OLD_PRODUCT_STRUCTURE))
+    if not agrees:  # a factor that the listed vertices do not have
+        structure[0][0]["factor"]["vertices"] = [["5"], ["7"]]
+    data = {**union_to_dict(barn), "product_structure": structure}
     # older files also list recorded overlaps; reading ignores them
     data["intersections"] = [{"i": 0, "j": 5, "polytope": "not a polytope"}]
-    again = union_from_dict(data)
-    assert again == union
-    # enumerating the 6-D translate at k = 2 takes seconds; the
-    # strategies are compared at higher dilates in test_counting
-    auto = count_union(again, 1)
-    assert [route for _, route, _ in again.dilate_counts] == ["inclusion-exclusion"]
-    assert auto == count_union(again, 1, strategy="enumerate")
+    assert _read_back(data) == barn
+
+
+# the units the hull charges to rebuild each piece of barn(n, 2) from its
+# vertices, as a union file is read
+HULL_CHARGE_PINS = {5: (98, 306), 7: (642, 1_900), 9: (3_586, 10_214)}
+
+
+@pytest.mark.parametrize("n", sorted(HULL_CHARGE_PINS))
+def test_the_hull_charges_the_pinned_units_for_each_barn_piece(monkeypatch, n):
+    pieces = C.barn(n, 2, table_lookup(n - 1)).pieces
+    for piece, charge in zip(pieces, HULL_CHARGE_PINS[n], strict=True):
+        monkeypatch.setattr(polytope, "DEFAULT_BUDGET", charge)
+        assert from_vertices(piece.vertices) == piece
+        monkeypatch.setattr(polytope, "DEFAULT_BUDGET", charge - 1)
+        with pytest.raises(BudgetExceeded, match="the hull charges more than its budget"):
+            from_vertices(piece.vertices)
 
 
 def test_rational_serialization_format():
