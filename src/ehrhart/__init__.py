@@ -22,7 +22,6 @@ from .indices import IndexSequence, McMullenReport, chain_check, index_sequence,
 from .linalg import AffineSubspace, Rational, min_dilate_with_lattice_point
 from .polytope import (
     ConvexPolytope,
-    Face,
     PolytopalUnion,
     denominator,
     embed_product,

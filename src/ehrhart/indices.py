@@ -10,11 +10,12 @@ independently and reports the comparison: indices from the body's faces
 ``counting.fitted`` keeps with the body. A face's minimal dilate divides
 its vertices' denominators and is divided by that of each face
 containing it. So a face with an integral vertex has index 1, and only
-the faces whose vertices are all non-integral are read
-(``ConvexPolytope.faces_within``: taken from a kept face lattice, else
-graded alone); most are fixed by their vertices and cofaces, and only
-the rest have their span derived and are solved over the integer lattice
-by ``linalg.min_dilate_with_lattice_point``.
+the vertex masks of the faces whose vertices are all non-integral are
+read (``ConvexPolytope.faces_within``: taken from a kept face lattice,
+else graded alone); most are fixed by their vertices and cofaces, and
+only the rest have their span derived (``ConvexPolytope.face_span``) and
+are solved over the integer lattice by
+``linalg.min_dilate_with_lattice_point``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ def index_sequence(poly: ConvexPolytope) -> IndexSequence:
     if isinstance(poly, PolytopalUnion):
         raise InvalidInput("index sequences are defined for convex polytopes only")
     dens = [math.lcm(*(x.denominator for x in v)) for v in poly.vertices]
+    lattice = poly.faces_within(sum(1 << i for i, d in enumerate(dens) if d > 1))
     values, above = [], []
-    for grade in reversed(poly.faces_within(sum(1 << i for i, d in enumerate(dens) if d > 1))):
+    for dim in reversed(range(len(lattice))):
         here = []
-        for face in grade:
-            mask = face.mask
-            m = math.gcd(*(dens[i] for i in face.vertex_indices))
-            if face.dim and m > 1 and m != math.lcm(*(g for s, g in above if s & mask == mask)):
-                m = min_dilate_with_lattice_point(face.span)
+        for mask in lattice[dim]:
+            m = math.gcd(*(d for i, d in enumerate(dens) if mask >> i & 1))
+            if dim and m > 1 and m != math.lcm(*(g for s, g in above if s & mask == mask)):
+                m = min_dilate_with_lattice_point(poly.face_span(mask))
             here.append((mask, m))
         values.append(math.lcm(*(m for _, m in here)))
         above = here

@@ -10,10 +10,6 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def poly_neg(p: Sequence) -> list:
-    return [-c for c in p]
-
-
 def poly_mul(p: Sequence, q: Sequence) -> list:
     if not p or not q:
         return []

@@ -11,14 +11,15 @@ are full-dimensional, and each facet found there is read back with a
 normal that is zero on the other coordinates. The body keeps those masks
 as its ``incidence``, which answers every combinatorial question without
 elimination: which points are vertices, and the faces, graded by one
-routine. ``face_lattice`` holds them all, built on first use and kept;
+routine. A face is its vertex mask, an int, and its grade is its
+dimension. ``face_lattice`` holds them all, built on first use and kept;
 ``faces_within`` gives those inside a vertex mask, filtered from a kept
 lattice or else graded alone, which is how ``indices`` reads the faces
-of the non-integral vertices. The hull and the grading charge the
-kernel's ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and
-one per AND of a closed set with a facet mask; an overdraw raises
-``BudgetExceeded``. A face is its vertex mask and dimension; its span is
-derived on first read. A body likewise keeps its ``bounds`` (a
+of the non-integral vertices, and ``face_span`` derives a face's affine
+span, kept nowhere. The hull and the grading charge the kernel's
+``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and one per
+AND of a closed set with a facet mask; an overdraw raises
+``BudgetExceeded``. A body likewise keeps its ``bounds`` (a
 product's are placed from its factors'), the integer ``rows`` that count
 its dilates, the counts made of them and its fitted quasi-polynomial, and
 a union its counts, its fit and the stacked rows of its counted
@@ -29,10 +30,9 @@ inequalities alone, by the kernel's ``coordinate_blocks``, and a product
 is counted as the product of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
-their own on first use, and all operations are pure. A body, a face and a
-union are named tuples of their fields, which alone compare and hash them:
-what they keep sits in their ``__dict__``, outside the tuple, as does a
-face's ``body``.
+their own on first use, and all operations are pure. A body and a union
+are named tuples of their fields, which alone compare and hash them: what
+they keep sits in their ``__dict__``, outside the tuple.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, count
 from operator import and_, mul
 from typing import Iterable, Sequence
 
@@ -125,26 +124,40 @@ class ConvexPolytope(
         )
 
     @cached_property
-    def face_lattice(self) -> tuple[tuple["Face", ...], ...]:
-        """Every nonempty face, graded: ``[d]`` holds the ``d``-faces in
-        order of their vertex indices, and ``[intrinsic_dim]`` is the
-        polytope itself. Built on first use and kept with the body; it is
+    def face_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Every nonempty face as its vertex mask (bit ``i`` for
+        ``vertices[i]``), graded: ``[d]`` holds the ``d``-faces in order of
+        their vertex indices, and ``[intrinsic_dim]`` is the polytope
+        itself. Built on first use and kept with the body; it is
         ``faces_within`` at the mask of every vertex."""
         return self._graded((1 << len(self.vertices)) - 1)
 
-    def faces_within(self, within: int) -> tuple[tuple["Face", ...], ...]:
-        """The faces whose vertices all lie in the bitmask ``within``,
-        graded as in ``face_lattice``: its own faces when it is kept or
-        ``within`` holds every vertex, else graded alone and not kept."""
+    def faces_within(self, within: int) -> tuple[tuple[int, ...], ...]:
+        """The masks of the faces whose vertices all lie in the bitmask
+        ``within``, graded as in ``face_lattice``: its own grades when it is
+        kept or ``within`` holds every vertex, else graded alone and not kept."""
         if within == (1 << len(self.vertices)) - 1:
             return self.face_lattice
         if "face_lattice" not in vars(self):
             return self._graded(within)
-        return tuple(
-            tuple(f for f in grade if f.mask & within == f.mask) for grade in self.face_lattice
+        return tuple(tuple(m for m in grade if m & within == m) for grade in self.face_lattice)
+
+    def face_span(self, mask: int) -> AffineSubspace:
+        """The affine span of the face with vertex mask ``mask``: the body's
+        span and the facets tight on the face, whose rows may be dependent.
+        Since ``aff(F)`` is ``aff(P)`` cut by every facet hyperplane through
+        ``F``, a vertex's span is the vertex alone, and ``aff(F)`` lies in
+        ``aff(G)`` for every face ``G`` containing ``F``: the vertex rule and
+        the coface rule by which ``indices.index_sequence`` fixes most faces
+        without a solve."""
+        tight = [f for f, pf in zip(self.facets, self.incidence) if pf & mask == mask]
+        return AffineSubspace(
+            self.ambient_dim,
+            self.span.rows + tuple(a for a, _ in tight),
+            self.span.rhs + tuple(c for _, c in tight),
         )
 
-    def _graded(self, within: int) -> tuple[tuple["Face", ...], ...]:
+    def _graded(self, within: int) -> tuple[tuple[int, ...], ...]:
         """The faces inside the vertex mask ``within``, graded.
 
         Every face is an intersection of facets, so the faces inside
@@ -171,7 +184,7 @@ class ConvexPolytope(
                     queue.append(t)
 
         everything = (1 << len(self.vertices)) - 1
-        out: list[list[Face]] = [[] for _ in range(self.intrinsic_dim + 1)]
+        out: list[list[int]] = [[] for _ in range(self.intrinsic_dim + 1)]
         grade = {0: -1}  # of the faces only
         for s in sorted(closed, key=int.bit_count):
             top, hull = -1, everything
@@ -183,10 +196,10 @@ class ConvexPolytope(
                     top = grade[t]
             if hull == s:
                 grade[s] = top + 1
-                out[top + 1].append(Face(s, top + 1, self))
+                out[top + 1].append(s)
         # in vertex-index order: of two faces of a grade, which never nest,
         # the first holds the lowest vertex where they differ
-        return tuple(tuple(sorted(g, key=lambda f: bin(f.mask)[:1:-1], reverse=True)) for g in out)
+        return tuple(tuple(sorted(g, key=lambda m: bin(m)[:1:-1], reverse=True)) for g in out)
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership: affine-hull equations plus facet inequalities."""
@@ -216,44 +229,6 @@ class ConvexPolytope(
                 tuple(b + vdot(row, t) for row, b in zip(self.span.rows, self.span.rhs)),
             ),
             self.intrinsic_dim,
-        )
-
-
-class Face(namedtuple("Face", "mask dim")):
-    """A face of a polytope: the bitmask of its vertices (bit ``i`` for
-    ``body.vertices[i]``) and its dimension. Its vertex indices and affine
-    span are derived on first read and kept. The span's rows are the
-    body's span and the facets tight on the face; they may be dependent.
-    Since ``aff(F)`` is ``aff(P)`` cut by every facet hyperplane through
-    ``F``, a vertex's span is the vertex alone, and ``aff(F)`` lies in
-    ``aff(G)`` for every face ``G`` containing ``F``: the vertex rule and
-    the coface rule by which ``indices.index_sequence`` fixes most faces
-    without a solve. The body is kept outside the tuple, so it takes no
-    part in equality, hashing or ``repr``."""
-
-    __setattr__ = _frozen
-
-    def __new__(cls, mask: int, dim: int, body: ConvexPolytope):
-        self = tuple.__new__(cls, (mask, dim))
-        vars(self)["body"] = body
-        return self
-
-    def __getnewargs__(self):  # pickle and copy rebuild a face with its body
-        return (*self, self.body)
-
-    @cached_property
-    def vertex_indices(self) -> tuple[int, ...]:
-        """The indices of the face's vertices in ``body.vertices``, increasing."""
-        return tuple(compress(count(), map(int, bin(self.mask)[:1:-1])))
-
-    @cached_property
-    def span(self) -> AffineSubspace:
-        body, mask = self.body, self.mask
-        tight = [f for f, pf in zip(body.facets, body.incidence) if pf & mask == mask]
-        return AffineSubspace(
-            body.ambient_dim,
-            body.span.rows + tuple(a for a, _ in tight),
-            body.span.rhs + tuple(c for _, c in tight),
         )
 
 
@@ -535,8 +510,9 @@ def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
 # ---------------------------------------------------------------------------
 
 
-def faces(poly: ConvexPolytope, dim: int) -> list[Face]:
-    """All ``dim``-dimensional faces: one grade of the body's ``face_lattice``."""
+def faces(poly: ConvexPolytope, dim: int) -> list[int]:
+    """The vertex masks of all ``dim``-dimensional faces: one grade of the
+    body's ``face_lattice``."""
     if not 0 <= dim <= poly.intrinsic_dim:
         raise ValueError(f"face dimension {dim} out of range")
     return list(poly.face_lattice[dim])

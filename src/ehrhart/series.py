@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .polynomials import poly_mul, poly_neg, poly_trim
+from .polynomials import poly_mul, poly_trim
 from .quasipoly import QuasiPolynomial, equivalent, fit
 
 
@@ -62,10 +62,6 @@ def expansion(series: EhrhartSeries, k_max: int) -> list[Fraction]:
                 acc += math.comb(m - 1 + j, m - 1) * series.numerator[idx]
         out.append(acc)
     return out
-
-
-def negate(series: EhrhartSeries) -> EhrhartSeries:
-    return EhrhartSeries(tuple(poly_neg(series.numerator)), series.modulus, series.power)
 
 
 def pyramid_transform(series: EhrhartSeries, i: int) -> EhrhartSeries:

@@ -548,11 +548,16 @@ def brute_force_hull(points):
 
 
 class OracleFace(NamedTuple):
-    """A face as the oracle finds it, apart from the library's ``Face``."""
+    """A face as the oracle finds it: its vertex indices, span and dimension."""
 
     vertex_indices: tuple[int, ...]
     span: AffineSubspace
     dim: int
+
+
+def vertex_indices(mask):
+    """The set bits of a face's vertex mask, increasing: its vertex indices."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def facet_vertex_masks(poly):

@@ -19,7 +19,7 @@ from ehrhart.indices import mcmullen_check
 from ehrhart.polytope import denominator, is_integral
 from ehrhart.pte import PteSolution, product_identity_check, table_lookup, verify
 from ehrhart.quasipoly import equivalent, fit, negate, period_sequence
-from ehrhart.series import from_quasipolynomial, negate as series_negate, series_equivalent
+from ehrhart.series import from_quasipolynomial, series_equivalent
 
 _FITS: dict = {}
 
@@ -96,7 +96,7 @@ def test_criterion_6_pyramid_equivalence():
         for i in (1, 2):
             n = 2 + i
             left = from_quasipolynomial(fitted(C.pentagon_pyramid(n, p)))
-            right = series_negate(from_quasipolynomial(fitted(C.simplex(n, p))))
+            right = from_quasipolynomial(negate(fitted(C.simplex(n, p))))
             assert series_equivalent(left, right)
     for n in (3, 4):
         for p in (2, 3):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from oracles import brute_min_dilate
+from oracles import brute_min_dilate, vertex_indices
 from strategies import clouds
 
 from ehrhart import cli, constructions as C, indices, polytope
@@ -67,11 +67,10 @@ def test_per_face_dilates_match_brute_force():
     for body in [C.pentagon(2), C.heptagon(2), C.simplex(3, 2)]:
         for i in range(body.intrinsic_dim + 1):
             for face in faces(body, i):
-                m = min_dilate_with_lattice_point(face.span)
+                span = body.face_span(face)
+                m = min_dilate_with_lattice_point(span)
                 assert m <= denominator(body)
-                found = brute_min_dilate(
-                    face.span.rows, face.span.rhs, m_max=denominator(body), box=30
-                )
+                found = brute_min_dilate(span.rows, span.rhs, m_max=denominator(body), box=30)
                 assert found == m
 
 
@@ -79,7 +78,7 @@ def test_index_divisibility_lcm_structure():
     # the 0-index is the lcm of the per-vertex dilates
     body = C.heptagon(2)
     per_vertex = [
-        min_dilate_with_lattice_point(face.span) for face in faces(body, 0)
+        min_dilate_with_lattice_point(body.face_span(face)) for face in faces(body, 0)
     ]
     assert math.lcm(*per_vertex) == index_sequence(body).values[0]
 
@@ -154,7 +153,7 @@ def test_five_dimensional_hull_is_within_the_face_cap():
 def solved_index_sequence(body):
     """The index sequence with every face solved, no face skipped."""
     return tuple(
-        math.lcm(*(min_dilate_with_lattice_point(face.span) for face in grade))
+        math.lcm(*(min_dilate_with_lattice_point(body.face_span(face)) for face in grade))
         for grade in body.face_lattice
     )
 
@@ -162,7 +161,7 @@ def solved_index_sequence(body):
 def vertex_gcd(body, face):
     """gcd over the face's vertices of their coordinate-denominator lcm."""
     return math.gcd(*(
-        math.lcm(*(x.denominator for x in body.vertices[i])) for i in face.vertex_indices
+        math.lcm(*(x.denominator for x in body.vertices[i])) for i in vertex_indices(face)
     ))
 
 
@@ -179,7 +178,7 @@ def test_vertex_denominator_rule_agrees_with_the_solve_on_random_clouds(points):
     for grade in body.face_lattice:
         for face in grade:
             # the minimal dilate divides every vertex denominator
-            assert vertex_gcd(body, face) % min_dilate_with_lattice_point(face.span) == 0
+            assert vertex_gcd(body, face) % min_dilate_with_lattice_point(body.face_span(face)) == 0
 
 
 @pytest.mark.parametrize("make, expected", [
@@ -197,10 +196,10 @@ def test_pentagon_apex_needs_the_solve():
     body = C.pentagon(2)
     (apex,) = [
         face for face in body.face_lattice[0]
-        if body.vertices[face.vertex_indices[0]] == (0, Fraction(3, 2))
+        if body.vertices[vertex_indices(face)[0]] == (0, Fraction(3, 2))
     ]
     assert vertex_gcd(body, apex) == 2
-    assert index_sequence(body).values[0] == min_dilate_with_lattice_point(apex.span) == 2
+    assert index_sequence(body).values[0] == min_dilate_with_lattice_point(body.face_span(apex)) == 2
 
 
 @settings(max_examples=150)
@@ -210,7 +209,7 @@ def test_face_minimal_dilates_obey_the_vertex_and_coface_rules(points):
     # solve alone: m(vertex) = den(vertex), and m(G) | m(F) for F inside G
     body = from_vertices(points)
     solved = [
-        {face.vertex_indices: min_dilate_with_lattice_point(face.span) for face in grade}
+        {vertex_indices(face): min_dilate_with_lattice_point(body.face_span(face)) for face in grade}
         for grade in body.face_lattice
     ]
     for (i,), m in solved[0].items():
@@ -274,13 +273,51 @@ def test_a_family_index_is_the_same_with_the_face_lattice_built_first(family):
     assert index_sequence(built) == index_sequence(fresh)
 
 
-def test_an_integral_body_has_index_one_without_building_a_face(monkeypatch):
+def test_an_integral_body_has_index_one_without_deriving_a_span(monkeypatch):
     body = C.middle(4, 2)
     assert is_integral(body)
 
-    def no_face(*args):
-        raise AssertionError("a face was built")
+    def no_span(self, mask):
+        raise AssertionError("a face span was derived")
 
-    monkeypatch.setattr(polytope, "Face", no_face)
+    monkeypatch.setattr(polytope.ConvexPolytope, "face_span", no_span)
     assert index_sequence(body).values == (1, 1, 1, 1, 1)
     assert "face_lattice" not in vars(body)
+
+
+def counted_spans_and_solves(body):
+    """The numbers of face spans ``index_sequence(body)`` derives and of
+    minimal dilates it solves."""
+    spans, solves = [], []
+    face_span = polytope.ConvexPolytope.face_span
+
+    def span(self, mask):
+        spans.append(mask)
+        return face_span(self, mask)
+
+    def solve(s):
+        solves.append(s)
+        return min_dilate_with_lattice_point(s)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(polytope.ConvexPolytope, "face_span", span)
+        patched.setattr(indices, "min_dilate_with_lattice_point", solve)
+        index_sequence(body)
+    return len(spans), len(solves)
+
+
+def test_a_family_index_derives_a_span_only_for_each_face_it_solves():
+    counts = {
+        label: counted_spans_and_solves(body)
+        for label, body in cli._mcmullen_targets((1, 2, 3), (3, 4, 5))
+    }
+    assert all(spans == solves for spans, solves in counts.values()), counts
+    assert sum(solves for _, solves in counts.values()) > 0
+
+
+@settings(max_examples=100)
+@given(clouds(max_dim=4, max_den=12))
+def test_an_index_derives_a_span_only_for_each_face_it_solves(points):
+    # each span is read once, so keeping it would save nothing
+    spans, solves = counted_spans_and_solves(from_vertices(points))
+    assert spans == solves

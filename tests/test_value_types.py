@@ -1,7 +1,7 @@
 """The contracts of the value types, which are named tuples: equality and
 hashing by value, immutable fields, their ``repr`` and their construction
-checks. Bodies, unions and faces compare the same before and after they
-fill what they keep on first use."""
+checks. Bodies and unions compare the same before and after they fill
+what they keep on first use."""
 
 import copy
 import pickle
@@ -37,10 +37,6 @@ def _fill_body(body):
     body.face_lattice, body.bounds, body.rows
 
 
-def _fill_face(face):
-    face.span, face.vertex_indices
-
-
 # name: (build a value, its repr, constructions that must raise, fill its caches)
 CASES = {
     "VerificationReport": (
@@ -69,12 +65,6 @@ CASES = {
         "ConvexPolytope(ambient_dim=2, intrinsic_dim=2, 5 vertices, 5 facets)",
         [],
         _fill_body,
-    ),
-    "Face": (
-        lambda: C.pentagon(2).face_lattice[1][0],
-        "Face(mask=3, dim=1)",
-        [],
-        _fill_face,
     ),
     "PolytopalUnion": (
         _union,
@@ -128,8 +118,8 @@ def test_value_type_contract(name):
             hash(value)
     else:
         assert hash(value) == hash(twin)
-    # the fields, what a value keeps outside the tuple (a face's body), and
-    # any new name all refuse assignment
+    # the fields, what a value keeps outside the tuple, and any new name
+    # all refuse assignment
     for name in (*value._fields, *getattr(value, "__dict__", ()), "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -154,6 +144,3 @@ def test_a_body_pickles_and_copies_with_what_it_keeps():
     for again in (pickle.loads(pickle.dumps(body)), copy.deepcopy(body)):
         assert again == body and again is not body
         assert again.face_lattice == body.face_lattice
-        assert all(f.body is again for grade in again.face_lattice for f in grade)
-    face = body.face_lattice[1][0]
-    assert copy.copy(face) == face and copy.copy(face).body is body
