@@ -24,7 +24,6 @@ from .polytope import (
     ConvexPolytope,
     PolytopalUnion,
     denominator,
-    embed_product,
     faces,
     from_vertices,
     is_integral,

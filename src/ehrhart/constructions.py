@@ -7,7 +7,9 @@ segment with a rational endpoint and a pentagon whose dilate counts
 cancel the segment's periodic parts; pyramids, prisms and hulls assemble
 them into higher-dimensional bodies, and a two-piece product union glues
 box-scaled copies along an integral intersection using an ideal
-equal-power-sum pair.
+equal-power-sum pair. Every product (``rectangle``, ``prism`` and both
+barn pieces) is one ``product`` call, its factors on consecutive
+coordinates in the order written.
 
 ``p = 1`` is admitted everywhere and degenerates every family to an
 integral polytope (all periods 1); generators do not special-case it
@@ -19,13 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput, SizeMismatch, UnverifiedSolution
-from .polytope import (
-    ConvexPolytope,
-    PolytopalUnion,
-    embed_product,
-    from_vertices,
-    product,
-)
+from .polytope import ConvexPolytope, PolytopalUnion, from_vertices, product
 from .pte import PteSolution, table_lookup, verify as pte_verify
 
 
@@ -116,12 +112,7 @@ def prism(n: int, p: int) -> ConvexPolytope:
     """
     _check_n(n)
     q = q_value(p)
-    body = embed_product(
-        (((0,), interval(-q, q)), (tuple(range(1, n)), simplex(n, p))), n
-    )
-    shift = [0] * n
-    shift[1] = -q
-    return body.translate(shift)
+    return product(interval(-q, q), simplex(n, p)).translate((0, -q) + (0,) * (n - 2))
 
 
 def _pentagon_pyramid_points(n: int, p: int) -> list[tuple]:
@@ -175,9 +166,10 @@ def middle(n: int, p: int) -> ConvexPolytope:
 def barn(n: int, p: int, sol: PteSolution) -> PolytopalUnion:
     """Two-piece product union with period sequence ``(1, ..., 1, p, 1)``.
 
-    Piece one is the box ``prod [0, s_i]`` times the segment (coordinates
-    ``1..n-1`` and ``n``); piece two is the box ``prod [0, t_j]`` times
-    the pentagon (coordinates ``1..n-2`` and ``(n-1, n)``). They meet in
+    Piece one is the box ``prod [0, s_i]`` times the segment, piece two
+    the box ``prod [0, t_j]`` over ``j < n - 1`` times the pentagon; each
+    factor takes the coordinates after the previous one's, so the segment
+    sits on coordinate ``n`` and the pentagon on ``(n-1, n)``. They meet in
     the integral box ``prod [0, min(s_i, t_i)] x [0, min(s_(n-1), q)] x {0}``.
     The facets of both pieces split into these blocks, so dilate counts
     come from inclusion-exclusion, whose terms split the same way.
@@ -190,17 +182,12 @@ def barn(n: int, p: int, sol: PteSolution) -> PolytopalUnion:
         raise SizeMismatch(f"need a solution of size {n - 1}, got {sol.size}")
     if not pte_verify(sol):
         raise UnverifiedSolution("equal-power-sum solution failed verification")
-    s, t = sol.s, sol.t
-
-    blocks1: list = [((i,), interval(0, s[i])) for i in range(n - 1)]
-    blocks1.append(((n - 1,), segment(p)))
-
-    blocks2: list = [((j,), interval(0, t[j])) for j in range(n - 2)]
-    blocks2.append(((n - 2, n - 1), pentagon(p)))
-
     return PolytopalUnion(
         ambient_dim=n,
-        pieces=(embed_product(tuple(blocks1), n), embed_product(tuple(blocks2), n)),
+        pieces=(
+            product(*(interval(0, x) for x in sol.s), segment(p)),
+            product(*(interval(0, x) for x in sol.t[:-1]), pentagon(p)),
+        ),
     )
 
 

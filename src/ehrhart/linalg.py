@@ -2,10 +2,10 @@
 
 Every operation is exact; no floating point appears anywhere. Rational
 values are :class:`fractions.Fraction` (aliased ``Rational``) where they
-meet the caller: the vector helpers and the nullspace basis are tuples
-of Fractions, and ``as_vector`` coerces any sequence of numbers into
-one. Matrices are sequences of rows of ``int`` or ``Fraction``. Inside,
-the work is on Python ints: this module has one elimination, an integer
+meet the caller: ``vdot`` returns one, the nullspace basis vectors are
+tuples of them, and ``as_vector`` coerces any sequence of numbers into
+such a tuple. Matrices are sequences of rows of ``int`` or ``Fraction``.
+Inside, the work is on Python ints: this module has one elimination, an integer
 row echelon form reached by unimodular row steps, and builds every
 solver on it: nullspace, independent rows, and the
 lattice-solvability query used for face indices, the least dilate ``m`` for which ``A x = m b`` admits an
@@ -35,18 +35,9 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def _check_dims(u: Sequence, v: Sequence) -> None:
+def vdot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"dim {len(u)} vs {len(v)}")
-
-
-def vadd(u: Sequence, v: Sequence) -> Vector:
-    _check_dims(u, v)
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
-def vdot(u: Sequence, v: Sequence) -> Fraction:
-    _check_dims(u, v)
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 

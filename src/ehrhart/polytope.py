@@ -20,14 +20,15 @@ span, kept nowhere. The hull and the grading charge the kernel's
 ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and one per
 AND of a closed set with a facet mask; an overdraw raises
 ``BudgetExceeded``. A body likewise keeps its ``bounds`` (a
-product's are placed from its factors'), the integer ``rows`` that count
-its dilates, the counts made of them and its fitted quasi-polynomial, and
-a union its counts, its fit and the stacked rows of its counted
-intersections (see ``counting``). Translates and products
-are composed directly, without re-running the hull, so high-dimensional
-product bodies stay cheap. Whether a body is a product is read off its
-inequalities alone, by the kernel's ``coordinate_blocks``, and a product
-is counted as the product of its factors' counts.
+product's are its factors', joined in order), the integer ``rows`` that
+count its dilates, the counts made of them and its fitted
+quasi-polynomial, and a union its counts, its fit and the stacked rows of
+its counted intersections (see ``counting``). Translates and products are
+composed directly, without re-running the hull, so high-dimensional
+product bodies stay cheap: ``product`` puts each factor on the
+coordinates after the previous one's. Whether a body is a product is read
+off its inequalities alone, by the kernel's ``coordinate_blocks``, and a
+product is counted as the product of its factors' counts.
 
 All objects are immutable after construction, but for what they keep of
 their own on first use, and all operations are pure. A body and a union
@@ -53,7 +54,6 @@ from .linalg import (
     canonical_equation,
     independent_rows,
     pivots_and_nullspace,
-    vadd,
     vdot,
 )
 
@@ -221,12 +221,12 @@ class ConvexPolytope(
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
         return ConvexPolytope(
             self.ambient_dim,
-            tuple(vadd(v, t) for v in self.vertices),
+            tuple(tuple(x + y for x, y in zip(v, t)) for v in self.vertices),
             tuple((a, c + _dot(a, t)) for a, c in self.facets),
             AffineSubspace(
                 self.ambient_dim,
                 self.span.rows,
-                tuple(b + vdot(row, t) for row, b in zip(self.span.rows, self.span.rhs)),
+                tuple(b + _dot(row, t) for row, b in zip(self.span.rows, self.span.rhs)),
             ),
             self.intrinsic_dim,
         )
@@ -236,8 +236,8 @@ class PolytopalUnion(namedtuple("PolytopalUnion", "ambient_dim pieces")):
     """A finite union of full-dimensional convex pieces.
 
     When the facets of every piece split into several coordinate blocks
-    (``coordinate_blocks``), as those of the products ``embed_product``
-    builds do, the union is counted by inclusion-exclusion; every overlap
+    (``coordinate_blocks``), as those of the bodies ``product`` builds
+    do, the union is counted by inclusion-exclusion; every overlap
     that it subtracts is counted from the pieces' own inequalities, kept
     stacked in ``term_rows``.
     """
@@ -414,6 +414,14 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:
+    """``base`` with ``values`` written at the positions ``coords``."""
+    out = list(base)
+    for i, x in zip(coords, values):
+        out[i] = x
+    return tuple(out)
+
+
 def _scaled(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm ``L`` of the points' coordinate denominators, and the points
     times ``L`` as integer tuples."""
@@ -446,63 +454,42 @@ def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int
 # ---------------------------------------------------------------------------
 
 
-def embed_product(blocks: Sequence[tuple], ambient_dim: int) -> ConvexPolytope:
-    """Product of bodies, each paired in ``blocks`` with the coordinates it occupies.
+def product(*factors: ConvexPolytope) -> ConvexPolytope:
+    """Cartesian product, each factor on the coordinates after the previous
+    factor's; lattice-point counts multiply dilate by dilate.
 
-    Vertices, facets and hull equations all compose directly, so this
-    never invokes hull enumeration and scales to high-dimensional boxes.
-    The result records nothing of ``blocks``: ``coordinate_blocks`` reads
-    them back off its facets, split further where a body is a product.
+    Vertices, facets, hull equations and ``bounds`` all compose by
+    concatenation, so this never invokes hull enumeration and scales to
+    high-dimensional boxes. The result records nothing of its factors:
+    ``coordinate_blocks`` reads them back off its facets, split further
+    where a factor is a product.
     """
-    seen: list[int] = []
-    for coords, factor in blocks:
-        if len(coords) != factor.ambient_dim:
-            raise DimensionMismatch("factor block width mismatch")
-        seen.extend(coords)
-    if sorted(seen) != list(range(ambient_dim)):
-        raise InvalidInput("factor blocks must partition the coordinates")
-    verts = [(Fraction(0),) * ambient_dim]
+    ambient = sum(f.ambient_dim for f in factors)
+    verts: list[tuple] = [()]
     facets: list[Facet] = []
     span_rows: list[tuple[int, ...]] = []
     span_rhs: list[Fraction] = []
-    intrinsic = 0
-    zeros = (0,) * ambient_dim
-    least = greatest = verts[0]
-    for coords, factor in blocks:
-        verts = [_placed(v, coords, fv) for v in verts for fv in factor.vertices]
-        facets += [(_placed(zeros, coords, a), c) for a, c in factor.facets]
-        span_rows += [_placed(zeros, coords, row) for row in factor.span.rows]
+    least = greatest = ()
+    before = 0
+    for factor in factors:
+        head, tail = (0,) * before, (0,) * (ambient - before - factor.ambient_dim)
+        verts = [v + fv for v in verts for fv in factor.vertices]
+        facets += [(head + a + tail, c) for a, c in factor.facets]
+        span_rows += [head + row + tail for row in factor.span.rows]
         span_rhs += factor.span.rhs
-        intrinsic += factor.intrinsic_dim
         low, high = factor.bounds
-        least, greatest = _placed(least, coords, low), _placed(greatest, coords, high)
+        least, greatest = least + low, greatest + high
+        before += factor.ambient_dim
 
     body = ConvexPolytope(
-        ambient_dim,
+        ambient,
         tuple(sorted(verts)),
         tuple(sorted(facets)),
-        AffineSubspace(ambient_dim, tuple(span_rows), tuple(span_rhs)),
-        intrinsic,
+        AffineSubspace(ambient, tuple(span_rows), tuple(span_rhs)),
+        sum(f.intrinsic_dim for f in factors),
     )
     vars(body)["bounds"] = least, greatest  # fills the cached_property: no vertex scan
     return body
-
-
-def _placed(base: tuple, coords: Sequence[int], values: Sequence) -> tuple:
-    """``base`` with ``values`` written at the positions ``coords``."""
-    out = list(base)
-    for i, x in zip(coords, values):
-        out[i] = x
-    return tuple(out)
-
-
-def product(first: ConvexPolytope, second: ConvexPolytope) -> ConvexPolytope:
-    """Cartesian product; lattice-point counts multiply dilate by dilate."""
-    a, b = first.ambient_dim, second.ambient_dim
-    return embed_product(
-        ((tuple(range(a)), first), (tuple(range(a, a + b)), second)),
-        a + b,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from ehrhart import constructions as C
 from ehrhart._enum_py import coordinate_blocks
 from ehrhart.counting import count, count_convex, count_union, fitted
 from ehrhart.errors import NotAvailable, SizeMismatch, UnverifiedSolution
-from ehrhart.polytope import denominator, is_integral
+from ehrhart.polytope import denominator, from_vertices, is_integral
 from ehrhart.pte import PteSolution, table_lookup
 from ehrhart.quasipoly import fit, period_sequence
 
@@ -74,6 +74,16 @@ def test_prism_vertices_match_formula():
         (3, -3, 1),
         (-3, -3, 1),
     }
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+def test_point_formulas_restate_the_families_they_hull(p):
+    # heptagon writes out the rectangle's corners and hull the prism's
+    # points, as formulas that skip building those bodies
+    assert C.heptagon(p) == from_vertices(C.rectangle(p).vertices + C.pentagon(p).vertices)
+    for n in range(3, 7):
+        points = C.prism(n, p).vertices + C.pentagon_pyramid(n, p).vertices
+        assert C.hull(n, p) == from_vertices(points)
 
 
 def test_middle_is_integral_lattice_polytope():

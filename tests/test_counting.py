@@ -21,7 +21,6 @@ from ehrhart.errors import BudgetExceeded, InvalidInput, VerificationFailed
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,
-    embed_product,
     from_vertices,
     product,
 )
@@ -490,7 +489,7 @@ widths = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
 @st.composite
 def mixed_unions(draw):
     """Unions of 1-3 pieces in the plane or in space: boxes built by
-    ``embed_product``, the same boxes rebuilt as hulls (whose facets are
+    ``product``, the same boxes rebuilt as hulls (whose facets are
     the same separable rows), and hulls of random clouds."""
     n = draw(st.integers(2, 3))
     pieces = []
@@ -502,10 +501,7 @@ def mixed_unions(draw):
             assume(piece.intrinsic_dim == n)
         else:
             sides = [(draw(rationals(1)), draw(widths)) for _ in range(n)]
-            blocks = tuple(
-                ((j,), from_vertices([(a,), (a + w,)])) for j, (a, w) in enumerate(sides)
-            )
-            piece = embed_product(blocks, n)
+            piece = product(*(from_vertices([(a,), (a + w,)]) for a, w in sides))
             if kind == "separable":
                 piece = from_vertices(piece.vertices)
         pieces.append(piece)
@@ -565,9 +561,7 @@ def test_union_terms_keep_their_pieces_when_a_piece_is_empty():
     # the thin piece's x-side [2k/5, 3k/5] holds no integer at k = 1 and 3,
     # so only two pieces have box points there; the blocks kept for each
     # term must still be those of its own pieces
-    thin = embed_product(
-        (((0,), from_vertices([(Fraction(2, 5),), (Fraction(3, 5),)])), ((1,), C.interval(0, 3))), 2
-    )
+    thin = product(from_vertices([(Fraction(2, 5),), (Fraction(3, 5),)]), C.interval(0, 3))
     wide = product(C.interval(0, 2), C.interval(1, 2))
     tall = product(C.interval(1, 2), C.interval(0, 4))
     union = PolytopalUnion(2, (thin, wide, tall))

@@ -12,7 +12,7 @@ from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import embed_product, faces, from_vertices, product
+from ehrhart.polytope import faces, from_vertices, product
 
 F = Fraction
 
@@ -101,7 +101,7 @@ def _face_bodies():
         C.middle(4, 2),
         C.pentagon_pyramid(4, 3),
         C.prism_shared_facet(4, 2),  # lower-dimensional
-        embed_product(tuple(((i,), C.interval(0, 1)) for i in range(4)), 4),
+        product(*(C.interval(0, 1) for _ in range(4))),
         from_vertices([(F(1, 2), 3, 0)]),
     ]
     for dim in (2, 3, 4):
@@ -174,11 +174,14 @@ def _vertex_extremes(body):
 @settings(max_examples=60)
 @given(clouds(max_dim=3), clouds(max_dim=3), st.data())
 def test_bounds_are_the_least_and_greatest_vertex_coordinates(first, second, data):
-    # a product's bounds are placed from its factors', the others' found
-    # on the scaled vertices
+    # a product's bounds are its factors' joined in order, the others'
+    # found on the scaled vertices; composing three factors at once or two
+    # at a time gives one body
     body, other = from_vertices(first), from_vertices(second)
     pair = product(body, other)
+    triple = product(body, other, body)
+    assert triple == product(pair, body)
     shift = data.draw(st.lists(st.integers(-5, 5), min_size=pair.ambient_dim,
                                max_size=pair.ambient_dim), label="shift")
-    for each in (body, pair, product(pair, body), pair.translate(shift)):
+    for each in (body, pair, triple, pair.translate(shift)):
         assert each.bounds == _vertex_extremes(each)

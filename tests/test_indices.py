@@ -10,7 +10,7 @@ from ehrhart import cli, constructions as C, indices, polytope
 from ehrhart.errors import InvalidInput
 from ehrhart.indices import IndexSequence, chain_check, index_sequence, mcmullen_check
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import denominator, embed_product, faces, from_vertices, is_integral
+from ehrhart.polytope import denominator, faces, from_vertices, is_integral, product
 from ehrhart.pte import PteSolution
 
 
@@ -30,7 +30,7 @@ def test_heptagon_indices():
 
 
 def test_integral_polytope_indices_all_ones():
-    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(3)), 3)
+    cube = product(*(C.interval(0, 1) for _ in range(3)))
     assert index_sequence(cube).values == (1, 1, 1, 1)
     report = mcmullen_check(cube)
     assert report.ok
@@ -239,7 +239,7 @@ def test_only_the_undecided_faces_are_solved(monkeypatch):
     # every vertex has den 2; the triangle's span z = 1/2 has no lattice point
     # undilated, and each edge is fixed at 2 by the triangle above it
     assert counted_solves(monkeypatch, triangle) == ((2, 2, 2), 1)
-    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(3)), 3)
+    cube = product(*(C.interval(0, 1) for _ in range(3)))
     assert counted_solves(monkeypatch, cube) == ((1, 1, 1, 1), 0)
     # the vertex -1/2 is fixed at its den 2, above its coface's index 1
     segment = C.segment(2)

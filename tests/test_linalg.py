@@ -23,7 +23,6 @@ from ehrhart.linalg import (
     integerize,
     min_dilate_with_lattice_point,
     pivots_and_nullspace,
-    vadd,
     vdot,
 )
 
@@ -159,7 +158,7 @@ def test_vector_dimension_guard():
     from ehrhart.errors import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
-        vadd((1, 2), (1, 2, 3))
+        vdot((1, 2), (1, 2, 3))
 
 
 def test_rational_exactness():

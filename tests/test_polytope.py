@@ -16,7 +16,6 @@ from ehrhart.linalg import vdot
 from ehrhart.polytope import (
     PolytopalUnion,
     denominator,
-    embed_product,
     faces,
     from_vertices,
     is_integral,
@@ -116,7 +115,11 @@ def test_interior_points_are_dropped():
 
 
 def test_round_trip_reproduces_facets():
-    for body in [C.pentagon(2), C.heptagon(3), C.hull(3, 2), C.middle(3, 2), C.prism(3, 3)]:
+    # products compose without the hull, which must rebuild them as they are
+    composed = [product(C.interval(-1, 2), C.pentagon(2), C.segment(3))]
+    for n, p in ((4, 2), (5, 3)):
+        composed += C.barn(n, p, table_lookup(n - 1)).pieces
+    for body in [C.pentagon(2), C.heptagon(3), C.hull(3, 2), C.middle(3, 2), C.prism(3, 3)] + composed:
         again = from_vertices(body.vertices)
         assert set(again.facets) == set(body.facets)
         assert again.vertices == body.vertices
@@ -124,9 +127,7 @@ def test_round_trip_reproduces_facets():
 
 def test_translate_matches_prism_construction():
     q = C.q_value(2)
-    body = embed_product(
-        (((0,), C.interval(-q, q)), ((1, 2), C.simplex(3, 2))), 3
-    ).translate([0, -q, 0])
+    body = product(C.interval(-q, q), C.simplex(3, 2)).translate([0, -q, 0])
     assert body.vertices == C.prism(3, 2).vertices
     assert set(body.facets) == set(C.prism(3, 2).facets)
 
@@ -200,7 +201,7 @@ def test_faces_of_segment_top_dim_is_self():
 def test_six_cube_faces_under_the_default_budget(monkeypatch):
     # its lattice charges 729 closed sets times 12 facets = 8,748
     def cube():
-        return embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
+        return product(*(C.interval(0, 1) for _ in range(6)))
 
     monkeypatch.setattr(polytope, "DEFAULT_BUDGET", 8_747)
     with pytest.raises(BudgetExceeded):
@@ -238,7 +239,7 @@ def test_faces_returns_a_copy_of_its_grade():
 
 
 def test_face_lattice_over_its_budget_raises_on_every_access(monkeypatch):
-    cube = embed_product(tuple(((i,), C.interval(0, 1)) for i in range(6)), 6)
+    cube = product(*(C.interval(0, 1) for _ in range(6)))
     monkeypatch.setattr(polytope, "DEFAULT_BUDGET", 1_000)
     for _ in range(2):
         with pytest.raises(BudgetExceeded, match="the faces charge more than their budget"):
@@ -247,9 +248,7 @@ def test_face_lattice_over_its_budget_raises_on_every_access(monkeypatch):
 
 
 def test_face_counts_of_cube():
-    cube = embed_product(
-        tuple(((i,), C.interval(0, 1)) for i in range(3)), 3
-    )
+    cube = product(*(C.interval(0, 1) for _ in range(3)))
     assert [len(faces(cube, i)) for i in range(4)] == [8, 12, 6, 1]
 
 
@@ -301,20 +300,23 @@ def _translated_barn(n, shift):
 @st.composite
 def unions(draw):
     """Unions of 1-3 full-dimensional pieces in 2-D to 4-D, each the hull
-    of a random cloud or a translated product (``embed_product``) of a
-    random cloud and intervals, on shuffled coordinates."""
+    of a random cloud or a translated ``product`` of a random cloud and
+    intervals. A product's coordinates may be shuffled: such a piece, whose
+    blocks are not contiguous, is the hull of the permuted vertices."""
     n = draw(st.integers(2, 4))
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
         m = draw(st.integers(1, n))  # the cloud's dimension
         cloud = from_vertices(draw(clouds(max_dim=m, bound=2).filter(lambda ps: len(ps[0]) == m)))
-        coords = draw(st.permutations(range(n)))
-        blocks = [(tuple(coords[:m]), cloud)]
-        for j in coords[m:]:
+        intervals = []
+        for _ in range(n - m):
             lo = draw(st.integers(-2, 2))
-            blocks.append(((j,), C.interval(lo, lo + draw(st.integers(1, 2)))))
+            intervals.append(C.interval(lo, lo + draw(st.integers(1, 2))))
         shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        piece = embed_product(tuple(blocks), n).translate(shift)
+        piece = product(cloud, *intervals).translate(shift)
+        coords = draw(st.permutations(range(n)))  # block coordinate i goes to coords[i]
+        if coords != list(range(n)):
+            piece = from_vertices(tuple(x for _, x in sorted(zip(coords, v))) for v in piece.vertices)
         assume(piece.intrinsic_dim == n)
         pieces.append(piece)
     return PolytopalUnion(n, tuple(pieces))
