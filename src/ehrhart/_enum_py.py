@@ -97,6 +97,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import prod
+from operator import gt
 from typing import Sequence
 
 from .errors import BudgetExceeded
@@ -113,7 +114,7 @@ DEFAULT_BUDGET = 10**9  # a walk's budget when none is given; hulls and face lat
 # keyed sub-walks below this level lie on one line, a row on which this
 # level's column is nonzero (else None).
 Level = tuple[
-    int, int, list[int], tuple, tuple, tuple | None, tuple[int, ...] | None, int | None
+    int, int, list[int], list, list, tuple | None, tuple[int, ...] | None, int | None
 ]
 
 
@@ -233,7 +234,7 @@ def _levels(
     when no box point satisfies it. The root offsets have the fixed
     coordinates substituted. Rows with a zero coefficient at a level need
     no test there: the level above, or this root check, already made it."""
-    walked = (j for j in range(len(lo)) if lo[j] < hi[j])
+    walked = [j for j in range(len(lo)) if lo[j] < hi[j]]
     order = tuple(sorted(walked, key=lambda j: (hi[j] - lo[j], j)))
     fixed, skeleton = normals.skeleton(order)
     rem = list(offsets)
@@ -248,8 +249,8 @@ def _levels(
             x_lo,
             x_hi,
             col,
-            tuple((i, a, minrest[i]) for i, a in pos),
-            tuple((i, b, minrest[i]) for i, b in neg),
+            [(i, a, minrest[i]) for i, a in pos],
+            [(i, b, minrest[i]) for i, b in neg],
             lines,
             reads,
             line,
@@ -258,7 +259,7 @@ def _levels(
             minrest[i] += a * x_lo
         for i, b in neg:
             minrest[i] -= b * x_hi
-    if any(r > c for r, c in zip(minrest, rem)):
+    if any(map(gt, minrest, rem)):
         return None
     return levels[::-1], rem
 
@@ -275,19 +276,6 @@ def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
         if q > x_lo:
             x_lo = q
     return x_lo, x_hi
-
-
-def _interval(
-    x_lo: int, x_hi: int, normals: Sequence[Sequence[int]], offsets: Sequence[int]
-) -> int:
-    """Integers ``x_lo <= x <= x_hi`` with ``a * x <= c`` for every row ``(a,)``,
-    ``a != 0``, and offset ``c``: one clip, no walk."""
-    for (a,), c in zip(normals, offsets):
-        if a > 0:
-            x_hi = min(x_hi, c // a)
-        else:
-            x_lo = max(x_lo, -(c // -a))
-    return max(x_hi - x_lo + 1, 0)
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -409,31 +397,38 @@ def walk_box(
     systems, and what the walk charged for them. One system is counted as
     the product of its blocks; several are walked together, unsplit, and
     none give ``(0, 0)``."""
-    if any(l > h for l, h in zip(lo, hi)):
+    if any(map(gt, lo, hi)):
         return 0, 0
     systems = [(n if isinstance(n, Rows) else Rows(n), offsets) for n, offsets in systems]
     if len(systems) != 1:
         roots = [root for rows, offsets in systems if (root := _levels(lo, hi, rows, offsets))]
-        found, parts = (1 if roots else 0), [roots]
+        if not roots:
+            return 0, 0
+        found, parts = 1, [roots]
     elif not systems[0][0]:
         return prod(h - l + 1 for l, h in zip(lo, hi)), 0
     else:
-        # each block alone, after a root check of every block
+        # each block alone, after a root check of every block; one coordinate is one clip
         [(rows, offsets)] = systems
         found, parts = 1, []
         for cols, members, sub in rows.blocks:
-            b_lo, b_hi = [lo[j] for j in cols], [hi[j] for j in cols]
-            b_offsets = [offsets[i] for i in members]
             if len(cols) == 1:
-                found *= _interval(b_lo[0], b_hi[0], sub, b_offsets)
-            elif root := _levels(b_lo, b_hi, sub, b_offsets):
+                x_lo, x_hi = lo[cols[0]], hi[cols[0]]
+                for (a,), i in zip(sub, members):
+                    if a > 0:
+                        x_hi = min(x_hi, offsets[i] // a)
+                    else:
+                        x_lo = max(x_lo, -(offsets[i] // -a))
+                if x_hi < x_lo:
+                    return 0, 0
+                found *= x_hi - x_lo + 1
+            elif root := _levels(
+                [lo[j] for j in cols], [hi[j] for j in cols], sub, [offsets[i] for i in members]
+            ):
                 parts.append([root])
             else:
                 return 0, 0
-    if not found:
-        return 0, 0
     left = budget
-    overdrawn = f"the walk charges more than its budget of {budget}"
     memo = {}
     runs = {}
 
@@ -445,7 +440,7 @@ def walk_box(
         if j:
             left -= 1
             if left < 0:
-                raise BudgetExceeded(overdrawn)
+                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
         spans = [(*_clip(levels[j], rem), levels, rem) for levels, rem in live]
         spans = [s for s in spans if s[0] <= s[1]]
         cuts = sorted({s[0] for s in spans} | {s[1] + 1 for s in spans})
@@ -474,7 +469,7 @@ def walk_box(
         if j and clip is None:
             left -= 1
             if left < 0:
-                raise BudgetExceeded(overdrawn)
+                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
         level = levels[j]
         # a sub-walk that can recur is walked once per walk, and a repeat
         # takes its count; each system and block has its own ``levels`` for
@@ -500,7 +495,7 @@ def walk_box(
             )
             left -= pieces
             if left < 0:
-                raise BudgetExceeded(overdrawn)
+                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
         else:
             found = None if level[7] is None else along(j, levels, rem, first, top)
             if found is None:

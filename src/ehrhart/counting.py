@@ -72,24 +72,25 @@ def _dilated_system(poly: ConvexPolytope, k: int):
     interior of ``|k| * poly`` for ``k < 0``; None when empty.
 
     The rows are the body's own ``rows``, the same at every dilate: its
-    facet normals, then each affine-hull equation as an inequality pair. A
-    hull equation whose scaled right-hand side is not an integer proves
-    the dilate has no lattice points at all. For ``k < 0`` the facet
+    facet normals, then each affine-hull equation as an inequality pair.
+    The box and the equations' right-hand sides are the integer ``bounds``
+    times ``k``, floor-divided by their scale; a remainder on a right-hand
+    side proves the dilate has no lattice points. For ``k < 0`` the facet
     inequalities are strict: facet normals and offsets are integers, so
     on lattice points ``a.x < |k|*c`` is ``a.x <= |k|*c - 1``.
     """
     strict, k = (1, -k) if k < 0 else (0, k)
-    least, greatest = poly.bounds
-    lo = [-(-x.numerator * k // x.denominator) for x in least]
-    hi = [x.numerator * k // x.denominator for x in greatest]
+    scale, least, greatest, rhs = poly.bounds
+    lo = [-(-x * k // scale) for x in least]
+    hi = [x * k // scale for x in greatest]
     if any(l > h for l, h in zip(lo, hi)):
         return None
     offsets = [c * k - strict for _, c in poly.facets]
-    for b in poly.span.rhs:
-        if b.numerator * k % b.denominator:
+    for b in rhs:
+        q, r = divmod(b * k, scale)
+        if r:
             return None
-        rhs = b.numerator * k // b.denominator
-        offsets += (rhs, -rhs)
+        offsets += (q, -q)
     return lo, hi, poly.rows, offsets
 
 

@@ -1,12 +1,12 @@
 """Dense univariate polynomial helpers (ascending coefficient lists).
 
-The arithmetic helpers keep their input type: integer coefficients give
-integer results and ``Fraction`` coefficients give ``Fraction`` results.
+The arithmetic helpers keep their input type, integers or ``Fraction``;
+``interpolate`` is fraction-free, integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 
@@ -29,20 +29,22 @@ def poly_trim(p: Sequence) -> list:
     return out
 
 
-def interpolate(xs: Sequence, ys: Sequence) -> list:
-    """Exact interpolation through distinct nodes, as ``Fraction``
-    coefficients: Newton divided differences, then the Newton form
-    expanded by Horner's rule, both in O(n^2) operations."""
-    if len(xs) != len(ys):
-        raise ValueError("node/value length mismatch")
-    n = len(xs)
-    diffs = [Fraction(y) for y in ys]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
-    out: list = diffs[n - 1:]
-    for i in range(n - 2, -1, -1):  # out <- out * (x - xs[i]) + diffs[i]
-        out = [diffs[i] - xs[i] * out[0]] + [
-            lo - xs[i] * hi for lo, hi in zip(out, out[1:])
-        ] + [out[-1]]
-    return out
+def interpolate(xs: Sequence[int], ys: Sequence) -> tuple[list[int], int]:
+    """The polynomial through ``(xs[i], ys[i])``, at distinct integer nodes,
+    as ``(nums, den)``: ``sum(nums[i] * x**i) / den``, integer ``nums`` and
+    ``den > 0``. Rational values are scaled to integers first; then the
+    Lagrange form over the lcm of the node weights ``prod(x_i - x_j)``, by
+    synthetic division: O(n^2) integer operations."""
+    scale = lcm(*[y.denominator for y in ys])
+    full = [1]  # prod(x - x_j), ascending
+    for xj in xs:
+        full = [-xj * full[0]] + [a - xj * b for a, b in zip(full, full[1:])] + [1]
+    weights = [prod([xi - xj for xj in xs if xj != xi]) for xi in xs]
+    den = lcm(*weights)
+    nums = [0] * len(xs)
+    for xi, y, w in zip(xs, ys, weights, strict=True):
+        c, q = y.numerator * (scale // y.denominator) * (den // w), 0
+        for t in range(len(xs), 0, -1):  # full / (x - xi), from the top
+            q = full[t] + xi * q
+            nums[t - 1] += c * q
+    return nums, den * scale

@@ -19,7 +19,7 @@ of the non-integral vertices, and ``face_span`` derives a face's affine
 span, kept nowhere. The hull and the grading charge the kernel's
 ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and one per
 AND of a closed set with a facet mask; an overdraw raises
-``BudgetExceeded``. A body likewise keeps its ``bounds`` (a
+``BudgetExceeded``. A body likewise keeps its integer ``bounds`` (a
 product's are its factors', joined in order), the integer ``rows`` that
 count its dilates, the counts made of them and its fitted
 quasi-polynomial, and a union its counts, its fit and the stacked rows of
@@ -80,15 +80,15 @@ class ConvexPolytope(
         )
 
     @cached_property
-    def bounds(self) -> tuple[Vector, Vector]:
-        """The least and the greatest vertex coordinate on each axis, found
-        on the integer-scaled vertices; a product's are its factors'."""
+    def bounds(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(scale, least, greatest, rhs)``: the least and greatest vertex
+        coordinate per axis and the hull right-hand sides ``a . v``, as
+        integers over the vertices' common denominator ``scale``; a
+        product's are its factors'."""
         scale, scaled = _scaled(self.vertices)
         axes = list(zip(*scaled))
-        return (
-            tuple(Fraction(min(c), scale) for c in axes),
-            tuple(Fraction(max(c), scale) for c in axes),
-        )
+        rhs = tuple(b.numerator * (scale // b.denominator) for b in self.span.rhs)
+        return scale, tuple(map(min, axes)), tuple(map(max, axes)), rhs
 
     @cached_property
     def rows(self) -> Rows:
@@ -469,7 +469,8 @@ def product(*factors: ConvexPolytope) -> ConvexPolytope:
     facets: list[Facet] = []
     span_rows: list[tuple[int, ...]] = []
     span_rhs: list[Fraction] = []
-    least = greatest = ()
+    scale = math.lcm(*[f.bounds[0] for f in factors])
+    scaled: list[tuple] = [(), (), ()]  # least, greatest, rhs over ``scale``
     before = 0
     for factor in factors:
         head, tail = (0,) * before, (0,) * (ambient - before - factor.ambient_dim)
@@ -477,8 +478,8 @@ def product(*factors: ConvexPolytope) -> ConvexPolytope:
         facets += [(head + a + tail, c) for a, c in factor.facets]
         span_rows += [head + row + tail for row in factor.span.rows]
         span_rhs += factor.span.rhs
-        low, high = factor.bounds
-        least, greatest = least + low, greatest + high
+        s, *parts = factor.bounds
+        scaled = [have + tuple(x * (scale // s) for x in new) for have, new in zip(scaled, parts)]
         before += factor.ambient_dim
 
     body = ConvexPolytope(
@@ -488,7 +489,7 @@ def product(*factors: ConvexPolytope) -> ConvexPolytope:
         AffineSubspace(ambient, tuple(span_rows), tuple(span_rhs)),
         sum(f.intrinsic_dim for f in factors),
     )
-    vars(body)["bounds"] = least, greatest  # fills the cached_property: no vertex scan
+    vars(body)["bounds"] = scale, *scaled  # fills the cached_property: no vertex scan
     return body
 
 
@@ -558,9 +559,10 @@ _MAX_DIGITS = 4300
 
 
 def _bounded(text: str) -> str:
-    digits = max(sum(map(str.isdigit, part)) for part in text.split("/"))
-    if digits > _MAX_DIGITS:
-        raise InvalidInput(f"number of {digits} digits, beyond {_MAX_DIGITS}")
+    if len(text) > _MAX_DIGITS:  # a shorter text holds no more digits
+        digits = max(sum(map(str.isdigit, part)) for part in text.split("/"))
+        if digits > _MAX_DIGITS:
+            raise InvalidInput(f"number of {digits} digits, beyond {_MAX_DIGITS}")
     return text
 
 
@@ -575,7 +577,7 @@ def exact_rational(text: str) -> Fraction:
     ``"0.1"`` is 1/10, not the nearest binary float. A numerator or
     denominator of more than ``_MAX_DIGITS`` digits, or an exponent beyond
     that, raises ``InvalidInput``; malformed text ``ValueError``."""
-    exponent = _bounded(text).lower().partition("e")[2]
+    exponent = ("e" in _bounded(text) or "E" in text) and text.lower().partition("e")[2]
     if exponent and abs(int(exponent)) > _MAX_DIGITS:
         raise InvalidInput(f"number {text}: exponent beyond {_MAX_DIGITS}")
     return Fraction(text)

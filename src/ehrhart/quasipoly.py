@@ -3,7 +3,8 @@
 A quasi-polynomial of degree ``n`` and modulus ``D`` is
 ``f(k) = sum_i c[i][k mod D] * k**i`` with rational coefficient tables.
 ``fit`` reconstructs one from exact dilate counts by interpolating each
-residue class separately. It never samples ``k = 0``, so no convention
+residue class separately, as integer numerators over one denominator,
+so its checks run on integers. It never samples ``k = 0``, so no convention
 for the count at 0 ever enters the fit. For a convex body the counter is
 also defined at negative ``k`` by Ehrhart-Macdonald reciprocity, and
 ``fit(..., two_sided=True)`` takes its nodes from ``1, -1, 2, -2, ...``,
@@ -83,10 +84,12 @@ def fit(
     ``two_sided`` in the order ``1, -1, 2, -2, ...`` (the counter must then
     be defined at negative ``k``); ``0`` is never used. Each residue ``r``
     mod ``D`` takes the first ``degree + 1`` candidates ``k = r (mod D)``
-    and interpolates its polynomial through them. Every fit is then
-    verified: the next ``degree + 2`` candidates whose ``|k|`` exceeds every
-    interpolation node are checked, and any mismatch raises
-    :class:`VerificationFailed`, which signals a wrong degree or modulus.
+    and interpolates its polynomial through them, fraction-free: integers
+    ``n_i`` over one ``den``. Every fit is then verified: the next
+    ``degree + 2`` candidates whose ``|k|`` exceeds every interpolation
+    node are checked as ``sum(n_i * k**i) == den * L(k)``, and any
+    mismatch raises :class:`VerificationFailed`, which signals a wrong
+    degree or modulus.
     """
     if degree < 0 or modulus < 1:
         raise ValueError("degree must be >= 0 and modulus >= 1")
@@ -99,22 +102,19 @@ def fit(
             taken += 1
             if taken == (degree + 1) * modulus:
                 break
-    table = [[Fraction(0)] * modulus for _ in range(degree + 1)]
-    for r, xs in enumerate(nodes):
-        poly = interpolate(xs, [counter(x) for x in xs])
-        for i in range(degree + 1):
-            table[i][r] = poly[i]
-    result = QuasiPolynomial(degree, modulus, tuple(tuple(row) for row in table))
+    forms = [interpolate(xs, [counter(x) for x in xs]) for xs in nodes]
+    table = tuple(tuple(Fraction(nums[i], den) for nums, den in forms) for i in range(degree + 1))
     top = max(abs(k) for xs in nodes for k in xs)
     fresh = (k for k in _dilates(two_sided) if abs(k) > top)
     for _, k in zip(range(degree + 2), fresh):
-        expected = Fraction(counter(k))
-        if result.evaluate(k) != expected:
+        value, (nums, den) = counter(k), forms[k % modulus]
+        fitted = sum(n * k**i for i, n in enumerate(nums))
+        if fitted * value.denominator != den * value.numerator:
             raise VerificationFailed(
-                f"fitted value {result.evaluate(k)} != sample {expected} at k={k}; "
+                f"fitted value {Fraction(fitted, den)} != sample {value} at k={k}; "
                 "degree or modulus is wrong"
             )
-    return result
+    return QuasiPolynomial(degree, modulus, table)
 
 
 def coefficient_period(f: QuasiPolynomial, i: int) -> int:

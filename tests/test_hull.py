@@ -12,7 +12,7 @@ from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import faces, from_vertices, product
+from ehrhart.polytope import denominator, faces, from_vertices, product
 
 F = Fraction
 
@@ -168,15 +168,16 @@ def test_faces_within_a_mask_are_the_lattice_faces_inside_it(points, data):
 
 
 def _vertex_extremes(body):
-    return tuple(map(min, zip(*body.vertices))), tuple(map(max, zip(*body.vertices)))
+    return tuple(map(min, zip(*body.vertices))), tuple(map(max, zip(*body.vertices))), body.span.rhs
 
 
 @settings(max_examples=60)
 @given(clouds(max_dim=3), clouds(max_dim=3), st.data())
 def test_bounds_are_the_least_and_greatest_vertex_coordinates(first, second, data):
-    # a product's bounds are its factors' joined in order, the others'
-    # found on the scaled vertices; composing three factors at once or two
-    # at a time gives one body
+    # the bounds, and the hull right-hand sides, are integers over the
+    # body's denominator; a product's are its factors' joined in order, the
+    # others' found on the scaled vertices; composing three factors at once
+    # or two at a time gives one body
     body, other = from_vertices(first), from_vertices(second)
     pair = product(body, other)
     triple = product(body, other, body)
@@ -184,4 +185,7 @@ def test_bounds_are_the_least_and_greatest_vertex_coordinates(first, second, dat
     shift = data.draw(st.lists(st.integers(-5, 5), min_size=pair.ambient_dim,
                                max_size=pair.ambient_dim), label="shift")
     for each in (body, pair, triple, pair.translate(shift)):
-        assert each.bounds == _vertex_extremes(each)
+        scale, *scaled = each.bounds
+        assert scale == denominator(each)
+        assert all(type(x) is int for part in scaled for x in part)
+        assert tuple(tuple(Fraction(x, scale) for x in part) for part in scaled) == _vertex_extremes(each)

@@ -61,10 +61,18 @@ def test_fit_off_lattice_point():
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_fit_detects_wrong_modulus(two_sided):
-    with pytest.raises(VerificationFailed):
+    # the text ``cli.entry`` prints on exit 3
+    text = r"fitted value .* != sample .* at k=-?\d+"
+    with pytest.raises(VerificationFailed, match=text):
         fit(partial(count, C.segment(2)), 1, 1, two_sided=two_sided)  # true modulus is 2
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match=text):
         fit(partial(count, C.heptagon(3)), 2, 1, two_sided=two_sided)  # true modulus is 3
+
+
+def test_fit_takes_a_fraction_valued_counter():
+    # as ``series.refit`` passes: the values are scaled to integers first
+    qp = fit(lambda k: Fraction(k, 2) + Fraction(1, 3), 1, 1)
+    assert qp.coeffs == ((Fraction(1, 3),), (Fraction(1, 2),))
 
 
 @pytest.mark.parametrize("two_sided", [False, True])
