@@ -32,13 +32,24 @@ A 2-D slice over the last two coordinates ``(x, y)`` in which a single
 system is live, over more than one value of ``x``, is counted in closed
 form. The system's rows without ``y`` have clipped ``x``; every other
 row, and each side of the box in ``y``, bounds ``y`` above or below by a
-line in ``x``. The least upper line and the greatest lower line on the
-integers of ``x`` are piecewise linear, found with integer
-cross-multiplication only. On each piece of their merge, one linear
-inequality keeps the ``x`` where the upper bound ``U`` reaches the lower
-bound ``L``, and there the column counts are ``floor(U) - ceil(L) + 1``,
-summed by ``floor_sum``. Elsewhere the walk reaches the last coordinate
-and counts its interval.
+line in ``x``; the offsets carry the box sides' after the rows'. The
+least upper line and the greatest lower line on the integers of ``x``
+are piecewise linear, read from each side's line order (the lines of
+the full-line envelope by slope) at its integer breakpoints, with
+integer cross-multiplication only. On each piece of their merge, one
+linear inequality keeps the ``x`` where the upper bound ``U`` reaches
+the lower bound ``L``, and there the column counts are ``floor(U) -
+ceil(L) + 1``, summed by ``floor_sum``. Elsewhere the walk reaches the
+last coordinate and counts its interval.
+
+The slices at the values ``t`` of the level above, in a walked range or
+along a line (below), form a run, in which every line's offset is ``base
+- col * t``. Each condition for an order to be the envelope is linear in
+the offsets, so in ``t``: an order holds on an interval of ``t``, its
+horizon, found by floor division. A run keeps its orders while it stays
+within their horizon, in either direction, and else takes new ones;
+every piece, ties included, is the one the envelope rebuilt from the
+lines gives, so no count or charge depends on what a run kept.
 
 A walk needs per level the coordinate's column and the rows split by the
 sign of their coefficient, and at the second-to-last level the slice's
@@ -57,7 +68,8 @@ at its level or a later one: within one walk the box, the order and
 every ``minrest`` are fixed, and every clip and slice below reads only
 those offsets. So ``walk_box`` keeps, for the length of one call, the
 count per system, level and those offsets, and a repeat adds the count;
-nothing outlives the call. A level is keyed only where a repeat can
+nothing outlives the call, as neither do the line sums below or the
+orders a run of slices keeps. A level is keyed only where a repeat can
 happen, where the columns of the earlier coordinates on those rows are
 linearly dependent; the skeleton holds the rows, or None. A stretch of a
 union's level where a system is live alone over only part of its
@@ -90,13 +102,14 @@ a charge never exceeds the points of the box, and a budget of box points
 never refuses a count.
 
 The test suite checks the walk against a point-by-point scan of the box
-and, on wider boxes, against a plain row-by-row walk.
+and, on wider boxes, against a plain row-by-row walk, and every slice's
+pieces, alone or in a run, against the envelope rebuilt from its lines.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from math import prod
+from functools import cached_property, cmp_to_key
+from math import inf, prod
 from operator import gt
 from typing import Sequence
 
@@ -109,10 +122,10 @@ DEFAULT_BUDGET = 10**9  # a walk's budget when none is given; hulls and face lat
 # coefficients, ``(row, |a|, minrest)`` for the rows whose coefficient
 # ``a`` is positive, then negative (``minrest`` is the least contribution
 # of the later coordinates to that row), at the second-to-last level only
-# the lines of a slice over it and the last coordinate, where a sub-walk
-# from this level can recur, the rows it reads (else None), and, where the
-# keyed sub-walks below this level lie on one line, a row on which this
-# level's column is nonzero (else None).
+# the lines of a slice over it and the last coordinate, each side's sorted
+# by slope, where a sub-walk from this level can recur, the rows it reads
+# (else None), and, where the keyed sub-walks below this level lie on one
+# line, a row on which this level's column is nonzero (else None).
 Level = tuple[
     int, int, list[int], list, list, tuple | None, tuple[int, ...] | None, int | None
 ]
@@ -135,7 +148,8 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
     ]
     levels = []
     for j in order:
-        col = [row[j] for row in normals]
+        # two zeros for the box sides of a slice, which the offsets carry last
+        col = [row[j] for row in normals] + [0, 0]
         pos = tuple((i, a) for i, a in enumerate(col) if a > 0)
         neg = tuple((i, -a) for i, a in enumerate(col) if a < 0)
         levels.append([j, col, pos, neg, None, None, None])
@@ -143,10 +157,14 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
         # the rows of a slice over (x, y), y the last coordinate: an upper
         # line for y for each positive coefficient of y, a lower one for
         # each negative one, as (coefficient of x, |coefficient of y|,
-        # row); rows without y clip x
-        col = levels[-2][1]
-        y_pos, y_neg = levels[-1][2:4]
-        levels[-2][4] = [(col[i], b, i) for i, b in y_pos], [(col[i], b, i) for i, b in y_neg]
+        # row), then the box side, whose offset follows the rows', each
+        # side sorted by a/b, stably; rows without y clip x
+        col, box = levels[-2][1], len(normals)
+        by_slope = cmp_to_key(lambda l, m: l[0] * m[1] - m[0] * l[1])
+        levels[-2][4] = (
+            sorted([(col[i], b, i) for i, b in levels[-1][2]] + [(0, 1, box)], key=by_slope),
+            sorted([(col[i], b, i) for i, b in levels[-1][3]] + [(0, 1, box + 1)], key=by_slope),
+        )
     # the rows a sub-walk from level t reads are those with a nonzero
     # coefficient there or later. Between the root and the last level, it
     # recurs where two prefixes of t values leave those rows the same
@@ -232,8 +250,9 @@ def _levels(
 ) -> tuple[list[Level], list[int]] | None:
     """Per-level rows and root offsets of one system, in walk order; None
     when no box point satisfies it. The root offsets have the fixed
-    coordinates substituted. Rows with a zero coefficient at a level need
-    no test there: the level above, or this root check, already made it."""
+    coordinates substituted, and end with those of a slice's box sides.
+    Rows with a zero coefficient at a level need no test there: the level
+    above, or this root check, already made it."""
     walked = [j for j in range(len(lo)) if lo[j] < hi[j]]
     order = tuple(sorted(walked, key=lambda j: (hi[j] - lo[j], j)))
     fixed, skeleton = normals.skeleton(order)
@@ -261,6 +280,9 @@ def _levels(
             minrest[i] -= b * x_hi
     if any(map(gt, minrest, rem)):
         return None
+    if len(order) > 1:
+        # the box sides of a slice, y <= hi and -y <= -lo, as two more offsets
+        rem += [hi[order[-1]], -lo[order[-1]]]
     return levels[::-1], rem
 
 
@@ -294,47 +316,132 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _envelope(lines: list[tuple[int, int, int]], x_lo: int, x_hi: int) -> list:
-    """Pieces of the least of the lines ``(c - a*x) / b`` (``b > 0``) on the
-    integers ``x_lo..x_hi``: ``(start, a, b, c)`` with increasing starts,
-    the first at ``x_lo``, each line least from its start to the next one.
-    Of lines equal at a start, the piece takes the one falling fastest,
-    which stays least to the right. Integer cross-multiplication only."""
-    x = x_lo
-    a, b, c = lines[0]
-    v = c - a * x
-    for a2, b2, c2 in lines:
-        v2 = c2 - a2 * x
-        if v2 * b < v * b2 or (v2 * b == v * b2 and a2 * b > a * b2):
-            a, b, c, v = a2, b2, c2, v2
-    pieces = [(x, a, b, c)]
-    while True:
-        # the first integer where a faster-falling line drops below the
-        # current one; of the lines that do so there, the least takes over
-        x = x_hi + 1
-        for a2, b2, c2 in lines:
-            d = a2 * b - a * b2
-            if d > 0:
-                t = (c2 * b - c * b2) // d + 1
-                if t < x:
-                    x, line = t, (a2, b2, c2)
-                elif t == x and x <= x_hi:
-                    a3, b3, c3 = line
-                    v2, v3 = (c2 - a2 * t) * b3, (c3 - a3 * t) * b2
-                    if v2 < v3 or (v2 == v3 and a2 * b3 > a3 * b2):
-                        line = (a2, b2, c2)
-        if x > x_hi:
-            return pieces
-        a, b, c = line
-        pieces.append((x, a, b, c))
+def _order(lines: list[tuple], rem: list[int]) -> list[tuple]:
+    """The lower envelope of the full lines ``(rem[i] - a*x) / b``, ``b > 0``,
+    given as ``(a, b, i)`` sorted by ``a/b``: its members left to right as
+    ``(a, b, i, d)``, ``d = a*b' - a'*b > 0`` with the member before (0 for
+    the first). Of equal slopes only the lowest line, the earliest of equal
+    ones, can be a member, and breakpoints strictly increase."""
+    hull = []
+    for a, b, i in lines:
+        c, d = rem[i], 0
+        while hull:
+            a2, b2, i2, d2 = hull[-1]
+            c2 = rem[i2]
+            d = a * b2 - a2 * b
+            if d:
+                # the last member stays if its breakpoint with the one before
+                # lies left of its breakpoint with the new line
+                if len(hull) == 1:
+                    break
+                a1, b1, i1, _ = hull[-2]
+                if (c2 * b1 - rem[i1] * b2) * d < (c * b2 - c2 * b) * d2:
+                    break
+            elif c * b2 >= c2 * b:
+                break  # parallel and not lower: the new line is no member
+            hull.pop()
+            d = 0
+        if d or not hull:
+            hull.append((a, b, i, d))
+    return hull
 
 
-def _plane(x_lo: int, x_hi: int, upper: list, lower: list) -> tuple[int, int]:
+def _horizon(
+    lines: list[tuple], members: list[tuple], rem: list[int], col: list[int], x: int, lo, hi
+) -> tuple | None:
+    """The values ``t`` in ``lo..hi`` over which ``members`` stay the
+    ``_order`` of ``lines`` when the offsets are ``rem - (t - x) * col``, as
+    ``(lo, hi)``; None when they are not at ``x``. The conditions: the
+    members' breakpoints strictly increase, a line whose slope lies strictly
+    between two members' is not below them at their breakpoint, and a line
+    parallel to a member is not below it, nor equal where it comes first.
+    Each is a linear form of the offsets, whose slack at ``x`` and fall per
+    unit of ``t`` bound ``t`` on one side by floor division."""
+    checks = []  # (slack, fall) per condition
+    k = 0
+    for an, bn, n in lines:
+        if k < len(members) and n == members[k][2]:
+            av, bv, v, dv = members[k]
+            if k:
+                # the breakpoint of members k - 1 and k is (p - (t - x) * q) / dv
+                p, q = rem[v] * bu - rem[u] * bv, col[v] * bu - col[u] * bv
+                if k > 1:
+                    checks.append((p * d - p0 * dv - 1, q * d - q0 * dv))
+                p0, q0, d = p, q, dv
+            au, bu, u = av, bv, v
+            k += 1
+        elif k and an * bu == au * bn:  # parallel to member k - 1, after it
+            checks.append((rem[n] * bu - rem[u] * bn, col[n] * bu - col[u] * bn))
+        else:  # parallel to member k, before it, or between k - 1 and k
+            av, bv, v, dv = members[k]
+            if an * bv == av * bn:
+                checks.append((rem[n] * bv - rem[v] * bn - 1, col[n] * bv - col[v] * bn))
+            else:
+                p, q = rem[v] * bu - rem[u] * bv, col[v] * bu - col[u] * bv
+                e = bu * an - bn * au
+                slack = dv * (rem[n] * bu - rem[u] * bn) - e * p
+                checks.append((slack, dv * (col[n] * bu - col[u] * bn) - e * q))
+    for slack, fall in checks:
+        if slack < 0:
+            return None
+        if fall > 0:
+            hi = min(hi, x + slack // fall)
+        elif fall < 0:
+            lo = max(lo, x - slack // -fall)
+    return lo, hi
+
+
+def _pieces(members: list[tuple], rem: list[int], x_lo: int, x_hi: int) -> list:
+    """Pieces of the least of the lines on the integers ``x_lo..x_hi``, from
+    their ``_order``: ``(start, a, b, c)`` with increasing starts, the first
+    at ``x_lo``, each line least from its start to the next one. Where
+    lines are equal at ``x_lo`` the piece takes the one falling fastest, and
+    at a breakpoint the next member takes over at the first integer where
+    it is strictly below; a member with no integer of its own gives none."""
+    s = x_lo
+    pieces = []
+    for a2, b2, i2, d in members:
+        c2 = rem[i2]
+        # d is 0 only for the first member; else the breakpoint is p / d
+        if d and (p := c2 * b - c * b2) > s * d:
+            pieces.append((s, a, b, c))
+            s = p // d + 1
+            if s > x_hi:
+                return pieces
+        a, b, c = a2, b2, c2
+    pieces.append((s, a, b, c))
+    return pieces
+
+
+def _run(plans: dict, levels: list[Level], rem: list[int], at: tuple) -> list:
+    """What a walk keeps in ``plans`` of one system's run of slices, which
+    ``at = (base, x)`` places at value ``x`` of the run ``base`` names, the
+    offsets falling by the parent's column per unit of ``x``: ``[base, lo,
+    hi, (up, down)]``, the two line orders and their horizon ``lo..hi``,
+    infinite where nothing bounds it. Where a run starts or steps past the
+    horizon it keeps the orders if they hold at ``x``, else builds new
+    ones, whose horizon its next slice finds."""
+    up, down = levels[-2][5]
+    kept = plans.get(id(levels))
+    if kept is not None:
+        col, x = levels[-3][2], at[1]
+        span = _horizon(up, kept[3][0], rem, col, x, -inf, inf)
+        if span:
+            span = _horizon(down, kept[3][1], rem, col, x, *span)
+        if span:
+            kept[0], kept[1], kept[2] = at[0], *span
+            return kept
+    kept = plans[id(levels)] = [at[0], inf, -inf, (_order(up, rem), _order(down, rem))]
+    return kept
+
+
+def _plane(x_lo: int, x_hi: int, orders: tuple, rem: list[int]) -> tuple[int, int]:
     """Points ``(x, y)`` with ``x_lo <= x <= x_hi``, ``y <= (c - a*x) / b`` for
-    every ``upper`` line and ``-y <= (c - a*x) / b`` for every ``lower`` one
-    (all ``b > 0``), and the number of pieces of the merged envelopes."""
-    ups = _envelope(upper, x_lo, x_hi)
-    downs = _envelope(lower, x_lo, x_hi)
+    every upper line and ``-y <= (c - a*x) / b`` for every lower one, of
+    which ``orders`` holds the two ``_order``s, and the number of pieces of
+    their merged envelopes."""
+    ups, downs = orders
+    ups, downs = _pieces(ups, rem, x_lo, x_hi), _pieces(downs, rem, x_lo, x_hi)
     ups.append((x_hi + 1,))
     downs.append((x_hi + 1,))
     total = pieces = i = j = 0
@@ -342,12 +449,13 @@ def _plane(x_lo: int, x_hi: int, upper: list, lower: list) -> tuple[int, int]:
     while s <= x_hi:
         _, au, bu, cu = ups[i]
         _, ad, bd, cd = downs[j]
-        lo, hi = s, min(ups[i + 1][0], downs[j + 1][0]) - 1
+        up_next, down_next = ups[i + 1][0], downs[j + 1][0]
+        lo, hi = s, (up_next if up_next < down_next else down_next) - 1
         s = hi + 1
         pieces += 1
-        if ups[i + 1][0] == s:
+        if up_next == s:
             i += 1
-        if downs[j + 1][0] == s:
+        if down_next == s:
             j += 1
         # floor(U) - ceil(L) + 1 counts the column at x exactly where the
         # real bounds meet, U(x) >= L(x): x * slope <= offset
@@ -360,7 +468,13 @@ def _plane(x_lo: int, x_hi: int, upper: list, lower: list) -> tuple[int, int]:
             continue
         n = hi - lo + 1
         if n > 0:
-            total += floor_sum(n, bu, -au, cu - au * lo) + floor_sum(n, bd, -ad, cd - ad * lo) + n
+            # sum floor(U) and floor(-L) over the n columns; a line with b = 1,
+            # as a box side is, sums in closed form
+            half = n * (n - 1) // 2
+            cu, cd = cu - au * lo, cd - ad * lo
+            up = cu * n - au * half if bu == 1 else floor_sum(n, bu, -au, cu)
+            down = cd * n - ad * half if bd == 1 else floor_sum(n, bd, -ad, cd)
+            total += up + down + n
     return total, pieces
 
 
@@ -431,6 +545,7 @@ def walk_box(
     left = budget
     memo = {}
     runs = {}
+    plans = {}
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         # between two cuts the same systems are live: one walks its stretch
@@ -450,7 +565,8 @@ def walk_box(
             if len(here) == 1:
                 # only a stretch over the whole clip is the sub-walk from here
                 x_lo, x_hi, levels, rem = here[0]
-                total += one(j, levels, rem, (start, stop - 1), x_lo == start and x_hi == stop - 1)
+                whole = x_lo == start and x_hi == stop - 1
+                total += one(j, levels, rem, None, (start, stop - 1), whole)
             elif here and j == len(live[0][0]) - 1:
                 total += stop - start
             elif here:
@@ -462,7 +578,12 @@ def walk_box(
         return total
 
     def one(
-        j: int, levels: list[Level], rem: list[int], clip: tuple | None = None, whole: bool = True
+        j: int,
+        levels: list[Level],
+        rem: list[int],
+        at: tuple | None = None,
+        clip: tuple | None = None,
+        whole: bool = True,
     ) -> int:
         nonlocal left
         # a stretch handed over with its clip was entered by the union's walk
@@ -486,13 +607,17 @@ def walk_box(
             return top - first + 1
         # a slice of one column costs less as one more clip below
         if level[5] is not None and first < top:
-            upper, lower = level[5]
-            found, pieces = _plane(
-                first,
-                top,
-                [(a, b, rem[i]) for a, b, i in upper] + [(0, 1, levels[-1][1])],
-                [(a, b, rem[i]) for a, b, i in lower] + [(0, 1, -levels[-1][0])],
-            )
+            # a slice alone builds its line orders; one of a run, at = (base,
+            # x) at value x of its parent, keeps the run's within its horizon
+            if at is None:
+                up, down = level[5]
+                orders = _order(up, rem), _order(down, rem)
+            else:
+                kept = plans.get(id(levels))
+                if kept is None or kept[0] is not at[0] or not kept[1] <= at[1] <= kept[2]:
+                    kept = _run(plans, levels, rem, at)
+                orders = kept[3]
+            found, pieces = _plane(first, top, orders, rem)
             left -= pieces
             if left < 0:
                 raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
@@ -502,7 +627,7 @@ def walk_box(
                 col = level[2]
                 found = 0
                 for x in range(first, top + 1):
-                    found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)])
+                    found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)], (rem, x))
         if reads is not None:
             memo[key] = found
         return found
@@ -525,10 +650,14 @@ def walk_box(
         if a > hi + 1 or b < lo - 1:
             return None
         origin = [r + c * shift for r, c in zip(rem, col)]
+        # the line's positions, down and up, are one run of the level below
+        # for every range, so its slices keep their line orders across ranges
         for m in range(lo - 1, a - 1, -1):
-            sums[m] = sums[m + 1] - one(j + 1, levels, [r - c * m for r, c in zip(origin, col)])
+            below = [r - c * m for r, c in zip(origin, col)]
+            sums[m] = sums[m + 1] - one(j + 1, levels, below, (run, m))
         for m in range(hi + 1, b + 1):
-            sums[m + 1] = sums[m] + one(j + 1, levels, [r - c * m for r, c in zip(origin, col)])
+            below = [r - c * m for r, c in zip(origin, col)]
+            sums[m + 1] = sums[m] + one(j + 1, levels, below, (run, m))
         run[1], run[2] = min(lo, a), max(hi, b)
         return sums[b + 1] - sums[a]
 

@@ -13,7 +13,8 @@ Lagrange's, against the library's Newton form. Rank, nullspace,
 solves and affine hulls come from a Fraction reduced row echelon form,
 and minimal dilates also in closed form from a Smith normal form with
 unimodular transforms: two eliminations that the library itself no
-longer uses.
+longer uses. ``_envelope`` is the kernel's former piece builder for a 2-D
+slice, rebuilt from its lines at every slice.
 """
 
 from fractions import Fraction
@@ -264,6 +265,44 @@ def walk_count(lo, hi, systems):
         )
 
     return walk(0, live)
+
+
+# The kernel's envelope of a 2-D slice before it kept line orders over a
+# run of slices, kept verbatim as the reference its piece builder must
+# reproduce, ties included.
+def _envelope(lines: list[tuple[int, int, int]], x_lo: int, x_hi: int) -> list:
+    """Pieces of the least of the lines ``(c - a*x) / b`` (``b > 0``) on the
+    integers ``x_lo..x_hi``: ``(start, a, b, c)`` with increasing starts,
+    the first at ``x_lo``, each line least from its start to the next one.
+    Of lines equal at a start, the piece takes the one falling fastest,
+    which stays least to the right. Integer cross-multiplication only."""
+    x = x_lo
+    a, b, c = lines[0]
+    v = c - a * x
+    for a2, b2, c2 in lines:
+        v2 = c2 - a2 * x
+        if v2 * b < v * b2 or (v2 * b == v * b2 and a2 * b > a * b2):
+            a, b, c, v = a2, b2, c2, v2
+    pieces = [(x, a, b, c)]
+    while True:
+        # the first integer where a faster-falling line drops below the
+        # current one; of the lines that do so there, the least takes over
+        x = x_hi + 1
+        for a2, b2, c2 in lines:
+            d = a2 * b - a * b2
+            if d > 0:
+                t = (c2 * b - c * b2) // d + 1
+                if t < x:
+                    x, line = t, (a2, b2, c2)
+                elif t == x and x <= x_hi:
+                    a3, b3, c3 = line
+                    v2, v3 = (c2 - a2 * t) * b3, (c3 - a3 * t) * b2
+                    if v2 < v3 or (v2 == v3 and a2 * b3 > a3 * b2):
+                        line = (a2, b2, c2)
+        if x > x_hi:
+            return pieces
+        a, b, c = line
+        pieces.append((x, a, b, c))
 
 
 def bareiss_det(matrix):

@@ -1,16 +1,18 @@
 """The enumeration kernel against a point-by-point scan of the box and, on
-boxes too wide to scan, against a plain walk; its closed-form 2-D slices
-and ``floor_sum``; its invariance under the signed permutations and
+boxes too wide to scan, against a plain walk; its closed-form 2-D slices,
+whose pieces, alone or along a run, are the reference envelope's, and
+``floor_sum``; its invariance under the signed permutations and
 translations that keep a count; and its budget."""
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import walk_count
+from oracles import _envelope, walk_count
 
 from ehrhart import _enum_py
 from ehrhart import constructions as C
@@ -301,6 +303,138 @@ def test_a_slice_charges_one_piece_per_envelope_line():
 
 
 @st.composite
+def slice_lines(draw):
+    """One to six lines ``(a, b, c)`` of one side of a slice, ``b > 0``: drawn
+    free, as a box side ``(0, 1, c)``, as a copy of an earlier line scaled
+    by 1-3, or parallel to one with another offset."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("free", "side", "copy", "parallel")))
+        if kind in ("copy", "parallel") and lines:
+            a, b, c = lines[draw(st.integers(0, len(lines) - 1))]
+            scale = draw(st.integers(1, 3))
+            shift = (kind == "parallel") * draw(st.integers(-6, 6))
+            lines.append((scale * a, scale * b, scale * c + shift))
+        elif kind == "side":
+            lines.append((0, 1, draw(st.integers(-20, 20))))
+        else:
+            a, b = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+            lines.append((a, b, draw(st.integers(-30, 30))))
+    return lines
+
+
+def by_slope(lines, first=0):
+    """The lines as a walk's skeleton hands them to ``_order``: ``(a, b, i)``
+    sorted by ``a/b``, stably, line ``k``'s offset at ``i = first + k``."""
+    return sorted(
+        ((a, b, first + k) for k, (a, b, _) in enumerate(lines)), key=lambda l: Fraction(l[0], l[1])
+    )
+
+
+@settings(max_examples=500)
+@given(slice_lines(), st.integers(-12, 12), st.integers(0, 15))
+@example([(1, 1, 4), (0, 1, 4), (2, 1, 4)], 0, 5)  # three lines through (0, 4)
+@example([(1, 1, 4), (2, 2, 8), (1, 1, 3)], 0, 5)  # equal, then parallel and lower
+@example([(0, 1, 10), (1, 1, 10), (2, 1, 11)], 0, 9)  # a member with no integer
+def test_pieces_are_the_reference_envelopes(lines, x_lo, width):
+    # the envelope of a slice is read from its line order: the same pieces
+    # as the reference rebuilds from the lines, each tie going the same way
+    rem, x_hi = [c for _, _, c in lines], x_lo + width
+    members = _enum_py._order(by_slope(lines), rem)
+    assert _enum_py._pieces(members, rem, x_lo, x_hi) == _envelope(lines, x_lo, x_hi)
+
+
+@st.composite
+def slice_runs(draw):
+    """Both sides of a slice whose line offsets move with its parent's value
+    ``t`` as ``base - col * t``, a box side's and some others' ``col`` 0,
+    a range of ``x``, and a run of 20-60 consecutive values of ``t``, rising
+    or falling."""
+    sides = [draw(slice_lines()), draw(slice_lines())]
+    cols = []
+    for side in sides:
+        steps = draw(st.lists(st.integers(-4, 4), min_size=len(side), max_size=len(side)))
+        fixed = [line[:2] == (0, 1) and draw(st.booleans()) for line in side]
+        cols.append([0 if f else k for f, k in zip(fixed, steps)])
+    x_lo, width = draw(st.integers(-12, 12)), draw(st.integers(1, 15))
+    start, length = draw(st.integers(-30, 30)), draw(st.integers(20, 60))
+    step = draw(st.sampled_from((1, -1)))
+    return sides, cols, (x_lo, x_lo + width), range(start, start + step * length, step)
+
+
+def run_orders(plans, levels, rem, at):
+    """The line orders the slice at ``at = (base, t)`` of a run reads, as
+    ``walk_box`` finds them: those kept while ``t`` is within their
+    horizon, else what ``_run`` keeps."""
+    kept = plans.get(id(levels))
+    if kept is None or kept[0] is not at[0] or not kept[1] <= at[1] <= kept[2]:
+        kept = _enum_py._run(plans, levels, rem, at)
+    return kept[3]
+
+
+@settings(max_examples=300)
+@given(slice_runs())
+# the middle upper line rises through the others' crossing at t = 0, where
+# three lines meet and it leaves the order
+@example(([[(-1, 1, 10), (0, 1, 10), (1, 1, 10)], [(0, 1, 5)]], [[0, -1, 0], [0]], (-5, 5),
+          range(-25, 5)))
+@example(([[(-1, 1, 10), (0, 1, 10), (1, 1, 10)], [(0, 1, 5)]], [[0, 1, 0], [0]], (-5, 5),
+          range(25, -5, -1)))
+# the middle line falls, 10 + t, to just below the others' crossing, 10.5
+# at x = 0.5, at t = 0: it joins the order one step past the horizon
+@example(([[(-1, 1, 10), (0, 1, 10), (1, 1, 11)], [(0, 1, 5)]], [[0, -1, 0], [0]], (-5, 5),
+          range(25, -5, -1)))
+def test_a_run_reads_the_reference_envelopes_at_every_value(case):
+    # a run keeps its line orders up to their horizon: at every value of
+    # the parent the kept orders are the ones built there, and their pieces
+    # the reference's, whichever way the run goes
+    sides, cols, (x_lo, x_hi), run = case
+    base = [c for side in sides for _, _, c in side]
+    col = [c for side_cols in cols for c in side_cols]
+    up, down = by_slope(sides[0]), by_slope(sides[1], len(sides[0]))
+    # the parent level's column and the slice level's sides, as _run reads them
+    levels = [(None, None, col), (None, None, None, None, None, (up, down)), None]
+    plans = {}
+    for t in run:
+        rem = [b - c * t for b, c in zip(base, col)]
+        orders = run_orders(plans, levels, rem, (base, t))
+        assert list(orders) == [_enum_py._order(up, rem), _enum_py._order(down, rem)]
+        moved = [
+            [(a, b, c - k * t) for (a, b, c), k in zip(side, side_cols)]
+            for side, side_cols in zip(sides, cols)
+        ]
+        for members, lines in zip(orders, moved):
+            assert _enum_py._pieces(members, rem, x_lo, x_hi) == _envelope(lines, x_lo, x_hi)
+
+
+@pytest.mark.parametrize(
+    "normals, offsets, members",
+    [
+        # row 1 joins the upper envelope at t = 2 and leaves it at t = 5
+        (
+            [[0, 2, 2], [-1, -1, 1], [-2, -2, 1], [2, -3, 1]],
+            [17, 12, 13, 33],
+            [[3, 2, 0]] * 2 + [[3, 2, 1, 0]] * 2 + [[3, 1, 0], [3, 0], [3, 0]],
+        ),
+        # rows 0 and 1 are parallel in (x, y), and their offsets 20 - t and
+        # 14 + t trade places at t = 3, where the earlier row takes the tie
+        ([[1, 1, 1], [-1, 1, 1], [0, 1, -2]], [20, 14, 4], [[3, 1]] * 3 + [[3, 0]] * 4),
+    ],
+    ids=["enters-and-leaves", "parallel-swap"],
+)
+def test_a_run_through_an_order_event_counts_as_the_plain_walk(normals, offsets, members):
+    # t, walked first, is the parent of the slices over (x, y); y's upper
+    # envelope changes its line order partway through the run of t
+    lo, hi = [0, 0, 0], [6, 10, 16]
+    levels, rem = _enum_py._levels(lo, hi, _enum_py.Rows(normals), offsets)
+    up = levels[1][5][0]
+    rems = [[r - a * t for r, a in zip(rem, levels[0][2])] for t in range(7)]
+    assert [[m[2] for m in _enum_py._order(up, r)] for r in rems] == members
+    found, _ = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
+    assert found == walk_count(lo, hi, [(normals, offsets)]) == scan(lo, hi, [(normals, offsets)])
+
+
+@st.composite
 def wide_boxes(draw, max_systems=1):
     """A 3-D or 4-D box with sides up to 40, beyond a point scan, and
     1 to ``max_systems`` systems of up to six rows."""
@@ -428,6 +562,13 @@ WALK_PINS = {
     # its level-3 sub-walk reads x1 + x2 + x3 and x2 + x3, a pair that
     # neither a line nor a block split covers: only the memo reuses it
     "middle(5,1)": (C.middle(5, 1), {9: (29326, 796), -9: (5348, 354)}),
+    # long runs of 2-D slices below one walked coordinate, 301 of them in
+    # the pyramid, each reading the line orders its run keeps
+    "hull(3,2) run": (C.hull(3, 2), {60: (4081051, 243), -60: (3911849, 236)}),
+    "hull(3,3) run": (C.hull(3, 3), {41: (6434582, 167), -41: (6109778, 160)}),
+    "pentagon_pyramid(3,2) run": (
+        C.pentagon_pyramid(3, 2), {300: (54473851, 902), -300: (53528849, 898)}
+    ),
 }
 
 
