@@ -29,81 +29,67 @@ coordinate adds its width, so a point in several systems is counted
 once. Gaps are neither walked nor charged.
 
 A 2-D slice over the last two coordinates ``(x, y)`` in which a single
-system is live, over more than one value of ``x``, is counted in closed
-form. The system's rows without ``y`` have clipped ``x``; every other
-row, and each side of the box in ``y``, bounds ``y`` above or below by a
-line in ``x``; the offsets carry the box sides' after the rows'. The
-least upper line and the greatest lower line on the integers of ``x``
-are piecewise linear, read from each side's line order (the lines of
-the full-line envelope by slope) at its integer breakpoints, with
-integer cross-multiplication only. On each piece of their merge, one
-linear inequality keeps the ``x`` where the upper bound ``U`` reaches
-the lower bound ``L``, and there the column counts are ``floor(U) -
-ceil(L) + 1``, summed by ``floor_sum``. Elsewhere the walk reaches the
-last coordinate and counts its interval.
-
-The slices at the values ``t`` of the level above, in a walked range or
-along a line (below), form a run, in which every line's offset is ``base
-- col * t``. Each condition for an order to be the envelope is linear in
-the offsets, so in ``t``: an order holds on an interval of ``t``, its
-horizon, found by floor division. A run keeps its orders while it stays
-within their horizon, in either direction, and else takes new ones;
-every piece, ties included, is the one the envelope rebuilt from the
-lines gives, so no count or charge depends on what a run kept.
+system is live is counted in closed form, but for one walked alone over
+one value of ``x``, which is one more clip. The system's rows without
+``y`` have clipped ``x``; every other row, and each side of the box in
+``y``, bounds ``y`` above or below by a line in ``x``; the offsets carry
+the box sides' after the rows'. The least upper line and the greatest
+lower line on the integers of ``x`` are piecewise linear, read from each
+side's line order (the lines of the full-line envelope by slope) at its
+integer breakpoints, with integer cross-multiplication only. On each
+piece of their merge, one linear inequality keeps the ``x`` where the
+upper bound ``U`` reaches the lower bound ``L``, and there the column
+counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``.
+Elsewhere the walk reaches the last coordinate and counts its interval.
 
 A walk needs per level the coordinate's column and the rows split by the
 sign of their coefficient, and at the second-to-last level the slice's
 lines. These depend only on the rows and the walk order, so ``Rows``, a
-system's rows, keeps one such skeleton per order it is walked in; a body
-counted at many dilates builds it once per order (the order follows the
-box, so it may change with ``k``). ``Rows`` likewise keeps its blocks,
-each with its own ``Rows``. Per count the walk fills in only the box
-bounds, the root offsets and each row's least contribution of the later
-coordinates.
+system's rows, keeps one such skeleton per order it is walked in (the
+order follows the box, so it may change with ``k``), and likewise its
+blocks, each with its own ``Rows``. Per count the walk fills in only the
+box bounds, the root offsets and each row's least contribution of the
+later coordinates.
 
-One walk counts each sub-walk once. Below the root and above the last
-level, what the walk of a single live system finds is a function of the
-remaining offsets of the rows it reads, those with a nonzero coefficient
-at its level or a later one: within one walk the box, the order and
-every ``minrest`` are fixed, and every clip and slice below reads only
-those offsets. So ``walk_box`` keeps, for the length of one call, the
-count per system, level and those offsets, and a repeat adds the count;
-nothing outlives the call, as neither do the line sums below or the
-orders a run of slices keeps. A level is keyed only where a repeat can
-happen, where the columns of the earlier coordinates on those rows are
-linearly dependent; the skeleton holds the rows, or None. A stretch of a
-union's level where a system is live alone over only part of its
-interval is not the whole sub-walk from that level, so it neither reads
-nor writes the memo there.
+The sub-walks at consecutive values ``t`` of one level form a run, in
+which the offsets are ``base - col * t``. One loop walks a run, stepping
+the offsets by the column in place and counting its slices itself, and
+each level of a system keeps one run record for the length of one call
+of ``walk_box``. Above the slices it holds their two line orders: every
+condition for an order to be the envelope is linear in the offsets, so
+in ``t``, and an order holds on an interval of ``t``, its horizon, found
+by floor division. A run keeps its orders within their horizon, either
+way, and else takes new ones; every piece, ties included, is the one the
+envelope rebuilt from the lines gives.
 
-A keyed sub-walk recurs along a line when, on the rows it reads, every
-earlier column is an integer multiple of its parent level's column
-``col``: every prefix then leaves those rows the offsets ``base - m *
-col`` for one ``base`` per system, and the values ``x = first..top`` of
-the parent read consecutive positions ``m``. The skeleton marks such a
-parent with one row on which ``col`` is nonzero, which tells the
-position. For each line ``walk_box`` keeps, again for one call, prefix
-sums of the counts over one run of consecutive positions. A range of the
-parent walks, through the keyed path, only the positions it adds to the
-run, and its count is the difference of two prefix sums. A range that
-would leave a gap on its line walks each position as before. So a family
-whose apex coordinates enter the normals with equal columns loops over
-their widths, not over their product, and every count is still that of
-the plain walk.
+Below the root and above the last level, what the walk of a single live
+system finds is a function of the offsets of the rows it reads, those
+with a nonzero coefficient at its level or a later one. It can recur
+only where the earlier columns on those rows are linearly dependent;
+there the skeleton holds the rows, and ``walk_box`` keeps the count per
+system, level and their offsets, so a repeat adds it. Where every
+earlier column is, on those rows, an integer multiple of the parent's
+column ``col``, every prefix leaves them the offsets ``base - m * col``
+of one line, and the parent's values read consecutive positions ``m``,
+told by a row the skeleton marks. The parent's run then keeps prefix
+sums of the counts over the consecutive positions it walked; a range
+walks only the positions it adds, and its count is the difference of two
+prefix sums, so a family whose apex coordinates enter the normals with
+equal columns loops over their widths, not over their product. A
+position recurs only off the run, where a range would leave a gap and
+walks each position, or where a union enters it, so a run keys its
+positions from its first gap, and a union's from the start. A stretch of
+a union's level where a system is live alone over only part of its
+interval is not the whole sub-walk from that level, and is not keyed.
 
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per sub-walk entered below
-the root (a value of a walked coordinate, a position a line walks, a
-repeat taken from the memo), and one per merged envelope piece of a
-slice counted in closed form, at most one per value of ``x``. Nothing
-else is charged, not even a position summed from prefix sums, so no walk
-charges more than the plain walk, a 1-D count never touches the budget,
-a charge never exceeds the points of the box, and a budget of box points
-never refuses a count.
-
-The test suite checks the walk against a point-by-point scan of the box
-and, on wider boxes, against a plain row-by-row walk, and every slice's
-pieces, alone or in a run, against the envelope rebuilt from its lines.
+the root (a value or position a run walks, a repeat taken from the
+memo), and one per merged envelope piece of a slice counted in closed
+form, at most one per value of ``x``. Nothing else is charged, not even
+a position summed from prefix sums, so no walk charges more than the
+plain walk, a 1-D count never touches the budget, a charge never exceeds
+the points of the box, and a budget of box points never refuses a count.
 """
 
 from __future__ import annotations
@@ -124,10 +110,14 @@ DEFAULT_BUDGET = 10**9  # a walk's budget when none is given; hulls and face lat
 # of the later coordinates to that row), at the second-to-last level only
 # the lines of a slice over it and the last coordinate, each side's sorted
 # by slope, where a sub-walk from this level can recur, the rows it reads
-# (else None), and, where the keyed sub-walks below this level lie on one
-# line, a row on which this level's column is nonzero (else None).
+# (else None), where the keyed sub-walks below this level lie on one line,
+# a row on which this level's column is nonzero (else None), and the run
+# record of the sub-walks below it: ``[base, lo, hi, sums, keyed, orders,
+# since, until]``, the line's base offset on that row, the positions lo..hi
+# its prefix sums cover, whether it keys its positions, and the slices'
+# two line orders with their horizon ``since..until``.
 Level = tuple[
-    int, int, list[int], list, list, tuple | None, tuple[int, ...] | None, int | None
+    int, int, list[int], list, list, tuple | None, tuple[int, ...] | None, int | None, list
 ]
 
 
@@ -150,8 +140,8 @@ def _skeleton(normals: Sequence[Sequence[int]], order: tuple[int, ...]) -> tuple
     for j in order:
         # two zeros for the box sides of a slice, which the offsets carry last
         col = [row[j] for row in normals] + [0, 0]
-        pos = tuple((i, a) for i, a in enumerate(col) if a > 0)
-        neg = tuple((i, -a) for i, a in enumerate(col) if a < 0)
+        pos = [(i, a) for i, a in enumerate(col) if a > 0]
+        neg = [(i, -a) for i, a in enumerate(col) if a < 0]
         levels.append([j, col, pos, neg, None, None, None])
     if len(levels) > 1:
         # the rows of a slice over (x, y), y the last coordinate: an upper
@@ -264,16 +254,9 @@ def _levels(
     levels = []
     for j, col, pos, neg, lines, reads, line in reversed(skeleton):
         x_lo, x_hi = lo[j], hi[j]
-        levels.append((
-            x_lo,
-            x_hi,
-            col,
-            [(i, a, minrest[i]) for i, a in pos],
-            [(i, b, minrest[i]) for i, b in neg],
-            lines,
-            reads,
-            line,
-        ))
+        ups = [(i, a, minrest[i]) for i, a in pos]
+        downs = [(i, b, minrest[i]) for i, b in neg]
+        levels.append((x_lo, x_hi, col, ups, downs, lines, reads, line, [None] * 6 + [inf, -inf]))
         for i, a in pos:
             minrest[i] += a * x_lo
         for i, b in neg:
@@ -288,7 +271,7 @@ def _levels(
 
 def _clip(level: Level, rem: list[int]) -> tuple[int, int]:
     """Values ``x`` of the level's coordinate that every row still allows."""
-    x_lo, x_hi, _, pos, neg, _, _, _ = level
+    x_lo, x_hi, _, pos, neg, _, _, _, _ = level
     for i, a, mr in pos:
         q = (rem[i] - mr) // a
         if q < x_hi:
@@ -355,35 +338,36 @@ def _horizon(
     members' breakpoints strictly increase, a line whose slope lies strictly
     between two members' is not below them at their breakpoint, and a line
     parallel to a member is not below it, nor equal where it comes first.
-    Each is a linear form of the offsets, whose slack at ``x`` and fall per
-    unit of ``t`` bound ``t`` on one side by floor division."""
-    checks = []  # (slack, fall) per condition
-    k = 0
+    Each is a linear form of the offsets, ``sum(k * offset[i]) + c >= 0``,
+    whose slack on ``rem`` and fall on ``col`` bound ``t`` on one side by
+    floor division."""
+    forms = []  # (c, i, k, i', k', i'', k'') per condition, the last k 0 for two terms
+    m, bu, u = 0, None, None
     for an, bn, n in lines:
-        if k < len(members) and n == members[k][2]:
-            av, bv, v, dv = members[k]
-            if k:
-                # the breakpoint of members k - 1 and k is (p - (t - x) * q) / dv
-                p, q = rem[v] * bu - rem[u] * bv, col[v] * bu - col[u] * bv
-                if k > 1:
-                    checks.append((p * d - p0 * dv - 1, q * d - q0 * dv))
-                p0, q0, d = p, q, dv
-            au, bu, u = av, bv, v
-            k += 1
-        elif k and an * bu == au * bn:  # parallel to member k - 1, after it
-            checks.append((rem[n] * bu - rem[u] * bn, col[n] * bu - col[u] * bn))
-        else:  # parallel to member k, before it, or between k - 1 and k
-            av, bv, v, dv = members[k]
+        if m < len(members) and n == members[m][2]:
+            av, bv, v, dv = members[m]
+            if m > 1:
+                # the breakpoint of w and u, (c_u*bw - c_w*bu) / du, is left
+                # of that of u and v, (c_v*bu - c_u*bv) / dv
+                forms.append((-1, v, du * bu, u, -du * bv - dv * bw, w, dv * bu))
+            bw, w, au, bu, u, du = bu, u, av, bv, v, dv
+            m += 1
+        elif m and an * bu == au * bn:  # parallel to member m - 1, after it
+            forms.append((0, n, bu, u, -bn, u, 0))
+        else:  # parallel to member m, before it, or between m - 1 and m
+            av, bv, v, dv = members[m]
             if an * bv == av * bn:
-                checks.append((rem[n] * bv - rem[v] * bn - 1, col[n] * bv - col[v] * bn))
+                forms.append((-1, n, bv, v, -bn, v, 0))
             else:
-                p, q = rem[v] * bu - rem[u] * bv, col[v] * bu - col[u] * bv
+                # not below u and v where they cross: dv * (c_n*bu - c_u*bn)
+                # >= e * (c_v*bu - c_u*bv)
                 e = bu * an - bn * au
-                slack = dv * (rem[n] * bu - rem[u] * bn) - e * p
-                checks.append((slack, dv * (col[n] * bu - col[u] * bn) - e * q))
-    for slack, fall in checks:
+                forms.append((0, n, dv * bu, u, e * bv - dv * bn, v, -e * bu))
+    for c, i, k, i2, k2, i3, k3 in forms:
+        slack = c + k * rem[i] + k2 * rem[i2] + k3 * rem[i3]
         if slack < 0:
             return None
+        fall = k * col[i] + k2 * col[i2] + k3 * col[i3]
         if fall > 0:
             hi = min(hi, x + slack // fall)
         elif fall < 0:
@@ -413,26 +397,21 @@ def _pieces(members: list[tuple], rem: list[int], x_lo: int, x_hi: int) -> list:
     return pieces
 
 
-def _run(plans: dict, levels: list[Level], rem: list[int], at: tuple) -> list:
-    """What a walk keeps in ``plans`` of one system's run of slices, which
-    ``at = (base, x)`` places at value ``x`` of the run ``base`` names, the
-    offsets falling by the parent's column per unit of ``x``: ``[base, lo,
-    hi, (up, down)]``, the two line orders and their horizon ``lo..hi``,
-    infinite where nothing bounds it. Where a run starts or steps past the
-    horizon it keeps the orders if they hold at ``x``, else builds new
-    ones, whose horizon its next slice finds."""
-    up, down = levels[-2][5]
-    kept = plans.get(id(levels))
-    if kept is not None:
-        col, x = levels[-3][2], at[1]
-        span = _horizon(up, kept[3][0], rem, col, x, -inf, inf)
+def _run(kept: list, lines: tuple, rem: list[int], col: list[int], t: int) -> None:
+    """Sets in a run's record ``kept`` the line orders of its slice at value
+    ``t``, at ``rem``, the offsets falling by ``col`` per unit of ``t``, with
+    their horizon, as ``kept[5:8] = (up, down), lo, hi``, infinite where
+    nothing bounds it. The run keeps the orders it has if they hold at
+    ``t``, else builds new ones, whose horizon its next slice finds."""
+    up, down = lines
+    if kept[5] is not None:
+        span = _horizon(up, kept[5][0], rem, col, t, -inf, inf)
         if span:
-            span = _horizon(down, kept[3][1], rem, col, x, *span)
+            span = _horizon(down, kept[5][1], rem, col, t, *span)
         if span:
-            kept[0], kept[1], kept[2] = at[0], *span
-            return kept
-    kept = plans[id(levels)] = [at[0], inf, -inf, (_order(up, rem), _order(down, rem))]
-    return kept
+            kept[6], kept[7] = span
+            return
+    kept[5:8] = (_order(up, rem), _order(down, rem)), inf, -inf
 
 
 def _plane(x_lo: int, x_hi: int, orders: tuple, rem: list[int]) -> tuple[int, int]:
@@ -514,7 +493,8 @@ def walk_box(
     if any(map(gt, lo, hi)):
         return 0, 0
     systems = [(n if isinstance(n, Rows) else Rows(n), offsets) for n, offsets in systems]
-    if len(systems) != 1:
+    union = len(systems) != 1
+    if union:
         roots = [root for rows, offsets in systems if (root := _levels(lo, hi, rows, offsets))]
         if not roots:
             return 0, 0
@@ -544,8 +524,9 @@ def walk_box(
                 return 0, 0
     left = budget
     memo = {}
-    runs = {}
-    plans = {}
+
+    def overdrawn():
+        raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         # between two cuts the same systems are live: one walks its stretch
@@ -555,7 +536,7 @@ def walk_box(
         if j:
             left -= 1
             if left < 0:
-                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
+                overdrawn()
         spans = [(*_clip(levels[j], rem), levels, rem) for levels, rem in live]
         spans = [s for s in spans if s[0] <= s[1]]
         cuts = sorted({s[0] for s in spans} | {s[1] + 1 for s in spans})
@@ -566,7 +547,7 @@ def walk_box(
                 # only a stretch over the whole clip is the sub-walk from here
                 x_lo, x_hi, levels, rem = here[0]
                 whole = x_lo == start and x_hi == stop - 1
-                total += one(j, levels, rem, None, (start, stop - 1), whole)
+                total += one(j, levels, rem, start, stop - 1, levels[j][6] if whole else None)
             elif here and j == len(live[0][0]) - 1:
                 total += stop - start
             elif here:
@@ -577,89 +558,100 @@ def walk_box(
                     ])
         return total
 
-    def one(
-        j: int,
-        levels: list[Level],
-        rem: list[int],
-        at: tuple | None = None,
-        clip: tuple | None = None,
-        whole: bool = True,
-    ) -> int:
+    def one(j: int, levels: list[Level], rem: list[int], first=None, top=None, reads=None) -> int:
+        # the sub-walk from level j, which its caller charged, clipped where
+        # it gives the clip; keyed on the offsets of ``reads``, a repeat takes
+        # the count
         nonlocal left
-        # a stretch handed over with its clip was entered by the union's walk
-        if j and clip is None:
-            left -= 1
-            if left < 0:
-                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
-        level = levels[j]
-        # a sub-walk that can recur is walked once per walk, and a repeat
-        # takes its count; each system and block has its own ``levels`` for
-        # the whole walk, so their id tells them apart
-        reads = level[6] if whole else None
         if reads is not None:
             key = (id(levels), j, *[rem[i] for i in reads])
-            if (found := memo.get(key)) is not None:
-                return found
-        first, top = _clip(level, rem) if clip is None else clip
+            if (found := memo.get(key)) is None:
+                found = memo[key] = one(j, levels, rem, first, top)
+            return found
+        level = levels[j]
+        if first is None:
+            first, top = _clip(level, rem)
         if top < first:
             return 0
         if j == len(levels) - 1:
             return top - first + 1
-        # a slice of one column costs less as one more clip below
         if level[5] is not None and first < top:
-            # a slice alone builds its line orders; one of a run, at = (base,
-            # x) at value x of its parent, keeps the run's within its horizon
-            if at is None:
-                up, down = level[5]
-                orders = _order(up, rem), _order(down, rem)
-            else:
-                kept = plans.get(id(levels))
-                if kept is None or kept[0] is not at[0] or not kept[1] <= at[1] <= kept[2]:
-                    kept = _run(plans, levels, rem, at)
-                orders = kept[3]
-            found, pieces = _plane(first, top, orders, rem)
+            # a slice alone builds its line orders; a slice of one column
+            # costs less as one more clip below
+            up, down = level[5]
+            found, pieces = _plane(first, top, (_order(up, rem), _order(down, rem)), rem)
             left -= pieces
             if left < 0:
-                raise BudgetExceeded(f"the walk charges more than its budget of {budget}")
-        else:
-            found = None if level[7] is None else along(j, levels, rem, first, top)
-            if found is None:
-                col = level[2]
-                found = 0
-                for x in range(first, top + 1):
-                    found += one(j + 1, levels, [r - a * x for r, a in zip(rem, col)], (rem, x))
-        if reads is not None:
-            memo[key] = found
-        return found
-
-    def along(j: int, levels: list[Level], rem: list[int], first: int, top: int) -> int | None:
-        # the sub-walks below x = first..top sit at consecutive positions of
-        # one line per system and level, kept as prefix sums of their counts
-        # over one run of positions; the range walks only what it adds to
-        # the run. None where the range would leave a gap on the line
-        level = levels[j]
-        p, col = level[7], level[2]
-        run = runs.get((id(levels), j))
-        if run is None:
-            run = runs[id(levels), j] = [rem[p], first, first - 1, {first: 0}]
-        base, lo, hi, sums = run
-        # x's sub-walk reads the offsets base - m * col at m = x + shift,
-        # which are origin - m * col on every row
+                overdrawn()
+            return found
+        col, p, kept = level[2], level[7], level[8]
+        if p is None:
+            # a run of its own, whose positions are the values x: a horizon
+            # kept from another base holds nothing here
+            kept[6], kept[7] = inf, -inf
+            below = [r - a * first for r, a in zip(rem, col)]
+            return sum(steps(j, levels, below, first, top, levels[j + 1][6]))
+        # the sub-walks below x = first..top sit at the positions m = x +
+        # shift of the level's line, on which the run keeps prefix sums of
+        # the counts over the consecutive positions lo..hi
+        if kept[0] is None:
+            kept[:5] = rem[p], first, first - 1, {first: 0}, union
+        base, lo, hi, sums = kept[:4]
         shift = (base - rem[p]) // col[p]
         a, b = first + shift, top + shift
         if a > hi + 1 or b < lo - 1:
-            return None
-        origin = [r + c * shift for r, c in zip(rem, col)]
-        # the line's positions, down and up, are one run of the level below
-        # for every range, so its slices keep their line orders across ranges
-        for m in range(lo - 1, a - 1, -1):
-            below = [r - c * m for r, c in zip(origin, col)]
-            sums[m] = sums[m + 1] - one(j + 1, levels, below, (run, m))
-        for m in range(hi + 1, b + 1):
-            below = [r - c * m for r, c in zip(origin, col)]
-            sums[m + 1] = sums[m] + one(j + 1, levels, below, (run, m))
-        run[1], run[2] = min(lo, a), max(hi, b)
+            # a range that would leave a gap walks each position; from then
+            # on the run keys what it walks, as a union's does from the start,
+            # for a position walked off the run may recur
+            kept[4] = True
+            below = [r - c * first for r, c in zip(rem, col)]
+            return sum(steps(j, levels, below, a, b, levels[j + 1][6]))
+        # the range walks the positions it adds, down the line and then up:
+        # that order tells which later ranges leave gaps
+        keyed = levels[j + 1][6] if kept[4] else None
+        for m, n, d in ((lo - 1, a, -1), (hi + 1, b, 1)):
+            if (n - m) * d >= 0:
+                s = sums[m + (d < 0)]
+                below = [r - c * (m - shift) for r, c in zip(rem, col)]
+                for t, found in zip(range(m, n + d, d), steps(j, levels, below, m, n, keyed)):
+                    s += d * found
+                    sums[t + (d > 0)] = s
+        kept[1], kept[2] = min(lo, a), max(hi, b)
         return sums[b + 1] - sums[a]
+
+    def steps(j: int, levels: list[Level], below: list[int], m: int, n: int, reads) -> list[int]:
+        # the counts of the sub-walks at positions m to n, either way, of
+        # level j's run, each charged where it is entered and keyed on
+        # ``reads``; ``below`` holds the offsets at m and steps by the column
+        # in place. A slice reads the line orders its run keeps within their
+        # horizon
+        nonlocal left
+        level, sub = levels[j], levels[j + 1]
+        col, kept, lines = level[2], level[8], sub[5]
+        d = 1 if m <= n else -1
+        counts = []
+        for t in range(m, n + d, d):
+            if t != m:
+                for i, a, _ in level[3]:
+                    below[i] -= d * a
+                for i, a, _ in level[4]:
+                    below[i] += d * a
+            left -= 1
+            if left < 0:
+                overdrawn()
+            if lines is None or reads is not None:
+                found = one(j + 1, levels, below, None, None, reads)
+            elif (x := _clip(sub, below))[1] < x[0]:
+                found = 0
+            else:
+                if not kept[6] <= t <= kept[7]:
+                    _run(kept, lines, below, col, t)
+                found, pieces = _plane(*x, kept[5], below)
+                left -= pieces
+                if left < 0:
+                    overdrawn()
+            counts.append(found)
+        return counts
 
     for part in parts:
         if part[0][0]:  # else the root check found the part's one box point

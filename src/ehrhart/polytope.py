@@ -519,8 +519,10 @@ def is_integral(obj: ConvexPolytope | PolytopalUnion) -> bool:
 
 
 def denominator(obj: ConvexPolytope | PolytopalUnion) -> int:
-    """lcm of all vertex-coordinate denominators; every coefficient period
-    of the dilate-count quasi-polynomial divides it."""
+    """lcm of all vertex-coordinate denominators, of every piece for a
+    union. A body's coefficient periods all divide it; a union's need not,
+    as an overlap of its pieces can have a vertex denominator that none of
+    them has."""
     if isinstance(obj, PolytopalUnion):
         return math.lcm(*(denominator(p) for p in obj.pieces))
     return math.lcm(*(c.denominator for v in obj.vertices for c in v))

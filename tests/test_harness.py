@@ -4,14 +4,25 @@ The worker imports library names and its tracer wraps library functions
 by module and name, so a rename in the library would otherwise show only
 when the benchmark runs. One traced ``hull-faces`` round, run in this
 process (about half a second), checks both.
+
+The workloads' walks are pinned too: every ``walk_box`` call of
+``verify-p2`` and of one ``count-deep`` round, by the hash of its counts
+and charges, so a kernel change that moves any of them fails here.
 """
 
+import contextlib
+import io
 import sys
+from hashlib import sha256
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import worker  # noqa: E402
+import workloads  # noqa: E402
+
+from ehrhart import _enum_py, cli  # noqa: E402
 
 
 def test_a_traced_hull_faces_round_runs_every_task_through_the_bound_layers():
@@ -20,3 +31,41 @@ def test_a_traced_hull_faces_round_runs_every_task_through_the_bound_layers():
     assert [t["error"] for t in result["tasks"]] == [None] * 16
     assert result["layers"]["polytope.faces.calls"] > 0
     assert result["layers"]["indices.index_sequence.calls"] > 0
+
+
+def walk_log(run) -> tuple[int, int, str]:
+    """The ``walk_box`` calls that ``run`` makes: their number, their total
+    charge, and the sha256 of the ``repr`` of their ``(count, charge)``
+    list in call order."""
+    log = []
+    walk_box = _enum_py.walk_box
+
+    def recorded(*args):
+        log.append(walk_box(*args))
+        return log[-1]
+
+    with mock.patch.object(_enum_py, "walk_box", recorded):
+        run()
+    return len(log), sum(charge for _, charge in log), sha256(repr(log).encode()).hexdigest()
+
+
+def test_the_verify_p2_walks_count_and_charge_as_recorded():
+    # every walk of ``verify all --max-p 2`` from fresh bodies, as recorded
+    # before the walk kept its runs in one record per level
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--max-p", "2"]) == 0
+
+    cli._body.cache_clear()
+    assert walk_log(verify) == (
+        582, 2932, "798cb576dc8c2c7ca478bf4ca98eb826450fafefed350d7bddaff85776d35c35"
+    )
+
+
+def test_the_count_deep_walks_count_and_charge_as_recorded():
+    # the walks of the count-deep tasks of seed 7, round 0, as recorded
+    # with the verify-p2 walks above
+    tasks = workloads.make_tasks("count-deep", workloads.make_inputs("count-deep", 7, 0))
+    assert walk_log(lambda: [task.run() for task in tasks]) == (
+        62, 6144, "172f2d97cbb097b53fa6e7d5e50bddfe0b599e6af8be5f83cd087e7f11579f25"
+    )

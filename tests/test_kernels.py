@@ -364,12 +364,12 @@ def slice_runs(draw):
 
 def run_orders(plans, levels, rem, at):
     """The line orders the slice at ``at = (base, t)`` of a run reads, as
-    ``walk_box`` finds them: those kept while ``t`` is within their
-    horizon, else what ``_run`` keeps."""
-    kept = plans.get(id(levels))
-    if kept is None or kept[0] is not at[0] or not kept[1] <= at[1] <= kept[2]:
-        kept = _enum_py._run(plans, levels, rem, at)
-    return kept[3]
+    ``walk_box`` finds them: those its run record keeps while ``t`` is
+    within their horizon, else what ``_run`` sets there."""
+    kept = plans.setdefault(id(levels), [None] * 6 + [math.inf, -math.inf])
+    if not kept[6] <= at[1] <= kept[7]:
+        _enum_py._run(kept, levels[-2][5], rem, levels[-3][2], at[1])
+    return kept[5]
 
 
 @settings(max_examples=300)
@@ -689,6 +689,19 @@ def lined_walks(draw):
     [0, 0, 0, 0], [2, 3, 6, 8],
     [[5, 1, 1, 1], [-5, -1, -1, -2], [0, 1, 0, 0]],
     [30, 0, 1],
+))
+# one row reads every coordinate, so the sub-walks below x2 lie on one
+# line: the first range of x2 walks its positions -3..1, the next two
+# extend the run down to -9, then one extends it up to 3, and the last two
+# lie within it
+@example((
+    [-1, -5, -3, -4, -2], [0, -3, 1, 1, 5], [[-2, 3, -1, 4, -1]], [1],
+))
+# the run below x2 holds positions -4..3 when a range takes -9..-6, a gap
+# it walks position by position; the next range, -7..-4, rejoins the run,
+# walks -5 and takes -6 and -7 from what the gap walked
+@example((
+    [3, -5, -4, 0, -6], [4, -3, -1, 4, 0], [[-15, 6, 3, 3, -1]], [2],
 ))
 def test_a_lined_walk_counts_as_walked_and_charges_no_more(case):
     # the sub-walks along one line are summed, not walked one by one; the
