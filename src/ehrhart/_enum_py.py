@@ -254,9 +254,10 @@ def _levels(
     levels = []
     for j, col, pos, neg, lines, reads, line in reversed(skeleton):
         x_lo, x_hi = lo[j], hi[j]
-        ups = [(i, a, minrest[i]) for i, a in pos]
-        downs = [(i, b, minrest[i]) for i, b in neg]
-        levels.append((x_lo, x_hi, col, ups, downs, lines, reads, line, [None] * 6 + [inf, -inf]))
+        pos_rest = [(i, a, minrest[i]) for i, a in pos]
+        neg_rest = [(i, b, minrest[i]) for i, b in neg]
+        run = [None, None, None, None, None, None, inf, -inf]
+        levels.append((x_lo, x_hi, col, pos_rest, neg_rest, lines, reads, line, run))
         for i, a in pos:
             minrest[i] += a * x_lo
         for i, b in neg:
@@ -400,9 +401,9 @@ def _pieces(members: list[tuple], rem: list[int], x_lo: int, x_hi: int) -> list:
 def _run(kept: list, lines: tuple, rem: list[int], col: list[int], t: int) -> None:
     """Sets in a run's record ``kept`` the line orders of its slice at value
     ``t``, at ``rem``, the offsets falling by ``col`` per unit of ``t``, with
-    their horizon, as ``kept[5:8] = (up, down), lo, hi``, infinite where
-    nothing bounds it. The run keeps the orders it has if they hold at
-    ``t``, else builds new ones, whose horizon its next slice finds."""
+    their horizon, as ``kept[5:8] = (up, down), since, until``, infinite
+    where nothing bounds it. The run keeps the orders it has if they hold
+    at ``t``, else builds new ones, whose horizon its next slice finds."""
     up, down = lines
     if kept[5] is not None:
         span = _horizon(up, kept[5][0], rem, col, t, -inf, inf)
@@ -564,6 +565,7 @@ def walk_box(
         # the count
         nonlocal left
         if reads is not None:
+            # each system and block has its own levels for the whole walk
             key = (id(levels), j, *[rem[i] for i in reads])
             if (found := memo.get(key)) is None:
                 found = memo[key] = one(j, levels, rem, first, top)

@@ -697,11 +697,11 @@ def lined_walks(draw):
 @example((
     [-1, -5, -3, -4, -2], [0, -3, 1, 1, 5], [[-2, 3, -1, 4, -1]], [1],
 ))
-# the run below x2 holds positions -4..3 when a range takes -9..-6, a gap
-# it walks position by position; the next range, -7..-4, rejoins the run,
-# walks -5 and takes -6 and -7 from what the gap walked
+# the run below x2 holds positions -1..3 when ranges take -7..-3 and
+# -13..-9, gaps it walks position by position; later ranges extend the
+# run up to 7, then down to -9, taking what the gaps walked
 @example((
-    [3, -5, -4, 0, -6], [4, -3, -1, 4, 0], [[-15, 6, 3, 3, -1]], [2],
+    [3, 2, -1, -5, 3], [4, 4, 3, 0, 11], [[4, -6, 1, -3, 1]], [38],
 ))
 def test_a_lined_walk_counts_as_walked_and_charges_no_more(case):
     # the sub-walks along one line are summed, not walked one by one; the
@@ -717,6 +717,21 @@ def test_a_lined_walk_counts_as_walked_and_charges_no_more(case):
     if charged:
         with pytest.raises(BudgetExceeded):
             _enum_py.walk_box(lo, hi, [(normals, offsets)], charged - 1)
+
+
+def test_a_position_walked_off_its_run_is_walked_once():
+    # the lined walk of the example above: its run keys the positions its
+    # gaps walk, and a range that rejoins the run takes them for their
+    # entry node. A union's run keys its positions from the start, as the
+    # walk of both systems enters some of them itself. Both charges are the
+    # ones recorded when every keyed sub-walk, a lined one too, was stored
+    lo, hi, normals, offsets = [3, 2, -1, -5, 3], [4, 4, 3, 0, 11], [[4, -6, 1, -3, 1]], [38]
+    assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (1620, 55)
+    assert walk_count(lo, hi, [(normals, offsets)]) == 1620
+    lo, hi = [-4, -7, -9, -10], [33, 7, 28, 12]
+    pieces = [([[-9, 0, 0, 1]], [39]), ([[-9, 0, 0, 1], [6, 7, 9, 9]], [55, -57])]
+    assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 3598)
+    assert walk_count(lo, hi, pieces) == 493168
 
 
 def plain_walk(lo, hi, systems):
