@@ -24,9 +24,9 @@ earlier ones left. A block of one coordinate is one clip, not a walk.
 Several systems are walked together, never split. Each level is cut at
 the start of every live system's interval and after its end. A stretch
 between two cuts where one system is live goes to that system's own
-walk; one where several are is walked value by value, or at the last
-coordinate adds its width, so a point in several systems is counted
-once. Gaps are neither walked nor charged.
+walk; one where several are is walked value by value, is one slice at
+the second-to-last level, or at the last adds its width, so a point in
+several systems is counted once. Gaps are neither walked nor charged.
 
 A 2-D slice over the last two coordinates ``(x, y)`` in which a single
 system is live is counted in closed form, but for one walked alone over
@@ -41,6 +41,10 @@ piece of their merge, one linear inequality keeps the ``x`` where the
 upper bound ``U`` reaches the lower bound ``L``, and there the column
 counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``.
 Elsewhere the walk reaches the last coordinate and counts its interval.
+Where several systems are live the slice, again but for one of a single
+``x``, is cut where an envelope piece starts or a bound stops being at
+least another (the upper, if one is); on each range the intervals that
+meet, ties included, form fixed groups, each summed from its extremes.
 
 A walk needs per level the coordinate's column and the rows split by the
 sign of their coefficient, and at the second-to-last level the slice's
@@ -86,16 +90,17 @@ The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per sub-walk entered below
 the root (a value or position a run walks, a repeat taken from the
 memo), and one per merged envelope piece of a slice counted in closed
-form, at most one per value of ``x``. Nothing else is charged, not even
-a position summed from prefix sums, so no walk charges more than the
-plain walk, a 1-D count never touches the budget, a charge never exceeds
-the points of the box, and a budget of box points never refuses a count.
+form, or per range where several systems are live, at most one per value
+of ``x``. Nothing else is charged, not even a position summed from prefix
+sums, so no walk charges more than the plain walk, a 1-D count never
+touches the budget, a charge never exceeds the points of the box, and a
+budget of box points never refuses a count.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, cmp_to_key
-from math import inf, prod
+from math import inf, lcm, prod
 from operator import gt
 from typing import Sequence
 
@@ -458,6 +463,43 @@ def _plane(x_lo: int, x_hi: int, orders: tuple, rem: list[int]) -> tuple[int, in
     return total, pieces
 
 
+def _planes(x_lo: int, x_hi: int, slices: list[tuple[tuple, list[int]]]) -> tuple[int, int]:
+    """Points ``(x, y)``, ``x_lo <= x <= x_hi``, in at least one of the
+    ``slices``, each its upper and lower lines and offsets, and the number
+    of ranges summed, on each of which the intervals that meet are fixed."""
+    # the pieces of y <= (c - a*x) / b per slice, then those of -y <= (c - a*x) / b
+    sides = [_pieces(_order(both[h], rem), rem, x_lo, x_hi) for h in (0, 1) for both, rem in slices]
+    starts, m = sorted({p[0] for side in sides for p in side}) + [x_hi + 1], len(slices)
+    at, signs, total, ranges = [0] * 2 * m, [1] * m + [-1] * m, 0, 0
+    for s, stop in zip(starts, starts[1:]):
+        at = [i + (i + 1 < len(side) and side[i + 1][0] == s) for i, side in zip(at, sides)]
+        lines = [side[i] for i, side in zip(at, sides)]
+        big = lcm(*[p[2] for p in lines])  # each bound (base - fall * x) / big, a lower one negated
+        fall = [g * a * (big // b) for g, (_, a, b, _) in zip(signs, lines)]
+        base = [g * c * (big // b) for g, (_, _, b, c) in zip(signs, lines)]
+        cuts = {s, stop}
+        for p in range(2 * m if len(set(fall)) > 1 else 0):  # parallel lines never cross
+            for q in range(p + 1, 2 * m):
+                # p's bound, the upper if one is, is at least q's where x * d >= f
+                d, f = fall[q] - fall[p], base[q] - base[p]
+                if d and s < (x := -(-f // d) if d > 0 else f // d + 1) < stop:
+                    cuts.add(x)
+        for lo, hi in zip(cuts := sorted(cuts), cuts[1:]):
+            # the bounds at lo, then their steps, which order ties as past lo
+            keys = [(c - a * lo, -a) for a, c in zip(fall, base)]
+            groups = []  # [greatest upper bound, its index, least lower bound's]
+            for k in sorted(range(m), key=lambda k: keys[k + m]):
+                if groups and keys[k + m][0] <= groups[-1][0][0]:
+                    groups[-1][:2] = max(groups[-1][:2], [keys[k], k])
+                elif keys[k][0] >= keys[k + m][0]:  # else empty
+                    groups.append([keys[k], k, k + m])
+            total += (hi - lo) * len(groups)  # floor(U) + floor(-L) + 1 per column
+            for _, a, b, c in [lines[i] for group in groups for i in group[1:]]:
+                total += floor_sum(hi - lo, b, -a, c - a * lo)
+            ranges += 1
+    return total, ranges
+
+
 def count_box(
     lo: Sequence[int],
     hi: Sequence[int],
@@ -531,8 +573,9 @@ def walk_box(
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         # between two cuts the same systems are live: one walks its stretch
-        # alone, several walk each value, or merge at the last level. An
-        # empty clip makes no cut, which would split another's stretch
+        # alone, several walk each value, count a slice over two values or
+        # more, or merge at the last level. An empty clip makes no cut, which
+        # would split another's stretch
         nonlocal left
         if j:
             left -= 1
@@ -551,6 +594,11 @@ def walk_box(
                 total += one(j, levels, rem, start, stop - 1, levels[j][6] if whole else None)
             elif here and j == len(live[0][0]) - 1:
                 total += stop - start
+            elif here and live[0][0][j][5] is not None and stop - start > 1:
+                found, ranges = _planes(start, stop - 1, [(lv[j][5], rem) for *_, lv, rem in here])
+                total, left = total + found, left - ranges
+                if left < 0:
+                    overdrawn()
             elif here:
                 for x in range(start, stop):
                     total += walk(j + 1, [

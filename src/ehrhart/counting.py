@@ -6,8 +6,8 @@ and walk it with the per-row interval kernel of ``_enum_py`` on Python
 integers, which never overflow; a body and a union enumerate through the
 same walk. The budget (``DEFAULT_BUDGET`` unless a caller passes
 ``budget``, which must not be negative) caps what that walk charges: a
-node per sub-walk entered below the root and per envelope piece of a
-slice, not the points of the box. An overdraw raises ``BudgetExceeded``.
+node per sub-walk entered below the root and per envelope piece or range
+of a slice, not the points of the box. An overdraw raises ``BudgetExceeded``.
 Hulls and face lattices charge their own work under the default alone.
 
 Product structure is read off inequalities alone: the kernel counts
@@ -192,8 +192,8 @@ def count_union(
     of the pieces, each counted from their stacked inequalities. Otherwise
     the union's bounding box is enumerated, counting points lying in at
     least one piece once; that route is also the cross-check. ``'auto'``
-    reads the pieces' structure alone: for many overlapping product pieces,
-    pass ``strategy='enumerate'``.
+    reads the pieces' structure alone: ``m`` overlapping product pieces
+    give ``2**m - 1`` terms, where ``strategy='enumerate'`` walks once.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidInput(f"a union's dilation factor must be a positive integer, got {k!r}")

@@ -19,8 +19,8 @@ of the non-integral vertices, and ``face_span`` derives a face's affine
 span, kept nowhere. The hull and the grading charge the kernel's
 ``DEFAULT_BUDGET``: a unit per candidate ray pair tested, and one per
 AND of a closed set with a facet mask; an overdraw raises
-``BudgetExceeded``. A body likewise keeps its integer ``bounds`` (a
-product's are its factors', joined in order), the integer ``rows`` that
+``BudgetExceeded``. A body likewise keeps its integer ``bounds`` (the
+hull's, a translate's and a product's set as built), the integer ``rows`` that
 count its dilates, the counts made of them and its fitted
 quasi-polynomial, and a union its counts, its fit and the stacked rows of
 its counted intersections (see ``counting``). Translates and products are
@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_, mul
+from operator import add, and_, mul
 from typing import Iterable, Sequence
 
 from ._enum_py import DEFAULT_BUDGET, Rows
@@ -83,12 +83,9 @@ class ConvexPolytope(
     def bounds(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """``(scale, least, greatest, rhs)``: the least and greatest vertex
         coordinate per axis and the hull right-hand sides ``a . v``, as
-        integers over the vertices' common denominator ``scale``; a
-        product's are its factors'."""
-        scale, scaled = _scaled(self.vertices)
-        axes = list(zip(*scaled))
-        rhs = tuple(b.numerator * (scale // b.denominator) for b in self.span.rhs)
-        return scale, tuple(map(min, axes)), tuple(map(max, axes)), rhs
+        integers over the vertices' common denominator ``scale``; the hull,
+        a translate and a product set them as they build the body."""
+        return _bounds(*_scaled(self.vertices), self.span.rows)
 
     @cached_property
     def rows(self) -> Rows:
@@ -219,7 +216,7 @@ class ConvexPolytope(
         t = tuple(int(x) for x in exact)
         if len(t) != self.ambient_dim:
             raise DimensionMismatch(f"shift dim {len(t)} vs {self.ambient_dim}")
-        return ConvexPolytope(
+        body = ConvexPolytope(
             self.ambient_dim,
             tuple(tuple(x + y for x, y in zip(v, t)) for v in self.vertices),
             tuple((a, c + _dot(a, t)) for a, c in self.facets),
@@ -230,6 +227,10 @@ class ConvexPolytope(
             ),
             self.intrinsic_dim,
         )
+        scale, *parts = self.bounds  # shifted, they fill the cached_property: no vertex scan
+        steps = [[x * scale for x in t]] * 2 + [[_dot(a, t) * scale for a in self.span.rows]]
+        vars(body)["bounds"] = scale, *[tuple(map(add, p, d)) for p, d in zip(parts, steps)]
+        return body
 
 
 class PolytopalUnion(namedtuple("PolytopalUnion", "ambient_dim pieces")):
@@ -339,7 +340,9 @@ def from_vertices(points: Iterable[Sequence]) -> ConvexPolytope:
     if len(kept) < len(pts):  # a dropped point may be tight on a facet: drop its bit
         masks = tuple(sum(1 << j for j, i in enumerate(kept) if m >> i & 1) for m in masks)
     body = ConvexPolytope(n, tuple(pts[i] for i in kept), facets, span, dim)
-    vars(body)["incidence"] = masks  # fills the cached_property: no dot products
+    # fill the cached_properties: no dot products, no vertex scan
+    vars(body)["incidence"] = masks
+    vars(body)["bounds"] = _bounds(scale, [scaled[i] for i in kept], rows)
     return body
 
 
@@ -427,6 +430,15 @@ def _scaled(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
     times ``L`` as integer tuples."""
     scale = math.lcm(*(x.denominator for p in points for x in p))
     return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
+def _bounds(scale: int, scaled: list[tuple[int, ...]], rows: Sequence) -> tuple:
+    """``bounds`` of the vertices ``scaled / scale`` on the hull of ``rows``,
+    over the vertices' own common denominator, which divides ``scale``."""
+    g = math.gcd(scale, *[x for v in scaled for x in v])
+    axes = list(zip(*scaled)) if g == 1 else [[x // g for x in axis] for axis in zip(*scaled)]
+    rhs = tuple(_dot(a, scaled[0]) // g for a in rows)
+    return scale // g, tuple(map(min, axes)), tuple(map(max, axes)), rhs
 
 
 def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:

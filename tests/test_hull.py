@@ -12,7 +12,7 @@ from strategies import clouds
 
 from ehrhart import constructions as C
 from ehrhart.linalg import min_dilate_with_lattice_point
-from ehrhart.polytope import denominator, faces, from_vertices, product
+from ehrhart.polytope import ConvexPolytope, denominator, faces, from_vertices, product
 
 F = Fraction
 
@@ -176,16 +176,24 @@ def _vertex_extremes(body):
 def test_bounds_are_the_least_and_greatest_vertex_coordinates(first, second, data):
     # the bounds, and the hull right-hand sides, are integers over the
     # body's denominator; a product's are its factors' joined in order, the
-    # others' found on the scaled vertices; composing three factors at once
-    # or two at a time gives one body
-    body, other = from_vertices(first), from_vertices(second)
+    # hull's kept from the points it scaled, reduced where a dropped point
+    # had a larger denominator, as the cloud's centroid may, and a
+    # translate's shifted: all are those a copy of the body, which keeps
+    # nothing, finds from its vertices. Composing three factors at once or
+    # two at a time gives one body
+    centroid = tuple(sum(x) / len(first) for x in zip(*first))
+    body, other = from_vertices(first + [centroid]), from_vertices(second)
+    assert all("bounds" in vars(b) for b in (body, other) if b.intrinsic_dim)
     pair = product(body, other)
     triple = product(body, other, body)
     assert triple == product(pair, body)
     shift = data.draw(st.lists(st.integers(-5, 5), min_size=pair.ambient_dim,
                                max_size=pair.ambient_dim), label="shift")
-    for each in (body, pair, triple, pair.translate(shift)):
+    moved = pair.translate(shift), body.translate(shift[:body.ambient_dim])
+    assert all("bounds" in vars(each) for each in moved)
+    for each in (body, pair, triple, *moved):
         scale, *scaled = each.bounds
         assert scale == denominator(each)
         assert all(type(x) is int for part in scaled for x in part)
         assert tuple(tuple(Fraction(x, scale) for x in part) for part in scaled) == _vertex_extremes(each)
+        assert each.bounds == ConvexPolytope(*each).bounds

@@ -177,12 +177,13 @@ def test_a_union_charges_pieces_where_one_system_is_live():
     # (w <= 11 - v takes over from the side w <= 9 at v = 3). Neither piece
     # reads u below it, so the slices at u = 1 and u = 4 reuse those for
     # only their entry node. At u = 2 both are live: the walk charges that
-    # value, then the 4 values v = 0..3 where both are live, whose intervals
-    # of w it merges, and one envelope piece for the slice v = 4..6, where
-    # the first is live alone.
+    # value, then the slice v = 0..3, where both are live, as the ranges of
+    # their merged envelopes, v = 0..2 and v = 3, where the second's
+    # w <= 11 - v starts, and one envelope piece for the slice v = 4..6,
+    # where the first is live alone.
     lo, hi = [0, 0, 0], [4, 6, 9]
     pieces = [([[1, 0, 0]], [2]), ([[-1, 0, 0], [0, 1, 0], [0, 1, 1]], [-2, 3, 11])]
-    charged = (1 + 1 + 1) + (1 + 4 + 1) + (1 + 2 + 1)
+    charged = (1 + 1 + 1) + (1 + 2 + 1) + (1 + 2 + 1)
     points = scan(lo, hi, pieces)
     assert _enum_py.count_box_union(lo, hi, pieces, charged) == points
     assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
@@ -195,15 +196,70 @@ def test_a_stretch_with_one_live_piece_is_a_slice_in_closed_form():
     # second-to-last level, x, the first piece is live alone on x = 0..4
     # and the second on x = 13..20. Each stretch is one slice in closed
     # form, charged its one envelope piece: the side y <= 20 there, and the
-    # line y <= x. Only the 8 values x = 5..12, where both are live, are
-    # charged one node each, and their intervals of y are merged
+    # line y <= x. On x = 5..12, where both are live, each upper envelope is
+    # one line, 25 - x and x, which cross at 12.5, past the stretch, and
+    # the lower ones are both y >= 0: the merged slice is one range
     lo, hi = [0, 0], [20, 20]
     pieces = [([[1, 0], [1, 1]], [12, 25]), ([[-1, 0], [-1, 1]], [-5, 0])]
-    charged = 1 + 8 + 1
+    charged = 1 + 1 + 1
     points = scan(lo, hi, pieces)
     assert _enum_py.walk_box(lo, hi, pieces, charged) == (points, charged)
     with pytest.raises(BudgetExceeded):
         _enum_py.walk_box(lo, hi, pieces, charged - 1)
+
+
+@st.composite
+def union_slices(draw):
+    """A 2-D or 3-D box, whose last two walked coordinates are a slice, and
+    2-6 systems of up to five rows."""
+    n = draw(st.integers(2, 3))
+    lo = [draw(st.integers(-4, 2)) for _ in range(n)]
+    hi = [l + draw(st.integers(0, 12 if n == 2 else 5)) for l in lo]
+    return lo, hi, draw(st.lists(systems(n), min_size=2, max_size=6))
+
+
+@settings(max_examples=200)
+@given(union_slices())
+# y <= x and y >= x: intervals that meet at one integer, y = x, counted once
+@example(([0, 0], [6, 10], [([[-1, 1]], [0]), ([[1, -1]], [0])]))
+# identical copies
+@example(([0, 0], [5, 9], [([[1, 1], [-1, 0], [0, -1]], [7, 0, 0])] * 3))
+# x - 2 <= y <= x and 0 <= y <= 6 - x: the upper bounds cross at x = 3,
+# where a range starts on which x is the greater
+@example(([0, -2], [6, 9], [([[-1, 1], [1, -1]], [0, 2]), ([[1, 1], [0, -1]], [6, 0])]))
+# y >= 2x - 3 with y <= 8 - x is empty from x = 4 on, where y <= 2 is still live
+@example(([0, 0], [6, 10], [([[0, 1]], [2]), ([[2, -1], [1, 1]], [3, 8])]))
+# the wedge -x <= y <= x opens at x = 0, beside y <= -4
+@example(([-3, -5], [3, 5], [([[-1, 1], [-1, -1]], [0, 0]), ([[0, 1]], [-4])]))
+# parallel bands x - 1..x + 1, x + 2..x + 4 and x + 1..x + 3: the first two
+# do not meet, the third meets both where their bounds are its own
+@example(([0, 0], [4, 10], [
+    ([[-1, 1], [1, -1]], [1, 1]), ([[-1, 1], [1, -1]], [4, -2]), ([[-1, 1], [1, -1]], [3, -1]),
+]))
+def test_a_slice_where_several_systems_are_live_counts_their_union(case):
+    # the merged envelopes of the systems live over a stretch count each
+    # point of a column once, as the plain walk and the scan do, under a
+    # budget of the box's points
+    lo, hi, union = case
+    found = _enum_py.count_box_union(lo, hi, union, box_points(lo, hi))
+    assert found == walk_count(lo, hi, union) == scan(lo, hi, union)
+
+
+def test_three_copies_of_a_box_count_their_slices_in_closed_form():
+    # three copies of [6,24]x[9,32]x[-19,-5]x[0,26], each given as its eight
+    # facet rows, in that box. The walk takes x2 (15 values), x0 (19), x1
+    # (24), then x3, and all three copies are live everywhere: it charges
+    # the 15 values of x2, the 15 * 19 of x0 below them, and each slice
+    # over (x1, x3) one range, as its envelopes are the single lines
+    # x3 <= 26 and x3 >= 0, the same for every copy. Walked value by value,
+    # the slices charged 15 * 19 * 24 = 6840, 7140 in all
+    lo, hi = [6, 9, -19, 0], [24, 32, -5, 26]
+    rows = [[s * (i == j) for j in range(4)] for i in range(4) for s in (1, -1)]
+    box = (rows, [b for l, h in zip(lo, hi) for b in (h, -l)])
+    charged = 15 + 15 * 19 + 15 * 19
+    assert _enum_py.walk_box(lo, hi, [box] * 3, charged) == (19 * 24 * 15 * 27, charged)
+    with pytest.raises(BudgetExceeded):
+        _enum_py.walk_box(lo, hi, [box] * 3, charged - 1)
 
 
 def test_last_coordinate_costs_no_nodes():
@@ -724,13 +780,17 @@ def test_a_position_walked_off_its_run_is_walked_once():
     # gaps walk, and a range that rejoins the run takes them for their
     # entry node. A union's run keys its positions from the start, as the
     # walk of both systems enters some of them itself. Both charges are the
-    # ones recorded when every keyed sub-walk, a lined one too, was stored
+    # ones recorded when every keyed sub-walk, a lined one too, was stored,
+    # the union's once its slices where both systems are live were counted
+    # in closed form (3598 when they were walked value by value); unkeyed,
+    # the union walk charges 975
     lo, hi, normals, offsets = [3, 2, -1, -5, 3], [4, 4, 3, 0, 11], [[4, -6, 1, -3, 1]], [38]
     assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (1620, 55)
     assert walk_count(lo, hi, [(normals, offsets)]) == 1620
     lo, hi = [-4, -7, -9, -10], [33, 7, 28, 12]
     pieces = [([[-9, 0, 0, 1]], [39]), ([[-9, 0, 0, 1], [6, 7, 9, 9]], [55, -57])]
-    assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 3598)
+    assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 781)
+    assert plain_walk(lo, hi, pieces) == (493168, 975)
     assert walk_count(lo, hi, pieces) == 493168
 
 
@@ -785,17 +845,23 @@ def test_the_budget_bounds_the_clips_a_walk_makes(walks, data):
         walked = sum(len(cols) > 1 for cols, _, _ in _enum_py.Rows(systems[0][0]).blocks)
         assert clips <= charged + walked
     # and the other way: the plain walk charges one node per sub-walk it
-    # enters, each of which clips, and one per envelope piece of a slice
+    # enters, each of which clips, one per envelope piece of a slice, and
+    # one per range of a slice where several systems are live
     pieces = 0
-    plane = _enum_py._plane
 
-    def counted(*args):
-        nonlocal pieces
-        found = plane(*args)
-        pieces += found[1]
-        return found
+    def counted(plane):
+        def wrapped(*args):
+            nonlocal pieces
+            found = plane(*args)
+            pieces += found[1]
+            return found
 
-    with mock.patch.object(_enum_py, "_plane", counted):
+        return wrapped
+
+    with (
+        mock.patch.object(_enum_py, "_plane", counted(_enum_py._plane)),
+        mock.patch.object(_enum_py, "_planes", counted(_enum_py._planes)),
+    ):
         clips, (_, charged) = clipped_walk(lo, hi, systems, plain_walk)
     assert charged <= clips + pieces
 
