@@ -59,12 +59,13 @@ The sub-walks at consecutive values ``t`` of one level form a run, in
 which the offsets are ``base - col * t``. One loop walks a run, stepping
 the offsets by the column in place and counting its slices itself, and
 each level of a system keeps one run record for the length of one call
-of ``walk_box``. Above the slices it holds their two line orders: every
-condition for an order to be the envelope is linear in the offsets, so
-in ``t``, and an order holds on an interval of ``t``, its horizon, found
-by floor division. A run keeps its orders within their horizon, either
-way, and else takes new ones; every piece, ties included, is the one the
-envelope rebuilt from the lines gives.
+of ``walk_box``. Above the slices it holds their two line orders and
+their horizon: each comparison that built an order is linear in the
+offsets, so in ``t``, and keeps its outcome on an interval of ``t``
+found by floor division, and where every one keeps its outcome the same
+comparisons build the same order. A run reads its orders within their
+horizon, either way, and else builds new ones; every piece, ties
+included, is the one the envelope rebuilt from the lines gives.
 
 Below the root and above the last level, what the walk of a single live
 system finds is a function of the offsets of the rows it reads, those
@@ -120,7 +121,8 @@ DEFAULT_BUDGET = 10**9  # a walk's budget when none is given; hulls and face lat
 # record of the sub-walks below it: ``[base, lo, hi, sums, keyed, orders,
 # since, until]``, the line's base offset on that row, the positions lo..hi
 # its prefix sums cover, whether it keys its positions, and the slices'
-# two line orders with their horizon ``since..until``.
+# two line orders with their horizon ``since..until``, the values over
+# which the comparisons that built them keep their outcomes.
 Level = tuple[
     int, int, list[int], list, list, tuple | None, tuple[int, ...] | None, int | None, list
 ]
@@ -305,80 +307,53 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _order(lines: list[tuple], rem: list[int]) -> list[tuple]:
+def _order(lines: list[tuple], rem: list[int], col: list[int] | None = None, x: int = 0) -> tuple:
     """The lower envelope of the full lines ``(rem[i] - a*x) / b``, ``b > 0``,
     given as ``(a, b, i)`` sorted by ``a/b``: its members left to right as
     ``(a, b, i, d)``, ``d = a*b' - a'*b > 0`` with the member before (0 for
-    the first). Of equal slopes only the lowest line, the earliest of equal
-    ones, can be a member, and breakpoints strictly increase."""
-    hull = []
+    the first), and the values ``t``, as ``lo, hi``, over which every
+    comparison made keeps its outcome when the offsets are ``rem - (t - x)
+    * col``; the members are then the same. Each comparison is a linear
+    form of the offsets, so its bound is one floor division; without
+    ``col`` nothing moves and nothing bounds ``t``. Of equal slopes only the
+    lowest line, the earliest of equal ones, can be a member, and
+    breakpoints strictly increase."""
+    hull, lo, hi = [], -inf, inf
     for a, b, i in lines:
         c, d = rem[i], 0
         while hull:
             a2, b2, i2, d2 = hull[-1]
             c2 = rem[i2]
             d = a * b2 - a2 * b
+            # the outcome is v >= 0, a linear form of the offsets falling by
+            # f per unit of t (None without col)
             if d:
                 # the last member stays if its breakpoint with the one before
-                # lies left of its breakpoint with the new line
+                # lies strictly left of its breakpoint with the new line
                 if len(hull) == 1:
                     break
                 a1, b1, i1, _ = hull[-2]
-                if (c2 * b1 - rem[i1] * b2) * d < (c * b2 - c2 * b) * d2:
-                    break
-            elif c * b2 >= c2 * b:
-                break  # parallel and not lower: the new line is no member
+                v = (c * b2 - c2 * b) * d2 - (c2 * b1 - rem[i1] * b2) * d - 1
+                f = col and (col[i] * b2 - col[i2] * b) * d2 - (col[i2] * b1 - col[i1] * b2) * d
+            else:
+                # parallel: a line not lower is no member
+                v = c * b2 - c2 * b
+                f = col and col[i] * b2 - col[i2] * b
+            if f:
+                # the outcome holds while v, or ~v = -1 - v where v < 0,
+                # stays >= 0
+                s, f = (v, f) if v >= 0 else (~v, -f)
+                if f > 0:
+                    hi = min(hi, x + s // f)
+                else:
+                    lo = max(lo, x - s // -f)
+            if v >= 0:
+                break
             hull.pop()
             d = 0
         if d or not hull:
             hull.append((a, b, i, d))
-    return hull
-
-
-def _horizon(
-    lines: list[tuple], members: list[tuple], rem: list[int], col: list[int], x: int, lo, hi
-) -> tuple | None:
-    """The values ``t`` in ``lo..hi`` over which ``members`` stay the
-    ``_order`` of ``lines`` when the offsets are ``rem - (t - x) * col``, as
-    ``(lo, hi)``; None when they are not at ``x``. The conditions: the
-    members' breakpoints strictly increase, a line whose slope lies strictly
-    between two members' is not below them at their breakpoint, and a line
-    parallel to a member is not below it, nor equal where it comes first.
-    Each is a linear form of the offsets, ``sum(k * offset[i]) + c >= 0``,
-    whose slack on ``rem`` and fall on ``col`` bound ``t`` on one side by
-    floor division."""
-    forms = []  # (c, i, k, i', k', i'', k'') per condition, the last k 0 for two terms
-    m, bu, u = 0, None, None
-    for an, bn, n in lines:
-        if m < len(members) and n == members[m][2]:
-            av, bv, v, dv = members[m]
-            if m > 1:
-                # the breakpoint of w and u, (c_u*bw - c_w*bu) / du, is left
-                # of that of u and v, (c_v*bu - c_u*bv) / dv
-                forms.append((-1, v, du * bu, u, -du * bv - dv * bw, w, dv * bu))
-            bw, w, au, bu, u, du = bu, u, av, bv, v, dv
-            m += 1
-        elif m and an * bu == au * bn:  # parallel to member m - 1, after it
-            forms.append((0, n, bu, u, -bn, u, 0))
-        else:  # parallel to member m, before it, or between m - 1 and m
-            av, bv, v, dv = members[m]
-            if an * bv == av * bn:
-                forms.append((-1, n, bv, v, -bn, v, 0))
-            else:
-                # not below u and v where they cross: dv * (c_n*bu - c_u*bn)
-                # >= e * (c_v*bu - c_u*bv)
-                e = bu * an - bn * au
-                forms.append((0, n, dv * bu, u, e * bv - dv * bn, v, -e * bu))
-    for c, i, k, i2, k2, i3, k3 in forms:
-        slack = c + k * rem[i] + k2 * rem[i2] + k3 * rem[i3]
-        if slack < 0:
-            return None
-        fall = k * col[i] + k2 * col[i2] + k3 * col[i3]
-        if fall > 0:
-            hi = min(hi, x + slack // fall)
-        elif fall < 0:
-            lo = max(lo, x - slack // -fall)
-    return lo, hi
+    return hull, lo, hi
 
 
 def _pieces(members: list[tuple], rem: list[int], x_lo: int, x_hi: int) -> list:
@@ -406,18 +381,11 @@ def _pieces(members: list[tuple], rem: list[int], x_lo: int, x_hi: int) -> list:
 def _run(kept: list, lines: tuple, rem: list[int], col: list[int], t: int) -> None:
     """Sets in a run's record ``kept`` the line orders of its slice at value
     ``t``, at ``rem``, the offsets falling by ``col`` per unit of ``t``, with
-    their horizon, as ``kept[5:8] = (up, down), since, until``, infinite
-    where nothing bounds it. The run keeps the orders it has if they hold
-    at ``t``, else builds new ones, whose horizon its next slice finds."""
-    up, down = lines
-    if kept[5] is not None:
-        span = _horizon(up, kept[5][0], rem, col, t, -inf, inf)
-        if span:
-            span = _horizon(down, kept[5][1], rem, col, t, *span)
-        if span:
-            kept[6], kept[7] = span
-            return
-    kept[5:8] = (_order(up, rem), _order(down, rem)), inf, -inf
+    the values over which both hold, as ``kept[5:8] = (up, down), since,
+    until``."""
+    up, lo, hi = _order(lines[0], rem, col, t)
+    down, since, until = _order(lines[1], rem, col, t)
+    kept[5:8] = (up, down), max(lo, since), min(hi, until)
 
 
 def _plane(x_lo: int, x_hi: int, orders: tuple, rem: list[int]) -> tuple[int, int]:
@@ -468,7 +436,7 @@ def _planes(x_lo: int, x_hi: int, slices: list[tuple[tuple, list[int]]]) -> tupl
     ``slices``, each its upper and lower lines and offsets, and the number
     of ranges summed, on each of which the intervals that meet are fixed."""
     # the pieces of y <= (c - a*x) / b per slice, then those of -y <= (c - a*x) / b
-    sides = [_pieces(_order(both[h], rem), rem, x_lo, x_hi) for h in (0, 1) for both, rem in slices]
+    sides = [_pieces(_order(both[h], rem)[0], rem, x_lo, x_hi) for h in (0, 1) for both, rem in slices]
     starts, m = sorted({p[0] for side in sides for p in side}) + [x_hi + 1], len(slices)
     at, signs, total, ranges = [0] * 2 * m, [1] * m + [-1] * m, 0, 0
     for s, stop in zip(starts, starts[1:]):
@@ -628,8 +596,7 @@ def walk_box(
         if level[5] is not None and first < top:
             # a slice alone builds its line orders; a slice of one column
             # costs less as one more clip below
-            up, down = level[5]
-            found, pieces = _plane(first, top, (_order(up, rem), _order(down, rem)), rem)
+            found, pieces = _plane(first, top, [_order(side, rem)[0] for side in level[5]], rem)
             left -= pieces
             if left < 0:
                 overdrawn()

@@ -5,13 +5,16 @@ values are :class:`fractions.Fraction` (aliased ``Rational``) where they
 meet the caller: ``vdot`` returns one, the nullspace basis vectors are
 tuples of them, and ``as_vector`` coerces any sequence of numbers into
 such a tuple. Matrices are sequences of rows of ``int`` or ``Fraction``.
-Inside, the work is on Python ints: this module has one elimination, an integer
-row echelon form reached by unimodular row steps, and builds every
-solver on it: nullspace, independent rows, and the
-lattice-solvability query used for face indices, the least dilate ``m`` for which ``A x = m b`` admits an
-integer solution, which substitutes on integers over one running
-denominator. Since the steps are unimodular, the echelon rows span the
-lattice of the input rows, which is what that query needs.
+Inside, the work is on Python ints, in two eliminations. The first, an
+integer row echelon form reached by unimodular row steps, carries every
+solver: nullspace, independent rows, and the lattice-solvability query
+used for face indices, the least dilate ``m`` for which ``A x = m b``
+admits an integer solution, which substitutes on integers over one
+running denominator. Since the steps are unimodular, the echelon rows
+span the lattice of the input rows, which is what that query needs. The
+second, a fraction-free Gauss-Jordan elimination, inverts a nonsingular
+integer matrix up to its determinant; the hull reads the facets of its
+starting simplex off that inverse.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def canonical_equation(coeffs: Iterable) -> IntVector:
 
 
 # ---------------------------------------------------------------------------
-# Integer row echelon form
+# Integer eliminations
 # ---------------------------------------------------------------------------
 
 
@@ -107,6 +110,26 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
         if len(pivots) == len(mat):
             break
     return mat, pivots
+
+
+def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, d * matrix^-1)`` for a nonsingular square integer matrix,
+    where ``d`` is its determinant up to sign, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on ``[matrix | I]``: every division is
+    exact, and after the last column the left block is ``d * I``."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        top = next(i for i in range(k, n) if aug[i][k])
+        aug[k], aug[top] = aug[top], aug[k]
+        prow, p = aug[k], aug[k][k]
+        for i in range(n):
+            if i != k:
+                a = aug[i][k]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], prow)]
+        prev = p
+    return prev, [row[n:] for row in aug]
 
 
 def pivots_and_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[Vector]]:

@@ -50,6 +50,7 @@ from .errors import BudgetExceeded, DimensionMismatch, InvalidInput
 from .linalg import (
     AffineSubspace,
     Vector,
+    _scaled_inverse,
     as_vector,
     canonical_equation,
     independent_rows,
@@ -439,26 +440,6 @@ def _bounds(scale: int, scaled: list[tuple[int, ...]], rows: Sequence) -> tuple:
     axes = list(zip(*scaled)) if g == 1 else [[x // g for x in axis] for axis in zip(*scaled)]
     rhs = tuple(_dot(a, scaled[0]) // g for a in rows)
     return scale // g, tuple(map(min, axes)), tuple(map(max, axes)), rhs
-
-
-def _scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """``(d, d * matrix^-1)`` for a nonsingular square integer matrix,
-    where ``d`` is its determinant up to sign, by fraction-free (Bareiss)
-    Gauss-Jordan elimination on ``[matrix | I]``: every division is
-    exact, and after the last column the left block is ``d * I``."""
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        top = next(i for i in range(k, n) if aug[i][k])
-        aug[k], aug[top] = aug[top], aug[k]
-        prow, p = aug[k], aug[k][k]
-        for i in range(n):
-            if i != k:
-                a = aug[i][k]
-                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], prow)]
-        prev = p
-    return prev, [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ process (about half a second), checks both.
 
 The workloads' walks are pinned too: every ``walk_box`` call of
 ``verify-p2`` and of one ``count-deep`` round, by the hash of its counts
-and charges, so a kernel change that moves any of them fails here.
+and charges, so a kernel change that moves any of them fails here, and
+the slice line orders those walks build, so a horizon made looser or
+tighter fails here too.
 """
 
 import contextlib
@@ -70,3 +72,35 @@ def test_the_count_deep_walks_count_and_charge_as_recorded():
     assert walk_log(lambda: [task.run() for task in tasks]) == (
         62, 5948, "a5fae75cbeab05b9820a95a6a26efce6b08450d13aaa5e4810c0267b2c1d1c12"
     )
+
+
+def order_builds(run) -> int:
+    """How often ``run`` builds a run's slice line orders with their
+    horizon: its calls of ``_run``."""
+    calls = []
+    build = _enum_py._run
+
+    def counted(*args):
+        calls.append(None)
+        return build(*args)
+
+    with mock.patch.object(_enum_py, "_run", counted):
+        run()
+    return len(calls)
+
+
+def test_the_verify_p2_walks_build_their_line_orders_as_recorded():
+    # a run builds its orders again only past the values over which the
+    # comparisons that built them hold: a looser or tighter horizon moves this
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--max-p", "2"]) == 0
+
+    cli._body.cache_clear()
+    assert order_builds(verify) == 207
+
+
+def test_the_count_deep_walks_build_their_line_orders_as_recorded():
+    # as above, for the count-deep round of seed 7
+    tasks = workloads.make_tasks("count-deep", workloads.make_inputs("count-deep", 7, 0))
+    assert order_builds(lambda: [task.run() for task in tasks]) == 44

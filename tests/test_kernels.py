@@ -396,8 +396,49 @@ def test_pieces_are_the_reference_envelopes(lines, x_lo, width):
     # the envelope of a slice is read from its line order: the same pieces
     # as the reference rebuilds from the lines, each tie going the same way
     rem, x_hi = [c for _, _, c in lines], x_lo + width
-    members = _enum_py._order(by_slope(lines), rem)
+    members = _enum_py._order(by_slope(lines), rem)[0]
     assert _enum_py._pieces(members, rem, x_lo, x_hi) == _envelope(lines, x_lo, x_hi)
+
+
+@st.composite
+def moving_lines(draw):
+    """One side of a slice, a column by which each line's offset falls per
+    unit of ``t`` (a box side's often 0), and the value ``x`` of ``t`` at
+    the drawn offsets."""
+    lines = draw(slice_lines())
+    col = [
+        0 if line[:2] == (0, 1) and draw(st.booleans()) else draw(st.integers(-4, 4))
+        for line in lines
+    ]
+    return lines, col, draw(st.integers(-20, 20))
+
+
+@settings(max_examples=500)
+@given(moving_lines())
+# three lines through (0, 4) at t = 0, where the middle one, 4 - x, is no
+# member; it joins the order at t = 1, with the side line 4 + t above them
+@example(([(1, 1, 4), (0, 1, 4), (2, 1, 4)], [0, -1, 0], 0))
+# a parallel pair, 10 + t and 12 - t, equal at t = 1, where the earlier
+# line stays the member, and swapped from t = 2
+@example(([(1, 1, 10), (1, 1, 12)], [-1, 1], 0))
+# the middle line, 7 - t, meets the others' crossing at t = -3 and drops out
+@example(([(-1, 1, 10), (0, 1, 7), (1, 1, 10)], [0, 1, 0], 0))
+def test_an_order_holds_over_its_horizon(case):
+    # every comparison _order makes keeps its outcome over the values of t
+    # it returns, so the members are the ones built anew at each of them,
+    # and their breakpoints strictly increase there
+    lines, col, x = case
+    ordered = by_slope(lines)
+    members, lo, hi = _enum_py._order(ordered, [c for _, _, c in lines], col, x)
+    assert lo <= x <= hi
+    for t in range(max(lo, x - 40), min(hi, x + 40) + 1):
+        rem = [c - (t - x) * k for (_, _, c), k in zip(lines, col)]
+        assert _enum_py._order(ordered, rem)[0] == members
+        breaks = [
+            Fraction(rem[i] * b0 - rem[i0] * b, d)
+            for (_, b0, i0, _), (_, b, i, d) in zip(members, members[1:])
+        ]
+        assert breaks == sorted(set(breaks))
 
 
 @st.composite
@@ -454,7 +495,7 @@ def test_a_run_reads_the_reference_envelopes_at_every_value(case):
     for t in run:
         rem = [b - c * t for b, c in zip(base, col)]
         orders = run_orders(plans, levels, rem, (base, t))
-        assert list(orders) == [_enum_py._order(up, rem), _enum_py._order(down, rem)]
+        assert list(orders) == [_enum_py._order(up, rem)[0], _enum_py._order(down, rem)[0]]
         moved = [
             [(a, b, c - k * t) for (a, b, c), k in zip(side, side_cols)]
             for side, side_cols in zip(sides, cols)
@@ -485,7 +526,7 @@ def test_a_run_through_an_order_event_counts_as_the_plain_walk(normals, offsets,
     levels, rem = _enum_py._levels(lo, hi, _enum_py.Rows(normals), offsets)
     up = levels[1][5][0]
     rems = [[r - a * t for r, a in zip(rem, levels[0][2])] for t in range(7)]
-    assert [[m[2] for m in _enum_py._order(up, r)] for r in rems] == members
+    assert [[m[2] for m in _enum_py._order(up, r)[0]] for r in rems] == members
     found, _ = _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)
     assert found == walk_count(lo, hi, [(normals, offsets)]) == scan(lo, hi, [(normals, offsets)])
 
