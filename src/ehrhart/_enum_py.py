@@ -312,12 +312,11 @@ def _order(lines: list[tuple], rem: list[int], col: list[int] | None = None, x: 
     given as ``(a, b, i)`` sorted by ``a/b``: its members left to right as
     ``(a, b, i, d)``, ``d = a*b' - a'*b > 0`` with the member before (0 for
     the first), and the values ``t``, as ``lo, hi``, over which every
-    comparison made keeps its outcome when the offsets are ``rem - (t - x)
-    * col``; the members are then the same. Each comparison is a linear
-    form of the offsets, so its bound is one floor division; without
-    ``col`` nothing moves and nothing bounds ``t``. Of equal slopes only the
-    lowest line, the earliest of equal ones, can be a member, and
-    breakpoints strictly increase."""
+    comparison made keeps its outcome, and so the members, when the offsets
+    are ``rem - (t - x) * col``. Each comparison is linear in the offsets,
+    so its bound is one floor division; without ``col`` nothing bounds
+    ``t``. Of equal slopes only the lowest line, the earliest of equal ones,
+    can be a member, and breakpoints strictly increase."""
     hull, lo, hi = [], -inf, inf
     for a, b, i in lines:
         c, d = rem[i], 0
@@ -325,8 +324,6 @@ def _order(lines: list[tuple], rem: list[int], col: list[int] | None = None, x: 
             a2, b2, i2, d2 = hull[-1]
             c2 = rem[i2]
             d = a * b2 - a2 * b
-            # the outcome is v >= 0, a linear form of the offsets falling by
-            # f per unit of t (None without col)
             if d:
                 # the last member stays if its breakpoint with the one before
                 # lies strictly left of its breakpoint with the new line
@@ -340,8 +337,8 @@ def _order(lines: list[tuple], rem: list[int], col: list[int] | None = None, x: 
                 v = c * b2 - c2 * b
                 f = col and col[i] * b2 - col[i2] * b
             if f:
-                # the outcome holds while v, or ~v = -1 - v where v < 0,
-                # stays >= 0
+                # the outcome holds while v, or ~v = -1 - v where v < 0, stays
+                # >= 0; it falls by f per unit of t
                 s, f = (v, f) if v >= 0 else (~v, -f)
                 if f > 0:
                     hi = min(hi, x + s // f)
