@@ -29,8 +29,7 @@ the second-to-last level, or at the last adds its width, so a point in
 several systems is counted once. Gaps are neither walked nor charged.
 
 A 2-D slice over the last two coordinates ``(x, y)`` in which a single
-system is live is counted in closed form, but for one walked alone over
-one value of ``x``, which is one more clip. The system's rows without
+system is live is counted in closed form. The system's rows without
 ``y`` have clipped ``x``; every other row, and each side of the box in
 ``y``, bounds ``y`` above or below by a line in ``x``; the offsets carry
 the box sides' after the rows'. The least upper line and the greatest
@@ -40,11 +39,11 @@ integer breakpoints, with integer cross-multiplication only. On each
 piece of their merge, one linear inequality keeps the ``x`` where the
 upper bound ``U`` reaches the lower bound ``L``, and there the column
 counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``.
-Elsewhere the walk reaches the last coordinate and counts its interval.
-Where several systems are live the slice, again but for one of a single
-``x``, is cut where an envelope piece starts or a bound stops being at
-least another (the upper, if one is); on each range the intervals that
-meet, ties included, form fixed groups, each summed from its extremes.
+A walk over one coordinate counts its interval.
+Where several systems are live the slice is cut where an envelope piece
+starts or a bound stops being at least another (the upper, if one is);
+on each range the intervals that meet, ties included, form fixed groups,
+each summed from its extremes.
 
 A walk needs per level the coordinate's column and the rows split by the
 sign of their coefficient, and at the second-to-last level the slice's
@@ -82,10 +81,7 @@ walks only the positions it adds, and its count is the difference of two
 prefix sums, so a family whose apex coordinates enter the normals with
 equal columns loops over their widths, not over their product. A
 position recurs only off the run, where a range would leave a gap and
-walks each position, or where a union enters it, so a run keys its
-positions from its first gap, and a union's from the start. A stretch of
-a union's level where a system is live alone over only part of its
-interval is not the whole sub-walk from that level, and is not keyed.
+walks each position, so a run keys its positions from its first gap.
 
 The walk takes a budget and raises ``BudgetExceeded`` once its charges
 overdraw it. It has one charge rule: one node per sub-walk entered below
@@ -501,8 +497,7 @@ def walk_box(
     if any(map(gt, lo, hi)):
         return 0, 0
     systems = [(n if isinstance(n, Rows) else Rows(n), offsets) for n, offsets in systems]
-    union = len(systems) != 1
-    if union:
+    if len(systems) != 1:
         roots = [root for rows, offsets in systems if (root := _levels(lo, hi, rows, offsets))]
         if not roots:
             return 0, 0
@@ -538,9 +533,9 @@ def walk_box(
 
     def walk(j: int, live: list[tuple[list[Level], list[int]]]) -> int:
         # between two cuts the same systems are live: one walks its stretch
-        # alone, several walk each value, count a slice over two values or
-        # more, or merge at the last level. An empty clip makes no cut, which
-        # would split another's stretch
+        # alone, several walk each value, count a slice, or merge at the last
+        # level. An empty clip makes no cut, which would split another's
+        # stretch
         nonlocal left
         if j:
             left -= 1
@@ -553,13 +548,11 @@ def walk_box(
         for start, stop in zip(cuts, cuts[1:]):
             here = [s for s in spans if s[0] <= start and stop <= s[1] + 1]
             if len(here) == 1:
-                # only a stretch over the whole clip is the sub-walk from here
-                x_lo, x_hi, levels, rem = here[0]
-                whole = x_lo == start and x_hi == stop - 1
-                total += one(j, levels, rem, start, stop - 1, levels[j][6] if whole else None)
+                _, _, levels, rem = here[0]
+                total += one(j, levels, rem, start, stop - 1)
             elif here and j == len(live[0][0]) - 1:
                 total += stop - start
-            elif here and live[0][0][j][5] is not None and stop - start > 1:
+            elif here and live[0][0][j][5] is not None:
                 found, ranges = _planes(start, stop - 1, [(lv[j][5], rem) for *_, lv, rem in here])
                 total, left = total + found, left - ranges
                 if left < 0:
@@ -590,9 +583,8 @@ def walk_box(
             return 0
         if j == len(levels) - 1:
             return top - first + 1
-        if level[5] is not None and first < top:
-            # a slice alone builds its line orders; a slice of one column
-            # costs less as one more clip below
+        if level[5] is not None:
+            # a slice alone builds its line orders
             found, pieces = _plane(first, top, [_order(side, rem)[0] for side in level[5]], rem)
             left -= pieces
             if left < 0:
@@ -609,14 +601,14 @@ def walk_box(
         # shift of the level's line, on which the run keeps prefix sums of
         # the counts over the consecutive positions lo..hi
         if kept[0] is None:
-            kept[:5] = rem[p], first, first - 1, {first: 0}, union
+            kept[:5] = rem[p], first, first - 1, {first: 0}, False
         base, lo, hi, sums = kept[:4]
         shift = (base - rem[p]) // col[p]
         a, b = first + shift, top + shift
         if a > hi + 1 or b < lo - 1:
             # a range that would leave a gap walks each position; from then
-            # on the run keys what it walks, as a union's does from the start,
-            # for a position walked off the run may recur
+            # on the run keys what it walks, for a position walked off the run
+            # may recur
             kept[4] = True
             below = [r - c * first for r, c in zip(rem, col)]
             return sum(steps(j, levels, below, a, b, levels[j + 1][6]))

@@ -125,27 +125,24 @@ def pentagon_pyramid(n: int, p: int) -> ConvexPolytope:
     return from_vertices(_pentagon_pyramid_points(n, p))
 
 
-def hull(n: int, p: int) -> ConvexPolytope:
-    """Hull of the prism and the pentagon pyramid; periods ``(1, p, 1, ..., 1)``.
-
-    The prism's points are ``+-q`` times the simplex's, dropped by ``q e_2``
+def _prism_points(n: int, p: int) -> list[tuple]:
+    """The prism's points: ``+-q`` times the simplex's, dropped by ``q e_2``
     as ``prism`` drops them."""
     q = q_value(p)
-    prism_points = [(x, v[0] - q) + v[1:] for x in (q, -q) for v in _simplex_points(n, p)]
-    return from_vertices(prism_points + _pentagon_pyramid_points(n, p))
+    return [(x, v[0] - q) + v[1:] for x in (q, -q) for v in _simplex_points(n, p)]
+
+
+def hull(n: int, p: int) -> ConvexPolytope:
+    """Hull of the prism and the pentagon pyramid; periods ``(1, p, 1, ..., 1)``."""
+    return from_vertices(_prism_points(n, p) + _pentagon_pyramid_points(n, p))
 
 
 def _prism_facet_points(n: int, p: int) -> list[tuple]:
-    _check_n(n)
-    q = q_value(p)
-    offsets = [(0,) * (n - 2)] + [_unit(n - 2, j) for j in range(n - 2)]
-    return [(x, -q) + v for x in (q, -q) for v in offsets]
+    return [v for v in _prism_points(n, p) if v[1] == -q_value(p)]
 
 
 def _pyramid_facet_points(n: int, p: int) -> list[tuple]:
-    _check_n(n)
-    q = q_value(p)
-    return [(q,) + (0,) * (n - 1), (-q,) + (0,) * (n - 1)] + [_unit(n, j) for j in range(2, n)]
+    return [v for v in _pentagon_pyramid_points(n, p) if v[1] == 0]
 
 
 def prism_shared_facet(n: int, p: int) -> ConvexPolytope:

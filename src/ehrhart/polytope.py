@@ -506,19 +506,17 @@ def faces(poly: ConvexPolytope, dim: int) -> list[int]:
 
 def is_integral(obj: ConvexPolytope | PolytopalUnion) -> bool:
     """True when every vertex (of every piece) is an integer point."""
-    if isinstance(obj, PolytopalUnion):
-        return all(is_integral(p) for p in obj.pieces)
-    return all(c.denominator == 1 for v in obj.vertices for c in v)
+    return denominator(obj) == 1
 
 
 def denominator(obj: ConvexPolytope | PolytopalUnion) -> int:
     """lcm of all vertex-coordinate denominators, of every piece for a
-    union. A body's coefficient periods all divide it; a union's need not,
-    as an overlap of its pieces can have a vertex denominator that none of
-    them has."""
+    union: a body's is the scale of its ``bounds``. A body's coefficient
+    periods all divide it; a union's need not, as an overlap of its pieces
+    can have a vertex denominator that none of them has."""
     if isinstance(obj, PolytopalUnion):
         return math.lcm(*(denominator(p) for p in obj.pieces))
-    return math.lcm(*(c.denominator for v in obj.vertices for c in v))
+    return obj.bounds[0]
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,13 @@ def union_slices(draw):
 @example(([0, 0], [4, 10], [
     ([[-1, 1], [1, -1]], [1, 1]), ([[-1, 1], [1, -1]], [4, -2]), ([[-1, 1], [1, -1]], [3, -1]),
 ]))
+# x <= 0, and x >= 0 with y <= 4 - x: both are live over one column, x = 0
+@example(([-3, 0], [3, 9], [([[1, 0]], [0]), ([[-1, 0], [1, 1]], [0, 4])]))
+# y <= 0 with z <= 2, and y >= 0 with 1 <= z <= 5 - x: at each x both are
+# live over the one column y = 0 of the slice over (y, z)
+@example(([0, -2, 0], [2, 2, 4], [
+    ([[0, 1, 0], [0, 0, 1]], [0, 2]), ([[0, -1, 0], [0, 0, -1], [1, 0, 1]], [0, -1, 5]),
+]))
 def test_a_slice_where_several_systems_are_live_counts_their_union(case):
     # the merged envelopes of the systems live over a stretch count each
     # point of a column once, as the plain walk and the scan do, under a
@@ -260,6 +267,33 @@ def test_three_copies_of_a_box_count_their_slices_in_closed_form():
     assert _enum_py.walk_box(lo, hi, [box] * 3, charged) == (19 * 24 * 15 * 27, charged)
     with pytest.raises(BudgetExceeded):
         _enum_py.walk_box(lo, hi, [box] * 3, charged - 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, systems, charged, clips",
+    [
+        ([-3, 0], [3, 9], [([[1, 0]], [0]), ([[-1, 0], [1, 1]], [0, 4])], 3, 2),
+        ([0, -2, 0], [2, 2, 4], [
+            ([[0, 1, 0], [0, 0, 1]], [0, 2]), ([[0, -1, 0], [0, 0, -1], [1, 0, 1]], [0, -1, 5]),
+        ], 12, 8),
+        ([-3, 0], [3, 9], [([[1, 0]], [0]), ([[-1, 0], [1, 0], [1, 1]], [-1, 1, 4])], 2, 2),
+        ([0, 0], [3, 5], [([[1, 0], [-1, 0], [1, 1]], [0, 0, 4])], 1, 1),
+    ],
+    ids=["several-live", "several-live-3d", "alone-in-a-union", "alone"],
+)
+def test_a_slice_of_one_column_is_counted_in_closed_form(lo, hi, systems, charged, clips):
+    # the first three are the @examples above and a union where the second
+    # system is live alone at x = 1 only; the last a body with x = 0. A
+    # slice one column wide is one range of the merged envelopes, or one
+    # envelope piece, charged as the one value walked below it was, and
+    # clips no system at the last level: walked so, the four took 4, 14, 3
+    # and 2 clips
+    found = scan(lo, hi, systems)
+    assert found == walk_count(lo, hi, systems)
+    assert clipped_walk(lo, hi, systems) == (clips, (found, charged))
+    assert _enum_py.walk_box(lo, hi, systems, charged) == (found, charged)
+    with pytest.raises(BudgetExceeded):
+        _enum_py.walk_box(lo, hi, systems, charged - 1)
 
 
 def test_last_coordinate_costs_no_nodes():
@@ -819,18 +853,15 @@ def test_a_lined_walk_counts_as_walked_and_charges_no_more(case):
 def test_a_position_walked_off_its_run_is_walked_once():
     # the lined walk of the example above: its run keys the positions its
     # gaps walk, and a range that rejoins the run takes them for their
-    # entry node. A union's run keys its positions from the start, as the
-    # walk of both systems enters some of them itself. Both charges are the
-    # ones recorded when every keyed sub-walk, a lined one too, was stored,
-    # the union's once its slices where both systems are live were counted
-    # in closed form (3598 when they were walked value by value); unkeyed,
-    # the union walk charges 975
+    # entry node. The union's runs key their positions as a body's do, from
+    # their first gap, and its walk charges 787 where the plain walk, which
+    # keeps and sums nothing, charges 975
     lo, hi, normals, offsets = [3, 2, -1, -5, 3], [4, 4, 3, 0, 11], [[4, -6, 1, -3, 1]], [38]
     assert _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9) == (1620, 55)
     assert walk_count(lo, hi, [(normals, offsets)]) == 1620
     lo, hi = [-4, -7, -9, -10], [33, 7, 28, 12]
     pieces = [([[-9, 0, 0, 1]], [39]), ([[-9, 0, 0, 1], [6, 7, 9, 9]], [55, -57])]
-    assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 781)
+    assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 787)
     assert plain_walk(lo, hi, pieces) == (493168, 975)
     assert walk_count(lo, hi, pieces) == 493168
 
@@ -922,14 +953,15 @@ def test_a_lined_walk_charges_a_few_nodes_per_clip(body):
 
 def test_each_block_of_one_system_takes_one_clip_without_a_charge():
     # x0 = 0 with x0 + x1 <= 5, and x2 = 0 with x2 + x3 <= 5: two blocks,
-    # each one value of its first coordinate, charged, then one clip of its
-    # second. The walk of both together charged 5 for the same 4 clips
+    # each walked from one uncharged root clip, which leaves one value of
+    # its first coordinate: a slice of one column, counted in closed form
+    # and charged its one envelope piece
     lo, hi = [0, 0, 0, 0], [1, 1, 1, 1]
     block = [[1, 0], [-1, 0], [1, 1]]
     normals = [row + [0, 0] for row in block] + [[0, 0] + row for row in block]
     clips, walked = clipped_walk(lo, hi, [(normals, [0, 0, 5] * 2)])
     assert walked == (4, 2)
-    assert clips == 4
+    assert clips == 2
 
 
 def test_no_systems_hold_no_point():
