@@ -39,7 +39,6 @@ integer breakpoints, with integer cross-multiplication only. On each
 piece of their merge, one linear inequality keeps the ``x`` where the
 upper bound ``U`` reaches the lower bound ``L``, and there the column
 counts are ``floor(U) - ceil(L) + 1``, summed by ``floor_sum``.
-A walk over one coordinate counts its interval.
 Where several systems are live the slice is cut where an envelope piece
 starts or a bound stops being at least another (the upper, if one is);
 on each range the intervals that meet, ties included, form fixed groups,
