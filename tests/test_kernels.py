@@ -282,12 +282,11 @@ def test_three_copies_of_a_box_count_their_slices_in_closed_form():
     ids=["several-live", "several-live-3d", "alone-in-a-union", "alone"],
 )
 def test_a_slice_of_one_column_is_counted_in_closed_form(lo, hi, systems, charged, clips):
-    # the first three are the @examples above and a union where the second
-    # system is live alone at x = 1 only; the last a body with x = 0. A
+    # the first two are the @examples above, the third a union whose second
+    # system is live alone at x = 1 only, the last a body with x = 0. A
     # slice one column wide is one range of the merged envelopes, or one
-    # envelope piece, charged as the one value walked below it was, and
-    # clips no system at the last level: walked so, the four took 4, 14, 3
-    # and 2 clips
+    # envelope piece, charged as the one value walked below it would be,
+    # and clips no system at the last level
     found = scan(lo, hi, systems)
     assert found == walk_count(lo, hi, systems)
     assert clipped_walk(lo, hi, systems) == (clips, (found, charged))
