@@ -22,19 +22,22 @@ per family member (``_body``), and with it the counts and the fit that
 the body keeps (``counting.fitted``); ``main`` parses with one parser
 built per process.
 
-One verdict rule judges every claim: it passes when every case passes,
-and it is ``skipped`` (exit 0) when it has no case or the budget runs
-out. Each claim counts and compares here, from the bodies
+A claim is a case function plus one row of ``_CLAIMS``: the row names
+its default periods and dimensions, and a claim with one case per grid
+point checks every ``(n, p)`` of them through one runner, which writes
+the case labels and the params. A flag replaces a list, never filters
+it. Each claim counts and compares here, from the bodies
 ``constructions`` builds; ``decomposition`` too checks its count identity
-on the shared bodies. ``_GRIDS`` alone says which cases a claim runs: a
-claim with a period and a dimension axis runs every ``(n, p)`` of the
-two lists, and a flag replaces a list, never filters it. ``--p``/
-``--max-p`` accept values from 1, ``--n``/``--max-n`` from 3. Flags that
-would contradict each other (``--k`` and ``--k-max``, ``--p`` and
-``--max-p``, ``--n`` and ``--max-n``, ``--family`` and ``--input``) are a
-usage error together, and so are ``--p`` or ``--n`` with ``--input``,
-which only a ``--family`` member takes, and ``--n`` with a family that
-takes no dimension. A claim refuses a grid flag for an axis
+on the shared bodies. One verdict rule judges every claim: it passes
+when every case passes, and it is ``skipped`` (exit 0) when it has no
+case or the budget runs out. Every case is an entry of the witness.
+
+``--p``/``--max-p`` accept values from 1, ``--n``/``--max-n`` from 3.
+Flags that would contradict each other (``--k`` and ``--k-max``, ``--p``
+and ``--max-p``, ``--n`` and ``--max-n``, ``--family`` and ``--input``)
+are a usage error together, and so are ``--p`` or ``--n`` with
+``--input``, which only a ``--family`` member takes, and ``--n`` with a
+family that takes no dimension. A claim refuses a grid flag for an axis
 it does not have, except ``--max-p``: every claim accepts it, and the PTE
 claims ignore it. An object subcommand needs a source.
 
@@ -191,44 +194,38 @@ def _cmd_pte(args) -> int:
 # ---------------------------------------------------------------------------
 # verification claims
 # ---------------------------------------------------------------------------
-# A claim maps ``(ps, ns, budget)`` to ``(params, cases)``, each case a
-# ``(label, good, entry)``; ``run_claim`` alone judges them. A ``None``
-# label counts toward the verdict but adds no witness entry.
-#
-# ``_GRIDS`` gives each claim its default periods and dimensions, None for
-# an axis it does not have; ``run_claim`` hands a claim the flags' lists,
-# else these, and a claim with both axes runs every ``(n, p)`` of them. A
-# claim takes ``p`` where it has a period axis, and ``n`` and ``max_n``
-# where it has a dimension axis. Every claim takes ``max_p``; the PTE
+# A claim is a case function plus one row of ``_CLAIMS``: its run, its
+# default periods and its default dimensions, None for an axis it does not
+# have. A run maps ``(ps, ns, budget)`` to ``(params, cases)``, each case a
+# ``(label, good, entry)`` that ``run_claim`` alone judges and puts in the
+# witness. A claim with one case per grid point has a case function
+# ``(n, p, budget) -> (good, entry)``, ``n`` None without a dimension axis,
+# and ``_over_grid`` as its run. Every claim accepts ``--max-p``; the PTE
 # claims, which have neither axis, ignore it: perfbench's verify-p2
-# workload runs every claim with ``--max-p 2``.
-_GRIDS = {
-    "pentagon-equivalence": ([1, 2, 3, 4, 5], None),
-    "heptagon": ([2, 3, 4, 5], None),
-    "pyramid-equivalence": ([2, 3], [3, 4]),
-    "prism-identity": ([2, 3], [3, 4]),
-    "sn-pn-equivalence": ([2, 3], [3, 4]),
-    "decomposition": ([2, 3], [3, 4]),
-    "hn-periods": ([2, 3], [3, 4]),
-    "barn-periods": ([2, 3], [3, 4, 5]),
-    "mcmullen": ([1, 2, 3], [3, 4]),
-    "pte-table": (None, None),
-    "product-identity": (None, None),
-}
+# workload runs every claim with it.
 
 
-def _claim_pentagon_equivalence(ps, ns, budget) -> tuple[dict, list]:
-    cases = []
-    for p in ps:
-        fp, cp = fitted(_body("pentagon", p), budget)
-        fl, cl = fitted(_body("segment", p), budget)
-        good = equivalent(fp, negate(fl))
-        cases.append((f"p={p}", good, {
-            "equivalent": good,
-            "pentagon_counts": cp,
-            "segment_counts": cl,
-        }))
-    return {"p": ps}, cases
+def _over_grid(case, **fixed):
+    """The run of a claim that checks ``case(n, p, budget, **fixed)`` at
+    every ``(n, p)`` of its grid, labelled ``n=…,p=…`` (``p=…`` without a
+    dimension axis); its params are the grid and ``fixed``."""
+
+    def run(ps, ns, budget) -> tuple[dict, list]:
+        cases = [
+            (f"p={p}" if n is None else f"n={n},p={p}", *case(n, p, budget, **fixed))
+            for n in ns or (None,)
+            for p in ps
+        ]
+        return ({"p": ps} if ns is None else {"n": ns, "p": ps}) | fixed, cases
+
+    return run
+
+
+def _pentagon_equivalence(n, p, budget):
+    fp, cp = fitted(_body("pentagon", p), budget)
+    fl, cl = fitted(_body("segment", p), budget)
+    good = equivalent(fp, negate(fl))
+    return good, {"equivalent": good, "pentagon_counts": cp, "segment_counts": cl}
 
 
 def _periods(body, expected, budget):
@@ -239,151 +236,111 @@ def _periods(body, expected, budget):
     return qp, seq == expected, {"period_sequence": list(seq), "counts": samples}
 
 
-def _claim_heptagon(ps, ns, budget) -> tuple[dict, list]:
-    cases = []
-    for p in ps:
-        body = _body("heptagon", p)
-        qp, good, entry = _periods(body, (1, p, 1), budget)
-        if p == 2:
-            first = [count(body, k, budget) for k in range(1, 5)]
-            mid = {
-                "odd": str(qp.coefficient(1, 1)),
-                "even": str(qp.coefficient(1, 2)),
-            }
-            good = good and first == [12, 47, 88, 165]
-            good = good and qp.coefficient(1, 1) == 2 and qp.coefficient(1, 2) == 5
-            entry["counts_k1_to_4"] = first
-            entry["middle_coefficient"] = mid
-        cases.append((f"p={p}", good, entry))
-    return {"p": ps}, cases
+def _heptagon(n, p, budget):
+    body = _body("heptagon", p)
+    qp, good, entry = _periods(body, (1, p, 1), budget)
+    if p == 2:
+        first = [count(body, k, budget) for k in range(1, 5)]
+        mid = {
+            "odd": str(qp.coefficient(1, 1)),
+            "even": str(qp.coefficient(1, 2)),
+        }
+        good = good and first == [12, 47, 88, 165]
+        good = good and qp.coefficient(1, 1) == 2 and qp.coefficient(1, 2) == 5
+        entry["counts_k1_to_4"] = first
+        entry["middle_coefficient"] = mid
+    return good, entry
 
 
-def _claim_pyramid_equivalence(ps, ns, budget) -> tuple[dict, list]:
+def _pyramid_equivalence(n, p, budget):
     # an (n-2)-fold pyramid divides the series of its base by (1-t)^(n-2)
-    cases = []
-    for n in ns:
-        for p in ps:
-            entry = {}
-            for name, family, base in (
-                ("pyramid", "pentagon-pyramid", "pentagon"),
-                ("simplex", "simplex", "segment"),
-            ):
-                qp, entry[f"{name}_counts"] = fitted(_body(family, p, n), budget)
-                qb, entry[f"{base}_counts"] = fitted(_body(base, p), budget)
-                entry[f"{name}_law"] = from_quasipolynomial(qp) == pyramid_transform(
-                    from_quasipolynomial(qb), n - 2
-                )
-            good = entry["pyramid_law"] and entry["simplex_law"]
-            cases.append((f"n={n},p={p}", good, entry))
-    return {"n": ns, "p": ps}, cases
+    entry = {}
+    for name, family, base in (
+        ("pyramid", "pentagon-pyramid", "pentagon"),
+        ("simplex", "simplex", "segment"),
+    ):
+        qp, entry[f"{name}_counts"] = fitted(_body(family, p, n), budget)
+        qb, entry[f"{base}_counts"] = fitted(_body(base, p), budget)
+        entry[f"{name}_law"] = from_quasipolynomial(qp) == pyramid_transform(
+            from_quasipolynomial(qb), n - 2
+        )
+    return entry["pyramid_law"] and entry["simplex_law"], entry
 
 
-def _claim_prism_identity(ps, ns, budget) -> tuple[dict, list]:
-    k_max = 8
+def _prism_identity(n, p, budget, k_max):
     ks = range(1, k_max + 1)
-    cases = []
-    for n in ns:
-        for p in ps:
-            q = constructions.q_value(p)
-            w_counts = [count(_body("prism", p, n), k, budget) for k in ks]
-            s_counts = [count(_body("simplex", p, n), k, budget) for k in ks]
-            good = all(w == (2 * q * k + 1) * s for k, w, s in zip(ks, w_counts, s_counts))
-            cases.append((f"n={n},p={p}", good, {
-                "prism_counts": w_counts,
-                "simplex_counts": s_counts,
-                "identity": good,
-            }))
-    return {"n": ns, "p": ps, "k_max": k_max}, cases
+    q = constructions.q_value(p)
+    w_counts = [count(_body("prism", p, n), k, budget) for k in ks]
+    s_counts = [count(_body("simplex", p, n), k, budget) for k in ks]
+    good = all(w == (2 * q * k + 1) * s for k, w, s in zip(ks, w_counts, s_counts))
+    return good, {"prism_counts": w_counts, "simplex_counts": s_counts, "identity": good}
 
 
-def _claim_sn_pn_equivalence(ps, ns, budget) -> tuple[dict, list]:
-    cases = []
-    for n in ns:
-        for p in ps:
-            qs, cs = fitted(_body("simplex", p, n), budget)
-            qp, cp = fitted(_body("pentagon-pyramid", p, n), budget)
-            good = equivalent(qs, negate(qp))
-            cases.append((f"n={n},p={p}", good, {
-                "equivalent": good,
-                "simplex_counts": cs,
-                "pyramid_counts": cp,
-            }))
-    return {"n": ns, "p": ps}, cases
+def _sn_pn_equivalence(n, p, budget):
+    qs, cs = fitted(_body("simplex", p, n), budget)
+    qp, cp = fitted(_body("pentagon-pyramid", p, n), budget)
+    good = equivalent(qs, negate(qp))
+    return good, {"equivalent": good, "simplex_counts": cs, "pyramid_counts": cp}
 
 
-def _claim_decomposition(ps, ns, budget) -> tuple[dict, list]:
+def _decomposition(n, p, budget, k_max):
     # count(hull) = count(prism) + count(middle) + count(pyramid) minus the
     # two shared facets, which are the pieces' pairwise overlaps and integral
-    k_max = 4
     ks = range(1, k_max + 1)
-    cases = []
-    for n in ns:
-        for p in ps:
-            bodies = {
-                "hull": _body("hull", p, n),
-                "prism": _body("prism", p, n),
-                "middle": _body("middle", p, n),
-                "pyramid": _body("pentagon-pyramid", p, n),
-                "prism_facet": constructions.prism_shared_facet(n, p),
-                "pyramid_facet": constructions.pyramid_shared_facet(n, p),
-            }
-            counts = {name: [count(body, k, budget) for k in ks] for name, body in bodies.items()}
-            first_fail = next(
-                (
-                    k
-                    for k, h, w, m, y, wf, yf in zip(ks, *counts.values())
-                    if h != w + m + y - wf - yf
-                ),
-                None,
-            )
-            flags = [
-                is_integral(bodies[name]) for name in ("middle", "prism_facet", "pyramid_facet")
-            ]
-            good = first_fail is None and all(flags)
-            cases.append((f"n={n},p={p}", good, {
-                "ok": good,
-                "first_failing_k": first_fail,
-                "integral_middle": flags[0],
-                "integral_prism_side": flags[1],
-                "integral_pyramid_side": flags[2],
-                "counts": counts,
-            }))
-    return {"n": ns, "p": ps, "k_max": k_max}, cases
+    bodies = {
+        "hull": _body("hull", p, n),
+        "prism": _body("prism", p, n),
+        "middle": _body("middle", p, n),
+        "pyramid": _body("pentagon-pyramid", p, n),
+        "prism_facet": constructions.prism_shared_facet(n, p),
+        "pyramid_facet": constructions.pyramid_shared_facet(n, p),
+    }
+    counts = {name: [count(body, k, budget) for k in ks] for name, body in bodies.items()}
+    first_fail = next(
+        (k for k, h, w, m, y, wf, yf in zip(ks, *counts.values()) if h != w + m + y - wf - yf),
+        None,
+    )
+    flags = [is_integral(bodies[name]) for name in ("middle", "prism_facet", "pyramid_facet")]
+    good = first_fail is None and all(flags)
+    return good, {
+        "ok": good,
+        "first_failing_k": first_fail,
+        "integral_middle": flags[0],
+        "integral_prism_side": flags[1],
+        "integral_pyramid_side": flags[2],
+        "counts": counts,
+    }
 
 
-def _claim_hn_periods(ps, ns, budget) -> tuple[dict, list]:
-    cases = []
-    for n in ns:
-        for p in ps:
-            body = _body("hull", p, n)
-            _, good, entry = _periods(body, (1, p) + (1,) * (n - 1), budget)
-            if (n, p) == (3, 2):
-                spot = count(body, 1, budget)
-                good = good and spot == 49
-                entry["count_k1"] = spot
-            cases.append((f"n={n},p={p}", good, entry))
-    return {"n": ns, "p": ps}, cases
+def _hn_periods(n, p, budget):
+    body = _body("hull", p, n)
+    _, good, entry = _periods(body, (1, p) + (1,) * (n - 1), budget)
+    if (n, p) == (3, 2):
+        spot = count(body, 1, budget)
+        good = good and spot == 49
+        entry["count_k1"] = spot
+    return good, entry
+
+
+def _barn_periods(n, p, budget):
+    try:  # the barn takes the tabulated solution of size n - 1
+        union = _body("barn", p, n)
+    except NotAvailable as exc:
+        # requesting an impossible dimension is reported, not failed:
+        # the construction-range check asserts exactly this
+        return True, f"NotAvailable: {exc}"
+    _, good, entry = _periods(union, (1,) * (n - 1) + (p, 1), budget)
+    if n == 3 and p == 2:
+        enum = [count(union, k, budget) for k in (1, 2)]
+        direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
+        good = good and enum == [48, 253] and direct == enum
+        entry["counts_k1_k2"] = enum
+        entry["enumeration_cross_check"] = direct
+    return good, entry
 
 
 def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
-    cases = []
-    for n in ns:
-        for p in ps:
-            try:  # the barn takes the tabulated solution of size n - 1
-                union = _body("barn", p, n)
-            except NotAvailable as exc:
-                # requesting an impossible dimension is reported, not failed:
-                # the construction-range check below asserts exactly this
-                cases.append((f"n={n},p={p}", True, f"NotAvailable: {exc}"))
-                continue
-            _, good, entry = _periods(union, (1,) * (n - 1) + (p, 1), budget)
-            if n == 3 and p == 2:
-                enum = [count(union, k, budget) for k in (1, 2)]
-                direct = [count_union(union, k, budget, "enumerate") for k in (1, 2)]
-                good = good and enum == [48, 253] and direct == enum
-                entry["counts_k1_k2"] = enum
-                entry["enumeration_cross_check"] = direct
-            cases.append((f"n={n},p={p}", good, entry))
+    params, cases = _over_grid(_barn_periods)(ps, ns, budget)
     construction_range = {}
     in_range = True
     for n in list(range(3, 12)) + [12, 13]:
@@ -396,7 +353,7 @@ def _claim_barn_periods(ps, ns, budget) -> tuple[dict, list]:
             good = n == 12
         in_range = in_range and good
     cases.append(("construction_range", in_range, construction_range))
-    return {"n": ns, "p": ps}, cases
+    return params, cases
 
 
 def _mcmullen_targets(ps, ns):
@@ -435,8 +392,6 @@ def _claim_pte_table(ps, ns, budget) -> tuple[dict, list]:
     for size in pte.available_sizes():
         entry = _pte_entry(pte.table_lookup(size))
         cases.append((f"size={size}", entry["verified"] and entry["product_identity"], entry))
-    cases.append((None, pte.table_lookup(2) == pte.PteSolution((1, 2), (3, 0)), None))
-    cases.append((None, pte.table_lookup(3) == pte.PteSolution((1, 2, 6), (4, 5, 0)), None))
     return {"sizes": pte.available_sizes()}, cases
 
 
@@ -449,25 +404,28 @@ def _claim_product_identity(ps, ns, budget) -> tuple[dict, list]:
             "holds": good,
             "difference_polynomial": pte.difference_polynomial(sol),
         }))
-    cases.append((None, pte.difference_polynomial(pte.table_lookup(2)) == [0, 0, 2], None))
-    cases.append((None, pte.difference_polynomial(pte.table_lookup(3)) == [0, 0, 0, 12], None))
     return {"sizes": pte.available_sizes()}, cases
 
 
-_CLAIM_FUNCS = {
-    "pentagon-equivalence": _claim_pentagon_equivalence,
-    "heptagon": _claim_heptagon,
-    "pyramid-equivalence": _claim_pyramid_equivalence,
-    "prism-identity": _claim_prism_identity,
-    "sn-pn-equivalence": _claim_sn_pn_equivalence,
-    "decomposition": _claim_decomposition,
-    "hn-periods": _claim_hn_periods,
-    "barn-periods": _claim_barn_periods,
-    "mcmullen": _claim_mcmullen,
-    "pte-table": _claim_pte_table,
-    "product-identity": _claim_product_identity,
+# name: (run, default periods, default dimensions)
+_CLAIMS = {
+    "pentagon-equivalence": (_over_grid(_pentagon_equivalence), [1, 2, 3, 4, 5], None),
+    "heptagon": (_over_grid(_heptagon), [2, 3, 4, 5], None),
+    "pyramid-equivalence": (_over_grid(_pyramid_equivalence), [2, 3], [3, 4]),
+    "prism-identity": (_over_grid(_prism_identity, k_max=8), [2, 3], [3, 4]),
+    "sn-pn-equivalence": (_over_grid(_sn_pn_equivalence), [2, 3], [3, 4]),
+    "decomposition": (_over_grid(_decomposition, k_max=4), [2, 3], [3, 4]),
+    "hn-periods": (_over_grid(_hn_periods), [2, 3], [3, 4]),
+    "barn-periods": (_claim_barn_periods, [2, 3], [3, 4, 5]),
+    "mcmullen": (_claim_mcmullen, [1, 2, 3], [3, 4]),
+    "pte-table": (_claim_pte_table, None, None),
+    "product-identity": (_claim_product_identity, None, None),
 }
-CLAIMS = tuple(_CLAIM_FUNCS)
+# perfbench's tracer rebinds the runs in ``_CLAIM_FUNCS``, so ``run_claim``
+# reads them there
+_CLAIM_FUNCS = {claim: run for claim, (run, _, _) in _CLAIMS.items()}
+_GRIDS = {claim: (ps, ns) for claim, (_, ps, ns) in _CLAIMS.items()}
+CLAIMS = tuple(_CLAIMS)
 
 
 def _grid(claim: str) -> tuple:
@@ -480,18 +438,21 @@ def _grid(claim: str) -> tuple:
 def run_claim(claim: str, ps=None, ns=None, budget=None) -> VerificationReport:
     """Run one verification claim and judge its cases by the one verdict
     rule: it passes when every case is good; no cases, or budget
-    exhaustion, is skipped, not failed. Unset ``ps`` and ``ns`` are the
-    claim's defaults in ``_GRIDS``."""
+    exhaustion, is skipped, not failed; every case is a witness entry.
+    Unset ``ps`` and ``ns`` are the claim's defaults in ``_GRIDS``, and a
+    claim is handed None for an axis it does not have."""
     # copies: a report's params hold these lists, and must not alias the table
-    periods, dimensions = (None if axis is None else list(axis) for axis in _grid(claim))
+    periods, dimensions = (
+        None if axis is None else list(flag or axis) for flag, axis in zip((ps, ns), _grid(claim))
+    )
     try:
-        params, cases = _CLAIM_FUNCS[claim](ps or periods, ns or dimensions, budget)
+        params, cases = _CLAIM_FUNCS[claim](periods, dimensions, budget)
     except BudgetExceeded as exc:
         return VerificationReport(claim, {}, f"skipped: budget exceeded ({exc})")
     if not cases:
         return VerificationReport(claim, params, "skipped: no matching cases")
     ok = all(good for _, good, _ in cases)
-    witness = {label: entry for label, _, entry in cases if label is not None}
+    witness = {label: entry for label, _, entry in cases}
     return VerificationReport(claim, params, "pass" if ok else "fail", witness)
 
 

@@ -9,7 +9,8 @@ The workloads' walks are pinned too: every ``walk_box`` call of
 ``verify-p2`` and of one ``count-deep`` round, by the hash of its counts
 and charges, so a kernel change that moves any of them fails here, and
 the slice line orders those walks build, so a horizon made looser or
-tighter fails here too.
+tighter fails here too, and the sub-walks they keep in the memo and read
+back.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import worker  # noqa: E402
 import workloads  # noqa: E402
+from test_kernels import memo_use  # noqa: E402
 
 from ehrhart import _enum_py, cli  # noqa: E402
 
@@ -87,6 +89,21 @@ def order_builds(run) -> int:
     with mock.patch.object(_enum_py, "_run", counted):
         run()
     return len(calls)
+
+
+def test_the_verify_p2_walks_keep_one_sub_walk_in_their_memo():
+    # stored and read back: a sub-walk kept where no call reads it moves this
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--max-p", "2"]) == 0
+
+    cli._body.cache_clear()
+    assert memo_use(verify) == (1, 0)
+
+
+def test_the_count_deep_walks_keep_their_memo_as_recorded():
+    tasks = workloads.make_tasks("count-deep", workloads.make_inputs("count-deep", 7, 0))
+    assert memo_use(lambda: [task.run() for task in tasks]) == (25, 550)
 
 
 def test_the_verify_p2_walks_build_their_line_orders_as_recorded():

@@ -6,6 +6,7 @@ translations that keep a count; and its budget."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -863,6 +864,43 @@ def test_a_position_walked_off_its_run_is_walked_once():
     assert _enum_py.walk_box(lo, hi, pieces, 10**9) == (493168, 787)
     assert plain_walk(lo, hi, pieces) == (493168, 975)
     assert walk_count(lo, hi, pieces) == 493168
+
+
+def test_a_walk_keeps_in_its_memo_only_what_a_gap_keys():
+    # the walks above: the body's run keys what its gaps walk and reads five
+    # of those sub-walks back; the union's runs have no gap, so it stores
+    # nothing, where keying a lone system's whole stretch would store six
+    # sub-walks that no call reads
+    lo, hi, normals, offsets = [3, 2, -1, -5, 3], [4, 4, 3, 0, 11], [[4, -6, 1, -3, 1]], [38]
+    assert memo_use(lambda: _enum_py.walk_box(lo, hi, [(normals, offsets)], 10**9)) == (22, 5)
+    lo, hi = [-4, -7, -9, -10], [33, 7, 28, 12]
+    pieces = [([[-9, 0, 0, 1]], [39]), ([[-9, 0, 0, 1], [6, 7, 9, 9]], [55, -57])]
+    assert memo_use(lambda: _enum_py.walk_box(lo, hi, pieces, 10**9)) == (0, 0)
+
+
+def memo_use(run) -> tuple[int, int]:
+    """The sub-walks ``walk_box`` keeps in its memo while ``run`` runs: how
+    many it stores and how many it reads back. A call of ``one`` that
+    carries ``reads`` is keyed; it stores when it walks, which is a call of
+    ``one`` made from it, and reads otherwise."""
+    one = next(c for c in _enum_py.walk_box.__code__.co_consts if getattr(c, "co_name", "") == "one")
+    keyed = stored = 0
+
+    def profile(frame, event, arg):
+        nonlocal keyed, stored
+        if event == "call" and frame.f_code is one:
+            if frame.f_locals["reads"] is not None:
+                keyed += 1
+            elif frame.f_back.f_code is one and frame.f_back.f_locals["reads"] is not None:
+                stored += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(before)
+    return stored, keyed - stored
 
 
 def plain_walk(lo, hi, systems):
