@@ -19,7 +19,7 @@ from .errors import (
     VerificationFailed,
 )
 from .indices import IndexSequence, McMullenReport, chain_check, index_sequence, mcmullen_check
-from .linalg import AffineSubspace, Rational, min_dilate_with_lattice_point
+from .linalg import AffineSubspace, min_dilate_with_lattice_point
 from .polytope import (
     ConvexPolytope,
     PolytopalUnion,

@@ -19,8 +19,11 @@ many digits they have; numbers read from ``--input`` are bounded instead.
 
 One ``verify`` run computes each exact object once: claims share one body
 per family member (``_body``), and with it the counts and the fit that
-the body keeps (``counting.fitted``); ``main`` parses with one parser
-built per process.
+the body keeps (``counting.fitted``). The rectangles, prisms and barns
+reuse those members' factors: ``constructions`` returns one shared
+``interval``, ``segment``, ``pentagon`` and ``simplex`` body per
+argument tuple, which is safe as a body is immutable and all it keeps is
+exact. ``main`` parses with one parser built per process.
 
 A claim is a case function plus one row of ``_CLAIMS``: the row names
 its default periods and dimensions, and a claim with one case per grid

@@ -11,6 +11,13 @@ equal-power-sum pair. Every product (``rectangle``, ``prism`` and both
 barn pieces) is one ``product`` call, its factors on consecutive
 coordinates in the order written.
 
+``interval``, ``segment``, ``pentagon`` and ``simplex``, the builders
+that the products call, return one shared body per argument tuple, so a
+product reuses the factor that was built on its own, and the two barns
+of one ``n`` share their boxes' intervals. Sharing is safe: a body is
+immutable, and what it keeps on first use (bounds, rows, counts, fits,
+faces) is exact and the same for every caller.
+
 ``p = 1`` is admitted everywhere and degenerates every family to an
 integral polytope (all periods 1); generators do not special-case it
 beyond vertex deduplication.
@@ -19,6 +26,7 @@ beyond vertex deduplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidInput, SizeMismatch, UnverifiedSolution
 from .polytope import ConvexPolytope, PolytopalUnion, from_vertices, product
@@ -31,6 +39,11 @@ def q_value(p: int) -> int:
     return p * p - p + 1
 
 
+# one body per argument tuple (see above); typed, so that ``segment(2.0)``
+# is still refused once ``segment(2)`` is kept
+_shared = lru_cache(maxsize=None, typed=True)
+
+
 def _check_p(p: int) -> None:
     if not isinstance(p, int) or p < 1:
         raise InvalidInput("p must be a positive integer")
@@ -41,11 +54,13 @@ def _check_n(n: int) -> None:
         raise InvalidInput("n must be an integer >= 3")
 
 
+@_shared
 def interval(lo: int, hi: int) -> ConvexPolytope:
     """The segment ``[lo, hi]`` in R^1 (a point when lo == hi)."""
     return from_vertices([(lo,), (hi,)])
 
 
+@_shared
 def segment(p: int) -> ConvexPolytope:
     """``[-1/p, 0]`` in R^1; its dilate count is ``floor(k/p) + 1``."""
     _check_p(p)
@@ -62,6 +77,7 @@ def _pentagon_points(p: int) -> list[tuple]:
     return [(q, 0), (-q, 0), (q - 1, 1), (-(q - 1), 1), (0, Fraction(q, p))]
 
 
+@_shared
 def pentagon(p: int) -> ConvexPolytope:
     """Pentagon with vertices ``(+-q, 0)``, ``(+-(q-1), 1)``, ``(0, q/p)``.
 
@@ -88,6 +104,7 @@ def heptagon(p: int) -> ConvexPolytope:
     return from_vertices(corners + _pentagon_points(p))
 
 
+@_shared
 def simplex(n: int, p: int) -> ConvexPolytope:
     """``conv{0, -(1/p)e_1, e_2, ..., e_(n-1)}`` in R^(n-1).
 

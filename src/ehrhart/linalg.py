@@ -1,10 +1,9 @@
 """Exact rational linear algebra.
 
 Every operation is exact; no floating point appears anywhere. Rational
-values are :class:`fractions.Fraction` (aliased ``Rational``) where they
-meet the caller: ``vdot`` returns one, the nullspace basis vectors are
-tuples of them, and ``as_vector`` coerces any sequence of numbers into
-such a tuple. Matrices are sequences of rows of ``int`` or ``Fraction``.
+values are :class:`fractions.Fraction` where they meet the caller:
+``vdot`` returns one, the nullspace basis vectors are tuples of them,
+and ``as_vector`` coerces any sequence of numbers into such a tuple. Matrices are sequences of rows of ``int`` or ``Fraction``.
 Inside, the work is on Python ints, in two eliminations. The first, an
 integer row echelon form reached by unimodular row steps, carries every
 solver: nullspace, independent rows, and the lattice-solvability query
@@ -25,8 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Infeasible
-
-Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]

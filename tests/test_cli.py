@@ -1118,24 +1118,28 @@ def test_a_union_counts_positive_dilates_only(capsys):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
-def test_verify_builds_each_family_member_once(monkeypatch):
-    built = []
-    real_build = constructions.build
+def test_verify_builds_each_family_member_once(monkeypatch, fresh_bodies):
+    # and hulls each point list once: rectangles, prisms and barns reuse the
+    # segment, pentagon, simplex and box intervals that were built on their own
+    built, hulled = [], []
+    real_build, real_from_vertices = constructions.build, constructions.from_vertices
 
     def counting_build(family, p, n=None):
         built.append((family, p, n))
         return real_build(family, p, n)
 
+    def counting_hull(points):
+        hulled.append(frozenset(map(tuple, points)))
+        return real_from_vertices(points)
+
     monkeypatch.setattr(constructions, "build", counting_build)
-    cli._body.cache_clear()
-    try:
-        reports = cli.verify_all(max_p=2)
-        assert cli._body("hull", 2, 3) is cli._body("hull", 2, 3)
-    finally:
-        cli._body.cache_clear()
+    monkeypatch.setattr(constructions, "from_vertices", counting_hull)
+    reports = cli.verify_all(max_p=2)
+    assert cli._body("hull", 2, 3) is cli._body("hull", 2, 3)
     assert [r.outcome for r in reports] == ["pass"] * len(CLAIMS)
     assert ("hull", 2, 3) in built and ("barn", 2, 3) in built
     assert len(built) == len(set(built))
+    assert (len(hulled), len(set(hulled))) == (42, 42)
 
 
 def test_body_takes_its_arguments_by_position():

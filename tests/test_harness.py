@@ -53,7 +53,7 @@ def walk_log(run) -> tuple[int, int, str]:
     return len(log), sum(charge for _, charge in log), sha256(repr(log).encode()).hexdigest()
 
 
-def test_the_verify_p2_walks_count_and_charge_as_recorded():
+def test_the_verify_p2_walks_count_and_charge_as_recorded(fresh_bodies):
     # every walk of ``verify all --max-p 2`` from fresh bodies, as recorded
     # once a slice where several systems are live was counted in closed
     # form: only the two union walks charge less, 16 for 19
@@ -61,7 +61,6 @@ def test_the_verify_p2_walks_count_and_charge_as_recorded():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--max-p", "2"]) == 0
 
-    cli._body.cache_clear()
     assert walk_log(verify) == (
         582, 2929, "f1dda92bd37172beb9be4db7c3f0d6d8508838ddb6f134225bbe4faf687e9271"
     )
@@ -91,13 +90,12 @@ def order_builds(run) -> int:
     return len(calls)
 
 
-def test_the_verify_p2_walks_keep_one_sub_walk_in_their_memo():
+def test_the_verify_p2_walks_keep_one_sub_walk_in_their_memo(fresh_bodies):
     # stored and read back: a sub-walk kept where no call reads it moves this
     def verify():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--max-p", "2"]) == 0
 
-    cli._body.cache_clear()
     assert memo_use(verify) == (1, 0)
 
 
@@ -106,14 +104,13 @@ def test_the_count_deep_walks_keep_their_memo_as_recorded():
     assert memo_use(lambda: [task.run() for task in tasks]) == (25, 550)
 
 
-def test_the_verify_p2_walks_build_their_line_orders_as_recorded():
+def test_the_verify_p2_walks_build_their_line_orders_as_recorded(fresh_bodies):
     # a run builds its orders again only past the values over which the
     # comparisons that built them hold: a looser or tighter horizon moves this
     def verify():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "all", "--max-p", "2"]) == 0
 
-    cli._body.cache_clear()
     assert order_builds(verify) == 207
 
 

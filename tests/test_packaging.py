@@ -53,7 +53,7 @@ def test_the_package_exports_the_pinned_public_names():
     assert sorted(n for n in names if not n.startswith("_")) == [
         "AffineSubspace", "BudgetExceeded", "ConvexPolytope", "DimensionMismatch",
         "EhrhartError", "EhrhartSeries", "IndexSequence", "Infeasible", "McMullenReport",
-        "NotAvailable", "PolytopalUnion", "PteSolution", "QuasiPolynomial", "Rational",
+        "NotAvailable", "PolytopalUnion", "PteSolution", "QuasiPolynomial",
         "SizeMismatch", "UnverifiedSolution", "VerificationFailed", "chain_check",
         "coefficient_period", "count", "count_convex", "count_union", "denominator",
         "equivalent", "faces", "fit", "fitted", "from_quasipolynomial", "from_vertices",

@@ -61,7 +61,7 @@ CASES = {
         None,
     ),
     "ConvexPolytope": (
-        lambda: C.pentagon(2),
+        lambda: from_vertices(C.pentagon(2).vertices),  # a hull of its own
         "ConvexPolytope(ambient_dim=2, intrinsic_dim=2, 5 vertices, 5 facets)",
         [],
         _fill_body,
